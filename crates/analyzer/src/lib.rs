@@ -21,7 +21,7 @@
 //! | `lock-order` | deny | any crate with a `Mutex` (interprocedural) |
 //! | `panic-path` | deny | panic-capable sites reachable under a guard |
 //! | `fp-kernel-purity` | deny | KERNEL_FILES' transitive call trees |
-//! | `hot-loop-alloc` | deny | the violation-scan kernels |
+//! | `hot-loop-alloc` | deny | the violation-scan kernels and LP basis solvers |
 //! | `missing-forbid-unsafe` | deny | every crate root |
 //!
 //! The three interprocedural lints run over a workspace-wide call graph

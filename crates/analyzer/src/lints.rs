@@ -153,13 +153,14 @@ pub fn check_forbid_unsafe(path: &str, lexed: &Lexed) -> Option<Finding> {
 /// Allocation-shaped calls the hot-loop lint flags inside loop bodies.
 const LOOP_ALLOC_METHODS: &[&str] = &["collect", "clone", "to_vec", "to_owned"];
 
-/// Deny-tier scan of loop bodies in the violation-scan kernels: each hit
-/// is a per-iteration allocation. The scratch arenas (`SolveScratch`,
-/// `ConstraintColumns`) hoisted every historical hit, so any new finding
-/// is a regression and fails CI. Tracks `for`/`while`/`loop` bodies by
-/// brace depth (closures
-/// inside a loop body count as inside the loop — a `map` callback runs
-/// per element, which is exactly the allocation pressure in question).
+/// Deny-tier scan of loop bodies in the kernel files (violation scans,
+/// weight updates, LP basis solvers): each hit is a per-iteration
+/// allocation. The scratch arenas (`SolveScratch`, `ConstraintColumns`,
+/// the solvers' level buffers) hoisted every historical hit, so any new
+/// finding is a regression and fails CI. Tracks `for`/`while`/`loop`
+/// bodies by brace depth (closures inside a loop body count as inside
+/// the loop — a `map` callback runs per element, which is exactly the
+/// allocation pressure in question).
 fn scan_hot_loops(path: &str, toks: &[Tok]) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut depth: i32 = 0;

@@ -57,13 +57,15 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// Files whose loop bodies the `hot-loop-alloc` warn lint watches: the
-/// violation-scan and weight-update kernels ROADMAP item 2 will turn into
-/// arena-backed columnar code.
+/// Files whose loop bodies the `hot-loop-alloc` lint watches: the
+/// violation-scan and weight-update kernels (arena-backed columnar code)
+/// and the flat-row LP basis solvers every Clarkson iteration calls.
 pub const KERNEL_FILES: &[&str] = &[
     "crates/core/src/lptype.rs",
     "crates/core/src/clarkson.rs",
     "crates/bigdata/src/common.rs",
+    "crates/solver/src/seidel.rs",
+    "crates/solver/src/lexico.rs",
 ];
 
 /// The crate that owns `LLP_THREADS` (and env reads generally); see

@@ -41,9 +41,11 @@ fn bench_seidel(c: &mut Criterion) {
 fn bench_lexico(c: &mut Criterion) {
     let mut group = c.benchmark_group("lexicographic_lp");
     group.sample_size(20);
-    for d in [2usize, 4] {
-        let (p, cs) = llp_workloads::random_lp(5_000, d, 3);
-        group.bench_function(BenchmarkId::new("lex_min", d), |b| {
+    // d = 3 at 10,000 rows is the basis solve of the report grid: the
+    // ε-net of `lp_uniform` at the Full budget is ~9,300 rows.
+    for (d, m) in [(2usize, 5_000usize), (4, 5_000), (3, 10_000)] {
+        let (p, cs) = llp_workloads::random_lp(m, d, 3);
+        group.bench_function(BenchmarkId::new(format!("lex_min_m{m}"), d), |b| {
             b.iter(|| {
                 let mut r = StdRng::seed_from_u64(4);
                 black_box(lex_min_optimum(

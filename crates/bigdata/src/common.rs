@@ -23,7 +23,8 @@
 //! `LLP_THREADS`, and the metered communication is untouched because the
 //! simulators charge outside these scans.
 
-use llp_core::lptype::LpTypeProblem;
+use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
+use llp_geom::ColumnsView;
 use llp_num::ScaledF64;
 use llp_sampling::weight_index::WeightIndex;
 use rand::Rng;
@@ -140,6 +141,41 @@ impl<P: LpTypeProblem> WeightOracle<P> {
     /// Bits this history occupies (the `Õ(ν²)·bit(S)` term of Theorem 1).
     pub fn bits(&self, problem: &P) -> u64 {
         problem.solution_bits() * self.bases.len() as u64
+    }
+
+    /// Fills `table` with `F^a` for every exponent `a = 0..=len()` the
+    /// history can produce: `table[a]` is bit-identical to
+    /// [`weight`](Self::weight) of a constraint with exponent `a`, with
+    /// one `powi` per exponent instead of one per constraint.
+    pub fn power_table(&self, table: &mut Vec<ScaledF64>) {
+        table.clear();
+        table.extend((0..=self.bases.len() as u32).map(|a| ScaledF64::powi(self.factor, a)));
+    }
+}
+
+impl<P: ColumnarProblem> WeightOracle<P> {
+    /// The exponents `a(c)` of every row of a columnar block, in row
+    /// order: one `scan_columns` sweep per stored basis, counting each
+    /// row's hits. `counts[i]` equals [`exponent`](Self::exponent) of
+    /// row `i` (the column kernels classify rows exactly as `violates`
+    /// does) without rebuilding any constraint. `hits` is the caller's
+    /// scratch for each sweep's violator indices.
+    pub fn exponents_columnar(
+        &self,
+        problem: &P,
+        view: &ColumnsView<'_>,
+        counts: &mut Vec<u32>,
+        hits: &mut Vec<usize>,
+    ) {
+        counts.clear();
+        counts.resize(view.len(), 0);
+        for basis in &self.bases {
+            hits.clear();
+            problem.scan_columns(basis, view, hits);
+            for &i in hits.iter() {
+                counts[i - view.start()] += 1;
+            }
+        }
     }
 }
 
@@ -325,6 +361,32 @@ mod tests {
         assert_eq!(oracle.exponent(&p, &c), 1);
         let w = oracle.weight(&p, &c);
         assert!((w.to_f64() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn columnar_exponents_and_power_table_match_per_row_weights() {
+        let p = LpProblem::new(vec![1.0, 1.0]);
+        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(3.0);
+        // x + y ≤ b for b = 0..10: row b violates the bases with x > b.
+        oracle.push(vec![0.5, 0.0]);
+        oracle.push(vec![2.5, 0.0]);
+        oracle.push(vec![4.5, 0.0]);
+        let cs: Vec<Halfspace> = (0..10)
+            .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
+            .collect();
+        let columns = p.to_columns(&cs);
+        let (mut counts, mut hits, mut powers) = (Vec::new(), Vec::new(), Vec::new());
+        oracle.power_table(&mut powers);
+        assert_eq!(powers.len(), 4);
+        oracle.exponents_columnar(&p, &columns.full_view(), &mut counts, &mut hits);
+        assert_eq!(counts, [3, 2, 2, 1, 1, 0, 0, 0, 0, 0]);
+        // A view that starts past row 0 (scan indices are absolute).
+        oracle.exponents_columnar(&p, &columns.view(3, 10), &mut counts, &mut hits);
+        assert_eq!(counts, [1, 1, 0, 0, 0, 0, 0]);
+        for (i, &a) in counts.iter().enumerate() {
+            assert_eq!(a, oracle.exponent(&p, &cs[3 + i]));
+            assert_eq!(powers[a as usize], oracle.weight(&p, &cs[3 + i]));
+        }
     }
 
     #[test]

@@ -137,6 +137,10 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     let mut violators: Vec<usize> = Vec::new();
     // Row scratch for `from_row` reconstruction.
     let mut coords: Vec<f64> = Vec::new();
+    // Pass-1 weighing scratch: each chunk row's exponent `a(c)` and the
+    // iteration's `F^a` table.
+    let mut exponents: Vec<u32> = Vec::new();
+    let mut powers: Vec<ScaledF64> = Vec::new();
 
     while stats.iterations < params.max_iterations {
         stats.iterations += 1;
@@ -158,21 +162,38 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             // 128-bit scaled values.
             space.alloc_raw(params.net_size as u64 * 128, params.net_size as u64);
             let mut sampler = SortedTargetSampler::new(params.net_size, total_weight, rng);
+            // Each chunk is weighed in columnar form: its rows' exponents
+            // from one column sweep per stored basis, their weights from
+            // the `F^a` table — the same values, fed in the same order, as
+            // `oracle.weight` recomputed per row. Only rows a target hits
+            // are rebuilt into constraints.
+            oracle.power_table(&mut powers);
             // The last streamed element, iff it is not already in the net
             // (a streaming algorithm may always hold the current element).
             let mut tail: Option<P::Constraint> = None;
             while let Some((_, chunk)) = source.next_chunk()? {
-                for i in 0..chunk.len() {
-                    let extra = chunk.row(i, &mut coords);
-                    let c = problem.from_row(&coords, extra);
-                    let hits = sampler.feed(oracle.weight(problem, &c));
-                    if hits > 0 {
+                oracle.exponents_columnar(
+                    problem,
+                    &chunk.full_view(),
+                    &mut exponents,
+                    &mut violators,
+                );
+                let mut last_hit = false;
+                for (i, &a) in exponents.iter().enumerate() {
+                    last_hit = sampler.feed(powers[a as usize]) > 0;
+                    if last_hit {
+                        let extra = chunk.row(i, &mut coords);
                         space.alloc_raw(cbits, 1);
-                        net.push(c);
-                        tail = None;
-                    } else {
-                        tail = Some(c);
+                        net.push(problem.from_row(&coords, extra));
                     }
+                }
+                if let Some(last) = chunk.len().checked_sub(1) {
+                    tail = if last_hit {
+                        None
+                    } else {
+                        let extra = chunk.row(last, &mut coords);
+                        Some(problem.from_row(&coords, extra))
+                    };
                 }
             }
             // The bookkept total is maintained incrementally while the fed

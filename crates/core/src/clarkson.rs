@@ -205,10 +205,13 @@ pub type ClarksonOutcome<S> = Result<(S, ClarksonStats), (ClarksonError, Clarkso
 /// Ownership rule: the arena owns its buffers between solves and lends
 /// them to exactly one solve at a time; the solver clears/refills them
 /// per iteration via `clone_from`, so after the first iteration warms
-/// the pool to the net size the loop body performs **zero heap
-/// allocations** (the analyzer's deny-tier `hot-loop-alloc` lint keeps
-/// it that way). Callers with many solves (the service's batch
-/// executor) hold one arena per worker and amortize the warm-up.
+/// the pool to the net size the loop's own bookkeeping performs **zero
+/// heap allocations** (the analyzer's deny-tier `hot-loop-alloc` lint
+/// keeps it that way). The basis solve each iteration calls
+/// (`solve_subset`) allocates on its own account — for LP a few dozen
+/// times per call, independent of the net size. Callers with many
+/// solves (the service's batch executor) hold one arena per worker and
+/// amortize the warm-up.
 pub struct SolveScratch<P: ColumnarProblem> {
     /// Sampled net indices (sorted, deduped), reused across iterations.
     net_idx: Vec<usize>,

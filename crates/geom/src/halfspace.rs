@@ -93,70 +93,11 @@ impl Halfspace {
     pub fn bit_size(&self) -> u64 {
         64 * (self.dim() as u64 + 1)
     }
-
-    /// Eliminates variable `var` using the boundary equality `a·x = b` of
-    /// `self`, rewriting a *different* constraint `other` into `d-1`
-    /// dimensions.
-    ///
-    /// Given `self.a[var] != 0`, the boundary gives
-    /// `x_var = (b - Σ_{i≠var} a_i x_i) / a_var`; substituting into
-    /// `other.a·x ≤ other.b` yields the returned halfspace over the
-    /// remaining variables, in their original order with `var` removed.
-    ///
-    /// # Panics
-    /// Panics if dimensions mismatch or `self.a[var]` is (numerically) zero.
-    pub fn eliminate_into(&self, other: &Halfspace, var: usize) -> Halfspace {
-        let d = self.dim();
-        assert_eq!(other.dim(), d);
-        assert!(var < d);
-        let pivot = self.a[var];
-        assert!(
-            pivot.abs() > 1e-300,
-            "cannot eliminate on a zero coefficient"
-        );
-        let scale = other.a[var] / pivot;
-        let mut a = Vec::with_capacity(d - 1);
-        for i in 0..d {
-            if i == var {
-                continue;
-            }
-            a.push(other.a[i] - scale * self.a[i]);
-        }
-        let b = other.b - scale * self.b;
-        Halfspace { a, b }
-    }
-
-    /// Lifts a point of the eliminated `(d-1)`-dimensional space back onto
-    /// the boundary hyperplane of `self`, restoring coordinate `var`.
-    ///
-    /// # Panics
-    /// Panics if `y.len() + 1 != self.dim()` or the pivot is zero.
-    pub fn lift(&self, y: &[f64], var: usize) -> Point {
-        let d = self.dim();
-        assert_eq!(y.len() + 1, d);
-        let pivot = self.a[var];
-        assert!(pivot.abs() > 1e-300);
-        let mut x = Vec::with_capacity(d);
-        let mut yi = 0;
-        let mut partial = 0.0;
-        for i in 0..d {
-            if i == var {
-                x.push(0.0); // placeholder
-            } else {
-                partial += self.a[i] * y[yi];
-                x.push(y[yi]);
-                yi += 1;
-            }
-        }
-        x[var] = (self.b - partial) / pivot;
-        x
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn contains_and_slack() {
@@ -178,55 +119,5 @@ mod tests {
     fn bit_size_counts_coefficients() {
         let h = Halfspace::new(vec![0.0; 3], 1.0);
         assert_eq!(h.bit_size(), 64 * 4);
-    }
-
-    #[test]
-    fn eliminate_then_lift_roundtrip() {
-        // Plane x0 + 2*x1 + x2 = 4; eliminate x1.
-        let plane = Halfspace::new(vec![1.0, 2.0, 1.0], 4.0);
-        let other = Halfspace::new(vec![3.0, 1.0, -1.0], 5.0);
-        let reduced = other_eliminated(&plane, &other);
-        assert_eq!(reduced.dim(), 2);
-        // A point on the plane: pick y = (x0, x2) = (1, 1) -> x1 = (4-2)/2 = 1.
-        let x = plane.lift(&[1.0, 1.0], 1);
-        assert_eq!(x, vec![1.0, 1.0, 1.0]);
-        // The reduced constraint at y must equal the original at the lifted x.
-        assert!((reduced.slack(&[1.0, 1.0]) - other.slack(&x)).abs() < 1e-12);
-    }
-
-    fn other_eliminated(plane: &Halfspace, other: &Halfspace) -> Halfspace {
-        plane.eliminate_into(other, 1)
-    }
-
-    #[test]
-    #[should_panic(expected = "zero coefficient")]
-    fn eliminate_zero_pivot_panics() {
-        let plane = Halfspace::new(vec![1.0, 0.0], 1.0);
-        let other = Halfspace::new(vec![0.0, 1.0], 1.0);
-        let _ = plane.eliminate_into(&other, 1);
-    }
-
-    proptest! {
-        /// Eliminating a variable and lifting preserves constraint slack:
-        /// for any point y of the reduced space, the reduced slack equals
-        /// the original slack at the lifted point.
-        #[test]
-        fn prop_elimination_preserves_slack(
-            pa in proptest::collection::vec(-5.0f64..5.0, 3),
-            pb in -5.0f64..5.0,
-            oa in proptest::collection::vec(-5.0f64..5.0, 3),
-            ob in -5.0f64..5.0,
-            y in proptest::collection::vec(-5.0f64..5.0, 2),
-            var in 0usize..3,
-        ) {
-            prop_assume!(pa[var].abs() > 0.1);
-            let plane = Halfspace::new(pa, pb);
-            let other = Halfspace::new(oa, ob);
-            let reduced = plane.eliminate_into(&other, var);
-            let x = plane.lift(&y, var);
-            // The lifted point is on the plane.
-            prop_assert!(plane.is_tight(&x, 1e-7));
-            prop_assert!((reduced.slack(&y) - other.slack(&x)).abs() < 1e-6);
-        }
     }
 }

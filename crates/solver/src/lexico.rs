@@ -9,20 +9,19 @@
 //! robust): fixing `g·y = v` solves one variable out and rewrites every
 //! remaining constraint and tracked coordinate expression into the reduced
 //! space.
+//!
+//! The system is kept in the flat-row layout of [`crate::seidel`]: one
+//! `f64` buffer with `free + 1` values per constraint, which each fixed
+//! plane compacts in place to `free` values per row, and one flat
+//! `d × free` matrix of coordinate expressions. The `d + 1` Seidel solves
+//! share one scratch, so a call allocates a few dozen times whatever the
+//! input size.
 
 use crate::seidel::{self, SeidelConfig};
 use crate::LpResult;
 use llp_geom::{Halfspace, Point};
 use llp_num::linalg::{dot, norm};
 use rand::Rng;
-
-/// An affine expression `constant + coefs · y` of an original coordinate in
-/// terms of the current free variables `y`.
-#[derive(Clone, Debug)]
-struct AffineExpr {
-    constant: f64,
-    coefs: Vec<f64>,
-}
 
 /// Solves `min c·x : a_j·x ≤ b_j` and returns the *lexicographically
 /// smallest* optimal point, the canonical `f(A)` of Section 4.1.
@@ -37,35 +36,37 @@ pub fn lex_min_optimum<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> LpResult {
     let d = objective.len();
+    assert!(d >= 1, "objective in zero dimensions");
     let m_box = cfg.box_half_width;
     // Explicit box constraints participate in every reduced stage; Seidel's
     // internal box is pushed far out so it never binds before these.
-    let mut reduced: Vec<Halfspace> = Vec::with_capacity(constraints.len() + 2 * d);
-    reduced.extend_from_slice(constraints);
+    let mut reduced: Vec<f64> = Vec::with_capacity((constraints.len() + 2 * d) * (d + 1));
+    for h in constraints {
+        assert_eq!(h.dim(), d, "constraint dimension mismatch");
+        reduced.extend_from_slice(&h.a);
+        reduced.push(h.b);
+    }
     for i in 0..d {
-        let mut hi = vec![0.0; d];
-        hi[i] = 1.0;
-        let mut lo = vec![0.0; d];
-        lo[i] = -1.0;
-        reduced.push(Halfspace::new(hi, m_box));
-        reduced.push(Halfspace::new(lo, m_box));
+        for sign in [1.0, -1.0] {
+            reduced.extend((0..d).map(|k| if k == i { sign } else { 0.0 }));
+            reduced.push(m_box);
+        }
     }
     let inner_cfg = SeidelConfig {
         box_half_width: 16.0 * m_box,
         eps: cfg.eps,
     };
 
-    // x_j = expr[j].constant + expr[j].coefs · y ; initially the identity.
-    let mut expr: Vec<AffineExpr> = (0..d)
-        .map(|j| {
-            let mut coefs = vec![0.0; d];
-            coefs[j] = 1.0;
-            AffineExpr {
-                constant: 0.0,
-                coefs,
-            }
-        })
-        .collect();
+    // x_j = constant[j] + coefs[j·free .. (j+1)·free] · y over the `free`
+    // current variables y; initially the identity.
+    let mut free = d;
+    let mut constant = vec![0.0; d];
+    let mut coefs = vec![0.0; d * d];
+    for j in 0..d {
+        coefs[j * d + j] = 1.0;
+    }
+    let mut obj: Vec<f64> = Vec::with_capacity(d);
+    let mut scratch = seidel::Scratch::default();
 
     // Stage 0 objective is `c`; stages 1..=d minimize the original
     // coordinates in order. `current` tracks the optimum of the last
@@ -76,27 +77,26 @@ pub fn lex_min_optimum<R: Rng + ?Sized>(
     // of propagating a wrong verdict.
     let mut current: Option<Vec<f64>> = None;
     for stage in 0..=d {
-        let free = expr[0].coefs.len();
         if free == 0 {
             break;
         }
-        let obj: Vec<f64> = if stage == 0 {
+        obj.clear();
+        if stage == 0 {
             // c expressed over the free variables.
-            let mut o = vec![0.0; free];
+            obj.resize(free, 0.0);
             for j in 0..d {
                 for k in 0..free {
-                    o[k] += objective[j] * expr[j].coefs[k];
+                    obj[k] += objective[j] * coefs[j * free + k];
                 }
             }
-            o
         } else {
-            expr[stage - 1].coefs.clone()
-        };
+            obj.extend_from_slice(&coefs[(stage - 1) * free..stage * free]);
+        }
         if norm(&obj) <= 1e-12 {
             // This stage's coordinate is already pinned by earlier planes.
             continue;
         }
-        let y = match seidel::solve(&reduced, &obj, &inner_cfg, rng) {
+        let y = match seidel::solve_rows(&reduced, &obj, &inner_cfg, &mut scratch, rng) {
             LpResult::Optimal(y) => y,
             LpResult::Infeasible | LpResult::Unbounded if stage > 0 => {
                 // Numerical failure on the (feasible) optimal face: keep
@@ -107,21 +107,21 @@ pub fn lex_min_optimum<R: Rng + ?Sized>(
             LpResult::Unbounded => return LpResult::Unbounded,
         };
         let v = dot(&obj, &y);
-        let pivot = fix_plane(&mut reduced, &mut expr, &obj, v);
+        let pivot = fix_plane(&mut reduced, &mut constant, &mut coefs, &obj, v);
         let mut reduced_y = y;
         reduced_y.remove(pivot);
         current = Some(reduced_y);
+        free -= 1;
     }
 
     // Reconstruct: coordinates still free take their values from the last
     // successful stage's optimum (zero only if no stage ever solved,
     // which stage 0 rules out).
-    let x: Point = expr
-        .iter()
-        .map(|e| {
-            let mut v = e.constant;
+    let x: Point = (0..d)
+        .map(|j| {
+            let mut v = constant[j];
             if let Some(y) = &current {
-                for (k, &c) in e.coefs.iter().enumerate() {
+                for (k, &c) in coefs[j * free..(j + 1) * free].iter().enumerate() {
                     v += c * y[k];
                 }
             }
@@ -145,12 +145,26 @@ pub fn lex_min_optimum<R: Rng + ?Sized>(
 }
 
 /// Restricts the system to the plane `g·y = v`: eliminates the free
-/// variable with the largest `|g|` coefficient from every constraint and
-/// every coordinate expression. Returns the eliminated variable's index
-/// (in the pre-elimination free coordinates).
-fn fix_plane(reduced: &mut Vec<Halfspace>, expr: &mut [AffineExpr], g: &[f64], v: f64) -> usize {
+/// variable with the largest `|g|` coefficient from every constraint row
+/// of `reduced` (row `h` becomes `h − (h_pivot / g_pivot)·(g, v)` with the
+/// pivot column dropped; rows that became trivially satisfied go) and
+/// from every coordinate expression. Both flat buffers are compacted in
+/// place from `free = g.len()` to `free − 1` variables. Returns the
+/// eliminated variable's index (in the pre-elimination free coordinates).
+fn fix_plane(
+    reduced: &mut Vec<f64>,
+    constant: &mut [f64],
+    coefs: &mut Vec<f64>,
+    g: &[f64],
+    v: f64,
+) -> usize {
     let free = g.len();
     debug_assert!(free >= 1);
+    // A non-finite plane would silently poison every remaining row.
+    assert!(
+        g.iter().all(|x| x.is_finite()) && v.is_finite(),
+        "non-finite halfspace"
+    );
     let mut pivot = 0;
     for k in 1..free {
         if g[k].abs() > g[pivot].abs() {
@@ -160,165 +174,45 @@ fn fix_plane(reduced: &mut Vec<Halfspace>, expr: &mut [AffineExpr], g: &[f64], v
     let gp = g[pivot];
     debug_assert!(gp.abs() > 1e-12);
 
-    let plane = Halfspace::new(g.to_vec(), v);
-    let old = std::mem::take(reduced);
-    reduced.reserve(old.len());
-    for h in &old {
-        let r = plane.eliminate_into(h, pivot);
+    // Row r (width free + 1) is rewritten to slot `kept` (width free).
+    // Writes never overtake reads: slot kept·free + t ≤ r·(free + 1) + t,
+    // and entry t of the output reads entry t or t + 1 of the input.
+    let mut kept = 0;
+    for r in 0..reduced.len() / (free + 1) {
+        let (src, dst) = (r * (free + 1), kept * free);
+        let scale = reduced[src + pivot] / gp;
+        let b = reduced[src + free] - scale * v;
+        let mut t = dst;
+        for i in 0..free {
+            if i != pivot {
+                reduced[t] = reduced[src + i] - scale * g[i];
+                t += 1;
+            }
+        }
+        reduced[t] = b;
         // Drop constraints that became trivial (zero normal, satisfied).
-        if norm(&r.a) <= 1e-12 && r.b >= -1e-9 {
+        if norm(&reduced[dst..t]) <= 1e-12 && b >= -1e-9 {
             continue;
         }
-        reduced.push(r);
+        kept += 1;
     }
+    reduced.truncate(kept * free);
 
     // y_pivot = (v - Σ_{i≠pivot} g_i y_i) / g_pivot; substitute into every
-    // coordinate expression and drop the pivot column.
-    for e in expr.iter_mut() {
-        let cp = e.coefs[pivot];
-        let mut coefs = Vec::with_capacity(free - 1);
+    // coordinate expression and drop the pivot column (compacted in
+    // place as above).
+    for (j, c) in constant.iter_mut().enumerate() {
+        let src = j * free;
+        let cp = coefs[src + pivot];
+        let mut t = j * (free - 1);
         for i in 0..free {
-            if i == pivot {
-                continue;
+            if i != pivot {
+                coefs[t] = coefs[src + i] - cp * g[i] / gp;
+                t += 1;
             }
-            coefs.push(e.coefs[i] - cp * g[i] / gp);
         }
-        e.constant += cp * v / gp;
-        e.coefs = coefs;
+        *c += cp * v / gp;
     }
+    coefs.truncate(constant.len() * (free - 1));
     pivot
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(99)
-    }
-
-    fn lex(cs: &[Halfspace], c: &[f64]) -> LpResult {
-        lex_min_optimum(cs, c, &SeidelConfig::default(), &mut rng())
-    }
-
-    fn assert_pt(x: &[f64], want: &[f64]) {
-        for i in 0..x.len() {
-            assert!((x[i] - want[i]).abs() < 1e-5, "x = {x:?}, want {want:?}");
-        }
-    }
-
-    #[test]
-    fn unique_vertex_unchanged() {
-        let cs = vec![
-            Halfspace::new(vec![1.0, 2.0], 4.0),
-            Halfspace::new(vec![3.0, 1.0], 6.0),
-        ];
-        let r = lex(&cs, &[-1.0, -1.0]);
-        assert_pt(r.point().unwrap(), &[1.6, 1.2]);
-    }
-
-    #[test]
-    fn degenerate_face_breaks_ties_lexicographically() {
-        // min x + y on the square [0,1]^2: the whole edge from (0,0) is not
-        // optimal — only (0,0) minimizes; instead use objective (1, 0): the
-        // optimal face is the segment x = 0, y ∈ [0, 1]; lexicographic
-        // tie-break must pick y = 0.
-        let cs = vec![
-            Halfspace::new(vec![-1.0, 0.0], 0.0),
-            Halfspace::new(vec![0.0, -1.0], 0.0),
-            Halfspace::new(vec![1.0, 0.0], 1.0),
-            Halfspace::new(vec![0.0, 1.0], 1.0),
-        ];
-        let r = lex(&cs, &[1.0, 0.0]);
-        assert_pt(r.point().unwrap(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn zero_objective_gives_lex_smallest_feasible() {
-        let cs = vec![
-            Halfspace::new(vec![-1.0, 0.0], -2.0), // x ≥ 2
-            Halfspace::new(vec![0.0, -1.0], -3.0), // y ≥ 3
-            Halfspace::new(vec![1.0, 1.0], 100.0),
-        ];
-        let r = lex(&cs, &[0.0, 0.0]);
-        assert_pt(r.point().unwrap(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn infeasible_propagates() {
-        let cs = vec![
-            Halfspace::new(vec![1.0, 0.0], 0.0),
-            Halfspace::new(vec![-1.0, 0.0], -1.0),
-        ];
-        assert_eq!(lex(&cs, &[1.0, 1.0]), LpResult::Infeasible);
-    }
-
-    #[test]
-    fn unbounded_detected() {
-        // min 0 subject to x ≥ 0 only: lexicographic min sends y to -M.
-        let cs = vec![Halfspace::new(vec![-1.0, 0.0], 0.0)];
-        assert_eq!(lex(&cs, &[0.0, 0.0]), LpResult::Unbounded);
-    }
-
-    #[test]
-    fn three_dim_degenerate_face() {
-        // Objective only on x0; optimal face is the square x0 = 0,
-        // (x1, x2) ∈ [0,1]^2. Lexicographic pick: (0, 0, 0).
-        let mut cs = Vec::new();
-        for i in 0..3 {
-            let mut lo = vec![0.0; 3];
-            lo[i] = -1.0;
-            let mut hi = vec![0.0; 3];
-            hi[i] = 1.0;
-            cs.push(Halfspace::new(lo, 0.0));
-            cs.push(Halfspace::new(hi, 1.0));
-        }
-        let r = lex(&cs, &[1.0, 0.0, 0.0]);
-        assert_pt(r.point().unwrap(), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn respects_equality_like_pairs() {
-        // x + y = 1 encoded as two inequalities; min x -> x as small as
-        // possible: x ≥ 0 binds? No lower bound on x other than y ≤ 1 =>
-        // x ≥ 0. Add y ≤ 1.
-        let cs = vec![
-            Halfspace::new(vec![1.0, 1.0], 1.0),
-            Halfspace::new(vec![-1.0, -1.0], -1.0),
-            Halfspace::new(vec![0.0, 1.0], 1.0),
-        ];
-        let r = lex(&cs, &[1.0, 0.0]);
-        assert_pt(r.point().unwrap(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn matches_plain_seidel_value_on_random_bounded_lps() {
-        use rand::Rng;
-        let mut r = rng();
-        for _ in 0..25 {
-            let d = 3;
-            let mut cs = Vec::new();
-            for _ in 0..60 {
-                let mut a: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-                let n = norm(&a);
-                if n < 1e-3 {
-                    continue;
-                }
-                a.iter_mut().for_each(|v| *v /= n);
-                cs.push(Halfspace::new(a, 1.0));
-            }
-            let c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            let plain = seidel::solve(&cs, &c, &SeidelConfig::default(), &mut r);
-            let lexed = lex_min_optimum(&cs, &c, &SeidelConfig::default(), &mut r);
-            if let (LpResult::Optimal(p), LpResult::Optimal(q)) = (&plain, &lexed) {
-                let (vp, vq) = (dot(&c, p), dot(&c, q));
-                assert!(
-                    (vp - vq).abs() < 1e-5 * vp.abs().max(1.0),
-                    "objective mismatch: seidel {vp} vs lex {vq}"
-                );
-            }
-        }
-    }
 }

@@ -8,13 +8,29 @@
 //! The algorithm processes constraints in random order, maintaining the
 //! optimum of the prefix. When the next constraint is violated, the new
 //! optimum lies on its boundary hyperplane, so the problem recurses into
-//! `d - 1` dimensions via exact variable elimination
-//! ([`Halfspace::eliminate_into`]). Expected running time is `O(d! · m)`
-//! for `m` constraints — linear in `m` for fixed `d`, which is the regime
-//! of the paper.
+//! `d - 1` dimensions via exact variable elimination. Expected running
+//! time is `O(d! · m)` for `m` constraints — linear in `m` for fixed `d`,
+//! which is the regime of the paper.
+//!
+//! # Flat rows
+//!
+//! Constraints live in flat `f64` buffers, `d + 1` values per row (`a`,
+//! then `b`). A `Scratch` owns one `Level` per recursion depth; level
+//! `k` holds the `(d − k)`-dimensional subproblem and is refilled, not
+//! reallocated, on every violation at depth `k − 1`. A solve therefore
+//! allocates O(d) times (plus the amortized growth of each level), never
+//! per row.
+//!
+//! Outputs are pinned bit for bit (`tests/golden_outputs.rs` at the
+//! workspace root), so the order of the f64 operations of elimination,
+//! renormalization and lifting is part of the contract, and so is the
+//! random stream: a level is filled through a shuffled index permutation
+//! of its rows, which draws exactly what shuffling the rows themselves
+//! would (the vendored Fisher–Yates draws depend only on the length).
 
 use crate::LpResult;
-use llp_geom::{Halfspace, Point};
+use llp_geom::Halfspace;
+use llp_num::linalg::{dot, norm};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -48,36 +64,93 @@ pub fn solve<R: Rng + ?Sized>(
 ) -> LpResult {
     let d = objective.len();
     assert!(d >= 1, "objective in zero dimensions");
+    let mut rows = Vec::with_capacity(constraints.len() * (d + 1));
     for h in constraints {
         assert_eq!(h.dim(), d, "constraint dimension mismatch");
+        rows.extend_from_slice(&h.a);
+        rows.push(h.b);
     }
-    // Work on an index permutation of normalized constraints.
-    let mut work: Vec<Halfspace> = constraints.iter().map(normalize).collect();
-    work.shuffle(rng);
-    match solve_rec(&work, objective, cfg, rng) {
-        Some(x) => {
-            if on_box(&x, cfg) {
-                LpResult::Unbounded
-            } else {
-                LpResult::Optimal(x)
-            }
-        }
-        None => LpResult::Infeasible,
+    solve_rows(&rows, objective, cfg, &mut Scratch::default(), rng)
+}
+
+/// The reusable buffers of one or more solves. The caller owns it and may
+/// pass it to any number of [`solve_rows`] calls of any dimension; the
+/// buffers keep their capacity between calls.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// `levels[k]` holds the subproblem at recursion depth `k`.
+    levels: Vec<Level>,
+    /// Shuffle permutation, consumed as soon as it has filled a level.
+    perm: Vec<usize>,
+}
+
+/// One recursion level of dimension `dim = obj.len()`.
+#[derive(Debug, Default)]
+struct Level {
+    /// Normalized constraints in processing order, `dim + 1` values a row.
+    rows: Vec<f64>,
+    /// The objective restricted to this level.
+    obj: Vec<f64>,
+    /// This level's current optimum.
+    x: Vec<f64>,
+    /// The box rows `±x_var ≤ M` of the variable being eliminated.
+    boxes: Vec<f64>,
+}
+
+/// Solves the LP whose constraints are the flat rows `rows` (`d + 1`
+/// values each, `d = objective.len()`). Rows need not be normalized; the
+/// solve normalizes its own copies.
+pub(crate) fn solve_rows<R: Rng + ?Sized>(
+    rows: &[f64],
+    objective: &[f64],
+    cfg: &SeidelConfig,
+    scratch: &mut Scratch,
+    rng: &mut R,
+) -> LpResult {
+    let d = objective.len();
+    let w = d + 1;
+    debug_assert!(d >= 1 && rows.len().is_multiple_of(w));
+    if scratch.levels.len() < d {
+        scratch.levels.resize_with(d, Level::default);
+    }
+    let Scratch { levels, perm } = scratch;
+    let levels = &mut levels[..d];
+    perm.clear();
+    perm.extend(0..rows.len() / w);
+    perm.shuffle(rng);
+    let top = &mut levels[0];
+    top.rows.clear();
+    for &src in perm.iter() {
+        let start = top.rows.len();
+        top.rows.extend_from_slice(&rows[src * w..(src + 1) * w]);
+        normalize(&mut top.rows[start..]);
+    }
+    top.obj.clear();
+    top.obj.extend_from_slice(objective);
+    if !solve_level(levels, perm, cfg, rng) {
+        return LpResult::Infeasible;
+    }
+    let x = &levels[0].x;
+    if on_box(x, cfg) {
+        LpResult::Unbounded
+    } else {
+        LpResult::Optimal(x.clone())
     }
 }
 
-/// Scales a constraint so `‖a‖ = 1` (pure normalization; the halfspace is
-/// unchanged). Constraints with a zero normal become `0 ≤ b` and are kept
-/// verbatim so infeasibility (`b < 0`) is still detected.
-fn normalize(h: &Halfspace) -> Halfspace {
-    let n = llp_num::linalg::norm(&h.a);
+/// Scales a row in place so `‖a‖ = 1` (pure normalization; the halfspace
+/// is unchanged). Rows with a zero normal are `0 ≤ b` and stay verbatim
+/// so infeasibility (`b < 0`) is still detected.
+fn normalize(row: &mut [f64]) {
+    let (a, b) = row.split_at_mut(row.len() - 1);
+    let n = norm(a);
     if n <= 1e-300 {
-        return h.clone();
+        return;
     }
-    Halfspace {
-        a: h.a.iter().map(|v| v / n).collect(),
-        b: h.b / n,
+    for v in a.iter_mut() {
+        *v /= n;
     }
+    b[0] /= n;
 }
 
 fn on_box(x: &[f64], cfg: &SeidelConfig) -> bool {
@@ -85,48 +158,81 @@ fn on_box(x: &[f64], cfg: &SeidelConfig) -> bool {
     x.iter().any(|v| v.abs() >= m * (1.0 - 1e-6))
 }
 
-/// Recursive core. `None` means infeasible. The returned point is the
-/// optimum over `constraints ∩ [-M, M]^d`.
-fn solve_rec<R: Rng + ?Sized>(
-    constraints: &[Halfspace],
-    objective: &[f64],
+/// `a·x ≤ b` up to relative tolerance `eps`: [`Halfspace::contains_eps`]
+/// on a flat row.
+#[inline]
+fn contains_eps(row: &[f64], x: &[f64], eps: f64) -> bool {
+    let (a, b) = (&row[..x.len()], row[x.len()]);
+    let ax = dot(a, x);
+    ax <= b + eps * ax.abs().max(b.abs()).max(1.0)
+}
+
+/// Appends row `g` restricted to the boundary `a·x = b` of row `h`, then
+/// normalized: `h` gives `x_var = (b − Σ_{i≠var} a_i x_i) / a_var`, and
+/// substituting it into `g` leaves `g − (g_var / h_var)·h` with column
+/// `var` dropped.
+fn push_eliminated(h: &[f64], g: &[f64], var: usize, out: &mut Vec<f64>) {
+    let d = h.len() - 1;
+    let scale = g[var] / h[var];
+    let start = out.len();
+    for i in 0..d {
+        if i != var {
+            out.push(g[i] - scale * h[i]);
+        }
+    }
+    out.push(g[d] - scale * h[d]);
+    normalize(&mut out[start..]);
+}
+
+/// Recursive core over `levels[0]`, whose rows and objective the caller
+/// has filled. `false` means infeasible; otherwise `levels[0].x` is the
+/// optimum over the rows ∩ `[-M, M]^dim`.
+fn solve_level<R: Rng + ?Sized>(
+    levels: &mut [Level],
+    perm: &mut Vec<usize>,
     cfg: &SeidelConfig,
     rng: &mut R,
-) -> Option<Point> {
-    let d = objective.len();
+) -> bool {
+    let (this, below) = levels.split_first_mut().expect("one level per dimension");
+    let d = this.obj.len();
+    this.x.clear();
     if d == 1 {
-        return solve_1d(constraints, objective[0], cfg);
+        return match solve_1d(&this.rows, this.obj[0], cfg) {
+            Some(v) => {
+                this.x.push(v);
+                true
+            }
+            None => false,
+        };
     }
 
     // Start from the box vertex minimizing the objective (deterministic
     // tie-break toward -M).
     let m = cfg.box_half_width;
-    let mut x: Point = objective
-        .iter()
-        .map(|&c| {
-            if c > 0.0 {
-                -m
-            } else if c < 0.0 {
-                m
-            } else {
-                -m
-            }
-        })
-        .collect();
+    this.x.extend(this.obj.iter().map(|&c| {
+        if c > 0.0 {
+            -m
+        } else if c < 0.0 {
+            m
+        } else {
+            -m
+        }
+    }));
 
-    for i in 0..constraints.len() {
-        let h = &constraints[i];
-        if h.contains_eps(&x, cfg.eps) {
+    let w = d + 1;
+    for i in 0..this.rows.len() / w {
+        let h = &this.rows[i * w..(i + 1) * w];
+        if contains_eps(h, &this.x, cfg.eps) {
             continue;
         }
         // Zero-normal constraint that x fails is 0 ≤ b with b < 0.
-        let (pivot_var, pivot_mag) = argmax_abs(&h.a);
+        let (pivot_var, pivot_mag) = argmax_abs(&h[..d]);
         if pivot_mag <= 1e-12 {
-            return None;
+            return false;
         }
         // New optimum lies on the boundary of h: eliminate pivot_var and
-        // recurse on the prefix (plus the box constraints of the eliminated
-        // variable, which become ordinary constraints after elimination).
+        // recurse on the prefix plus the box constraints of the eliminated
+        // variable, which become ordinary constraints after elimination.
         //
         // Each eliminated constraint is renormalized before the recursion:
         // near-parallel eliminations leave reduced normals with tiny
@@ -135,39 +241,64 @@ fn solve_rec<R: Rng + ?Sized>(
         // which read as false `Infeasible` verdicts on near-tie inputs.
         // Normalizing restores ‖a‖ = 1 so the relative eps comparison in
         // the base case measures true geometric slack.
-        let mut reduced: Vec<Halfspace> = Vec::with_capacity(i + 2);
-        for g in &constraints[..i] {
-            reduced.push(normalize(&h.eliminate_into(g, pivot_var)));
+        //
+        // Row j < i of the next level's input is the prefix row j; rows i
+        // and i + 1 are the boxes `x_var ≤ M` and `-x_var ≤ M`. They are
+        // filled in shuffled order.
+        this.boxes.clear();
+        this.boxes.resize(2 * w, 0.0);
+        this.boxes[pivot_var] = 1.0;
+        this.boxes[d] = m;
+        this.boxes[w + pivot_var] = -1.0;
+        this.boxes[w + d] = m;
+        perm.clear();
+        perm.extend(0..i + 2);
+        perm.shuffle(rng);
+        let next = &mut below[0];
+        next.rows.clear();
+        for &src in perm.iter() {
+            let g = if src < i {
+                &this.rows[src * w..(src + 1) * w]
+            } else {
+                &this.boxes[(src - i) * w..(src - i + 1) * w]
+            };
+            push_eliminated(h, g, pivot_var, &mut next.rows);
         }
-        // Box for the eliminated variable: x_var ≤ M and -x_var ≤ M.
-        let mut lo = vec![0.0; d];
-        lo[pivot_var] = -1.0;
-        let mut hi = vec![0.0; d];
-        hi[pivot_var] = 1.0;
-        reduced.push(normalize(
-            &h.eliminate_into(&Halfspace::new(hi, m), pivot_var),
-        ));
-        reduced.push(normalize(
-            &h.eliminate_into(&Halfspace::new(lo, m), pivot_var),
-        ));
 
         // Objective restricted to the hyperplane: substitute x_var.
-        let scale = objective[pivot_var] / h.a[pivot_var];
-        let mut obj_red = Vec::with_capacity(d - 1);
+        let scale = this.obj[pivot_var] / h[pivot_var];
+        next.obj.clear();
         for k in 0..d {
             if k != pivot_var {
-                obj_red.push(objective[k] - scale * h.a[k]);
+                next.obj.push(this.obj[k] - scale * h[k]);
             }
         }
-        reduced.shuffle(rng);
-        let y = solve_rec(&reduced, &obj_red, cfg, rng)?;
-        x = h.lift(&y, pivot_var);
+        if !solve_level(below, perm, cfg, rng) {
+            return false;
+        }
+        lift(h, &below[0].x, pivot_var, &mut this.x);
         // Clamp lift noise back into the box.
-        for v in &mut x {
+        for v in this.x.iter_mut() {
             *v = v.clamp(-m, m);
         }
     }
-    Some(x)
+    true
+}
+
+/// Lifts a point `y` of the space with variable `var` eliminated back
+/// onto the boundary `a·x = b` of row `h`, writing it to `x`.
+fn lift(h: &[f64], y: &[f64], var: usize, x: &mut [f64]) {
+    let d = x.len();
+    let mut partial = 0.0;
+    let mut yi = 0;
+    for k in 0..d {
+        if k != var {
+            partial += h[k] * y[yi];
+            x[k] = y[yi];
+            yi += 1;
+        }
+    }
+    x[var] = (h[d] - partial) / h[var];
 }
 
 fn argmax_abs(a: &[f64]) -> (usize, f64) {
@@ -182,23 +313,23 @@ fn argmax_abs(a: &[f64]) -> (usize, f64) {
     (best, mag)
 }
 
-/// One-dimensional base case: intersect rays, pick the endpoint minimizing
-/// `c·x` (tie-break toward the smaller endpoint so the result is
-/// deterministic given the constraint set).
-fn solve_1d(constraints: &[Halfspace], c: f64, cfg: &SeidelConfig) -> Option<Point> {
+/// One-dimensional base case over rows `(a, b)`: intersect rays, pick the
+/// endpoint minimizing `c·x` (tie-break toward the smaller endpoint so
+/// the result is deterministic given the constraint set).
+fn solve_1d(rows: &[f64], c: f64, cfg: &SeidelConfig) -> Option<f64> {
     let m = cfg.box_half_width;
     let mut lo = -m;
     let mut hi = m;
-    for h in constraints {
-        let a = h.a[0];
+    for row in rows.chunks_exact(2) {
+        let (a, b) = (row[0], row[1]);
         if a.abs() <= 1e-12 {
             // 0·x ≤ b: infeasible iff b is definitely negative.
-            if h.b < -cfg.eps {
+            if b < -cfg.eps {
                 return None;
             }
             continue;
         }
-        let bound = h.b / a;
+        let bound = b / a;
         if a > 0.0 {
             hi = hi.min(bound);
         } else {
@@ -209,219 +340,36 @@ fn solve_1d(constraints: &[Halfspace], c: f64, cfg: &SeidelConfig) -> Option<Poi
         return None;
     }
     let hi = hi.max(lo); // collapse tolerance-sized inversions
-    let x = if c > 0.0 {
+    Some(if c > 0.0 {
         lo
     } else if c < 0.0 {
         hi
     } else {
         lo
-    };
-    Some(vec![x])
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llp_num::linalg::dot;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
-    }
-
-    fn assert_pt(x: &[f64], want: &[f64]) {
-        assert_eq!(x.len(), want.len());
-        for i in 0..x.len() {
-            assert!((x[i] - want[i]).abs() < 1e-6, "x = {x:?}, want {want:?}");
-        }
-    }
 
     #[test]
-    fn one_dim_interval() {
-        // x ≤ 5, -x ≤ -2 (x ≥ 2); min x -> 2, max x (c = -1) -> 5.
-        let cs = vec![
-            Halfspace::new(vec![1.0], 5.0),
-            Halfspace::new(vec![-1.0], -2.0),
-        ];
-        let r = solve(&cs, &[1.0], &SeidelConfig::default(), &mut rng());
-        assert_pt(r.point().unwrap(), &[2.0]);
-        let r = solve(&cs, &[-1.0], &SeidelConfig::default(), &mut rng());
-        assert_pt(r.point().unwrap(), &[5.0]);
-    }
-
-    #[test]
-    fn one_dim_infeasible() {
-        let cs = vec![
-            Halfspace::new(vec![1.0], 1.0),
-            Halfspace::new(vec![-1.0], -2.0),
-        ];
-        assert_eq!(
-            solve(&cs, &[1.0], &SeidelConfig::default(), &mut rng()),
-            LpResult::Infeasible
-        );
-    }
-
-    #[test]
-    fn two_dim_vertex() {
-        // min -x - y subject to x + 2y ≤ 4, 3x + y ≤ 6, in the box.
-        // Optimum at intersection: x = 8/5, y = 6/5.
-        let cs = vec![
-            Halfspace::new(vec![1.0, 2.0], 4.0),
-            Halfspace::new(vec![3.0, 1.0], 6.0),
-        ];
-        let r = solve(&cs, &[-1.0, -1.0], &SeidelConfig::default(), &mut rng());
-        assert_pt(r.point().unwrap(), &[1.6, 1.2]);
-    }
-
-    #[test]
-    fn two_dim_unbounded_detected() {
-        // min -x with only x ≥ 0: optimum runs to the box.
-        let cs = vec![Halfspace::new(vec![-1.0, 0.0], 0.0)];
-        assert_eq!(
-            solve(&cs, &[-1.0, 0.0], &SeidelConfig::default(), &mut rng()),
-            LpResult::Unbounded
-        );
-    }
-
-    #[test]
-    fn two_dim_infeasible() {
-        let cs = vec![
-            Halfspace::new(vec![1.0, 0.0], 0.0),
-            Halfspace::new(vec![-1.0, 0.0], -1.0), // x ≥ 1 and x ≤ 0
-        ];
-        assert_eq!(
-            solve(&cs, &[1.0, 1.0], &SeidelConfig::default(), &mut rng()),
-            LpResult::Infeasible
-        );
-    }
-
-    #[test]
-    fn three_dim_simplex_corner() {
-        // min -(x+y+z) s.t. x+y+z ≤ 1, -x ≤ 0, -y ≤ 0, -z ≤ 0.
-        let cs = vec![
-            Halfspace::new(vec![1.0, 1.0, 1.0], 1.0),
-            Halfspace::new(vec![-1.0, 0.0, 0.0], 0.0),
-            Halfspace::new(vec![0.0, -1.0, 0.0], 0.0),
-            Halfspace::new(vec![0.0, 0.0, -1.0], 0.0),
-        ];
-        let r = solve(
-            &cs,
-            &[-1.0, -1.0, -1.0],
-            &SeidelConfig::default(),
-            &mut rng(),
-        );
-        let x = r.point().unwrap();
-        let sum: f64 = x.iter().sum();
-        assert!(
-            (sum - 1.0).abs() < 1e-6,
-            "optimum on the simplex facet, got {x:?}"
-        );
-    }
-
-    #[test]
-    fn redundant_constraints_ignored() {
-        let mut cs = vec![
-            Halfspace::new(vec![1.0, 0.0], 1.0),
-            Halfspace::new(vec![0.0, 1.0], 1.0),
-            Halfspace::new(vec![-1.0, 0.0], 0.0),
-            Halfspace::new(vec![0.0, -1.0], 0.0),
-        ];
-        // Add many redundant copies far away.
-        for k in 2..200 {
-            cs.push(Halfspace::new(vec![1.0, 1.0], k as f64));
-        }
-        let r = solve(&cs, &[-1.0, -1.0], &SeidelConfig::default(), &mut rng());
-        assert_pt(r.point().unwrap(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn zero_normal_infeasible_constraint() {
-        let cs = vec![Halfspace::new(vec![0.0, 0.0], -1.0)];
-        assert_eq!(
-            solve(&cs, &[1.0, 1.0], &SeidelConfig::default(), &mut rng()),
-            LpResult::Infeasible
-        );
-    }
-
-    #[test]
-    fn near_tie_cluster_is_not_falsely_infeasible() {
-        // A cluster of near-parallel constraints, all passing within 1e-9
-        // of a planted point, is the shape that used to come back falsely
-        // `Infeasible` from the full stack: eliminating one cluster
-        // constraint against another leaves a reduced constraint with
-        // ‖a‖ ≈ spread, and without renormalization the 1-D base case
-        // divided by that tiny coefficient and read the amplified rounding
-        // error as an empty interval. The planted point is feasible by
-        // construction, so `Infeasible` is always wrong here.
-        use rand::Rng;
-        let mut r = rng();
-        for trial in 0..25 {
-            let d = 2 + (trial % 2);
-            let mut c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            let cn = llp_num::linalg::norm(&c);
-            if cn < 1e-6 {
-                continue;
-            }
-            c.iter_mut().for_each(|v| *v /= cn);
-            let x_star: Vec<f64> = c.iter().map(|v| -v).collect();
-            let mut cs = Vec::with_capacity(64 + 2 * d);
-            for _ in 0..64 {
-                let g: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-                let raw: Vec<f64> = (0..d).map(|j| -c[j] + 1e-3 * g[j]).collect();
-                let nn = llp_num::linalg::norm(&raw);
-                let a: Vec<f64> = raw.into_iter().map(|v| v / nn).collect();
-                let b = dot(&a, &x_star) + r.random_range(0.0..1e-9);
-                cs.push(Halfspace::new(a, b));
-            }
-            for j in 0..d {
-                let mut hi = vec![0.0; d];
-                hi[j] = 1.0;
-                let mut lo = vec![0.0; d];
-                lo[j] = -1.0;
-                cs.push(Halfspace::new(hi, 2.0));
-                cs.push(Halfspace::new(lo, 2.0));
-            }
-            let res = solve(&cs, &c, &SeidelConfig::default(), &mut r);
-            assert!(
-                !matches!(res, LpResult::Infeasible),
-                "trial {trial}: planted point is feasible, got Infeasible"
-            );
-        }
-    }
-
-    #[test]
-    fn feasible_point_satisfies_all_constraints() {
-        use rand::Rng;
-        let mut r = rng();
-        for trial in 0..30 {
-            let d = 2 + (trial % 3);
-            // Random halfspaces tangent to the unit sphere: a·x ≤ 1 with
-            // ‖a‖ = 1 keeps the origin feasible and the region bounded once
-            // enough directions accumulate.
-            let m = 50;
-            let mut cs = Vec::with_capacity(m);
-            for _ in 0..m {
-                let mut a: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-                let n = llp_num::linalg::norm(&a);
-                if n < 1e-6 {
-                    continue;
-                }
-                a.iter_mut().for_each(|v| *v /= n);
-                cs.push(Halfspace::new(a, 1.0));
-            }
-            let c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            match solve(&cs, &c, &SeidelConfig::default(), &mut r) {
-                LpResult::Optimal(x) => {
-                    for h in &cs {
-                        assert!(h.contains_eps(&x, 1e-6), "violated {h:?} at {x:?}");
-                    }
-                    // Optimal value must beat the origin (feasible).
-                    assert!(dot(&c, &x) <= 1e-9);
-                }
-                LpResult::Unbounded => {} // possible if directions don't surround
-                LpResult::Infeasible => panic!("origin is feasible"),
-            }
-        }
+    fn eliminated_row_and_lifted_point_preserve_slack() {
+        // Plane x0 + 2·x1 + x2 = 4; eliminate x1 from 3·x0 + x1 − x2 ≤ 5,
+        // which leaves 2.5·x0 − 1.5·x2 ≤ 3 before normalization.
+        let plane = [1.0, 2.0, 1.0, 4.0];
+        let other = [3.0, 1.0, -1.0, 5.0];
+        let mut reduced = Vec::new();
+        push_eliminated(&plane, &other, 1, &mut reduced);
+        let n = (2.5f64 * 2.5 + 1.5 * 1.5).sqrt();
+        assert_eq!(reduced, [2.5 / n, -1.5 / n, 3.0 / n]);
+        // y = (x0, x2) = (1, 1) lifts to x1 = (4 − 2) / 2 = 1, where both
+        // rows have slack 2 (the reduced one scaled by 1/n).
+        let mut x = [0.0; 3];
+        lift(&plane, &[1.0, 1.0], 1, &mut x);
+        assert_eq!(x, [1.0, 1.0, 1.0]);
+        let slack_x = other[3] - dot(&other[..3], &x);
+        let slack_y = reduced[2] - dot(&reduced[..2], &[1.0, 1.0]);
+        assert!((slack_x - 2.0).abs() < 1e-12 && (slack_y * n - 2.0).abs() < 1e-12);
     }
 }
