@@ -13,6 +13,11 @@
 //!   violation, iteration, pass and round counts, and the space,
 //!   communication, max-round, load and total-load meters in bits. The
 //!   determinism contract makes the bodies independent of `LLP_THREADS`.
+//! * `tests/golden/one_pass.txt` — every quick-tier registry scenario
+//!   under one-pass speculative streaming (`ClarksonConfig::lean(r)`,
+//!   the grid's streaming seed): objective bits, iteration, success and
+//!   pass counts, peak space in bits and items, and the next `u64` of
+//!   the run's RNG, so the reservoirs' draw count is pinned too.
 //!
 //! Solver, sampler, scan and streaming speed-ups must leave every line
 //! as it is. Regenerating the fixtures is a deliberate act, taken only
@@ -23,12 +28,15 @@
 
 use llp_bench::report::{self, MODELS};
 use llp_bench::RunBudget;
+use llp_bigdata::streaming::{self, SamplingMode};
 use llp_core::instances::lp::LpProblem;
+use llp_core::lptype::ColumnarProblem;
+use llp_core::ClarksonConfig;
 use llp_geom::Halfspace;
 use llp_solver::lexico::lex_min_optimum;
 use llp_solver::seidel::{self, SeidelConfig};
 use llp_solver::LpResult;
-use llp_workloads::scenario::registry;
+use llp_workloads::scenario::{registry, Scenario, ScenarioData};
 use llp_workloads::{
     binding_last_lp, chebyshev_regression, degenerate_box_lp, near_tie_lp, needle_lp, random_lp,
 };
@@ -38,6 +46,7 @@ use std::fmt::Write as _;
 
 const BASIS_FIXTURE: &str = include_str!("golden/basis_solver.txt");
 const GRID_FIXTURE: &str = include_str!("golden/quick_grid.txt");
+const ONE_PASS_FIXTURE: &str = include_str!("golden/one_pass.txt");
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
 /// Compares `actual` line by line against `fixture`, listing every line
@@ -214,6 +223,39 @@ fn render_grid() -> String {
     out
 }
 
+fn one_pass_line<P: ColumnarProblem>(sc: &Scenario, p: &P, data: &[P::Constraint]) -> String {
+    let mut rng = StdRng::seed_from_u64(report::solver_seed(sc, "streaming"));
+    let cfg = ClarksonConfig::lean(sc.r);
+    let mut s = match streaming::solve(p, data, &cfg, SamplingMode::OnePassSpeculative, &mut rng) {
+        Ok((sol, st)) => format!(
+            "objective={:016x} iterations={} successful={} passes={} space_bits={} space_items={}",
+            p.objective_value(&sol).to_bits(),
+            st.iterations,
+            st.successful_iterations,
+            st.passes,
+            st.peak_space_bits,
+            st.peak_space_items,
+        ),
+        Err(e) => format!("error={e:?}"),
+    };
+    let _ = write!(s, " rng_after={:016x}", rng.next_u64());
+    s
+}
+
+/// The one-pass streaming fixture text the current code produces.
+fn render_one_pass() -> String {
+    let mut out = String::new();
+    for sc in registry(RunBudget::Quick) {
+        let line = match sc.generate() {
+            ScenarioData::Lp(p, cs) => one_pass_line(&sc, &p, &cs),
+            ScenarioData::Svm(p, pts) => one_pass_line(&sc, &p, &pts),
+            ScenarioData::Meb(p, pts) => one_pass_line(&sc, &p, &pts),
+        };
+        let _ = writeln!(out, "{} {line}", sc.name);
+    }
+    out
+}
+
 #[test]
 fn basis_solvers_reproduce_the_golden_fixture() {
     for variant in ["Optimal", "Infeasible", "Unbounded"] {
@@ -237,7 +279,17 @@ fn quick_grid_bodies_reproduce_the_golden_fixture() {
     assert_matches(GRID_FIXTURE, &render_grid(), "quick-grid bodies");
 }
 
-/// Rewrites both fixtures from the current code. Ignored: run it only
+#[test]
+fn one_pass_streaming_reproduces_the_golden_fixture() {
+    assert_eq!(
+        ONE_PASS_FIXTURE.lines().count(),
+        registry(RunBudget::Quick).len(),
+        "the fixture covers every quick scenario"
+    );
+    assert_matches(ONE_PASS_FIXTURE, &render_one_pass(), "one-pass runs");
+}
+
+/// Rewrites every fixture from the current code. Ignored: run it only
 /// when a change of output is intended.
 #[test]
 #[ignore]
@@ -246,4 +298,6 @@ fn regenerate() {
         .expect("write basis fixture");
     std::fs::write(format!("{GOLDEN_DIR}/quick_grid.txt"), render_grid())
         .expect("write grid fixture");
+    std::fs::write(format!("{GOLDEN_DIR}/one_pass.txt"), render_one_pass())
+        .expect("write one-pass fixture");
 }
