@@ -1,6 +1,6 @@
 // Fixture: the hoisted twin — one scratch buffer reused across
 // iterations; the loop body only borrows.
-fn violation_scan(rows: &[Vec<f64>], x: &[f64]) -> Vec<usize> {
+fn scan_rows(rows: &[Vec<f64>], x: &[f64]) -> Vec<usize> {
     let mut out = Vec::new();
     let mut dot: f64 = 0.0;
     for (i, row) in rows.iter().enumerate() {

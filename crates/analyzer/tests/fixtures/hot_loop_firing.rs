@@ -1,6 +1,6 @@
 // Fixture: per-iteration allocations in a kernel loop body →
 // hot-loop-alloc (warn tier). Scanned under a KERNEL_FILES path.
-fn violation_scan(rows: &[Vec<f64>], x: &[f64]) -> Vec<usize> {
+fn scan_rows(rows: &[Vec<f64>], x: &[f64]) -> Vec<usize> {
     let mut out = Vec::new();
     for (i, row) in rows.iter().enumerate() {
         let local = row.to_vec();

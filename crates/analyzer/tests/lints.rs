@@ -293,7 +293,7 @@ fn panic_path_fires_under_guard_and_fallible_twin_is_clean() {
 fn fp_kernel_purity_follows_calls_into_helpers() {
     // The kernel file is clean on its own; the clock read lives in a
     // helper one call away, in another file.
-    let kernel = "pub fn violation_scan(x: u64) -> u64 { jitter_scale(x) }\n";
+    let kernel = "pub fn scan_rows(x: u64) -> u64 { jitter_scale(x) }\n";
     let a = run_files(
         Class::Deterministic,
         "core",

@@ -120,66 +120,6 @@ fn bench_parallel_scan(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole layout comparison: the AoS weighted violator scan
-/// (`scan_violators_weighted`) vs its columnar (SoA) twin over
-/// `ConstraintColumns` at n=1e6, at 1 thread and the machine's
-/// parallelism. Outputs — violator index list and total weight — are
-/// asserted bit-identical across layouts and thread counts before any
-/// timing; the gap between the two series is the memory-bandwidth payoff
-/// of the columnar layout. Shares its fixture and weight schedule with
-/// the T13c experiment and the report's columnar block
-/// (`llp_bench::violation_scan_fixture` /
-/// `llp_bench::columnar_scan_weights`) so the measurement paths cannot
-/// drift apart.
-fn bench_columnar(c: &mut Criterion) {
-    use llp_core::lptype::{
-        scan_violators_weighted, scan_violators_weighted_columnar, ColumnarProblem,
-    };
-    let mut group = c.benchmark_group("columnar");
-    group.sample_size(10);
-    let (p, cs, sol) = llp_bench::violation_scan_fixture(1_000_000);
-    let index = llp_bench::columnar_scan_weights(cs.len());
-    // Paid once per solve and amortized over every iteration's scan, so
-    // the transpose stays outside the timed region here too.
-    let columns = p.to_columns(&cs);
-    let mut out: Vec<usize> = Vec::new();
-    let threads_n = llp_par::threads().max(2);
-    let reference = llp_par::with_threads(1, || scan_violators_weighted(&p, &sol, &cs, &index));
-    for threads in [1usize, threads_n] {
-        llp_par::with_threads(threads, || {
-            let aos = scan_violators_weighted(&p, &sol, &cs, &index);
-            let w = scan_violators_weighted_columnar(&p, &sol, &columns, &index, &mut out);
-            assert!(
-                aos == reference && out == reference.0 && w == reference.1,
-                "scan layouts must be bit-identical at any thread count"
-            );
-        });
-        group.bench_with_input(
-            BenchmarkId::new("aos_scan_1e6", format!("threads{threads}")),
-            &threads,
-            |b, &threads| {
-                llp_par::with_threads(threads, || {
-                    b.iter(|| black_box(scan_violators_weighted(&p, &sol, &cs, &index)))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("soa_scan_1e6", format!("threads{threads}")),
-            &threads,
-            |b, &threads| {
-                llp_par::with_threads(threads, || {
-                    b.iter(|| {
-                        black_box(scan_violators_weighted_columnar(
-                            &p, &sol, &columns, &index, &mut out,
-                        ))
-                    })
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The weight-bookkeeping hot path of Algorithm 1: the incremental
 /// `WeightIndex` (O(|V| log n) updates + O(m log n) draws per iteration)
 /// against the full O(n) prefix rebuild it replaced. Shares its violator
@@ -235,7 +175,6 @@ criterion_group!(
     bench_welzl,
     bench_svm_qp,
     bench_parallel_scan,
-    bench_columnar,
     bench_weight_index
 );
 criterion_main!(benches);

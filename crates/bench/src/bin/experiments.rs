@@ -9,12 +9,11 @@
 //!             [--ooc-dir DIR] [--check PATH] [id ...]
 //! ```
 //!
-//! * ids: any table id (`t1` … `t14`, `t13p`, `t13c`, `f1`, `f2`),
-//!   `tables` (all of them), `scenarios` (the registry grid), `serve`
-//!   (the service load mixes), `columnar` (the AoS-vs-SoA scan
-//!   comparison block), `net-serve` (the socket loadgen against a real
-//!   loopback `llp_serve` server), `ooc` (the file-backed out-of-core
-//!   harness), or `all` (everything; the default).
+//! * ids: any table id (`t1` … `t14`, `t13p`, `f1`, `f2`), `tables`
+//!   (all of them), `scenarios` (the registry grid), `serve` (the
+//!   service load mixes), `net-serve` (the socket loadgen against a
+//!   real loopback `llp_serve` server), `ooc` (the file-backed
+//!   out-of-core harness), or `all` (everything; the default).
 //! * `--quick` shrinks every input size through one shared [`RunBudget`]
 //!   (the same budget the integration tests use).
 //! * `--huge` selects the out-of-core budget tier (`n ≥ 10^8`): only the
@@ -97,8 +96,8 @@ fn main() {
                      [--connect ADDR] [--ooc-dir DIR] [--check PATH] [id ...]"
                 );
                 eprintln!(
-                    "ids: {:?}, 'tables', 'scenarios', 'serve', 'columnar', 'net-serve', 'ooc', \
-                     or 'all' (default)",
+                    "ids: {:?}, 'tables', 'scenarios', 'serve', 'net-serve', 'ooc', or 'all' \
+                     (default)",
                     llp_bench::ALL
                 );
                 return;
@@ -158,21 +157,18 @@ fn main() {
     }
     let mut run_scenarios = false;
     let mut run_serve = false;
-    let mut run_columnar = false;
     let mut run_net = false;
     let mut run_ooc = false;
     for id in &ids {
         match id.as_str() {
             "scenarios" => run_scenarios = true,
             "serve" => run_serve = true,
-            "columnar" => run_columnar = true,
             "net-serve" => run_net = true,
             "ooc" => run_ooc = true,
             "all" | "tables" => {
                 if id == "all" {
                     run_scenarios = true;
                     run_serve = true;
-                    run_columnar = true;
                     run_net = true;
                     run_ooc = true;
                 }
@@ -198,17 +194,11 @@ fn main() {
     if shards.is_some() || port.is_some() || connect.is_some() {
         run_net = true;
     }
-    if (out.is_some() || label.is_some())
-        && !run_scenarios
-        && !run_serve
-        && !run_columnar
-        && !run_net
-        && !run_ooc
-    {
+    if (out.is_some() || label.is_some()) && !run_scenarios && !run_serve && !run_net && !run_ooc {
         run_scenarios = true;
     }
 
-    if run_scenarios || run_serve || run_columnar || run_net || run_ooc {
+    if run_scenarios || run_serve || run_net || run_ooc {
         let label = label.unwrap_or_else(unix_timestamp);
         let mut report = if run_scenarios {
             report::run_scenarios(budget, &label)
@@ -219,7 +209,6 @@ fn main() {
                 budget: budget.name().to_string(),
                 cells: Vec::new(),
                 service: Vec::new(),
-                columnar: Vec::new(),
                 net: Vec::new(),
                 ooc: Vec::new(),
             }
@@ -237,10 +226,6 @@ fn main() {
             }
             report.service = serve::run_mixes(budget, &opts);
             println!("{}", report.service_summary_table().render());
-        }
-        if run_columnar {
-            report.columnar = report::run_columnar(budget);
-            println!("{}", report.columnar_summary_table().render());
         }
         if run_net {
             let mut opts = NetServeOptions::for_budget(budget, llp_serve::default_shards(shards));
@@ -271,12 +256,11 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "wrote {path} ({} grid cells, {} scenarios, {} service mixes, {} columnar cells, \
-             {} net rows, {} ooc cells, budget {})",
+            "wrote {path} ({} grid cells, {} scenarios, {} service mixes, {} net rows, \
+             {} ooc cells, budget {})",
             report.cells.len(),
             report.cells.len() / report::MODELS.len(),
             report.service.len(),
-            report.columnar.len(),
             report.net.len(),
             report.ooc.len(),
             report.budget
@@ -339,12 +323,11 @@ fn check_report(path: &str) {
     }
     println!(
         "{path}: ok — schema v{}, {} grid cells, {} scenarios, {} service mixes, \
-         {} columnar cells, {} net rows, {} ooc cells, budget {}",
+         {} net rows, {} ooc cells, budget {}",
         report.schema_version,
         report.cells.len(),
         report.cells.len() / report::MODELS.len(),
         report.service.len(),
-        report.columnar.len(),
         report.net.len(),
         report.ooc.len(),
         report.budget

@@ -158,23 +158,6 @@ pub fn violation_scan_fixture(n: usize) -> (LpProblem, Vec<Halfspace>, llp_geom:
     (p, cs, sol)
 }
 
-/// Weight schedule shared by the T13c experiment, the `columnar`
-/// criterion group, and the report's columnar block: a standing
-/// [`WeightIndex`] over `n` constraints with two interleaved multiply
-/// waves, so the weighted scans read a non-uniform index (the shape
-/// Algorithm 1 produces after a few iterations) instead of the all-ones
-/// identity a fresh index would short-circuit to.
-pub fn columnar_scan_weights(n: usize) -> WeightIndex {
-    let mut index = WeightIndex::uniform(n);
-    for i in (0..n).step_by(7) {
-        index.multiply(i, 9.5);
-    }
-    for i in (0..n).step_by(13) {
-        index.multiply(i, 70.0);
-    }
-    index
-}
-
 /// Fixture shared by the T14 experiment and the `weight_index` criterion
 /// group: seeded per-iteration violator index lists for a synthetic
 /// Algorithm 1 weight schedule (sorted, deduplicated — the shape the
@@ -1063,42 +1046,6 @@ pub fn t13p_parallel_scan(budget: RunBudget) -> Table {
     t
 }
 
-/// T13c — the weighted violator scan in both storage layouts: the AoS
-/// `scan_violators_weighted` vs its columnar (SoA) twin over
-/// `ConstraintColumns`, at 1 thread and the machine's parallelism. The
-/// `identical` column asserts the two layouts return bit-identical
-/// violator indices and total weight at every thread count; the timing
-/// gap is the memory-bandwidth payoff of the columnar layout. Renders
-/// the same cells the machine-readable report emits
-/// ([`report::run_columnar`]) so the two measurement paths cannot drift
-/// apart.
-pub fn t13c_columnar_scan(budget: RunBudget) -> Table {
-    let mut t = Table::new(
-        "T13c  Weighted violator scan: AoS vs columnar SoA (bit-identical outputs)",
-        &[
-            "n",
-            "threads",
-            "violators",
-            "aos_ms",
-            "soa_ms",
-            "speedup",
-            "identical",
-        ],
-    );
-    for c in report::run_columnar(budget) {
-        t.push(vec![
-            c.n.to_string(),
-            c.threads.to_string(),
-            c.violators.to_string(),
-            f(c.aos_ms),
-            f(c.soa_ms),
-            f(c.speedup),
-            c.identical.to_string(),
-        ]);
-    }
-    t
-}
-
 /// T14 — the weight-bookkeeping hot path: one standing `WeightIndex`
 /// (O(|V| log n) updates + O(m log n) draws per iteration) vs the full
 /// O(n) prefix rebuild it replaced in `clarkson::solve`. The `log2_match`
@@ -1161,7 +1108,7 @@ pub fn t14_weight_index(budget: RunBudget) -> Table {
 /// All experiment ids in order.
 pub const ALL: &[&str] = &[
     "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11", "t12", "t13", "t13p",
-    "t13c", "t14", "f1", "f2",
+    "t14", "f1", "f2",
 ];
 
 /// Runs one experiment by id.
@@ -1181,7 +1128,6 @@ pub fn run(id: &str, budget: RunBudget) -> Vec<Table> {
         "t12" => vec![t12_protocol_scaling(budget)],
         "t13" => vec![t13_scaling(budget)],
         "t13p" => vec![t13p_parallel_scan(budget)],
-        "t13c" => vec![t13c_columnar_scan(budget)],
         "t14" => vec![t14_weight_index(budget)],
         "f1" => vec![f1_tci_lp(budget)],
         "f2" => vec![f2_hard_distribution(budget)],

@@ -28,7 +28,7 @@ use llp_bigdata::coordinator;
 use llp_bigdata::ooc::{ChunkSource, FileSource};
 use llp_bigdata::streaming::solve_chunked;
 use llp_core::clarkson::ClarksonConfig;
-use llp_core::lptype::{count_violations, ColumnarProblem};
+use llp_core::lptype::ColumnarProblem;
 use llp_service::{ExecParams, Model};
 use llp_workloads::scenario::{registry, Scenario, ScenarioProblem};
 use rand::rngs::StdRng;
@@ -237,12 +237,9 @@ fn coordinator_cell<P: ColumnarProblem>(ctx: &ScenarioCtx<'_>, problem: &P) -> O
     cell.bytes_read = bytes_read;
     cell.iterations = stats.iterations as u64;
     cell.objective = problem.objective_value(&sol);
-    cell.violations = {
-        // The partitions were consumed by the protocol; certify against
-        // a fresh (unmetered) load, like the streaming sweep.
-        let (data, _, _) = llp_store::read_all(ctx.path, problem).expect("verification reload");
-        count_violations(problem, &sol, &data) as u64
-    };
+    // The partitions were consumed by the protocol; certify with the
+    // same chunk-wise sweep as the streaming cell.
+    cell.violations = scan_file_violations(problem, &sol, ctx.path);
     cell.wall_ms = wall_ms;
     cell
 }
@@ -259,6 +256,24 @@ mod tests {
     }
 
     #[test]
+    fn every_scenario_fits_the_store_cap_at_the_largest_chunk_len() {
+        // The store refuses layouts whose full chunk exceeds
+        // `MAX_CHUNK_PAYLOAD`; every registry scenario must still write
+        // and read back at the huge tier's chunk length (the largest any
+        // budget uses), with each file one partial chunk at quick size.
+        let dir = scratch_dir("bench-cap");
+        std::fs::create_dir_all(&dir).unwrap();
+        let chunk_len = chunk_len_for(RunBudget::Huge);
+        for sc in registry(RunBudget::Quick) {
+            let path = dir.join(format!("{}.llps", sc.name));
+            let (header, written) = llp_workloads::write_scenario(&sc, &path, chunk_len)
+                .unwrap_or_else(|e| panic!("{}: {e}", sc.name));
+            let (read_header, read) = llp_store::verify_file(&path).unwrap();
+            assert_eq!((read_header, read), (header, written), "{}", sc.name);
+        }
+    }
+
+    #[test]
     fn quick_ooc_block_validates_and_matches_the_grid() {
         let dir = scratch_dir("bench-ooc");
         let ooc = run_ooc(RunBudget::Quick, &dir);
@@ -269,7 +284,6 @@ mod tests {
             budget: "quick".to_string(),
             cells: Vec::new(),
             service: Vec::new(),
-            columnar: Vec::new(),
             net: Vec::new(),
             ooc,
         };

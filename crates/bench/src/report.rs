@@ -21,16 +21,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Bumped whenever a [`Cell`]/[`Report`]/[`ServiceCell`]/[`ColumnarCell`]
-/// /[`NetCell`]/[`OocCell`] field changes meaning; consumers (the
-/// perf-trajectory differ, CI `--check`) refuse unknown versions. v2
-/// added the `service` block (the `experiments serve` load-harness
-/// results); v3 added the `columnar` block (AoS-vs-SoA violation-scan
-/// comparison cells); v4 added the `net` block (`experiments net-serve`
-/// socket loadgen: per-shard rows plus a fleet-aggregate row per mix);
-/// v5 added the `ooc` block (`experiments ooc`: file-backed runs over
-/// chunked store files with bytes-written/bytes-read meters).
-pub const SCHEMA_VERSION: u64 = 5;
+/// Bumped whenever a [`Cell`]/[`Report`]/[`ServiceCell`]/[`NetCell`]
+/// /[`OocCell`] field changes meaning; consumers (CI `--check`) refuse
+/// unknown versions. v2 added the `service` block (the `experiments
+/// serve` load-harness results); v3 added the `columnar` block
+/// (AoS-vs-SoA violation-scan comparison cells); v4 added the `net`
+/// block (`experiments net-serve` socket loadgen: per-shard rows plus a
+/// fleet-aggregate row per mix); v5 added the `ooc` block (`experiments
+/// ooc`: file-backed runs over chunked store files with
+/// bytes-written/bytes-read meters); v6 removed the `columnar` block
+/// along with the AoS scan it timed.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// The models every scenario runs under, in report order.
 pub const MODELS: &[&str] = &["ram", "streaming", "coordinator", "mpc"];
@@ -132,33 +133,6 @@ pub struct ServiceCell {
     pub throughput_rps: f64,
     /// Wall-clock of the whole mix run, milliseconds.
     pub wall_ms: f64,
-}
-
-/// One AoS-vs-columnar weighted-scan measurement (`experiments
-/// columnar`): the same fixture, weight index, and solution scanned
-/// through both storage layouts at one thread count, with the outputs
-/// compared bit-for-bit before timing. The timing fields are
-/// min-of-reps wall clock; `identical` must be `true` for the report to
-/// validate — a speedup from a scan that returns different violators
-/// would be meaningless.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ColumnarCell {
-    /// Constraint count of the fixture.
-    pub n: u64,
-    /// `llp_par` scan-thread count for this cell.
-    pub threads: u64,
-    /// Violators the solution has over the fixture (both layouts agree).
-    pub violators: u64,
-    /// Best-of-reps AoS `scan_violators_weighted` wall clock, ms.
-    pub aos_ms: f64,
-    /// Best-of-reps columnar `scan_violators_weighted_columnar` wall
-    /// clock, ms.
-    pub soa_ms: f64,
-    /// `aos_ms / soa_ms` (>1 means the columnar layout is faster).
-    pub speedup: f64,
-    /// Whether both layouts returned bit-identical violator indices and
-    /// total weight, also matching the threads=1 reference.
-    pub identical: bool,
 }
 
 /// One row of the socket-loadgen block (`experiments net-serve`): one
@@ -281,9 +255,6 @@ pub struct Report {
     /// One cell per load mix from `experiments serve`. Empty when the
     /// serve harness did not run.
     pub service: Vec<ServiceCell>,
-    /// One cell per (n × thread count) from `experiments columnar` — the
-    /// AoS-vs-SoA scan comparison. Empty when that leg did not run.
-    pub columnar: Vec<ColumnarCell>,
     /// Socket-loadgen rows from `experiments net-serve`: per mix, one
     /// row per shard plus one fleet row. Empty when that leg did not
     /// run.
@@ -405,38 +376,6 @@ impl Report {
         t
     }
 
-    /// A human summary of the columnar scan comparison (one row per
-    /// cell).
-    pub fn columnar_summary_table(&self) -> crate::Table {
-        let mut t = crate::Table::new(
-            &format!(
-                "S3  Columnar scan: AoS vs SoA ({} budget, label {:?})",
-                self.budget, self.label
-            ),
-            &[
-                "n",
-                "threads",
-                "violators",
-                "aos_ms",
-                "soa_ms",
-                "speedup",
-                "identical",
-            ],
-        );
-        for c in &self.columnar {
-            t.push(vec![
-                c.n.to_string(),
-                c.threads.to_string(),
-                c.violators.to_string(),
-                format!("{:.3}", c.aos_ms),
-                format!("{:.3}", c.soa_ms),
-                format!("{:.2}", c.speedup),
-                c.identical.to_string(),
-            ]);
-        }
-        t
-    }
-
     /// A human summary of the socket loadgen (one row per shard per
     /// mix, fleet rows included).
     pub fn net_summary_table(&self) -> crate::Table {
@@ -538,7 +477,6 @@ pub fn run_scenarios(budget: RunBudget, label: &str) -> Report {
         budget: budget.name().to_string(),
         cells,
         service: Vec::new(),
-        columnar: Vec::new(),
         net: Vec::new(),
         ooc: Vec::new(),
     }
@@ -613,62 +551,6 @@ fn run_cell<P: ColumnarProblem>(
     }
 }
 
-/// Runs the AoS-vs-columnar weighted-scan comparison: the shared
-/// violation-scan fixture and weight schedule
-/// ([`crate::violation_scan_fixture`], [`crate::columnar_scan_weights`])
-/// scanned through both storage layouts at 1 thread and the machine's
-/// parallelism. Outputs are compared bit-for-bit against the threads=1
-/// AoS reference every rep; the timings are min-of-reps. The `columnar`
-/// criterion group measures the same fixture under criterion's
-/// statistics — sharing the inputs keeps the two paths from drifting
-/// apart.
-pub fn run_columnar(budget: RunBudget) -> Vec<ColumnarCell> {
-    use llp_core::lptype::{scan_violators_weighted, scan_violators_weighted_columnar};
-    let mut cells = Vec::new();
-    let sizes: &[usize] = budget.pick(&[200_000], &[1_000_000]);
-    let threads_n = llp_par::threads().max(2);
-    let reps = budget.pick(3, 5);
-    for &n in sizes {
-        let (p, cs, sol) = crate::violation_scan_fixture(n);
-        let index = crate::columnar_scan_weights(cs.len());
-        // The transpose is paid once per solve and amortized over every
-        // iteration's scan, so it stays outside the timed region here
-        // exactly as it sits outside the solver's iteration loop.
-        let columns = p.to_columns(&cs);
-        let mut out: Vec<usize> = Vec::new();
-        let reference = llp_par::with_threads(1, || scan_violators_weighted(&p, &sol, &cs, &index));
-        for threads in [1usize, threads_n] {
-            let (aos_ms, soa_ms, identical) = llp_par::with_threads(threads, || {
-                let mut best_aos = f64::INFINITY;
-                let mut best_soa = f64::INFINITY;
-                let mut same = true;
-                for _ in 0..reps {
-                    // llp-analyzer: allow(wall-clock) -- the columnar cells meter the scan by design; outputs are asserted bit-identical separately
-                    let start = std::time::Instant::now();
-                    let aos = scan_violators_weighted(&p, &sol, &cs, &index);
-                    best_aos = best_aos.min(start.elapsed().as_secs_f64() * 1000.0);
-                    // llp-analyzer: allow(wall-clock) -- the columnar cells meter the scan by design; outputs are asserted bit-identical separately
-                    let start = std::time::Instant::now();
-                    let w = scan_violators_weighted_columnar(&p, &sol, &columns, &index, &mut out);
-                    best_soa = best_soa.min(start.elapsed().as_secs_f64() * 1000.0);
-                    same &= aos == reference && out == reference.0 && w == reference.1;
-                }
-                (best_aos, best_soa, same)
-            });
-            cells.push(ColumnarCell {
-                n: n as u64,
-                threads: threads as u64,
-                violators: reference.0.len() as u64,
-                aos_ms,
-                soa_ms,
-                speedup: aos_ms / soa_ms,
-                identical,
-            });
-        }
-    }
-    cells
-}
-
 /// Relative tolerance for cross-model objective agreement.
 pub const OBJECTIVE_TOL: f64 = 1e-5;
 
@@ -682,9 +564,7 @@ pub const OBJECTIVE_TOL: f64 = 1e-5;
 /// `cache_hits + solves + batched == completed`), ordered latency
 /// percentiles, positive throughput, and a non-zero cache-hit count on
 /// the hot-key mix (its second wave replays warmed keys by
-/// construction); columnar: bit-identical outputs on every cell,
-/// positive finite timings, `speedup == aos_ms / soa_ms`, and unique
-/// (n, threads) keys; net: per mix exactly one fleet row plus one row
+/// construction); net: per mix exactly one fleet row plus one row
 /// per shard index, the same conservation laws on *every* row (per
 /// shard and in aggregate), fleet counters equal to the field-wise sum
 /// of the shard rows, ordered percentiles, and positive fleet
@@ -701,14 +581,12 @@ pub fn validate(report: &Report) -> Result<(), String> {
     }
     if report.cells.is_empty()
         && report.service.is_empty()
-        && report.columnar.is_empty()
         && report.net.is_empty()
         && report.ooc.is_empty()
     {
-        return Err("empty report (no grid, service, columnar, net, or ooc cells)".into());
+        return Err("empty report (no grid, service, net, or ooc cells)".into());
     }
     validate_service(&report.service)?;
-    validate_columnar(&report.columnar)?;
     validate_net(&report.net)?;
     validate_ooc(&report.ooc)?;
     if report.cells.is_empty() {
@@ -992,33 +870,6 @@ pub fn verify_ooc_files(report: &Report) -> Result<(), String> {
     Ok(())
 }
 
-/// The columnar-block leg of [`validate`].
-fn validate_columnar(cells: &[ColumnarCell]) -> Result<(), String> {
-    let mut keys: Vec<(u64, u64)> = cells.iter().map(|c| (c.n, c.threads)).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    if keys.len() != cells.len() {
-        return Err("duplicate columnar (n, threads) cells".into());
-    }
-    for c in cells {
-        let ctx = |what: &str| format!("columnar cell n={} threads={}: {what}", c.n, c.threads);
-        if !c.identical {
-            return Err(ctx("AoS and columnar scan outputs disagreed"));
-        }
-        if !(c.aos_ms.is_finite() && c.soa_ms.is_finite()) || c.aos_ms <= 0.0 || c.soa_ms <= 0.0 {
-            return Err(ctx("non-positive scan timing"));
-        }
-        let expected = c.aos_ms / c.soa_ms;
-        if !c.speedup.is_finite() || (c.speedup - expected).abs() > 1e-9 * expected.max(1.0) {
-            return Err(ctx(&format!(
-                "speedup {} does not equal aos_ms / soa_ms = {expected}",
-                c.speedup
-            )));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1068,18 +919,6 @@ mod tests {
             queue_p95_ms: 0.5,
             throughput_rps: 950.0,
             wall_ms: 100.0,
-        }
-    }
-
-    fn demo_columnar_cell(threads: u64) -> ColumnarCell {
-        ColumnarCell {
-            n: 1_000_000,
-            threads,
-            violators: 14_000,
-            aos_ms: 2.5,
-            soa_ms: 1.25,
-            speedup: 2.0,
-            identical: true,
         }
     }
 
@@ -1163,7 +1002,6 @@ mod tests {
             budget: "quick".to_string(),
             cells: MODELS.iter().map(|m| demo_cell("s1", m, -0.75)).collect(),
             service: vec![demo_service_cell("uniform"), demo_service_cell("hot_key")],
-            columnar: vec![demo_columnar_cell(1), demo_columnar_cell(4)],
             net,
             ooc: MODELS.iter().map(|m| demo_ooc_cell(m)).collect(),
         }
@@ -1199,10 +1037,8 @@ mod tests {
     fn validate_accepts_partial_reports_but_not_empty_ones() {
         let mut r = demo_report();
         r.cells.clear();
-        assert_eq!(validate(&r), Ok(()), "serve+columnar+net+ooc-only is fine");
+        assert_eq!(validate(&r), Ok(()), "serve+net+ooc-only is fine");
         r.service.clear();
-        assert_eq!(validate(&r), Ok(()), "columnar+net+ooc-only is fine");
-        r.columnar.clear();
         assert_eq!(validate(&r), Ok(()), "net+ooc-only is fine");
         r.net.clear();
         assert_eq!(validate(&r), Ok(()), "ooc-only is fine");
@@ -1347,22 +1183,6 @@ mod tests {
         let mut r = demo_report();
         r.service[1].mix = "uniform".to_string();
         assert!(validate(&r).unwrap_err().contains("duplicate"));
-    }
-
-    #[test]
-    fn validate_rejects_bad_columnar_cells() {
-        let mut r = demo_report();
-        r.columnar[1].identical = false;
-        assert!(validate(&r).unwrap_err().contains("disagreed"));
-        let mut r = demo_report();
-        r.columnar[1].threads = 1; // duplicate (n, threads) key
-        assert!(validate(&r).unwrap_err().contains("duplicate columnar"));
-        let mut r = demo_report();
-        r.columnar[0].speedup = 3.0; // != aos_ms / soa_ms
-        assert!(validate(&r).unwrap_err().contains("speedup"));
-        let mut r = demo_report();
-        r.columnar[0].soa_ms = 0.0;
-        assert!(validate(&r).unwrap_err().contains("timing"));
     }
 
     #[test]

@@ -15,22 +15,24 @@
 //! list, with O(1) totals and O(log n) sampling. Weights are derived
 //! state — they never travel — so the communication meters are unaffected.
 //! The streaming model stays on the [`WeightOracle`] recompute path: its
-//! space bound forbids materializing per-element weights, and the
-//! slice-level oracle helpers (`total_weight`, `weights`,
-//! `violation_scan`) remain the recompute reference implementation. The
-//! chunk-parallel scans here run on the `llp_par` pool with fixed chunk
-//! boundaries and ordered merges: results are bit-identical for any
-//! `LLP_THREADS`, and the metered communication is untouched because the
-//! simulators charge outside these scans.
+//! space bound forbids materializing per-element weights, so it weighs
+//! each streamed chunk in columnar form
+//! ([`WeightOracle::exponents_columnar`] plus
+//! [`WeightOracle::power_table`]). A holder's violation scan
+//! ([`SiteWeights::scan_and_stage`]) runs the column kernel on the
+//! `llp_par` pool with fixed chunk boundaries and ordered merges: results
+//! are bit-identical for any `LLP_THREADS`, and the metered
+//! communication is untouched because the simulators charge outside the
+//! scan.
 
 use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
-use llp_geom::ColumnsView;
+use llp_geom::{ColumnsView, ConstraintColumns};
 use llp_num::ScaledF64;
 use llp_sampling::weight_index::WeightIndex;
 use rand::Rng;
 
 /// The basis history of successful iterations plus the derived weight
-/// accounting for one holder (streaming memory / a site / a machine).
+/// accounting the space-bounded streaming memory keeps.
 #[derive(Clone, Debug)]
 pub struct WeightOracle<P: LpTypeProblem> {
     /// Solutions of the accepted (successful) iterations, in order.
@@ -49,21 +51,6 @@ impl<P: LpTypeProblem> WeightOracle<P> {
         }
     }
 
-    /// The weight factor.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-
-    /// Number of stored bases (`ℓ` in Lemma 3.7).
-    pub fn len(&self) -> usize {
-        self.bases.len()
-    }
-
-    /// True iff no basis has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
-    }
-
     /// Records an accepted basis.
     pub fn push(&mut self, basis: P::Solution) {
         self.bases.push(basis);
@@ -79,74 +66,11 @@ impl<P: LpTypeProblem> WeightOracle<P> {
         ScaledF64::powi(self.factor, self.exponent(problem, c))
     }
 
-    /// Total weight of a slice of constraints, recomputed chunk-parallel
-    /// with an ordered merge (deterministic for any thread count; inputs
-    /// below one chunk reduce inline with the same association order).
-    pub fn total_weight(&self, problem: &P, cs: &[P::Constraint]) -> ScaledF64 {
-        llp_par::par_map_reduce(
-            cs,
-            llp_par::DEFAULT_CHUNK,
-            ScaledF64::ZERO,
-            |_, chunk| chunk.iter().map(|c| self.weight(problem, c)).sum(),
-            |a, b| a + b,
-        )
-    }
-
-    /// Per-constraint weights of a slice, in input order. Parallelizes the
-    /// `O(t·d)` recomputation per element; the output vector is identical
-    /// for any thread count, so sequential prefix sums built on it (the
-    /// sites' sampling path) stay bit-identical too.
-    pub fn weights(&self, problem: &P, cs: &[P::Constraint]) -> Vec<ScaledF64> {
-        let chunks = llp_par::par_chunks(cs, llp_par::DEFAULT_CHUNK, |_, chunk| {
-            chunk
-                .iter()
-                .map(|c| self.weight(problem, c))
-                .collect::<Vec<_>>()
-        });
-        let mut out = Vec::with_capacity(cs.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        out
-    }
-
-    /// Violator weight and count of `solution` over a slice — one fused
-    /// pass over the two hot predicates (violation test + weight
-    /// recomputation), chunk-parallel with ordered merge.
-    pub fn violation_scan(
-        &self,
-        problem: &P,
-        solution: &P::Solution,
-        cs: &[P::Constraint],
-    ) -> (ScaledF64, usize) {
-        llp_par::par_map_reduce(
-            cs,
-            llp_par::DEFAULT_CHUNK,
-            (ScaledF64::ZERO, 0usize),
-            |_, chunk| {
-                let mut w = ScaledF64::ZERO;
-                let mut count = 0usize;
-                for c in chunk {
-                    if problem.violates(solution, c) {
-                        count += 1;
-                        w += self.weight(problem, c);
-                    }
-                }
-                (w, count)
-            },
-            |(w_a, c_a), (w_b, c_b)| (w_a + w_b, c_a + c_b),
-        )
-    }
-
-    /// Bits this history occupies (the `Õ(ν²)·bit(S)` term of Theorem 1).
-    pub fn bits(&self, problem: &P) -> u64 {
-        problem.solution_bits() * self.bases.len() as u64
-    }
-
-    /// Fills `table` with `F^a` for every exponent `a = 0..=len()` the
-    /// history can produce: `table[a]` is bit-identical to
-    /// [`weight`](Self::weight) of a constraint with exponent `a`, with
-    /// one `powi` per exponent instead of one per constraint.
+    /// Fills `table` with `F^a` for every exponent `a` the history can
+    /// produce (0 up to the number of stored bases): `table[a]` is
+    /// bit-identical to [`weight`](Self::weight) of a constraint with
+    /// exponent `a`, with one `powi` per exponent instead of one per
+    /// constraint.
     pub fn power_table(&self, table: &mut Vec<ScaledF64>) {
         table.clear();
         table.extend((0..=self.bases.len() as u32).map(|a| ScaledF64::powi(self.factor, a)));
@@ -219,35 +143,18 @@ impl SiteWeights {
         self.index.get(i)
     }
 
-    /// Finds the local violators of `solution` — one fused violation-test
-    /// and weight scan, chunk-parallel with an ordered merge
-    /// (bit-identical for any thread count), with each weight an O(1)
-    /// index read instead of an O(t·d) recompute — stages their indices
-    /// for the next verdict, and returns their weight `w(V_i)` and count.
-    pub fn scan_and_stage<P: LpTypeProblem>(
+    /// Finds the local violators of `solution` over the holder's columnar
+    /// mirror, stages their indices for the next verdict, and returns
+    /// their weight `w(V_i)` and count. The column kernel runs
+    /// chunk-parallel with an ordered merge (bit-identical for any thread
+    /// count), each weight is an O(1) index read instead of an O(t·d)
+    /// recompute, and the staged buffer is refilled in place. `columns`
+    /// must be the transposition of the local slice this holder indexes.
+    pub fn scan_and_stage<P: ColumnarProblem>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
-        cs: &[P::Constraint],
-    ) -> (ScaledF64, usize) {
-        let (violators, w) =
-            llp_core::lptype::scan_violators_weighted(problem, solution, cs, &self.index);
-        let count = violators.len();
-        self.staged = violators;
-        (w, count)
-    }
-
-    /// [`scan_and_stage`](Self::scan_and_stage) over the holder's
-    /// columnar mirror: same chunk grid, same staged indices and weight
-    /// (bit-identical to the AoS scan at any thread count), but the
-    /// branch-light column kernel does the walking and the staged buffer
-    /// is refilled in place instead of reallocated. `columns` must be
-    /// the transposition of the same local slice this holder indexes.
-    pub fn scan_and_stage_columnar<P: llp_core::lptype::ColumnarProblem>(
-        &mut self,
-        problem: &P,
-        solution: &P::Solution,
-        columns: &llp_geom::ConstraintColumns,
+        columns: &ConstraintColumns,
     ) -> (ScaledF64, usize) {
         assert_eq!(
             columns.len(),
@@ -390,17 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn total_weight_starts_at_n() {
-        let p = LpProblem::new(vec![1.0, 1.0]);
-        let oracle: WeightOracle<LpProblem> = WeightOracle::new(7.0);
-        let cs: Vec<Halfspace> = (0..50)
-            .map(|i| Halfspace::new(vec![1.0, 0.0], i as f64))
-            .collect();
-        let total = oracle.total_weight(&p, &cs);
-        assert!((total.to_f64() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn run_params_match_formulas() {
         let p = LpProblem::new(vec![1.0, 1.0]);
         let cfg = ClarksonConfig::paper(2);
@@ -418,11 +314,12 @@ mod tests {
         let cs: Vec<Halfspace> = (0..10)
             .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
             .collect();
+        let columns = p.to_columns(&cs);
         let mut site = SiteWeights::new(cs.len(), 3.0);
         assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
 
         let probe = vec![4.5, 0.0];
-        let (w, count) = site.scan_and_stage(&p, &probe, &cs);
+        let (w, count) = site.scan_and_stage(&p, &probe, &columns);
         assert_eq!(count, 5);
         assert!((w.to_f64() - 5.0).abs() < 1e-9);
 
@@ -431,7 +328,7 @@ mod tests {
         assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
 
         // Accepted verdict: the five violators triple.
-        let _ = site.scan_and_stage(&p, &probe, &cs);
+        let _ = site.scan_and_stage(&p, &probe, &columns);
         site.resolve(true);
         assert!((site.total().to_f64() - (5.0 * 3.0 + 5.0)).abs() < 1e-9);
         assert!((site.weight(0).to_f64() - 3.0).abs() < 1e-9);
@@ -439,7 +336,7 @@ mod tests {
 
         // A second accepted round compounds multiplicatively and the
         // staged list is consumed each time (idempotent resolve).
-        let _ = site.scan_and_stage(&p, &probe, &cs);
+        let _ = site.scan_and_stage(&p, &probe, &columns);
         site.resolve(true);
         site.resolve(true);
         assert!((site.weight(0).to_f64() - 9.0).abs() < 1e-9);
@@ -456,21 +353,11 @@ mod tests {
         let mut site = SiteWeights::new(cs.len(), 1000.0);
         // Make element 0 dominate: (0.5, 0) violates only b = 0.
         let probe = vec![0.5, 0.0];
-        let _ = site.scan_and_stage(&p, &probe, &cs);
+        let _ = site.scan_and_stage(&p, &probe, &p.to_columns(&cs));
         site.resolve(true);
         let mut rng = StdRng::seed_from_u64(7);
         let picked = site.sample_indices(64, &mut rng);
         assert!(picked.contains(&0), "dominant element missing: {picked:?}");
         assert!(site.sample_indices(0, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn history_bits_scale_with_length() {
-        let p = LpProblem::new(vec![1.0, 1.0, 1.0]);
-        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(2.0);
-        assert_eq!(oracle.bits(&p), 0);
-        oracle.push(vec![0.0; 3]);
-        oracle.push(vec![1.0; 3]);
-        assert_eq!(oracle.bits(&p), 2 * 64 * 4);
     }
 }

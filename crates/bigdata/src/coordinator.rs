@@ -185,7 +185,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
             // round's verdict. The metered messages below are identical
             // to the sequential protocol — the staged list never travels.
             let (local_w, local_count) =
-                sites[i].scan_and_stage_columnar(problem, &solution, &site_columns[i]);
+                sites[i].scan_and_stage(problem, &solution, &site_columns[i]);
             sim.charge_up(&(0.0f64, 0u64)); // w(V_i): 128 bits
             sim.charge_up(&0u64); // count: 64 bits
             w_violators += local_w;

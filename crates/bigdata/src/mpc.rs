@@ -300,7 +300,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         // lists never travel). ----
         let local_viol: Vec<(ScaledF64, usize)> = (0..k)
             .zip(machine_columns.iter())
-            .map(|(i, cols)| machines[i].scan_and_stage_columnar(problem, &solution, cols))
+            .map(|(i, cols)| machines[i].scan_and_stage(problem, &solution, cols))
             .collect();
         let viol_w: Vec<ScaledF64> = local_viol.iter().map(|v| v.0).collect();
         let agg_w = converge_sum(&mut sim, &tree, depth, &viol_w, 192);

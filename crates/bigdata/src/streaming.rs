@@ -3,7 +3,9 @@
 //! Memory between passes holds only (a) the basis history of successful
 //! iterations (`Õ(ν²)·bit(S)` bits — weights are recomputed from it on the
 //! fly, Section 3.2) and (b) the current ε-net buffer
-//! (`Õ(λνn^{1/r})·bit(S)` bits). Two sampling modes:
+//! (`Õ(λνn^{1/r})·bit(S)` bits). Both sampling modes run over a
+//! [`ChunkSource`] tape, count one pass per rewind, and meter retained
+//! state in a [`SpaceMeter`]:
 //!
 //! * [`SamplingMode::TwoPassIid`] — faithful to Lemma 2.2: pass 1 draws the
 //!   net i.i.d. by inverting `m` sorted uniforms against the running
@@ -16,13 +18,21 @@
 //!   (accept/reject); the right one is kept once `w(V)` is known at the
 //!   end of the pass. Reservoir sampling is without replacement, which
 //!   only improves ε-net coverage (ablation A2).
+//!
+//! Every chunk is weighed in columnar form (one column sweep per stored
+//! basis gives each row's exponent `a(c)`, the iteration's `F^a` table
+//! its weight) and tested by the problem's column kernel. A row is
+//! rebuilt into a constraint only when a sampler keeps it or, in pass 2,
+//! when it violates.
 
 use crate::common::{RunParams, WeightOracle};
 use crate::ooc::{ChunkSource, SliceSource};
 use crate::BigDataError;
-use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
+use llp_core::clarkson::FailurePolicy;
+use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
-use llp_models::streaming::{SpaceMeter, StreamSession};
+use llp_geom::ConstraintColumns;
+use llp_models::streaming::SpaceMeter;
 use llp_num::ScaledF64;
 use llp_sampling::reservoir::WeightedReservoir;
 use llp_sampling::weighted::SortedTargetSampler;
@@ -72,23 +82,13 @@ pub fn solve<P: ColumnarProblem, R: Rng>(
     rng: &mut R,
 ) -> Result<(P::Solution, StreamingStats), BigDataError> {
     assert!(!data.is_empty(), "empty stream");
+    // The columnar mirror models the stream's storage layout, not extra
+    // memory: every pass sweeps it in stream order, so the pass
+    // accounting and weight recomputation are unchanged.
+    let mut source = SliceSource::new(problem.to_columns(data));
     match mode {
-        SamplingMode::TwoPassIid => {
-            // The columnar mirror models the stream's storage layout, not
-            // extra memory: both passes sweep it in stream order, so the
-            // pass accounting and weight recomputation are unchanged.
-            let mut source = SliceSource::new(problem.to_columns(data));
-            run_two_pass(problem, &mut source, cfg, rng)
-        }
-        SamplingMode::OnePassSpeculative => {
-            let mut session = StreamSession::new(data);
-            run_one_pass(problem, &mut session, cfg, rng).map(|(sol, mut stats)| {
-                stats.passes = session.passes();
-                stats.peak_space_bits = session.space.peak_bits();
-                stats.peak_space_items = session.space.peak_items();
-                (sol, stats)
-            })
-        }
+        SamplingMode::TwoPassIid => run_two_pass(problem, &mut source, cfg, rng),
+        SamplingMode::OnePassSpeculative => run_one_pass(problem, &mut source, cfg, rng),
     }
 }
 
@@ -152,10 +152,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         if params.net_size >= n {
             space.alloc_raw(n as u64 * cbits, n as u64);
             while let Some((_, chunk)) = source.next_chunk()? {
-                for i in 0..chunk.len() {
-                    let extra = chunk.row(i, &mut coords);
-                    net.push(problem.from_row(&coords, extra));
-                }
+                net.extend((0..chunk.len()).map(|i| rebuild(problem, chunk, i, &mut coords)));
             }
         } else {
             // Sorted uniform targets in [0, W); the sampler state is m
@@ -182,18 +179,12 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
                 for (i, &a) in exponents.iter().enumerate() {
                     last_hit = sampler.feed(powers[a as usize]) > 0;
                     if last_hit {
-                        let extra = chunk.row(i, &mut coords);
                         space.alloc_raw(cbits, 1);
-                        net.push(problem.from_row(&coords, extra));
+                        net.push(rebuild(problem, chunk, i, &mut coords));
                     }
                 }
                 if let Some(last) = chunk.len().checked_sub(1) {
-                    tail = if last_hit {
-                        None
-                    } else {
-                        let extra = chunk.row(last, &mut coords);
-                        Some(problem.from_row(&coords, extra))
-                    };
+                    tail = (!last_hit).then(|| rebuild(problem, chunk, last, &mut coords));
                 }
             }
             // The bookkept total is maintained incrementally while the fed
@@ -230,8 +221,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             problem.scan_columns(&solution, &chunk.full_view(), &mut violators);
             violator_count += violators.len();
             for &i in violators.iter() {
-                let extra = chunk.row(i, &mut coords);
-                let c = problem.from_row(&coords, extra);
+                let c = rebuild(problem, chunk, i, &mut coords);
                 w_violators += oracle.weight(problem, &c);
             }
         }
@@ -246,7 +236,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             total_weight += w_violators * ScaledF64::from_f64(params.factor - 1.0);
             space.alloc_raw(problem.solution_bits(), 1);
             oracle.push(solution);
-        } else if cfg.failure_policy == llp_core::clarkson::FailurePolicy::Abort {
+        } else if cfg.failure_policy == FailurePolicy::Abort {
             // Remark 3.6: the Monte-Carlo variant reports failure instead
             // of retrying.
             return Err(BigDataError::NetFailure);
@@ -256,13 +246,25 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     Err(BigDataError::IterationLimit)
 }
 
-fn run_one_pass<P: LpTypeProblem, R: Rng>(
+/// Rebuilds row `i` of a chunk into a constraint (`from_row` inverts
+/// `to_columns` bit for bit); `coords` is the caller's row scratch.
+fn rebuild<P: ColumnarProblem>(
     problem: &P,
-    session: &mut StreamSession<'_, P::Constraint>,
+    chunk: &ConstraintColumns,
+    i: usize,
+    coords: &mut Vec<f64>,
+) -> P::Constraint {
+    let extra = chunk.row(i, coords);
+    problem.from_row(coords, extra)
+}
+
+fn run_one_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
+    problem: &P,
+    source: &mut S,
     cfg: &ClarksonConfig,
     rng: &mut R,
 ) -> Result<(P::Solution, StreamingStats), BigDataError> {
-    let n = session.len();
+    let n = source.len();
     let params = RunParams::derive(problem, n, cfg);
     let mut stats = StreamingStats {
         net_size: params.net_size,
@@ -270,63 +272,90 @@ fn run_one_pass<P: LpTypeProblem, R: Rng>(
         factor: params.factor,
         ..StreamingStats::default()
     };
+    let mut space = SpaceMeter::new();
     let mut oracle: WeightOracle<P> = WeightOracle::new(params.factor);
     let mut total_weight = ScaledF64::from_f64(n as f64);
-    let cbits = problem.constraint_bits();
     let m = params.net_size;
-    let reservoir_bits = m as u64 * (cbits + 64);
+    let reservoir_bits = m as u64 * (problem.constraint_bits() + 64);
+    let factor = ScaledF64::from_f64(params.factor);
+    // Row scratch for `from_row`, which runs only for rows a reservoir
+    // keeps.
+    let mut coords: Vec<f64> = Vec::new();
+    // Per-chunk scratch: each row's exponent `a(c)`, the hits of one
+    // basis sweep, the pending basis's violators (ascending), and the
+    // iteration's `F^a` table.
+    let mut exponents: Vec<u32> = Vec::new();
+    let mut hits: Vec<usize> = Vec::new();
+    let mut violators: Vec<usize> = Vec::new();
+    let mut powers: Vec<ScaledF64> = Vec::new();
 
     // ---- Initial pass: draw the first net (all weights are 1). ----
-    session.space.alloc_raw(reservoir_bits, m as u64);
+    stats.passes += 1;
+    source.begin_pass()?;
+    space.alloc_raw(reservoir_bits, m as u64);
     let mut reservoir = WeightedReservoir::new(m);
-    for c in session.pass() {
-        reservoir.offer(c.clone(), ScaledF64::ONE, rng);
+    while let Some((_, chunk)) = source.next_chunk()? {
+        for i in 0..chunk.len() {
+            reservoir.offer(
+                || rebuild(problem, chunk, i, &mut coords),
+                ScaledF64::ONE,
+                rng,
+            );
+        }
     }
     let net = reservoir.into_items();
     stats.iterations += 1;
     let mut pending = problem
         .solve_subset(&net, rng)
         .map_err(BigDataError::from)?;
-    session.space.free_raw(reservoir_bits, m as u64);
+    space.free_raw(reservoir_bits, m as u64);
     drop(net);
 
     while stats.iterations < params.max_iterations {
         // ---- Combined pass: violation-test `pending` while sampling the
         // next net under both outcomes. ----
-        session.space.alloc_raw(2 * reservoir_bits, 2 * m as u64);
+        space.alloc_raw(2 * reservoir_bits, 2 * m as u64);
         let mut res_accept = WeightedReservoir::new(m);
         let mut res_reject = WeightedReservoir::new(m);
         let mut w_violators = ScaledF64::ZERO;
         let mut violator_count = 0usize;
-        let factor = ScaledF64::from_f64(params.factor);
-        for c in session.pass() {
-            let w = oracle.weight(problem, c);
-            let violated = problem.violates(&pending, c);
-            if violated {
-                violator_count += 1;
-                w_violators += w;
-                res_accept.offer(c.clone(), w * factor, rng);
-            } else {
-                res_accept.offer(c.clone(), w, rng);
+        oracle.power_table(&mut powers);
+        stats.passes += 1;
+        source.begin_pass()?;
+        while let Some((_, chunk)) = source.next_chunk()? {
+            let view = chunk.full_view();
+            oracle.exponents_columnar(problem, &view, &mut exponents, &mut hits);
+            violators.clear();
+            problem.scan_columns(&pending, &view, &mut violators);
+            let mut next_violator = violators.iter().copied().peekable();
+            for (i, &a) in exponents.iter().enumerate() {
+                let w = powers[a as usize];
+                let w_accept = if next_violator.next_if_eq(&i).is_some() {
+                    violator_count += 1;
+                    w_violators += w;
+                    w * factor
+                } else {
+                    w
+                };
+                res_accept.offer(|| rebuild(problem, chunk, i, &mut coords), w_accept, rng);
+                res_reject.offer(|| rebuild(problem, chunk, i, &mut coords), w, rng);
             }
-            res_reject.offer(c.clone(), w, rng);
         }
 
-        let success = w_violators.ratio(total_weight) <= params.eps;
-        let net = if success {
+        let net = if w_violators.ratio(total_weight) <= params.eps {
             if violator_count == 0 {
-                session.space.free_raw(2 * reservoir_bits, 2 * m as u64);
+                stats.peak_space_bits = space.peak_bits();
+                stats.peak_space_items = space.peak_items();
                 return Ok((pending, stats));
             }
             stats.successful_iterations += 1;
             total_weight += w_violators * ScaledF64::from_f64(params.factor - 1.0);
-            session.space.alloc_raw(problem.solution_bits(), 1);
+            space.alloc_raw(problem.solution_bits(), 1);
             oracle.push(pending);
             res_accept.into_items()
+        } else if cfg.failure_policy == FailurePolicy::Abort {
+            return Err(BigDataError::NetFailure);
         } else {
-            if cfg.failure_policy == llp_core::clarkson::FailurePolicy::Abort {
-                return Err(BigDataError::NetFailure);
-            }
             res_reject.into_items()
         };
 
@@ -334,7 +363,7 @@ fn run_one_pass<P: LpTypeProblem, R: Rng>(
         pending = problem
             .solve_subset(&net, rng)
             .map_err(BigDataError::from)?;
-        session.space.free_raw(2 * reservoir_bits, 2 * m as u64);
+        space.free_raw(2 * reservoir_bits, 2 * m as u64);
     }
     Err(BigDataError::IterationLimit)
 }
@@ -344,7 +373,7 @@ mod tests {
     use super::*;
     use llp_core::instances::lp::LpProblem;
     use llp_core::instances::meb::MebProblem;
-    use llp_core::lptype::count_violations;
+    use llp_core::lptype::{count_violations, LpTypeProblem};
     use llp_geom::Halfspace;
     use llp_num::linalg::norm;
     use rand::rngs::StdRng;
@@ -480,8 +509,11 @@ mod tests {
 
     #[test]
     fn chunked_file_run_is_bit_identical_to_in_ram() {
+        // Both sampling modes over a store file cut into many chunks must
+        // reproduce the in-RAM run: solution, stats, and RNG draw count.
         use crate::ooc::{ChunkSource, FileSource};
         use llp_store::{ChunkWriter, FileHeader, Provenance};
+        use rand::RngCore;
 
         let (p, cs) = random_lp(4000, 2, 21);
         let columns = p.to_columns(&cs);
@@ -523,30 +555,42 @@ mod tests {
         let file_bytes = w.finish().unwrap();
 
         let cfg = ClarksonConfig::calibrated(2);
-        let mut rng_ram = StdRng::seed_from_u64(22);
-        let (sol_ram, stats_ram) =
-            solve(&p, &cs, &cfg, SamplingMode::TwoPassIid, &mut rng_ram).unwrap();
-
-        let mut source = FileSource::open(&path).unwrap();
-        let mut rng_file = StdRng::seed_from_u64(22);
-        let (sol_file, stats_file) = solve_chunked(&p, &mut source, &cfg, &mut rng_file).unwrap();
-
-        assert_eq!(stats_ram, stats_file, "pass/space accounting must match");
-        assert_eq!(
-            p.objective_value(&sol_ram).to_bits(),
-            p.objective_value(&sol_file).to_bits(),
-            "objectives must agree to the bit"
-        );
-        assert_eq!(count_violations(&p, &sol_file, &cs), 0);
-
-        // Every pass re-reads the whole file; `open` itself reads one
-        // extra header to validate the file up front.
+        // `open` itself reads one extra header to validate the file up
+        // front.
         let header_bytes = llp_store::open_file(&path).unwrap().bytes_read();
-        assert_eq!(
-            source.bytes_read(),
-            stats_file.passes * file_bytes + header_bytes,
-            "bytes-read meter must equal passes x file size"
-        );
+        for mode in [SamplingMode::TwoPassIid, SamplingMode::OnePassSpeculative] {
+            let mut rng_ram = StdRng::seed_from_u64(22);
+            let (sol_ram, stats_ram) = solve(&p, &cs, &cfg, mode, &mut rng_ram).unwrap();
+
+            let mut source = FileSource::open(&path).unwrap();
+            let mut rng_file = StdRng::seed_from_u64(22);
+            let (sol_file, stats_file) = match mode {
+                SamplingMode::TwoPassIid => solve_chunked(&p, &mut source, &cfg, &mut rng_file),
+                SamplingMode::OnePassSpeculative => {
+                    run_one_pass(&p, &mut source, &cfg, &mut rng_file)
+                }
+            }
+            .unwrap();
+
+            assert_eq!(stats_ram, stats_file, "{mode:?}: pass/space accounting");
+            assert_eq!(
+                p.objective_value(&sol_ram).to_bits(),
+                p.objective_value(&sol_file).to_bits(),
+                "{mode:?}: objectives must agree to the bit"
+            );
+            assert_eq!(
+                rng_ram.next_u64(),
+                rng_file.next_u64(),
+                "{mode:?}: both runs must draw the same randomness"
+            );
+            assert_eq!(count_violations(&p, &sol_file, &cs), 0);
+            // Every pass re-reads the whole file.
+            assert_eq!(
+                source.bytes_read(),
+                stats_file.passes * file_bytes + header_bytes,
+                "{mode:?}: bytes-read meter must equal passes x file size"
+            );
+        }
     }
 
     #[test]

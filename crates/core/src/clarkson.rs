@@ -344,7 +344,7 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
         // columnar mirror, chunked over the llp_par pool with fixed
         // boundaries and in-order merges, so the violator list
         // (ascending indices) and the weight sum are bit-identical for
-        // any LLP_THREADS — and bit-identical to the AoS scan. ---
+        // any LLP_THREADS — and to a scalar `violates` sweep. ---
         let w_violators = crate::lptype::scan_violators_weighted_columnar(
             problem,
             &solution,

@@ -104,18 +104,18 @@ pub trait LpTypeProblem: Sync {
 }
 
 /// An LP-type problem whose constraints also live in columnar
-/// (struct-of-arrays) storage — the layout the hot violation scan
-/// actually runs over (ROADMAP item 2; the same flat layout is the
-/// forthcoming on-disk block format of item 3).
+/// (struct-of-arrays) storage — the layout the solvers' violation scans
+/// run over, and the block format of the `llp_store` files.
 ///
 /// The contract that makes the columnar path a pure layout change:
 /// for every solution and constraint set,
 /// [`scan_columns`](ColumnarProblem::scan_columns) over a view
 /// must report exactly the constraints for which
 /// [`violates`](LpTypeProblem::violates) is true, evaluating the same
-/// floating-point operation sequence per element so the two paths are
-/// *bit-identical* — the SoA-vs-AoS differential suite in
-/// `tests/parallel_determinism.rs` enforces this.
+/// floating-point operation sequence per element so the two are
+/// *bit-identical* — the differential suite in
+/// `tests/parallel_determinism.rs` checks the columnar scan against a
+/// scalar reference built on `violates`.
 pub trait ColumnarProblem: LpTypeProblem {
     /// Transposes AoS constraints into columnar storage. O(n·d), done
     /// once per solve (or once per site/machine in the big-data
@@ -148,14 +148,19 @@ pub trait ColumnarProblem: LpTypeProblem {
     fn from_row(&self, coords: &[f64], extra: f64) -> Self::Constraint;
 }
 
-/// The columnar twin of [`scan_violators_weighted`]: same chunk grid
-/// (`llp_par::DEFAULT_CHUNK` fixed boundaries via `par_ranges`), same
-/// in-order merge, but each chunk runs the problem's branch-light
-/// column kernel instead of the per-element AoS predicate. Violator
-/// indices land in the caller's reusable `out` buffer (cleared first)
-/// so the solver loop allocates nothing per iteration; the return
-/// value is their total weight. Both outputs are bit-identical to the
-/// AoS scan at any `LLP_THREADS`.
+/// The fused violator scan of Algorithm 1's hot path: violator indices
+/// (ascending) plus their total weight read off a standing
+/// [`WeightIndex`](llp_sampling::weight_index::WeightIndex). The rows
+/// are cut on a fixed `llp_par::DEFAULT_CHUNK` grid (`par_ranges`);
+/// each chunk runs the problem's branch-light column kernel, sums its
+/// violators' weights in ascending order, and the chunks merge in grid
+/// order, so both outputs are bit-identical for any `LLP_THREADS` —
+/// and equal to a sequential sweep of [`LpTypeProblem::violates`] and
+/// `WeightIndex::get` over the same grid. Violator indices land in the
+/// caller's reusable `out` buffer (cleared first) so the solver loop
+/// allocates nothing per iteration; the return value is their total
+/// weight. Shared by the RAM solver and the coordinator/MPC holders;
+/// keeping one copy is part of the determinism contract.
 pub fn scan_violators_weighted_columnar<P: ColumnarProblem>(
     problem: &P,
     solution: &P::Solution,
@@ -168,9 +173,6 @@ pub fn scan_violators_weighted_columnar<P: ColumnarProblem>(
     let parts = llp_par::par_ranges(columns.len(), llp_par::DEFAULT_CHUNK, |start, end| {
         let mut idx = Vec::with_capacity(64);
         problem.scan_columns(solution, &columns.view(start, end), &mut idx);
-        // Summing weights after the kernel (ascending, like the AoS
-        // interleaved push/add) keeps the ScaledF64 operation sequence
-        // identical to scan_violators_weighted's.
         let mut w = ScaledF64::ZERO;
         for &i in idx.iter() {
             w += index.get(i);
@@ -205,47 +207,5 @@ pub fn count_violations<P: LpTypeProblem>(
                 .count()
         },
         |a, b| a + b,
-    )
-}
-
-/// The fused violator scan of Algorithm 1's hot path: violator indices
-/// (ascending) plus their total weight read off a standing
-/// [`WeightIndex`](llp_sampling::weight_index::WeightIndex) — one
-/// chunk-parallel pass over the two hot predicates (violation test +
-/// O(1) weight lookup), merged in chunk order so both outputs are
-/// bit-identical for any `LLP_THREADS`. Shared by the RAM solver and the
-/// coordinator/MPC holders; keeping one copy is part of the determinism
-/// contract.
-pub fn scan_violators_weighted<P: LpTypeProblem>(
-    problem: &P,
-    solution: &P::Solution,
-    constraints: &[P::Constraint],
-    index: &llp_sampling::weight_index::WeightIndex,
-) -> (Vec<usize>, llp_num::ScaledF64) {
-    use llp_num::ScaledF64;
-    llp_par::par_map_reduce(
-        constraints,
-        llp_par::DEFAULT_CHUNK,
-        (Vec::new(), ScaledF64::ZERO),
-        |base, chunk| {
-            let mut idx = Vec::with_capacity(64);
-            let mut w = ScaledF64::ZERO;
-            for (off, c) in chunk.iter().enumerate() {
-                if problem.violates(solution, c) {
-                    idx.push(base + off);
-                    w += index.get(base + off);
-                }
-            }
-            (idx, w)
-        },
-        |(mut idx_a, w_a), (idx_b, w_b)| {
-            // ZERO + w is exact, so moving the first chunk's vec out
-            // instead of copying keeps the result bit-identical.
-            if idx_a.is_empty() {
-                return (idx_b, w_a + w_b);
-            }
-            idx_a.extend(idx_b);
-            (idx_a, w_a + w_b)
-        },
     )
 }

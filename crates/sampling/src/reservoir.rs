@@ -65,8 +65,15 @@ impl<T> WeightedReservoir<T> {
     }
 
     /// Offers one element with the given weight. Zero-weight elements are
-    /// never retained.
-    pub fn offer<R: Rng + ?Sized>(&mut self, item: T, weight: ScaledF64, rng: &mut R) {
+    /// never retained. `item` builds the element and runs only if the
+    /// reservoir keeps it, so a stream of encoded rows decodes just the
+    /// survivors; the key draw is the same either way.
+    pub fn offer<R: Rng + ?Sized>(
+        &mut self,
+        item: impl FnOnce() -> T,
+        weight: ScaledF64,
+        rng: &mut R,
+    ) {
         if weight.is_zero() {
             return;
         }
@@ -79,11 +86,17 @@ impl<T> WeightedReservoir<T> {
         let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
         let k = weight.ln() - (-u.ln()).ln();
         if self.heap.len() < self.capacity {
-            self.heap.push(Entry { key: k, item });
+            self.heap.push(Entry {
+                key: k,
+                item: item(),
+            });
         } else if let Some(root) = self.heap.peek() {
             if k > root.key {
                 self.heap.pop();
-                self.heap.push(Entry { key: k, item });
+                self.heap.push(Entry {
+                    key: k,
+                    item: item(),
+                });
             }
         }
     }
@@ -119,7 +132,7 @@ mod tests {
         let mut r = rng();
         let mut res = WeightedReservoir::new(5);
         for i in 0..100 {
-            res.offer(i, ScaledF64::ONE, &mut r);
+            res.offer(|| i, ScaledF64::ONE, &mut r);
         }
         assert_eq!(res.len(), 5);
     }
@@ -129,11 +142,33 @@ mod tests {
         let mut r = rng();
         let mut res = WeightedReservoir::new(10);
         for i in 0..3 {
-            res.offer(i, ScaledF64::ONE, &mut r);
+            res.offer(|| i, ScaledF64::ONE, &mut r);
         }
         let mut items = res.into_items();
         items.sort_unstable();
         assert_eq!(items, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn items_are_built_only_when_kept() {
+        // 1000 uniform offers into 5 slots: every build lands in the
+        // heap, and far fewer rows survive a key comparison than arrive.
+        let mut r = rng();
+        let mut res = WeightedReservoir::new(5);
+        let mut built = 0usize;
+        for i in 0..1000 {
+            res.offer(
+                || {
+                    built += 1;
+                    i
+                },
+                ScaledF64::ONE,
+                &mut r,
+            );
+        }
+        res.offer(|| panic!("zero weight built"), ScaledF64::ZERO, &mut r);
+        assert_eq!(res.len(), 5);
+        assert!((5..100).contains(&built), "built {built} of 1000");
     }
 
     #[test]
@@ -146,7 +181,7 @@ mod tests {
             } else {
                 ScaledF64::ZERO
             };
-            res.offer(i, w, &mut r);
+            res.offer(|| i, w, &mut r);
         }
         for item in res.into_items() {
             assert_eq!(item % 2, 0, "zero-weight item {item} sampled");
@@ -168,7 +203,7 @@ mod tests {
                 } else {
                     ScaledF64::ONE
                 };
-                res.offer(i, w, &mut r);
+                res.offer(|| i, w, &mut r);
             }
             if res.into_items()[0] == 7 {
                 hits += 1;
@@ -187,7 +222,7 @@ mod tests {
         for _ in 0..trials {
             let mut res = WeightedReservoir::new(10);
             for i in 0..100 {
-                res.offer(i, ScaledF64::ONE, &mut r);
+                res.offer(|| i, ScaledF64::ONE, &mut r);
             }
             for item in res.into_items() {
                 counts[item] += 1;
@@ -205,8 +240,8 @@ mod tests {
         let mut r = rng();
         for _ in 0..100 {
             let mut res = WeightedReservoir::new(1);
-            res.offer("small", ScaledF64::ONE, &mut r);
-            res.offer("huge", ScaledF64::powi(2.0, 1000), &mut r);
+            res.offer(|| "small", ScaledF64::ONE, &mut r);
+            res.offer(|| "huge", ScaledF64::powi(2.0, 1000), &mut r);
             assert_eq!(res.into_items(), vec!["huge"]);
         }
     }

@@ -57,6 +57,14 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Checksum-algorithm byte: FNV-1a with 64-bit state (the only
 /// algorithm defined so far).
 pub const CHECKSUM_FNV1A64: u8 = 1;
+/// The largest full-chunk payload, `(dim + 1) · chunk_len · 8` bytes, a
+/// header may declare. The reader sizes each frame buffer from the
+/// header, and FNV-1a is public, so anyone can re-seal a header that
+/// lies: headers over the cap are refused when a file is opened or
+/// created, before any frame is read — the store's counterpart of the
+/// wire codec's `MAX_FRAME_LEN`. 64 MiB holds 262,144-row chunks up to
+/// dim 31.
+pub const MAX_CHUNK_PAYLOAD: u64 = 64 << 20;
 
 /// FNV-1a-64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -248,6 +256,21 @@ impl FileHeader {
     }
 }
 
+/// Refuses a layout whose full-chunk payload `(dim + 1) · chunk_len · 8`
+/// overflows or exceeds [`MAX_CHUNK_PAYLOAD`].
+fn check_chunk_payload(dim: u32, chunk_len: u32) -> Result<(), String> {
+    let bytes = (u64::from(dim) + 1)
+        .checked_mul(u64::from(chunk_len))
+        .and_then(|b| b.checked_mul(8));
+    match bytes {
+        Some(b) if b <= MAX_CHUNK_PAYLOAD => Ok(()),
+        _ => Err(format!(
+            "chunks of {chunk_len} rows x {dim}+1 columns exceed the \
+             {MAX_CHUNK_PAYLOAD}-byte payload cap"
+        )),
+    }
+}
+
 /// Encodes a header to its byte representation (checksum included).
 pub fn encode_header(h: &FileHeader) -> Vec<u8> {
     let mut out = Vec::with_capacity(80);
@@ -334,6 +357,7 @@ impl<W: Write> ChunkWriter<W> {
         if header.chunk_len == 0 {
             return Err(StoreError::WriterMisuse("chunk_len must be >= 1".into()));
         }
+        check_chunk_payload(header.dim, header.chunk_len).map_err(StoreError::WriterMisuse)?;
         let bytes = encode_header(&header);
         w.write_all(&bytes)?;
         Ok(ChunkWriter {
@@ -461,6 +485,10 @@ impl<R: Read> ChunkReader<R> {
         if chunk_len == 0 {
             return Err(StoreError::HeaderCorrupt("chunk_len is zero".into()));
         }
+        // Every frame the schedule admits is at most this large, so the
+        // per-chunk payload buffer below is bounded without a check of
+        // its own.
+        check_chunk_payload(dim, chunk_len).map_err(StoreError::HeaderCorrupt)?;
 
         Ok(ChunkReader {
             r: cr,
@@ -658,15 +686,17 @@ pub fn verify_file(path: &Path) -> Result<(FileHeader, u64), StoreError> {
 
 /// Reads a whole file back into AoS constraints via
 /// [`ColumnarProblem::from_row`]. Returns the constraints, the header,
-/// and the bytes read.
+/// and the bytes read. Memory is reserved chunk by chunk as rows decode,
+/// never from the header's row count.
 pub fn read_all<P: ColumnarProblem>(
     path: &Path,
     problem: &P,
 ) -> Result<(Vec<P::Constraint>, FileHeader, u64), StoreError> {
     let mut reader = open_file(path)?;
-    let mut out = Vec::with_capacity(reader.header().rows as usize);
+    let mut out = Vec::new();
     let mut buf = Vec::with_capacity(reader.header().dim as usize);
     while let Some(chunk) = reader.next_chunk()? {
+        out.reserve(chunk.len());
         for i in 0..chunk.len() {
             let extra = chunk.row(i, &mut buf);
             out.push(problem.from_row(&buf, extra));
@@ -688,7 +718,8 @@ pub type PartitionedRead<P> = (
 /// coordinator/MPC site loader. The sizes must sum to the file's row
 /// count (use the skew recorded in the header's provenance to derive
 /// them, so a file replays the exact partition layout it was generated
-/// for).
+/// for). Like [`read_all`], each partition grows chunk by chunk as rows
+/// decode, never from the sizes up front.
 pub fn read_partitioned<P: ColumnarProblem>(
     path: &Path,
     problem: &P,
@@ -702,17 +733,25 @@ pub fn read_partitioned<P: ColumnarProblem>(
             reader.header().rows
         )));
     }
-    let mut parts: Vec<Vec<P::Constraint>> = sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
+    let mut parts: Vec<Vec<P::Constraint>> = sizes.iter().map(|_| Vec::new()).collect();
     let mut site = 0usize;
     let mut buf = Vec::with_capacity(reader.header().dim as usize);
     while let Some(chunk) = reader.next_chunk()? {
-        for i in 0..chunk.len() {
-            let extra = chunk.row(i, &mut buf);
-            while site < sizes.len() && parts[site].len() == sizes[site] {
+        let mut i = 0;
+        while i < chunk.len() {
+            // The sizes sum to the header's total, which bounds the rows
+            // the reader yields, so a site with room always remains.
+            while parts[site].len() == sizes[site] {
                 site += 1;
             }
-            debug_assert!(site < sizes.len(), "sizes checked against row total");
-            parts[site].push(problem.from_row(&buf, extra));
+            let part = &mut parts[site];
+            let take = (sizes[site] - part.len()).min(chunk.len() - i);
+            part.reserve(take);
+            for row in i..i + take {
+                let extra = chunk.row(row, &mut buf);
+                part.push(problem.from_row(&buf, extra));
+            }
+            i += take;
         }
     }
     let bytes = reader.bytes_read();

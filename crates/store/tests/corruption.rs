@@ -3,14 +3,22 @@
 //! the failure-mode table in DESIGN.md §10: truncation at every
 //! structural boundary, bad magic, wrong version, unknown checksum
 //! algorithm, header/chunk checksum mismatches, trailing bytes, and
-//! headers that lie about dim or row counts.
+//! headers that lie about dim or row counts — including re-sealed
+//! headers whose sizes would make a reader allocate without bound.
 
+use llp_core::instances::lp::LpProblem;
 use llp_geom::ConstraintColumns;
 use llp_store::{
-    encode_header, verify_file, ChunkReader, ChunkWriter, FileHeader, Provenance, StoreError,
-    FORMAT_VERSION, MAGIC,
+    encode_header, read_all, read_partitioned, verify_file, ChunkReader, ChunkWriter, FileHeader,
+    Provenance, StoreError, FORMAT_VERSION, MAGIC, MAX_CHUNK_PAYLOAD,
 };
 use std::path::PathBuf;
+
+fn scratch_dir() -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp-store-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
 
 fn header(rows: u64, chunk_len: u32) -> FileHeader {
     FileHeader {
@@ -231,9 +239,58 @@ fn zero_dim_and_zero_chunk_headers_are_refused() {
 }
 
 #[test]
+fn oversized_chunk_header_is_refused_before_any_frame() {
+    // A re-sealed header of dim = chunk_len = rows = 2^24 followed by the
+    // first frame's row count and 64 junk bytes: 140 bytes whose first
+    // frame would need a 2^51-byte payload buffer. The cap refuses the
+    // header at open, and the writer refuses to produce one.
+    let mut h = header(1 << 24, 1 << 24);
+    h.dim = 1 << 24;
+    h.provenance.family = "random_lp".into();
+    let mut bytes = encode_header(&h);
+    bytes.extend_from_slice(&(1u32 << 24).to_le_bytes());
+    bytes.extend_from_slice(&[0xa5; 64]);
+    assert_eq!(bytes.len(), 140);
+    match scan(&bytes) {
+        Err(StoreError::HeaderCorrupt(why)) => assert!(why.contains("cap"), "{why}"),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert!(matches!(
+        ChunkWriter::create(Vec::new(), h),
+        Err(StoreError::WriterMisuse(_))
+    ));
+    // The cap is a sharp boundary: the longest dim-2 chunk under it is
+    // admitted, one row more is not.
+    let rows = (MAX_CHUNK_PAYLOAD / (3 * 8)) as u32;
+    assert!(ChunkWriter::create(Vec::new(), header(0, rows)).is_ok());
+    assert!(ChunkWriter::create(Vec::new(), header(0, rows + 1)).is_err());
+}
+
+#[test]
+fn header_row_count_never_sizes_the_loaders() {
+    // A 72-byte header-only file promising 2^50 rows: the loaders reserve
+    // per decoded chunk, so they run into the missing first frame
+    // instead of reserving room for 2^50 constraints.
+    let mut h = header(1 << 50, 4096);
+    h.provenance.family = "random_lp".into();
+    let bytes = encode_header(&h);
+    assert_eq!(bytes.len(), 72);
+    let path = scratch_dir().join("corruption_header_only.llps");
+    std::fs::write(&path, &bytes).unwrap();
+    let p = LpProblem::new(vec![1.0, 1.0]);
+    assert!(matches!(
+        read_all(&path, &p),
+        Err(StoreError::Truncated { .. })
+    ));
+    assert!(matches!(
+        read_partitioned(&path, &p, &[1 << 49, 1 << 49]),
+        Err(StoreError::Truncated { .. })
+    ));
+}
+
+#[test]
 fn verify_file_accepts_good_and_refuses_corrupt_on_disk() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp-store-tests");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir();
     let file = good_file();
 
     let good_path = dir.join("corruption_good.llps");

@@ -38,7 +38,6 @@ fn serve_mixes_produce_a_valid_service_block() {
         budget: "quick".to_string(),
         cells: Vec::new(),
         service,
-        columnar: Vec::new(),
         net: Vec::new(),
         ooc: Vec::new(),
     };
@@ -117,36 +116,6 @@ fn f2_hard_instances_always_valid() {
 }
 
 #[test]
-fn t13c_columnar_scan_is_bit_identical() {
-    // The table and the report's columnar block share one measurement
-    // path (`report::run_columnar`); validating the cells here is the
-    // same gate CI's `--check` applies to the written JSON.
-    let cells = report::run_columnar(bench::RunBudget::Quick);
-    assert!(!cells.is_empty());
-    for c in &cells {
-        assert!(
-            c.identical,
-            "AoS and columnar scans diverged at n={} threads={}",
-            c.n, c.threads
-        );
-        assert!(c.violators > 0, "fixture must produce violators");
-    }
-    let r = report::Report {
-        schema_version: report::SCHEMA_VERSION,
-        label: "columnar-quick-test".to_string(),
-        budget: "quick".to_string(),
-        cells: Vec::new(),
-        service: Vec::new(),
-        columnar: cells,
-        net: Vec::new(),
-        ooc: Vec::new(),
-    };
-    report::validate(&r).expect("columnar block must validate");
-    let parsed = report::Report::from_json(&r.to_json()).expect("round-trip");
-    assert_eq!(parsed, r);
-}
-
-#[test]
 fn ooc_quick_block_validates_and_survives_the_file_gate() {
     // A shrunken `experiments ooc --quick`: write every OOC scenario to a
     // chunk store, run all four models off the files, and pass the written
@@ -162,7 +131,6 @@ fn ooc_quick_block_validates_and_survives_the_file_gate() {
         budget: "quick".to_string(),
         cells: Vec::new(),
         service: Vec::new(),
-        columnar: Vec::new(),
         net: Vec::new(),
         ooc: cells,
     };

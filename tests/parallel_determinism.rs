@@ -13,22 +13,22 @@
 //!
 //! Coverage notes. The parallel path only engages on slices spanning more
 //! than one `DEFAULT_CHUNK` (4096), so the coordinator/MPC legs use
-//! inputs sized to put >4096 constraints on each site/machine, and
-//! `weight_oracle_helpers_are_thread_count_invariant` drives the
-//! multi-chunk merges of every `WeightOracle` helper directly. The RAM,
+//! inputs sized to put >4096 constraints on each site/machine. The RAM,
 //! coordinator, and MPC solvers all run their sampling off persistent
-//! `WeightIndex` state now (incremental Fenwick updates instead of prefix
+//! `WeightIndex` state (incremental Fenwick updates instead of prefix
 //! rebuilds): the model legs cover that path end-to-end — the index is
 //! itself purely sequential, and the one parallel piece feeding it (the
-//! fused violator scan of `SiteWeights::scan_and_stage`) is additionally
-//! driven head-on by
+//! fused columnar violator scan of `SiteWeights::scan_and_stage`) is
+//! additionally driven head-on by
 //! `site_weights_scan_and_sampling_are_thread_count_invariant`, with
 //! accepted verdicts applied between probes so the *evolved* incremental
-//! state is compared, not just a fresh index. The
-//! streaming legs are different: the streaming model's per-pass scans are
-//! *sequential by design* (a pass is one-way I/O over the stream), so no
-//! `llp_par` call exists there today — those legs lock the contract down
-//! so any future parallelization of the pass loops cannot silently break
+//! state is compared, not just a fresh index. That scan is in turn
+//! pinned against a sequential scalar reference built on `violates` by
+//! `columnar_scan_matches_aos_scan_bit_for_bit`. The streaming legs are
+//! different: the streaming model's per-pass scans are *sequential by
+//! design* (a pass is one-way I/O over the stream), so no `llp_par` call
+//! exists there today — those legs lock the contract down so any future
+//! parallelization of the pass loops cannot silently break
 //! seed-reproducibility.
 
 use lodim_lp::bigdata::coordinator;
@@ -265,62 +265,16 @@ fn violation_scan_invariant_across_many_thread_counts() {
 }
 
 #[test]
-fn weight_oracle_helpers_are_thread_count_invariant() {
-    // Drive every WeightOracle slice helper directly on a slice spanning
-    // ~10 chunks, with a non-trivial basis history, so the multi-chunk
-    // ordered merges (including the (weight, count) reduce of
-    // `violation_scan`) are exercised head-on rather than only through
-    // the model protocols.
-    use lodim_lp::bigdata::common::WeightOracle;
-    use lodim_lp::core::lptype::LpTypeProblem;
-
-    let mut rng = StdRng::seed_from_u64(SEED + 70);
-    let (lp, cs) = lodim_lp::workloads::random_lp(N_BIG, 3, SEED + 70);
-    let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(8.0);
-    for i in 0..6 {
-        // A spread of basis points so constraints get diverse exponents.
-        let basis = lp
-            .solve_subset(&cs[i * 50..i * 50 + 40], &mut rng)
-            .expect("subset solvable");
-        oracle.push(basis);
-    }
-    let probe = lp.solve_subset(&cs[..32], &mut rng).expect("solvable");
-
-    let totals = |threads: usize| {
-        llp_par::with_threads(threads, || {
-            (
-                oracle.total_weight(&lp, &cs),
-                oracle.weights(&lp, &cs),
-                oracle.violation_scan(&lp, &probe, &cs),
-            )
-        })
-    };
-    let reference = totals(1);
-    for threads in [2usize, 4, 16] {
-        assert_eq!(totals(threads), reference, "threads={threads}");
-    }
-    // And the helpers are consistent with each other.
-    let (total, weights, (viol_w, viol_count)) = reference;
-    let refold: lodim_lp::num::ScaledF64 = weights.iter().copied().sum();
-    assert!((refold.ratio(total) - 1.0).abs() < 1e-12);
-    assert!(
-        viol_count > 0,
-        "probe should be violated by some constraints"
-    );
-    assert!(viol_w.ratio(total) > 0.0);
-}
-
-#[test]
 fn site_weights_scan_and_sampling_are_thread_count_invariant() {
-    // The WeightIndex-backed holder state: drive scan_and_stage on a
-    // ~10-chunk slice through several accepted rounds, so the violator
-    // lists, staged commits, O(1) totals, and the index-backed inversion
-    // draws are compared across thread counts on *evolving* incremental
-    // state. Only the fused scan touches the llp_par pool — the Fenwick
-    // updates and descents are sequential by construction — so every
-    // field must match bit-for-bit.
+    // The WeightIndex-backed holder state: drive the columnar
+    // scan_and_stage on a ~10-chunk slice through several accepted
+    // rounds, so the violator lists, staged commits, O(1) totals, and the
+    // index-backed inversion draws are compared across thread counts on
+    // *evolving* incremental state. Only the fused scan touches the
+    // llp_par pool — the Fenwick updates and descents are sequential by
+    // construction — so every field must match bit-for-bit.
     use lodim_lp::bigdata::common::SiteWeights;
-    use lodim_lp::core::lptype::LpTypeProblem;
+    use lodim_lp::core::lptype::{ColumnarProblem, LpTypeProblem};
 
     let mut rng = StdRng::seed_from_u64(SEED + 80);
     let (lp, cs) = lodim_lp::workloads::random_lp(N_BIG, 3, SEED + 80);
@@ -330,6 +284,7 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
                 .expect("subset solvable")
         })
         .collect();
+    let columns = lp.to_columns(&cs);
 
     let run = |threads: usize| {
         llp_par::with_threads(threads, || {
@@ -337,7 +292,7 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
             let mut rng = StdRng::seed_from_u64(SEED + 81);
             let mut out = Vec::new();
             for probe in &probes {
-                let (w, count) = site.scan_and_stage(&lp, probe, &cs);
+                let (w, count) = site.scan_and_stage(&lp, probe, &columns);
                 site.resolve(true);
                 let picked = site.sample_indices(100, &mut rng);
                 out.push((w, count, site.total(), picked));
@@ -355,18 +310,45 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
     }
 }
 
+/// The scalar reference for the columnar scan: the per-element
+/// `violates` predicate over the AoS slice, each violator's weight read
+/// with `WeightIndex::get`, summed in ascending order within each
+/// `DEFAULT_CHUNK` block, and the block sums merged in block order — the
+/// grid and association order the parallel scan promises at any thread
+/// count.
+fn scalar_scan<P: lodim_lp::core::lptype::LpTypeProblem>(
+    p: &P,
+    sol: &P::Solution,
+    data: &[P::Constraint],
+    index: &lodim_lp::sampling::weight_index::WeightIndex,
+) -> (Vec<usize>, lodim_lp::num::ScaledF64) {
+    use lodim_lp::num::ScaledF64;
+    let mut idx = Vec::new();
+    let mut total = ScaledF64::ZERO;
+    for (block, cs) in data.chunks(llp_par::DEFAULT_CHUNK).enumerate() {
+        let base = block * llp_par::DEFAULT_CHUNK;
+        let mut w = ScaledF64::ZERO;
+        for (off, c) in cs.iter().enumerate() {
+            if p.violates(sol, c) {
+                idx.push(base + off);
+                w += index.get(base + off);
+            }
+        }
+        total += w;
+    }
+    (idx, total)
+}
+
 #[test]
 fn columnar_scan_matches_aos_scan_bit_for_bit() {
-    // The SoA-vs-AoS differential at the kernel level: the columnar scan
-    // (`scan_violators_weighted_columnar` over `ConstraintColumns`) must
-    // report exactly the same violator indices and the same ScaledF64
-    // weight as the AoS scan, bit for bit, for LP/SVM/MEB at threads
-    // 1/4/16. Weights are non-uniform so the sums genuinely mix
-    // exponents, and the solution comes from a small prefix so the full
-    // set contains real violators.
-    use lodim_lp::core::lptype::{
-        scan_violators_weighted, scan_violators_weighted_columnar, ColumnarProblem,
-    };
+    // The columnar-vs-scalar differential at the kernel level: the
+    // columnar scan (`scan_violators_weighted_columnar` over
+    // `ConstraintColumns`) must report exactly the violator indices and
+    // the ScaledF64 weight of the sequential `violates` reference, bit
+    // for bit, for LP/SVM/MEB at threads 1/4/16. Weights are non-uniform
+    // so the sums genuinely mix exponents, and the solution comes from a
+    // small prefix so the full set contains real violators.
+    use lodim_lp::core::lptype::{scan_violators_weighted_columnar, ColumnarProblem};
     use lodim_lp::sampling::weight_index::WeightIndex;
 
     fn check<P: ColumnarProblem>(label: &str, p: &P, data: &[P::Constraint], sol: &P::Solution) {
@@ -377,24 +359,27 @@ fn columnar_scan_matches_aos_scan_bit_for_bit() {
         for i in (0..data.len()).step_by(13) {
             index.multiply(i, 70.0);
         }
+        assert!(
+            data.len() > llp_par::DEFAULT_CHUNK,
+            "{label}: the input must span several scan chunks"
+        );
+        let (ref_idx, ref_w) = scalar_scan(p, sol, data, &index);
+        assert!(
+            !ref_idx.is_empty(),
+            "{label}: prefix solution should leave violators in the full set"
+        );
         let columns = p.to_columns(data);
         for threads in [1usize, 4, 16] {
-            let (aos_idx, aos_w) =
-                llp_par::with_threads(threads, || scan_violators_weighted(p, sol, data, &index));
             let mut col_idx = Vec::new();
             let col_w = llp_par::with_threads(threads, || {
                 scan_violators_weighted_columnar(p, sol, &columns, &index, &mut col_idx)
             });
-            assert!(
-                !aos_idx.is_empty(),
-                "{label}: prefix solution should leave violators in the full set"
-            );
             assert_eq!(
-                aos_idx, col_idx,
+                ref_idx, col_idx,
                 "{label} threads={threads}: violator indices diverged"
             );
             assert_eq!(
-                aos_w, col_w,
+                ref_w, col_w,
                 "{label} threads={threads}: violator weights diverged"
             );
         }

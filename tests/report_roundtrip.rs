@@ -6,15 +6,15 @@ use llp_bench::report::{self, Cell, Report};
 use llp_bench::RunBudget;
 use llp_workloads::scenario::{registry, Family};
 
-/// A golden v5 document, written by hand (v2 added the `service` block,
-/// v3 the `columnar` block, v4 the `net` block, v5 the `ooc` block —
-/// older files no longer parse, by design: the schema version exists so
-/// consumers refuse them loudly). If a schema change breaks this parse,
-/// bump `report::SCHEMA_VERSION` and regenerate the golden — silently
-/// reinterpreting old trajectory files is the failure mode this test
-/// exists to catch.
-const GOLDEN_V5: &str = r#"{
-  "schema_version": 5,
+/// A golden v6 document, written by hand (v2 added the `service` block,
+/// v3 the `columnar` block, v4 the `net` block, v5 the `ooc` block, v6
+/// removed the `columnar` block — older files are refused, by design:
+/// the schema version exists so consumers refuse them loudly). If a
+/// schema change breaks this parse, bump `report::SCHEMA_VERSION` and
+/// regenerate the golden — silently reinterpreting old trajectory files
+/// is the failure mode this test exists to catch.
+const GOLDEN_V6: &str = r#"{
+  "schema_version": 6,
   "label": "golden",
   "budget": "quick",
   "cells": [
@@ -35,12 +35,6 @@ const GOLDEN_V5: &str = r#"{
       "p50_ms": 0.9, "p95_ms": 6.5, "p99_ms": 14.0, "max_ms": 21.25,
       "mean_ms": 2.125, "queue_p95_ms": 1.5,
       "throughput_rps": 1990.0, "wall_ms": 200.0
-    }
-  ],
-  "columnar": [
-    {
-      "n": 1000000, "threads": 4, "violators": 14000,
-      "aos_ms": 2.5, "soa_ms": 1.25, "speedup": 2.0, "identical": true
     }
   ],
   "net": [
@@ -88,8 +82,8 @@ const GOLDEN_V5: &str = r#"{
 }"#;
 
 #[test]
-fn golden_v5_document_parses() {
-    let r = Report::from_json(GOLDEN_V5).expect("golden must parse");
+fn golden_v6_document_parses() {
+    let r = Report::from_json(GOLDEN_V6).expect("golden must parse");
     assert_eq!(r.schema_version, report::SCHEMA_VERSION);
     assert_eq!(r.label, "golden");
     assert_eq!(r.budget, "quick");
@@ -106,11 +100,6 @@ fn golden_v5_document_parses() {
     assert_eq!(s.completed + s.shed + s.rejected, s.submitted);
     assert_eq!(s.cache_hits + s.solves + s.batched, s.completed);
     assert!((s.max_ms - 21.25).abs() < 1e-12);
-    assert_eq!(r.columnar.len(), 1);
-    let col = &r.columnar[0];
-    assert_eq!((col.n, col.threads, col.violators), (1_000_000, 4, 14_000));
-    assert!(col.identical);
-    assert!((col.speedup - col.aos_ms / col.soa_ms).abs() < 1e-12);
     // The net block: two shard rows plus the fleet aggregate, with both
     // conservation laws intact (the same laws `validate` enforces).
     assert_eq!(r.net.len(), 3);
@@ -148,40 +137,63 @@ fn golden_v1_through_v4_documents_are_refused() {
     // A v1-era document: no `service` block, version 1. Both the parse
     // (missing field) and any forced validate must fail — old trajectory
     // files cannot be silently reinterpreted under a newer schema.
-    let v1 = GOLDEN_V5
-        .replace("\"schema_version\": 5", "\"schema_version\": 1")
+    let v1 = GOLDEN_V6
+        .replace("\"schema_version\": 6", "\"schema_version\": 1")
         .replace("],\n  \"service\"", "],\n  \"service_gone\"")
-        .replace("],\n  \"columnar\"", "],\n  \"columnar_gone\"")
         .replace("],\n  \"net\"", "],\n  \"net_gone\"")
         .replace("],\n  \"ooc\"", "],\n  \"ooc_gone\"");
     assert!(Report::from_json(&v1).is_err(), "v1 shape must not parse");
-    // A v2-era document: version 2, no `columnar` block.
-    let v2 = GOLDEN_V5
-        .replace("\"schema_version\": 5", "\"schema_version\": 2")
-        .replace("],\n  \"columnar\"", "],\n  \"columnar_gone\"")
+    // A v2-era document: version 2, no `net` or `ooc` block.
+    let v2 = GOLDEN_V6
+        .replace("\"schema_version\": 6", "\"schema_version\": 2")
         .replace("],\n  \"net\"", "],\n  \"net_gone\"")
         .replace("],\n  \"ooc\"", "],\n  \"ooc_gone\"");
     assert!(Report::from_json(&v2).is_err(), "v2 shape must not parse");
     // A v3-era document: version 3, no `net` block — the shape the repo
     // wrote before the serving layer landed.
-    let v3 = GOLDEN_V5
-        .replace("\"schema_version\": 5", "\"schema_version\": 3")
+    let v3 = GOLDEN_V6
+        .replace("\"schema_version\": 6", "\"schema_version\": 3")
         .replace("],\n  \"net\"", "],\n  \"net_gone\"")
         .replace("],\n  \"ooc\"", "],\n  \"ooc_gone\"");
     assert!(Report::from_json(&v3).is_err(), "v3 shape must not parse");
     // A v4-era document: version 4, no `ooc` block — the shape the repo
     // wrote before the out-of-core store landed.
-    let v4 = GOLDEN_V5
-        .replace("\"schema_version\": 5", "\"schema_version\": 4")
+    let v4 = GOLDEN_V6
+        .replace("\"schema_version\": 6", "\"schema_version\": 4")
         .replace("],\n  \"ooc\"", "],\n  \"ooc_gone\"");
     assert!(Report::from_json(&v4).is_err(), "v4 shape must not parse");
     // Even a v4 document that *happens* to carry an ooc block (forward-
     // ported by hand) is refused by validate on the version number.
-    let v4_with_ooc = GOLDEN_V5.replace("\"schema_version\": 5", "\"schema_version\": 4");
+    let v4_with_ooc = GOLDEN_V6.replace("\"schema_version\": 6", "\"schema_version\": 4");
     if let Ok(r) = Report::from_json(&v4_with_ooc) {
         assert!(
             report::validate(&r).unwrap_err().contains("schema"),
             "validate must refuse a v4 version number"
+        );
+    }
+}
+
+#[test]
+fn golden_v5_document_is_refused() {
+    // The v5 shape: every v6 block plus the retired `columnar` block of
+    // AoS-vs-SoA scan timings. A parser that skips the unknown block
+    // still meets the version check.
+    let v5 = GOLDEN_V6
+        .replace("\"schema_version\": 6", "\"schema_version\": 5")
+        .replace(
+            "],\n  \"net\"",
+            "],\n  \"columnar\": [\n    {\n      \"n\": 1000000, \"threads\": 4, \
+             \"violators\": 14000,\n      \"aos_ms\": 2.5, \"soa_ms\": 1.25, \
+             \"speedup\": 2.0, \"identical\": true\n    }\n  ],\n  \"net\"",
+        );
+    assert!(
+        v5.contains("\"columnar\": ["),
+        "the v5 fixture carries its block"
+    );
+    if let Ok(r) = Report::from_json(&v5) {
+        assert!(
+            report::validate(&r).unwrap_err().contains("schema"),
+            "validate must refuse a v5 version number"
         );
     }
 }
@@ -252,15 +264,6 @@ fn report_serialize_parse_compare_is_lossless() {
             throughput_rps: 123_456.789,
             wall_ms: 2048.0,
         }],
-        columnar: vec![report::ColumnarCell {
-            n: 4_000_000,
-            threads: 16,
-            violators: 123_457,
-            aos_ms: 0.1 + 0.2, // awkward float on purpose
-            soa_ms: f64::MIN_POSITIVE,
-            speedup: 1.0e308,
-            identical: true,
-        }],
         net: vec![report::NetCell {
             mix: "heavy_tail".to_string(),
             shard: "fleet".to_string(),
@@ -312,7 +315,7 @@ fn report_serialize_parse_compare_is_lossless() {
 
 #[test]
 fn truncated_and_mistyped_documents_are_rejected() {
-    let good = Report::from_json(GOLDEN_V5).unwrap().to_json();
+    let good = Report::from_json(GOLDEN_V6).unwrap().to_json();
     assert!(Report::from_json(&good[..good.len() - 2]).is_err());
     assert!(Report::from_json("{}").is_err(), "missing fields");
     assert!(Report::from_json(&good.replace("\"cells\"", "\"cell\"")).is_err());
