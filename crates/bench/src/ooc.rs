@@ -2,34 +2,35 @@
 //!
 //! Each selected scenario is streamed to a chunked store file
 //! (`llp_store` via `llp_workloads::write_scenario` — the generator
-//! never materializes the instance), then solved with every constraint
-//! byte coming back from that file:
+//! never materializes the instance), then solved off that file in every
+//! model through the shared `llp_service` dispatch
+//! ([`llp_service::solve_source`] with a [`DataSource::File`]), the same
+//! code path as the report grid:
 //!
-//! * **streaming** — `llp_bigdata::streaming::solve_chunked` over a
-//!   [`FileSource`]: every pass of Algorithm 1 re-reads and
-//!   re-checksums the file, so the cell's `bytes_read` is
-//!   `passes × file_bytes` (plus the open-time header validation).
-//!   With the grid's solver seed this run is bit-identical to the
-//!   in-RAM grid cell — same iterations, passes, and objective bits.
-//! * **ram / mpc** — one full load through the provenance-checked
-//!   `read_scenario_data` loader, then the shared `llp_service`
-//!   dispatch (the same code path as the report grid).
-//! * **coordinator** — sites load their shards straight from the file
-//!   through `read_scenario_partitioned` (geometrically skewed layouts
-//!   included), then `llp_bigdata::coordinator::solve_partitioned`.
+//! * **streaming** — `solve_chunked` over a `FileSource`: every pass of
+//!   Algorithm 1 re-reads and re-checksums the file, so the cell's
+//!   `bytes_read` is `passes × file_bytes` (plus the open-time header
+//!   validation).
+//! * **ram / mpc** — one full load (`llp_store::read_all`) before the
+//!   clock starts.
+//! * **coordinator**, and **mpc** under a skewed layout — sites or
+//!   machines load their shards straight from the file
+//!   (`llp_store::read_partitioned`, geometric sizes included) before
+//!   the clock starts.
+//!
+//! With the grid's solver seed every cell is bit-identical to the
+//! in-RAM grid cell — same iterations, passes, and objective bits. The
+//! dispatch certifies each solution with a separate sweep of the file
+//! that `bytes_read` leaves out.
 //!
 //! At [`RunBudget::Huge`] only the streaming model runs — the whole
 //! point of the tier is an instance (`n ≥ 10^8`) that is never held in
 //! RAM — and the scenario set shrinks to `lp_uniform`.
 
-use crate::report::{solver_seed, OocCell, COORD_SITES};
+use crate::report::{solver_seed, OocCell, COORD_SITES, MPC_DELTA};
 use crate::RunBudget;
-use llp_bigdata::coordinator;
-use llp_bigdata::ooc::{ChunkSource, FileSource};
-use llp_bigdata::streaming::solve_chunked;
-use llp_core::clarkson::ClarksonConfig;
 use llp_core::lptype::ColumnarProblem;
-use llp_service::{ExecParams, Model};
+use llp_service::{solve_source, DataSource, ExecParams, Model};
 use llp_workloads::scenario::{registry, Scenario, ScenarioProblem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,6 +66,11 @@ pub fn run_ooc(budget: RunBudget, dir: &Path) -> Vec<OocCell> {
         .unwrap_or_else(|e| panic!("cannot create ooc dir {}: {e}", dir.display()));
     let chunk_len = chunk_len_for(budget);
     let huge = matches!(budget, RunBudget::Huge);
+    let models: &[Model] = if huge {
+        &[Model::Streaming]
+    } else {
+        &[Model::Streaming, Model::Ram, Model::Coordinator, Model::Mpc]
+    };
     let mut cells = Vec::new();
     for sc in registry(budget) {
         let wanted = if huge {
@@ -83,165 +89,65 @@ pub fn run_ooc(budget: RunBudget, dir: &Path) -> Vec<OocCell> {
             "{}: written header does not invert to the scenario",
             sc.name
         );
-        let ctx = ScenarioCtx {
-            sc: &sc,
-            path: &path,
+        let blank = OocCell {
+            scenario: sc.name.to_string(),
+            family: sc.family.name().to_string(),
+            model: String::new(),
+            n: header.rows,
+            d: sc.d as u64,
+            dim: header.dim as u64,
+            seed: sc.seed,
+            chunk_len: chunk_len as u64,
             file_bytes: header.file_bytes(),
             bytes_written,
-            dim: header.dim as u64,
-            rows: header.rows,
-            chunk_len: chunk_len as u64,
-        };
-        match sc.problem() {
-            ScenarioProblem::Lp(p) => cells_for(&ctx, &p, huge, &mut cells),
-            ScenarioProblem::Svm(p) => cells_for(&ctx, &p, huge, &mut cells),
-            ScenarioProblem::Meb(p) => cells_for(&ctx, &p, huge, &mut cells),
-        }
-    }
-    cells
-}
-
-/// Everything about one written scenario file that every model cell
-/// shares.
-struct ScenarioCtx<'a> {
-    sc: &'a Scenario,
-    path: &'a Path,
-    file_bytes: u64,
-    bytes_written: u64,
-    dim: u64,
-    rows: u64,
-    chunk_len: u64,
-}
-
-impl ScenarioCtx<'_> {
-    fn cell(&self, model: &str) -> OocCell {
-        OocCell {
-            scenario: self.sc.name.to_string(),
-            family: self.sc.family.name().to_string(),
-            model: model.to_string(),
-            n: self.rows,
-            d: self.sc.d as u64,
-            dim: self.dim,
-            seed: self.sc.seed,
-            chunk_len: self.chunk_len,
-            file_bytes: self.file_bytes,
-            bytes_written: self.bytes_written,
             bytes_read: 0,
             passes: 0,
             objective: 0.0,
             violations: 0,
             iterations: 0,
             wall_ms: 0.0,
-            path: self.path.to_string_lossy().into_owned(),
+            path: path.to_string_lossy().into_owned(),
+        };
+        for &model in models {
+            let cell = match sc.problem() {
+                ScenarioProblem::Lp(p) => solve_cell(&sc, &p, &path, model, &blank),
+                ScenarioProblem::Svm(p) => solve_cell(&sc, &p, &path, model, &blank),
+                ScenarioProblem::Meb(p) => solve_cell(&sc, &p, &path, model, &blank),
+            };
+            cells.push(cell);
         }
     }
+    cells
 }
 
-fn cells_for<P: ColumnarProblem>(
-    ctx: &ScenarioCtx<'_>,
+/// One (scenario, model) cell: the grid cell's parameters and solver
+/// seed, with every constraint byte coming from the store file.
+fn solve_cell<P: ColumnarProblem>(
+    sc: &Scenario,
     problem: &P,
-    huge: bool,
-    cells: &mut Vec<OocCell>,
-) {
-    cells.push(streaming_cell(ctx, problem));
-    if huge {
-        return;
-    }
-    cells.push(loaded_cell(ctx, problem, Model::Ram));
-    cells.push(coordinator_cell(ctx, problem));
-    cells.push(loaded_cell(ctx, problem, Model::Mpc));
-}
-
-/// The streaming cell: Algorithm 1 pulls every pass from the file.
-fn streaming_cell<P: ColumnarProblem>(ctx: &ScenarioCtx<'_>, problem: &P) -> OocCell {
-    let sc = ctx.sc;
-    let mut source = FileSource::open(ctx.path)
-        .unwrap_or_else(|e| panic!("{}: opening {}: {e}", sc.name, ctx.path.display()));
-    let cfg = ClarksonConfig::lean(sc.r);
-    let mut rng = StdRng::seed_from_u64(solver_seed(sc, "streaming"));
-    // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-    let start = std::time::Instant::now();
-    let (sol, stats) = solve_chunked(problem, &mut source, &cfg, &mut rng)
-        .unwrap_or_else(|e| panic!("{}/streaming: {e}", sc.name));
-    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let mut cell = ctx.cell("streaming");
-    cell.bytes_read = source.bytes_read();
-    cell.passes = stats.passes;
-    cell.iterations = stats.iterations as u64;
-    cell.objective = problem.objective_value(&sol);
-    cell.violations = scan_file_violations(problem, &sol, ctx.path);
-    cell.wall_ms = wall_ms;
-    cell
-}
-
-/// Counts violations of `sol` with one extra (unmetered) sweep of the
-/// file — the certificate stays out-of-core too.
-fn scan_file_violations<P: ColumnarProblem>(problem: &P, sol: &P::Solution, path: &Path) -> u64 {
-    let mut reader =
-        llp_store::open_file(path).unwrap_or_else(|e| panic!("reopening {}: {e}", path.display()));
-    let mut violators: Vec<usize> = Vec::new();
-    let mut count = 0u64;
-    loop {
-        match reader.next_chunk() {
-            Ok(Some(chunk)) => {
-                violators.clear();
-                problem.scan_columns(sol, &chunk.full_view(), &mut violators);
-                count += violators.len() as u64;
-            }
-            Ok(None) => return count,
-            Err(e) => panic!("verification sweep of {}: {e}", path.display()),
-        }
-    }
-}
-
-/// A ram/mpc cell: one provenance-checked full load, then the shared
-/// `llp_service` dispatch (the same computation as the report grid).
-fn loaded_cell<P: ColumnarProblem>(ctx: &ScenarioCtx<'_>, problem: &P, model: Model) -> OocCell {
-    let sc = ctx.sc;
-    let (data, _header, bytes_read) = llp_store::read_all(ctx.path, problem)
-        .unwrap_or_else(|e| panic!("{}: loading {}: {e}", sc.name, ctx.path.display()));
+    path: &Path,
+    model: Model,
+    blank: &OocCell,
+) -> OocCell {
     let params = ExecParams {
         r: sc.r,
         coord_sites: COORD_SITES,
-        mpc_delta: crate::report::MPC_DELTA,
+        mpc_delta: MPC_DELTA,
         skew: sc.skew,
     };
     let mut rng = StdRng::seed_from_u64(solver_seed(sc, model.name()));
-    let out = llp_service::solve_model(problem, &data, model, &params, &mut rng)
-        .unwrap_or_else(|e| panic!("{}/{}: {e}", sc.name, model.name()));
-    let mut cell = ctx.cell(model.name());
-    cell.bytes_read = bytes_read;
-    cell.iterations = out.body.iterations;
-    cell.objective = out.body.objective;
-    cell.violations = out.body.violations;
-    cell.wall_ms = out.wall_ms;
-    cell
-}
-
-/// The coordinator cell: each site's shard is loaded straight from the
-/// file (`read_partitioned` honors the scenario's skewed layout), then
-/// the sites run Lemma 3.7's protocol.
-fn coordinator_cell<P: ColumnarProblem>(ctx: &ScenarioCtx<'_>, problem: &P) -> OocCell {
-    let sc = ctx.sc;
-    let sizes = sc.partition_sizes(ctx.rows as usize, COORD_SITES);
-    let (parts, _header, bytes_read) = llp_store::read_partitioned(ctx.path, problem, &sizes)
-        .unwrap_or_else(|e| panic!("{}: partition-loading {}: {e}", sc.name, ctx.path.display()));
-    let cfg = ClarksonConfig::lean(sc.r);
-    let mut rng = StdRng::seed_from_u64(solver_seed(sc, "coordinator"));
-    // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-    let start = std::time::Instant::now();
-    let (sol, stats) = coordinator::solve_partitioned(problem, parts, &cfg, &mut rng)
-        .unwrap_or_else(|e| panic!("{}/coordinator: {e:?}", sc.name));
-    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let mut cell = ctx.cell("coordinator");
-    cell.bytes_read = bytes_read;
-    cell.iterations = stats.iterations as u64;
-    cell.objective = problem.objective_value(&sol);
-    // The partitions were consumed by the protocol; certify with the
-    // same chunk-wise sweep as the streaming cell.
-    cell.violations = scan_file_violations(problem, &sol, ctx.path);
-    cell.wall_ms = wall_ms;
-    cell
+    let out = solve_source(problem, DataSource::File(path), model, &params, &mut rng)
+        .unwrap_or_else(|e| panic!("{}/{e}", sc.name));
+    OocCell {
+        model: model.name().to_string(),
+        bytes_read: out.bytes_read,
+        passes: out.body.passes,
+        objective: out.body.objective,
+        violations: out.body.violations,
+        iterations: out.body.iterations,
+        wall_ms: out.wall_ms,
+        ..blank.clone()
+    }
 }
 
 #[cfg(test)]
@@ -290,28 +196,29 @@ mod tests {
         assert_eq!(validate(&report), Ok(()));
         assert_eq!(report::verify_ooc_files(&report), Ok(()));
 
-        // The streaming cells replay the grid's RNG stream over file
-        // bytes: same objective bits, iterations, and pass counts as the
+        // Every cell replays the grid's RNG stream over file bytes: same
+        // objective bits, iterations, passes, and violations as the
         // in-RAM grid cell of the same (scenario, model).
         for sc in registry(RunBudget::Quick) {
             if !OOC_SCENARIOS.contains(&sc.name) {
                 continue;
             }
-            let grid = report::run_scenario(&sc);
-            let grid_stream = grid.iter().find(|c| c.model == "streaming").unwrap();
-            let ooc_stream = report
-                .ooc
-                .iter()
-                .find(|c| c.scenario == sc.name && c.model == "streaming")
-                .unwrap();
-            assert_eq!(
-                grid_stream.objective.to_bits(),
-                ooc_stream.objective.to_bits(),
-                "{}: file-backed streaming must be bit-identical to in-RAM",
-                sc.name
-            );
-            assert_eq!(grid_stream.iterations, ooc_stream.iterations, "{}", sc.name);
-            assert_eq!(grid_stream.passes, ooc_stream.passes, "{}", sc.name);
+            for grid in report::run_scenario(&sc) {
+                let ooc = report
+                    .ooc
+                    .iter()
+                    .find(|c| c.scenario == sc.name && c.model == grid.model)
+                    .unwrap();
+                let what = format!("{}/{}", sc.name, grid.model);
+                assert_eq!(
+                    grid.objective.to_bits(),
+                    ooc.objective.to_bits(),
+                    "{what}: a file-backed run must be bit-identical to in-RAM"
+                );
+                assert_eq!(grid.iterations, ooc.iterations, "{what}");
+                assert_eq!(grid.passes, ooc.passes, "{what}");
+                assert_eq!(grid.violations, ooc.violations, "{what}");
+            }
         }
     }
 }

@@ -195,12 +195,14 @@ pub struct NetCell {
 
 /// One file-backed out-of-core measurement (`experiments ooc`): a
 /// scenario streamed to a chunked store file (`llp_store`), then solved
-/// in one model with every constraint byte coming from that file. The
-/// streaming model reads the file pass by pass through
-/// `llp_bigdata::ooc::FileSource` (so `bytes_read` grows with `passes`);
-/// the other models load it once through the `llp_workloads` store
-/// loaders. `bytes_written` is metered at write time and must equal the
-/// file size the header predicts — [`validate`] enforces both meters.
+/// in one model through `llp_service::solve_source` with every
+/// constraint byte coming from that file. The streaming model reads the
+/// file pass by pass through `llp_bigdata::ooc::FileSource` (so
+/// `bytes_read` grows with `passes`); the other models load it once,
+/// whole (`llp_store::read_all`) or as their partitions
+/// (`read_partitioned`). `bytes_written` is metered at write time and
+/// must equal the file size the header predicts — [`validate`] enforces
+/// both meters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct OocCell {
     /// Registry scenario name.
@@ -230,11 +232,13 @@ pub struct OocCell {
     /// Objective value of the returned solution.
     pub objective: f64,
     /// Violations of the returned solution over the full input (must be
-    /// 0; counted by a separate unmetered sweep of the file).
+    /// 0), counted in every model by a separate sweep of the file that
+    /// `bytes_read` leaves out.
     pub violations: u64,
     /// Iterations of Algorithm 1.
     pub iterations: u64,
-    /// Wall-clock time of the solve (file I/O included), milliseconds.
+    /// Wall-clock time of the solve, milliseconds. Streaming reads the
+    /// file inside it; the other models load the file before it starts.
     pub wall_ms: f64,
     /// Path of the store file, as written.
     pub path: String,

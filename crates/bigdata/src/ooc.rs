@@ -1,5 +1,5 @@
 //! Out-of-core chunk sources: where the streaming model's bytes come
-//! from.
+//! from, and the one violation certificate every model run ends with.
 //!
 //! Theorem 1's algorithm only ever needs the input as an ordered
 //! sequence of columnar blocks per pass. A [`ChunkSource`] abstracts
@@ -8,6 +8,10 @@
 //! replays a chunked store file (`llp_store`), re-opening and
 //! re-checksumming it on every pass — so a multi-pass run over a file
 //! reads `passes × file_bytes` real bytes, and the meters prove it.
+//! [`count_violators`] certifies a solution over any source in one
+//! columnar pass, one chunk resident at a time; [`read_all`] and
+//! [`read_partitioned`] load a file whole or as site partitions for the
+//! models that hold their input in memory.
 //!
 //! Bit-identity contract: the violation kernels
 //! (`ColumnarProblem::scan_columns`) use independent per-element
@@ -18,11 +22,16 @@
 //! differential suite in `tests/parallel_determinism.rs` pins this.
 
 use crate::BigDataError;
+use llp_core::lptype::ColumnarProblem;
 use llp_geom::ConstraintColumns;
 use llp_store::{ChunkReader, StoreError};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
+
+// The store loaders the in-memory models ingest a file with, re-exported
+// so crates that reach the store only through this one can load files.
+pub use llp_store::{read_all, read_partitioned};
 
 impl From<StoreError> for BigDataError {
     fn from(e: StoreError) -> Self {
@@ -169,6 +178,28 @@ impl ChunkSource for FileSource {
     fn bytes_read(&self) -> u64 {
         self.bytes_read + self.reader.as_ref().map_or(0, |r| r.bytes_read())
     }
+}
+
+/// Counts the rows of `source` that violate `solution`, in one pass.
+/// Each chunk is cut on the fixed `llp_par::DEFAULT_CHUNK` grid and swept
+/// by the problem's column kernel, so the count is exact at any thread
+/// count and a file stays out-of-core: one chunk is resident at a time.
+pub fn count_violators<P: ColumnarProblem, S: ChunkSource>(
+    problem: &P,
+    solution: &P::Solution,
+    source: &mut S,
+) -> Result<u64, BigDataError> {
+    source.begin_pass()?;
+    let mut count = 0u64;
+    while let Some((_, chunk)) = source.next_chunk()? {
+        let counts = llp_par::par_ranges(chunk.len(), llp_par::DEFAULT_CHUNK, |start, end| {
+            let mut violators = Vec::new();
+            problem.scan_columns(solution, &chunk.view(start, end), &mut violators);
+            violators.len() as u64
+        });
+        count += counts.iter().sum::<u64>();
+    }
+    Ok(count)
 }
 
 #[cfg(test)]

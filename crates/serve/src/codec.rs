@@ -591,6 +591,9 @@ fn take_request(c: &mut Cursor<'_>) -> Result<SolveRequest, ReadError> {
         1 => RequestInput::Scenario(c.str16()?),
         2 => {
             let d = c.u16()? as usize;
+            if d == 0 {
+                return Err(malformed("inline LP with zero dimensions"));
+            }
             let mut objective = Vec::with_capacity(d);
             for _ in 0..d {
                 objective.push(c.f64()?);
@@ -939,6 +942,23 @@ mod tests {
         });
         let lie = (u32::from_le_bytes(bytes[0..4].try_into().unwrap()) - 4).to_le_bytes();
         bytes[0..4].copy_from_slice(&lie);
+        let mut r = &bytes[..];
+        match read_frame(&mut r) {
+            Err(ReadError::Protocol { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("expected malformed, got {other:?}"),
+        }
+
+        // A zero-dimension inline LP (`LpProblem::new` cannot build one,
+        // so the bytes are spelled out): header, fingerprint, model,
+        // budget, seed, inline tag, `d = 0`, `m = 0`.
+        let mut bytes = 35u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[WIRE_VERSION, FT_SOLVE]);
+        bytes.extend_from_slice(&[0; 16]);
+        bytes.extend_from_slice(&[0, 0]);
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.push(2);
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
         let mut r = &bytes[..];
         match read_frame(&mut r) {
             Err(ReadError::Protocol { code, .. }) => assert_eq!(code, ErrorCode::Malformed),

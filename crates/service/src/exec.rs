@@ -1,25 +1,37 @@
-//! One-shot model dispatch: solve an LP-type instance under any of the
-//! four compute models and collect the solver statistics and meter
-//! readings into a [`ResponseBody`].
+//! One model dispatch: solve an LP-type instance under any of the four
+//! compute models, from an in-RAM slice or a chunked store file, and
+//! collect the solver statistics and meter readings into a
+//! [`ResponseBody`].
 //!
-//! This is the single solve path shared by the service workers and the
-//! `llp_bench` report grid — the grid's `run_cell` is a thin wrapper, so
-//! a scenario solved through the service is *the same computation* as its
-//! report cell (same partition layout, same meter charges, same
-//! determinism contract via `llp_par`). Harness work (cloning the data,
-//! cutting partitions) happens before the timer starts: the returned
-//! `wall_ms` is solve time only, comparable across models.
+//! This is the single solve path shared by the service workers, the
+//! `llp_bench` report grid (`run_cell`) and its out-of-core harness
+//! (`bench::ooc`), so a scenario solved through the service, in the grid,
+//! or off its store file is *the same computation*: same partition
+//! layout, same meter charges, same determinism contract via `llp_par`.
+//!
+//! One clock reading brackets each solve, so `wall_ms` is solve time
+//! only. Loading a file, cutting partitions, and the RAM model's
+//! columnar transpose happen before it starts; the streaming model
+//! builds or reads its tape inside it. After it stops, one columnar
+//! certificate, [`count_violators`], counts the solution's violators
+//! chunk by chunk: over the in-RAM columns, or through a fresh
+//! [`FileSource`] that `bytes_read` leaves out.
 
 use crate::request::{Model, ResponseBody};
 use llp_bigdata::coordinator as coord_impl;
 use llp_bigdata::mpc::{self as mpc_impl, MpcConfig};
-use llp_bigdata::streaming::{self as stream_impl, SamplingMode};
+use llp_bigdata::ooc::{self, count_violators, ChunkSource, FileSource, SliceSource};
+use llp_bigdata::streaming::solve_chunked;
+use llp_bigdata::BigDataError;
 use llp_core::clarkson::ClarksonConfig;
-use llp_core::lptype::{count_violations, ColumnarProblem};
+use llp_core::lptype::ColumnarProblem;
 use llp_core::SolveScratch;
 use llp_workloads::partition::prescribed_sizes;
 use llp_workloads::partition_by_sizes;
 use rand::Rng;
+use std::borrow::Cow;
+use std::fmt::Debug;
+use std::path::Path;
 
 /// Model-independent execution parameters (the registry defaults match
 /// the report grid's constants).
@@ -47,14 +59,6 @@ impl Default for ExecParams {
     }
 }
 
-/// The partition sizes the grid prescribes for `k` parts over `n`
-/// elements — one shared implementation with `Scenario::partition_sizes`
-/// (`llp_workloads::partition::prescribed_sizes`), so served scenarios
-/// and report-grid cells cannot drift apart.
-pub fn partition_sizes(n: usize, k: usize, skew: Option<f64>) -> Vec<usize> {
-    prescribed_sizes(n, k, skew)
-}
-
 /// A completed solve: the deterministic body plus its wall-clock.
 #[derive(Clone, Debug)]
 pub struct ExecOutcome {
@@ -62,11 +66,25 @@ pub struct ExecOutcome {
     pub body: ResponseBody,
     /// Wall-clock time of the solve, milliseconds.
     pub wall_ms: f64,
+    /// Bytes read from a store file to feed the solve: every streaming
+    /// pass plus the open-time header check, or one full load for the
+    /// other models. 0 for in-RAM inputs.
+    pub bytes_read: u64,
 }
 
-/// Solves `data` under `model` and meters the run. Returns an error
-/// string (deterministic, derived from the solver error) when the basis
-/// solver reports the instance infeasible/unbounded.
+/// Where a solve's constraints come from.
+#[derive(Debug)]
+pub enum DataSource<'a, C> {
+    /// An in-RAM constraint sequence.
+    Ram(&'a [C]),
+    /// A chunked store file (`llp_store`) of the problem's rows. The
+    /// streaming model re-reads it every pass; the other models load it
+    /// once, whole or as their partitions.
+    File(&'a Path),
+}
+
+/// Solves in-RAM `data` under `model` and meters the run: the slice
+/// form of [`solve_source`].
 pub fn solve_model<P: ColumnarProblem, R: Rng>(
     problem: &P,
     data: &[P::Constraint],
@@ -74,9 +92,34 @@ pub fn solve_model<P: ColumnarProblem, R: Rng>(
     params: &ExecParams,
     rng: &mut R,
 ) -> Result<ExecOutcome, String> {
+    solve_source(problem, DataSource::Ram(data), model, params, rng)
+}
+
+/// Solves the constraints of `source` under `model` and meters the run.
+/// Returns a deterministic error string, prefixed with the model name,
+/// for an input with no rows (before any model runs), an infeasible or
+/// unbounded instance, or a store file that fails to open or verify.
+pub fn solve_source<P: ColumnarProblem, R: Rng>(
+    problem: &P,
+    source: DataSource<'_, P::Constraint>,
+    model: Model,
+    params: &ExecParams,
+    rng: &mut R,
+) -> Result<ExecOutcome, String> {
+    let fail = |e: &dyn Debug| format!("{}: {e:?}", model.name());
+    let n = match source {
+        DataSource::Ram(data) => data.len(),
+        DataSource::File(path) => FileSource::open(path).map_err(|e| fail(&e))?.len(),
+    };
+    if n == 0 {
+        return Err(format!(
+            "{}: empty input, no constraints to solve",
+            model.name()
+        ));
+    }
     let cfg = ClarksonConfig::lean(params.r);
     let mut body = ResponseBody {
-        n: data.len() as u64,
+        n: n as u64,
         objective: 0.0,
         violations: 0,
         iterations: 0,
@@ -88,97 +131,213 @@ pub fn solve_model<P: ColumnarProblem, R: Rng>(
         load_bits: 0,
         total_load_bits: 0,
     };
-    let err = |e: String| format!("{}: {e}", model.name());
-    let wall_ms;
-    let solution = match model {
+    let mut bytes_read = 0;
+    // Each arm stages its input, runs the model under the one clock, and
+    // hands back the in-RAM tape it already holds for the certificate.
+    let (solution, wall_ms, tape) = match model {
         Model::Ram => {
-            // Columnar mirror + scratch arena are harness work: built
-            // before the timer so wall_ms meters the solve loop alone.
-            let columns = problem.to_columns(data);
+            let (data, read) = source.whole(problem).map_err(|e| fail(&e))?;
+            bytes_read = read;
+            let columns = problem.to_columns(&data);
             let mut scratch = SolveScratch::new();
-            // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-            let start = std::time::Instant::now();
-            let (sol, stats) = llp_core::clarkson_solve_with_scratch(
-                problem,
-                data,
-                &columns,
-                &cfg,
-                &mut scratch,
-                rng,
-            )
-            .map_err(|e| err(format!("{:?}", e.0)))?;
-            wall_ms = start.elapsed().as_secs_f64() * 1000.0;
+            let (out, wall_ms) = timed(|| {
+                llp_core::clarkson_solve_with_scratch(
+                    problem,
+                    &data,
+                    &columns,
+                    &cfg,
+                    &mut scratch,
+                    rng,
+                )
+            });
+            let (sol, stats) = out.map_err(|e| fail(&e.0))?;
             body.iterations = stats.iterations as u64;
-            sol
+            (sol, wall_ms, Some(SliceSource::new(columns)))
         }
         Model::Streaming => {
-            // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-            let start = std::time::Instant::now();
-            let (sol, stats) =
-                stream_impl::solve(problem, data, &cfg, SamplingMode::TwoPassIid, rng)
-                    .map_err(|e| err(format!("{e:?}")))?;
-            wall_ms = start.elapsed().as_secs_f64() * 1000.0;
+            let (out, wall_ms, tape) = match source {
+                DataSource::Ram(data) => {
+                    let ((out, tape), wall_ms) = timed(|| {
+                        let mut tape = SliceSource::new(problem.to_columns(data));
+                        (solve_chunked(problem, &mut tape, &cfg, rng), tape)
+                    });
+                    (out, wall_ms, Some(tape))
+                }
+                DataSource::File(path) => {
+                    let mut file = FileSource::open(path).map_err(|e| fail(&e))?;
+                    let (out, wall_ms) = timed(|| solve_chunked(problem, &mut file, &cfg, rng));
+                    bytes_read = file.bytes_read();
+                    (out, wall_ms, None)
+                }
+            };
+            let (sol, stats) = out.map_err(|e| fail(&e))?;
             body.iterations = stats.iterations as u64;
             body.passes = stats.passes;
             body.space_bits = stats.peak_space_bits;
-            sol
+            (sol, wall_ms, tape)
         }
         Model::Coordinator => {
-            let sizes = partition_sizes(data.len(), params.coord_sites, params.skew);
-            let parts = partition_by_sizes(data.to_vec(), &sizes);
-            // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-            let start = std::time::Instant::now();
-            let (sol, stats) = coord_impl::solve_partitioned(problem, parts, &cfg, rng)
-                .map_err(|e| err(format!("{e:?}")))?;
-            wall_ms = start.elapsed().as_secs_f64() * 1000.0;
+            let sizes = prescribed_sizes(n, params.coord_sites, params.skew);
+            let (parts, read) = source.parts(problem, &sizes).map_err(|e| fail(&e))?;
+            bytes_read = read;
+            let (out, wall_ms) = timed(|| coord_impl::solve_partitioned(problem, parts, &cfg, rng));
+            let (sol, stats) = out.map_err(|e| fail(&e))?;
             body.iterations = stats.iterations as u64;
             body.rounds = stats.rounds;
             body.comm_bits = stats.total_bits;
             body.max_round_bits = stats.max_round_bits;
-            sol
+            (sol, wall_ms, None)
         }
         Model::Mpc => {
             let mpc_cfg = MpcConfig::lean(params.mpc_delta);
-            let start;
-            let (sol, stats) = match params.skew {
+            let (out, wall_ms) = match params.skew {
                 // Skewed layouts cut the same machine count mpc::solve
                 // would use, just with geometric sizes.
                 Some(_) => {
-                    let k = mpc_impl::machine_count(data.len(), params.mpc_delta);
-                    let sizes = partition_sizes(data.len(), k, params.skew);
-                    let parts = partition_by_sizes(data.to_vec(), &sizes);
-                    // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-                    start = std::time::Instant::now();
-                    mpc_impl::solve_partitioned(problem, parts, &mpc_cfg, rng)
-                        .map_err(|e| err(format!("{e:?}")))?
+                    let k = mpc_impl::machine_count(n, params.mpc_delta);
+                    let sizes = prescribed_sizes(n, k, params.skew);
+                    let (parts, read) = source.parts(problem, &sizes).map_err(|e| fail(&e))?;
+                    bytes_read = read;
+                    timed(|| mpc_impl::solve_partitioned(problem, parts, &mpc_cfg, rng))
                 }
                 None => {
-                    let owned = data.to_vec();
-                    // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-                    start = std::time::Instant::now();
-                    mpc_impl::solve(problem, owned, &mpc_cfg, rng)
-                        .map_err(|e| err(format!("{e:?}")))?
+                    let (data, read) = source.whole(problem).map_err(|e| fail(&e))?;
+                    bytes_read = read;
+                    let owned = data.into_owned();
+                    timed(|| mpc_impl::solve(problem, owned, &mpc_cfg, rng))
                 }
             };
-            wall_ms = start.elapsed().as_secs_f64() * 1000.0;
+            let (sol, stats) = out.map_err(|e| fail(&e))?;
             body.iterations = stats.iterations as u64;
             body.rounds = stats.rounds;
             body.load_bits = stats.max_load_bits;
             body.total_load_bits = stats.total_load_bits;
-            sol
+            (sol, wall_ms, None)
         }
     };
     body.objective = problem.objective_value(&solution);
-    body.violations = count_violations(problem, &solution, data) as u64;
-    Ok(ExecOutcome { body, wall_ms })
+    body.violations = certify(problem, &solution, &source, tape).map_err(|e| fail(&e))?;
+    Ok(ExecOutcome {
+        body,
+        wall_ms,
+        bytes_read,
+    })
+}
+
+/// The dispatch's one certificate: counts the violators of `solution`
+/// over the whole input in one columnar pass — over `tape` (the columns
+/// a model already holds) or a fresh transpose for an in-RAM input, and
+/// through a fresh [`FileSource`] for a file.
+fn certify<P: ColumnarProblem>(
+    problem: &P,
+    solution: &P::Solution,
+    source: &DataSource<'_, P::Constraint>,
+    tape: Option<SliceSource>,
+) -> Result<u64, BigDataError> {
+    match source {
+        DataSource::Ram(data) => {
+            let mut tape = tape.unwrap_or_else(|| SliceSource::new(problem.to_columns(data)));
+            count_violators(problem, solution, &mut tape)
+        }
+        DataSource::File(path) => count_violators(problem, solution, &mut FileSource::open(path)?),
+    }
+}
+
+/// Runs `solve` under the dispatch's one clock, returning its output and
+/// the elapsed milliseconds.
+fn timed<T>(solve: impl FnOnce() -> T) -> (T, f64) {
+    // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
+    let start = std::time::Instant::now();
+    let out = solve();
+    (out, start.elapsed().as_secs_f64() * 1000.0)
+}
+
+impl<'a, C: Clone> DataSource<'a, C> {
+    /// The whole sequence and the bytes read for it: borrowed from RAM,
+    /// or one full load of the file.
+    fn whole<P: ColumnarProblem<Constraint = C>>(
+        &self,
+        problem: &P,
+    ) -> Result<(Cow<'a, [C]>, u64), BigDataError> {
+        match *self {
+            DataSource::Ram(data) => Ok((Cow::Borrowed(data), 0)),
+            DataSource::File(path) => {
+                let (data, _, bytes) = ooc::read_all(path, problem)?;
+                Ok((Cow::Owned(data), bytes))
+            }
+        }
+    }
+
+    /// Contiguous parts of the given sizes and the bytes read for them:
+    /// cut from RAM, or loaded part by part from the file.
+    fn parts<P: ColumnarProblem<Constraint = C>>(
+        &self,
+        problem: &P,
+        sizes: &[usize],
+    ) -> Result<(Vec<Vec<C>>, u64), BigDataError> {
+        match *self {
+            DataSource::Ram(data) => Ok((partition_by_sizes(data.to_vec(), sizes), 0)),
+            DataSource::File(path) => {
+                let (parts, _, bytes) = ooc::read_partitioned(path, problem, sizes)?;
+                Ok((parts, bytes))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llp_workloads::random_lp;
+    use llp_core::lptype::count_violations;
+    use llp_workloads::scenario::{registry, RunBudget, ScenarioData};
+    use llp_workloads::{random_lp, write_scenario};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn certificate_counts_real_violators_in_ram_and_on_file() {
+        // Every grid cell certifies 0 violations, which a certificate
+        // that skipped rows would also report. A basis of a prefix
+        // violates real rows: the count must match the AoS reference
+        // over a store file cut into 257-row chunks, over held columns,
+        // and over a fresh transpose.
+        let dir =
+            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp-ooc-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        for sc in registry(RunBudget::Quick) {
+            if !["lp_uniform", "svm_separable", "meb_clustered"].contains(&sc.name) {
+                continue;
+            }
+            let path = dir.join(format!("certificate_{}.llps", sc.name));
+            write_scenario(&sc, &path, 257).unwrap();
+            match sc.generate() {
+                ScenarioData::Lp(p, cs) => check_certificate(&p, &cs, &path),
+                ScenarioData::Svm(p, pts) => check_certificate(&p, &pts, &path),
+                ScenarioData::Meb(p, pts) => check_certificate(&p, &pts, &path),
+            }
+        }
+    }
+
+    fn check_certificate<P: ColumnarProblem>(p: &P, data: &[P::Constraint], path: &Path) {
+        // Generators may plant the defining rows first, so the basis comes
+        // from the last 1/32 of the rows.
+        let tail = &data[data.len() - data.len() / 32..];
+        let sol = p.solve_subset(tail, &mut StdRng::seed_from_u64(3)).unwrap();
+        let want = count_violations(p, &sol, data) as u64;
+        let mut chunks_hit: Vec<usize> = (0..data.len())
+            .filter(|&i| p.violates(&sol, &data[i]))
+            .map(|i| i / 257)
+            .collect();
+        chunks_hit.dedup();
+        assert!(chunks_hit.len() > 1, "violators must span several chunks");
+        let held = Some(SliceSource::new(p.to_columns(data)));
+        let counts = [
+            certify(p, &sol, &DataSource::File(path), None).unwrap(),
+            certify(p, &sol, &DataSource::Ram(data), held).unwrap(),
+            certify(p, &sol, &DataSource::Ram(data), None).unwrap(),
+        ];
+        assert_eq!(counts, [want; 3], "file, held columns, fresh transpose");
+    }
 
     #[test]
     fn all_models_agree_on_a_benign_lp() {
@@ -212,13 +371,5 @@ mod tests {
                 .body
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn partition_sizes_match_scenario_contract() {
-        assert_eq!(partition_sizes(10, 4, None), vec![3, 3, 2, 2]);
-        let skewed = partition_sizes(1000, 4, Some(4.0));
-        assert_eq!(skewed.iter().sum::<usize>(), 1000);
-        assert!(skewed[3] > skewed[0], "skew missing: {skewed:?}");
     }
 }

@@ -16,8 +16,10 @@
 //! * [`SolveRequest`]/[`SolveResponse`] — the job and its metered result;
 //!   [`ResponseBody`] is the deterministic part (bit-identical at any
 //!   worker count for a fixed request fingerprint).
-//! * [`exec::solve_model`] — the shared one-shot model dispatch, also
-//!   used by the `llp_bench` report grid.
+//! * [`exec::solve_source`] — the one model dispatch over an in-RAM
+//!   slice or a store file, also used by the `llp_bench` report grid
+//!   (through the slice form [`exec::solve_model`]) and its out-of-core
+//!   harness.
 //! * [`ServiceStats`]/[`LatencySummary`] — counters and percentiles for
 //!   the load harness (`experiments serve`).
 //! * [`ShardRouter`]/[`HashRing`] — N independent services behind one
@@ -36,7 +38,7 @@ pub mod service;
 pub mod shard;
 pub mod stats;
 
-pub use exec::{solve_model, ExecOutcome, ExecParams};
+pub use exec::{solve_model, solve_source, DataSource, ExecOutcome, ExecParams};
 pub use request::{Model, RequestInput, ResponseBody, ServedFrom, SolveRequest, SolveResponse};
 pub use service::{Admission, Service, ServiceConfig, SubmitError, Ticket};
 pub use shard::{HashRing, ShardRouter};

@@ -114,9 +114,11 @@ pub struct Ticket {
 impl Ticket {
     /// Blocks until the batch completes.
     ///
-    /// A worker that dies mid-solve drops the batch — and every result
-    /// sender with it. That surfaces here as an error body rather than
-    /// a second panic on the requester's thread.
+    /// A worker that dies mid-solve leaves its batch in flight: the
+    /// result senders stay in the service state, so this blocks until
+    /// the [`Service`] is dropped. Dropping it drops the senders, which
+    /// surfaces here as an error body rather than a second panic on the
+    /// requester's thread.
     pub fn wait(self) -> SolveResponse {
         self.rx.recv().unwrap_or_else(|_| SolveResponse {
             body: Err("service worker dropped the batch (worker died mid-solve)".to_string()),
@@ -633,6 +635,43 @@ mod tests {
         assert_eq!(stats.solves, 2);
         assert_eq!(stats.failed_solves, 2);
         assert_eq!(stats.cache_hits, 0);
+    }
+
+    #[test]
+    fn empty_inline_lp_fails_typed_and_the_worker_keeps_serving() {
+        // A zero-row inline LP must come back as an error body in every
+        // model without killing the worker: with a single worker, the
+        // valid request after it is answered only if that worker lived.
+        // Waits are bounded, so a dead worker fails the test instead of
+        // hanging it.
+        let svc = Service::new(ServiceConfig {
+            workers: 1,
+            ..quick_cfg()
+        });
+        let answer = |req: SolveRequest| match svc.submit(req).expect("admitted") {
+            Admission::Pending(t) => {
+                t.rx.recv_timeout(std::time::Duration::from_secs(30))
+                    .expect("the worker must answer within 30 s")
+            }
+            Admission::Cached(r) => r,
+        };
+        let (p, cs) = llp_workloads::random_lp(500, 2, 7);
+        for &model in Model::ALL {
+            let inline = |cs: Vec<Halfspace>| SolveRequest {
+                input: RequestInput::InlineLp(p.clone(), cs),
+                model,
+                budget: RunBudget::Quick,
+                seed: 11,
+            };
+            let err = answer(inline(Vec::new()))
+                .body
+                .expect_err("an empty LP has nothing to solve");
+            assert!(err.starts_with(model.name()), "{err}");
+            let ok = answer(inline(cs.clone()));
+            assert_eq!(ok.served_from, ServedFrom::Solve, "{}", model.name());
+            assert_eq!(ok.body.expect("a valid LP solves").violations, 0);
+        }
+        assert_eq!(svc.stats().failed_solves, Model::ALL.len() as u64);
     }
 
     #[test]

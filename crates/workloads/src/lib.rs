@@ -41,9 +41,6 @@ pub use meb::{ball_cloud, clustered_cloud, sphere_shell};
 pub use order::{binding_last_lp, extremes_last_points, shuffled};
 pub use partition::{partition_by_sizes, skewed_sizes};
 pub use scenario::{registry, Family, RunBudget, Scenario, ScenarioData, ScenarioProblem};
-pub use store_io::{
-    matches_scenario, provenance, read_scenario_data, read_scenario_partitioned,
-    scenario_for_provenance, write_scenario, ScenarioPartitions,
-};
+pub use store_io::{matches_scenario, provenance, scenario_for_provenance, write_scenario};
 pub use stream::ScenarioStream;
 pub use svm::{heavy_tailed_clouds, separable_clouds};

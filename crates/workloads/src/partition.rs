@@ -49,10 +49,10 @@ pub fn skewed_sizes(n: usize, k: usize, skew: f64) -> Vec<usize> {
 
 /// The partition layout the scenario grid **and** the solve service
 /// prescribe for `k` parts over `n` elements: geometrically skewed when
-/// `skew` is set, near-balanced contiguous otherwise. This is the single
-/// source of truth — `Scenario::partition_sizes` and
-/// `llp_service::exec` both delegate here, which is what makes a served
-/// scenario bit-identical to its report-grid cell.
+/// `skew` is set, near-balanced contiguous otherwise. The single source
+/// of truth: `llp_service::exec` cuts (or loads from a store file) every
+/// coordinator/MPC partition with it, so a served scenario, its
+/// report-grid cell, and its file-backed cell share one layout.
 pub fn prescribed_sizes(n: usize, k: usize, skew: Option<f64>) -> Vec<usize> {
     match skew {
         Some(s) => skewed_sizes(n, k, s),
@@ -117,6 +117,14 @@ mod tests {
         );
         let ratio = sizes[k - 1] as f64 / sizes[k - 2] as f64;
         assert!((ratio - skew).abs() < 0.5, "tail ratio {ratio}");
+    }
+
+    #[test]
+    fn prescribed_sizes_balance_or_skew() {
+        assert_eq!(prescribed_sizes(10, 4, None), vec![3, 3, 2, 2]);
+        let skewed = prescribed_sizes(1000, 4, Some(4.0));
+        assert_eq!(skewed.iter().sum::<usize>(), 1000);
+        assert!(skewed[3] > skewed[0], "skew missing: {skewed:?}");
     }
 
     #[test]

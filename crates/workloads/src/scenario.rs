@@ -8,7 +8,7 @@
 //! the quick tier is a *real subset* of the full run: same scenarios, same
 //! seeds, same dimensions — only `n` shrinks.
 
-use crate::{lp, meb, order, partition, svm};
+use crate::{lp, meb, order, svm};
 use llp_core::instances::lp::LpProblem;
 use llp_core::instances::meb::MebProblem;
 use llp_core::instances::svm::{SvmPoint, SvmProblem};
@@ -110,7 +110,7 @@ pub enum Family {
     /// ([`order::binding_last_lp`]).
     AdversarialOrderLp,
     /// Benign LP over geometrically skewed sites/machines
-    /// ([`partition::skewed_sizes`]).
+    /// ([`crate::partition::skewed_sizes`]).
     SkewedPartitionLp,
     /// Benign separable SVM cloud ([`svm::separable_clouds`]).
     SeparableSvm,
@@ -320,15 +320,6 @@ impl Scenario {
                 ScenarioProblem::Meb(MebProblem::new(self.d))
             }
         }
-    }
-
-    /// The partition sizes this scenario prescribes for `k` sites over `n`
-    /// materialized constraints (pass `ScenarioData::len()` — it can
-    /// differ from [`Scenario::n`], e.g. Chebyshev emits 2 constraints per
-    /// point): geometrically skewed when [`Scenario::skew`] is set,
-    /// near-balanced contiguous otherwise.
-    pub fn partition_sizes(&self, n: usize, k: usize) -> Vec<usize> {
-        partition::prescribed_sizes(n, k, self.skew)
     }
 }
 
@@ -550,7 +541,7 @@ mod tests {
     fn partition_sizes_cover_n() {
         for sc in registry(RunBudget::Quick) {
             let n = sc.generate().len();
-            let sizes = sc.partition_sizes(n, 8);
+            let sizes = crate::partition::prescribed_sizes(n, 8, sc.skew);
             assert_eq!(sizes.iter().sum::<usize>(), n, "{}", sc.name);
             assert!(sizes.iter().all(|&s| s >= 1));
             if sc.skew.is_some() {

@@ -1,6 +1,8 @@
 //! Scenario ↔ chunked-store glue: write any registry scenario to a
-//! store file without materializing it, and load files back as typed
-//! instances or site partitions.
+//! store file without materializing it, and check a file's header
+//! against the scenario it claims to hold. Files load back through
+//! `llp_store::read_all` (whole) and `read_partitioned` (site
+//! partitions).
 //!
 //! The store header's [`Provenance`] records the scenario's generator
 //! arguments (family, n, d, seed, r, skew), so a well-formed file is
@@ -8,12 +10,10 @@
 //! inverts the record, and [`matches_scenario`] lets a verifier check
 //! that a file on disk really is the scenario a report cell claims.
 
-use crate::scenario::{Family, Scenario, ScenarioData, ScenarioProblem};
+use crate::scenario::{Family, Scenario};
 use crate::stream::ScenarioStream;
 use llp_geom::ConstraintColumns;
-use llp_store::{
-    open_file, read_all, read_partitioned, ChunkWriter, FileHeader, Provenance, StoreError,
-};
+use llp_store::{ChunkWriter, FileHeader, Provenance, StoreError};
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
@@ -92,94 +92,11 @@ pub fn write_scenario(
     Ok((header, bytes))
 }
 
-/// Reads a scenario's file back as a fully materialized instance —
-/// the problem (reconstructed from the scenario parameters) plus the
-/// constraint sequence in stream order, bit-identical to
-/// [`Scenario::generate`]. Refuses a file whose header does not match
-/// the scenario. Returns the data and the bytes read.
-pub fn read_scenario_data(path: &Path, sc: &Scenario) -> Result<(ScenarioData, u64), StoreError> {
-    check_header(path, sc)?;
-    Ok(match sc.problem() {
-        ScenarioProblem::Lp(p) => {
-            let (cs, _, bytes) = read_all(path, &p)?;
-            (ScenarioData::Lp(p, cs), bytes)
-        }
-        ScenarioProblem::Svm(p) => {
-            let (pts, _, bytes) = read_all(path, &p)?;
-            (ScenarioData::Svm(p, pts), bytes)
-        }
-        ScenarioProblem::Meb(p) => {
-            let (pts, _, bytes) = read_all(path, &p)?;
-            (ScenarioData::Meb(p, pts), bytes)
-        }
-    })
-}
-
-/// A scenario instance loaded as `k` contiguous site partitions — the
-/// coordinator/MPC ingestion path. Sizes follow the scenario's own
-/// prescription (geometrically skewed when `skew` is recorded), so a
-/// file replays the exact partition layout it was generated for.
-#[derive(Clone, Debug)]
-pub enum ScenarioPartitions {
-    /// A partitioned linear program.
-    Lp(
-        llp_core::instances::lp::LpProblem,
-        Vec<Vec<llp_geom::Halfspace>>,
-    ),
-    /// A partitioned SVM instance.
-    Svm(
-        llp_core::instances::svm::SvmProblem,
-        Vec<Vec<llp_core::instances::svm::SvmPoint>>,
-    ),
-    /// A partitioned MEB instance.
-    Meb(llp_core::instances::meb::MebProblem, Vec<Vec<Vec<f64>>>),
-}
-
-/// Reads a scenario's file into `k` site partitions (see
-/// [`ScenarioPartitions`]). Returns the partitions and the bytes read.
-pub fn read_scenario_partitioned(
-    path: &Path,
-    sc: &Scenario,
-    k: usize,
-) -> Result<(ScenarioPartitions, u64), StoreError> {
-    let header = check_header(path, sc)?;
-    let sizes = sc.partition_sizes(header.rows as usize, k);
-    Ok(match sc.problem() {
-        ScenarioProblem::Lp(p) => {
-            let (parts, _, bytes) = read_partitioned(path, &p, &sizes)?;
-            (ScenarioPartitions::Lp(p, parts), bytes)
-        }
-        ScenarioProblem::Svm(p) => {
-            let (parts, _, bytes) = read_partitioned(path, &p, &sizes)?;
-            (ScenarioPartitions::Svm(p, parts), bytes)
-        }
-        ScenarioProblem::Meb(p) => {
-            let (parts, _, bytes) = read_partitioned(path, &p, &sizes)?;
-            (ScenarioPartitions::Meb(p, parts), bytes)
-        }
-    })
-}
-
-/// Opens the file, validates its header, and refuses a provenance that
-/// does not match the scenario.
-fn check_header(path: &Path, sc: &Scenario) -> Result<FileHeader, StoreError> {
-    let reader = open_file(path)?;
-    let header = reader.header().clone();
-    if !matches_scenario(&header, sc) {
-        return Err(StoreError::HeaderCorrupt(format!(
-            "provenance mismatch: file records {:?}, expected scenario {} ({:?})",
-            header.provenance,
-            sc.name,
-            provenance(sc)
-        )));
-    }
-    Ok(header)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{registry, RunBudget};
+    use crate::scenario::{registry, RunBudget, ScenarioData};
+    use llp_store::{read_all, read_partitioned};
     use std::path::PathBuf;
 
     fn scratch_dir() -> PathBuf {
@@ -207,26 +124,31 @@ mod tests {
             );
             assert!(matches_scenario(&header, &sc));
 
-            let (data, bytes_read) = read_scenario_data(&path, &sc).unwrap();
+            let (read_header, bytes_read) = match sc.generate() {
+                ScenarioData::Lp(p, want) => {
+                    let (got, h, bytes) = read_all(&path, &p).unwrap();
+                    assert_eq!(got, want, "{}", sc.name);
+                    (h, bytes)
+                }
+                ScenarioData::Svm(p, want) => {
+                    let (got, h, bytes) = read_all(&path, &p).unwrap();
+                    assert_eq!(got, want, "{}", sc.name);
+                    (h, bytes)
+                }
+                ScenarioData::Meb(p, want) => {
+                    let (got, h, bytes) = read_all(&path, &p).unwrap();
+                    assert_eq!(got, want, "{}", sc.name);
+                    (h, bytes)
+                }
+            };
+            assert_eq!(read_header, header, "{}", sc.name);
             assert_eq!(bytes_read, written, "{}", sc.name);
-            match (data, sc.generate()) {
-                (ScenarioData::Lp(_, got), ScenarioData::Lp(_, want)) => {
-                    assert_eq!(got, want, "{}", sc.name)
-                }
-                (ScenarioData::Svm(_, got), ScenarioData::Svm(_, want)) => {
-                    assert_eq!(got, want, "{}", sc.name)
-                }
-                (ScenarioData::Meb(_, got), ScenarioData::Meb(_, want)) => {
-                    assert_eq!(got, want, "{}", sc.name)
-                }
-                _ => panic!("{}: kind drifted", sc.name),
-            }
         }
     }
 
     #[test]
     fn partitioned_read_matches_in_ram_partitioning() {
-        use crate::partition::partition_by_sizes;
+        use crate::partition::{partition_by_sizes, prescribed_sizes};
         let dir = scratch_dir();
         let mut sc = registry(RunBudget::Quick)
             .into_iter()
@@ -235,14 +157,12 @@ mod tests {
         sc.n = 2_000;
         let path = dir.join("partitioned_skewed.llps");
         write_scenario(&sc, &path, 512).unwrap();
-        let (parts, _) = read_scenario_partitioned(&path, &sc, 8).unwrap();
-        let ScenarioPartitions::Lp(_, got) = parts else {
+        let ScenarioData::Lp(p, cs) = sc.generate() else {
             panic!("kind drifted");
         };
-        let ScenarioData::Lp(_, cs) = sc.generate() else {
-            panic!("kind drifted");
-        };
-        let sizes = sc.partition_sizes(cs.len(), 8);
+        let sizes = prescribed_sizes(cs.len(), 8, sc.skew);
+        let (got, header, _) = read_partitioned(&path, &p, &sizes).unwrap();
+        assert!(matches_scenario(&header, &sc));
         let want = partition_by_sizes(cs, &sizes);
         assert_eq!(got, want, "skewed site layout must replay from the file");
         assert!(
@@ -276,15 +196,14 @@ mod tests {
         sc.n = 500;
         let path = dir.join("mismatch.llps");
         write_scenario(&sc, &path, 128).unwrap();
-        let mut other = sc.clone();
-        other.seed ^= 1;
-        assert!(matches!(
-            read_scenario_data(&path, &other),
-            Err(StoreError::HeaderCorrupt(_))
-        ));
-        assert!(matches!(
-            read_scenario_partitioned(&path, &other, 8),
-            Err(StoreError::HeaderCorrupt(_))
-        ));
+        let (header, _) = llp_store::verify_file(&path).unwrap();
+        assert!(matches_scenario(&header, &sc));
+        let mut other_seed = sc.clone();
+        other_seed.seed ^= 1;
+        let mut other_n = sc.clone();
+        other_n.n += 1;
+        for other in [other_seed, other_n] {
+            assert!(!matches_scenario(&header, &other), "{other:?}");
+        }
     }
 }
