@@ -108,10 +108,7 @@ pub struct FileSource {
     path: PathBuf,
     rows: usize,
     reader: Option<ChunkReader<BufReader<File>>>,
-    /// The current decoded block, kept alive for the borrow returned by
-    /// [`next_chunk`](ChunkSource::next_chunk).
-    current: Option<ConstraintColumns>,
-    base: usize,
+    /// Bytes read by every reader but the current one.
     bytes_read: u64,
 }
 
@@ -127,8 +124,6 @@ impl FileSource {
             path: path.to_path_buf(),
             rows,
             reader: None,
-            current: None,
-            base: 0,
             bytes_read,
         })
     }
@@ -150,29 +145,24 @@ impl ChunkSource for FileSource {
             self.bytes_read += reader.bytes_read();
         }
         self.reader = Some(llp_store::open_file(&self.path)?);
-        self.base = 0;
-        self.current = None;
         Ok(())
     }
 
     fn next_chunk(&mut self) -> Result<Option<(usize, &ConstraintColumns)>, BigDataError> {
         let reader = self.reader.as_mut().expect("begin_pass before next_chunk");
-        self.base += self.current.take().map_or(0, |c| c.len());
-        match reader.next_chunk() {
-            Ok(Some(chunk)) => {
-                self.current = Some(chunk);
-                Ok(Some((self.base, self.current.as_ref().expect("just set"))))
+        let base = reader.rows_read() as usize;
+        if base == self.rows {
+            // Tape exhausted: the reader checks that the file ends here,
+            // then goes, so its frame buffers are not held through the
+            // caller's work between passes.
+            reader.next_chunk()?;
+            if let Some(reader) = self.reader.take() {
+                self.bytes_read += reader.bytes_read();
             }
-            Ok(None) => {
-                // Tape exhausted: fold this pass's byte count into the
-                // running total.
-                if let Some(reader) = self.reader.take() {
-                    self.bytes_read += reader.bytes_read();
-                }
-                Ok(None)
-            }
-            Err(e) => Err(e.into()),
+            return Ok(None);
         }
+        let reader = self.reader.as_mut().expect("begin_pass before next_chunk");
+        Ok(reader.next_chunk()?.map(|chunk| (base, chunk)))
     }
 
     fn bytes_read(&self) -> u64 {

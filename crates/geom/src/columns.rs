@@ -103,23 +103,17 @@ impl ConstraintColumns {
         self.view(0, self.len)
     }
 
-    /// Assembles columns from their raw storage — the decode direction
-    /// of the on-disk block format (`llp_store`): `coords` is the
-    /// column-major coordinate array (`dim * len` values) and `extra`
-    /// the per-constraint scalar column (`len` values).
-    ///
-    /// # Panics
-    /// Panics if `dim == 0` or the array lengths are inconsistent.
-    pub fn from_raw(dim: usize, coords: Vec<f64>, extra: Vec<f64>) -> Self {
-        assert!(dim >= 1, "columns in zero dimensions");
-        assert_eq!(coords.len(), dim * extra.len(), "coords/extra mismatch");
-        let len = extra.len();
-        ConstraintColumns {
-            dim,
-            len,
-            coords,
-            extra,
-        }
+    /// Resizes the block to `len` rows in place, keeping its allocations,
+    /// and lends its raw column-major coordinate array (`dim * len`
+    /// values) and extra column (`len` values) for the caller to fill —
+    /// the decode direction of the on-disk block format (`llp_store`).
+    /// Values left from before land in unspecified places, so the caller
+    /// must overwrite every one.
+    pub fn resize_raw(&mut self, len: usize) -> (&mut [f64], &mut [f64]) {
+        self.len = len;
+        self.coords.resize(self.dim * len, 0.0);
+        self.extra.resize(len, 0.0);
+        (&mut self.coords, &mut self.extra)
     }
 
     /// The raw column-major coordinate array (`dim * len` values) — the
@@ -246,20 +240,20 @@ mod tests {
     #[test]
     fn raw_round_trip_is_lossless() {
         let c = demo();
-        let d =
-            ConstraintColumns::from_raw(c.dim(), c.raw_coords().to_vec(), c.raw_extra().to_vec());
-        assert_eq!(c, d);
-        let mut buf = Vec::new();
-        assert_eq!(d.row(1, &mut buf), 20.0);
-        assert_eq!(buf, vec![3.0, 4.0]);
-        assert_eq!(d.row(2, &mut buf), 30.0);
-        assert_eq!(buf, vec![5.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "coords/extra mismatch")]
-    fn from_raw_checks_lengths() {
-        let _ = ConstraintColumns::from_raw(2, vec![0.0; 5], vec![0.0; 3]);
+        // Grow from empty, then shrink from a longer block: either way
+        // the refilled block equals the original.
+        for start in [0, 5] {
+            let mut d = ConstraintColumns::zeroed(c.dim(), start);
+            let (coords, extra) = d.resize_raw(c.len());
+            coords.copy_from_slice(c.raw_coords());
+            extra.copy_from_slice(c.raw_extra());
+            assert_eq!(c, d);
+            let mut buf = Vec::new();
+            assert_eq!(d.row(1, &mut buf), 20.0);
+            assert_eq!(buf, vec![3.0, 4.0]);
+            assert_eq!(d.row(2, &mut buf), 30.0);
+            assert_eq!(buf, vec![5.0, 6.0]);
+        }
     }
 
     #[test]

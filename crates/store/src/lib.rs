@@ -9,11 +9,14 @@
 //! a well-formed file is reproducible from its header alone, because
 //! every workload generator is a pure function of its arguments.
 //!
-//! All integers and `f64` bit patterns are little-endian. The header
-//! and every chunk frame carry an FNV-1a-64 checksum; decoding verifies
-//! each checksum *before* handing any data to the caller, so corruption
-//! surfaces as a typed [`StoreError`] — never a panic, never partial
-//! data. Trailing bytes after the final chunk are refused.
+//! All integers and `f64` bit patterns are little-endian. The header is
+//! sealed with FNV-1a-64 and every chunk frame with the chunk checksum
+//! the header's algorithm byte names: 2, the four-lane word checksum
+//! that [`ChunkWriter`] always emits, or 1, FNV-1a-64, which files
+//! written before algorithm 2 carry. The reader verifies both, and
+//! verifies each checksum *before* handing any data to the caller, so
+//! corruption surfaces as a typed [`StoreError`] — never a panic, never
+//! partial data. Trailing bytes after the final chunk are refused.
 //!
 //! Layout (byte offsets; `L` = family-name length):
 //!
@@ -21,7 +24,7 @@
 //! header:
 //!   0   8  magic  = b"LLPSTORE"
 //!   8   4  format version (u32)       = 1
-//!   12  1  checksum algorithm (u8)    = 1 (FNV-1a-64)
+//!   12  1  chunk checksum algorithm (u8): 1 (FNV-1a-64) or 2 (four-lane)
 //!   13  4  column dimension (u32)     >= 1
 //!   17  8  total rows in file (u64)
 //!   25  4  rows per chunk (u32)       >= 1; every chunk but the last is full
@@ -39,7 +42,8 @@
 //!   0   4  rows in this chunk (u32)
 //!   4   .. payload: dim columns of `rows` f64 each (column-major),
 //!          then the extra column (`rows` f64)
-//!   ..  8  chunk checksum: FNV-1a-64 over the rows field + payload
+//!   ..  8  chunk checksum over the rows field + payload, by the
+//!          header's algorithm
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,16 +58,21 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"LLPSTORE";
 /// The store format version this crate reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
-/// Checksum-algorithm byte: FNV-1a with 64-bit state (the only
-/// algorithm defined so far).
+/// Chunk-checksum algorithm 1: FNV-1a-64 over the frame's rows field and
+/// payload, one byte per step. Files written before algorithm 2 carry
+/// it; the reader still verifies it, the writer no longer emits it.
 pub const CHECKSUM_FNV1A64: u8 = 1;
+/// Chunk-checksum algorithm 2: the four-lane word checksum (DESIGN.md
+/// §10), eight payload bytes per step in four independent lanes. The
+/// writer always emits it.
+pub const CHECKSUM_LANES64: u8 = 2;
 /// The largest full-chunk payload, `(dim + 1) · chunk_len · 8` bytes, a
-/// header may declare. The reader sizes each frame buffer from the
-/// header, and FNV-1a is public, so anyone can re-seal a header that
-/// lies: headers over the cap are refused when a file is opened or
-/// created, before any frame is read — the store's counterpart of the
-/// wire codec's `MAX_FRAME_LEN`. 64 MiB holds 262,144-row chunks up to
-/// dim 31.
+/// header may declare. The reader sizes its one reused frame buffer from
+/// the header, and the header checksum is public, so anyone can re-seal
+/// a header that lies: headers over the cap are refused when a file is
+/// opened or created, before any frame is read — the store's
+/// counterpart of the wire codec's `MAX_FRAME_LEN`. 64 MiB holds
+/// 262,144-row chunks up to dim 31.
 pub const MAX_CHUNK_PAYLOAD: u64 = 64 << 20;
 
 /// FNV-1a-64 offset basis.
@@ -71,14 +80,56 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a-64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a-64 over a byte slice — the chunk/header checksum.
+/// FNV-1a-64 over a byte slice — the header checksum, and the chunk
+/// checksum of algorithm 1.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a-64 state over more bytes.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Algorithm 2's odd multipliers (xxHash64's first two primes; the
+/// checksum makes no claim of xxHash compatibility).
+const LANE_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const LANE_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One algorithm-2 step: a bijection in `acc` for a fixed `w` and in `w`
+/// for a fixed `acc`, since adding, rotating and multiplying by an odd
+/// constant are all invertible mod 2^64.
+#[inline(always)]
+fn lane_round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(LANE_P2))
+        .rotate_left(31)
+        .wrapping_mul(LANE_P1)
+}
+
+/// Chunk-checksum algorithm 2 over one frame: payload word `i` (8 bytes,
+/// little-endian) steps lane `i mod 4`, lane `k` starting at
+/// `(k + 1) · P1`; then one accumulator starting at `P2` steps over the
+/// rows field, the four lanes in order, and the word count. `payload`'s
+/// length is a multiple of 8, as every frame's is.
+fn lanes64(rows: u32, payload: &[u8]) -> u64 {
+    let mut lanes = [1u64, 2, 3, 4].map(|k| k.wrapping_mul(LANE_P1));
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = lane_round(*lane, word(&block[8 * k..8 * k + 8]));
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks_exact(8)) {
+        *lane = lane_round(*lane, word(w));
+    }
+    let h = lane_round(LANE_P2, u64::from(rows));
+    let h = lanes.iter().fold(h, |h, &lane| lane_round(h, lane));
+    lane_round(h, (payload.len() / 8) as u64)
 }
 
 /// Why a store file was refused. Every decode failure is typed; the
@@ -91,7 +142,8 @@ pub enum StoreError {
     BadMagic([u8; 8]),
     /// The format version is not [`FORMAT_VERSION`].
     BadVersion(u32),
-    /// The checksum-algorithm byte is not [`CHECKSUM_FNV1A64`].
+    /// The checksum-algorithm byte is neither [`CHECKSUM_FNV1A64`] nor
+    /// [`CHECKSUM_LANES64`].
     BadChecksumAlgo(u8),
     /// A structurally invalid header field (zero dim/chunk capacity,
     /// malformed family name, …).
@@ -271,12 +323,13 @@ fn check_chunk_payload(dim: u32, chunk_len: u32) -> Result<(), String> {
     }
 }
 
-/// Encodes a header to its byte representation (checksum included).
+/// Encodes a header to its byte representation (checksum included),
+/// naming chunk-checksum algorithm 2.
 pub fn encode_header(h: &FileHeader) -> Vec<u8> {
     let mut out = Vec::with_capacity(80);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(CHECKSUM_FNV1A64);
+    out.push(CHECKSUM_LANES64);
     out.extend_from_slice(&h.dim.to_le_bytes());
     out.extend_from_slice(&h.rows.to_le_bytes());
     out.extend_from_slice(&h.chunk_len.to_le_bytes());
@@ -346,6 +399,8 @@ pub struct ChunkWriter<W: Write> {
     header: FileHeader,
     rows_written: u64,
     bytes_written: u64,
+    /// The frame being encoded, reused across chunks.
+    frame: Vec<u8>,
 }
 
 impl<W: Write> ChunkWriter<W> {
@@ -365,6 +420,7 @@ impl<W: Write> ChunkWriter<W> {
             header,
             rows_written: 0,
             bytes_written: bytes.len() as u64,
+            frame: Vec::new(),
         })
     }
 
@@ -385,17 +441,18 @@ impl<W: Write> ChunkWriter<W> {
                 "chunk holds {rows} rows, header schedule expects {expect}"
             )));
         }
-        let mut frame = Vec::with_capacity(4 + (chunk.dim() + 1) * chunk.len() * 8 + 8);
-        frame.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-        for &v in chunk.raw_coords() {
-            frame.extend_from_slice(&v.to_bits().to_le_bytes());
+        let rows_field = chunk.len() as u32;
+        let frame = &mut self.frame;
+        frame.clear();
+        // Exact: growing by doubling would hold 4 MiB for a 2 MiB frame.
+        frame.reserve_exact(self.header.frame_bytes(rows_field) as usize);
+        frame.extend_from_slice(&rows_field.to_le_bytes());
+        for &v in chunk.raw_coords().iter().chain(chunk.raw_extra()) {
+            frame.extend_from_slice(&v.to_le_bytes());
         }
-        for &v in chunk.raw_extra() {
-            frame.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let checksum = fnv1a64(&frame);
+        let checksum = lanes64(rows_field, &frame[4..]);
         frame.extend_from_slice(&checksum.to_le_bytes());
-        self.w.write_all(&frame)?;
+        self.w.write_all(frame)?;
         self.bytes_written += frame.len() as u64;
         self.rows_written += rows;
         Ok(())
@@ -420,13 +477,20 @@ impl<W: Write> ChunkWriter<W> {
 }
 
 /// Decodes chunk frames from a reader, verifying every checksum before
-/// any data reaches the caller.
+/// any data reaches the caller. One payload buffer and one decoded block
+/// serve every chunk, so reading allocates nothing per chunk.
 pub struct ChunkReader<R: Read> {
     r: CountingReader<R>,
     header: FileHeader,
+    /// The header's chunk-checksum algorithm, 1 or 2.
+    algo: u8,
     rows_read: u64,
     chunks_read: u64,
     done: bool,
+    /// The current frame's payload bytes.
+    payload: Vec<u8>,
+    /// The current frame's decoded rows, lent by `next_chunk`.
+    chunk: ConstraintColumns,
 }
 
 impl<R: Read> ChunkReader<R> {
@@ -447,7 +511,7 @@ impl<R: Read> ChunkReader<R> {
             return Err(StoreError::BadVersion(version));
         }
         let algo = read_u8(&mut cr, &mut raw, "checksum algorithm")?;
-        if algo != CHECKSUM_FNV1A64 {
+        if algo != CHECKSUM_FNV1A64 && algo != CHECKSUM_LANES64 {
             return Err(StoreError::BadChecksumAlgo(algo));
         }
         let dim = read_u32(&mut cr, &mut raw, "dim")?;
@@ -486,7 +550,7 @@ impl<R: Read> ChunkReader<R> {
             return Err(StoreError::HeaderCorrupt("chunk_len is zero".into()));
         }
         // Every frame the schedule admits is at most this large, so the
-        // per-chunk payload buffer below is bounded without a check of
+        // payload buffer `next_chunk` sizes is bounded without a check of
         // its own.
         check_chunk_payload(dim, chunk_len).map_err(StoreError::HeaderCorrupt)?;
 
@@ -505,9 +569,12 @@ impl<R: Read> ChunkReader<R> {
                     skew,
                 },
             },
+            algo,
             rows_read: 0,
             chunks_read: 0,
             done: false,
+            payload: Vec::new(),
+            chunk: ConstraintColumns::zeroed(dim as usize, 0),
         })
     }
 
@@ -526,25 +593,29 @@ impl<R: Read> ChunkReader<R> {
         self.rows_read
     }
 
-    /// Decodes the next chunk, or `None` after the final chunk (having
-    /// verified the row total and the absence of trailing bytes).
-    pub fn next_chunk(&mut self) -> Result<Option<ConstraintColumns>, StoreError> {
+    /// Decodes the next chunk and lends it until the next call, or
+    /// returns `None` after the final chunk (having verified the row
+    /// total and the absence of trailing bytes).
+    pub fn next_chunk(&mut self) -> Result<Option<&ConstraintColumns>, StoreError> {
         if self.done {
             return Ok(None);
         }
         if self.rows_read == self.header.rows {
             // All rows delivered: the file must end exactly here.
             let mut probe = [0u8; 1];
-            match self.r.inner.read(&mut probe) {
-                Ok(0) => {
-                    self.done = true;
-                    return Ok(None);
+            loop {
+                match self.r.inner.read(&mut probe) {
+                    Ok(0) => {
+                        self.done = true;
+                        return Ok(None);
+                    }
+                    Ok(_) => {
+                        self.r.count += 1;
+                        return Err(StoreError::TrailingBytes { extra: 1 });
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e.into()),
                 }
-                Ok(_) => {
-                    self.r.count += 1;
-                    return Err(StoreError::TrailingBytes { extra: 1 });
-                }
-                Err(e) => return Err(e.into()),
             }
         }
         let chunk_idx = self.chunks_read;
@@ -559,78 +630,37 @@ impl<R: Read> ChunkReader<R> {
             });
         }
         let dim = self.header.dim as usize;
-        let payload_len = (dim + 1) * rows as usize * 8;
-        let mut payload = vec![0u8; payload_len];
-        self.r.read_exact_ctx(&mut payload, "chunk payload")?;
+        self.payload.resize((dim + 1) * rows as usize * 8, 0);
+        self.r.read_exact_ctx(&mut self.payload, "chunk payload")?;
         let mut sum = [0u8; 8];
         self.r.read_exact_ctx(&mut sum, "chunk checksum")?;
         let stored = u64::from_le_bytes(sum);
-        let mut h = FNV_OFFSET;
-        for &b in rows_bytes.iter().chain(payload.iter()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        if stored != h {
+        let computed = if self.algo == CHECKSUM_FNV1A64 {
+            fnv1a64_extend(fnv1a64(&rows_bytes), &self.payload)
+        } else {
+            lanes64(rows, &self.payload)
+        };
+        if stored != computed {
             return Err(StoreError::ChunkChecksumMismatch {
                 chunk: chunk_idx,
                 stored,
-                computed: h,
+                computed,
             });
         }
-        let values = rows as usize;
-        let mut coords = Vec::with_capacity(dim * values);
-        let mut extra = Vec::with_capacity(values);
-        for i in 0..dim * values {
-            let raw: [u8; 8] = payload[i * 8..i * 8 + 8].try_into().expect("sized above");
-            coords.push(f64::from_bits(u64::from_le_bytes(raw)));
-        }
-        for i in dim * values..(dim + 1) * values {
-            let raw: [u8; 8] = payload[i * 8..i * 8 + 8].try_into().expect("sized above");
-            extra.push(f64::from_bits(u64::from_le_bytes(raw)));
-        }
+        let (coords, extra) = self.chunk.resize_raw(rows as usize);
+        let (coord_bytes, extra_bytes) = self.payload.split_at(coords.len() * 8);
+        decode_f64s(coord_bytes, coords);
+        decode_f64s(extra_bytes, extra);
         self.rows_read += u64::from(rows);
         self.chunks_read += 1;
-        Ok(Some(ConstraintColumns::from_raw(dim, coords, extra)))
-    }
-
-    /// Consumes the reader into a chunk iterator.
-    pub fn chunks(self) -> Chunks<R> {
-        Chunks {
-            reader: self,
-            failed: false,
-        }
+        Ok(Some(&self.chunk))
     }
 }
 
-/// Iterator over a file's chunks; yields each decoded block, surfacing
-/// the first error and then fusing.
-pub struct Chunks<R: Read> {
-    reader: ChunkReader<R>,
-    failed: bool,
-}
-
-impl<R: Read> Chunks<R> {
-    /// The underlying reader (header, byte meters).
-    pub fn reader(&self) -> &ChunkReader<R> {
-        &self.reader
-    }
-}
-
-impl<R: Read> Iterator for Chunks<R> {
-    type Item = Result<ConstraintColumns, StoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.reader.next_chunk() {
-            Ok(Some(chunk)) => Some(Ok(chunk)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+/// Decodes little-endian `f64` bit patterns into `out`, one per 8 bytes.
+fn decode_f64s(bytes: &[u8], out: &mut [f64]) {
+    for (v, w) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+        *v = f64::from_le_bytes(w.try_into().expect("8-byte word"));
     }
 }
 
@@ -805,6 +835,90 @@ mod tests {
     }
 
     #[test]
+    fn lanes_vectors() {
+        // The DESIGN.md §10 test vectors: an empty payload, one dim-2
+        // row, and 33 words, which leave lane 0 one word ahead.
+        let f64s = |vs: &[f64]| vs.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<_>>();
+        let words = (0u64..33).flat_map(u64::to_le_bytes).collect::<Vec<_>>();
+        assert_eq!(lanes64(0, &[]), 0x6fbb_3e56_0b51_b5cd);
+        assert_eq!(lanes64(1, &f64s(&[1.0, -2.0, 3.5])), 0x3693_a47e_eea5_c9f9);
+        assert_eq!(lanes64(11, &words), 0xfa89_f922_d986_8aab);
+    }
+
+    #[test]
+    fn every_single_bit_and_every_two_sign_flips_change_the_checksum() {
+        // A 16-row dim-2 frame: 48 words, 12 per lane. A lane stepping
+        // `(acc ^ w) · FNV_PRIME` shifts by 2^63 on a sign flip and
+        // shifts back on a second one in the same lane; the rotate in
+        // `lane_round` moves the flipped bit off the top, so it cannot.
+        let payload: Vec<u8> = (0..48u32)
+            .flat_map(|i| (f64::from(i) * 0.75 - 9.0).to_le_bytes())
+            .collect();
+        let clean = lanes64(16, &payload);
+        let flip = |bytes: &mut [u8], word: usize, bit: u32| {
+            let at = 8 * word + (bit / 8) as usize;
+            bytes[at] ^= 1 << (bit % 8);
+        };
+        let naive = |bytes: &[u8]| {
+            let mut lanes = [FNV_OFFSET; 4];
+            for (i, w) in bytes.chunks_exact(8).enumerate() {
+                let w = u64::from_le_bytes(w.try_into().unwrap());
+                lanes[i % 4] = (lanes[i % 4] ^ w).wrapping_mul(FNV_PRIME);
+            }
+            lanes
+        };
+        let mut same_lane = payload.clone();
+        flip(&mut same_lane, 0, 63);
+        flip(&mut same_lane, 4, 63);
+        assert_eq!(naive(&same_lane), naive(&payload), "the naive lane cancels");
+        for a in 0..48 {
+            for bit in 0..64 {
+                let mut bad = payload.clone();
+                flip(&mut bad, a, bit);
+                assert_ne!(lanes64(16, &bad), clean, "bit {bit} of word {a}");
+            }
+            for b in a + 1..48 {
+                let mut bad = payload.clone();
+                flip(&mut bad, a, 63);
+                flip(&mut bad, b, 63);
+                assert_ne!(lanes64(16, &bad), clean, "signs of words {a} and {b}");
+            }
+        }
+    }
+
+    /// Returns `Interrupted` once when the bytes run out, then EOF.
+    struct InterruptAtEnd<'a> {
+        bytes: &'a [u8],
+        interrupted: bool,
+    }
+
+    impl Read for InterruptAtEnd<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.bytes.is_empty() && !self.interrupted {
+                self.interrupted = true;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn end_of_file_probe_retries_interrupted_reads() {
+        let bytes = demo_bytes(5, 2);
+        let mut r = ChunkReader::open(InterruptAtEnd {
+            bytes: &bytes,
+            interrupted: false,
+        })
+        .unwrap();
+        let mut rows = 0;
+        while let Some(chunk) = r.next_chunk().unwrap() {
+            rows += chunk.len();
+        }
+        assert_eq!(rows, 5);
+        assert!(r.r.inner.interrupted, "the probe met the interruption");
+    }
+
+    #[test]
     fn write_read_round_trip() {
         let bytes = demo_bytes(7, 3);
         let mut r = ChunkReader::open(&bytes[..]).unwrap();
@@ -840,18 +954,6 @@ mod tests {
                 "rows {rows} chunk_len {chunk_len}"
             );
         }
-    }
-
-    #[test]
-    fn chunks_iterator_yields_every_block() {
-        let bytes = demo_bytes(8, 3);
-        let chunks: Vec<_> = ChunkReader::open(&bytes[..])
-            .unwrap()
-            .chunks()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), 8);
     }
 
     #[test]

@@ -1,15 +1,22 @@
-//! Golden file-format fixture: one canonical chunked store file,
-//! pinned byte for byte in `tests/golden/canonical_chunks.hex` and
-//! referenced from the byte-layout tables in DESIGN.md §10. If an
-//! intentional format change breaks this test, bump `FORMAT_VERSION`,
-//! regenerate the fixture from the hex dumps in the failure message,
-//! *and* update the §10 tables in the same commit — the fixture exists
-//! so spec and code cannot drift apart silently.
+//! Golden file-format fixtures: one canonical chunked store file and
+//! one skewed header, pinned byte for byte under each chunk-checksum
+//! algorithm and referenced from the byte-layout tables in DESIGN.md
+//! §10. `tests/golden/canonical_chunks_v2.hex` is what the writer emits
+//! (algorithm 2); `tests/golden/canonical_chunks.hex` (algorithm 1) is
+//! the only way tests reach the reader's algorithm-1 path, since the
+//! writer no longer emits it. If an intentional format change breaks
+//! this test, bump `FORMAT_VERSION`, regenerate the fixture from the hex
+//! dumps in the failure message, *and* update the §10 tables in the
+//! same commit — the fixtures exist so spec and code cannot drift apart
+//! silently.
 
 use llp_geom::ConstraintColumns;
-use llp_store::{encode_header, ChunkReader, ChunkWriter, FileHeader, Provenance};
+use llp_store::{encode_header, ChunkReader, ChunkWriter, FileHeader, Provenance, StoreError};
 
-const FIXTURE: &str = include_str!("golden/canonical_chunks.hex");
+/// Algorithm 1 (FNV-1a-64 chunks): a read vector only.
+const FIXTURE_V1: &str = include_str!("golden/canonical_chunks.hex");
+/// Algorithm 2 (four-lane chunks): the writer's output.
+const FIXTURE_V2: &str = include_str!("golden/canonical_chunks_v2.hex");
 
 /// The canonical file: dim 2, three rows in chunks of two (one full
 /// chunk + one remainder chunk), balanced random-LP provenance.
@@ -67,9 +74,9 @@ fn skewed_empty_header() -> FileHeader {
 
 /// Parses the fixture: `name:` introduces an entry, subsequent lines
 /// hold its hex bytes; `#` starts a comment.
-fn fixture_entries() -> Vec<(String, Vec<u8>)> {
+fn fixture_entries(fixture: &str) -> Vec<(String, Vec<u8>)> {
     let mut entries: Vec<(String, String)> = Vec::new();
-    for line in FIXTURE.lines() {
+    for line in fixture.lines() {
         let line = line.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
@@ -118,7 +125,7 @@ fn canonical_encoding_matches_the_golden_fixture() {
         ("file", canonical_file()),
         ("skewed_header", encode_header(&skewed_empty_header())),
     ];
-    let golden = fixture_entries();
+    let golden = fixture_entries(FIXTURE_V2);
     assert_eq!(golden.len(), wire.len(), "fixture must hold both entries");
     for ((want_name, want), (name, bytes)) in golden.iter().zip(&wire) {
         assert_eq!(want_name, name, "fixture entry order");
@@ -126,7 +133,7 @@ fn canonical_encoding_matches_the_golden_fixture() {
             want == bytes,
             "{name} drifted from the golden fixture.\n\
              If the format change is intentional, bump FORMAT_VERSION, update \
-             tests/golden/canonical_chunks.hex and the DESIGN.md §10 tables.\n\
+             tests/golden/canonical_chunks_v2.hex and the DESIGN.md §10 tables.\n\
              expected:\n{}\nactual:\n{}",
             hex_dump(want),
             hex_dump(bytes),
@@ -136,30 +143,66 @@ fn canonical_encoding_matches_the_golden_fixture() {
 
 #[test]
 fn golden_fixture_bytes_decode_back() {
-    // The fixture is also a decode vector: both entries parse through
-    // the public reader and reproduce the canonical structures.
-    let golden = fixture_entries();
-    let file = &golden[0].1;
-    let mut r = ChunkReader::open(&file[..]).expect("golden file must decode");
-    assert_eq!(*r.header(), canonical_header());
-    let mut buf = Vec::new();
-    let mut row = 0usize;
-    let mut sizes = Vec::new();
-    while let Some(chunk) = r.next_chunk().expect("golden chunks must decode") {
-        for i in 0..chunk.len() {
-            let extra = chunk.row(i, &mut buf);
-            let (want_coords, want_extra) = ROWS[row];
-            assert_eq!(buf, want_coords, "row {row} coords");
-            assert_eq!(extra, want_extra, "row {row} extra");
-            row += 1;
+    // Both fixtures are decode vectors: under either chunk-checksum
+    // algorithm, both entries parse through the public reader and
+    // reproduce the canonical structures.
+    for fixture in [FIXTURE_V1, FIXTURE_V2] {
+        let golden = fixture_entries(fixture);
+        let file = &golden[0].1;
+        let mut r = ChunkReader::open(&file[..]).expect("golden file must decode");
+        assert_eq!(*r.header(), canonical_header());
+        let mut buf = Vec::new();
+        let mut row = 0usize;
+        let mut sizes = Vec::new();
+        while let Some(chunk) = r.next_chunk().expect("golden chunks must decode") {
+            for i in 0..chunk.len() {
+                let extra = chunk.row(i, &mut buf);
+                let (want_coords, want_extra) = ROWS[row];
+                assert_eq!(buf, want_coords, "row {row} coords");
+                assert_eq!(extra, want_extra, "row {row} extra");
+                row += 1;
+            }
+            sizes.push(chunk.len());
         }
-        sizes.push(chunk.len());
-    }
-    assert_eq!(row, 3);
-    assert_eq!(sizes, vec![2, 1], "full chunk then remainder");
-    assert_eq!(r.bytes_read(), file.len() as u64);
+        assert_eq!(row, 3);
+        assert_eq!(sizes, vec![2, 1], "full chunk then remainder");
+        assert_eq!(r.bytes_read(), file.len() as u64);
 
-    let header_only = &golden[1].1;
-    let r = ChunkReader::open(&header_only[..]).expect("golden header must decode");
-    assert_eq!(*r.header(), skewed_empty_header());
+        let header_only = &golden[1].1;
+        let r = ChunkReader::open(&header_only[..]).expect("golden header must decode");
+        assert_eq!(*r.header(), skewed_empty_header());
+    }
+}
+
+/// Fully decodes a byte image, returning the rows read or the first error.
+fn scan(bytes: &[u8]) -> Result<usize, StoreError> {
+    let mut r = ChunkReader::open(bytes)?;
+    let mut rows = 0usize;
+    while let Some(chunk) = r.next_chunk()? {
+        rows += chunk.len();
+    }
+    Ok(rows)
+}
+
+#[test]
+fn every_byte_flip_and_truncation_of_both_fixtures_is_refused() {
+    // Under either algorithm, a flipped byte anywhere — header field,
+    // header checksum, rows field, payload, chunk checksum — and a cut
+    // anywhere both end in a typed error, never a panic or partial data.
+    for fixture in [FIXTURE_V1, FIXTURE_V2] {
+        for (name, bytes) in fixture_entries(fixture) {
+            assert!(scan(&bytes).is_ok(), "{name} must decode intact");
+            for at in 0..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[at] ^= 0xff;
+                assert!(scan(&bad).is_err(), "{name}: flip at {at} accepted");
+            }
+            for cut in 0..bytes.len() {
+                assert!(
+                    scan(&bytes[..cut]).is_err(),
+                    "{name}: cut at {cut} accepted"
+                );
+            }
+        }
+    }
 }
