@@ -40,7 +40,7 @@ use llp_core::lptype::{count_violations, LpTypeProblem};
 use llp_geom::Halfspace;
 use llp_lowerbound::{augindex, hard, protocol, reduction};
 use llp_num::ScaledF64;
-use llp_sampling::weight_index::WeightIndex;
+use llp_sampling::weight_index::{DrawScratch, WeightIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -178,9 +178,10 @@ pub fn weight_update_fixture(n: usize, iters: usize, violators: usize) -> Vec<Ve
 /// The incremental weight path: a standing [`WeightIndex`] (built by the
 /// caller, *outside* any timed region — the solver pays construction once
 /// per run, so it must not pollute the per-iteration measurement),
-/// `O(|V| log n)` updates + `m` O(log n) inversion draws per iteration.
-/// Returns the final `log2` total and a draw checksum so the work is
-/// observable.
+/// `O(|V| log n)` updates + one batched `m`-draw descent per iteration —
+/// the solver's own net draw, [`WeightIndex::draw_many`]. Returns the
+/// final `log2` total and a draw checksum (an XOR, so it does not depend
+/// on the order of the draws) so the work is observable.
 pub fn run_weight_index_incremental(
     index: &mut WeightIndex,
     factor: f64,
@@ -189,13 +190,14 @@ pub fn run_weight_index_incremental(
 ) -> (f64, usize) {
     let mut rng = StdRng::seed_from_u64(14_601);
     let mut sink = 0usize;
+    let mut scratch = DrawScratch::default();
+    let mut drawn = Vec::with_capacity(m);
     for vs in rounds {
         for &i in vs {
             index.multiply(i, factor);
         }
-        for _ in 0..m {
-            sink ^= index.draw(&mut rng);
-        }
+        index.draw_many(m, &mut rng, &mut scratch, &mut drawn);
+        sink = drawn.iter().fold(sink, |acc, &i| acc ^ i);
     }
     (index.total().log2(), sink)
 }
@@ -1047,9 +1049,10 @@ pub fn t13p_parallel_scan(budget: RunBudget) -> Table {
 }
 
 /// T14 — the weight-bookkeeping hot path: one standing `WeightIndex`
-/// (O(|V| log n) updates + O(m log n) draws per iteration) vs the full
-/// O(n) prefix rebuild it replaced in `clarkson::solve`. The `log2_match`
-/// column asserts the two paths agree on the final total weight.
+/// (O(|V| log n) updates + one batched m-draw descent per iteration) vs
+/// the full O(n) prefix rebuild it replaced in `clarkson::solve`. The
+/// `log2_match` column asserts the two paths agree on the final total
+/// weight.
 pub fn t14_weight_index(budget: RunBudget) -> Table {
     let mut t = Table::new(
         "T14  Weight bookkeeping per iteration: incremental WeightIndex vs full prefix rebuild",
@@ -1154,5 +1157,28 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.push(vec!["1".into()]);
+    }
+
+    #[test]
+    fn t14_incremental_checksum_matches_single_draws() {
+        let (n, m) = (20_000usize, 512usize);
+        let rounds = weight_update_fixture(n, 6, n / 200);
+        let factor = (n as f64).sqrt();
+        let batched =
+            run_weight_index_incremental(&mut WeightIndex::uniform(n), factor, m, &rounds);
+        // The same schedule drawn one `draw` call at a time.
+        let mut index = WeightIndex::uniform(n);
+        let mut rng = StdRng::seed_from_u64(14_601);
+        let mut sink = 0usize;
+        for vs in &rounds {
+            for &i in vs {
+                index.multiply(i, factor);
+            }
+            for _ in 0..m {
+                sink ^= index.draw(&mut rng);
+            }
+        }
+        assert_eq!(batched.0.to_bits(), index.total().log2().to_bits());
+        assert_eq!(batched.1, sink);
     }
 }

@@ -12,8 +12,9 @@
 //! pure waste: only the violators of an accepted basis change weight. Such
 //! holders carry a [`SiteWeights`]: a persistent Fenwick-backed
 //! [`WeightIndex`] updated in `O(|V| log n)` from each round's violator
-//! list, with O(1) totals and O(log n) sampling. Weights are derived
-//! state — they never travel — so the communication meters are unaffected.
+//! list, with O(1) totals and batched inversion sampling. Weights are
+//! derived state — they never travel — so the communication meters are
+//! unaffected.
 //! The streaming model stays on the [`WeightOracle`] recompute path: its
 //! space bound forbids materializing per-element weights, so it weighs
 //! each streamed chunk in columnar form
@@ -28,7 +29,7 @@
 use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
 use llp_geom::{ColumnsView, ConstraintColumns};
 use llp_num::ScaledF64;
-use llp_sampling::weight_index::WeightIndex;
+use llp_sampling::weight_index::{DrawScratch, WeightIndex};
 use rand::Rng;
 
 /// The basis history of successful iterations plus the derived weight
@@ -184,14 +185,16 @@ impl SiteWeights {
     }
 
     /// Draws `count` i.i.d. local indices proportional to weight — one
-    /// O(log n) descent each — sorted and deduplicated (net membership is
-    /// a set). Empty when the holder has no weight.
+    /// batched descent of sorted targets through the index — sorted and
+    /// deduplicated (net membership is a set). Empty when the holder has
+    /// no weight.
     pub fn sample_indices<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
+        let mut idxs = Vec::new();
         if count == 0 || self.index.total().is_zero() {
-            return Vec::new();
+            return idxs;
         }
-        let mut idxs: Vec<usize> = (0..count).map(|_| self.index.draw(rng)).collect();
-        idxs.sort_unstable();
+        self.index
+            .draw_many(count, rng, &mut DrawScratch::default(), &mut idxs);
         idxs.dedup();
         idxs
     }

@@ -155,8 +155,9 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
                 net.extend((0..chunk.len()).map(|i| rebuild(problem, chunk, i, &mut coords)));
             }
         } else {
-            // Sorted uniform targets in [0, W); the sampler state is m
-            // 128-bit scaled values.
+            // Sorted uniform targets in [0, W), metered as m 128-bit
+            // scaled values (the sampler keeps their m uniforms and scales
+            // each one as the prefix sum reaches it).
             space.alloc_raw(params.net_size as u64 * 128, params.net_size as u64);
             let mut sampler = SortedTargetSampler::new(params.net_size, total_weight, rng);
             // Each chunk is weighed in columnar form: its rows' exponents

@@ -20,17 +20,18 @@
 //! Weights live in one [`WeightIndex`]
 //! maintained across iterations: element `i`'s weight is the product of
 //! its `F` multiplications, and the Fenwick tree behind the index serves
-//! both the Lemma 2.2 inversion sampling (O(log n) per draw, no prefix
-//! rebuild) and the O(1) total that the success test and the Eq. (2)
-//! trace share — only violators change between iterations, so an
-//! iteration costs O(|V| log n + m log n) on the weight side instead of
-//! the O(n) prefix rebuild it replaced. (The streaming implementation
+//! both the Lemma 2.2 inversion sampling (one batched descent of the
+//! net's `m` sorted targets, no prefix rebuild) and the O(1) total that
+//! the success test and the Eq. (2) trace share — only violators change
+//! between iterations, so an iteration costs at most
+//! O(|V| log n + m log n) on the weight side instead of the O(n) prefix
+//! rebuild it replaced. (The streaming implementation
 //! instead recomputes weights from the stored bases under its space
 //! bound, see Section 3.2.)
 
 use crate::lptype::{ColumnarProblem, SolveError};
 use llp_geom::ConstraintColumns;
-use llp_sampling::weight_index::WeightIndex;
+use llp_sampling::weight_index::{DrawScratch, WeightIndex};
 use rand::Rng;
 
 /// How element weights grow on violation.
@@ -200,7 +201,8 @@ pub struct ClarksonStats {
 pub type ClarksonOutcome<S> = Result<(S, ClarksonStats), (ClarksonError, ClarksonStats)>;
 
 /// Reusable per-solve buffers for [`solve_with_scratch`]: the ε-net
-/// index buffer, the net constraint pool, and the violator buffer.
+/// index buffer, the net draw's target buffers, the net constraint pool,
+/// and the violator buffer.
 ///
 /// Ownership rule: the arena owns its buffers between solves and lends
 /// them to exactly one solve at a time; the solver clears/refills them
@@ -215,6 +217,8 @@ pub type ClarksonOutcome<S> = Result<(S, ClarksonStats), (ClarksonError, Clarkso
 pub struct SolveScratch<P: ColumnarProblem> {
     /// Sampled net indices (sorted, deduped), reused across iterations.
     net_idx: Vec<usize>,
+    /// The net draw's sorted uniforms and targets.
+    draw: DrawScratch,
     /// Net constraint pool: slot `k` is refilled in place from
     /// `constraints[net_idx[k]]` each iteration.
     net_pool: Vec<P::Constraint>,
@@ -227,6 +231,7 @@ impl<P: ColumnarProblem> SolveScratch<P> {
     pub fn new() -> Self {
         SolveScratch {
             net_idx: Vec::new(),
+            draw: DrawScratch::default(),
             net_pool: Vec::new(),
             violators: Vec::new(),
         }
@@ -315,16 +320,14 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
         stats.iterations += 1;
 
         // --- Sample the ε-net with probability proportional to weight:
-        // m O(log n) tree descents against the standing index. ---
+        // one batched descent of m sorted targets through the standing
+        // index, which returns the draws in ascending order. ---
         scratch.net_idx.clear();
         let net: &[P::Constraint] = if m >= n {
             // The net is the whole input; no copy needed.
             constraints
         } else {
-            for _ in 0..m {
-                scratch.net_idx.push(weights.draw(rng));
-            }
-            scratch.net_idx.sort_unstable();
+            weights.draw_many(m, rng, &mut scratch.draw, &mut scratch.net_idx);
             scratch.net_idx.dedup();
             let live = scratch.net_idx.len();
             for (slot, &ci) in scratch.net_pool.iter_mut().zip(scratch.net_idx.iter()) {

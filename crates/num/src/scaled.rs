@@ -152,6 +152,21 @@ impl ScaledF64 {
     }
 }
 
+/// The largest exponent gap at which [`Add`] and [`Sub`] still align the
+/// smaller operand; past it, the smaller one is below the precision of the
+/// larger and drops out.
+const MAX_SHIFT: i64 = 100;
+
+/// `2^-shift` for `0 ≤ shift ≤ MAX_SHIFT`, built from its exponent bits:
+/// the value `(-(shift as f64)).exp2()` returns, bit for bit, without a
+/// libm call. Every such power is a normal `f64` (biased exponent
+/// `1023 − shift ≥ 923`), so the bits are exact.
+#[inline]
+fn pow2_neg(shift: i64) -> f64 {
+    debug_assert!((0..=MAX_SHIFT).contains(&shift));
+    f64::from_bits(((1023 - shift) as u64) << 52)
+}
+
 /// Decomposes a positive finite float into `(mantissa, exponent)` with
 /// `mantissa ∈ [0.5, 1)` such that `v = mantissa * 2^exponent`.
 fn frexp(v: f64) -> (f64, i64) {
@@ -219,11 +234,11 @@ impl Add for ScaledF64 {
             (rhs, self)
         };
         let shift = hi.exp - lo.exp;
-        if shift > 100 {
+        if shift > MAX_SHIFT {
             // The smaller addend is below the precision of the larger.
             return hi;
         }
-        let m = hi.mantissa + lo.mantissa * (-(shift as f64)).exp2();
+        let m = hi.mantissa + lo.mantissa * pow2_neg(shift);
         Self {
             mantissa: m,
             exp: hi.exp,
@@ -251,10 +266,10 @@ impl Sub for ScaledF64 {
             return Self::ZERO;
         }
         let shift = self.exp - rhs.exp;
-        if shift > 100 {
+        if shift > MAX_SHIFT {
             return self;
         }
-        let m = self.mantissa - rhs.mantissa * (-(shift as f64)).exp2();
+        let m = self.mantissa - rhs.mantissa * pow2_neg(shift);
         if m <= 0.0 {
             return Self::ZERO;
         }
@@ -399,6 +414,17 @@ mod tests {
     }
 
     #[test]
+    fn bit_built_powers_match_libm_exp2() {
+        for shift in 0..=MAX_SHIFT {
+            assert_eq!(
+                pow2_neg(shift).to_bits(),
+                (-(shift as f64)).exp2().to_bits(),
+                "2^-{shift}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "finite non-negative")]
     fn negative_rejected() {
         let _ = ScaledF64::from_f64(-1.0);
@@ -428,6 +454,23 @@ mod tests {
         fn prop_ordering_matches_f64(a in 0.0f64..1e30, b in 0.0f64..1e30) {
             let (sa, sb) = (ScaledF64::from_f64(a), ScaledF64::from_f64(b));
             prop_assert_eq!(sa.partial_cmp(&sb), a.partial_cmp(&b));
+        }
+
+        /// Scaling by a total is monotone in the scaled value: every
+        /// rounding step of `Mul` is, so sorting uniforms and then scaling
+        /// them yields the same sequence as scaling and then sorting.
+        #[test]
+        fn prop_scaling_is_monotone_in_the_uniform(
+            a in 0.0f64..1.0,
+            b in 0.0f64..1.0,
+            m in 1.0f64..2.0,
+            e in -1100i64..1100,
+        ) {
+            let total = ScaledF64::from_f64(m) * ScaledF64::exp2(e as f64);
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            prop_assert!(
+                total * ScaledF64::from_f64(lo) <= total * ScaledF64::from_f64(hi)
+            );
         }
 
         #[test]

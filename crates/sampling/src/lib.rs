@@ -5,8 +5,12 @@
 //! weights (Lemma 2.2). The three computation models need three different
 //! realizations of that primitive:
 //!
-//! * RAM / per-site: [`weighted::sample_iid`] — prefix sums + binary
-//!   search.
+//! * RAM / per-site: [`weight_index::WeightIndex`] — a Fenwick tree over
+//!   `ScaledF64` weights shared by the RAM solver and every coordinator
+//!   site / MPC machine, giving O(log n) reweighting and drawing a whole
+//!   net in one batched descent ([`weight_index::WeightIndex::draw_many`])
+//!   without ever rebuilding a prefix table (only violators change
+//!   between Clarkson iterations, so rebuilds are pure waste).
 //! * Streaming: [`weighted::SortedTargetSampler`] (one pass, total weight
 //!   known from bookkeeping) and [`reservoir::WeightedReservoir`] (A-ExpJ,
 //!   one pass, no total needed — used by the speculative one-pass mode).
@@ -14,11 +18,10 @@
 //!   the `m` draws across sites according to site weights (Lemma 3.7),
 //!   which needs exact binomial sampling.
 //!
-//! [`weight_index::WeightIndex`] is the *incremental* realization shared
-//! by the RAM solver and the coordinator/MPC holders: a Fenwick tree over
-//! `ScaledF64` weights giving O(log n) reweighting and O(log n) inversion
-//! sampling without ever rebuilding a prefix table (only violators change
-//! between Clarkson iterations, so rebuilds are pure waste).
+//! The index and the streaming sampler build a net's targets the same
+//! way (`weighted::sorted_uniforms`, `weighted::target`).
+//! [`weighted::sample_iid`] (prefix sums over plain `f64` weights + binary
+//! search) is no solver's path; it generates the `serve` load mixes.
 //!
 //! [`epsnet`] holds the sample-size formula of Eq. (1).
 

@@ -12,18 +12,37 @@
 //! * [`WeightIndex::total`] — the current total weight `w(S)` in O(1);
 //! * [`WeightIndex::sample`] — the first index whose weight prefix
 //!   exceeds a target `t` (one inversion draw) by a single O(log n) tree
-//!   descent, no materialized prefix array.
+//!   descent, no materialized prefix array;
+//! * [`WeightIndex::draw_many`] — a whole ε-net of `m` draws in one
+//!   batched descent.
 //!
 //! A Clarkson iteration with `|V|` violators and `m` net draws therefore
-//! costs `O(|V| log n + m log n)` instead of the `O(n + m log n)`
-//! rebuild-and-search it replaces — the Section 3.2 bookkeeping made
-//! concrete. Weights reach `F^{Θ(νr)} = n^{Θ(ν)}` over a run, far past
+//! costs `O(|V| log n)` for the reweighting plus one batched descent,
+//! instead of the `O(n + m log n)` rebuild-and-search it replaces — the
+//! Section 3.2 bookkeeping made concrete. The batched descent sends the
+//! `m` sorted targets down the tree together, splitting each node's
+//! target range at the node's prefix sum, so a node sum is added once per
+//! distinct path rather than once per draw: never more than the
+//! `O(m log n)` additions of `m` single draws, and about
+//! `m·(log₂(n/m) + 2)` when the paths share their top `log₂ m` levels.
+//!
+//! The batch is bit-identical to `m` separate
+//! [`draw`](WeightIndex::draw)s. The targets are the same values in
+//! sorted order: the uniforms are drawn in the same order, and sorting
+//! them before scaling by the total equals sorting after, because the
+//! rounded product is monotone (see [`weighted`]). On the tree, every
+//! target meets the same node sums, accumulated by the same additions in
+//! the same order, as its own descent, so it takes the same branches and
+//! lands on the same index.
+//!
+//! Weights reach `F^{Θ(νr)} = n^{Θ(ν)}` over a run, far past
 //! `f64::MAX` for realistic `n`, so every node stores a [`ScaledF64`].
 //!
 //! All operations are sequential and deterministic; the index never
 //! touches the `llp_par` pool, so thread-count invariance of callers is
 //! preserved by construction.
 
+use crate::weighted::{self, target};
 use llp_num::ScaledF64;
 use rand::Rng;
 
@@ -46,10 +65,39 @@ pub struct WeightIndex {
     cap: usize,
 }
 
+/// Reusable buffers for [`WeightIndex::draw_many`]: one net's sorted
+/// uniforms and the targets they scale to. Kept across iterations, they
+/// make the draws allocation-free once warm.
+#[derive(Clone, Debug, Default)]
+pub struct DrawScratch {
+    uniforms: Vec<f64>,
+    targets: Vec<ScaledF64>,
+}
+
 impl WeightIndex {
     /// An index of `n` elements, all at weight 1 (Line 2 of Algorithm 1).
+    ///
+    /// Built in closed form: node `i` covers `(i − lowbit(i), i]`, so its
+    /// sum is the count of real elements in that range — an integer below
+    /// 2^53, which the pairwise additions of
+    /// [`from_weights`](Self::from_weights) reach exactly. Each node is
+    /// therefore that count, bit for bit.
     pub fn uniform(n: usize) -> Self {
-        Self::from_weights(&vec![ScaledF64::ONE; n])
+        if n == 0 {
+            return Self::from_weights(&[]);
+        }
+        let cap = n.next_power_of_two();
+        let tree = (0..=cap)
+            .map(|i| {
+                let lo = i - (i & i.wrapping_neg());
+                ScaledF64::from_f64((i.min(n) - lo.min(n)) as f64)
+            })
+            .collect();
+        WeightIndex {
+            weights: vec![ScaledF64::ONE; n],
+            tree,
+            cap,
+        }
     }
 
     /// Builds an index over explicit weights in O(n).
@@ -156,12 +204,21 @@ impl WeightIndex {
     /// Panics if the total weight is zero (nothing to sample).
     pub fn sample(&self, t: ScaledF64) -> usize {
         assert!(!self.total().is_zero(), "sampling from an all-zero index");
-        // Binary descent: `pos` counts elements whose cumulative weight is
-        // ≤ t. Each probed node `pos + half` covers `(pos, pos + half]`,
-        // so `acc` stays an exact node-sum prefix — no subtraction.
-        let mut pos = 0usize;
-        let mut acc = ScaledF64::ZERO;
-        let mut half = self.cap;
+        self.resolve(self.descend_one(t, 0, ScaledF64::ZERO, self.cap))
+    }
+
+    /// The descent of [`sample`](Self::sample) from an intermediate state:
+    /// `pos` counts the elements whose cumulative weight `acc` is ≤ `t`,
+    /// and `half` is the next probe width. Each probed node `pos + half`
+    /// covers `(pos, pos + half]`, so `acc` stays an exact node-sum prefix
+    /// — no subtraction.
+    fn descend_one(
+        &self,
+        t: ScaledF64,
+        mut pos: usize,
+        mut acc: ScaledF64,
+        mut half: usize,
+    ) -> usize {
         while half > 0 {
             let next = pos + half;
             if next <= self.cap {
@@ -173,6 +230,13 @@ impl WeightIndex {
             }
             half >>= 1;
         }
+        pos
+    }
+
+    /// Maps a descent's end position to the element it selects: clamped
+    /// to the last element, then moved off a zero weight (see
+    /// [`sample`](Self::sample)). Monotone in `pos`.
+    fn resolve(&self, pos: usize) -> usize {
         let idx = pos.min(self.len() - 1);
         if !self.weights[idx].is_zero() {
             return idx;
@@ -191,8 +255,74 @@ impl WeightIndex {
     /// RNG consumption (one `f64` draw) matches the prefix-table sampler
     /// it replaces.
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let t = self.total() * ScaledF64::from_f64(rng.random_range(0.0..1.0f64));
+        let t = target(self.total(), rng.random_range(0.0..1.0f64));
         self.sample(t)
+    }
+
+    /// Draws `count` indices i.i.d. proportional to weight into `out`
+    /// (replacing its contents), in ascending order: the same RNG draws,
+    /// and the same index multiset, as `count` calls to
+    /// [`draw`](Self::draw), which stays the reference.
+    ///
+    /// The targets are built by `weighted::sorted_uniforms` and
+    /// `weighted::target`, then descend the tree together: at each node
+    /// the sorted range splits at `acc + tree[next]` with one
+    /// `partition_point`, so each node sum is added once per distinct
+    /// path while every target makes the branch decisions, against the
+    /// same partial sums, of its own [`sample`](Self::sample) descent.
+    /// Targets leave the tree in sorted order and `sample` is monotone in
+    /// its target, so `out` comes out ascending.
+    ///
+    /// # Panics
+    /// Panics if `count > 0` and the total weight is zero.
+    pub fn draw_many<R: Rng + ?Sized>(
+        &self,
+        count: usize,
+        rng: &mut R,
+        scratch: &mut DrawScratch,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        if count == 0 {
+            return;
+        }
+        assert!(!self.total().is_zero(), "sampling from an all-zero index");
+        weighted::sorted_uniforms(count, rng, &mut scratch.uniforms);
+        let total = self.total();
+        scratch.targets.clear();
+        scratch
+            .targets
+            .extend(scratch.uniforms.iter().map(|&u| target(total, u)));
+        self.descend_many(&scratch.targets, 0, ScaledF64::ZERO, self.cap, out);
+    }
+
+    /// The batched descent of [`draw_many`](Self::draw_many) over the
+    /// sorted `targets` that share the state `(pos, acc, half)`.
+    fn descend_many(
+        &self,
+        targets: &[ScaledF64],
+        pos: usize,
+        acc: ScaledF64,
+        half: usize,
+        out: &mut Vec<usize>,
+    ) {
+        match targets {
+            [] => {}
+            &[t] => out.push(self.resolve(self.descend_one(t, pos, acc, half))),
+            _ if half == 0 => {
+                out.extend(std::iter::repeat_n(self.resolve(pos), targets.len()));
+            }
+            _ if pos + half > self.cap => self.descend_many(targets, pos, acc, half >> 1, out),
+            _ => {
+                let next = pos + half;
+                let cand = acc + self.tree[next];
+                // `sample` moves right iff `cand <= t`: the targets below
+                // `cand` form the sorted range's prefix.
+                let k = targets.partition_point(|t| *t < cand);
+                self.descend_many(&targets[..k], pos, acc, half >> 1, out);
+                self.descend_many(&targets[k..], next, cand, half >> 1, out);
+            }
+        }
     }
 }
 
@@ -200,7 +330,7 @@ impl WeightIndex {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn from_f64s(ws: &[f64]) -> WeightIndex {
         let ws: Vec<ScaledF64> = ws.iter().map(|&w| ScaledF64::from_f64(w)).collect();
@@ -317,6 +447,114 @@ mod tests {
         }
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
+    }
+
+    #[test]
+    fn uniform_nodes_match_pairwise_sums_bit_for_bit() {
+        let sizes = (1..=70).chain([40_000, 48_000, 50_000, 64_000]);
+        for n in sizes {
+            let closed = WeightIndex::uniform(n);
+            let summed = WeightIndex::from_weights(&vec![ScaledF64::ONE; n]);
+            assert_eq!(closed.cap, summed.cap, "n={n}");
+            assert_eq!(closed.weights, summed.weights, "n={n}");
+            // Mantissas are never NaN or -0.0, so `==` on the fields is
+            // equality of their bits.
+            for (i, (a, b)) in closed.tree.iter().zip(&summed.tree).enumerate() {
+                assert_eq!(a, b, "n={n} node {i}");
+            }
+            assert_eq!(closed.tree.len(), summed.tree.len(), "n={n}");
+        }
+    }
+
+    /// A seeded index of `n` elements with zero runs at the head, the
+    /// tail and inside, other weights spread over `2^±1000` magnitudes
+    /// and then reweighted by `multiply`, and at least one positive
+    /// weight.
+    fn adversarial_index(n: usize, rng: &mut StdRng) -> WeightIndex {
+        let base = match rng.random_range(0..3) {
+            0 => ScaledF64::ONE,
+            1 => ScaledF64::exp2(1000.0),
+            _ => ScaledF64::exp2(-1000.0),
+        };
+        let head = rng.random_range(0..=n / 4);
+        let tail = rng.random_range(0..=n / 4);
+        let mut ws: Vec<ScaledF64> = (0..n)
+            .map(|i| {
+                let plateau = rng.random_range(0..8) == 0;
+                if i < head || i >= n - tail || plateau {
+                    ScaledF64::ZERO
+                } else {
+                    base * ScaledF64::from_f64(rng.random_range(0.5..4.0))
+                }
+            })
+            .collect();
+        if ws.iter().all(|w| w.is_zero()) {
+            ws[rng.random_range(0..n)] = base;
+        }
+        let mut idx = WeightIndex::from_weights(&ws);
+        for _ in 0..rng.random_range(0..=n) {
+            let i = rng.random_range(0..n);
+            idx.multiply(i, rng.random_range(1.0..1e6));
+        }
+        idx
+    }
+
+    #[test]
+    fn draw_many_matches_single_draws_and_leaves_the_rng_in_step() {
+        let mut cases = StdRng::seed_from_u64(17);
+        let mut scratch = DrawScratch::default();
+        let mut batched = Vec::new();
+        for case in 0..300 {
+            let n = match case % 4 {
+                0 => 1,
+                1 => cases.random_range(2..=64),
+                2 => cases.random_range(65..=3000),
+                _ => 1 << cases.random_range(0..12),
+            };
+            let idx = adversarial_index(n, &mut cases);
+            let count = match case % 5 {
+                0 => 0,
+                1 => 1,
+                _ => cases.random_range(2..=2 * n + 8),
+            };
+            let seed = cases.next_u64();
+            let mut single_rng = StdRng::seed_from_u64(seed);
+            let mut singles: Vec<usize> = (0..count).map(|_| idx.draw(&mut single_rng)).collect();
+            singles.sort_unstable();
+            let mut batch_rng = StdRng::seed_from_u64(seed);
+            idx.draw_many(count, &mut batch_rng, &mut scratch, &mut batched);
+            assert_eq!(batched, singles, "case {case}: n={n} count={count}");
+            assert_eq!(
+                batch_rng.next_u64(),
+                single_rng.next_u64(),
+                "case {case}: RNG out of step"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_descent_matches_sample_on_boundary_targets() {
+        // Targets exactly on prefix sums, at the total and past it, with
+        // duplicates: each must resolve as its own `sample` call does.
+        let idx = from_f64s(&[0.0, 2.0, 0.0, 0.0, 3.0, 1.0, 0.0]);
+        let targets: Vec<ScaledF64> = [0.0, 0.0, 1.0, 2.0, 2.0, 4.999, 5.0, 5.5, 6.0, 6.0, 9.0]
+            .iter()
+            .map(|&t| ScaledF64::from_f64(t))
+            .collect();
+        let mut out = Vec::new();
+        idx.descend_many(&targets, 0, ScaledF64::ZERO, idx.cap, &mut out);
+        let expect: Vec<usize> = targets.iter().map(|&t| idx.sample(t)).collect();
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn draw_many_of_zero_draws_touches_nothing() {
+        let idx = from_f64s(&[0.0, 0.0]);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut out = vec![7];
+        idx.draw_many(0, &mut rng, &mut DrawScratch::default(), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(rng.next_u64(), StdRng::seed_from_u64(5).next_u64());
     }
 
     #[test]

@@ -1,16 +1,25 @@
 //! Weighted i.i.d. sampling (with replacement).
 //!
 //! Lemma 2.2 requires each of the `m` net members to be drawn
-//! independently with probability proportional to its weight. Two
-//! realizations live here:
+//! independently with probability proportional to its weight. This
+//! module holds the pieces every ε-net draw shares, and two samplers:
 //!
-//! * [`sample_iid`] — the RAM/per-site primitive: prefix sums over a
-//!   weight slice, `m` binary searches.
+//! * `sorted_uniforms` and `target` — one net's inversion targets.
+//!   The `m` uniforms are drawn in the order `m` single draws take them
+//!   and sorted as plain floats; each target is `total · u`. Scaling is
+//!   monotone in `u` (every rounding step of the `ScaledF64` product is),
+//!   so scaling the sorted uniforms gives exactly the sequence that
+//!   scaling first and sorting the scaled values would, bit for bit.
+//!   [`WeightIndex::draw_many`](crate::weight_index::WeightIndex::draw_many)
+//!   (RAM, coordinator sites, MPC machines) and [`SortedTargetSampler`]
+//!   both build their targets this way.
 //! * [`SortedTargetSampler`] — the streaming primitive: given the total
 //!   weight `W` (which the streaming solver maintains exactly from one
-//!   iteration to the next, see `llp-bigdata::streaming`), draw `m`
-//!   uniforms in `[0, W)`, sort them, and intersect them with the running
-//!   prefix sum in a single pass over the stream.
+//!   iteration to the next, see `llp-bigdata::streaming`), intersect the
+//!   sorted targets with the running prefix sum in a single pass over the
+//!   stream.
+//! * [`sample_iid`] — prefix sums over a plain `f64` weight slice and `m`
+//!   binary searches; it generates the `serve` load mixes.
 
 use llp_num::ScaledF64;
 use rand::Rng;
@@ -36,6 +45,23 @@ pub fn sample_iid<R: Rng + ?Sized>(weights: &[f64], m: usize, rng: &mut R) -> Ve
         out.push(index_for_target(&prefix, weights, t));
     }
     out
+}
+
+/// Draws `m` uniforms in `[0, 1)` into `uniforms` — one `f64` draw each,
+/// in the order `m` single inversion draws take them — and sorts them
+/// ascending as plain floats. Scale each with [`target`]; the module doc
+/// explains why the result equals scale-then-sort.
+pub(crate) fn sorted_uniforms<R: Rng + ?Sized>(m: usize, rng: &mut R, uniforms: &mut Vec<f64>) {
+    uniforms.clear();
+    uniforms.extend((0..m).map(|_| rng.random_range(0.0..1.0f64)));
+    uniforms.sort_unstable_by(f64::total_cmp);
+}
+
+/// The inversion target `total · u` of a uniform `u ∈ [0, 1)`: the value
+/// one weighted draw resolves against the prefix sums.
+#[inline]
+pub(crate) fn target(total: ScaledF64, u: f64) -> ScaledF64 {
+    total * ScaledF64::from_f64(u)
 }
 
 /// Resolves one inversion target against a prefix table: the first index
@@ -64,13 +90,17 @@ fn index_for_target(prefix: &[f64], weights: &[f64], t: f64) -> usize {
 /// Construct with the number of draws and the exact total weight `W`;
 /// feed elements in stream order via [`SortedTargetSampler::feed`], which
 /// returns how many of the `m` draws landed on that element. Because the
-/// `m` uniform targets are drawn up front and sorted, each `feed` is
-/// amortized O(1).
+/// `m` uniforms are drawn up front and sorted, each `feed` is amortized
+/// O(1).
 #[derive(Debug)]
 pub struct SortedTargetSampler {
-    /// Sorted uniform targets in `[0, W)`, as scaled floats to match the
-    /// weight arithmetic of the solver.
-    targets: Vec<ScaledF64>,
+    /// The sorted uniforms (`sorted_uniforms`); the targets in `[0, W)`
+    /// they scale to are built one at a time as the cursor reaches them,
+    /// so the sampler holds `m` plain floats and never a second buffer.
+    uniforms: Vec<f64>,
+    total: ScaledF64,
+    /// `target(total, uniforms[cursor])` while `cursor < m`.
+    next: ScaledF64,
     cursor: usize,
     acc: ScaledF64,
 }
@@ -82,12 +112,15 @@ impl SortedTargetSampler {
     /// Panics if `total` is zero.
     pub fn new<R: Rng + ?Sized>(m: usize, total: ScaledF64, rng: &mut R) -> Self {
         assert!(!total.is_zero(), "total weight must be positive");
-        let mut targets: Vec<ScaledF64> = (0..m)
-            .map(|_| total * ScaledF64::from_f64(rng.random_range(0.0..1.0f64)))
-            .collect();
-        targets.sort_by(|a, b| a.partial_cmp(b).expect("weights are ordered"));
+        let mut uniforms = Vec::new();
+        sorted_uniforms(m, rng, &mut uniforms);
+        let next = uniforms
+            .first()
+            .map_or(ScaledF64::ZERO, |&u| target(total, u));
         SortedTargetSampler {
-            targets,
+            uniforms,
+            total,
+            next,
             cursor: 0,
             acc: ScaledF64::ZERO,
         }
@@ -99,8 +132,11 @@ impl SortedTargetSampler {
     pub fn feed(&mut self, weight: ScaledF64) -> usize {
         self.acc += weight;
         let start = self.cursor;
-        while self.cursor < self.targets.len() && self.targets[self.cursor] < self.acc {
+        while self.cursor < self.uniforms.len() && self.next < self.acc {
             self.cursor += 1;
+            if let Some(&u) = self.uniforms.get(self.cursor) {
+                self.next = target(self.total, u);
+            }
         }
         self.cursor - start
     }
@@ -108,7 +144,7 @@ impl SortedTargetSampler {
     /// Number of draws not yet assigned (should be 0 after a full pass if
     /// the fed weights sum to the declared total).
     pub fn remaining(&self) -> usize {
-        self.targets.len() - self.cursor
+        self.uniforms.len() - self.cursor
     }
 
     /// Declares the stream complete and returns the number of draws that
@@ -124,8 +160,8 @@ impl SortedTargetSampler {
     /// tail interval `[Σ fed, W)`. The sampler is spent afterwards
     /// (`remaining() == 0`).
     pub fn finish(&mut self) -> usize {
-        let leftover = self.targets.len() - self.cursor;
-        self.cursor = self.targets.len();
+        let leftover = self.remaining();
+        self.cursor = self.uniforms.len();
         leftover
     }
 }
@@ -134,7 +170,7 @@ impl SortedTargetSampler {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(31)
@@ -262,6 +298,71 @@ mod tests {
         assert_eq!(assigned + lost, m);
         assert_eq!(sampler.remaining(), 0);
         assert_eq!(sampler.finish(), 0, "finish is idempotent");
+    }
+
+    /// The reference targets: scale every uniform as it is drawn, then
+    /// sort the scaled values by `partial_cmp`.
+    fn scale_then_sort(m: usize, total: ScaledF64, rng: &mut StdRng) -> Vec<ScaledF64> {
+        let mut targets: Vec<ScaledF64> = (0..m)
+            .map(|_| total * ScaledF64::from_f64(rng.random_range(0.0..1.0f64)))
+            .collect();
+        targets.sort_by(|a, b| a.partial_cmp(b).expect("weights are ordered"));
+        targets
+    }
+
+    fn totals() -> Vec<ScaledF64> {
+        let mut totals = vec![
+            ScaledF64::ONE,
+            ScaledF64::from_f64(3.7),
+            ScaledF64::from_f64(64_000.0),
+            ScaledF64::from_f64(f64::MAX),
+            ScaledF64::from_f64(f64::MIN_POSITIVE),
+        ];
+        for e in [-1000.0, -999.0, 999.0, 1000.0, 1001.5] {
+            totals.push(ScaledF64::exp2(e));
+            totals.push(ScaledF64::exp2(e) * ScaledF64::from_f64(1.999_999_999));
+        }
+        totals
+    }
+
+    #[test]
+    fn sorted_uniforms_scale_to_the_scale_then_sort_targets() {
+        let mut uniforms = Vec::new();
+        for (k, total) in totals().into_iter().enumerate() {
+            for m in [0usize, 1, 2, 1000, 12_800] {
+                let seed = 100 + k as u64;
+                let mut reference_rng = StdRng::seed_from_u64(seed);
+                let expect = scale_then_sort(m, total, &mut reference_rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                sorted_uniforms(m, &mut rng, &mut uniforms);
+                let got: Vec<ScaledF64> = uniforms.iter().map(|&u| target(total, u)).collect();
+                assert_eq!(got, expect, "total {total}, m {m}");
+                assert_eq!(rng.next_u64(), reference_rng.next_u64(), "RNG out of step");
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_feeds_exactly_as_with_eager_targets() {
+        // Lazily scaled targets assign every fed weight the same count as
+        // the eagerly scaled, sorted targets would.
+        let weights: Vec<ScaledF64> = (0..500)
+            .map(|i| ScaledF64::exp2(-1000.0) * ScaledF64::from_f64(1.0 + (i % 7) as f64))
+            .collect();
+        let total: ScaledF64 = weights.iter().copied().sum();
+        let m = 2000;
+        let targets = scale_then_sort(m, total, &mut rng());
+        let mut sampler = SortedTargetSampler::new(m, total, &mut rng());
+        let (mut acc, mut cursor) = (ScaledF64::ZERO, 0usize);
+        for &w in &weights {
+            acc += w;
+            let start = cursor;
+            while cursor < targets.len() && targets[cursor] < acc {
+                cursor += 1;
+            }
+            assert_eq!(sampler.feed(w), cursor - start);
+        }
+        assert_eq!(sampler.finish(), m - cursor);
     }
 
     #[test]
