@@ -15,10 +15,9 @@
 //!   Collection-order lints are relaxed (the service keys batches by
 //!   fingerprint; order never reaches an output without a sorted drain).
 //! * [`Class::VendorExempt`] — the offline registry stand-ins
-//!   (`rand`, `serde`, `serde_derive`, `proptest`, `criterion`). They
-//!   emulate upstream APIs (criterion is *by definition* a wall-clock
-//!   runner; `ThreadRng` is deliberately entropy-seeded), so only the
-//!   structural lints (`missing-forbid-unsafe`, allow hygiene) apply.
+//!   (`rand`, `serde`, `serde_derive`, `proptest`). They emulate
+//!   upstream APIs (`ThreadRng` is deliberately entropy-seeded), so only
+//!   the structural lints (`missing-forbid-unsafe`, allow hygiene) apply.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -99,7 +98,6 @@ const CRATE_TABLE: &[(&str, &str, Class)] = &[
     ("vendor/serde", "serde", Class::VendorExempt),
     ("vendor/serde_derive", "serde_derive", Class::VendorExempt),
     ("vendor/proptest", "proptest", Class::VendorExempt),
-    ("vendor/criterion", "criterion", Class::VendorExempt),
 ];
 
 /// Discovers the workspace's crates from `root` and loads their sources.

@@ -1,6 +1,5 @@
 //! Experiment harness regenerating every table and figure of the
-//! reproduction (see DESIGN.md §3 for the index and EXPERIMENTS.md for
-//! recorded results).
+//! reproduction (see DESIGN.md §3 for the index).
 //!
 //! Each experiment is a function returning a [`Table`]; the `experiments`
 //! binary prints them. A single [`RunBudget`] threads from the `--quick`
@@ -101,30 +100,6 @@ impl Table {
     }
 }
 
-/// Net-size multiplier used by the headline experiments. The verbatim
-/// Eq. (1) constants exceed `n` itself for any benchable input (the
-/// classical Haussler–Welzl constants are loose by orders of magnitude),
-/// so the experiments scale the formula down and keep the
-/// coupon-collector floor `2·λ/ε` (the term that cannot be calibrated
-/// away without wrecking the Claim 3.2 success rate — experiment **T9**
-/// measures exactly this trade-off).
-pub const EXPERIMENT_NET_MULTIPLIER: f64 = 1.0 / 4096.0;
-
-/// Net-size floor coefficient (`· λ/ε`) used by the headline experiments.
-pub const EXPERIMENT_NET_FLOOR: f64 = 2.0;
-
-/// The Algorithm 1 configuration used by the headline experiments
-/// (`ClarksonConfig::lean`).
-pub fn experiment_config(r: u32) -> ClarksonConfig {
-    ClarksonConfig::lean(r)
-}
-
-/// The MPC configuration used by the headline experiments
-/// (`MpcConfig::lean`).
-pub fn experiment_mpc_config(delta: f64) -> MpcConfig {
-    MpcConfig::lean(delta)
-}
-
 /// Solver RNG for an experiment cell with the given instance seed. The
 /// XOR salt decouples the solver's PRNG stream from the generator's: the
 /// workload generators seed their own `StdRng` from the same `u64`, and
@@ -145,11 +120,11 @@ fn f(v: f64) -> String {
     }
 }
 
-/// Fixture shared by the T13p experiment and the `parallel` criterion
-/// group: a seeded random 3-D LP of `n` constraints plus the basis of a
-/// small prefix — a solution violated by a nontrivial fraction of the
-/// input, so the violation scan does real work on both branches.
-pub fn violation_scan_fixture(n: usize) -> (LpProblem, Vec<Halfspace>, llp_geom::Point) {
+/// Fixture of the T13p experiment: a seeded random 3-D LP of `n`
+/// constraints plus the basis of a small prefix — a solution violated by
+/// a nontrivial fraction of the input, so the violation scan does real
+/// work on both branches.
+fn violation_scan_fixture(n: usize) -> (LpProblem, Vec<Halfspace>, llp_geom::Point) {
     let mut rng = solver_rng(14_500);
     let (p, cs) = llp_workloads::random_lp(n, 3, 14_500);
     let sol = p
@@ -158,12 +133,10 @@ pub fn violation_scan_fixture(n: usize) -> (LpProblem, Vec<Halfspace>, llp_geom:
     (p, cs, sol)
 }
 
-/// Fixture shared by the T14 experiment and the `weight_index` criterion
-/// group: seeded per-iteration violator index lists for a synthetic
-/// Algorithm 1 weight schedule (sorted, deduplicated — the shape the
-/// solver's scan produces). Shared so the two measurement paths cannot
-/// drift apart.
-pub fn weight_update_fixture(n: usize, iters: usize, violators: usize) -> Vec<Vec<usize>> {
+/// Fixture of the T14 experiment: seeded per-iteration violator index
+/// lists for a synthetic Algorithm 1 weight schedule (sorted,
+/// deduplicated — the shape the solver's scan produces).
+fn weight_update_fixture(n: usize, iters: usize, violators: usize) -> Vec<Vec<usize>> {
     let mut rng = StdRng::seed_from_u64(14_600);
     (0..iters)
         .map(|_| {
@@ -182,7 +155,7 @@ pub fn weight_update_fixture(n: usize, iters: usize, violators: usize) -> Vec<Ve
 /// the solver's own net draw, [`WeightIndex::draw_many`]. Returns the
 /// final `log2` total and a draw checksum (an XOR, so it does not depend
 /// on the order of the draws) so the work is observable.
-pub fn run_weight_index_incremental(
+fn run_weight_index_incremental(
     index: &mut WeightIndex,
     factor: f64,
     m: usize,
@@ -202,11 +175,11 @@ pub fn run_weight_index_incremental(
     (index.total().log2(), sink)
 }
 
-/// The rebuild weight path this PR retired from `clarkson::solve`: an
-/// exponent array (caller-allocated, like the index above) with a full
-/// O(n) `ScaledF64` prefix rebuild before the `m` binary-search draws of
-/// every iteration.
-pub fn run_weight_prefix_rebuild(
+/// The rebuild weight path `clarkson::solve` ran before its standing
+/// [`WeightIndex`]: an exponent array (caller-allocated, like the index
+/// above) with a full O(n) `ScaledF64` prefix rebuild before the `m`
+/// binary-search draws of every iteration.
+fn run_weight_prefix_rebuild(
     exponent: &mut [u32],
     factor: f64,
     m: usize,
@@ -254,8 +227,9 @@ pub fn t1_meta_iterations(budget: RunBudget) -> Table {
                 let seed = 1000 + d as u64 + u64::from(r);
                 let mut rng = solver_rng(seed);
                 let (p, cs) = llp_workloads::random_lp(n, d, seed);
-                let (_, stats) = llp_core::clarkson_solve(&p, &cs, &experiment_config(r), &mut rng)
-                    .expect("solvable");
+                let (_, stats) =
+                    llp_core::clarkson_solve(&p, &cs, &ClarksonConfig::lean(r), &mut rng)
+                        .expect("solvable");
                 let nu = p.combinatorial_dim();
                 let bound = 20.0 * nu as f64 * f64::from(r) / 9.0;
                 let succ_rate = (stats.successful_iterations + 1) as f64 / stats.iterations as f64;
@@ -305,7 +279,7 @@ pub fn t2_streaming(budget: RunBudget) -> Table {
                 let mut rng = solver_rng(seed);
                 let (p, cs) = llp_workloads::random_lp(n, d, seed);
                 let (sol, stats) =
-                    stream_impl::solve(&p, &cs, &experiment_config(r), mode, &mut rng)
+                    stream_impl::solve(&p, &cs, &ClarksonConfig::lean(r), mode, &mut rng)
                         .expect("solvable");
                 assert_eq!(count_violations(&p, &sol, &cs), 0);
                 let root = (n as f64).powf(1.0 / f64::from(r));
@@ -346,7 +320,7 @@ pub fn t3_coordinator(budget: RunBudget) -> Table {
             let mut rng = solver_rng(seed);
             let (p, cs) = llp_workloads::random_lp(n, 2, seed);
             let (sol, stats) =
-                coord_impl::solve(&p, cs.clone(), k, &experiment_config(r), &mut rng)
+                coord_impl::solve(&p, cs.clone(), k, &ClarksonConfig::lean(r), &mut rng)
                     .expect("solvable");
             assert_eq!(count_violations(&p, &sol, &cs), 0);
             t.push(vec![
@@ -388,8 +362,8 @@ pub fn t4_mpc(budget: RunBudget) -> Table {
         let seed = 4000 + (delta * 100.0) as u64;
         let mut rng = solver_rng(seed);
         let (p, cs) = llp_workloads::random_lp(n, 2, seed);
-        let (sol, stats) = mpc_impl::solve(&p, cs.clone(), &experiment_mpc_config(delta), &mut rng)
-            .expect("solvable");
+        let (sol, stats) =
+            mpc_impl::solve(&p, cs.clone(), &MpcConfig::lean(delta), &mut rng).expect("solvable");
         assert_eq!(count_violations(&p, &sol, &cs), 0);
         let load_kb = stats.max_load_bits as f64 / 8192.0;
         let pow = (n as f64).powf(delta);
@@ -431,7 +405,7 @@ pub fn t5_baselines(budget: RunBudget) -> Table {
         let (sol, stats) = stream_impl::solve(
             &p,
             &cs,
-            &experiment_config(r),
+            &ClarksonConfig::lean(r),
             SamplingMode::OnePassSpeculative,
             &mut rng,
         )
@@ -507,7 +481,7 @@ pub fn t6_svm(budget: RunBudget) -> Table {
         let (u, s) = stream_impl::solve(
             &p,
             &pts,
-            &experiment_config(2),
+            &ClarksonConfig::lean(2),
             SamplingMode::TwoPassIid,
             &mut rng,
         )
@@ -522,7 +496,7 @@ pub fn t6_svm(budget: RunBudget) -> Table {
             count_violations(&p, &u, &pts).to_string(),
         ]);
 
-        let (u, s) = coord_impl::solve(&p, pts.clone(), 8, &experiment_config(2), &mut rng)
+        let (u, s) = coord_impl::solve(&p, pts.clone(), 8, &ClarksonConfig::lean(2), &mut rng)
             .expect("separable");
         t.push(vec![
             "coordinator(k=8)".into(),
@@ -534,7 +508,7 @@ pub fn t6_svm(budget: RunBudget) -> Table {
             count_violations(&p, &u, &pts).to_string(),
         ]);
 
-        let (u, s) = mpc_impl::solve(&p, pts.clone(), &experiment_mpc_config(1.0 / 3.0), &mut rng)
+        let (u, s) = mpc_impl::solve(&p, pts.clone(), &MpcConfig::lean(1.0 / 3.0), &mut rng)
             .expect("separable");
         t.push(vec![
             "MPC(d=1/3)".into(),
@@ -573,7 +547,7 @@ pub fn t7_meb(budget: RunBudget) -> Table {
         let (b, s) = stream_impl::solve(
             &p,
             &pts,
-            &experiment_config(2),
+            &ClarksonConfig::lean(2),
             SamplingMode::OnePassSpeculative,
             &mut rng,
         )
@@ -588,7 +562,7 @@ pub fn t7_meb(budget: RunBudget) -> Table {
             count_violations(&p, &b, &pts).to_string(),
         ]);
 
-        let (b, s) = coord_impl::solve(&p, pts.clone(), 8, &experiment_config(2), &mut rng)
+        let (b, s) = coord_impl::solve(&p, pts.clone(), 8, &ClarksonConfig::lean(2), &mut rng)
             .expect("solvable");
         t.push(vec![
             "coordinator(k=8)".into(),
@@ -600,7 +574,7 @@ pub fn t7_meb(budget: RunBudget) -> Table {
             count_violations(&p, &b, &pts).to_string(),
         ]);
 
-        let (b, s) = mpc_impl::solve(&p, pts.clone(), &experiment_mpc_config(1.0 / 3.0), &mut rng)
+        let (b, s) = mpc_impl::solve(&p, pts.clone(), &MpcConfig::lean(1.0 / 3.0), &mut rng)
             .expect("solvable");
         t.push(vec![
             "MPC(d=1/3)".into(),
@@ -632,7 +606,7 @@ pub fn t8_ablation(budget: RunBudget) -> Table {
         let cfg = ClarksonConfig {
             factor,
             max_iterations: 1_000_000,
-            ..experiment_config(2)
+            ..ClarksonConfig::lean(2)
         };
         let mut rng = StdRng::seed_from_u64(8100);
         let (sol, stats) =
@@ -706,7 +680,7 @@ pub fn t9_epsnet(budget: RunBudget) -> Table {
             &mut t,
         );
     }
-    run("floor 2*lam/eps".into(), experiment_config(2), &mut t);
+    run("floor 2*lam/eps".into(), ClarksonConfig::lean(2), &mut t);
     t
 }
 
@@ -731,7 +705,7 @@ pub fn t10_weight_envelope(budget: RunBudget) -> Table {
         let mut rng = solver_rng(10_000 + seed);
         let (p, cs) = llp_workloads::random_lp(n, 2, 10_000 + seed);
         let (_, s) =
-            llp_core::clarkson_solve(&p, &cs, &experiment_config(r), &mut rng).expect("ok");
+            llp_core::clarkson_solve(&p, &cs, &ClarksonConfig::lean(r), &mut rng).expect("ok");
         nu = p.combinatorial_dim() as f64;
         log2n = (cs.len() as f64).log2();
         let keep = !s.weight_log2_trace.is_empty();
@@ -978,7 +952,7 @@ pub fn t13_scaling(budget: RunBudget) -> Table {
         let (sol, _) = stream_impl::solve(
             &p,
             &cs,
-            &experiment_config(2),
+            &ClarksonConfig::lean(2),
             SamplingMode::OnePassSpeculative,
             &mut rng,
         )

@@ -221,42 +221,10 @@ impl SiteWeights {
     }
 }
 
-/// Shared per-run parameters derived from the paper's formulas.
-#[derive(Clone, Copy, Debug)]
-pub struct RunParams {
-    /// Weight factor `F`.
-    pub factor: f64,
-    /// `ε = 1/(10νF)`.
-    pub eps: f64,
-    /// ε-net size `m` (clamped to `n`).
-    pub net_size: usize,
-    /// Iteration cap.
-    pub max_iterations: usize,
-}
-
-impl RunParams {
-    /// Derives the parameters of Algorithm 1 for a problem with `n`
-    /// constraints from a [`ClarksonConfig`](llp_core::ClarksonConfig).
-    pub fn derive<P: LpTypeProblem>(problem: &P, n: usize, cfg: &llp_core::ClarksonConfig) -> Self {
-        let nu = problem.combinatorial_dim();
-        let lambda = problem.vc_dim();
-        let factor = cfg.factor.value(n);
-        let eps = 1.0 / (10.0 * nu as f64 * factor);
-        let net_size = cfg.net_size(n, nu, lambda);
-        RunParams {
-            factor,
-            eps,
-            net_size,
-            max_iterations: cfg.max_iterations,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use llp_core::instances::lp::LpProblem;
-    use llp_core::ClarksonConfig;
     use llp_geom::Halfspace;
 
     #[test]
@@ -297,16 +265,6 @@ mod tests {
             assert_eq!(a, oracle.exponent(&p, &cs[3 + i]));
             assert_eq!(powers[a as usize], oracle.weight(&p, &cs[3 + i]));
         }
-    }
-
-    #[test]
-    fn run_params_match_formulas() {
-        let p = LpProblem::new(vec![1.0, 1.0]);
-        let cfg = ClarksonConfig::paper(2);
-        let params = RunParams::derive(&p, 10_000, &cfg);
-        assert!((params.factor - 100.0).abs() < 1e-9);
-        assert!((params.eps - 1.0 / 3000.0).abs() < 1e-12);
-        assert!(params.net_size <= 10_000);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! Total: `O(νr)` rounds and `Õ((λn^{1/r}ν + k)·ν)·bit(S)` communication.
 
-use crate::common::{RunParams, SiteWeights};
+use crate::common::SiteWeights;
 use crate::BigDataError;
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
@@ -90,7 +90,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let n: usize = partitions.iter().map(Vec::len).sum();
     assert!(n > 0, "empty input");
     let k = partitions.len();
-    let params = RunParams::derive(problem, n, cfg);
+    let params = cfg.params(problem, n);
     let mut sim = CoordSim::from_partitions(partitions);
     // Persistent per-site weight indices: every site tracks its own
     // partition's weights incrementally from the violator lists it scans
@@ -112,7 +112,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let mut pending: Option<bool> = None;
 
     let result = loop {
-        if stats.iterations >= params.max_iterations {
+        if stats.iterations >= cfg.max_iterations {
             break Err(BigDataError::IterationLimit);
         }
         stats.iterations += 1;

@@ -18,7 +18,7 @@
 //! With `r = ⌈1/δ⌉` outer iterations parameter, the total is `O(ν/δ²)`
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
 
-use crate::common::{RunParams, SiteWeights};
+use crate::common::SiteWeights;
 use crate::BigDataError;
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
@@ -198,7 +198,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let k = partitions.len();
     let fanout = ((n as f64).powf(cfg.delta).ceil() as usize).max(2);
     let clarkson = cfg.clarkson();
-    let params = RunParams::derive(problem, n, &clarkson);
+    let params = clarkson.params(problem, n);
 
     let mut sim = MpcSim::from_partitions(partitions);
     let tree = Tree { k, fanout };
@@ -225,7 +225,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let mut pending: Option<bool> = None;
 
     let result = loop {
-        if stats.iterations >= params.max_iterations {
+        if stats.iterations >= clarkson.max_iterations {
             break Err(BigDataError::IterationLimit);
         }
         stats.iterations += 1;

@@ -25,7 +25,7 @@
 //! rebuilt into a constraint only when a sampler keeps it or, in pass 2,
 //! when it violates.
 
-use crate::common::{RunParams, WeightOracle};
+use crate::common::WeightOracle;
 use crate::ooc::{ChunkSource, SliceSource};
 use crate::BigDataError;
 use llp_core::clarkson::FailurePolicy;
@@ -122,7 +122,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     rng: &mut R,
 ) -> Result<(P::Solution, StreamingStats), BigDataError> {
     let n = source.len();
-    let params = RunParams::derive(problem, n, cfg);
+    let params = cfg.params(problem, n);
     let mut stats = StreamingStats {
         net_size: params.net_size,
         eps: params.eps,
@@ -142,7 +142,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     let mut exponents: Vec<u32> = Vec::new();
     let mut powers: Vec<ScaledF64> = Vec::new();
 
-    while stats.iterations < params.max_iterations {
+    while stats.iterations < cfg.max_iterations {
         stats.iterations += 1;
 
         // ---- Pass 1: sample the ε-net i.i.d. proportional to weight. ----
@@ -266,7 +266,7 @@ fn run_one_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     rng: &mut R,
 ) -> Result<(P::Solution, StreamingStats), BigDataError> {
     let n = source.len();
-    let params = RunParams::derive(problem, n, cfg);
+    let params = cfg.params(problem, n);
     let mut stats = StreamingStats {
         net_size: params.net_size,
         eps: params.eps,
@@ -312,7 +312,7 @@ fn run_one_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     space.free_raw(reservoir_bits, m as u64);
     drop(net);
 
-    while stats.iterations < params.max_iterations {
+    while stats.iterations < cfg.max_iterations {
         // ---- Combined pass: violation-test `pending` while sampling the
         // next net under both outcomes. ----
         space.alloc_raw(2 * reservoir_bits, 2 * m as u64);

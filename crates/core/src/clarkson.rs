@@ -29,7 +29,7 @@
 //! instead recomputes weights from the stored bases under its space
 //! bound, see Section 3.2.)
 
-use crate::lptype::{ColumnarProblem, SolveError};
+use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::ConstraintColumns;
 use llp_sampling::weight_index::{DrawScratch, WeightIndex};
 use rand::Rng;
@@ -106,11 +106,14 @@ impl ClarksonConfig {
         }
     }
 
-    /// Computes the net size for an input of `n` constraints with
-    /// combinatorial dimension `nu` and VC dimension `lambda`.
-    pub fn net_size(&self, n: usize, nu: usize, lambda: usize) -> usize {
+    /// Derives Algorithm 1's parameters for `n` constraints of `problem`:
+    /// the weight factor `F`, `ε = 1/(10νF)` (Line 1), and the net size
+    /// `max(multiplier · Eq.(1), ceil(floor_coeff · λ/ε))`, clamped to
+    /// `[1, n]`. Every model derives its parameters here, once per solve.
+    pub fn params<P: LpTypeProblem>(&self, problem: &P, n: usize) -> RunParams {
+        let lambda = problem.vc_dim();
         let factor = self.factor.value(n);
-        let eps = 1.0 / (10.0 * nu as f64 * factor);
+        let eps = 1.0 / (10.0 * problem.combinatorial_dim() as f64 * factor);
         let formula = llp_sampling::epsnet::EpsNetSpec {
             eps,
             lambda,
@@ -119,7 +122,11 @@ impl ClarksonConfig {
         }
         .size();
         let floor = (self.net_floor_coeff * lambda as f64 / eps).ceil() as usize;
-        formula.max(floor).min(n).max(1)
+        RunParams {
+            factor,
+            eps,
+            net_size: formula.max(floor).min(n).max(1),
+        }
     }
 
     /// Same asymptotics with the calibrated net constant (see
@@ -144,6 +151,18 @@ impl ClarksonConfig {
             ..Self::paper(r)
         }
     }
+}
+
+/// The parameters of Algorithm 1 for one input, from
+/// [`ClarksonConfig::params`].
+#[derive(Clone, Copy, Debug)]
+pub struct RunParams {
+    /// Weight factor `F`.
+    pub factor: f64,
+    /// `ε = 1/(10νF)`.
+    pub eps: f64,
+    /// ε-net size `m` (clamped to `[1, n]`).
+    pub net_size: usize,
 }
 
 /// Failure modes of the meta-algorithm.
@@ -290,11 +309,11 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
         "columns/constraints length mismatch"
     );
     let n = constraints.len();
-    let nu = problem.combinatorial_dim();
-    let lambda = problem.vc_dim();
-    let factor = cfg.factor.value(n);
-    let eps = 1.0 / (10.0 * nu as f64 * factor);
-    let m = cfg.net_size(n, nu, lambda);
+    let RunParams {
+        factor,
+        eps,
+        net_size: m,
+    } = cfg.params(problem, n);
 
     let mut stats = ClarksonStats {
         net_size: m,
@@ -556,6 +575,15 @@ mod tests {
             }
         }
         assert!(ok >= 8, "Monte-Carlo mode failed too often: {ok}/10");
+    }
+
+    #[test]
+    fn params_match_formulas() {
+        let p = LpProblem::new(vec![1.0, 1.0]);
+        let params = ClarksonConfig::paper(2).params(&p, 10_000);
+        assert!((params.factor - 100.0).abs() < 1e-9);
+        assert!((params.eps - 1.0 / 3000.0).abs() < 1e-12);
+        assert!(params.net_size <= 10_000);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! exchanges messages with the sites in rounds. [`CoordSim`] owns the
 //! partitions and meters every transfer: a *round* is one
 //! coordinator→sites + sites→coordinator exchange (matching the model
-//! definition), and the meter records total bits, per-round bits, and the
-//! up/down split.
+//! definition), and the meter records total bits, the heaviest round, and
+//! the up/down split.
 //!
 //! The simulator does not interpret payloads — algorithms move real Rust
 //! values and charge their [`BitCost`]. Sites may only be touched through
@@ -41,11 +41,6 @@ impl CoordMeter {
     /// Bits from sites to coordinator.
     pub fn bits_up(&self) -> u64 {
         self.bits_up
-    }
-
-    /// Bits exchanged per round.
-    pub fn per_round_bits(&self) -> &[u64] {
-        &self.per_round_bits
     }
 
     /// The heaviest single round, in bits — the round-granular congestion
@@ -108,11 +103,6 @@ impl<C> CoordSim<C> {
         self.sites.iter().map(Vec::len).sum()
     }
 
-    /// Per-site partition sizes (read-out for skew experiments).
-    pub fn site_sizes(&self) -> Vec<usize> {
-        self.sites.iter().map(Vec::len).collect()
-    }
-
     /// Starts a new round.
     pub fn begin_round(&mut self) {
         self.meter.rounds += 1;
@@ -155,8 +145,8 @@ mod tests {
         assert_eq!(sim.k(), 3);
         assert_eq!(sim.site(0), &[0, 3, 6, 9]);
         assert_eq!(sim.site(1), &[1, 4, 7]);
+        assert_eq!(sim.site(2), &[2, 5, 8]);
         assert_eq!(sim.total_len(), 10);
-        assert_eq!(sim.site_sizes(), vec![4, 3, 3]);
     }
 
     #[test]
@@ -171,7 +161,7 @@ mod tests {
         assert_eq!(sim.meter.bits_down(), 64);
         assert_eq!(sim.meter.bits_up(), 160);
         assert_eq!(sim.meter.total_bits(), 224);
-        assert_eq!(sim.meter.per_round_bits(), &[192, 32]);
+        assert_eq!(sim.meter.max_round_bits(), 192);
     }
 
     #[test]

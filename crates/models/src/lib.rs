@@ -13,8 +13,7 @@
 //! * [`coordinator::CoordSim`] — `k` sites plus a coordinator, per-round
 //!   and per-direction byte metering (the model of Section 3.3).
 //! * [`mpc::MpcSim`] — `k` machines with per-machine per-round load
-//!   metering (the model of Section 3.4), plus the `O(1/δ)`-round
-//!   broadcast and converge-cast trees of \[23\].
+//!   metering (the model of Section 3.4).
 
 #![forbid(unsafe_code)]
 

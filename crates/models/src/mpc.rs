@@ -2,11 +2,10 @@
 //!
 //! `k` machines hold partitions; computation proceeds in BSP rounds; the
 //! figure of merit is the *load* — the maximum bits any machine sends or
-//! receives in a round. [`MpcSim`] meters exactly that, and provides the
-//! `n^δ`-ary broadcast / converge-cast trees of Goodrich–Sitchinava–Zhang
-//! \[23\] used by Theorem 3 to move data between the designated coordinator
-//! machine and everyone else in `O(1/δ)` rounds without exceeding the
-//! `O(n^δ)` load budget.
+//! receives in a round. [`MpcSim`] meters exactly that. The protocol
+//! drives the meter itself: Theorem 3's `n^δ`-ary broadcast and
+//! converge-cast trees (Goodrich–Sitchinava–Zhang \[23\]) live with the
+//! algorithm in `llp_bigdata::mpc`.
 
 use crate::cost::BitCost;
 
@@ -36,11 +35,6 @@ impl MpcMeter {
             .max(self.current.iter().copied().max().unwrap_or(0))
     }
 
-    /// Per-round maximum loads (completed rounds).
-    pub fn per_round_max_load(&self) -> &[u64] {
-        &self.per_round_max_load
-    }
-
     /// Sum over rounds of the per-round maximum load: the aggregate
     /// critical-path traffic of the run, surfaced as
     /// `MpcStats::total_load_bits` next to
@@ -60,46 +54,6 @@ pub struct MpcSim<C> {
 }
 
 impl<C> MpcSim<C> {
-    /// Partitions `data` contiguously into `k` machines of (near-)equal
-    /// size — the natural `n^{1-δ}`-machines layout of Theorem 3.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn balanced(data: Vec<C>, k: usize) -> Self {
-        assert!(k >= 1, "need at least one machine");
-        let n = data.len();
-        let chunk = n.div_ceil(k).max(1);
-        let mut machines: Vec<Vec<C>> = Vec::with_capacity(k);
-        let mut it = data.into_iter();
-        for _ in 0..k {
-            machines.push(it.by_ref().take(chunk).collect());
-        }
-        MpcSim {
-            machines,
-            meter: MpcMeter::default(),
-        }
-    }
-
-    /// Number of machines.
-    pub fn k(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Read-only view of machine `i`'s local data.
-    pub fn machine(&self, i: usize) -> &[C] {
-        &self.machines[i]
-    }
-
-    /// Total elements across machines.
-    pub fn total_len(&self) -> usize {
-        self.machines.iter().map(Vec::len).sum()
-    }
-
-    /// Per-machine partition sizes (read-out for skew experiments).
-    pub fn machine_sizes(&self) -> Vec<usize> {
-        self.machines.iter().map(Vec::len).collect()
-    }
-
     /// Uses an explicit partition (the model allows arbitrary ones; skewed
     /// layouts come through here).
     ///
@@ -111,6 +65,11 @@ impl<C> MpcSim<C> {
             machines,
             meter: MpcMeter::default(),
         }
+    }
+
+    /// Read-only view of machine `i`'s local data.
+    pub fn machine(&self, i: usize) -> &[C] {
+        &self.machines[i]
     }
 
     /// Starts a BSP round.
@@ -143,78 +102,6 @@ impl<C> MpcSim<C> {
         self.meter.current[from] += b;
         self.meter.current[to] += b;
     }
-
-    /// Simulates broadcasting `payload_bits` from `root` to all machines
-    /// along a `fanout`-ary tree: each round, every informed machine
-    /// forwards to `fanout` uninformed ones. Charges the meter and returns
-    /// the number of rounds used (`O(log_fanout k)`, i.e. `O(1/δ)` for
-    /// `fanout = n^δ`).
-    pub fn broadcast_tree(&mut self, root: usize, payload_bits: u64, fanout: usize) -> u64 {
-        assert!(fanout >= 2, "fanout must be at least 2");
-        let k = self.k();
-        let mut informed = vec![false; k];
-        informed[root] = true;
-        let mut informed_count = 1usize;
-        let mut rounds = 0;
-        while informed_count < k {
-            self.begin_round();
-            rounds += 1;
-            let senders: Vec<usize> = (0..k).filter(|&i| informed[i]).collect();
-            let mut targets: Vec<usize> = (0..k).filter(|&i| !informed[i]).collect();
-            for s in senders {
-                for _ in 0..fanout {
-                    let Some(t) = targets.pop() else { break };
-                    self.charge_raw(s, t, payload_bits);
-                    informed[t] = true;
-                    informed_count += 1;
-                }
-                if informed_count == k {
-                    break;
-                }
-            }
-            self.end_round();
-        }
-        rounds
-    }
-
-    /// Simulates aggregating one `payload_bits`-sized summary from every
-    /// machine to `root` along a `fanout`-ary converge-cast tree (each
-    /// round, groups of `fanout` summaries combine into one). Returns the
-    /// rounds used.
-    pub fn converge_cast_tree(&mut self, root: usize, payload_bits: u64, fanout: usize) -> u64 {
-        assert!(fanout >= 2);
-        let k = self.k();
-        let mut holders: Vec<usize> = (0..k).collect();
-        let mut rounds = 0;
-        while holders.len() > 1 {
-            self.begin_round();
-            rounds += 1;
-            let mut next = Vec::with_capacity(holders.len().div_ceil(fanout));
-            for group in holders.chunks(fanout) {
-                // Prefer the root as group head when present.
-                let head = if group.contains(&root) {
-                    root
-                } else {
-                    group[0]
-                };
-                for &m in group {
-                    if m != head {
-                        self.charge_raw(m, head, payload_bits);
-                    }
-                }
-                next.push(head);
-            }
-            holders = next;
-            self.end_round();
-        }
-        rounds
-    }
-
-    fn charge_raw(&mut self, from: usize, to: usize, bits: u64) {
-        assert!(!self.meter.current.is_empty(), "charge outside a round");
-        self.meter.current[from] += bits;
-        self.meter.current[to] += bits;
-    }
 }
 
 #[cfg(test)]
@@ -222,72 +109,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn balanced_partition() {
-        let sim = MpcSim::balanced((0..10).collect::<Vec<u32>>(), 4);
-        assert_eq!(sim.k(), 4);
-        assert_eq!(sim.total_len(), 10);
-        assert_eq!(sim.machine(0).len(), 3);
-        assert_eq!(sim.machine_sizes(), vec![3, 3, 3, 1]);
-    }
-
-    #[test]
     fn explicit_partition_and_load_totals() {
         let mut sim = MpcSim::from_partitions(vec![vec![0u32; 5], vec![0u32; 1]]);
-        assert_eq!(sim.machine_sizes(), vec![5, 1]);
+        assert_eq!(sim.machine(0).len(), 5);
+        assert_eq!(sim.machine(1).len(), 1);
         sim.begin_round();
         sim.charge(0, 1, &1u64); // 64 bits on both
         sim.end_round();
         sim.begin_round();
         sim.charge(1, 0, &1u32); // 32 bits
         sim.end_round();
+        assert_eq!(sim.meter.rounds(), 2);
         assert_eq!(sim.meter.max_load_bits(), 64);
         assert_eq!(sim.meter.total_load_bits(), 96);
     }
 
     #[test]
     fn load_is_max_over_machines() {
-        let mut sim = MpcSim::balanced(vec![0u32; 8], 4);
+        let mut sim = MpcSim::from_partitions(vec![vec![0u32; 2]; 4]);
         sim.begin_round();
         sim.charge(0, 1, &vec![0.0f64; 10]); // 640 bits on 0 and 1
         sim.charge(2, 1, &1u64); // 64 more on 1
         sim.end_round();
         assert_eq!(sim.meter.max_load_bits(), 704);
-        assert_eq!(sim.meter.per_round_max_load(), &[704]);
-    }
-
-    #[test]
-    fn broadcast_tree_rounds_log_fanout() {
-        let mut sim = MpcSim::balanced(vec![0u32; 64], 64);
-        let rounds = sim.broadcast_tree(0, 100, 4);
-        // 1 + 4 + 16 + 64 ≥ 64 informed needs 3 rounds.
-        assert_eq!(rounds, 3);
-        // Load per round ≤ fanout * payload (sender side).
-        assert!(sim.meter.max_load_bits() <= 4 * 100);
-    }
-
-    #[test]
-    fn broadcast_single_machine_is_free() {
-        let mut sim = MpcSim::balanced(vec![0u32; 4], 1);
-        assert_eq!(sim.broadcast_tree(0, 1000, 4), 0);
-        assert_eq!(sim.meter.max_load_bits(), 0);
-    }
-
-    #[test]
-    fn converge_cast_collects_everything() {
-        let mut sim = MpcSim::balanced(vec![0u32; 27], 27);
-        let rounds = sim.converge_cast_tree(0, 64, 3);
-        assert_eq!(rounds, 3);
-        // Receiver of a group gets (fanout-1) summaries.
-        assert!(sim.meter.max_load_bits() <= 3 * 64);
-    }
-
-    #[test]
-    fn broadcast_informs_everyone_various_k() {
-        for k in [2usize, 3, 5, 17, 100] {
-            let mut sim = MpcSim::balanced(vec![0u32; k], k);
-            let rounds = sim.broadcast_tree(0, 8, 3);
-            let expect = (k as f64).ln() / 4f64.ln(); // ceil(log4 k) lower bound-ish
-            assert!(rounds as f64 >= expect.floor(), "k={k} rounds={rounds}");
-        }
+        assert_eq!(sim.meter.total_load_bits(), 704);
     }
 }

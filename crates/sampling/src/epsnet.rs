@@ -11,7 +11,7 @@
 //! just take everything. [`EpsNetSpec`] exposes the verbatim formula plus
 //! a `multiplier` knob; experiment **T9** measures the empirical net
 //! failure rate as the multiplier shrinks, which justifies the calibrated
-//! default used in the benches.
+//! default ([`EpsNetSpec::calibrated`]).
 
 /// Parameters of an ε-net sample.
 #[derive(Clone, Copy, Debug)]
@@ -38,8 +38,8 @@ impl EpsNetSpec {
     }
 
     /// A calibrated spec: same asymptotics, smaller constant. The default
-    /// multiplier `1/16` was chosen from experiment T9 (see
-    /// EXPERIMENTS.md): the empirical failure rate stays far below the
+    /// multiplier `1/16` was chosen from experiment T9
+    /// (`experiments t9`): the empirical failure rate stays far below the
     /// δ = 1/3 budget of Claim 3.2 at this scale.
     pub fn calibrated(eps: f64, lambda: usize, delta: f64) -> Self {
         EpsNetSpec {
@@ -78,13 +78,6 @@ impl EpsNetSpec {
     pub fn size_clamped(&self, n: usize) -> usize {
         self.size().min(n)
     }
-}
-
-/// The ε used by Algorithm 1: `ε = 1 / (10 · ν · n^{1/r})` (Line 1).
-pub fn algorithm1_eps(nu: usize, n: usize, r: u32) -> f64 {
-    assert!(nu >= 1 && n >= 2 && r >= 1);
-    let root = (n as f64).powf(1.0 / f64::from(r));
-    1.0 / (10.0 * nu as f64 * root)
 }
 
 #[cfg(test)]
@@ -126,13 +119,6 @@ mod tests {
         let spec = EpsNetSpec::paper(0.001, 4, 0.33);
         assert_eq!(spec.size_clamped(100), 100);
         assert!(spec.size() > 100);
-    }
-
-    #[test]
-    fn algorithm1_eps_matches_definition() {
-        let e = algorithm1_eps(3, 1_000_000, 2);
-        let expect = 1.0 / (10.0 * 3.0 * 1000.0);
-        assert!((e - expect).abs() < 1e-12);
     }
 
     #[test]

@@ -20,6 +20,17 @@ fn all_experiments_produce_rows() {
             assert!(!t.rows.is_empty(), "{id} produced an empty table");
             assert!(!t.render().is_empty());
         }
+        if *id == "t13p" {
+            // The violation count must not depend on the thread count,
+            // here over 49 scan chunks.
+            let cm = col(&tables[0], "count_match");
+            for row in &tables[0].rows {
+                assert_eq!(
+                    row[cm], "true",
+                    "t13p counts differ by thread count: {row:?}"
+                );
+            }
+        }
     }
 }
 

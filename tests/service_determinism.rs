@@ -87,7 +87,7 @@ fn hot_key_mix_is_worker_count_invariant_with_cache_hits() {
     );
     assert_eq!(cold.shed, 0, "queue sized above the key space");
     // Warm wave: every key was solved in wave 1, so the entire replay is
-    // served from the cache — the acceptance criterion's non-zero
+    // served from the cache — the acceptance condition's non-zero
     // cache-hit count, made exact.
     assert_eq!(
         warm.cache_hits, requests as u64,
