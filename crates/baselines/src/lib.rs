@@ -7,9 +7,8 @@
 //! * [`clarkson_classic`] — Clarkson's original reweighting rate (factor
 //!   2) \[16\], the ablation showing why the paper's `n^{1/r}` rate is the
 //!   source of the pass savings.
-//! * [`naive`] — store-everything streaming and ship-everything
-//!   coordinator algorithms: one pass / one round, but linear space /
-//!   communication.
+//! * [`naive`] — the store-everything streaming algorithm: one pass, but
+//!   linear space.
 
 #![forbid(unsafe_code)]
 

@@ -1,12 +1,8 @@
-//! Naive baselines: optimal passes/rounds, worst-case space/communication.
-//!
-//! * Streaming: read everything into memory in one pass and solve — the
-//!   `O(n)`-space point every sublinear algorithm is measured against.
-//! * Coordinator: every site ships its whole partition in one round —
-//!   `n·bit(S)` communication.
+//! The naive streaming baseline: one pass, worst-case space. Read
+//! everything into memory in one pass and solve — the `O(n)`-space point
+//! every sublinear algorithm is measured against.
 
 use llp_core::lptype::{LpTypeProblem, SolveError};
-use llp_models::coordinator::CoordSim;
 use llp_models::streaming::StreamSession;
 use rand::Rng;
 
@@ -25,34 +21,6 @@ pub fn streaming_store_all<P: LpTypeProblem, R: Rng>(
     }
     let sol = problem.solve_subset(&stored, rng)?;
     Ok((sol, session.passes(), session.space.peak_bits()))
-}
-
-/// One-round, ship-everything coordinator solve. Returns the solution
-/// plus (rounds, total bits).
-pub fn coordinator_ship_all<P: LpTypeProblem, R: Rng>(
-    problem: &P,
-    data: Vec<P::Constraint>,
-    k: usize,
-    rng: &mut R,
-) -> Result<(P::Solution, u64, u64), SolveError> {
-    let mut sim = CoordSim::round_robin(data, k);
-    sim.begin_round();
-    let mut all: Vec<P::Constraint> = Vec::with_capacity(sim.total_len());
-    for i in 0..sim.k() {
-        let bits = sim.site(i).len() as u64 * problem.constraint_bits();
-        sim.charge_up(&Raw(bits));
-        all.extend_from_slice(sim.site(i));
-    }
-    let sol = problem.solve_subset(&all, rng)?;
-    Ok((sol, sim.meter.rounds(), sim.meter.total_bits()))
-}
-
-struct Raw(u64);
-
-impl llp_models::cost::BitCost for Raw {
-    fn bits(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -79,16 +47,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let (sol, passes, bits) = streaming_store_all(&p, &cs, &mut rng).unwrap();
         assert_eq!(passes, 1);
-        assert_eq!(bits, 3 * 64 * 3);
-        assert!((p.objective_value(&sol) + 2.8).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ship_all_uses_one_round_and_linear_communication() {
-        let (p, cs) = lp();
-        let mut rng = StdRng::seed_from_u64(2);
-        let (sol, rounds, bits) = coordinator_ship_all(&p, cs, 2, &mut rng).unwrap();
-        assert_eq!(rounds, 1);
         assert_eq!(bits, 3 * 64 * 3);
         assert!((p.objective_value(&sol) + 2.8).abs() < 1e-6);
     }

@@ -319,9 +319,8 @@ pub fn t3_coordinator(budget: RunBudget) -> Table {
             let seed = 3000 + u64::from(r) * 100 + k as u64;
             let mut rng = solver_rng(seed);
             let (p, cs) = llp_workloads::random_lp(n, 2, seed);
-            let (sol, stats) =
-                coord_impl::solve(&p, cs.clone(), k, &ClarksonConfig::lean(r), &mut rng)
-                    .expect("solvable");
+            let (sol, stats) = coord_impl::solve(&p, &cs, k, &ClarksonConfig::lean(r), &mut rng)
+                .expect("solvable");
             assert_eq!(count_violations(&p, &sol, &cs), 0);
             t.push(vec![
                 n.to_string(),
@@ -363,7 +362,7 @@ pub fn t4_mpc(budget: RunBudget) -> Table {
         let mut rng = solver_rng(seed);
         let (p, cs) = llp_workloads::random_lp(n, 2, seed);
         let (sol, stats) =
-            mpc_impl::solve(&p, cs.clone(), &MpcConfig::lean(delta), &mut rng).expect("solvable");
+            mpc_impl::solve(&p, &cs, &MpcConfig::lean(delta), &mut rng).expect("solvable");
         assert_eq!(count_violations(&p, &sol, &cs), 0);
         let load_kb = stats.max_load_bits as f64 / 8192.0;
         let pow = (n as f64).powf(delta);
@@ -496,8 +495,8 @@ pub fn t6_svm(budget: RunBudget) -> Table {
             count_violations(&p, &u, &pts).to_string(),
         ]);
 
-        let (u, s) = coord_impl::solve(&p, pts.clone(), 8, &ClarksonConfig::lean(2), &mut rng)
-            .expect("separable");
+        let (u, s) =
+            coord_impl::solve(&p, &pts, 8, &ClarksonConfig::lean(2), &mut rng).expect("separable");
         t.push(vec![
             "coordinator(k=8)".into(),
             n.to_string(),
@@ -508,8 +507,8 @@ pub fn t6_svm(budget: RunBudget) -> Table {
             count_violations(&p, &u, &pts).to_string(),
         ]);
 
-        let (u, s) = mpc_impl::solve(&p, pts.clone(), &MpcConfig::lean(1.0 / 3.0), &mut rng)
-            .expect("separable");
+        let (u, s) =
+            mpc_impl::solve(&p, &pts, &MpcConfig::lean(1.0 / 3.0), &mut rng).expect("separable");
         t.push(vec![
             "MPC(d=1/3)".into(),
             n.to_string(),
@@ -562,8 +561,8 @@ pub fn t7_meb(budget: RunBudget) -> Table {
             count_violations(&p, &b, &pts).to_string(),
         ]);
 
-        let (b, s) = coord_impl::solve(&p, pts.clone(), 8, &ClarksonConfig::lean(2), &mut rng)
-            .expect("solvable");
+        let (b, s) =
+            coord_impl::solve(&p, &pts, 8, &ClarksonConfig::lean(2), &mut rng).expect("solvable");
         t.push(vec![
             "coordinator(k=8)".into(),
             n.to_string(),
@@ -574,8 +573,8 @@ pub fn t7_meb(budget: RunBudget) -> Table {
             count_violations(&p, &b, &pts).to_string(),
         ]);
 
-        let (b, s) = mpc_impl::solve(&p, pts.clone(), &MpcConfig::lean(1.0 / 3.0), &mut rng)
-            .expect("solvable");
+        let (b, s) =
+            mpc_impl::solve(&p, &pts, &MpcConfig::lean(1.0 / 3.0), &mut rng).expect("solvable");
         t.push(vec![
             "MPC(d=1/3)".into(),
             n.to_string(),

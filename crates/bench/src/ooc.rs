@@ -11,12 +11,10 @@
 //!   Algorithm 1 re-reads and re-checksums the file, so the cell's
 //!   `bytes_read` is `passes × file_bytes` (plus the open-time header
 //!   validation).
-//! * **ram / mpc** — one full load (`llp_store::read_all`) before the
-//!   clock starts.
-//! * **coordinator**, and **mpc** under a skewed layout — sites or
-//!   machines load their shards straight from the file
-//!   (`llp_store::read_partitioned`, geometric sizes included) before
-//!   the clock starts.
+//! * **ram / coordinator / mpc** — one full load (`llp_store::read_all`)
+//!   before the clock starts. Sites and machines are row ranges of the
+//!   loaded rows (geometric sizes included), cut from the rows actually
+//!   loaded.
 //!
 //! With the grid's solver seed every cell is bit-identical to the
 //! in-RAM grid cell — same iterations, passes, and objective bits. The

@@ -199,8 +199,8 @@ pub struct NetCell {
 /// constraint byte coming from that file. The streaming model reads the
 /// file pass by pass through `llp_bigdata::ooc::FileSource` (so
 /// `bytes_read` grows with `passes`); the other models load it once,
-/// whole (`llp_store::read_all`) or as their partitions
-/// (`read_partitioned`). `bytes_written` is metered at write time and
+/// whole (`llp_store::read_all`), and cut their sites or machines as
+/// row ranges of it. `bytes_written` is metered at write time and
 /// must equal the file size the header predicts — [`validate`] enforces
 /// both meters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

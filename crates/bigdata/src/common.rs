@@ -11,26 +11,29 @@
 //! machine keeps its whole partition resident — per-round recomputation is
 //! pure waste: only the violators of an accepted basis change weight. Such
 //! holders carry a [`SiteWeights`]: a persistent Fenwick-backed
-//! [`WeightIndex`] updated in `O(|V| log n)` from each round's violator
-//! list, with O(1) totals and batched inversion sampling. Weights are
-//! derived state — they never travel — so the communication meters are
-//! unaffected.
+//! [`WeightIndex`] over the holder's consecutive row range of the shared
+//! input, updated in `O(|V| log n)` from each round's violator list, with
+//! O(1) totals and batched inversion sampling. A partition is that range,
+//! not a copy: every holder reads the caller's rows and scans its range
+//! of one shared transpose. Weights are derived state — they never
+//! travel — so the communication meters are unaffected.
 //! The streaming model stays on the [`WeightOracle`] recompute path: its
 //! space bound forbids materializing per-element weights, so it weighs
 //! each streamed chunk in columnar form
 //! ([`WeightOracle::exponents_columnar`] plus
 //! [`WeightOracle::power_table`]). A holder's violation scan
 //! ([`SiteWeights::scan_and_stage`]) runs the column kernel on the
-//! `llp_par` pool with fixed chunk boundaries and ordered merges: results
-//! are bit-identical for any `LLP_THREADS`, and the metered
-//! communication is untouched because the simulators charge outside the
-//! scan.
+//! `llp_par` pool with fixed chunk boundaries, counted from the range
+//! start, and ordered merges: results are bit-identical for any
+//! `LLP_THREADS`, and the metered communication is untouched because the
+//! meters charge outside the scan.
 
 use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
 use llp_geom::{ColumnsView, ConstraintColumns};
 use llp_num::ScaledF64;
 use llp_sampling::weight_index::{DrawScratch, WeightIndex};
 use rand::Rng;
+use std::ops::Range;
 
 /// The basis history of successful iterations plus the derived weight
 /// accounting the space-bounded streaming memory keeps.
@@ -105,9 +108,10 @@ impl<P: ColumnarProblem> WeightOracle<P> {
 }
 
 /// The persistent incremental weight state of one holder (a coordinator
-/// site or an MPC machine): a [`WeightIndex`] over the holder's local
-/// constraints, updated from each round's violator list instead of
-/// recomputed from the basis history.
+/// site or an MPC machine): a [`WeightIndex`] over the holder's row range
+/// of the shared input, updated from each round's violator list instead
+/// of recomputed from the basis history. Local index `i` is row
+/// `rows.start + i`.
 ///
 /// Protocol shape: the verdict on a basis arrives one round *after* the
 /// holder scanned for its violators, so the scan result is **staged**
@@ -119,19 +123,40 @@ impl<P: ColumnarProblem> WeightOracle<P> {
 pub struct SiteWeights {
     index: WeightIndex,
     factor: f64,
+    /// The rows of the shared input this holder owns.
+    rows: Range<usize>,
     /// Local violator indices of the basis whose verdict is pending.
     staged: Vec<usize>,
 }
 
 impl SiteWeights {
-    /// All-ones weights over `n` local constraints (Line 2 of Algorithm 1).
-    pub fn new(n: usize, factor: f64) -> Self {
+    /// All-ones weights over the rows `rows` (Line 2 of Algorithm 1).
+    pub fn new(rows: Range<usize>, factor: f64) -> Self {
         assert!(factor > 1.0, "weight factor must exceed 1");
         SiteWeights {
-            index: WeightIndex::uniform(n),
+            index: WeightIndex::uniform(rows.len()),
             factor,
+            rows,
             staged: Vec::new(),
         }
+    }
+
+    /// One holder per consecutive row range of the given sizes, in order
+    /// from row 0: the site or machine layout of a partitioned run.
+    pub fn partition(sizes: &[usize], factor: f64) -> Vec<SiteWeights> {
+        let mut start = 0;
+        sizes
+            .iter()
+            .map(|&len| {
+                start += len;
+                SiteWeights::new(start - len..start, factor)
+            })
+            .collect()
+    }
+
+    /// The rows of the shared input this holder owns.
+    pub fn rows(&self) -> Range<usize> {
+        self.rows.clone()
     }
 
     /// The holder's total local weight `w(S_i)` — O(1), no recompute.
@@ -139,33 +164,29 @@ impl SiteWeights {
         self.index.total()
     }
 
-    /// The weight of local constraint `i`.
+    /// The weight of local constraint `i` (row `rows.start + i`).
     pub fn weight(&self, i: usize) -> ScaledF64 {
         self.index.get(i)
     }
 
-    /// Finds the local violators of `solution` over the holder's columnar
-    /// mirror, stages their indices for the next verdict, and returns
-    /// their weight `w(V_i)` and count. The column kernel runs
+    /// Finds the violators of `solution` among the holder's rows of the
+    /// shared `columns`, stages their local indices for the next verdict,
+    /// and returns their weight `w(V_i)` and count. The column kernel runs
     /// chunk-parallel with an ordered merge (bit-identical for any thread
     /// count), each weight is an O(1) index read instead of an O(t·d)
     /// recompute, and the staged buffer is refilled in place. `columns`
-    /// must be the transposition of the local slice this holder indexes.
+    /// must be the transposition of the whole input the ranges cut.
     pub fn scan_and_stage<P: ColumnarProblem>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
         columns: &ConstraintColumns,
     ) -> (ScaledF64, usize) {
-        assert_eq!(
-            columns.len(),
-            self.index.len(),
-            "scanning columns this holder does not index"
-        );
         let w = llp_core::lptype::scan_violators_weighted_columnar(
             problem,
             solution,
             columns,
+            self.rows(),
             &self.index,
             &mut self.staged,
         );
@@ -200,24 +221,20 @@ impl SiteWeights {
     }
 
     /// [`sample_indices`](Self::sample_indices) resolved against the
-    /// holder's local data: the net contribution the coordinator/MPC legs
-    /// ship upward. `data` must be the same slice this holder was built
-    /// over and scans — enforced by length.
-    pub fn sample_constraints<C: Clone, R: Rng + ?Sized>(
+    /// shared input `data`: appends clones of the sampled rows to `net`
+    /// (the net contribution the coordinator/MPC legs ship upward) and
+    /// returns how many it appended.
+    pub fn sample_into<C: Clone, R: Rng + ?Sized>(
         &self,
         data: &[C],
         count: usize,
         rng: &mut R,
-    ) -> Vec<C> {
-        assert_eq!(
-            data.len(),
-            self.index.len(),
-            "sampling against a slice this holder does not index"
-        );
-        self.sample_indices(count, rng)
-            .into_iter()
-            .map(|j| data[j].clone())
-            .collect()
+        net: &mut Vec<C>,
+    ) -> usize {
+        let local = &data[self.rows()];
+        let picked = self.sample_indices(count, rng);
+        net.extend(picked.iter().map(|&j| local[j].clone()));
+        picked.len()
     }
 }
 
@@ -276,7 +293,7 @@ mod tests {
             .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
             .collect();
         let columns = p.to_columns(&cs);
-        let mut site = SiteWeights::new(cs.len(), 3.0);
+        let mut site = SiteWeights::new(0..cs.len(), 3.0);
         assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
 
         let probe = vec![4.5, 0.0];
@@ -311,7 +328,7 @@ mod tests {
         let cs: Vec<Halfspace> = (0..4)
             .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
             .collect();
-        let mut site = SiteWeights::new(cs.len(), 1000.0);
+        let mut site = SiteWeights::new(0..cs.len(), 1000.0);
         // Make element 0 dominate: (0.5, 0) violates only b = 0.
         let probe = vec![0.5, 0.0];
         let _ = site.scan_and_stage(&p, &probe, &p.to_columns(&cs));

@@ -1,13 +1,15 @@
 //! Theorem 2: Algorithm 1 in the coordinator model (Lemma 3.7).
 //!
-//! Every site hears each basis and its verdict (the coordinator
-//! broadcasts both), so any site can maintain its local weights — not by
-//! recomputing `F^{a(c)}` from the basis history each round, but
-//! incrementally: each site carries a persistent
-//! [`SiteWeights`] index and applies ×`F` to
-//! just the violators of each *accepted* basis (`O(|V_i| log n_i)` per
-//! accepted round instead of an `O(n_i · t · d)` rebuild). Weights are
-//! derived state and never travel, so the metered protocol is unchanged.
+//! A site's partition is local state, so a site here is a consecutive
+//! row range of the caller's input: it samples the rows of its range and
+//! scans its range of one shared columnar transpose. Every site hears
+//! each basis and its verdict (the coordinator broadcasts both), so any
+//! site can maintain its local weights — not by recomputing `F^{a(c)}`
+//! from the basis history each round, but incrementally: each site
+//! carries a persistent [`SiteWeights`] index and applies ×`F` to just the
+//! violators of each *accepted* basis (`O(|V_i| log n_i)` per accepted
+//! round instead of an `O(n_i · t · d)` rebuild). Weights are derived
+//! state and never travel, so the metered protocol is unchanged.
 //! One iteration of Algorithm 1 costs three model rounds:
 //!
 //! 1. coordinator → sites: accept/reject verdict of the previous basis
@@ -24,7 +26,7 @@ use crate::BigDataError;
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
-use llp_models::coordinator::CoordSim;
+use llp_models::coordinator::CoordMeter;
 use llp_num::ScaledF64;
 use rand::Rng;
 
@@ -55,53 +57,59 @@ pub struct CoordinatorStats {
 }
 
 /// Runs Algorithm 1 over constraints partitioned round-robin across `k`
-/// sites.
+/// sites: the rows are laid out site by site (site `i` holds rows `i`,
+/// `i + k`, …, in that order) and transposed once.
 ///
 /// # Panics
 /// Panics if `data` is empty or `k == 0`.
 pub fn solve<P: ColumnarProblem, R: Rng>(
     problem: &P,
-    data: Vec<P::Constraint>,
+    data: &[P::Constraint],
     k: usize,
     cfg: &ClarksonConfig,
     rng: &mut R,
 ) -> Result<(P::Solution, CoordinatorStats), BigDataError> {
     assert!(!data.is_empty(), "empty input");
     assert!(k >= 1, "need at least one site");
-    let mut sites: Vec<Vec<P::Constraint>> = (0..k).map(|_| Vec::new()).collect();
-    for (i, c) in data.into_iter().enumerate() {
-        sites[i % k].push(c);
-    }
-    solve_partitioned(problem, sites, cfg, rng)
+    let laid: Vec<P::Constraint> = (0..k)
+        .flat_map(|i| data.iter().skip(i).step_by(k).cloned())
+        .collect();
+    let sizes: Vec<usize> = (0..k)
+        .map(|i| data.len().saturating_sub(i).div_ceil(k))
+        .collect();
+    let columns = problem.to_columns(&laid);
+    solve_partitioned(problem, &laid, &columns, &sizes, cfg, rng)
 }
 
-/// Runs Algorithm 1 over an explicit site partition — the model allows
-/// arbitrary (e.g. geometrically skewed) layouts, and the protocol is
+/// Runs Algorithm 1 with site `i` holding the `i`-th consecutive row
+/// range of `data`, of length `sizes[i]`. `columns` must be
+/// `problem.to_columns(data)`. The model allows arbitrary (e.g.
+/// geometrically skewed) layouts, and the protocol is
 /// partition-oblivious; only the meter readings change.
 ///
 /// # Panics
-/// Panics if the partition is empty or holds no constraints overall.
+/// Panics if `data` is empty, `sizes` do not sum to `data.len()`, or
+/// `columns` has a different length.
 pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     problem: &P,
-    partitions: Vec<Vec<P::Constraint>>,
+    data: &[P::Constraint],
+    columns: &ConstraintColumns,
+    sizes: &[usize],
     cfg: &ClarksonConfig,
     rng: &mut R,
 ) -> Result<(P::Solution, CoordinatorStats), BigDataError> {
-    let n: usize = partitions.iter().map(Vec::len).sum();
+    let n = data.len();
     assert!(n > 0, "empty input");
-    let k = partitions.len();
+    let covered: usize = sizes.iter().sum();
+    assert_eq!(covered, n, "site sizes must cover the data exactly");
+    assert_eq!(columns.len(), n, "columns/constraints length mismatch");
+    let k = sizes.len();
     let params = cfg.params(problem, n);
-    let mut sim = CoordSim::from_partitions(partitions);
+    let mut meter = CoordMeter::default();
     // Persistent per-site weight indices: every site tracks its own
-    // partition's weights incrementally from the violator lists it scans
+    // range's weights incrementally from the violator lists it scans
     // anyway in round 3, so no round ever recomputes a weight.
-    let mut sites: Vec<SiteWeights> = (0..k)
-        .map(|i| SiteWeights::new(sim.site(i).len(), params.factor))
-        .collect();
-    // Each site's columnar mirror of its partition, transposed once and
-    // scanned every round-3; local storage, so the meters are untouched.
-    let site_columns: Vec<ConstraintColumns> =
-        (0..k).map(|i| problem.to_columns(sim.site(i))).collect();
+    let mut sites = SiteWeights::partition(sizes, params.factor);
 
     let mut stats = CoordinatorStats {
         net_size: params.net_size,
@@ -118,10 +126,10 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         stats.iterations += 1;
 
         // ---- Round 1: verdict down, site weights up. ----
-        sim.begin_round();
+        meter.begin_round();
         if let Some(accepted) = pending.take() {
             for site in &mut sites {
-                sim.charge_down(&0u8); // 1-byte verdict flag
+                meter.charge_down(&0u8); // 1-byte verdict flag
                 site.resolve(accepted);
             }
         }
@@ -132,39 +140,36 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
             // (mantissa, exponent) = 128 bits — the O(ℓ/r · log n)-bit
             // weight encoding of Lemma 3.7.
             let w = site.total();
-            sim.charge_up(&(0.0f64, 0u64));
+            meter.charge_up(&(0.0f64, 0u64));
             site_weights.push(w);
             total_weight += w;
         }
 
         // ---- Round 2: sample counts down, sampled constraints up. ----
-        sim.begin_round();
+        meter.begin_round();
         let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
         if params.net_size >= n {
             // The ε-net formula covers the whole input: sites ship
             // everything (a trivially valid net).
-            for i in 0..k {
-                sim.charge_down(&0u64);
-                sim.charge_up(&RawBits(
-                    sim.site(i).len() as u64 * problem.constraint_bits(),
-                ));
-                net.extend_from_slice(sim.site(i));
+            for &size in sizes {
+                meter.charge_down(&0u64);
+                meter.charge_up(&RawBits(size as u64 * problem.constraint_bits()));
             }
+            net.extend_from_slice(data);
         } else {
             let weights_f64: Vec<f64> =
                 site_weights.iter().map(|w| w.ratio(total_weight)).collect();
             let counts =
                 llp_sampling::discrete::multinomial(params.net_size as u64, &weights_f64, rng);
-            for i in 0..k {
-                sim.charge_down(&(counts[i]));
-                if counts[i] == 0 {
+            for (site, &count) in sites.iter().zip(&counts) {
+                meter.charge_down(&count);
+                if count == 0 {
                     continue;
                 }
                 // The site inverts its draws directly against its index —
                 // O(log n_i) each, no prefix table.
-                let picked = sites[i].sample_constraints(sim.site(i), counts[i] as usize, rng);
-                sim.charge_up(&RawBits(picked.len() as u64 * problem.constraint_bits()));
-                net.extend(picked);
+                let picked = site.sample_into(data, count as usize, rng, &mut net);
+                meter.charge_up(&RawBits(picked as u64 * problem.constraint_bits()));
             }
         }
 
@@ -174,20 +179,20 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
             .map_err(BigDataError::from)?;
 
         // ---- Round 3: basis down, violator weights up. ----
-        sim.begin_round();
+        meter.begin_round();
         let mut w_violators = ScaledF64::ZERO;
         let mut violator_count = 0usize;
-        for i in 0..k {
-            sim.charge_down(&RawBits(problem.solution_bits()));
+        for site in &mut sites {
+            meter.charge_down(&RawBits(problem.solution_bits()));
             // The site's fused violation-test + weight scan runs on the
-            // llp_par pool over its columnar mirror, reading weights off
-            // its index; the violator indices are staged locally for next
-            // round's verdict. The metered messages below are identical
-            // to the sequential protocol — the staged list never travels.
-            let (local_w, local_count) =
-                sites[i].scan_and_stage(problem, &solution, &site_columns[i]);
-            sim.charge_up(&(0.0f64, 0u64)); // w(V_i): 128 bits
-            sim.charge_up(&0u64); // count: 64 bits
+            // llp_par pool over its range of the shared columns, reading
+            // weights off its index; the violator indices are staged
+            // locally for next round's verdict. The metered messages
+            // below are identical to the sequential protocol — the staged
+            // list never travels.
+            let (local_w, local_count) = site.scan_and_stage(problem, &solution, columns);
+            meter.charge_up(&(0.0f64, 0u64)); // w(V_i): 128 bits
+            meter.charge_up(&0u64); // count: 64 bits
             w_violators += local_w;
             violator_count += local_count;
         }
@@ -206,11 +211,11 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         }
     };
 
-    stats.rounds = sim.meter.rounds();
-    stats.total_bits = sim.meter.total_bits();
-    stats.bits_up = sim.meter.bits_up();
-    stats.bits_down = sim.meter.bits_down();
-    stats.max_round_bits = sim.meter.max_round_bits();
+    stats.rounds = meter.rounds();
+    stats.total_bits = meter.total_bits();
+    stats.bits_up = meter.bits_up();
+    stats.bits_down = meter.bits_down();
+    stats.max_round_bits = meter.max_round_bits();
     result.map(|s| (s, stats))
 }
 
@@ -254,8 +259,7 @@ mod tests {
     fn solves_with_three_rounds_per_iteration() {
         let (p, cs) = random_lp(4000, 2, 51);
         let mut rng = StdRng::seed_from_u64(52);
-        let (sol, stats) =
-            solve(&p, cs.clone(), 4, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
+        let (sol, stats) = solve(&p, &cs, 4, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         assert_eq!(count_violations(&p, &sol, &cs), 0);
         assert_eq!(stats.rounds as usize, 3 * stats.iterations);
         assert!(stats.total_bits > 0);
@@ -266,8 +270,7 @@ mod tests {
         let (p, cs) = random_lp(3000, 2, 61);
         for k in [2usize, 16, 64] {
             let mut rng = StdRng::seed_from_u64(62);
-            let (sol, stats) =
-                solve(&p, cs.clone(), k, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
+            let (sol, stats) = solve(&p, &cs, k, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
             assert_eq!(count_violations(&p, &sol, &cs), 0, "k={k}");
             assert_eq!(stats.k, k);
         }
@@ -279,9 +282,9 @@ mod tests {
         // strictly exceeds k = 2 on the same instance.
         let (p, cs) = random_lp(3000, 2, 71);
         let mut rng = StdRng::seed_from_u64(72);
-        let (_, s2) = solve(&p, cs.clone(), 2, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
+        let (_, s2) = solve(&p, &cs, 2, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(72);
-        let (_, s64) = solve(&p, cs.clone(), 64, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
+        let (_, s64) = solve(&p, &cs, 64, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         let per_iter_2 = s2.total_bits as f64 / s2.iterations as f64;
         let per_iter_64 = s64.total_bits as f64 / s64.iterations as f64;
         assert!(per_iter_64 > per_iter_2, "{per_iter_64} vs {per_iter_2}");
@@ -291,18 +294,13 @@ mod tests {
     fn skewed_partition_agrees_with_round_robin() {
         let (p, cs) = random_lp(4000, 2, 85);
         let mut rng = StdRng::seed_from_u64(86);
-        let (balanced, _) =
-            solve(&p, cs.clone(), 8, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
+        let (balanced, _) = solve(&p, &cs, 8, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         // Geometric skew: site i holds 2^i-ish shares of the input.
         let sizes = [31usize, 62, 125, 250, 500, 1000, 1032, 1000];
         assert_eq!(sizes.iter().sum::<usize>(), cs.len());
-        let mut it = cs.clone().into_iter();
-        let parts: Vec<Vec<Halfspace>> = sizes
-            .iter()
-            .map(|&s| it.by_ref().take(s).collect())
-            .collect();
+        let cfg = ClarksonConfig::calibrated(2);
         let (skewed, stats) =
-            solve_partitioned(&p, parts, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
+            solve_partitioned(&p, &cs, &p.to_columns(&cs), &sizes, &cfg, &mut rng).unwrap();
         assert_eq!(count_violations(&p, &skewed, &cs), 0);
         assert!(
             (p.objective_value(&skewed) - p.objective_value(&balanced)).abs()
@@ -314,10 +312,48 @@ mod tests {
     }
 
     #[test]
+    fn round_robin_equals_the_site_by_site_layout() {
+        // `solve` must be `solve_partitioned` over the rows laid out site
+        // by site (site i holds rows i, i + k, …), bit for bit, also for
+        // k > n, where the trailing sites hold no rows. At n = 20,000 the
+        // sites sample their nets over two iterations, so a contiguous
+        // layout would draw other rows.
+        let (p, cs) = random_lp(20_000, 3, 41);
+        let cfg = ClarksonConfig::lean(3);
+        for (n, k) in [(20_000usize, 3usize), (40, 64)] {
+            let cs = &cs[..n];
+            let mut laid = Vec::with_capacity(n);
+            let mut sizes = Vec::with_capacity(k);
+            for i in 0..k {
+                let before = laid.len();
+                laid.extend((0..n).filter(|j| j % k == i).map(|j| cs[j].clone()));
+                sizes.push(laid.len() - before);
+            }
+            let bits = |sol: &Vec<f64>| sol.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut rng = StdRng::seed_from_u64(42);
+            let (want, want_stats) = solve(&p, cs, k, &cfg, &mut rng).unwrap();
+            let mut rng = StdRng::seed_from_u64(42);
+            let (got, got_stats) =
+                solve_partitioned(&p, &laid, &p.to_columns(&laid), &sizes, &cfg, &mut rng).unwrap();
+            assert_eq!(bits(&got), bits(&want), "n={n} k={k}");
+            assert_eq!(got_stats, want_stats, "n={n} k={k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cover the data exactly")]
+    fn sizes_must_cover_the_data() {
+        let (p, cs) = random_lp(5, 2, 43);
+        let cfg = ClarksonConfig::calibrated(2);
+        let mut rng = StdRng::seed_from_u64(44);
+        let _ = solve_partitioned(&p, &cs, &p.to_columns(&cs), &[2, 2], &cfg, &mut rng);
+    }
+
+    #[test]
     fn matches_ram_objective() {
         let (p, cs) = random_lp(3000, 3, 81);
         let mut rng = StdRng::seed_from_u64(82);
-        let (sol, _) = solve(&p, cs.clone(), 8, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
+        let (sol, _) = solve(&p, &cs, 8, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         let (ram, _) =
             llp_core::clarkson_solve(&p, &cs, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         let (v1, v2) = (p.objective_value(&sol), p.objective_value(&ram));

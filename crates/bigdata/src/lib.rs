@@ -1,7 +1,7 @@
 //! Algorithm 1 in the three big data models (Theorems 1, 2, and 3).
 //!
 //! Each module implements the paper's meta-algorithm on top of the
-//! corresponding `llp-models` simulator, using the common machinery in
+//! corresponding `llp-models` meter, using the common machinery in
 //! [`common`]:
 //!
 //! * [`streaming`] — Theorem 1: `O(νr)` passes, `Õ(λn^{1/r}ν + ν²)·bit(S)`
@@ -16,6 +16,10 @@
 //! * [`mpc`] — Theorem 3: `O(ν/δ²)` rounds, `Õ(λn^δν²)·bit(S)` load per
 //!   machine, simulating the coordinator protocol over the `n^δ`-ary
 //!   broadcast / converge-cast trees of \[23\].
+//!
+//! The coordinator and MPC models take the caller's rows plus one
+//! columnar transpose of them; a site or machine is a consecutive row
+//! range of both, so no partition is ever copied.
 
 #![forbid(unsafe_code)]
 

@@ -2,9 +2,11 @@
 //!
 //! With load budget `Õ(n^δ)` the input needs `k = ⌈n^{1-δ}⌉` machines, so
 //! the coordinator protocol cannot exchange even one bit with every
-//! machine directly. Following \[23\] (and Section 3.4), machine 0 plays the
-//! coordinator and all coordinator↔sites traffic flows over an
-//! `f = ⌈n^δ⌉`-ary tree of depth `D = O(1/δ)`:
+//! machine directly. A machine is a consecutive row range of the
+//! caller's input, scanned in one shared columnar transpose, as the
+//! coordinator's sites are. Following \[23\] (and Section 3.4), machine
+//! 0 plays the coordinator and all coordinator↔sites traffic flows over
+//! an `f = ⌈n^δ⌉`-ary tree of depth `D = O(1/δ)`:
 //!
 //! * verdict of the previous basis: broadcast down the tree (D rounds);
 //! * total weight: converge-cast of subtree sums (D rounds);
@@ -23,7 +25,7 @@ use crate::BigDataError;
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
-use llp_models::mpc::MpcSim;
+use llp_models::mpc::MpcMeter;
 use llp_num::ScaledF64;
 use rand::Rng;
 
@@ -119,10 +121,9 @@ impl Tree {
         (i > 0).then(|| (i - 1) / self.fanout)
     }
 
-    fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let lo = i * self.fanout + 1;
-        let hi = (i * self.fanout + self.fanout).min(self.k.saturating_sub(1));
-        lo..=hi.max(lo.saturating_sub(1)).min(self.k.saturating_sub(1))
+    fn children(&self, i: usize) -> std::ops::Range<usize> {
+        let first = i * self.fanout + 1;
+        first.min(self.k)..(first + self.fanout).min(self.k)
     }
 
     /// Depth of the tree (number of levels below the root).
@@ -150,71 +151,74 @@ impl Tree {
 
 /// The machine count Theorem 3 prescribes for `n` constraints at load
 /// exponent δ: `⌈n^{1-δ}⌉`, clamped to `[1, n]`. The single source of
-/// truth for both [`solve`] and any caller building an explicit
-/// partition for [`solve_partitioned`].
+/// truth for [`machine_sizes`] and any caller building an explicit
+/// layout for [`solve_partitioned`].
 pub fn machine_count(n: usize, delta: f64) -> usize {
     ((n as f64).powf(1.0 - delta).ceil() as usize).clamp(1, n)
 }
 
-/// Runs Algorithm 1 over constraints partitioned evenly across
-/// `⌈n^{1-δ}⌉` machines.
+/// The layout [`solve`] uses: [`machine_count`] machines of
+/// `⌈n / k⌉` consecutive rows each, the last ones short or empty.
+pub fn machine_sizes(n: usize, delta: f64) -> Vec<usize> {
+    let k = machine_count(n, delta);
+    let chunk = n.div_ceil(k);
+    (0..k)
+        .map(|i| n.saturating_sub(i * chunk).min(chunk))
+        .collect()
+}
+
+/// Runs Algorithm 1 over constraints laid out evenly across
+/// `⌈n^{1-δ}⌉` machines ([`machine_sizes`]), transposed once.
 ///
 /// # Panics
 /// Panics if `data` is empty.
 pub fn solve<P: ColumnarProblem, R: Rng>(
     problem: &P,
-    data: Vec<P::Constraint>,
+    data: &[P::Constraint],
     cfg: &MpcConfig,
     rng: &mut R,
 ) -> Result<(P::Solution, MpcStats), BigDataError> {
     assert!(!data.is_empty(), "empty input");
-    let n = data.len();
-    let k = machine_count(n, cfg.delta);
-    let chunk = n.div_ceil(k).max(1);
-    let mut machines: Vec<Vec<P::Constraint>> = Vec::with_capacity(k);
-    let mut it = data.into_iter();
-    for _ in 0..k {
-        machines.push(it.by_ref().take(chunk).collect());
-    }
-    solve_partitioned(problem, machines, cfg, rng)
+    let sizes = machine_sizes(data.len(), cfg.delta);
+    solve_partitioned(problem, data, &problem.to_columns(data), &sizes, cfg, rng)
 }
 
-/// Runs Algorithm 1 over an explicit machine partition (machine count =
-/// partition count; the `⌈n^δ⌉`-ary tree topology is unchanged). The
-/// model allows arbitrary — e.g. geometrically skewed — layouts; the
-/// protocol is partition-oblivious and only the load meter readings
-/// change.
+/// Runs Algorithm 1 with machine `i` holding the `i`-th consecutive row
+/// range of `data`, of length `sizes[i]` (machine count = `sizes.len()`;
+/// the `⌈n^δ⌉`-ary tree topology is unchanged). `columns` must be
+/// `problem.to_columns(data)`. The model allows arbitrary — e.g.
+/// geometrically skewed — layouts; the protocol is partition-oblivious
+/// and only the load meter readings change.
 ///
 /// # Panics
-/// Panics if the partition is empty or holds no constraints overall.
+/// Panics if `data` is empty, `sizes` do not sum to `data.len()`, or
+/// `columns` has a different length.
 pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     problem: &P,
-    partitions: Vec<Vec<P::Constraint>>,
+    data: &[P::Constraint],
+    columns: &ConstraintColumns,
+    sizes: &[usize],
     cfg: &MpcConfig,
     rng: &mut R,
 ) -> Result<(P::Solution, MpcStats), BigDataError> {
-    let n: usize = partitions.iter().map(Vec::len).sum();
+    let n = data.len();
     assert!(n > 0, "empty input");
-    let k = partitions.len();
+    let covered: usize = sizes.iter().sum();
+    assert_eq!(covered, n, "machine sizes must cover the data exactly");
+    assert_eq!(columns.len(), n, "columns/constraints length mismatch");
+    let k = sizes.len();
     let fanout = ((n as f64).powf(cfg.delta).ceil() as usize).max(2);
     let clarkson = cfg.clarkson();
     let params = clarkson.params(problem, n);
 
-    let mut sim = MpcSim::from_partitions(partitions);
+    let mut meter = MpcMeter::new(k);
     let tree = Tree { k, fanout };
     let depth = tree.depth();
     // Persistent per-machine weight indices, updated incrementally from
     // the violator lists each machine scans anyway — the basis verdicts
     // broadcast down the tree keep every index in sync, and no round
     // recomputes a weight from the basis history.
-    let mut machines: Vec<SiteWeights> = (0..k)
-        .map(|i| SiteWeights::new(sim.machine(i).len(), params.factor))
-        .collect();
-    // Each machine's columnar mirror of its partition, transposed once
-    // and scanned every iteration; local storage, so the load meters are
-    // untouched.
-    let machine_columns: Vec<ConstraintColumns> =
-        (0..k).map(|i| problem.to_columns(sim.machine(i))).collect();
+    let mut machines = SiteWeights::partition(sizes, params.factor);
 
     let mut stats = MpcStats {
         k,
@@ -232,7 +236,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
 
         // ---- Verdict broadcast (1 byte down the tree). ----
         if let Some(accepted) = pending.take() {
-            broadcast_down(&mut sim, &tree, depth, 8);
+            broadcast_down(&mut meter, &tree, depth, 8);
             for machine in &mut machines {
                 machine.resolve(accepted);
             }
@@ -240,18 +244,18 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
 
         // ---- Subtree weights converge-cast (128 bits per edge). ----
         let local_weights: Vec<ScaledF64> = machines.iter().map(SiteWeights::total).collect();
-        let subtree_weights = converge_sum(&mut sim, &tree, depth, &local_weights, 128);
+        let subtree_weights = converge_sum(&mut meter, &tree, depth, &local_weights, 128);
         let total_weight = subtree_weights[0];
 
         // ---- Hierarchical multinomial split of the m draws; when the
         // ε-net formula covers the whole input, every machine ships its
-        // full partition (a trivially valid net). ----
+        // full range (a trivially valid net). ----
         let take_all = params.net_size >= n;
         let counts: Vec<u64> = if take_all {
-            (0..k).map(|i| sim.machine(i).len() as u64).collect()
+            sizes.iter().map(|&s| s as u64).collect()
         } else {
             split_counts(
-                &mut sim,
+                &mut meter,
                 &tree,
                 depth,
                 params.net_size as u64,
@@ -262,28 +266,24 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         };
 
         // ---- Samples to the root (one direct round). ----
-        sim.begin_round();
+        meter.begin_round();
         let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
-        for i in 0..k {
+        for (i, machine) in machines.iter().enumerate() {
             if counts[i] == 0 {
                 continue;
             }
             let sampled = if take_all {
-                sim.machine(i).to_vec()
+                net.extend_from_slice(&data[machine.rows()]);
+                machine.rows().len()
             } else {
                 // Inversion draws straight off the machine's index.
-                machines[i].sample_constraints(sim.machine(i), counts[i] as usize, rng)
+                machine.sample_into(data, counts[i] as usize, rng, &mut net)
             };
             if i != 0 {
-                sim.charge(
-                    i,
-                    0,
-                    &RawBits(sampled.len() as u64 * problem.constraint_bits()),
-                );
+                meter.charge(i, 0, &RawBits(sampled as u64 * problem.constraint_bits()));
             }
-            net.extend(sampled);
         }
-        sim.end_round();
+        meter.end_round();
 
         // ---- Root computes the basis. ----
         let solution = problem
@@ -291,19 +291,19 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
             .map_err(BigDataError::from)?;
 
         // ---- Basis broadcast down the tree. ----
-        broadcast_down(&mut sim, &tree, depth, problem.solution_bits());
+        broadcast_down(&mut meter, &tree, depth, problem.solution_bits());
 
         // ---- Violator weights converge-cast. Each machine's fused
         // violation-test + weight scan runs on the llp_par pool over its
-        // columnar mirror, reading weights off its index and staging the
-        // violator indices for the next verdict broadcast (the staged
-        // lists never travel). ----
-        let local_viol: Vec<(ScaledF64, usize)> = (0..k)
-            .zip(machine_columns.iter())
-            .map(|(i, cols)| machines[i].scan_and_stage(problem, &solution, cols))
+        // range of the shared columns, reading weights off its index and
+        // staging the violator indices for the next verdict broadcast
+        // (the staged lists never travel). ----
+        let local_viol: Vec<(ScaledF64, usize)> = machines
+            .iter_mut()
+            .map(|machine| machine.scan_and_stage(problem, &solution, columns))
             .collect();
         let viol_w: Vec<ScaledF64> = local_viol.iter().map(|v| v.0).collect();
-        let agg_w = converge_sum(&mut sim, &tree, depth, &viol_w, 192);
+        let agg_w = converge_sum(&mut meter, &tree, depth, &viol_w, 192);
         let w_violators = agg_w[0];
         let violator_count: usize = local_viol.iter().map(|v| v.1).sum();
 
@@ -321,32 +321,30 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         }
     };
 
-    stats.rounds = sim.meter.rounds();
-    stats.max_load_bits = sim.meter.max_load_bits();
-    stats.total_load_bits = sim.meter.total_load_bits();
+    stats.rounds = meter.rounds();
+    stats.max_load_bits = meter.max_load_bits();
+    stats.total_load_bits = meter.total_load_bits();
     result.map(|s| (s, stats))
 }
 
 /// Broadcasts a payload of `bits` from the root to every machine, one tree
 /// level per round.
-fn broadcast_down<C>(sim: &mut MpcSim<C>, tree: &Tree, depth: usize, bits: u64) {
+fn broadcast_down(meter: &mut MpcMeter, tree: &Tree, depth: usize, bits: u64) {
     for l in 0..depth {
-        sim.begin_round();
+        meter.begin_round();
         for node in tree.level(l) {
             for ch in tree.children(node) {
-                if ch < tree.k && ch != node {
-                    sim.charge(node, ch, &RawBits(bits));
-                }
+                meter.charge(node, ch, &RawBits(bits));
             }
         }
-        sim.end_round();
+        meter.end_round();
     }
 }
 
 /// Converge-casts subtree sums toward the root: one tree level per round,
 /// bottom-up. Returns, for each node, the sum over its whole subtree.
-fn converge_sum<C>(
-    sim: &mut MpcSim<C>,
+fn converge_sum(
+    meter: &mut MpcMeter,
     tree: &Tree,
     depth: usize,
     local: &[ScaledF64],
@@ -354,15 +352,15 @@ fn converge_sum<C>(
 ) -> Vec<ScaledF64> {
     let mut acc: Vec<ScaledF64> = local.to_vec();
     for l in (1..=depth).rev() {
-        sim.begin_round();
+        meter.begin_round();
         for node in tree.level(l) {
             if let Some(p) = tree.parent(node) {
-                sim.charge(node, p, &RawBits(bits_per_msg));
+                meter.charge(node, p, &RawBits(bits_per_msg));
                 let v = acc[node];
                 acc[p] += v;
             }
         }
-        sim.end_round();
+        meter.end_round();
     }
     acc
 }
@@ -370,8 +368,8 @@ fn converge_sum<C>(
 /// Splits `m` multinomial draws down the tree: each node receives its
 /// subtree's count from its parent and partitions it among {its own local
 /// elements} ∪ {children subtrees} by weight.
-fn split_counts<C, R: Rng>(
-    sim: &mut MpcSim<C>,
+fn split_counts<R: Rng>(
+    meter: &mut MpcMeter,
     tree: &Tree,
     depth: usize,
     m: u64,
@@ -386,21 +384,15 @@ fn split_counts<C, R: Rng>(
     for l in 0..=depth {
         let round_needed = l < depth;
         if round_needed {
-            sim.begin_round();
+            meter.begin_round();
         }
         for node in tree.level(l) {
-            if node >= k {
-                continue;
-            }
             let c = subtree_count[node];
             if c == 0 {
                 continue;
             }
             // Bins: own local weight + each child's subtree weight.
-            let children: Vec<usize> = tree
-                .children(node)
-                .filter(|&ch| ch < k && ch != node)
-                .collect();
+            let children = tree.children(node);
             if children.is_empty() {
                 own_count[node] = c;
                 continue;
@@ -412,20 +404,20 @@ fn split_counts<C, R: Rng>(
             }
             let mut bins: Vec<f64> = Vec::with_capacity(children.len() + 1);
             bins.push(local[node].ratio(total));
-            for &ch in &children {
+            for ch in children.clone() {
                 bins.push(subtree[ch].ratio(total));
             }
             let split = llp_sampling::discrete::multinomial(c, &bins, rng);
             own_count[node] = split[0];
-            for (j, &ch) in children.iter().enumerate() {
+            for (j, ch) in children.enumerate() {
                 subtree_count[ch] = split[j + 1];
                 if round_needed {
-                    sim.charge(node, ch, &RawBits(64));
+                    meter.charge(node, ch, &RawBits(64));
                 }
             }
         }
         if round_needed {
-            sim.end_round();
+            meter.end_round();
         }
     }
     own_count
@@ -482,10 +474,18 @@ mod tests {
     }
 
     #[test]
+    fn machine_sizes_cut_the_div_ceil_layout() {
+        // k = ⌈10^0.55⌉ = 4 machines of ⌈10/4⌉ = 3 rows, the last short.
+        assert_eq!(machine_sizes(10, 0.45), [3, 3, 3, 1]);
+        // k = ⌈9^0.6⌉ = 4 machines of 3 rows leave the last one empty.
+        assert_eq!(machine_sizes(9, 0.4), [3, 3, 3, 0]);
+    }
+
+    #[test]
     fn solves_random_lp() {
         let (p, cs) = random_lp(5000, 2, 91);
         let mut rng = StdRng::seed_from_u64(92);
-        let (sol, stats) = solve(&p, cs.clone(), &MpcConfig::calibrated(0.4), &mut rng).unwrap();
+        let (sol, stats) = solve(&p, &cs, &MpcConfig::calibrated(0.4), &mut rng).unwrap();
         assert_eq!(count_violations(&p, &sol, &cs), 0);
         assert!(stats.k > 1);
         assert!(stats.rounds > 0);
@@ -496,9 +496,9 @@ mod tests {
     fn smaller_delta_means_more_rounds_less_load() {
         let (p, cs) = random_lp(20_000, 2, 93);
         let mut rng = StdRng::seed_from_u64(94);
-        let (_, tight) = solve(&p, cs.clone(), &MpcConfig::calibrated(0.25), &mut rng).unwrap();
+        let (_, tight) = solve(&p, &cs, &MpcConfig::calibrated(0.25), &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(94);
-        let (_, loose) = solve(&p, cs.clone(), &MpcConfig::calibrated(0.55), &mut rng).unwrap();
+        let (_, loose) = solve(&p, &cs, &MpcConfig::calibrated(0.55), &mut rng).unwrap();
         assert!(
             tight.rounds as f64 / tight.iterations as f64
                 >= loose.rounds as f64 / loose.iterations as f64,
@@ -514,7 +514,7 @@ mod tests {
     fn matches_ram_objective() {
         let (p, cs) = random_lp(4000, 3, 95);
         let mut rng = StdRng::seed_from_u64(96);
-        let (sol, _) = solve(&p, cs.clone(), &MpcConfig::calibrated(0.4), &mut rng).unwrap();
+        let (sol, _) = solve(&p, &cs, &MpcConfig::calibrated(0.4), &mut rng).unwrap();
         let (ram, _) =
             llp_core::clarkson_solve(&p, &cs, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         let (v1, v2) = (p.objective_value(&sol), p.objective_value(&ram));
@@ -526,19 +526,15 @@ mod tests {
         let (p, cs) = random_lp(4000, 2, 99);
         let mut rng = StdRng::seed_from_u64(100);
         let cfg = MpcConfig::calibrated(0.4);
-        let (balanced, _) = solve(&p, cs.clone(), &cfg, &mut rng).unwrap();
+        let (balanced, _) = solve(&p, &cs, &cfg, &mut rng).unwrap();
         // A deliberately lopsided layout: one machine holds half the data.
         let k = 16usize;
         let mut sizes = vec![2000usize];
         sizes.extend(std::iter::repeat_n(2000 / (k - 1), k - 1));
         let rem = 4000 - sizes.iter().sum::<usize>();
         sizes[k - 1] += rem;
-        let mut it = cs.clone().into_iter();
-        let parts: Vec<Vec<Halfspace>> = sizes
-            .iter()
-            .map(|&s| it.by_ref().take(s).collect())
-            .collect();
-        let (skewed, stats) = solve_partitioned(&p, parts, &cfg, &mut rng).unwrap();
+        let (skewed, stats) =
+            solve_partitioned(&p, &cs, &p.to_columns(&cs), &sizes, &cfg, &mut rng).unwrap();
         assert_eq!(count_violations(&p, &skewed, &cs), 0);
         assert!(
             (p.objective_value(&skewed) - p.objective_value(&balanced)).abs()
@@ -556,7 +552,7 @@ mod tests {
         let (p, cs) = random_lp(200, 2, 97);
         let mut rng = StdRng::seed_from_u64(98);
         // delta close to 1: k = n^{1-δ} small.
-        let (sol, stats) = solve(&p, cs.clone(), &MpcConfig::calibrated(0.95), &mut rng).unwrap();
+        let (sol, stats) = solve(&p, &cs, &MpcConfig::calibrated(0.95), &mut rng).unwrap();
         assert_eq!(count_violations(&p, &sol, &cs), 0);
         assert!(stats.k >= 1);
     }

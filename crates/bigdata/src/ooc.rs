@@ -9,9 +9,9 @@
 //! re-checksumming it on every pass — so a multi-pass run over a file
 //! reads `passes × file_bytes` real bytes, and the meters prove it.
 //! [`count_violators`] certifies a solution over any source in one
-//! columnar pass, one chunk resident at a time; [`read_all`] and
-//! [`read_partitioned`] load a file whole or as site partitions for the
-//! models that hold their input in memory.
+//! columnar pass, one chunk resident at a time; [`read_all`] loads a
+//! file whole for the models that hold their input in memory, whose
+//! sites and machines are row ranges of it.
 //!
 //! Bit-identity contract: the violation kernels
 //! (`ColumnarProblem::scan_columns`) use independent per-element
@@ -29,9 +29,9 @@ use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
-// The store loaders the in-memory models ingest a file with, re-exported
+// The store loader the in-memory models ingest a file with, re-exported
 // so crates that reach the store only through this one can load files.
-pub use llp_store::{read_all, read_partitioned};
+pub use llp_store::read_all;
 
 impl From<StoreError> for BigDataError {
     fn from(e: StoreError) -> Self {

@@ -371,6 +371,7 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
             problem,
             &solution,
             columns,
+            0..n,
             &weights,
             &mut scratch.violators,
         );

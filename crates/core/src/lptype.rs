@@ -118,8 +118,8 @@ pub trait LpTypeProblem: Sync {
 /// scalar reference built on `violates`.
 pub trait ColumnarProblem: LpTypeProblem {
     /// Transposes AoS constraints into columnar storage. O(n·d), done
-    /// once per solve (or once per site/machine in the big-data
-    /// models), then amortized over every iteration's scan.
+    /// once per solve (coordinator sites and MPC machines scan row ranges
+    /// of it), then amortized over every iteration's scan.
     fn to_columns(&self, constraints: &[Self::Constraint]) -> llp_geom::ConstraintColumns;
 
     /// Scans one row range for violators, appending their **absolute**
@@ -148,34 +148,39 @@ pub trait ColumnarProblem: LpTypeProblem {
     fn from_row(&self, coords: &[f64], extra: f64) -> Self::Constraint;
 }
 
-/// The fused violator scan of Algorithm 1's hot path: violator indices
-/// (ascending) plus their total weight read off a standing
-/// [`WeightIndex`](llp_sampling::weight_index::WeightIndex). The rows
-/// are cut on a fixed `llp_par::DEFAULT_CHUNK` grid (`par_ranges`);
-/// each chunk runs the problem's branch-light column kernel, sums its
-/// violators' weights in ascending order, and the chunks merge in grid
-/// order, so both outputs are bit-identical for any `LLP_THREADS` —
-/// and equal to a sequential sweep of [`LpTypeProblem::violates`] and
-/// `WeightIndex::get` over the same grid. Violator indices land in the
-/// caller's reusable `out` buffer (cleared first) so the solver loop
-/// allocates nothing per iteration; the return value is their total
-/// weight. Shared by the RAM solver and the coordinator/MPC holders;
+/// The fused violator scan of Algorithm 1's hot path over the rows
+/// `rows` of `columns`: violator indices (ascending, relative to
+/// `rows.start`) plus their total weight read off a standing
+/// [`WeightIndex`](llp_sampling::weight_index::WeightIndex) over those
+/// rows. The range is cut on a fixed `llp_par::DEFAULT_CHUNK` grid
+/// counted from `rows.start` (`par_ranges`); each chunk runs the
+/// problem's branch-light column kernel, sums its violators' weights in
+/// ascending order, and the chunks merge in grid order, so both outputs
+/// are bit-identical for any `LLP_THREADS` — and equal to a sequential
+/// sweep of [`LpTypeProblem::violates`] and `WeightIndex::get` over the
+/// same grid. Violator indices land in the caller's reusable `out`
+/// buffer (cleared first) so the solver loop allocates nothing per
+/// iteration; the return value is their total weight. Shared by the RAM
+/// solver (all rows) and the coordinator/MPC holders (one range each);
 /// keeping one copy is part of the determinism contract.
 pub fn scan_violators_weighted_columnar<P: ColumnarProblem>(
     problem: &P,
     solution: &P::Solution,
     columns: &llp_geom::ConstraintColumns,
+    rows: std::ops::Range<usize>,
     index: &llp_sampling::weight_index::WeightIndex,
     out: &mut Vec<usize>,
 ) -> llp_num::ScaledF64 {
     use llp_num::ScaledF64;
     out.clear();
-    let parts = llp_par::par_ranges(columns.len(), llp_par::DEFAULT_CHUNK, |start, end| {
+    let base = rows.start;
+    let parts = llp_par::par_ranges(rows.len(), llp_par::DEFAULT_CHUNK, |start, end| {
         let mut idx = Vec::with_capacity(64);
-        problem.scan_columns(solution, &columns.view(start, end), &mut idx);
+        problem.scan_columns(solution, &columns.view(base + start, base + end), &mut idx);
         let mut w = ScaledF64::ZERO;
-        for &i in idx.iter() {
-            w += index.get(i);
+        for i in idx.iter_mut() {
+            *i -= base;
+            w += index.get(*i);
         }
         (idx, w)
     });

@@ -10,10 +10,14 @@
 //!   in memory; the meters charge through this trait.
 //! * [`streaming::StreamSession`] — a re-scannable sequence with pass
 //!   counting and a peak-space meter.
-//! * [`coordinator::CoordSim`] — `k` sites plus a coordinator, per-round
-//!   and per-direction byte metering (the model of Section 3.3).
-//! * [`mpc::MpcSim`] — `k` machines with per-machine per-round load
+//! * [`coordinator::CoordMeter`] — `k` sites plus a coordinator,
+//!   per-round and per-direction bit metering (the model of Section 3.3).
+//! * [`mpc::MpcMeter`] — `k` machines with per-machine per-round load
 //!   metering (the model of Section 3.4).
+//!
+//! The two distributed meters hold no data: a site's or machine's
+//! partition is local state the algorithms in `llp_bigdata` keep as a
+//! row range of the caller's input.
 
 #![forbid(unsafe_code)]
 

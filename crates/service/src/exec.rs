@@ -6,16 +6,23 @@
 //! This is the single solve path shared by the service workers, the
 //! `llp_bench` report grid (`run_cell`) and its out-of-core harness
 //! (`bench::ooc`), so a scenario solved through the service, in the grid,
-//! or off its store file is *the same computation*: same partition
-//! layout, same meter charges, same determinism contract via `llp_par`.
+//! or off its store file is *the same computation*: same site layout,
+//! same meter charges, same determinism contract via `llp_par`.
+//!
+//! RAM, the coordinator and MPC share one input contract: the caller's
+//! rows (borrowed, or loaded whole from a file) plus one columnar
+//! transpose of them, with each coordinator site or MPC machine a
+//! consecutive row range given by a `sizes` list. Nothing is copied per
+//! site.
 //!
 //! One clock reading brackets each solve, so `wall_ms` is solve time
-//! only. Loading a file, cutting partitions, and the RAM model's
-//! columnar transpose happen before it starts; the streaming model
-//! builds or reads its tape inside it. After it stops, one columnar
-//! certificate, [`count_violators`], counts the solution's violators
-//! chunk by chunk: over the in-RAM columns, or through a fresh
-//! [`FileSource`] that `bytes_read` leaves out.
+//! only. Loading a file and the RAM model's transpose happen before it
+//! starts; the coordinator and MPC transpose inside it, and the
+//! streaming model builds or reads its tape inside it. After it stops,
+//! one columnar certificate, [`count_violators`], counts the solution's
+//! violators chunk by chunk: over the columns the model holds for an
+//! in-RAM input, or through a fresh [`FileSource`] that `bytes_read`
+//! leaves out.
 
 use crate::request::{Model, ResponseBody};
 use llp_bigdata::coordinator as coord_impl;
@@ -26,8 +33,8 @@ use llp_bigdata::BigDataError;
 use llp_core::clarkson::ClarksonConfig;
 use llp_core::lptype::ColumnarProblem;
 use llp_core::SolveScratch;
-use llp_workloads::partition::prescribed_sizes;
-use llp_workloads::partition_by_sizes;
+use llp_geom::ConstraintColumns;
+use llp_workloads::partition::{prescribed_sizes, skewed_sizes};
 use rand::Rng;
 use std::borrow::Cow;
 use std::fmt::Debug;
@@ -79,7 +86,7 @@ pub enum DataSource<'a, C> {
     Ram(&'a [C]),
     /// A chunked store file (`llp_store`) of the problem's rows. The
     /// streaming model re-reads it every pass; the other models load it
-    /// once, whole or as their partitions.
+    /// once, whole.
     File(&'a Path),
 }
 
@@ -133,7 +140,7 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
     };
     let mut bytes_read = 0;
     // Each arm stages its input, runs the model under the one clock, and
-    // hands back the in-RAM tape it already holds for the certificate.
+    // hands back what the certificate sweeps.
     let (solution, wall_ms, tape) = match model {
         Model::Ram => {
             let (data, read) = source.whole(problem).map_err(|e| fail(&e))?;
@@ -152,7 +159,7 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
             });
             let (sol, stats) = out.map_err(|e| fail(&e.0))?;
             body.iterations = stats.iterations as u64;
-            (sol, wall_ms, Some(SliceSource::new(columns)))
+            (sol, wall_ms, source.tape(columns))
         }
         Model::Streaming => {
             let (out, wall_ms, tape) = match source {
@@ -161,13 +168,13 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
                         let mut tape = SliceSource::new(problem.to_columns(data));
                         (solve_chunked(problem, &mut tape, &cfg, rng), tape)
                     });
-                    (out, wall_ms, Some(tape))
+                    (out, wall_ms, Tape::Held(tape))
                 }
                 DataSource::File(path) => {
                     let mut file = FileSource::open(path).map_err(|e| fail(&e))?;
                     let (out, wall_ms) = timed(|| solve_chunked(problem, &mut file, &cfg, rng));
                     bytes_read = file.bytes_read();
-                    (out, wall_ms, None)
+                    (out, wall_ms, Tape::File(path))
                 }
             };
             let (sol, stats) = out.map_err(|e| fail(&e))?;
@@ -177,46 +184,50 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
             (sol, wall_ms, tape)
         }
         Model::Coordinator => {
-            let sizes = prescribed_sizes(n, params.coord_sites, params.skew);
-            let (parts, read) = source.parts(problem, &sizes).map_err(|e| fail(&e))?;
+            let (data, read) = source.whole(problem).map_err(|e| fail(&e))?;
             bytes_read = read;
-            let (out, wall_ms) = timed(|| coord_impl::solve_partitioned(problem, parts, &cfg, rng));
+            // Sizes come from the rows loaded, not the count read at open.
+            let sizes = prescribed_sizes(data.len(), params.coord_sites, params.skew);
+            let ((out, columns), wall_ms) = timed(|| {
+                let columns = problem.to_columns(&data);
+                let out =
+                    coord_impl::solve_partitioned(problem, &data, &columns, &sizes, &cfg, rng);
+                (out, columns)
+            });
             let (sol, stats) = out.map_err(|e| fail(&e))?;
             body.iterations = stats.iterations as u64;
             body.rounds = stats.rounds;
             body.comm_bits = stats.total_bits;
             body.max_round_bits = stats.max_round_bits;
-            (sol, wall_ms, None)
+            (sol, wall_ms, source.tape(columns))
         }
         Model::Mpc => {
+            let (data, read) = source.whole(problem).map_err(|e| fail(&e))?;
+            bytes_read = read;
             let mpc_cfg = MpcConfig::lean(params.mpc_delta);
-            let (out, wall_ms) = match params.skew {
-                // Skewed layouts cut the same machine count mpc::solve
-                // would use, just with geometric sizes.
-                Some(_) => {
-                    let k = mpc_impl::machine_count(n, params.mpc_delta);
-                    let sizes = prescribed_sizes(n, k, params.skew);
-                    let (parts, read) = source.parts(problem, &sizes).map_err(|e| fail(&e))?;
-                    bytes_read = read;
-                    timed(|| mpc_impl::solve_partitioned(problem, parts, &mpc_cfg, rng))
-                }
-                None => {
-                    let (data, read) = source.whole(problem).map_err(|e| fail(&e))?;
-                    bytes_read = read;
-                    let owned = data.into_owned();
-                    timed(|| mpc_impl::solve(problem, owned, &mpc_cfg, rng))
-                }
+            let n = data.len();
+            // Skewed layouts cut the same machine count mpc::solve would
+            // use, just with geometric sizes.
+            let sizes = match params.skew {
+                Some(s) => skewed_sizes(n, mpc_impl::machine_count(n, params.mpc_delta), s),
+                None => mpc_impl::machine_sizes(n, params.mpc_delta),
             };
+            let ((out, columns), wall_ms) = timed(|| {
+                let columns = problem.to_columns(&data);
+                let out =
+                    mpc_impl::solve_partitioned(problem, &data, &columns, &sizes, &mpc_cfg, rng);
+                (out, columns)
+            });
             let (sol, stats) = out.map_err(|e| fail(&e))?;
             body.iterations = stats.iterations as u64;
             body.rounds = stats.rounds;
             body.load_bits = stats.max_load_bits;
             body.total_load_bits = stats.total_load_bits;
-            (sol, wall_ms, None)
+            (sol, wall_ms, source.tape(columns))
         }
     };
     body.objective = problem.objective_value(&solution);
-    body.violations = certify(problem, &solution, &source, tape).map_err(|e| fail(&e))?;
+    body.violations = certify(problem, &solution, tape).map_err(|e| fail(&e))?;
     Ok(ExecOutcome {
         body,
         wall_ms,
@@ -224,22 +235,24 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
     })
 }
 
+/// What the certificate sweeps: the columns a model holds for an in-RAM
+/// input, or the store file a file input came from.
+enum Tape<'a> {
+    Held(SliceSource),
+    File(&'a Path),
+}
+
 /// The dispatch's one certificate: counts the violators of `solution`
-/// over the whole input in one columnar pass — over `tape` (the columns
-/// a model already holds) or a fresh transpose for an in-RAM input, and
-/// through a fresh [`FileSource`] for a file.
+/// over the whole input in one columnar pass — over the held columns,
+/// or through a fresh [`FileSource`] for a file.
 fn certify<P: ColumnarProblem>(
     problem: &P,
     solution: &P::Solution,
-    source: &DataSource<'_, P::Constraint>,
-    tape: Option<SliceSource>,
+    tape: Tape<'_>,
 ) -> Result<u64, BigDataError> {
-    match source {
-        DataSource::Ram(data) => {
-            let mut tape = tape.unwrap_or_else(|| SliceSource::new(problem.to_columns(data)));
-            count_violators(problem, solution, &mut tape)
-        }
-        DataSource::File(path) => count_violators(problem, solution, &mut FileSource::open(path)?),
+    match tape {
+        Tape::Held(mut columns) => count_violators(problem, solution, &mut columns),
+        Tape::File(path) => count_violators(problem, solution, &mut FileSource::open(path)?),
     }
 }
 
@@ -268,19 +281,12 @@ impl<'a, C: Clone> DataSource<'a, C> {
         }
     }
 
-    /// Contiguous parts of the given sizes and the bytes read for them:
-    /// cut from RAM, or loaded part by part from the file.
-    fn parts<P: ColumnarProblem<Constraint = C>>(
-        &self,
-        problem: &P,
-        sizes: &[usize],
-    ) -> Result<(Vec<Vec<C>>, u64), BigDataError> {
+    /// The certificate's tape for a model holding `columns` of this
+    /// input: the columns for an in-RAM input, the file for a file.
+    fn tape(&self, columns: ConstraintColumns) -> Tape<'a> {
         match *self {
-            DataSource::Ram(data) => Ok((partition_by_sizes(data.to_vec(), sizes), 0)),
-            DataSource::File(path) => {
-                let (parts, _, bytes) = ooc::read_partitioned(path, problem, sizes)?;
-                Ok((parts, bytes))
-            }
+            DataSource::Ram(_) => Tape::Held(SliceSource::new(columns)),
+            DataSource::File(path) => Tape::File(path),
         }
     }
 }
@@ -299,8 +305,8 @@ mod tests {
         // Every grid cell certifies 0 violations, which a certificate
         // that skipped rows would also report. A basis of a prefix
         // violates real rows: the count must match the AoS reference
-        // over a store file cut into 257-row chunks, over held columns,
-        // and over a fresh transpose.
+        // over a store file cut into 257-row chunks and over held
+        // columns.
         let dir =
             std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp-ooc-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -330,13 +336,12 @@ mod tests {
             .collect();
         chunks_hit.dedup();
         assert!(chunks_hit.len() > 1, "violators must span several chunks");
-        let held = Some(SliceSource::new(p.to_columns(data)));
+        let held = Tape::Held(SliceSource::new(p.to_columns(data)));
         let counts = [
-            certify(p, &sol, &DataSource::File(path), None).unwrap(),
-            certify(p, &sol, &DataSource::Ram(data), held).unwrap(),
-            certify(p, &sol, &DataSource::Ram(data), None).unwrap(),
+            certify(p, &sol, Tape::File(path)).unwrap(),
+            certify(p, &sol, held).unwrap(),
         ];
-        assert_eq!(counts, [want; 3], "file, held columns, fresh transpose");
+        assert_eq!(counts, [want; 2], "file, held columns");
     }
 
     #[test]

@@ -736,58 +736,6 @@ pub fn read_all<P: ColumnarProblem>(
     Ok((out, reader.header, bytes))
 }
 
-/// What [`read_partitioned`] yields: per-site constraint lists, the
-/// file header, and the total bytes read.
-pub type PartitionedRead<P> = (
-    Vec<Vec<<P as llp_core::lptype::LpTypeProblem>::Constraint>>,
-    FileHeader,
-    u64,
-);
-
-/// Reads a file into contiguous partitions of the given sizes — the
-/// coordinator/MPC site loader. The sizes must sum to the file's row
-/// count (use the skew recorded in the header's provenance to derive
-/// them, so a file replays the exact partition layout it was generated
-/// for). Like [`read_all`], each partition grows chunk by chunk as rows
-/// decode, never from the sizes up front.
-pub fn read_partitioned<P: ColumnarProblem>(
-    path: &Path,
-    problem: &P,
-    sizes: &[usize],
-) -> Result<PartitionedRead<P>, StoreError> {
-    let mut reader = open_file(path)?;
-    let total: usize = sizes.iter().sum();
-    if total as u64 != reader.header().rows {
-        return Err(StoreError::WriterMisuse(format!(
-            "partition sizes sum to {total}, file holds {} rows",
-            reader.header().rows
-        )));
-    }
-    let mut parts: Vec<Vec<P::Constraint>> = sizes.iter().map(|_| Vec::new()).collect();
-    let mut site = 0usize;
-    let mut buf = Vec::with_capacity(reader.header().dim as usize);
-    while let Some(chunk) = reader.next_chunk()? {
-        let mut i = 0;
-        while i < chunk.len() {
-            // The sizes sum to the header's total, which bounds the rows
-            // the reader yields, so a site with room always remains.
-            while parts[site].len() == sizes[site] {
-                site += 1;
-            }
-            let part = &mut parts[site];
-            let take = (sizes[site] - part.len()).min(chunk.len() - i);
-            part.reserve(take);
-            for row in i..i + take {
-                let extra = chunk.row(row, &mut buf);
-                part.push(problem.from_row(&buf, extra));
-            }
-            i += take;
-        }
-    }
-    let bytes = reader.bytes_read();
-    Ok((parts, reader.header, bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,8 +9,8 @@
 use llp_core::instances::lp::LpProblem;
 use llp_geom::ConstraintColumns;
 use llp_store::{
-    encode_header, read_all, read_partitioned, verify_file, ChunkReader, ChunkWriter, FileHeader,
-    Provenance, StoreError, FORMAT_VERSION, MAGIC, MAX_CHUNK_PAYLOAD,
+    encode_header, read_all, verify_file, ChunkReader, ChunkWriter, FileHeader, Provenance,
+    StoreError, FORMAT_VERSION, MAGIC, MAX_CHUNK_PAYLOAD,
 };
 use std::path::PathBuf;
 
@@ -268,8 +268,8 @@ fn oversized_chunk_header_is_refused_before_any_frame() {
 
 #[test]
 fn header_row_count_never_sizes_the_loaders() {
-    // A 72-byte header-only file promising 2^50 rows: the loaders reserve
-    // per decoded chunk, so they run into the missing first frame
+    // A 72-byte header-only file promising 2^50 rows: the loader reserves
+    // per decoded chunk, so it runs into the missing first frame
     // instead of reserving room for 2^50 constraints.
     let mut h = header(1 << 50, 4096);
     h.provenance.family = "random_lp".into();
@@ -280,10 +280,6 @@ fn header_row_count_never_sizes_the_loaders() {
     let p = LpProblem::new(vec![1.0, 1.0]);
     assert!(matches!(
         read_all(&path, &p),
-        Err(StoreError::Truncated { .. })
-    ));
-    assert!(matches!(
-        read_partitioned(&path, &p, &[1 << 49, 1 << 49]),
         Err(StoreError::Truncated { .. })
     ));
 }

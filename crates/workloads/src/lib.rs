@@ -39,7 +39,7 @@ pub use lp::{
 };
 pub use meb::{ball_cloud, clustered_cloud, sphere_shell};
 pub use order::{binding_last_lp, extremes_last_points, shuffled};
-pub use partition::{partition_by_sizes, skewed_sizes};
+pub use partition::skewed_sizes;
 pub use scenario::{registry, Family, RunBudget, Scenario, ScenarioData, ScenarioProblem};
 pub use store_io::{matches_scenario, provenance, scenario_for_provenance, write_scenario};
 pub use stream::ScenarioStream;

@@ -50,8 +50,9 @@ pub fn skewed_sizes(n: usize, k: usize, skew: f64) -> Vec<usize> {
 /// The partition layout the scenario grid **and** the solve service
 /// prescribe for `k` parts over `n` elements: geometrically skewed when
 /// `skew` is set, near-balanced contiguous otherwise. The single source
-/// of truth: `llp_service::exec` cuts (or loads from a store file) every
-/// coordinator/MPC partition with it, so a served scenario, its
+/// of truth for coordinator sites: `llp_service::exec` sizes every
+/// coordinator layout with it (MPC uses [`skewed_sizes`] or
+/// `llp_bigdata::mpc::machine_sizes`), so a served scenario, its
 /// report-grid cell, and its file-backed cell share one layout.
 pub fn prescribed_sizes(n: usize, k: usize, skew: Option<f64>) -> Vec<usize> {
     match skew {
@@ -62,23 +63,6 @@ pub fn prescribed_sizes(n: usize, k: usize, skew: Option<f64>) -> Vec<usize> {
             (0..k).map(|i| base + usize::from(i < extra)).collect()
         }
     }
-}
-
-/// Splits `data` contiguously into chunks of the given sizes.
-///
-/// # Panics
-/// Panics if the sizes do not sum to `data.len()`.
-pub fn partition_by_sizes<C>(data: Vec<C>, sizes: &[usize]) -> Vec<Vec<C>> {
-    assert_eq!(
-        sizes.iter().sum::<usize>(),
-        data.len(),
-        "partition sizes must cover the data exactly"
-    );
-    let mut it = data.into_iter();
-    sizes
-        .iter()
-        .map(|&s| it.by_ref().take(s).collect())
-        .collect()
 }
 
 #[cfg(test)]
@@ -125,20 +109,5 @@ mod tests {
         let skewed = prescribed_sizes(1000, 4, Some(4.0));
         assert_eq!(skewed.iter().sum::<usize>(), 1000);
         assert!(skewed[3] > skewed[0], "skew missing: {skewed:?}");
-    }
-
-    #[test]
-    fn partition_covers_in_order() {
-        let parts = partition_by_sizes((0..10).collect::<Vec<u32>>(), &[1, 2, 7]);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0], vec![0]);
-        assert_eq!(parts[1], vec![1, 2]);
-        assert_eq!(parts[2], vec![3, 4, 5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the data exactly")]
-    fn partition_arity_checked() {
-        let _ = partition_by_sizes(vec![0u32; 5], &[2, 2]);
     }
 }

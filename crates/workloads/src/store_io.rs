@@ -1,8 +1,8 @@
 //! Scenario ↔ chunked-store glue: write any registry scenario to a
 //! store file without materializing it, and check a file's header
-//! against the scenario it claims to hold. Files load back through
-//! `llp_store::read_all` (whole) and `read_partitioned` (site
-//! partitions).
+//! against the scenario it claims to hold. Files load back whole
+//! through `llp_store::read_all`; the coordinator and MPC models cut
+//! their site ranges from the loaded rows.
 //!
 //! The store header's [`Provenance`] records the scenario's generator
 //! arguments (family, n, d, seed, r, skew), so a well-formed file is
@@ -96,7 +96,7 @@ pub fn write_scenario(
 mod tests {
     use super::*;
     use crate::scenario::{registry, RunBudget, ScenarioData};
-    use llp_store::{read_all, read_partitioned};
+    use llp_store::read_all;
     use std::path::PathBuf;
 
     fn scratch_dir() -> PathBuf {
@@ -144,31 +144,6 @@ mod tests {
             assert_eq!(read_header, header, "{}", sc.name);
             assert_eq!(bytes_read, written, "{}", sc.name);
         }
-    }
-
-    #[test]
-    fn partitioned_read_matches_in_ram_partitioning() {
-        use crate::partition::{partition_by_sizes, prescribed_sizes};
-        let dir = scratch_dir();
-        let mut sc = registry(RunBudget::Quick)
-            .into_iter()
-            .find(|s| s.name == "lp_skewed_sites")
-            .unwrap();
-        sc.n = 2_000;
-        let path = dir.join("partitioned_skewed.llps");
-        write_scenario(&sc, &path, 512).unwrap();
-        let ScenarioData::Lp(p, cs) = sc.generate() else {
-            panic!("kind drifted");
-        };
-        let sizes = prescribed_sizes(cs.len(), 8, sc.skew);
-        let (got, header, _) = read_partitioned(&path, &p, &sizes).unwrap();
-        assert!(matches_scenario(&header, &sc));
-        let want = partition_by_sizes(cs, &sizes);
-        assert_eq!(got, want, "skewed site layout must replay from the file");
-        assert!(
-            got.last().unwrap().len() > got[0].len(),
-            "skew recorded in the file must survive the round trip"
-        );
     }
 
     #[test]

@@ -21,13 +21,8 @@ fn main() {
     let problem = MebProblem::new(d);
     for delta in [0.3f64, 0.5] {
         let mut run_rng = StdRng::seed_from_u64(200 + (delta * 10.0) as u64);
-        let (ball, stats) = mpc::solve(
-            &problem,
-            points.clone(),
-            &MpcConfig::lean(delta),
-            &mut run_rng,
-        )
-        .expect("MEB always exists");
+        let (ball, stats) = mpc::solve(&problem, &points, &MpcConfig::lean(delta), &mut run_rng)
+            .expect("MEB always exists");
         println!(
             "delta = {delta}: {} machines (fanout {}), {} rounds, max load {} KiB, \
              radius = {:.5}",

@@ -28,14 +28,8 @@ fn main() {
     let problem = SvmProblem::new(d);
     let ship_all_bits = n as u64 * problem.constraint_bits();
 
-    let (u, stats) = coordinator::solve(
-        &problem,
-        points.clone(),
-        k,
-        &ClarksonConfig::lean(3),
-        &mut rng,
-    )
-    .expect("the cloud is separable");
+    let (u, stats) = coordinator::solve(&problem, &points, k, &ClarksonConfig::lean(3), &mut rng)
+        .expect("the cloud is separable");
 
     let norm2 = problem.objective_value(&u);
     println!(

@@ -36,9 +36,9 @@ fn lp_all_models_agree_with_direct_solver() {
             &mut rng,
         )
         .expect("stream");
-        let (co, _) = coordinator::solve(&p, cs.clone(), 8, &ClarksonConfig::lean(2), &mut rng)
-            .expect("coord");
-        let (mp, _) = mpc::solve(&p, cs.clone(), &MpcConfig::lean(0.4), &mut rng).expect("mpc");
+        let (co, _) =
+            coordinator::solve(&p, &cs, 8, &ClarksonConfig::lean(2), &mut rng).expect("coord");
+        let (mp, _) = mpc::solve(&p, &cs, &MpcConfig::lean(0.4), &mut rng).expect("mpc");
 
         for (name, sol) in [("ram", &ram), ("stream", &st), ("coord", &co), ("mpc", &mp)] {
             assert_eq!(
@@ -75,8 +75,8 @@ fn svm_all_models_match_margin() {
     )
     .expect("stream");
     let (co, _) =
-        coordinator::solve(&p, pts.clone(), 4, &ClarksonConfig::lean(3), &mut rng).expect("coord");
-    let (mp, _) = mpc::solve(&p, pts.clone(), &MpcConfig::lean(0.4), &mut rng).expect("mpc");
+        coordinator::solve(&p, &pts, 4, &ClarksonConfig::lean(3), &mut rng).expect("coord");
+    let (mp, _) = mpc::solve(&p, &pts, &MpcConfig::lean(0.4), &mut rng).expect("mpc");
     for (name, sol) in [("stream", &st), ("coord", &co), ("mpc", &mp)] {
         assert_eq!(count_violations(&p, sol, &pts), 0, "{name}");
         assert!(close(p.objective_value(sol), v_direct, 1e-5), "{name}");
@@ -100,8 +100,8 @@ fn meb_all_models_match_radius() {
     )
     .expect("stream");
     let (co, _) =
-        coordinator::solve(&p, pts.clone(), 4, &ClarksonConfig::lean(3), &mut rng).expect("coord");
-    let (mp, _) = mpc::solve(&p, pts.clone(), &MpcConfig::lean(0.4), &mut rng).expect("mpc");
+        coordinator::solve(&p, &pts, 4, &ClarksonConfig::lean(3), &mut rng).expect("coord");
+    let (mp, _) = mpc::solve(&p, &pts, &MpcConfig::lean(0.4), &mut rng).expect("mpc");
     for (name, sol) in [("stream", &st), ("coord", &co), ("mpc", &mp)] {
         assert_eq!(count_violations(&p, sol, &pts), 0, "{name}");
         assert!(
@@ -150,8 +150,8 @@ fn degenerate_lp_with_duplicates_and_tied_optimum_agrees_across_models() {
     let (ram, _) = lodim_lp::core::clarkson_solve(&p, &cs, &cfg, &mut rng).expect("ram");
     let (st, _) =
         streaming::solve(&p, &cs, &cfg, SamplingMode::TwoPassIid, &mut rng).expect("stream");
-    let (co, _) = coordinator::solve(&p, cs.clone(), 8, &cfg, &mut rng).expect("coord");
-    let (mp, _) = mpc::solve(&p, cs.clone(), &MpcConfig::lean(0.4), &mut rng).expect("mpc");
+    let (co, _) = coordinator::solve(&p, &cs, 8, &cfg, &mut rng).expect("coord");
+    let (mp, _) = mpc::solve(&p, &cs, &MpcConfig::lean(0.4), &mut rng).expect("mpc");
 
     for (name, sol) in [
         ("direct", &direct),
@@ -196,8 +196,8 @@ fn degenerate_meb_with_duplicated_support_agrees_across_models() {
     let direct = p.solve_subset(&pts, &mut rng).expect("solvable");
     let (st, _) = streaming::solve(&p, &pts, &cfg, SamplingMode::OnePassSpeculative, &mut rng)
         .expect("stream");
-    let (co, _) = coordinator::solve(&p, pts.clone(), 4, &cfg, &mut rng).expect("coord");
-    let (mp, _) = mpc::solve(&p, pts.clone(), &MpcConfig::lean(0.4), &mut rng).expect("mpc");
+    let (co, _) = coordinator::solve(&p, &pts, 4, &cfg, &mut rng).expect("coord");
+    let (mp, _) = mpc::solve(&p, &pts, &MpcConfig::lean(0.4), &mut rng).expect("mpc");
     for (name, ball) in [
         ("direct", &direct),
         ("stream", &st),
@@ -249,8 +249,8 @@ fn near_tie_lp_agrees_across_models_at_adversarial_jitter() {
     let (ram, _) = lodim_lp::core::clarkson_solve(&p, &cs, &cfg, &mut rng).expect("ram");
     let (st, _) =
         streaming::solve(&p, &cs, &cfg, SamplingMode::TwoPassIid, &mut rng).expect("stream");
-    let (co, _) = coordinator::solve(&p, cs.clone(), 4, &cfg, &mut rng).expect("coord");
-    let (mp, _) = mpc::solve(&p, cs.clone(), &MpcConfig::lean(0.4), &mut rng).expect("mpc");
+    let (co, _) = coordinator::solve(&p, &cs, 4, &cfg, &mut rng).expect("coord");
+    let (mp, _) = mpc::solve(&p, &cs, &MpcConfig::lean(0.4), &mut rng).expect("mpc");
 
     for (name, sol) in [("ram", &ram), ("stream", &st), ("coord", &co), ("mpc", &mp)] {
         assert_eq!(count_violations(&p, sol, &cs), 0, "{name}");
@@ -298,14 +298,14 @@ fn columnar_scan_agrees_with_aos_predicate_on_model_solutions() {
     let (pts, _): (Vec<SvmPoint>, _) = lodim_lp::workloads::separable_clouds(N, 3, 0.5, 901);
     let p = SvmProblem::new(3);
     let (co, _) =
-        coordinator::solve(&p, pts.clone(), 4, &ClarksonConfig::lean(2), &mut rng).expect("coord");
+        coordinator::solve(&p, &pts, 4, &ClarksonConfig::lean(2), &mut rng).expect("coord");
     check("svm/solved", &p, &pts, &co);
     let prefix = p.solve_subset(&pts[..64], &mut rng).expect("prefix");
     check("svm/prefix", &p, &pts, &prefix);
 
     let pts = lodim_lp::workloads::ball_cloud(N, 3, 4.0, 902);
     let p = MebProblem::new(3);
-    let (mp, _) = mpc::solve(&p, pts.clone(), &MpcConfig::lean(0.4), &mut rng).expect("mpc");
+    let (mp, _) = mpc::solve(&p, &pts, &MpcConfig::lean(0.4), &mut rng).expect("mpc");
     check("meb/solved", &p, &pts, &mp);
     let prefix = p.solve_subset(&pts[..8], &mut rng).expect("prefix");
     check("meb/prefix", &p, &pts, &prefix);
@@ -331,11 +331,11 @@ fn infeasible_lp_detected_in_every_model() {
         Err(lodim_lp::bigdata::BigDataError::Infeasible)
     ));
     assert!(matches!(
-        coordinator::solve(&p, cs.clone(), 4, &cfg, &mut rng),
+        coordinator::solve(&p, &cs, 4, &cfg, &mut rng),
         Err(lodim_lp::bigdata::BigDataError::Infeasible)
     ));
     assert!(matches!(
-        mpc::solve(&p, cs.clone(), &MpcConfig::lean(0.4), &mut rng),
+        mpc::solve(&p, &cs, &MpcConfig::lean(0.4), &mut rng),
         Err(lodim_lp::bigdata::BigDataError::Infeasible)
     ));
 }

@@ -150,17 +150,17 @@ fn coordinator_is_thread_count_invariant() {
     let (lp, cs) = lodim_lp::workloads::random_lp(N_BIG, 3, SEED);
     assert_thread_count_invariant("coord/lp", || {
         let mut rng = StdRng::seed_from_u64(SEED + 30);
-        coordinator::solve(&lp, cs.clone(), 4, &ClarksonConfig::lean(2), &mut rng).unwrap()
+        coordinator::solve(&lp, &cs, 4, &ClarksonConfig::lean(2), &mut rng).unwrap()
     });
     let (svm, pts) = svm_instance();
     assert_thread_count_invariant("coord/svm", || {
         let mut rng = StdRng::seed_from_u64(SEED + 31);
-        coordinator::solve(&svm, pts.clone(), 4, &ClarksonConfig::lean(2), &mut rng).unwrap()
+        coordinator::solve(&svm, &pts, 4, &ClarksonConfig::lean(2), &mut rng).unwrap()
     });
     let (meb, pts) = meb_instance();
     assert_thread_count_invariant("coord/meb", || {
         let mut rng = StdRng::seed_from_u64(SEED + 32);
-        coordinator::solve(&meb, pts.clone(), 4, &ClarksonConfig::lean(2), &mut rng).unwrap()
+        coordinator::solve(&meb, &pts, 4, &ClarksonConfig::lean(2), &mut rng).unwrap()
     });
 }
 
@@ -171,17 +171,17 @@ fn mpc_is_thread_count_invariant() {
     let (lp, cs) = lodim_lp::workloads::random_lp(N_BIG, 3, SEED);
     assert_thread_count_invariant("mpc/lp", || {
         let mut rng = StdRng::seed_from_u64(SEED + 40);
-        mpc::solve(&lp, cs.clone(), &MpcConfig::lean(MPC_DELTA_BIG), &mut rng).unwrap()
+        mpc::solve(&lp, &cs, &MpcConfig::lean(MPC_DELTA_BIG), &mut rng).unwrap()
     });
     let (svm, pts) = svm_instance();
     assert_thread_count_invariant("mpc/svm", || {
         let mut rng = StdRng::seed_from_u64(SEED + 41);
-        mpc::solve(&svm, pts.clone(), &MpcConfig::lean(0.4), &mut rng).unwrap()
+        mpc::solve(&svm, &pts, &MpcConfig::lean(0.4), &mut rng).unwrap()
     });
     let (meb, pts) = meb_instance();
     assert_thread_count_invariant("mpc/meb", || {
         let mut rng = StdRng::seed_from_u64(SEED + 42);
-        mpc::solve(&meb, pts.clone(), &MpcConfig::lean(0.4), &mut rng).unwrap()
+        mpc::solve(&meb, &pts, &MpcConfig::lean(0.4), &mut rng).unwrap()
     });
 }
 
@@ -288,7 +288,7 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
 
     let run = |threads: usize| {
         llp_par::with_threads(threads, || {
-            let mut site = SiteWeights::new(cs.len(), 6.0);
+            let mut site = SiteWeights::new(0..cs.len(), 6.0);
             let mut rng = StdRng::seed_from_u64(SEED + 81);
             let mut out = Vec::new();
             for probe in &probes {
@@ -342,37 +342,57 @@ fn scalar_scan<P: lodim_lp::core::lptype::LpTypeProblem>(
 #[test]
 fn columnar_scan_matches_aos_scan_bit_for_bit() {
     // The columnar-vs-scalar differential at the kernel level: the
-    // columnar scan (`scan_violators_weighted_columnar` over
-    // `ConstraintColumns`) must report exactly the violator indices and
-    // the ScaledF64 weight of the sequential `violates` reference, bit
-    // for bit, for LP/SVM/MEB at threads 1/4/16. Weights are non-uniform
-    // so the sums genuinely mix exponents, and the solution comes from a
-    // small prefix so the full set contains real violators.
+    // columnar scan (`scan_violators_weighted_columnar` over a row range
+    // of `ConstraintColumns`) must report exactly the violator indices
+    // and the ScaledF64 weight of the sequential `violates` reference
+    // over that sub-slice, bit for bit, for LP/SVM/MEB at threads
+    // 1/4/16. Weights are non-uniform so the sums genuinely mix
+    // exponents and round, and the solution comes from a small prefix so the set
+    // contains real violators. The LP also scans a range that starts off
+    // the chunk grid and spans three chunks, as a coordinator site or MPC
+    // machine does: its indices must be range-relative and its chunk
+    // grid counted from the range start.
     use lodim_lp::core::lptype::{scan_violators_weighted_columnar, ColumnarProblem};
     use lodim_lp::sampling::weight_index::WeightIndex;
+    use std::ops::Range;
 
-    fn check<P: ColumnarProblem>(label: &str, p: &P, data: &[P::Constraint], sol: &P::Solution) {
-        let mut index = WeightIndex::uniform(data.len());
-        for i in (0..data.len()).step_by(7) {
-            index.multiply(i, 9.5);
+    fn check<P: ColumnarProblem>(
+        label: &str,
+        p: &P,
+        data: &[P::Constraint],
+        rows: Range<usize>,
+        sol: &P::Solution,
+    ) {
+        // Factors with full mantissas, so the sums round and their
+        // association order (the chunk grid) shows in the bits.
+        let mut index = WeightIndex::uniform(rows.len());
+        for i in (0..rows.len()).step_by(7) {
+            index.multiply(i, 9.7);
         }
-        for i in (0..data.len()).step_by(13) {
-            index.multiply(i, 70.0);
+        for i in (0..rows.len()).step_by(13) {
+            index.multiply(i, 70.3);
         }
         assert!(
-            data.len() > llp_par::DEFAULT_CHUNK,
-            "{label}: the input must span several scan chunks"
+            rows.len() > llp_par::DEFAULT_CHUNK,
+            "{label}: the range must span several scan chunks"
         );
-        let (ref_idx, ref_w) = scalar_scan(p, sol, data, &index);
+        let (ref_idx, ref_w) = scalar_scan(p, sol, &data[rows.clone()], &index);
         assert!(
             !ref_idx.is_empty(),
-            "{label}: prefix solution should leave violators in the full set"
+            "{label}: prefix solution should leave violators in the range"
         );
         let columns = p.to_columns(data);
         for threads in [1usize, 4, 16] {
             let mut col_idx = Vec::new();
             let col_w = llp_par::with_threads(threads, || {
-                scan_violators_weighted_columnar(p, sol, &columns, &index, &mut col_idx)
+                scan_violators_weighted_columnar(
+                    p,
+                    sol,
+                    &columns,
+                    rows.clone(),
+                    &index,
+                    &mut col_idx,
+                )
             });
             assert_eq!(
                 ref_idx, col_idx,
@@ -389,17 +409,22 @@ fn columnar_scan_matches_aos_scan_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(SEED + 90);
     let sol = lodim_lp::core::lptype::LpTypeProblem::solve_subset(&lp, &cs[..32], &mut rng)
         .expect("prefix solvable");
-    check("lp", &lp, &cs, &sol);
+    check("lp", &lp, &cs, 0..cs.len(), &sol);
+    // Half a chunk plus 17 rows off the grid: the two grids' boundaries
+    // lie ~2,000 rows apart, so their chunks hold different violators.
+    let start = llp_par::DEFAULT_CHUNK + llp_par::DEFAULT_CHUNK / 2 + 17;
+    let off_grid = start..start + 3 * llp_par::DEFAULT_CHUNK - 5;
+    check("lp/off-grid range", &lp, &cs, off_grid, &sol);
 
     let (svm, pts) = svm_instance();
     let sol = lodim_lp::core::lptype::LpTypeProblem::solve_subset(&svm, &pts[..64], &mut rng)
         .expect("prefix solvable");
-    check("svm", &svm, &pts, &sol);
+    check("svm", &svm, &pts, 0..pts.len(), &sol);
 
     let (meb, pts) = meb_instance();
     let sol = lodim_lp::core::lptype::LpTypeProblem::solve_subset(&meb, &pts[..8], &mut rng)
         .expect("prefix solvable");
-    check("meb", &meb, &pts, &sol);
+    check("meb", &meb, &pts, 0..pts.len(), &sol);
 }
 
 #[test]
@@ -457,7 +482,7 @@ fn meter_readings_match_sequential_reference_exactly() {
     let (lp, cs) = lodim_lp::workloads::random_lp(N_BIG, 3, SEED);
     let run_coord = || {
         let mut rng = StdRng::seed_from_u64(SEED + 60);
-        coordinator::solve(&lp, cs.clone(), 4, &ClarksonConfig::lean(2), &mut rng)
+        coordinator::solve(&lp, &cs, 4, &ClarksonConfig::lean(2), &mut rng)
             .unwrap()
             .1
     };
@@ -473,7 +498,7 @@ fn meter_readings_match_sequential_reference_exactly() {
 
     let run_mpc = || {
         let mut rng = StdRng::seed_from_u64(SEED + 61);
-        mpc::solve(&lp, cs.clone(), &MpcConfig::lean(MPC_DELTA_BIG), &mut rng)
+        mpc::solve(&lp, &cs, &MpcConfig::lean(MPC_DELTA_BIG), &mut rng)
             .unwrap()
             .1
     };
