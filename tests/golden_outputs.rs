@@ -18,8 +18,14 @@
 //!   the grid's streaming seed): objective bits, iteration, success and
 //!   pass counts, peak space in bits and items, and the next `u64` of
 //!   the run's RNG, so the reservoirs' draw count is pinned too.
+//! * `tests/golden/generated.txt` — the generated bytes themselves:
+//!   every registry scenario at the quick and full budgets, and each
+//!   public generator at one argument set outside the registry. A line
+//!   records the row count, the column dimension, the LP objective bits,
+//!   any planted truth, and an FNV-1a-64 hash over every row's
+//!   coordinate and extra bits in stream order.
 //!
-//! Solver, sampler, scan and streaming speed-ups must leave every line
+//! Solver, sampler, scan, streaming and generator changes must leave every line
 //! as it is. Regenerating the fixtures is a deliberate act, taken only
 //! when a change of output is intended (a new scenario, a changed
 //! generator, a changed solver rule): run
@@ -30,6 +36,8 @@ use llp_bench::report::{self, MODELS};
 use llp_bench::RunBudget;
 use llp_bigdata::streaming::{self, SamplingMode};
 use llp_core::instances::lp::LpProblem;
+use llp_core::instances::meb::MebProblem;
+use llp_core::instances::svm::{SvmPoint, SvmProblem};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::Halfspace;
@@ -38,7 +46,8 @@ use llp_solver::seidel::{self, SeidelConfig};
 use llp_solver::LpResult;
 use llp_workloads::scenario::{registry, Scenario, ScenarioData};
 use llp_workloads::{
-    binding_last_lp, chebyshev_regression, degenerate_box_lp, near_tie_lp, needle_lp, random_lp,
+    binding_last_lp, chebyshev_regression, clustered_cloud, degenerate_box_lp, heavy_tailed_clouds,
+    near_tie_lp, needle_lp, random_lp, separable_clouds, sphere_shell,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -47,6 +56,7 @@ use std::fmt::Write as _;
 const BASIS_FIXTURE: &str = include_str!("golden/basis_solver.txt");
 const GRID_FIXTURE: &str = include_str!("golden/quick_grid.txt");
 const ONE_PASS_FIXTURE: &str = include_str!("golden/one_pass.txt");
+const GENERATED_FIXTURE: &str = include_str!("golden/generated.txt");
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
 /// Compares `actual` line by line against `fixture`, listing every line
@@ -256,6 +266,101 @@ fn render_one_pass() -> String {
     out
 }
 
+/// Hex bits of every value, comma-separated.
+fn bits(values: &[f64]) -> String {
+    let hex: Vec<String> = values
+        .iter()
+        .map(|v| format!("{:016x}", v.to_bits()))
+        .collect();
+    hex.join(",")
+}
+
+/// Row count, column dimension, the extra fields, and an FNV-1a-64 hash
+/// over every row's coordinate and extra bits (little-endian), in
+/// stream order.
+fn rows_line<P: ColumnarProblem>(p: &P, data: &[P::Constraint], fields: &str) -> String {
+    let columns = p.to_columns(data);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut coords = Vec::new();
+    for i in 0..columns.len() {
+        let extra = columns.row(i, &mut coords);
+        for v in coords.iter().chain([&extra]) {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    format!(
+        "rows={} dim={}{fields} fnv={h:016x}",
+        columns.len(),
+        columns.dim()
+    )
+}
+
+fn lp_line(p: &LpProblem, cs: &[Halfspace], truth: &[f64]) -> String {
+    let mut fields = format!(" objective={}", bits(&p.objective));
+    if !truth.is_empty() {
+        let _ = write!(fields, " truth={}", bits(truth));
+    }
+    rows_line(p, cs, &fields)
+}
+
+fn svm_line(pts: &[SvmPoint], u: &[f64]) -> String {
+    rows_line(
+        &SvmProblem::new(u.len()),
+        pts,
+        &format!(" truth={}", bits(u)),
+    )
+}
+
+/// The generated-bytes fixture text the current generators produce.
+fn render_generated() -> String {
+    let mut out = String::new();
+    for budget in [RunBudget::Quick, RunBudget::Full] {
+        for sc in registry(budget) {
+            let line = match sc.generate() {
+                ScenarioData::Lp(p, cs) => lp_line(&p, &cs, &[]),
+                ScenarioData::Svm(p, pts) => rows_line(&p, &pts, ""),
+                ScenarioData::Meb(p, pts) => rows_line(&p, &pts, ""),
+            };
+            let _ = writeln!(out, "{} {} {line}", budget.name(), sc.name);
+        }
+    }
+    let mut gen = |args: &str, line: String| {
+        let _ = writeln!(out, "{args} {line}");
+    };
+    let (p, cs) = random_lp(1_000, 4, 0x6E01);
+    gen("random_lp n=1000 d=4", lp_line(&p, &cs, &[]));
+    let (p, cs, w_star) = chebyshev_regression(700, 3, 0.2, 0x6E02);
+    gen(
+        "chebyshev_regression n=700 d=3 noise=0.2",
+        lp_line(&p, &cs, &w_star),
+    );
+    let (p, cs) = degenerate_box_lp(1_001, 4, 0x6E03);
+    gen("degenerate_box_lp n=1001 d=4", lp_line(&p, &cs, &[]));
+    let (p, cs) = near_tie_lp(900, 4, 0x6E04);
+    gen("near_tie_lp n=900 d=4", lp_line(&p, &cs, &[]));
+    let (p, cs) = needle_lp(1_500, 3, 6, 0x6E05);
+    gen("needle_lp n=1500 d=3 needles=6", lp_line(&p, &cs, &[]));
+    let (p, cs) = random_lp(1_200, 3, 0x6E06);
+    let cs = binding_last_lp(&p, cs, 0x6E07);
+    gen("binding_last_lp n=1200 d=3", lp_line(&p, &cs, &[]));
+    let (pts, u) = separable_clouds(800, 4, 0.25, 0x6E08);
+    gen("separable_clouds n=800 d=4 margin=0.25", svm_line(&pts, &u));
+    let (pts, u) = heavy_tailed_clouds(800, 2, 1.0, 0x6E09);
+    gen("heavy_tailed_clouds n=800 d=2 margin=1", svm_line(&pts, &u));
+    let pts = sphere_shell(600, 5, 1.5, 0x6E0A);
+    gen(
+        "sphere_shell n=600 d=5 radius=1.5",
+        rows_line(&MebProblem::new(5), &pts, ""),
+    );
+    let pts = clustered_cloud(700, 4, 3.0, 3, 0x6E0B);
+    let line = rows_line(&MebProblem::new(4), &pts, "");
+    gen("clustered_cloud n=700 d=4 radius=3 clusters=3", line);
+    out
+}
+
 #[test]
 fn basis_solvers_reproduce_the_golden_fixture() {
     for variant in ["Optimal", "Infeasible", "Unbounded"] {
@@ -289,6 +394,20 @@ fn one_pass_streaming_reproduces_the_golden_fixture() {
     assert_matches(ONE_PASS_FIXTURE, &render_one_pass(), "one-pass runs");
 }
 
+#[test]
+fn generators_reproduce_the_golden_fixture() {
+    assert_eq!(
+        GENERATED_FIXTURE.lines().count(),
+        2 * registry(RunBudget::Quick).len() + 10,
+        "the fixture covers every registry scenario at both budgets and ten generators"
+    );
+    assert_matches(
+        GENERATED_FIXTURE,
+        &render_generated(),
+        "generated instances",
+    );
+}
+
 /// Rewrites every fixture from the current code. Ignored: run it only
 /// when a change of output is intended.
 #[test]
@@ -300,4 +419,6 @@ fn regenerate() {
         .expect("write grid fixture");
     std::fs::write(format!("{GOLDEN_DIR}/one_pass.txt"), render_one_pass())
         .expect("write one-pass fixture");
+    std::fs::write(format!("{GOLDEN_DIR}/generated.txt"), render_generated())
+        .expect("write generated fixture");
 }
