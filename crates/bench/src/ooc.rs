@@ -106,11 +106,12 @@ pub fn run_ooc(budget: RunBudget, dir: &Path) -> Vec<OocCell> {
             wall_ms: 0.0,
             path: path.to_string_lossy().into_owned(),
         };
+        let problem = sc.problem();
         for &model in models {
-            let cell = match sc.problem() {
-                ScenarioProblem::Lp(p) => solve_cell(&sc, &p, &path, model, &blank),
-                ScenarioProblem::Svm(p) => solve_cell(&sc, &p, &path, model, &blank),
-                ScenarioProblem::Meb(p) => solve_cell(&sc, &p, &path, model, &blank),
+            let cell = match &problem {
+                ScenarioProblem::Lp(p) => solve_cell(&sc, p, &path, model, &blank),
+                ScenarioProblem::Svm(p) => solve_cell(&sc, p, &path, model, &blank),
+                ScenarioProblem::Meb(p) => solve_cell(&sc, p, &path, model, &blank),
             };
             cells.push(cell);
         }

@@ -18,6 +18,13 @@
 //! test, bench, CI leg, or example, regardless of what the caller sampled
 //! before.
 //!
+//! Each registry family's generator is written once, as an emitter: a
+//! seeded loop that pushes every row's coordinates and extra scalar into
+//! a caller's sink through one reused row buffer. The public generators,
+//! [`Scenario::generate`], [`Scenario::problem`] and the store writer
+//! [`write_scenario`] are sinks over the same loop, so a family's RNG
+//! draw order is written once.
+//!
 //! The [`scenario`] module ties the families into a first-class registry:
 //! named, seeded [`Scenario`]s that the experiment harness enumerates and
 //! runs against all four models (RAM / streaming / coordinator / MPC),
@@ -25,22 +32,21 @@
 
 #![forbid(unsafe_code)]
 
+mod emit;
 pub mod lp;
 pub mod meb;
 pub mod order;
 pub mod partition;
 pub mod scenario;
 pub mod store_io;
-pub mod stream;
 pub mod svm;
 
 pub use lp::{
     chebyshev_regression, degenerate_box_lp, near_tie_lp, needle_lp, random_lines, random_lp,
 };
 pub use meb::{ball_cloud, clustered_cloud, sphere_shell};
-pub use order::{binding_last_lp, extremes_last_points, shuffled};
+pub use order::binding_last_lp;
 pub use partition::skewed_sizes;
 pub use scenario::{registry, Family, RunBudget, Scenario, ScenarioData, ScenarioProblem};
 pub use store_io::{matches_scenario, provenance, scenario_for_provenance, write_scenario};
-pub use stream::ScenarioStream;
 pub use svm::{heavy_tailed_clouds, separable_clouds};

@@ -1,21 +1,43 @@
 //! Linear-programming workloads: benign families plus the degenerate,
 //! near-tie, and weight-explosion adversaries.
 
+use crate::emit::{push_rows, Sink};
 use llp_core::instances::lp::LpProblem;
 use llp_geom::Halfspace;
 use llp_num::linalg::{dot, norm};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+
+/// Fills `out` with a random unit vector (rejection-sampled away from
+/// the origin).
+#[inline]
+pub(crate) fn random_unit_into<R: Rng + ?Sized>(d: usize, rng: &mut R, out: &mut Vec<f64>) {
+    loop {
+        out.clear();
+        out.extend((0..d).map(|_| rng.random_range(-1.0..1.0)));
+        let nn = norm(out);
+        if nn >= 1e-6 {
+            out.iter_mut().for_each(|x| *x /= nn);
+            return;
+        }
+    }
+}
 
 /// A random unit vector (rejection-sampled away from the origin).
 pub(crate) fn random_unit<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Vec<f64> {
-    loop {
-        let v: Vec<f64> = (0..d).map(|_| rng.random_range(-1.0..1.0)).collect();
-        let nn = norm(&v);
-        if nn >= 1e-6 {
-            return v.into_iter().map(|x| x / nn).collect();
-        }
-    }
+    let mut v = Vec::with_capacity(d);
+    random_unit_into(d, rng, &mut v);
+    v
+}
+
+/// Writes `-c + spread·g`, normalized, into `out`: a unit normal within
+/// about `spread` of `−c`.
+fn near_antipode(c: &[f64], spread: f64, g: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(c.iter().zip(g).map(|(cj, gj)| -cj + spread * gj));
+    let nn = norm(out);
+    out.iter_mut().for_each(|v| *v /= nn);
 }
 
 /// A random bounded-feasible LP: `n` unit-normal halfspaces tangent to
@@ -23,13 +45,26 @@ pub(crate) fn random_unit<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Vec<f64> {
 /// — once directions cover the sphere — the region is bounded; plus a
 /// random unit objective.
 pub fn random_lp(n: usize, d: usize, seed: u64) -> (LpProblem, Vec<Halfspace>) {
+    let mut cs = Vec::with_capacity(n);
+    let Ok(p) = emit_random_lp(n, d, seed, &mut push_rows(&mut cs));
+    (p, cs)
+}
+
+/// [`random_lp`]'s emitter: the `n` rows, then the objective.
+pub(crate) fn emit_random_lp<E>(
+    n: usize,
+    d: usize,
+    seed: u64,
+    sink: &mut impl Sink<E>,
+) -> Result<LpProblem, E> {
     assert!(d >= 1 && n >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
-    let cs = (0..n)
-        .map(|_| Halfspace::new(random_unit(d, &mut rng), 1.0))
-        .collect();
-    let c = random_unit(d, &mut rng);
-    (LpProblem::new(c), cs)
+    let mut row = Vec::with_capacity(d);
+    for _ in 0..n {
+        random_unit_into(d, &mut rng, &mut row);
+        sink(&row, 1.0)?;
+    }
+    Ok(LpProblem::new(random_unit(d, &mut rng)))
 }
 
 /// Chebyshev (L∞) regression as a `(d+1)`-dimensional LP — the
@@ -43,24 +78,36 @@ pub fn chebyshev_regression(
     noise: f64,
     seed: u64,
 ) -> (LpProblem, Vec<Halfspace>, Vec<f64>) {
+    let mut cs = Vec::with_capacity(2 * n_points);
+    let Ok((p, w_star)) = emit_chebyshev(n_points, d, noise, seed, &mut push_rows(&mut cs));
+    (p, cs, w_star)
+}
+
+/// [`chebyshev_regression`]'s emitter: returns the problem and `w*`.
+pub(crate) fn emit_chebyshev<E>(
+    n_points: usize,
+    d: usize,
+    noise: f64,
+    seed: u64,
+    sink: &mut impl Sink<E>,
+) -> Result<(LpProblem, Vec<f64>), E> {
     assert!(d >= 1 && n_points >= 1 && noise >= 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
     let w_star: Vec<f64> = (0..d).map(|_| rng.random_range(-2.0..2.0)).collect();
-    let mut cs = Vec::with_capacity(2 * n_points);
+    let mut row = Vec::with_capacity(d + 1);
     for _ in 0..n_points {
-        let z: Vec<f64> = (0..d).map(|_| rng.random_range(-1.0..1.0)).collect();
-        let y = dot(&w_star, &z) + rng.random_range(-noise..=noise);
+        row.clear();
+        row.extend((0..d).map(|_| rng.random_range(-1.0..1.0)));
+        let y = dot(&w_star, &row) + rng.random_range(-noise..=noise);
         // w·z − t ≤ y   and   −w·z − t ≤ −y.
-        let mut pos = z.clone();
-        pos.push(-1.0);
-        cs.push(Halfspace::new(pos, y));
-        let mut neg: Vec<f64> = z.iter().map(|v| -v).collect();
-        neg.push(-1.0);
-        cs.push(Halfspace::new(neg, -y));
+        row.push(-1.0);
+        sink(&row, y)?;
+        row[..d].iter_mut().for_each(|v| *v = -*v);
+        sink(&row, -y)?;
     }
     let mut obj = vec![0.0; d + 1];
     obj[d] = 1.0;
-    (LpProblem::new(obj), cs, w_star)
+    Ok((LpProblem::new(obj), w_star))
 }
 
 /// A maximally degenerate duplicate pack: the `2d` faces of the unit box
@@ -71,22 +118,34 @@ pub fn chebyshev_regression(
 /// value is exactly `-1`. Samplers constantly draw repeated elements and
 /// the basis solvers see maximally degenerate subsets.
 pub fn degenerate_box_lp(n: usize, d: usize, seed: u64) -> (LpProblem, Vec<Halfspace>) {
+    let mut cs = Vec::with_capacity(n);
+    let Ok(p) = emit_degenerate_box(n, d, seed, &mut push_rows(&mut cs));
+    (p, cs)
+}
+
+/// [`degenerate_box_lp`]'s emitter. The shuffle is global, so it shuffles
+/// the `n` face ids first — face `2j` is `x_j ≤ 1`, face `2j + 1` is
+/// `−x_j ≤ 1`, and row `i` starts as face `i mod 2d` — and then emits the
+/// faces in that order.
+pub(crate) fn emit_degenerate_box<E>(
+    n: usize,
+    d: usize,
+    seed: u64,
+    sink: &mut impl Sink<E>,
+) -> Result<LpProblem, E> {
     assert!(d >= 1 && n >= 2 * d, "need at least the 2d box faces");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut faces = Vec::with_capacity(2 * d);
-    for j in 0..d {
-        let mut a = vec![0.0; d];
-        a[j] = 1.0;
-        faces.push(Halfspace::new(a.clone(), 1.0));
-        a[j] = -1.0;
-        faces.push(Halfspace::new(a, 1.0));
+    let mut faces: Vec<usize> = (0..n).map(|i| i % (2 * d)).collect();
+    faces.shuffle(&mut rng);
+    let mut row = vec![0.0; d];
+    for f in faces {
+        row[f / 2] = if f % 2 == 0 { 1.0 } else { -1.0 };
+        sink(&row, 1.0)?;
+        row[f / 2] = 0.0;
     }
-    let mut cs: Vec<Halfspace> = (0..n).map(|i| faces[i % faces.len()].clone()).collect();
-    use rand::seq::SliceRandom;
-    cs.shuffle(&mut rng);
     let mut obj = vec![0.0; d];
     obj[0] = 1.0;
-    (LpProblem::new(obj), cs)
+    Ok(LpProblem::new(obj))
 }
 
 /// Near-ties at the optimum: all `n` constraints pass within `jitter`
@@ -103,29 +162,42 @@ pub fn degenerate_box_lp(n: usize, d: usize, seed: u64) -> (LpProblem, Vec<Halfs
 /// tolerance. The recursion now renormalizes; this family pins the
 /// adversarial regime as a regression guard.)
 pub fn near_tie_lp(n: usize, d: usize, seed: u64) -> (LpProblem, Vec<Halfspace>) {
+    let mut cs = Vec::with_capacity(n + 2 * d);
+    let Ok(p) = emit_near_tie(n, d, seed, &mut push_rows(&mut cs));
+    (p, cs)
+}
+
+/// [`near_tie_lp`]'s emitter: the objective, the `n` near-tie rows, then
+/// the `2d` box rows (`x_j ≤ 2`, then `−x_j ≤ 2`, for each `j`).
+pub(crate) fn emit_near_tie<E>(
+    n: usize,
+    d: usize,
+    seed: u64,
+    sink: &mut impl Sink<E>,
+) -> Result<LpProblem, E> {
     assert!(d >= 1 && n >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let c = random_unit(d, &mut rng);
     let x_star: Vec<f64> = c.iter().map(|v| -v).collect();
     let spread = 1e-3;
     let jitter = 1e-9;
-    let mut cs = Vec::with_capacity(n + 2 * d);
+    let (mut g, mut row) = (Vec::with_capacity(d), Vec::with_capacity(d));
     for _ in 0..n {
-        let g = random_unit(d, &mut rng);
-        let raw: Vec<f64> = (0..d).map(|j| -c[j] + spread * g[j]).collect();
-        let nn = norm(&raw);
-        let a: Vec<f64> = raw.into_iter().map(|v| v / nn).collect();
-        let b = dot(&a, &x_star) + rng.random_range(0.0..jitter);
-        cs.push(Halfspace::new(a, b));
+        random_unit_into(d, &mut rng, &mut g);
+        near_antipode(&c, spread, &g, &mut row);
+        let b = dot(&row, &x_star) + rng.random_range(0.0..jitter);
+        sink(&row, b)?;
     }
+    row.clear();
+    row.resize(d, 0.0);
     for j in 0..d {
-        let mut a = vec![0.0; d];
-        a[j] = 1.0;
-        cs.push(Halfspace::new(a.clone(), 2.0));
-        a[j] = -1.0;
-        cs.push(Halfspace::new(a, 2.0));
+        row[j] = 1.0;
+        sink(&row, 2.0)?;
+        row[j] = -1.0;
+        sink(&row, 2.0)?;
+        row[j] = 0.0;
     }
-    (LpProblem::new(c), cs)
+    Ok(LpProblem::new(c))
 }
 
 /// The weight-explosion needle: `n − needles` sphere-tangent constraints
@@ -136,26 +208,47 @@ pub fn near_tie_lp(n: usize, d: usize, seed: u64) -> (LpProblem, Vec<Halfspace>)
 /// they dominate — exactly the regime that drives `ScaledF64` /
 /// `WeightIndex` exponents up (run it with a large factor, e.g. `r = 3`).
 pub fn needle_lp(n: usize, d: usize, needles: usize, seed: u64) -> (LpProblem, Vec<Halfspace>) {
+    let mut cs = Vec::with_capacity(n);
+    let Ok(p) = emit_needle(n, d, needles, seed, &mut push_rows(&mut cs));
+    (p, cs)
+}
+
+/// [`needle_lp`]'s emitter. The needles are buried by a global shuffle,
+/// so every row is built first, into one flat buffer; then the `n`
+/// positions are shuffled (the swaps depend only on the length, so this
+/// is the order shuffling the rows themselves gives) and the rows are
+/// emitted in that order.
+pub(crate) fn emit_needle<E>(
+    n: usize,
+    d: usize,
+    needles: usize,
+    seed: u64,
+    sink: &mut impl Sink<E>,
+) -> Result<LpProblem, E> {
     assert!(d >= 1 && needles >= 1 && n > needles);
     let mut rng = StdRng::seed_from_u64(seed);
     let c = random_unit(d, &mut rng);
     let depth = 0.05;
-    let mut cs = Vec::with_capacity(n);
+    let mut coords = Vec::with_capacity(n * d);
+    let (mut g, mut row) = (Vec::with_capacity(d), Vec::with_capacity(d));
     for _ in 0..n - needles {
-        cs.push(Halfspace::new(random_unit(d, &mut rng), 1.0));
+        random_unit_into(d, &mut rng, &mut row);
+        coords.extend_from_slice(&row);
     }
     for _ in 0..needles {
-        let g = random_unit(d, &mut rng);
-        let raw: Vec<f64> = (0..d).map(|j| -c[j] + 0.05 * g[j]).collect();
-        let nn = norm(&raw);
-        let a: Vec<f64> = raw.into_iter().map(|v| v / nn).collect();
-        cs.push(Halfspace::new(a, depth));
+        random_unit_into(d, &mut rng, &mut g);
+        near_antipode(&c, 0.05, &g, &mut row);
+        coords.extend_from_slice(&row);
     }
     // Bury the needles at seeded positions so no prefix heuristic finds
     // them early.
-    use rand::seq::SliceRandom;
-    cs.shuffle(&mut rng);
-    (LpProblem::new(c), cs)
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut rng);
+    for i in order {
+        let b = if i < n - needles { 1.0 } else { depth };
+        sink(&coords[i * d..(i + 1) * d], b)?;
+    }
+    Ok(LpProblem::new(c))
 }
 
 /// Random lines for the Chan–Chen envelope baseline.

@@ -1,7 +1,8 @@
 //! Minimum-enclosing-ball workloads: benign clouds/shells plus the
 //! clustered adversary with a planted exact radius.
 
-use crate::lp::random_unit;
+use crate::emit::{push_rows, Sink};
+use crate::lp::{random_unit, random_unit_into};
 use llp_num::linalg::norm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,16 +25,28 @@ pub fn ball_cloud(n: usize, d: usize, radius: f64, seed: u64) -> Vec<Vec<f64>> {
 /// Points on the sphere of the given radius: the MEB is (essentially) the
 /// sphere itself, so the output radius is checkable.
 pub fn sphere_shell(n: usize, d: usize, radius: f64, seed: u64) -> Vec<Vec<f64>> {
+    let mut pts = Vec::with_capacity(n);
+    let Ok(()) = emit_sphere_shell(n, d, radius, seed, &mut push_rows(&mut pts));
+    pts
+}
+
+/// [`sphere_shell`]'s emitter.
+pub(crate) fn emit_sphere_shell<E>(
+    n: usize,
+    d: usize,
+    radius: f64,
+    seed: u64,
+    sink: &mut impl Sink<E>,
+) -> Result<(), E> {
     assert!(d >= 1 && n >= 1 && radius > 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            random_unit(d, &mut rng)
-                .into_iter()
-                .map(|v| v * radius)
-                .collect()
-        })
-        .collect()
+    let mut x = Vec::with_capacity(d);
+    for _ in 0..n {
+        random_unit_into(d, &mut rng, &mut x);
+        x.iter_mut().for_each(|v| *v *= radius);
+        sink(&x, 0.0)?;
+    }
+    Ok(())
 }
 
 /// A clustered cloud with a planted *exact* MEB: a few tight clusters
@@ -51,6 +64,21 @@ pub fn clustered_cloud(
     clusters: usize,
     seed: u64,
 ) -> Vec<Vec<f64>> {
+    let mut pts = Vec::with_capacity(n);
+    let Ok(()) = emit_clustered(n, d, radius, clusters, seed, &mut push_rows(&mut pts));
+    pts
+}
+
+/// [`clustered_cloud`]'s emitter: the cluster centers, the two anchors,
+/// then `n − 2` clipped cluster points.
+pub(crate) fn emit_clustered<E>(
+    n: usize,
+    d: usize,
+    radius: f64,
+    clusters: usize,
+    seed: u64,
+    sink: &mut impl Sink<E>,
+) -> Result<(), E> {
     assert!(d >= 1 && n >= 3 && radius > 0.0 && clusters >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let centers: Vec<Vec<f64>> = (0..clusters)
@@ -61,25 +89,23 @@ pub fn clustered_cloud(
         })
         .collect();
     let spread = 0.01 * radius;
-    let mut pts = Vec::with_capacity(n);
-    let mut anchor = vec![0.0; d];
-    anchor[0] = radius;
-    pts.push(anchor.clone());
-    anchor[0] = -radius;
-    pts.push(anchor);
-    while pts.len() < n {
+    let mut x = vec![0.0; d];
+    x[0] = radius;
+    sink(&x, 0.0)?;
+    x[0] = -radius;
+    sink(&x, 0.0)?;
+    for _ in 2..n {
         let c = &centers[rng.random_range(0..clusters)];
-        let mut x: Vec<f64> = (0..d)
-            .map(|j| c[j] + rng.random_range(-spread..spread))
-            .collect();
+        x.clear();
+        x.extend(c.iter().map(|cj| cj + rng.random_range(-spread..spread)));
         // Clip into the planted ball so the anchors stay the support.
         let nn = norm(&x);
         if nn > radius {
             x.iter_mut().for_each(|v| *v *= radius / nn);
         }
-        pts.push(x);
+        sink(&x, 0.0)?;
     }
-    pts
+    Ok(())
 }
 
 #[cfg(test)]

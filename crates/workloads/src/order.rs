@@ -9,17 +9,8 @@
 use llp_core::instances::lp::LpProblem;
 use llp_core::lptype::LpTypeProblem;
 use llp_geom::Halfspace;
-use llp_num::linalg::norm;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// A seeded Fisher–Yates shuffle (the baseline "random order" adversary).
-pub fn shuffled<C>(mut data: Vec<C>, seed: u64) -> Vec<C> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    data.shuffle(&mut rng);
-    data
-}
 
 /// Reorders LP constraints so the ones binding at the optimum stream
 /// *last*: solves the instance directly (with a seeded RNG) and sorts by
@@ -30,18 +21,13 @@ pub fn binding_last_lp(problem: &LpProblem, mut cs: Vec<Halfspace>, seed: u64) -
     let sol = problem
         .solve_subset(&cs, &mut rng)
         .expect("ordering requires a solvable instance");
-    cs.sort_by(|a, b| {
-        let (sa, sb) = (a.slack(&sol), b.slack(&sol));
-        sb.partial_cmp(&sa).expect("finite slacks")
-    });
-    cs
-}
-
-/// Reorders points so the extremes (candidate MEB support points) come
-/// last: sorts by distance from the origin, ascending.
-pub fn extremes_last_points(mut pts: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-    pts.sort_by(|a, b| norm(a).partial_cmp(&norm(b)).expect("finite norms"));
-    pts
+    // Each slack once, then a stable sort of (slack, position) pairs: the
+    // order a stable sort of the constraints on their slacks gives.
+    let mut keys: Vec<(f64, usize)> = cs.iter().map(|h| h.slack(&sol)).zip(0..).collect();
+    keys.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite slacks"));
+    keys.into_iter()
+        .map(|(_, i)| Halfspace::new(std::mem::take(&mut cs[i].a), cs[i].b))
+        .collect()
 }
 
 #[cfg(test)]
@@ -66,27 +52,5 @@ mod tests {
         for w in ordered.windows(2) {
             assert!(w[0].slack(&sol) >= w[1].slack(&sol) - 1e-12);
         }
-    }
-
-    #[test]
-    fn shuffle_is_seeded_and_permutes() {
-        let data: Vec<u32> = (0..100).collect();
-        let a = shuffled(data.clone(), 7);
-        let b = shuffled(data.clone(), 7);
-        assert_eq!(a, b);
-        assert_ne!(a, data);
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, data);
-    }
-
-    #[test]
-    fn extremes_last_sorts_by_norm() {
-        let pts = vec![vec![3.0, 0.0], vec![1.0, 0.0], vec![2.0, 0.0]];
-        let ordered = extremes_last_points(pts);
-        assert_eq!(
-            ordered,
-            vec![vec![1.0, 0.0], vec![2.0, 0.0], vec![3.0, 0.0]]
-        );
     }
 }

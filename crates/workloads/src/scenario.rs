@@ -8,11 +8,13 @@
 //! the quick tier is a *real subset* of the full run: same scenarios, same
 //! seeds, same dimensions — only `n` shrinks.
 
+use crate::emit::{push_rows, FromRow, Sink};
 use crate::{lp, meb, order, svm};
 use llp_core::instances::lp::LpProblem;
 use llp_core::instances::meb::MebProblem;
 use llp_core::instances::svm::{SvmPoint, SvmProblem};
 use llp_geom::Halfspace;
+use std::convert::Infallible;
 
 /// How much work a run is allowed: `Quick` for CI / integration tests,
 /// `Full` for the recorded experiment tables. One budget value threads
@@ -38,11 +40,6 @@ impl RunBudget {
         } else {
             RunBudget::Full
         }
-    }
-
-    /// True for [`RunBudget::Quick`].
-    pub fn is_quick(self) -> bool {
-        self == RunBudget::Quick
     }
 
     /// The budget's wire name (`"quick"` / `"full"` / `"huge"`).
@@ -213,9 +210,8 @@ impl ScenarioData {
 }
 
 /// A scenario's problem *without* its constraints: what a consumer of a
-/// chunked store file needs to interpret the rows it reads. Rebuilt from
-/// the scenario parameters alone (replaying generator RNG draws where an
-/// objective is random), so it is bit-identical to the problem
+/// chunked store file needs to interpret the rows it reads. It is the
+/// problem `Scenario::emit` returns, so it is bit-identical to the one
 /// [`Scenario::generate`] pairs with the materialized data.
 #[derive(Clone, Debug)]
 pub enum ScenarioProblem {
@@ -228,98 +224,106 @@ pub enum ScenarioProblem {
 }
 
 impl Scenario {
+    /// The number of rows the scenario emits: Chebyshev emits two per
+    /// data point (`n/2` points), near-tie appends its `2d` bounding box.
+    pub fn rows(&self) -> usize {
+        match self.family {
+            Family::ChebyshevLp => (self.n / 2) * 2,
+            Family::NearTieLp => self.n + 2 * self.d,
+            _ => self.n,
+        }
+    }
+
+    /// The width of every emitted row: Chebyshev lifts `d` to the `d + 1`
+    /// variables `(w, t)`.
+    pub fn dim(&self) -> usize {
+        match self.family {
+            Family::ChebyshevLp => self.d + 1,
+            _ => self.d,
+        }
+    }
+
+    /// Runs the family's generator: pushes every row — its coordinates
+    /// and extra scalar, exactly as `ColumnarProblem::to_columns` stores
+    /// them — into `sink` in stream order, and returns the problem. Each
+    /// family's RNG draw order lives only in its emitter, which
+    /// [`generate`](Self::generate), [`problem`](Self::problem), the store
+    /// writer and the public generators all drive. The rows pass through
+    /// one reused buffer, except that the three permutation families
+    /// (degenerate duplicates, weight-explosion needles, binding-last
+    /// order) are defined by a global shuffle or sort and build their
+    /// whole instance first. A sink error stops the emitter and is
+    /// returned.
+    pub(crate) fn emit<E>(&self, sink: &mut impl Sink<E>) -> Result<ScenarioProblem, E> {
+        let (n, d, seed) = (self.n, self.d, self.seed);
+        Ok(match self.family {
+            Family::RandomLp | Family::SkewedPartitionLp => {
+                ScenarioProblem::Lp(lp::emit_random_lp(n, d, seed, sink)?)
+            }
+            // 2 constraints per data point.
+            Family::ChebyshevLp => {
+                ScenarioProblem::Lp(lp::emit_chebyshev(n / 2, d, 0.05, seed, sink)?.0)
+            }
+            Family::DegenerateDuplicateLp => {
+                ScenarioProblem::Lp(lp::emit_degenerate_box(n, d, seed, sink)?)
+            }
+            Family::NearTieLp => ScenarioProblem::Lp(lp::emit_near_tie(n, d, seed, sink)?),
+            Family::WeightExplosionLp => ScenarioProblem::Lp(lp::emit_needle(n, d, 4, seed, sink)?),
+            Family::AdversarialOrderLp => {
+                let (p, cs) = lp::random_lp(n, d, seed);
+                for h in order::binding_last_lp(&p, cs, seed ^ 0xdead_beef) {
+                    sink(&h.a, h.b)?;
+                }
+                ScenarioProblem::Lp(p)
+            }
+            Family::SeparableSvm => {
+                svm::emit_separable(n, d, 0.5, seed, sink)?;
+                ScenarioProblem::Svm(SvmProblem::new(d))
+            }
+            Family::HeavyTailSvm => {
+                svm::emit_heavy_tailed(n, d, 0.5, seed, sink)?;
+                ScenarioProblem::Svm(SvmProblem::new(d))
+            }
+            Family::SphereShellMeb => {
+                meb::emit_sphere_shell(n, d, 3.0, seed, sink)?;
+                ScenarioProblem::Meb(MebProblem::new(d))
+            }
+            Family::ClusteredMeb => {
+                meb::emit_clustered(n, d, 2.0, 5, seed, sink)?;
+                ScenarioProblem::Meb(MebProblem::new(d))
+            }
+        })
+    }
+
     /// Regenerates the instance from the scenario's own seed —
     /// byte-for-byte identical on every call.
     pub fn generate(&self) -> ScenarioData {
         match self.family {
-            Family::RandomLp | Family::SkewedPartitionLp => {
-                let (p, cs) = lp::random_lp(self.n, self.d, self.seed);
-                ScenarioData::Lp(p, cs)
+            Family::SeparableSvm | Family::HeavyTailSvm => {
+                ScenarioData::Svm(SvmProblem::new(self.d), self.collect_rows().1)
             }
-            Family::ChebyshevLp => {
-                // 2 constraints per data point.
-                let (p, cs, _) = lp::chebyshev_regression(self.n / 2, self.d, 0.05, self.seed);
-                ScenarioData::Lp(p, cs)
+            Family::SphereShellMeb | Family::ClusteredMeb => {
+                ScenarioData::Meb(MebProblem::new(self.d), self.collect_rows().1)
             }
-            Family::DegenerateDuplicateLp => {
-                let (p, cs) = lp::degenerate_box_lp(self.n, self.d, self.seed);
-                ScenarioData::Lp(p, cs)
-            }
-            Family::NearTieLp => {
-                let (p, cs) = lp::near_tie_lp(self.n, self.d, self.seed);
-                ScenarioData::Lp(p, cs)
-            }
-            Family::WeightExplosionLp => {
-                let (p, cs) = lp::needle_lp(self.n, self.d, 4, self.seed);
-                ScenarioData::Lp(p, cs)
-            }
-            Family::AdversarialOrderLp => {
-                let (p, cs) = lp::random_lp(self.n, self.d, self.seed);
-                let cs = order::binding_last_lp(&p, cs, self.seed ^ 0xdead_beef);
-                ScenarioData::Lp(p, cs)
-            }
-            Family::SeparableSvm => {
-                let (pts, _) = svm::separable_clouds(self.n, self.d, 0.5, self.seed);
-                ScenarioData::Svm(SvmProblem::new(self.d), pts)
-            }
-            Family::HeavyTailSvm => {
-                let (pts, _) = svm::heavy_tailed_clouds(self.n, self.d, 0.5, self.seed);
-                ScenarioData::Svm(SvmProblem::new(self.d), pts)
-            }
-            Family::SphereShellMeb => {
-                let pts = meb::sphere_shell(self.n, self.d, 3.0, self.seed);
-                ScenarioData::Meb(MebProblem::new(self.d), pts)
-            }
-            Family::ClusteredMeb => {
-                let pts = meb::clustered_cloud(self.n, self.d, 2.0, 5, self.seed);
-                ScenarioData::Meb(MebProblem::new(self.d), pts)
-            }
+            _ => match self.collect_rows() {
+                (ScenarioProblem::Lp(p), cs) => ScenarioData::Lp(p, cs),
+                _ => unreachable!("{}: every other family is an LP", self.name),
+            },
         }
     }
 
-    /// Rebuilds the scenario's problem without materializing any
-    /// constraints. Families with a random objective replay exactly the
-    /// RNG draws their generator performs before (or instead of)
-    /// emitting it, so the objective bits match [`generate`](Self::generate);
-    /// the rest have fixed or dimension-only problems.
+    /// The scenario's problem without its constraints: the emitter runs
+    /// with a sink that drops every row.
     pub fn problem(&self) -> ScenarioProblem {
-        use crate::lp::random_unit;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        match self.family {
-            Family::RandomLp | Family::SkewedPartitionLp | Family::AdversarialOrderLp => {
-                // random_lp draws the n constraint normals first, then the
-                // objective; binding-last only reorders the constraints.
-                let mut rng = StdRng::seed_from_u64(self.seed);
-                for _ in 0..self.n {
-                    let _ = random_unit(self.d, &mut rng);
-                }
-                ScenarioProblem::Lp(LpProblem::new(random_unit(self.d, &mut rng)))
-            }
-            Family::ChebyshevLp => {
-                // min t over (w, t): the objective is the fixed unit vector
-                // e_d in d+1 variables.
-                let mut obj = vec![0.0; self.d + 1];
-                obj[self.d] = 1.0;
-                ScenarioProblem::Lp(LpProblem::new(obj))
-            }
-            Family::DegenerateDuplicateLp => {
-                let mut obj = vec![0.0; self.d];
-                obj[0] = 1.0;
-                ScenarioProblem::Lp(LpProblem::new(obj))
-            }
-            Family::NearTieLp | Family::WeightExplosionLp => {
-                // Both generators draw the objective before any constraint.
-                let mut rng = StdRng::seed_from_u64(self.seed);
-                ScenarioProblem::Lp(LpProblem::new(random_unit(self.d, &mut rng)))
-            }
-            Family::SeparableSvm | Family::HeavyTailSvm => {
-                ScenarioProblem::Svm(SvmProblem::new(self.d))
-            }
-            Family::SphereShellMeb | Family::ClusteredMeb => {
-                ScenarioProblem::Meb(MebProblem::new(self.d))
-            }
-        }
+        let Ok(problem) = self.emit(&mut |_: &[f64], _| Ok::<(), Infallible>(()));
+        problem
+    }
+
+    /// Emits every row into a vector of constraints.
+    fn collect_rows<C: FromRow>(&self) -> (ScenarioProblem, Vec<C>) {
+        let mut rows = Vec::with_capacity(self.rows());
+        let Ok(problem) = self.emit(&mut push_rows(&mut rows));
+        (problem, rows)
     }
 }
 
@@ -432,6 +436,7 @@ pub fn registry(budget: RunBudget) -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llp_core::lptype::ColumnarProblem;
 
     #[test]
     fn registry_names_are_unique_and_cover_all_families() {
@@ -467,16 +472,13 @@ mod tests {
     #[test]
     fn every_scenario_generates_its_declared_size() {
         for sc in registry(RunBudget::Quick) {
-            let data = sc.generate();
-            assert!(!data.is_empty());
-            // Chebyshev produces 2 constraints per point (n/2 points);
-            // near-tie adds a 2d bounding box.
-            let expect = match sc.family {
-                Family::ChebyshevLp => (sc.n / 2) * 2,
-                Family::NearTieLp => sc.n + 2 * sc.d,
-                _ => sc.n,
+            let columns = match sc.generate() {
+                ScenarioData::Lp(p, cs) => p.to_columns(&cs),
+                ScenarioData::Svm(p, pts) => p.to_columns(&pts),
+                ScenarioData::Meb(p, pts) => p.to_columns(&pts),
             };
-            assert_eq!(data.len(), expect, "{}", sc.name);
+            assert_eq!(columns.len(), sc.rows(), "{}", sc.name);
+            assert_eq!(columns.dim(), sc.dim(), "{}", sc.name);
         }
     }
 
@@ -517,7 +519,6 @@ mod tests {
     fn huge_budget_reaches_out_of_core_sizes() {
         assert_eq!(RunBudget::parse("huge"), Some(RunBudget::Huge));
         assert_eq!(RunBudget::Huge.name(), "huge");
-        assert!(!RunBudget::Huge.is_quick());
         let huge = registry(RunBudget::Huge);
         let max_n = huge.iter().map(|s| s.n).max().unwrap();
         assert!(max_n >= 100_000_000, "largest huge scenario n = {max_n}");

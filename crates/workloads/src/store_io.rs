@@ -1,8 +1,10 @@
 //! Scenario ↔ chunked-store glue: write any registry scenario to a
-//! store file without materializing it, and check a file's header
-//! against the scenario it claims to hold. Files load back whole
-//! through `llp_store::read_all`; the coordinator and MPC models cut
-//! their site ranges from the loaded rows.
+//! store file without materializing it — [`write_scenario`] drives the
+//! scenario's emitter (`Scenario::emit`) with a sink that fills one
+//! chunk at a time — and check a file's header against the scenario it
+//! claims to hold. Files load back whole through `llp_store::read_all`;
+//! the coordinator and MPC models cut their site ranges from the loaded
+//! rows.
 //!
 //! The store header's [`Provenance`] records the scenario's generator
 //! arguments (family, n, d, seed, r, skew), so a well-formed file is
@@ -11,7 +13,6 @@
 //! that a file on disk really is the scenario a report cell claims.
 
 use crate::scenario::{Family, Scenario};
-use crate::stream::ScenarioStream;
 use llp_geom::ConstraintColumns;
 use llp_store::{ChunkWriter, FileHeader, Provenance, StoreError};
 use std::fs::File;
@@ -48,46 +49,49 @@ pub fn scenario_for_provenance(p: &Provenance) -> Option<Scenario> {
 }
 
 /// True iff a file header's provenance and shape match the scenario:
-/// same generator arguments, and row/dim totals consistent with what
-/// the scenario's stream would emit.
+/// same generator arguments, and the row count and width the scenario
+/// emits.
 pub fn matches_scenario(h: &FileHeader, sc: &Scenario) -> bool {
-    let stream = ScenarioStream::new(sc);
-    h.provenance == provenance(sc)
-        && h.dim as usize == stream.dim()
-        && h.rows as usize == stream.rows()
+    h.provenance == provenance(sc) && h.dim as usize == sc.dim() && h.rows as usize == sc.rows()
 }
 
 /// Streams a scenario to a chunked store file in O(`chunk_len`) memory
-/// (the three permutation families buffer internally — see
-/// [`ScenarioStream`]). Returns the written header and the total bytes
-/// written; the byte count equals the file's size on disk.
+/// (the three permutation families build their instance first — see
+/// `Scenario::emit`). A write error stops the generator and is
+/// returned. Returns the written header and the total bytes written;
+/// the byte count equals the file's size on disk.
 pub fn write_scenario(
     sc: &Scenario,
     path: &Path,
     chunk_len: u32,
 ) -> Result<(FileHeader, u64), StoreError> {
-    let mut stream = ScenarioStream::new(sc);
+    let (dim, rows) = (sc.dim(), sc.rows());
     let header = FileHeader {
-        dim: stream.dim() as u32,
-        rows: stream.rows() as u64,
+        dim: dim as u32,
+        rows: rows as u64,
         chunk_len,
         provenance: provenance(sc),
     };
     let file =
         File::create(path).map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
     let mut w = ChunkWriter::create(BufWriter::new(file), header.clone())?;
-    let mut coords = Vec::with_capacity(stream.dim());
-    while stream.remaining() > 0 {
-        let take = stream.remaining().min(chunk_len as usize);
-        let mut chunk = ConstraintColumns::zeroed(stream.dim(), take);
-        for i in 0..take {
-            let extra = stream
-                .next_row(&mut coords)
-                .expect("stream yields `rows` rows");
-            chunk.set_row(i, &coords, extra);
+    // Rows not yet in a written chunk, and the rows of the current one.
+    let mut left = rows;
+    let mut chunk = ConstraintColumns::zeroed(dim, left.min(chunk_len as usize));
+    let mut filled = 0;
+    sc.emit(&mut |coords: &[f64], extra| {
+        chunk.set_row(filled, coords, extra);
+        filled += 1;
+        if filled == chunk.len() {
+            w.write_chunk(&chunk)?;
+            left -= filled;
+            filled = 0;
+            if left < chunk.len() {
+                chunk = ConstraintColumns::zeroed(dim, left);
+            }
         }
-        w.write_chunk(&chunk)?;
-    }
+        Ok::<(), StoreError>(())
+    })?;
     let bytes = w.finish()?;
     Ok((header, bytes))
 }
@@ -161,6 +165,18 @@ mod tests {
         let mut p = provenance(&registry(RunBudget::Quick)[0]);
         p.family = "no_such_family".into();
         assert!(scenario_for_provenance(&p).is_none());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failing_device_surfaces_as_an_io_error() {
+        // Each 1,000-row frame (32 KB) overflows the 8 KiB write buffer,
+        // so the first chunk the sink writes, inside the generator loop,
+        // hits the full device.
+        let mut sc = registry(RunBudget::Quick)[0].clone();
+        sc.n = 4_000;
+        let err = write_scenario(&sc, Path::new("/dev/full"), 1_000).unwrap_err();
+        assert!(matches!(err, StoreError::Io(_)), "{err:?}");
     }
 
     #[test]

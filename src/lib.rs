@@ -33,7 +33,8 @@
 //!   hard distribution, protocols, and the reduction to 2-D LP.
 //! * [`baselines`] — Chan–Chen, classic Clarkson, and naive baselines.
 //! * [`workloads`] — synthetic workload generators used by benches and
-//!   examples, including streaming generators and store-file loaders.
+//!   examples: one row emitter per family, which also streams scenarios
+//!   into store files.
 
 #![forbid(unsafe_code)]
 
