@@ -1,5 +1,5 @@
-//! Regenerates the experiment tables, the machine-readable scenario
-//! report, and the service load-harness report (see DESIGN.md §3/§6/§7).
+//! Regenerates the experiment tables and the machine-readable report
+//! (see DESIGN.md §3/§6/§7).
 //!
 //! Usage:
 //! ```text
@@ -10,50 +10,54 @@
 //! ```
 //!
 //! * ids: any table id (`t1` … `t14`, `t13p`, `f1`, `f2`), `tables`
-//!   (all of them), `scenarios` (the registry grid), `serve` (the
-//!   service load mixes), `net-serve` (the socket loadgen against a
-//!   real loopback `llp_serve` server), `ooc` (the file-backed
-//!   out-of-core harness), or `all` (everything; the default).
+//!   (all of them), `scenarios` (the registry grid), `serve` (the load
+//!   harness: three traffic mixes over TCP against `llp_serve` shards),
+//!   `ooc` (the file-backed out-of-core cells), or `all` (everything;
+//!   the default).
 //! * `--quick` shrinks every input size through one shared [`RunBudget`]
 //!   (the same budget the integration tests use).
 //! * `--huge` selects the out-of-core budget tier (`n ≥ 10^8`): only the
 //!   `ooc` harness accepts it, streaming-only, with the instance spilled
 //!   to a chunked store file and never materialized in RAM. Conflicts
-//!   with `--quick` and with every other experiment id.
+//!   with `--quick`, with every other experiment id, and with every
+//!   load-harness flag below.
 //! * `--ooc-dir DIR` places the chunked store files the `ooc` harness
 //!   writes (default `llp_ooc_chunks/`).
 //! * `--threads N` pins the `llp_par` scan-thread count via
 //!   `llp_par::set_threads` — it overrides the `LLP_THREADS` environment
 //!   variable for this run (precedence: `--threads` > `LLP_THREADS` >
 //!   `available_parallelism`; see README "Parallelism").
-//! * `--workers N` / `--requests N` tune the `serve` and `net-serve`
-//!   harnesses (service worker threads, requests per wave per mix).
-//! * `--shards N` sets the shard count behind the `net-serve` server
+//! * `--workers N` / `--requests N` / `--shards N` / `--port P` tune the
+//!   `serve` harness: service worker threads per shard, requests per
+//!   wave per mix, the shard count behind its loopback server
 //!   (precedence: `--shards` > `LLP_SHARDS` > max(2, cores); see README
-//!   "Network serving"); `--port P` pins the loopback port (default:
-//!   ephemeral); `--connect ADDR` drives an already-running external
-//!   server instead of booting one in-process.
-//! * When the scenario grid or the serve harness runs, the report is
-//!   written as JSON to `--out PATH`, or to `BENCH_<label>.json` with
-//!   the label defaulting to the unix timestamp — the file the repo's
-//!   perf trajectory tracks. Passing `--out` or `--label` runs the grid
-//!   even when the ids alone would not (so the requested file always
-//!   exists).
+//!   "Network serving") and that server's port (default: ephemeral).
+//!   `--connect ADDR` drives an already-running external server instead
+//!   of booting one; it refuses `--workers`, `--shards` and `--port`,
+//!   which would configure nothing, and its rows record `workers: 0`
+//!   (not known to the loadgen). Any of these flags runs `serve` even
+//!   when the ids alone would not.
+//! * When the grid, `serve` or `ooc` runs, the report is written as
+//!   JSON to `--out PATH`, or to `BENCH_<label>.json` with the label
+//!   defaulting to the unix timestamp. Passing `--out` or `--label` runs
+//!   the grid even when the ids alone would not (so the requested file
+//!   always exists).
 //! * `--check PATH` parses a previously written report back into
 //!   [`llp_bench::report::Report`] and validates it (grid coverage, zero
-//!   violations, cross-model objective agreement, service-counter
-//!   conservation, the net block's per-shard *and* fleet-aggregate
-//!   conservation laws, and the ooc block's byte meters — including
-//!   re-opening and re-checksumming every store file the ooc block
-//!   references, so a corrupted chunk store fails the gate); exits
-//!   non-zero on any failure. No experiments run in this mode.
+//!   violations, cross-model objective agreement over in-RAM and file
+//!   cells, the file cells' byte meters, and the load rows' per-shard
+//!   *and* fleet-aggregate conservation laws — then re-opens and
+//!   re-checksums every store file a file cell references, so a
+//!   corrupted chunk store fails the gate); exits non-zero on any
+//!   failure. No experiments run in this mode.
 //! * `--list` prints the registry without running anything.
+//!
+//! Refused flag combinations exit with code 2 before anything runs.
 
 #![forbid(unsafe_code)]
 
-use llp_bench::netserve::{self, NetServeOptions};
 use llp_bench::report::{self, Report};
-use llp_bench::serve::{self, ServeOptions};
+use llp_bench::serve::{self, LoadOptions};
 use llp_bench::RunBudget;
 use llp_workloads::scenario::registry;
 
@@ -96,8 +100,7 @@ fn main() {
                      [--connect ADDR] [--ooc-dir DIR] [--check PATH] [id ...]"
                 );
                 eprintln!(
-                    "ids: {:?}, 'tables', 'scenarios', 'serve', 'net-serve', 'ooc', or 'all' \
-                     (default)",
+                    "ids: {:?}, 'tables', 'scenarios', 'serve', 'ooc', or 'all' (default)",
                     llp_bench::ALL
                 );
                 return;
@@ -106,12 +109,13 @@ fn main() {
         }
     }
     if huge && quick {
-        eprintln!("error: --huge and --quick are mutually exclusive");
-        std::process::exit(2);
+        refuse("--huge and --quick are mutually exclusive");
     }
-    if huge && ids.iter().any(|id| id != "ooc") {
-        eprintln!("error: --huge only applies to the 'ooc' experiment");
-        std::process::exit(2);
+    if connect.is_some() && (workers.is_some() || shards.is_some() || port.is_some()) {
+        refuse(
+            "--workers, --shards and --port configure the loopback server; \
+             --connect drives an external server",
+        );
     }
     if huge && ids.is_empty() {
         ids.push("ooc".into());
@@ -155,124 +159,116 @@ fn main() {
     if ids.is_empty() {
         ids.push("all".into());
     }
+    let mut tables: Vec<&str> = Vec::new();
     let mut run_scenarios = false;
     let mut run_serve = false;
-    let mut run_net = false;
     let mut run_ooc = false;
     for id in &ids {
         match id.as_str() {
             "scenarios" => run_scenarios = true,
             "serve" => run_serve = true,
-            "net-serve" => run_net = true,
             "ooc" => run_ooc = true,
-            "all" | "tables" => {
-                if id == "all" {
-                    run_scenarios = true;
-                    run_serve = true;
-                    run_net = true;
-                    run_ooc = true;
-                }
-                for table_id in llp_bench::ALL {
-                    for table in llp_bench::run(table_id, budget) {
-                        println!("{}", table.render());
-                    }
-                }
+            "tables" => tables.extend(llp_bench::ALL),
+            "all" => {
+                tables.extend(llp_bench::ALL);
+                run_scenarios = true;
+                run_serve = true;
+                run_ooc = true;
             }
-            id => {
-                for table in llp_bench::run(id, budget) {
-                    println!("{}", table.render());
-                }
-            }
+            id => tables.push(id),
         }
     }
     // Flags that only make sense for a specific run force that run:
     // silently discarding them while naming ids that skip it would write
     // nothing (and a later --check would read a stale file).
-    if (workers.is_some() || requests.is_some()) && !run_net {
-        run_serve = true;
-    }
-    if shards.is_some() || port.is_some() || connect.is_some() {
-        run_net = true;
-    }
-    if (out.is_some() || label.is_some()) && !run_scenarios && !run_serve && !run_net && !run_ooc {
+    let load_flags = workers.is_some()
+        || requests.is_some()
+        || shards.is_some()
+        || port.is_some()
+        || connect.is_some();
+    run_serve |= load_flags;
+    if (out.is_some() || label.is_some()) && !run_scenarios && !run_serve && !run_ooc {
         run_scenarios = true;
     }
-
-    if run_scenarios || run_serve || run_net || run_ooc {
-        let label = label.unwrap_or_else(unix_timestamp);
-        let mut report = if run_scenarios {
-            report::run_scenarios(budget, &label)
-        } else {
-            Report {
-                schema_version: report::SCHEMA_VERSION,
-                label: label.clone(),
-                budget: budget.name().to_string(),
-                cells: Vec::new(),
-                service: Vec::new(),
-                net: Vec::new(),
-                ooc: Vec::new(),
-            }
-        };
-        if run_scenarios {
-            println!("{}", report.summary_table().render());
-        }
-        if run_serve {
-            let mut opts = ServeOptions::for_budget(budget);
-            if let Some(w) = workers {
-                opts.workers = w.max(1);
-            }
-            if let Some(r) = requests {
-                opts.requests = r.max(1);
-            }
-            report.service = serve::run_mixes(budget, &opts);
-            println!("{}", report.service_summary_table().render());
-        }
-        if run_net {
-            let mut opts = NetServeOptions::for_budget(budget, llp_serve::default_shards(shards));
-            if let Some(w) = workers {
-                opts.serve.workers = w.max(1);
-            }
-            if let Some(r) = requests {
-                opts.serve.requests = r.max(1);
-            }
-            if let Some(p) = port {
-                opts.port = p;
-            }
-            opts.connect = connect.clone();
-            report.net = netserve::run_net_mixes(budget, &opts);
-            println!("{}", report.net_summary_table().render());
-        }
-        if run_ooc {
-            report.ooc = llp_bench::ooc::run_ooc(budget, std::path::Path::new(&ooc_dir));
-            println!("{}", report.ooc_summary_table().render());
-        }
-        let path = out.unwrap_or_else(|| format!("BENCH_{label}.json"));
-        std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        if let Err(e) = report::validate(&report) {
-            eprintln!("error: freshly generated report is invalid: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote {path} ({} grid cells, {} scenarios, {} service mixes, {} net rows, \
-             {} ooc cells, budget {})",
-            report.cells.len(),
-            report.cells.len() / report::MODELS.len(),
-            report.service.len(),
-            report.net.len(),
-            report.ooc.len(),
-            report.budget
+    // After the forcing rules, so that a forced run cannot slip past it.
+    if huge && load_flags {
+        refuse(
+            "--huge does not apply to the load harness \
+             (--workers, --requests, --shards, --port, --connect)",
         );
     }
+    if huge && (run_scenarios || run_serve || !tables.is_empty()) {
+        refuse("--huge only applies to the 'ooc' experiment");
+    }
+
+    for id in tables {
+        for table in llp_bench::run(id, budget) {
+            println!("{}", table.render());
+        }
+    }
+    if !(run_scenarios || run_serve || run_ooc) {
+        return;
+    }
+    let label = label.unwrap_or_else(unix_timestamp);
+    let mut report = if run_scenarios {
+        report::run_scenarios(budget, &label)
+    } else {
+        Report {
+            schema_version: report::SCHEMA_VERSION,
+            label: label.clone(),
+            budget: budget.name().to_string(),
+            cells: Vec::new(),
+            load: Vec::new(),
+        }
+    };
+    if run_ooc {
+        let dir = std::path::Path::new(&ooc_dir);
+        report.cells.extend(llp_bench::ooc::run_ooc(budget, dir));
+    }
+    if !report.cells.is_empty() {
+        println!("{}", report.summary_table().render());
+    }
+    if run_serve {
+        let mut opts = LoadOptions::for_budget(budget, llp_serve::default_shards(shards));
+        opts.workers = workers.unwrap_or(opts.workers);
+        opts.requests = requests.unwrap_or(opts.requests);
+        opts.port = port.unwrap_or(opts.port);
+        opts.connect = connect;
+        report.load = serve::run_load(budget, &opts);
+        println!("{}", report.load_summary_table().render());
+    }
+    let path = out.unwrap_or_else(|| format!("BENCH_{label}.json"));
+    std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    });
+    if let Err(e) = report::validate(&report) {
+        eprintln!("error: freshly generated report is invalid: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path} ({})", counts(&report));
+}
+
+/// Prints a refused flag combination and exits with code 2.
+fn refuse(why: &str) -> ! {
+    eprintln!("error: {why}");
+    std::process::exit(2);
+}
+
+/// The record counts a summary line reports.
+fn counts(report: &Report) -> String {
+    let file = report.cells.iter().filter(|c| c.file.is_some()).count();
+    format!(
+        "{} in-RAM cells, {file} file cells, {} load rows, budget {}",
+        report.cells.len() - file,
+        report.load.len(),
+        report.budget
+    )
 }
 
 fn expect_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    })
+    args.next()
+        .unwrap_or_else(|| refuse(&format!("{flag} needs a value")))
 }
 
 fn expect_usize(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
@@ -280,18 +276,13 @@ fn expect_usize(args: &mut impl Iterator<Item = String>, flag: &str) -> usize {
     raw.parse::<usize>()
         .ok()
         .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            eprintln!("error: {flag} needs a positive integer, got {raw:?}");
-            std::process::exit(2);
-        })
+        .unwrap_or_else(|| refuse(&format!("{flag} needs a positive integer, got {raw:?}")))
 }
 
 fn expect_port(args: &mut impl Iterator<Item = String>, flag: &str) -> u16 {
     let raw = expect_value(args, flag);
-    raw.parse::<u16>().unwrap_or_else(|_| {
-        eprintln!("error: {flag} needs a port number, got {raw:?}");
-        std::process::exit(2);
-    })
+    raw.parse::<u16>()
+        .unwrap_or_else(|_| refuse(&format!("{flag} needs a port number, got {raw:?}")))
 }
 
 fn unix_timestamp() -> String {
@@ -315,21 +306,15 @@ fn check_report(path: &str) {
         eprintln!("error: {path} is invalid: {e}");
         std::process::exit(1);
     }
-    // The ooc block names store files on disk: re-open and re-checksum
+    // File cells name store files on disk: re-open and re-checksum
     // every one, so a corrupted chunk store fails the gate.
     if let Err(e) = report::verify_ooc_files(&report) {
         eprintln!("error: {path}: {e}");
         std::process::exit(1);
     }
     println!(
-        "{path}: ok — schema v{}, {} grid cells, {} scenarios, {} service mixes, \
-         {} net rows, {} ooc cells, budget {}",
+        "{path}: ok — schema v{}, {}",
         report.schema_version,
-        report.cells.len(),
-        report.cells.len() / report::MODELS.len(),
-        report.service.len(),
-        report.net.len(),
-        report.ooc.len(),
-        report.budget
+        counts(&report)
     );
 }

@@ -9,18 +9,17 @@
 //!
 //! The [`report`] module is the machine-readable side: it runs every
 //! registered scenario (see `llp_workloads::scenario`) in all four models
-//! and serializes the solver stats and meter readings to JSON. The
-//! [`serve`] module is the load harness on top of `llp_service`: it
-//! replays traffic mixes drawn from the same registry against the
-//! concurrent solve service and meters the serving layer into the same
-//! report. The [`netserve`] module replays the *same* mixes over a real
-//! loopback TCP socket against `llp_serve` shards and lands per-shard
-//! plus fleet rows (DESIGN.md §9).
+//! and serializes the solver stats and meter readings to JSON, one cell
+//! per (scenario × model). The [`ooc`] module solves a subset of the
+//! same scenarios off chunked store files into cells that also carry
+//! the file's byte meters. The [`serve`] module is the load harness: it
+//! replays traffic mixes drawn from the same registry over a real TCP
+//! socket against `llp_serve` shards and lands per-shard plus fleet
+//! rows in the same report (DESIGN.md §7, §9).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod netserve;
 pub mod ooc;
 pub mod report;
 pub mod serve;

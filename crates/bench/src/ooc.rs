@@ -9,29 +9,27 @@
 //!
 //! * **streaming** — `solve_chunked` over a `FileSource`: every pass of
 //!   Algorithm 1 re-reads and re-checksums the file, so the cell's
-//!   `bytes_read` is `passes × file_bytes` (plus the open-time header
-//!   validation).
+//!   `bytes_read` meter is `passes × file_bytes` (plus the open-time
+//!   header validation).
 //! * **ram / coordinator / mpc** — one full load (`llp_store::read_all`)
 //!   before the clock starts. Sites and machines are row ranges of the
 //!   loaded rows (geometric sizes included), cut from the rows actually
 //!   loaded.
 //!
-//! With the grid's solver seed every cell is bit-identical to the
-//! in-RAM grid cell — same iterations, passes, and objective bits. The
-//! dispatch certifies each solution with a separate sweep of the file
-//! that `bytes_read` leaves out.
+//! Each file cell is made by the grid's own cell function with the
+//! grid's solver seed, so apart from its [`FileMeters`] and `wall_ms` it
+//! equals the in-RAM grid cell of the same (scenario, model) field for
+//! field. The dispatch certifies each solution with a separate sweep of
+//! the file that `bytes_read` leaves out.
 //!
 //! At [`RunBudget::Huge`] only the streaming model runs — the whole
 //! point of the tier is an instance (`n ≥ 10^8`) that is never held in
 //! RAM — and the scenario set shrinks to `lp_uniform`.
 
-use crate::report::{solver_seed, OocCell, COORD_SITES, MPC_DELTA};
+use crate::report::{solve_cell, Cell, FileMeters};
 use crate::RunBudget;
-use llp_core::lptype::ColumnarProblem;
-use llp_service::{solve_source, DataSource, ExecParams, Model};
-use llp_workloads::scenario::{registry, Scenario, ScenarioProblem};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use llp_service::{DataSource, Model};
+use llp_workloads::scenario::{registry, ScenarioProblem};
 use std::path::Path;
 
 /// Scenario subset the ooc harness runs: one benign LP, the skewed
@@ -57,9 +55,9 @@ pub fn chunk_len_for(budget: RunBudget) -> u32 {
 
 /// Runs the harness: writes each scenario's store file under `dir`
 /// (created if needed, files overwritten) and solves it from disk in
-/// every applicable model. Returns one [`OocCell`] per (scenario ×
+/// every applicable model. Returns one file [`Cell`] per (scenario ×
 /// model).
-pub fn run_ooc(budget: RunBudget, dir: &Path) -> Vec<OocCell> {
+pub fn run_ooc(budget: RunBudget, dir: &Path) -> Vec<Cell> {
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("cannot create ooc dir {}: {e}", dir.display()));
     let chunk_len = chunk_len_for(budget);
@@ -67,7 +65,7 @@ pub fn run_ooc(budget: RunBudget, dir: &Path) -> Vec<OocCell> {
     let models: &[Model] = if huge {
         &[Model::Streaming]
     } else {
-        &[Model::Streaming, Model::Ram, Model::Coordinator, Model::Mpc]
+        Model::ALL
     };
     let mut cells = Vec::new();
     for sc in registry(budget) {
@@ -87,66 +85,25 @@ pub fn run_ooc(budget: RunBudget, dir: &Path) -> Vec<OocCell> {
             "{}: written header does not invert to the scenario",
             sc.name
         );
-        let blank = OocCell {
-            scenario: sc.name.to_string(),
-            family: sc.family.name().to_string(),
-            model: String::new(),
-            n: header.rows,
-            d: sc.d as u64,
+        let meters = FileMeters {
             dim: header.dim as u64,
-            seed: sc.seed,
             chunk_len: chunk_len as u64,
             file_bytes: header.file_bytes(),
             bytes_written,
             bytes_read: 0,
-            passes: 0,
-            objective: 0.0,
-            violations: 0,
-            iterations: 0,
-            wall_ms: 0.0,
             path: path.to_string_lossy().into_owned(),
         };
         let problem = sc.problem();
         for &model in models {
-            let cell = match &problem {
-                ScenarioProblem::Lp(p) => solve_cell(&sc, p, &path, model, &blank),
-                ScenarioProblem::Svm(p) => solve_cell(&sc, p, &path, model, &blank),
-                ScenarioProblem::Meb(p) => solve_cell(&sc, p, &path, model, &blank),
-            };
-            cells.push(cell);
+            let file = Some(meters.clone());
+            cells.push(match &problem {
+                ScenarioProblem::Lp(p) => solve_cell(&sc, p, DataSource::File(&path), model, file),
+                ScenarioProblem::Svm(p) => solve_cell(&sc, p, DataSource::File(&path), model, file),
+                ScenarioProblem::Meb(p) => solve_cell(&sc, p, DataSource::File(&path), model, file),
+            });
         }
     }
     cells
-}
-
-/// One (scenario, model) cell: the grid cell's parameters and solver
-/// seed, with every constraint byte coming from the store file.
-fn solve_cell<P: ColumnarProblem>(
-    sc: &Scenario,
-    problem: &P,
-    path: &Path,
-    model: Model,
-    blank: &OocCell,
-) -> OocCell {
-    let params = ExecParams {
-        r: sc.r,
-        coord_sites: COORD_SITES,
-        mpc_delta: MPC_DELTA,
-        skew: sc.skew,
-    };
-    let mut rng = StdRng::seed_from_u64(solver_seed(sc, model.name()));
-    let out = solve_source(problem, DataSource::File(path), model, &params, &mut rng)
-        .unwrap_or_else(|e| panic!("{}/{e}", sc.name));
-    OocCell {
-        model: model.name().to_string(),
-        bytes_read: out.bytes_read,
-        passes: out.body.passes,
-        objective: out.body.objective,
-        violations: out.body.violations,
-        iterations: out.body.iterations,
-        wall_ms: out.wall_ms,
-        ..blank.clone()
-    }
 }
 
 #[cfg(test)]
@@ -179,45 +136,49 @@ mod tests {
     }
 
     #[test]
-    fn quick_ooc_block_validates_and_matches_the_grid() {
+    fn quick_file_cells_validate_and_equal_their_grid_cells() {
         let dir = scratch_dir("bench-ooc");
-        let ooc = run_ooc(RunBudget::Quick, &dir);
-        assert_eq!(ooc.len(), OOC_SCENARIOS.len() * report::MODELS.len());
-        let report = Report {
+        let file_cells = run_ooc(RunBudget::Quick, &dir);
+        assert_eq!(file_cells.len(), OOC_SCENARIOS.len() * Model::ALL.len());
+        let mut report = Report {
             schema_version: SCHEMA_VERSION,
             label: "ooc-test".to_string(),
             budget: "quick".to_string(),
-            cells: Vec::new(),
-            service: Vec::new(),
-            net: Vec::new(),
-            ooc,
+            cells: file_cells.clone(),
+            load: Vec::new(),
         };
         assert_eq!(validate(&report), Ok(()));
         assert_eq!(report::verify_ooc_files(&report), Ok(()));
 
-        // Every cell replays the grid's RNG stream over file bytes: same
-        // objective bits, iterations, passes, and violations as the
-        // in-RAM grid cell of the same (scenario, model).
+        // Every file cell replays the grid's RNG stream over file bytes:
+        // with its file meters and wall clock cleared it is the in-RAM
+        // grid cell of the same (scenario, model), field for field.
+        let untimed = |c: &Cell| Cell {
+            wall_ms: 0.0,
+            file: None,
+            ..c.clone()
+        };
         for sc in registry(RunBudget::Quick) {
             if !OOC_SCENARIOS.contains(&sc.name) {
                 continue;
             }
-            for grid in report::run_scenario(&sc) {
-                let ooc = report
-                    .ooc
+            let grid = report::run_scenario(&sc);
+            for ram in &grid {
+                let file = file_cells
                     .iter()
-                    .find(|c| c.scenario == sc.name && c.model == grid.model)
+                    .find(|c| c.scenario == sc.name && c.model == ram.model)
                     .unwrap();
-                let what = format!("{}/{}", sc.name, grid.model);
                 assert_eq!(
-                    grid.objective.to_bits(),
-                    ooc.objective.to_bits(),
-                    "{what}: a file-backed run must be bit-identical to in-RAM"
+                    untimed(file),
+                    untimed(ram),
+                    "{}/{}: a file-backed run must be bit-identical to in-RAM",
+                    sc.name,
+                    ram.model
                 );
-                assert_eq!(grid.iterations, ooc.iterations, "{what}");
-                assert_eq!(grid.passes, ooc.passes, "{what}");
-                assert_eq!(grid.violations, ooc.violations, "{what}");
             }
+            report.cells.extend(grid);
         }
+        // In-RAM and file cells of the same scenarios validate together.
+        assert_eq!(validate(&report), Ok(()));
     }
 }

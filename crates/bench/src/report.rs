@@ -1,40 +1,44 @@
-//! Machine-readable experiment reports: the scenario × model grid
-//! serialized to JSON.
+//! Machine-readable experiment reports: every measurement of one
+//! `experiments` run, serialized to one JSON document.
 //!
-//! [`run_scenarios`] enumerates the scenario registry
-//! (`llp_workloads::scenario::registry`) and runs every scenario in all
-//! four models — RAM (Algorithm 1 directly), streaming, coordinator, and
-//! MPC — collecting solver statistics and the existing meter readings
-//! (space, communication, rounds, iterations) into one [`Cell`] per
-//! (scenario × model) pair. The resulting [`Report`] serializes to a
-//! standard JSON document (`BENCH_<label>.json`), parses back losslessly
-//! ([`Report::from_json`]), and [`validate`] checks the invariants CI
-//! relies on: full grid coverage, zero violations, and per-scenario
-//! objective agreement across models. Numbers round-trip exactly — the
-//! writer emits Rust's shortest-round-trip float formatting.
+//! A report holds two record kinds. A [`Cell`] is one (scenario × model)
+//! solve through the shared `llp_service::solve_source` dispatch:
+//! [`run_scenarios`] runs every registry scenario
+//! (`llp_workloads::scenario::registry`) in all four models — RAM
+//! (Algorithm 1 directly), streaming, coordinator, and MPC — from RAM,
+//! and `crate::ooc` solves a subset of them off chunked store files,
+//! recording the byte meters in the cell's [`FileMeters`]. A [`LoadRow`]
+//! is one shard's (or the fleet's) counters under one traffic mix of the
+//! socket load harness (`crate::serve`). The resulting [`Report`]
+//! serializes to a standard JSON document (`BENCH_<label>.json`), parses
+//! back losslessly ([`Report::from_json`]), and [`validate`] checks the
+//! invariants CI relies on: full grid coverage, zero violations,
+//! per-scenario objective agreement across models and inputs, the file
+//! byte laws, and the load rows' conservation laws. Numbers round-trip
+//! exactly — the writer emits Rust's shortest-round-trip float
+//! formatting.
 
 use crate::RunBudget;
 use llp_core::lptype::ColumnarProblem;
-use llp_service::{ExecParams, Model};
+use llp_service::{solve_source, DataSource, ExecParams, Model};
 use llp_workloads::scenario::{registry, Scenario, ScenarioData};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Bumped whenever a [`Cell`]/[`Report`]/[`ServiceCell`]/[`NetCell`]
-/// /[`OocCell`] field changes meaning; consumers (CI `--check`) refuse
-/// unknown versions. v2 added the `service` block (the `experiments
-/// serve` load-harness results); v3 added the `columnar` block
-/// (AoS-vs-SoA violation-scan comparison cells); v4 added the `net`
-/// block (`experiments net-serve` socket loadgen: per-shard rows plus a
-/// fleet-aggregate row per mix); v5 added the `ooc` block (`experiments
-/// ooc`: file-backed runs over chunked store files with
+/// Bumped whenever a [`Cell`]/[`FileMeters`]/[`LoadRow`]/[`Report`]
+/// field changes meaning; consumers (CI `--check`) refuse unknown
+/// versions. v2 added the `service` block (the in-process load harness);
+/// v3 added the `columnar` block (AoS-vs-SoA violation-scan comparison
+/// cells); v4 added the `net` block (the socket loadgen: per-shard rows
+/// plus a fleet-aggregate row per mix); v5 added the `ooc` block
+/// (file-backed runs over chunked store files with
 /// bytes-written/bytes-read meters); v6 removed the `columnar` block
-/// along with the AoS scan it timed.
-pub const SCHEMA_VERSION: u64 = 6;
-
-/// The models every scenario runs under, in report order.
-pub const MODELS: &[&str] = &["ram", "streaming", "coordinator", "mpc"];
+/// along with the AoS scan it timed; v7 made a file-backed run a
+/// [`Cell`] with [`FileMeters`] (the `ooc` block is gone), renamed the
+/// `net` block `load`, and removed the `service` block along with the
+/// in-process harness.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Sites used by the coordinator leg of every scenario.
 pub const COORD_SITES: usize = 8;
@@ -61,7 +65,9 @@ pub struct Cell {
     pub seed: u64,
     /// Objective value of the returned solution.
     pub objective: f64,
-    /// Violations of the returned solution over the full input (must be 0).
+    /// Violations of the returned solution over the full input (must be
+    /// 0). A file cell counts them by a separate sweep of the file that
+    /// `bytes_read` leaves out.
     pub violations: u64,
     /// Iterations of Algorithm 1.
     pub iterations: u64,
@@ -80,65 +86,45 @@ pub struct Cell {
     /// Sum over rounds of the per-round max load (MPC only; the
     /// critical-path congestion figure skewed partitions distort).
     pub total_load_bits: u64,
-    /// Wall-clock time of the solve, milliseconds.
+    /// Wall-clock time of the solve, milliseconds. A file cell's
+    /// streaming solve reads the file inside it; its other models load
+    /// the file before it starts.
     pub wall_ms: f64,
+    /// The store file the constraints came from, with its byte meters;
+    /// `None` for an in-RAM cell.
+    pub file: Option<FileMeters>,
 }
 
-/// One load-mix measurement of the solve service (`experiments serve`).
-/// Counter fields mirror `llp_service::ServiceStats`; latency fields are
-/// nearest-rank percentiles of end-to-end request latency.
+/// The store-file meters of a file cell (`experiments ooc`): the
+/// scenario was streamed to a chunked store file (`llp_store`), then
+/// solved with every constraint byte coming from that file. The
+/// streaming model reads the file pass by pass through
+/// `llp_bigdata::ooc::FileSource` (so `bytes_read` grows with the cell's
+/// `passes`); the other models load it once, whole
+/// (`llp_store::read_all`), and cut their sites or machines as row
+/// ranges of it. `bytes_written` is metered at write time and must
+/// equal the file size the header predicts — [`validate`] enforces both
+/// meters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ServiceCell {
-    /// Mix name (`"uniform"`, `"hot_key"`, `"heavy_tail"`).
-    pub mix: String,
-    /// Service worker threads.
-    pub workers: u64,
-    /// `llp_par` threads per worker solve.
-    pub solver_threads: u64,
-    /// Bounded-queue capacity (batches).
-    pub queue_capacity: u64,
-    /// LRU result-cache capacity (entries).
-    pub cache_capacity: u64,
-    /// Times the request stream was replayed (wave 2+ exercises the
-    /// cache).
-    pub waves: u64,
-    /// Requests offered.
-    pub submitted: u64,
-    /// Responses delivered.
-    pub completed: u64,
-    /// Requests dropped by admission control.
-    pub shed: u64,
-    /// Requests refused before queueing (unknown scenario, closed
-    /// service).
-    pub rejected: u64,
-    /// Batches executed by a worker.
-    pub solves: u64,
-    /// Requests coalesced into an in-flight batch.
-    pub batched: u64,
-    /// Requests answered from the result cache.
-    pub cache_hits: u64,
-    /// Median end-to-end latency, milliseconds.
-    pub p50_ms: f64,
-    /// p95 end-to-end latency, milliseconds.
-    pub p95_ms: f64,
-    /// p99 end-to-end latency, milliseconds.
-    pub p99_ms: f64,
-    /// Worst end-to-end latency, milliseconds.
-    pub max_ms: f64,
-    /// Mean end-to-end latency, milliseconds.
-    pub mean_ms: f64,
-    /// p95 queue wait, milliseconds.
-    pub queue_p95_ms: f64,
-    /// Completed requests per second over the mix's wall-clock.
-    pub throughput_rps: f64,
-    /// Wall-clock of the whole mix run, milliseconds.
-    pub wall_ms: f64,
+pub struct FileMeters {
+    /// Stored row width (can exceed `d`, e.g. Chebyshev stores `d + 1`).
+    pub dim: u64,
+    /// Rows per chunk frame.
+    pub chunk_len: u64,
+    /// File size the header predicts, bytes.
+    pub file_bytes: u64,
+    /// Bytes the chunk writer emitted (must equal `file_bytes`).
+    pub bytes_written: u64,
+    /// Bytes read from the file to feed this model's solve.
+    pub bytes_read: u64,
+    /// Path of the store file, as written.
+    pub path: String,
 }
 
-/// One row of the socket-loadgen block (`experiments net-serve`): one
-/// service shard's counters under one load mix, or the fleet-aggregate
-/// row (`shard == "fleet"`). Counters mirror `llp_service::ServiceStats`
-/// per shard; the fleet row's counters are field-wise sums and its
+/// One row of the load block (`experiments serve`): one service shard's
+/// counters under one load mix, or the fleet-aggregate row
+/// (`shard == "fleet"`). Counters mirror `llp_service::ServiceStats` per
+/// shard; the fleet row's counters are field-wise sums and its
 /// percentiles are recomputed from the concatenated raw samples
 /// (percentiles do not compose from per-shard summaries). The
 /// classification counters are worker-count deterministic per shard —
@@ -146,7 +132,7 @@ pub struct ServiceCell {
 /// count (DESIGN.md §9), so replaying the same stream at the same shard
 /// count must reproduce them bit-for-bit.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct NetCell {
+pub struct LoadRow {
     /// Mix name (`"uniform"`, `"hot_key"`, `"heavy_tail"`).
     pub mix: String,
     /// Shard index rendered as text (`"0"`, `"1"`, …) or `"fleet"` for
@@ -154,7 +140,9 @@ pub struct NetCell {
     pub shard: String,
     /// Total shard count behind the server.
     pub shards: u64,
-    /// Worker threads per shard.
+    /// Worker threads per shard of the harness's loopback server; 0 when
+    /// the harness drove an external server (`--connect`), whose worker
+    /// count is not known to the loadgen.
     pub workers: u64,
     /// Times the request stream was replayed (wave 2+ exercises the
     /// per-shard cache).
@@ -193,80 +181,22 @@ pub struct NetCell {
     pub wall_ms: f64,
 }
 
-/// One file-backed out-of-core measurement (`experiments ooc`): a
-/// scenario streamed to a chunked store file (`llp_store`), then solved
-/// in one model through `llp_service::solve_source` with every
-/// constraint byte coming from that file. The streaming model reads the
-/// file pass by pass through `llp_bigdata::ooc::FileSource` (so
-/// `bytes_read` grows with `passes`); the other models load it once,
-/// whole (`llp_store::read_all`), and cut their sites or machines as
-/// row ranges of it. `bytes_written` is metered at write time and
-/// must equal the file size the header predicts — [`validate`] enforces
-/// both meters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct OocCell {
-    /// Registry scenario name.
-    pub scenario: String,
-    /// Generator family wire name (also in the file's provenance header).
-    pub family: String,
-    /// `"ram" | "streaming" | "coordinator" | "mpc"`.
-    pub model: String,
-    /// Rows in the store file (materialized constraint/point count).
-    pub n: u64,
-    /// Ambient dimension of the scenario.
-    pub d: u64,
-    /// Stored row width (can exceed `d`, e.g. Chebyshev stores `d + 1`).
-    pub dim: u64,
-    /// The scenario's explicit generator seed.
-    pub seed: u64,
-    /// Rows per chunk frame.
-    pub chunk_len: u64,
-    /// File size the header predicts, bytes.
-    pub file_bytes: u64,
-    /// Bytes the chunk writer emitted (must equal `file_bytes`).
-    pub bytes_written: u64,
-    /// Bytes read from the file to feed this model's solve.
-    pub bytes_read: u64,
-    /// Stream passes (streaming model only; 0 elsewhere).
-    pub passes: u64,
-    /// Objective value of the returned solution.
-    pub objective: f64,
-    /// Violations of the returned solution over the full input (must be
-    /// 0), counted in every model by a separate sweep of the file that
-    /// `bytes_read` leaves out.
-    pub violations: u64,
-    /// Iterations of Algorithm 1.
-    pub iterations: u64,
-    /// Wall-clock time of the solve, milliseconds. Streaming reads the
-    /// file inside it; the other models load the file before it starts.
-    pub wall_ms: f64,
-    /// Path of the store file, as written.
-    pub path: String,
-}
-
-/// A full scenario-grid run: the file format of `BENCH_<label>.json`.
+/// One `experiments` run: the file format of `BENCH_<label>.json`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Report {
     /// Schema version ([`SCHEMA_VERSION`]).
     pub schema_version: u64,
     /// Free-form run label (CI passes a timestamp or branch name).
     pub label: String,
-    /// `"quick"` or `"full"`.
+    /// `"quick"`, `"full"` or `"huge"`.
     pub budget: String,
-    /// One cell per (scenario × model), scenario-major in registry order.
-    /// Empty for serve-only reports.
+    /// In-RAM cells, one per (scenario × model) and scenario-major in
+    /// registry order, followed by file cells. Empty when neither the
+    /// grid nor the `ooc` harness ran.
     pub cells: Vec<Cell>,
-    /// One cell per load mix from `experiments serve`. Empty when the
-    /// serve harness did not run.
-    pub service: Vec<ServiceCell>,
-    /// Socket-loadgen rows from `experiments net-serve`: per mix, one
-    /// row per shard plus one fleet row. Empty when that leg did not
-    /// run.
-    pub net: Vec<NetCell>,
-    /// File-backed out-of-core rows from `experiments ooc`: one row per
-    /// (scenario × model) solved from a chunked store file. Empty when
-    /// that leg did not run.
-    pub ooc: Vec<OocCell>,
+    /// Load-harness rows from `experiments serve`: per mix, one row per
+    /// shard plus one fleet row. Empty when the harness did not run.
+    pub load: Vec<LoadRow>,
 }
 
 impl Report {
@@ -280,11 +210,12 @@ impl Report {
         Serialize::to_json(self)
     }
 
-    /// A human summary of the grid (one row per cell).
+    /// A human summary of the cells (one row per cell; the file columns
+    /// read `-` on in-RAM cells).
     pub fn summary_table(&self) -> crate::Table {
         let mut t = crate::Table::new(
             &format!(
-                "S1  Scenario grid ({} budget, label {:?})",
+                "S1  Scenario cells ({} budget, label {:?})",
                 self.budget, self.label
             ),
             &[
@@ -300,6 +231,8 @@ impl Report {
                 "space_KB",
                 "comm_KB",
                 "load_KB",
+                "file_MB",
+                "read_MB",
                 "ms",
             ],
         );
@@ -317,6 +250,12 @@ impl Report {
                 v.to_string()
             }
         };
+        let mb = |bytes: Option<u64>| {
+            bytes.map_or_else(
+                || "-".to_string(),
+                |b| format!("{:.2}", b as f64 / (1024.0 * 1024.0)),
+            )
+        };
         for c in &self.cells {
             t.push(vec![
                 c.scenario.clone(),
@@ -331,61 +270,20 @@ impl Report {
                 kb(c.space_bits),
                 kb(c.comm_bits),
                 kb(c.load_bits),
+                mb(c.file.as_ref().map(|f| f.file_bytes)),
+                mb(c.file.as_ref().map(|f| f.bytes_read)),
                 format!("{:.1}", c.wall_ms),
             ]);
         }
         t
     }
 
-    /// A human summary of the service load mixes (one row per mix).
-    pub fn service_summary_table(&self) -> crate::Table {
+    /// A human summary of the load harness (one row per shard per mix,
+    /// fleet rows included).
+    pub fn load_summary_table(&self) -> crate::Table {
         let mut t = crate::Table::new(
             &format!(
-                "S2  Service load mixes ({} budget, label {:?})",
-                self.budget, self.label
-            ),
-            &[
-                "mix",
-                "workers",
-                "submitted",
-                "completed",
-                "shed",
-                "solves",
-                "batched",
-                "cache_hits",
-                "p50_ms",
-                "p95_ms",
-                "p99_ms",
-                "rps",
-                "wall_ms",
-            ],
-        );
-        for c in &self.service {
-            t.push(vec![
-                c.mix.clone(),
-                c.workers.to_string(),
-                c.submitted.to_string(),
-                c.completed.to_string(),
-                c.shed.to_string(),
-                c.solves.to_string(),
-                c.batched.to_string(),
-                c.cache_hits.to_string(),
-                format!("{:.3}", c.p50_ms),
-                format!("{:.3}", c.p95_ms),
-                format!("{:.3}", c.p99_ms),
-                format!("{:.0}", c.throughput_rps),
-                format!("{:.1}", c.wall_ms),
-            ]);
-        }
-        t
-    }
-
-    /// A human summary of the socket loadgen (one row per shard per
-    /// mix, fleet rows included).
-    pub fn net_summary_table(&self) -> crate::Table {
-        let mut t = crate::Table::new(
-            &format!(
-                "S4  Network serve: per-shard load ({} budget, label {:?})",
+                "S2  Load harness: per-shard load ({} budget, label {:?})",
                 self.budget, self.label
             ),
             &[
@@ -404,7 +302,7 @@ impl Report {
                 "wall_ms",
             ],
         );
-        for c in &self.net {
+        for c in &self.load {
             t.push(vec![
                 c.mix.clone(),
                 c.shard.clone(),
@@ -423,89 +321,38 @@ impl Report {
         }
         t
     }
-
-    /// A human summary of the out-of-core runs (one row per cell).
-    pub fn ooc_summary_table(&self) -> crate::Table {
-        let mut t = crate::Table::new(
-            &format!(
-                "S5  Out-of-core: file-backed runs ({} budget, label {:?})",
-                self.budget, self.label
-            ),
-            &[
-                "scenario",
-                "model",
-                "n",
-                "chunk_len",
-                "file_MB",
-                "read_MB",
-                "passes",
-                "objective",
-                "viol",
-                "iters",
-                "ms",
-            ],
-        );
-        let mb = |bytes: u64| format!("{:.2}", bytes as f64 / (1024.0 * 1024.0));
-        for c in &self.ooc {
-            t.push(vec![
-                c.scenario.clone(),
-                c.model.clone(),
-                c.n.to_string(),
-                c.chunk_len.to_string(),
-                mb(c.file_bytes),
-                mb(c.bytes_read),
-                if c.passes == 0 {
-                    "-".to_string()
-                } else {
-                    c.passes.to_string()
-                },
-                format!("{:.6}", c.objective),
-                c.violations.to_string(),
-                c.iterations.to_string(),
-                format!("{:.1}", c.wall_ms),
-            ]);
-        }
-        t
-    }
 }
 
 /// Runs the full scenario × model grid at the given budget.
 pub fn run_scenarios(budget: RunBudget, label: &str) -> Report {
-    let mut cells = Vec::new();
-    for sc in registry(budget) {
-        cells.extend(run_scenario(&sc));
-    }
     Report {
         schema_version: SCHEMA_VERSION,
         label: label.to_string(),
         budget: budget.name().to_string(),
-        cells,
-        service: Vec::new(),
-        net: Vec::new(),
-        ooc: Vec::new(),
+        cells: registry(budget).iter().flat_map(run_scenario).collect(),
+        load: Vec::new(),
     }
 }
 
 /// Runs one scenario in all four models.
 pub fn run_scenario(sc: &Scenario) -> Vec<Cell> {
     match sc.generate() {
-        ScenarioData::Lp(p, cs) => grid(sc, &p, cs),
-        ScenarioData::Svm(p, pts) => grid(sc, &p, pts),
-        ScenarioData::Meb(p, pts) => grid(sc, &p, pts),
+        ScenarioData::Lp(p, cs) => grid(sc, &p, &cs),
+        ScenarioData::Svm(p, pts) => grid(sc, &p, &pts),
+        ScenarioData::Meb(p, pts) => grid(sc, &p, &pts),
     }
 }
 
-fn grid<P: ColumnarProblem>(sc: &Scenario, problem: &P, data: Vec<P::Constraint>) -> Vec<Cell> {
-    MODELS
+fn grid<P: ColumnarProblem>(sc: &Scenario, problem: &P, data: &[P::Constraint]) -> Vec<Cell> {
+    Model::ALL
         .iter()
-        .map(|model| run_cell(sc, problem, &data, model))
+        .map(|&model| solve_cell(sc, problem, DataSource::Ram(data), model, None))
         .collect()
 }
 
 /// A deterministic per-(scenario, model) solver seed, decoupled from the
-/// generator seed so re-seeding one never perturbs the other. Shared
-/// with the out-of-core harness (`crate::ooc`), so a file-backed run of
-/// the same (scenario, model) replays the grid cell's exact RNG stream.
+/// generator seed so re-seeding one never perturbs the other. A file
+/// cell uses it too, so it replays the grid cell's exact RNG stream.
 pub fn solver_seed(sc: &Scenario, model: &str) -> u64 {
     let mut h = sc.seed ^ 0x9e37_79b9_7f4a_7c15;
     for b in model.bytes() {
@@ -514,30 +361,32 @@ pub fn solver_seed(sc: &Scenario, model: &str) -> u64 {
     h
 }
 
-fn run_cell<P: ColumnarProblem>(
+/// Solves one (scenario, model) cell with the grid's parameters and
+/// solver seed through the dispatch the solve service also runs
+/// (`llp_service::solve_source`), so the partition layouts, meter
+/// charges and timer placement are the service's. `file` carries the
+/// write-time meters when `source` is a store file (the cell records the
+/// dispatch's `bytes_read` in it) and is `None` for an in-RAM source.
+pub(crate) fn solve_cell<P: ColumnarProblem>(
     sc: &Scenario,
     problem: &P,
-    data: &[P::Constraint],
-    model: &str,
+    source: DataSource<'_, P::Constraint>,
+    model: Model,
+    file: Option<FileMeters>,
 ) -> Cell {
-    let m =
-        Model::parse(model).unwrap_or_else(|| panic!("unknown model {model:?}; known: {MODELS:?}"));
-    // The grid cell is the same computation the solve service performs:
-    // one shared dispatch (`llp_service::exec`) carries the partition
-    // layouts, meter charges, and timer placement for both.
     let params = ExecParams {
         r: sc.r,
         coord_sites: COORD_SITES,
         mpc_delta: MPC_DELTA,
         skew: sc.skew,
     };
-    let mut rng = StdRng::seed_from_u64(solver_seed(sc, model));
-    let out = llp_service::solve_model(problem, data, m, &params, &mut rng)
-        .unwrap_or_else(|e| panic!("{}/{model}: {e}", sc.name));
+    let mut rng = StdRng::seed_from_u64(solver_seed(sc, model.name()));
+    let out = solve_source(problem, source, model, &params, &mut rng)
+        .unwrap_or_else(|e| panic!("{}/{e}", sc.name));
     Cell {
         scenario: sc.name.to_string(),
         family: sc.family.name().to_string(),
-        model: model.to_string(),
+        model: model.name().to_string(),
         n: out.body.n,
         d: sc.d as u64,
         seed: sc.seed,
@@ -552,27 +401,30 @@ fn run_cell<P: ColumnarProblem>(
         load_bits: out.body.load_bits,
         total_load_bits: out.body.total_load_bits,
         wall_ms: out.wall_ms,
+        file: file.map(|f| FileMeters {
+            bytes_read: out.bytes_read,
+            ..f
+        }),
     }
 }
 
 /// Relative tolerance for cross-model objective agreement.
 pub const OBJECTIVE_TOL: f64 = 1e-5;
 
-/// Checks the invariants CI relies on, self-contained (no registry
-/// access, so reports from other commits still validate):
-/// schema version, known budget, at least one non-empty block, and then
-/// per block — grid: every scenario present in all four models exactly
-/// once, zero violations everywhere, per-scenario objective agreement
-/// across models within [`OBJECTIVE_TOL`]; service: counter conservation
-/// (`completed + shed == submitted`,
-/// `cache_hits + solves + batched == completed`), ordered latency
-/// percentiles, positive throughput, and a non-zero cache-hit count on
-/// the hot-key mix (its second wave replays warmed keys by
-/// construction); net: per mix exactly one fleet row plus one row
-/// per shard index, the same conservation laws on *every* row (per
-/// shard and in aggregate), fleet counters equal to the field-wise sum
-/// of the shard rows, ordered percentiles, and positive fleet
-/// throughput.
+/// Checks the invariants CI relies on, self-contained (no registry or
+/// filesystem access, so reports from other commits still validate):
+/// schema version, known budget, and at least one record. Over the
+/// cells: known model names, zero violations, one cell per (scenario,
+/// model) among in-RAM cells and among file cells, every scenario with
+/// in-RAM cells covering all four models, the byte laws on every file
+/// cell, and per-scenario objective agreement within [`OBJECTIVE_TOL`]
+/// across in-RAM and file cells alike. Over the load rows: per mix
+/// exactly one fleet row plus one row per shard index, the conservation
+/// laws (`completed + shed + rejected == submitted`,
+/// `cache_hits + solves + batched == completed`) on *every* row, fleet
+/// counters equal to the field-wise sum of the shard rows, ordered
+/// percentiles, positive fleet throughput, and fleet cache hits on the
+/// hot-key mix (its second wave replays warmed keys by construction).
 pub fn validate(report: &Report) -> Result<(), String> {
     if report.schema_version != SCHEMA_VERSION {
         return Err(format!(
@@ -583,54 +435,59 @@ pub fn validate(report: &Report) -> Result<(), String> {
     if RunBudget::parse(&report.budget).is_none() {
         return Err(format!("unknown budget {:?}", report.budget));
     }
-    if report.cells.is_empty()
-        && report.service.is_empty()
-        && report.net.is_empty()
-        && report.ooc.is_empty()
-    {
-        return Err("empty report (no grid, service, net, or ooc cells)".into());
+    if report.cells.is_empty() && report.load.is_empty() {
+        return Err("empty report (no cells or load rows)".into());
     }
-    validate_service(&report.service)?;
-    validate_net(&report.net)?;
-    validate_ooc(&report.ooc)?;
-    if report.cells.is_empty() {
-        return Ok(());
+    validate_cells(&report.cells)?;
+    validate_load(&report.load)
+}
+
+/// The cell leg of [`validate`].
+fn validate_cells(cells: &[Cell]) -> Result<(), String> {
+    for c in cells {
+        let ctx = |what: &str| format!("cell {}/{}: {what}", c.scenario, c.model);
+        let model = Model::parse(&c.model).ok_or_else(|| ctx("unknown model"))?;
+        if c.violations != 0 {
+            return Err(ctx(&format!("{} violations", c.violations)));
+        }
+        if let Some(f) = &c.file {
+            check_file_meters(c, model, f).map_err(|e| ctx(&e))?;
+        }
     }
-    let mut scenarios: Vec<&str> = report.cells.iter().map(|c| c.scenario.as_str()).collect();
+    let mut keys: Vec<(&str, &str, bool)> = cells
+        .iter()
+        .map(|c| (c.scenario.as_str(), c.model.as_str(), c.file.is_some()))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    if keys.len() != cells.len() {
+        return Err("duplicate (scenario, model) cells".into());
+    }
+    let mut scenarios: Vec<&str> = cells.iter().map(|c| c.scenario.as_str()).collect();
     scenarios.sort_unstable();
     scenarios.dedup();
     for name in scenarios {
-        let cells: Vec<&Cell> = report.cells.iter().filter(|c| c.scenario == name).collect();
-        for model in MODELS {
-            let found = cells.iter().filter(|c| c.model == *model).count();
-            if found != 1 {
+        let group: Vec<&Cell> = cells.iter().filter(|c| c.scenario == name).collect();
+        let ram: Vec<&str> = group
+            .iter()
+            .filter(|c| c.file.is_none())
+            .map(|c| c.model.as_str())
+            .collect();
+        if !ram.is_empty() {
+            if let Some(m) = Model::ALL.iter().find(|m| !ram.contains(&m.name())) {
                 return Err(format!(
-                    "scenario {name:?}: model {model:?} appears {found} times (expected 1)"
+                    "scenario {name:?}: model {:?} has no in-RAM cell",
+                    m.name()
                 ));
             }
         }
-        if cells.len() != MODELS.len() {
-            return Err(format!(
-                "scenario {name:?}: {} cells for {} models",
-                cells.len(),
-                MODELS.len()
-            ));
-        }
-        for c in &cells {
-            if c.violations != 0 {
-                return Err(format!(
-                    "scenario {name:?}, model {:?}: {} violations",
-                    c.model, c.violations
-                ));
-            }
-        }
-        let reference = cells[0].objective;
-        for c in &cells[1..] {
-            let scale = reference.abs().max(c.objective.abs()).max(1.0);
-            if (c.objective - reference).abs() > OBJECTIVE_TOL * scale {
+        let reference = group[0];
+        for c in &group[1..] {
+            let scale = reference.objective.abs().max(c.objective.abs()).max(1.0);
+            if (c.objective - reference.objective).abs() > OBJECTIVE_TOL * scale {
                 return Err(format!(
                     "scenario {name:?}: objective disagreement — {} ({}) vs {} ({})",
-                    cells[0].model, reference, c.model, c.objective
+                    reference.model, reference.objective, c.model, c.objective
                 ));
             }
         }
@@ -638,59 +495,60 @@ pub fn validate(report: &Report) -> Result<(), String> {
     Ok(())
 }
 
-/// The service-block leg of [`validate`].
-fn validate_service(cells: &[ServiceCell]) -> Result<(), String> {
-    let mut mixes: Vec<&str> = cells.iter().map(|c| c.mix.as_str()).collect();
-    mixes.sort_unstable();
-    mixes.dedup();
-    if mixes.len() != cells.len() {
-        return Err("duplicate service mix names".into());
+/// The byte laws of a file cell: a sane file geometry
+/// (`chunk_len > 0`, `bytes_written == file_bytes > 0`, non-empty path)
+/// and honest read meters — the streaming model must have read at least
+/// `passes × file_bytes` and at most one extra file's worth (the
+/// open-time header validation), every other model exactly one file.
+fn check_file_meters(c: &Cell, model: Model, f: &FileMeters) -> Result<(), String> {
+    if f.path.is_empty() {
+        return Err("empty file path".into());
     }
-    for c in cells {
-        let ctx = |what: &str| format!("service mix {:?}: {what}", c.mix);
-        if c.completed + c.shed + c.rejected != c.submitted {
-            return Err(ctx(&format!(
-                "completed {} + shed {} + rejected {} != submitted {}",
-                c.completed, c.shed, c.rejected, c.submitted
-            )));
+    if f.chunk_len == 0 || c.n == 0 {
+        return Err("zero chunk_len or row count".into());
+    }
+    if f.file_bytes == 0 || f.bytes_written != f.file_bytes {
+        return Err(format!(
+            "bytes_written {} != predicted file size {}",
+            f.bytes_written, f.file_bytes
+        ));
+    }
+    if model == Model::Streaming {
+        if c.passes == 0 {
+            return Err("streaming cell with zero passes".into());
         }
-        if c.cache_hits + c.solves + c.batched != c.completed {
-            return Err(ctx(&format!(
-                "cache_hits {} + solves {} + batched {} != completed {}",
-                c.cache_hits, c.solves, c.batched, c.completed
-            )));
+        let floor = c.passes * f.file_bytes;
+        if f.bytes_read < floor || f.bytes_read > floor + f.file_bytes {
+            return Err(format!(
+                "bytes_read {} is not passes x file size ({} passes x {} bytes)",
+                f.bytes_read, c.passes, f.file_bytes
+            ));
         }
-        if c.completed == 0 {
-            return Err(ctx("no completed requests"));
+    } else {
+        if c.passes != 0 {
+            return Err("non-streaming cell with stream passes".into());
         }
-        let quantiles = [c.p50_ms, c.p95_ms, c.p99_ms, c.max_ms];
-        if quantiles.iter().any(|v| v.is_nan()) || quantiles.windows(2).any(|w| w[0] > w[1]) {
-            return Err(ctx(&format!(
-                "latency percentiles out of order: p50 {} p95 {} p99 {} max {}",
-                c.p50_ms, c.p95_ms, c.p99_ms, c.max_ms
-            )));
-        }
-        if c.throughput_rps.is_nan() || c.throughput_rps <= 0.0 {
-            return Err(ctx("non-positive throughput"));
-        }
-        if c.mix == "hot_key" && c.waves >= 2 && c.cache_hits == 0 {
-            return Err(ctx("hot-key mix produced zero cache hits"));
+        if f.bytes_read != f.file_bytes {
+            return Err(format!(
+                "bytes_read {} != file size {} (one full load expected)",
+                f.bytes_read, f.file_bytes
+            ));
         }
     }
     Ok(())
 }
 
-/// The net-block leg of [`validate`]: structural shape (one fleet row
-/// plus shard rows `0..shards-1` per mix), the conservation laws per
-/// shard *and* in aggregate, fleet counters as field-wise sums,
-/// percentile ordering on every row, and positive fleet throughput.
-fn validate_net(cells: &[NetCell]) -> Result<(), String> {
-    let mut mixes: Vec<&str> = cells.iter().map(|c| c.mix.as_str()).collect();
+/// The load leg of [`validate`]: structural shape (one fleet row plus
+/// shard rows `0..shards-1` per mix), the conservation laws per shard
+/// *and* in aggregate, fleet counters as field-wise sums, percentile
+/// ordering on every row, and positive fleet throughput.
+fn validate_load(rows: &[LoadRow]) -> Result<(), String> {
+    let mut mixes: Vec<&str> = rows.iter().map(|c| c.mix.as_str()).collect();
     mixes.sort_unstable();
     mixes.dedup();
     for mix in mixes {
-        let rows: Vec<&NetCell> = cells.iter().filter(|c| c.mix == mix).collect();
-        let ctx = |what: &str| format!("net mix {mix:?}: {what}");
+        let rows: Vec<&LoadRow> = rows.iter().filter(|c| c.mix == mix).collect();
+        let ctx = |what: &str| format!("load mix {mix:?}: {what}");
         let shards = rows[0].shards;
         if shards == 0 {
             return Err(ctx("zero shards"));
@@ -707,7 +565,7 @@ fn validate_net(cells: &[NetCell]) -> Result<(), String> {
                 rows.len()
             )));
         }
-        let fleet: Vec<&&NetCell> = rows.iter().filter(|r| r.shard == "fleet").collect();
+        let fleet: Vec<&&LoadRow> = rows.iter().filter(|r| r.shard == "fleet").collect();
         if fleet.len() != 1 {
             return Err(ctx(&format!("{} fleet rows (expected 1)", fleet.len())));
         }
@@ -719,7 +577,7 @@ fn validate_net(cells: &[NetCell]) -> Result<(), String> {
             }
         }
         for r in &rows {
-            let rctx = |what: &str| format!("net mix {mix:?} shard {:?}: {what}", r.shard);
+            let rctx = |what: &str| format!("load mix {mix:?} shard {:?}: {what}", r.shard);
             if r.completed + r.shed + r.rejected != r.submitted {
                 return Err(rctx(&format!(
                     "completed {} + shed {} + rejected {} != submitted {}",
@@ -740,8 +598,8 @@ fn validate_net(cells: &[NetCell]) -> Result<(), String> {
                 )));
             }
         }
-        let shard_rows: Vec<&&NetCell> = rows.iter().filter(|r| r.shard != "fleet").collect();
-        let sum = |f: fn(&NetCell) -> u64| shard_rows.iter().map(|r| f(r)).sum::<u64>();
+        let shard_rows: Vec<&&LoadRow> = rows.iter().filter(|r| r.shard != "fleet").collect();
+        let sum = |f: fn(&LoadRow) -> u64| shard_rows.iter().map(|r| f(r)).sum::<u64>();
         let sums: [(u64, u64, &str); 7] = [
             (sum(|r| r.submitted), fleet.submitted, "submitted totals"),
             (sum(|r| r.completed), fleet.completed, "completed totals"),
@@ -771,103 +629,27 @@ fn validate_net(cells: &[NetCell]) -> Result<(), String> {
     Ok(())
 }
 
-/// The ooc-block leg of [`validate`]: unique (scenario, model) keys,
-/// known model names, zero violations, a sane file geometry
-/// (`chunk_len > 0`, `bytes_written == file_bytes > 0`, non-empty
-/// path), honest read meters — the streaming model must have read at
-/// least `passes × file_bytes` and at most one extra file's worth (the
-/// open-time header validation), every other model exactly one file —
-/// and per-scenario objective agreement across models within
-/// [`OBJECTIVE_TOL`].
-fn validate_ooc(cells: &[OocCell]) -> Result<(), String> {
-    let mut keys: Vec<(&str, &str)> = cells
-        .iter()
-        .map(|c| (c.scenario.as_str(), c.model.as_str()))
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
-    if keys.len() != cells.len() {
-        return Err("duplicate ooc (scenario, model) cells".into());
-    }
-    for c in cells {
-        let ctx = |what: &str| format!("ooc cell {}/{}: {what}", c.scenario, c.model);
-        if !MODELS.contains(&c.model.as_str()) {
-            return Err(ctx("unknown model"));
-        }
-        if c.violations != 0 {
-            return Err(ctx(&format!("{} violations", c.violations)));
-        }
-        if c.path.is_empty() {
-            return Err(ctx("empty file path"));
-        }
-        if c.chunk_len == 0 || c.n == 0 {
-            return Err(ctx("zero chunk_len or row count"));
-        }
-        if c.file_bytes == 0 || c.bytes_written != c.file_bytes {
-            return Err(ctx(&format!(
-                "bytes_written {} != predicted file size {}",
-                c.bytes_written, c.file_bytes
-            )));
-        }
-        if c.model == "streaming" {
-            if c.passes == 0 {
-                return Err(ctx("streaming cell with zero passes"));
-            }
-            let floor = c.passes * c.file_bytes;
-            if c.bytes_read < floor || c.bytes_read > floor + c.file_bytes {
-                return Err(ctx(&format!(
-                    "bytes_read {} is not passes x file size ({} passes x {} bytes)",
-                    c.bytes_read, c.passes, c.file_bytes
-                )));
-            }
-        } else {
-            if c.passes != 0 {
-                return Err(ctx("non-streaming cell with stream passes"));
-            }
-            if c.bytes_read != c.file_bytes {
-                return Err(ctx(&format!(
-                    "bytes_read {} != file size {} (one full load expected)",
-                    c.bytes_read, c.file_bytes
-                )));
-            }
-        }
-    }
-    let mut scenarios: Vec<&str> = cells.iter().map(|c| c.scenario.as_str()).collect();
-    scenarios.sort_unstable();
-    scenarios.dedup();
-    for name in scenarios {
-        let group: Vec<&OocCell> = cells.iter().filter(|c| c.scenario == name).collect();
-        let reference = group[0].objective;
-        for c in &group[1..] {
-            let scale = reference.abs().max(c.objective.abs()).max(1.0);
-            if (c.objective - reference).abs() > OBJECTIVE_TOL * scale {
-                return Err(format!(
-                    "ooc scenario {name:?}: objective disagreement — {} ({}) vs {} ({})",
-                    group[0].model, reference, c.model, c.objective
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Re-opens every store file an ooc block references and re-verifies its
+/// Re-opens every store file a file cell references and re-verifies its
 /// header and chunk checksums end to end, also checking the on-disk size
 /// against the cell's recorded `file_bytes`. Separate from [`validate`]
 /// (which must stay filesystem-free so archived reports still validate):
 /// CI's `--check` calls this too, so a corrupted chunk store fails the
 /// gate.
 pub fn verify_ooc_files(report: &Report) -> Result<(), String> {
-    let mut paths: Vec<&OocCell> = report.ooc.iter().collect();
-    paths.sort_unstable_by(|a, b| a.path.cmp(&b.path));
-    paths.dedup_by(|a, b| a.path == b.path);
-    for c in paths {
-        let (header, bytes) = llp_store::verify_file(std::path::Path::new(&c.path))
-            .map_err(|e| format!("ooc file {}: {e}", c.path))?;
-        if bytes != c.file_bytes || header.file_bytes() != c.file_bytes {
+    let mut files: Vec<&FileMeters> = report
+        .cells
+        .iter()
+        .filter_map(|c| c.file.as_ref())
+        .collect();
+    files.sort_unstable_by(|a, b| a.path.cmp(&b.path));
+    files.dedup_by(|a, b| a.path == b.path);
+    for f in files {
+        let (header, bytes) = llp_store::verify_file(std::path::Path::new(&f.path))
+            .map_err(|e| format!("store file {}: {e}", f.path))?;
+        if bytes != f.file_bytes || header.file_bytes() != f.file_bytes {
             return Err(format!(
-                "ooc file {}: on-disk size {bytes} != recorded file_bytes {}",
-                c.path, c.file_bytes
+                "store file {}: on-disk size {bytes} != recorded file_bytes {}",
+                f.path, f.file_bytes
             ));
         }
     }
@@ -878,18 +660,18 @@ pub fn verify_ooc_files(report: &Report) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn demo_cell(scenario: &str, model: &str, objective: f64) -> Cell {
+    fn demo_cell(scenario: &str, model: Model, objective: f64) -> Cell {
         Cell {
             scenario: scenario.to_string(),
             family: "random_lp".to_string(),
-            model: model.to_string(),
-            n: 1000,
+            model: model.name().to_string(),
+            n: 4000,
             d: 2,
             seed: 7,
             objective,
             violations: 0,
             iterations: 9,
-            passes: 18,
+            passes: if model == Model::Streaming { 18 } else { 0 },
             rounds: 0,
             space_bits: 4096,
             comm_bits: 0,
@@ -897,43 +679,39 @@ mod tests {
             load_bits: 0,
             total_load_bits: 0,
             wall_ms: 1.25,
+            file: None,
         }
     }
 
-    fn demo_service_cell(mix: &str) -> ServiceCell {
-        ServiceCell {
-            mix: mix.to_string(),
-            workers: 2,
-            solver_threads: 1,
-            queue_capacity: 64,
-            cache_capacity: 256,
-            waves: 2,
-            submitted: 100,
-            completed: 95,
-            shed: 4,
-            rejected: 1,
-            solves: 30,
-            batched: 15,
-            cache_hits: 50,
-            p50_ms: 1.0,
-            p95_ms: 4.0,
-            p99_ms: 9.0,
-            max_ms: 12.0,
-            mean_ms: 2.0,
-            queue_p95_ms: 0.5,
-            throughput_rps: 950.0,
-            wall_ms: 100.0,
+    fn demo_file_cell(model: Model) -> Cell {
+        let file_bytes = 100_000;
+        let cell = demo_cell("s1", model, -0.75);
+        Cell {
+            wall_ms: 3.5,
+            file: Some(FileMeters {
+                dim: 2,
+                chunk_len: 512,
+                file_bytes,
+                bytes_written: file_bytes,
+                bytes_read: if cell.passes == 0 {
+                    file_bytes
+                } else {
+                    cell.passes * file_bytes + 70
+                },
+                path: "llp_ooc_chunks/s1.llps".to_string(),
+            }),
+            ..cell
         }
     }
 
-    fn demo_net_cell(mix: &str, shard: &str, submitted: u64) -> NetCell {
+    fn demo_load_row(mix: &str, shard: &str, submitted: u64) -> LoadRow {
         // completed = submitted - 2 (one shed, one rejected);
         // completed = cache_hits + solves + batched with a 3/1/1 split
         // remainder on solves.
         let completed = submitted - 2;
         let cache_hits = completed / 2;
         let batched = completed / 4;
-        NetCell {
+        LoadRow {
             mix: mix.to_string(),
             shard: shard.to_string(),
             shards: 2,
@@ -957,10 +735,10 @@ mod tests {
         }
     }
 
-    fn demo_net_mix(mix: &str) -> Vec<NetCell> {
-        let a = demo_net_cell(mix, "0", 42);
-        let b = demo_net_cell(mix, "1", 62);
-        let mut fleet = demo_net_cell(mix, "fleet", 104);
+    fn demo_load_mix(mix: &str) -> Vec<LoadRow> {
+        let a = demo_load_row(mix, "0", 42);
+        let b = demo_load_row(mix, "1", 62);
+        let mut fleet = demo_load_row(mix, "fleet", 104);
         fleet.shed = a.shed + b.shed;
         fleet.rejected = a.rejected + b.rejected;
         fleet.completed = a.completed + b.completed;
@@ -970,45 +748,33 @@ mod tests {
         vec![a, b, fleet]
     }
 
-    fn demo_ooc_cell(model: &str) -> OocCell {
-        let streaming = model == "streaming";
-        OocCell {
-            scenario: "s1".to_string(),
-            family: "random_lp".to_string(),
-            model: model.to_string(),
-            n: 4000,
-            d: 2,
-            dim: 2,
-            seed: 7,
-            chunk_len: 512,
-            file_bytes: 100_000,
-            bytes_written: 100_000,
-            bytes_read: if streaming {
-                18 * 100_000 + 70
-            } else {
-                100_000
-            },
-            passes: if streaming { 18 } else { 0 },
-            objective: -0.75,
-            violations: 0,
-            iterations: 9,
-            wall_ms: 3.5,
-            path: "llp_ooc_chunks/s1.llps".to_string(),
-        }
-    }
-
+    /// Four in-RAM cells (indices 0–3, `Model::ALL` order), the same four
+    /// models from a file (4–7), and the uniform (0–2) and hot-key (3–5)
+    /// load mixes.
     fn demo_report() -> Report {
-        let mut net = demo_net_mix("uniform");
-        net.extend(demo_net_mix("hot_key"));
+        let mut cells: Vec<Cell> = Model::ALL
+            .iter()
+            .map(|&m| demo_cell("s1", m, -0.75))
+            .collect();
+        cells.extend(Model::ALL.iter().map(|&m| demo_file_cell(m)));
+        let mut load = demo_load_mix("uniform");
+        load.extend(demo_load_mix("hot_key"));
         Report {
             schema_version: SCHEMA_VERSION,
             label: "demo".to_string(),
             budget: "quick".to_string(),
-            cells: MODELS.iter().map(|m| demo_cell("s1", m, -0.75)).collect(),
-            service: vec![demo_service_cell("uniform"), demo_service_cell("hot_key")],
-            net,
-            ooc: MODELS.iter().map(|m| demo_ooc_cell(m)).collect(),
+            cells,
+            load,
         }
+    }
+
+    const RAM_MPC: usize = 3;
+    const FILE_RAM: usize = 4;
+    const FILE_STREAMING: usize = 5;
+    const FILE_MPC: usize = 7;
+
+    fn err(r: &Report) -> String {
+        validate(r).expect_err("the mutated report must be refused")
     }
 
     #[test]
@@ -1019,73 +785,80 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_the_demo_grid() {
+    fn validate_accepts_the_demo_report() {
         assert_eq!(validate(&demo_report()), Ok(()));
     }
 
     #[test]
     fn validate_rejects_missing_model() {
         let mut r = demo_report();
-        r.cells.pop();
-        assert!(validate(&r).unwrap_err().contains("mpc"));
+        r.cells.remove(RAM_MPC);
+        assert!(err(&r).contains("mpc"));
     }
 
     #[test]
     fn validate_rejects_objective_disagreement() {
         let mut r = demo_report();
-        r.cells[3].objective = -0.80;
-        assert!(validate(&r).unwrap_err().contains("disagreement"));
+        r.cells[RAM_MPC].objective = -0.80;
+        assert!(err(&r).contains("disagreement"));
     }
 
     #[test]
     fn validate_accepts_partial_reports_but_not_empty_ones() {
-        let mut r = demo_report();
+        let full = demo_report();
+        let mut r = full.clone();
         r.cells.clear();
-        assert_eq!(validate(&r), Ok(()), "serve+net+ooc-only is fine");
-        r.service.clear();
-        assert_eq!(validate(&r), Ok(()), "net+ooc-only is fine");
-        r.net.clear();
-        assert_eq!(validate(&r), Ok(()), "ooc-only is fine");
-        r.ooc.clear();
-        assert!(validate(&r).unwrap_err().contains("empty report"));
+        assert_eq!(validate(&r), Ok(()), "load-only is fine");
+        r.cells = full.cells[FILE_RAM..].to_vec();
+        assert_eq!(validate(&r), Ok(()), "file cells + load is fine");
+        r.load.clear();
+        assert_eq!(validate(&r), Ok(()), "file-cells-only is fine");
+        r.cells = full.cells[..FILE_RAM].to_vec();
+        assert_eq!(validate(&r), Ok(()), "grid-only is fine");
+        r.cells.clear();
+        assert!(err(&r).contains("empty report"));
     }
 
     #[test]
-    fn validate_rejects_bad_ooc_cells() {
+    fn validate_rejects_bad_file_cells() {
+        fn meters(r: &mut Report, i: usize) -> &mut FileMeters {
+            r.cells[i].file.as_mut().expect("a file cell")
+        }
         // Violations are a hard failure.
         let mut r = demo_report();
-        r.ooc[0].violations = 1;
-        assert!(validate(&r).unwrap_err().contains("violations"));
+        r.cells[FILE_RAM].violations = 1;
+        assert!(err(&r).contains("violations"));
         // The writer meter must equal the header-predicted file size.
         let mut r = demo_report();
-        r.ooc[0].bytes_written -= 1;
-        assert!(validate(&r).unwrap_err().contains("bytes_written"));
+        meters(&mut r, FILE_RAM).bytes_written -= 1;
+        assert!(err(&r).contains("bytes_written"));
         // Streaming must read the file once per pass (plus at most one
         // extra header-validation open).
         let mut r = demo_report();
-        r.ooc[1].bytes_read = r.ooc[1].file_bytes;
-        assert!(validate(&r).unwrap_err().contains("passes x file size"));
+        let m = meters(&mut r, FILE_STREAMING);
+        m.bytes_read = m.file_bytes;
+        assert!(err(&r).contains("passes x file size"));
         // Non-streaming models load the file exactly once.
         let mut r = demo_report();
-        r.ooc[0].bytes_read *= 2;
-        assert!(validate(&r).unwrap_err().contains("one full load"));
+        meters(&mut r, FILE_RAM).bytes_read *= 2;
+        assert!(err(&r).contains("one full load"));
         // A streaming cell records its pass count.
         let mut r = demo_report();
-        r.ooc[1].passes = 0;
-        assert!(validate(&r).unwrap_err().contains("zero passes"));
-        // Objectives agree across models per scenario.
+        r.cells[FILE_STREAMING].passes = 0;
+        assert!(err(&r).contains("zero passes"));
+        // Objectives agree per scenario across file and in-RAM cells.
         let mut r = demo_report();
-        r.ooc[3].objective = -0.80;
-        assert!(validate(&r).unwrap_err().contains("disagreement"));
-        // (scenario, model) keys are unique.
+        r.cells[FILE_MPC].objective = -0.80;
+        assert!(err(&r).contains("disagreement"));
+        // (scenario, model) keys are unique among file cells.
         let mut r = demo_report();
-        let dup = r.ooc[0].clone();
-        r.ooc.push(dup);
-        assert!(validate(&r).unwrap_err().contains("duplicate ooc"));
+        let dup = r.cells[FILE_RAM].clone();
+        r.cells.push(dup);
+        assert!(err(&r).contains("duplicate"));
         // Unknown model names are refused.
         let mut r = demo_report();
-        r.ooc[2].model = "warp".to_string();
-        assert!(validate(&r).unwrap_err().contains("unknown model"));
+        r.cells[FILE_RAM + 2].model = "warp".to_string();
+        assert!(err(&r).contains("unknown model"));
     }
 
     #[test]
@@ -1101,16 +874,18 @@ mod tests {
         let path = dir.join("lp_uniform.llps");
         let (header, written) = llp_workloads::write_scenario(&sc, &path, 256).unwrap();
         let mut r = demo_report();
-        r.ooc.truncate(1);
-        r.ooc[0].path = path.to_string_lossy().into_owned();
-        r.ooc[0].file_bytes = header.file_bytes();
-        r.ooc[0].bytes_written = written;
+        r.cells = vec![r.cells[FILE_RAM].clone()];
+        let m = r.cells[0].file.as_mut().unwrap();
+        m.path = path.to_string_lossy().into_owned();
+        m.file_bytes = header.file_bytes();
+        m.bytes_written = written;
         assert_eq!(verify_ooc_files(&r), Ok(()));
 
         // A recorded size that disagrees with the file is refused...
         let mut lied = r.clone();
-        lied.ooc[0].file_bytes += 1;
-        lied.ooc[0].bytes_written += 1;
+        let m = lied.cells[0].file.as_mut().unwrap();
+        m.file_bytes += 1;
+        m.bytes_written += 1;
         assert!(verify_ooc_files(&lied).unwrap_err().contains("size"));
         // ...and so is a corrupted byte anywhere in the file.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1121,84 +896,91 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_inconsistent_net_rows() {
+    fn validate_rejects_inconsistent_load_rows() {
         // Per-shard conservation broken.
         let mut r = demo_report();
-        r.net[0].shed += 1;
-        assert!(validate(&r).unwrap_err().contains("submitted"));
+        r.load[0].shed += 1;
+        assert!(err(&r).contains("submitted"));
         // Fleet counters must be the field-wise sum of the shard rows.
         let mut r = demo_report();
-        r.net[2].submitted += 1;
-        r.net[2].completed += 1;
-        r.net[2].solves += 1;
-        assert!(validate(&r).unwrap_err().contains("sum of shard rows"));
+        r.load[2].submitted += 1;
+        r.load[2].completed += 1;
+        r.load[2].solves += 1;
+        assert!(err(&r).contains("sum of shard rows"));
         // Completion-split conservation broken on the fleet row.
         let mut r = demo_report();
-        r.net[2].cache_hits += 1;
-        r.net[2].solves -= 1;
-        assert!(validate(&r).unwrap_err().contains("sum of shard rows"));
+        r.load[2].cache_hits += 1;
+        r.load[2].solves -= 1;
+        assert!(err(&r).contains("sum of shard rows"));
         // Exactly one fleet row per mix.
         let mut r = demo_report();
-        r.net[2].shard = "1".to_string();
-        assert!(validate(&r).unwrap_err().contains("fleet"));
+        r.load[2].shard = "1".to_string();
+        assert!(err(&r).contains("fleet"));
         // Shard indices must each appear exactly once.
         let mut r = demo_report();
-        r.net[1].shard = "0".to_string();
-        assert!(validate(&r).unwrap_err().contains("exactly once"));
+        r.load[1].shard = "0".to_string();
+        assert!(err(&r).contains("exactly once"));
         // Percentiles ordered on every row, shard rows included.
         let mut r = demo_report();
-        r.net[1].p95_ms = 100.0;
-        assert!(validate(&r).unwrap_err().contains("percentiles"));
+        r.load[1].p95_ms = 100.0;
+        assert!(err(&r).contains("percentiles"));
         // Fleet must have completed traffic at positive throughput.
         let mut r = demo_report();
-        for row in &mut r.net {
+        for row in &mut r.load {
             row.throughput_rps = 0.0;
         }
-        assert!(validate(&r).unwrap_err().contains("throughput"));
+        assert!(err(&r).contains("throughput"));
         // Hot-key fleet must hit the cache when waves >= 2.
         let mut r = demo_report();
-        for row in &mut r.net {
+        for row in &mut r.load {
             if row.mix == "hot_key" {
                 row.solves += row.cache_hits;
                 row.cache_hits = 0;
             }
         }
-        assert!(validate(&r).unwrap_err().contains("cache hits"));
+        assert!(err(&r).contains("cache hits"));
     }
 
     #[test]
-    fn validate_rejects_inconsistent_service_counters() {
+    fn validate_rejects_broken_counter_laws_and_duplicate_mixes() {
+        // Offered-load conservation broken on the fleet row.
         let mut r = demo_report();
-        r.service[0].shed = 6; // completed + shed != submitted
-        assert!(validate(&r).unwrap_err().contains("submitted"));
+        r.load[2].shed += 1;
+        assert!(err(&r).contains("submitted"));
+        // Completion-split conservation broken on a shard row.
         let mut r = demo_report();
-        r.service[0].batched = 16; // hits + solves + batched != completed
-        assert!(validate(&r).unwrap_err().contains("completed"));
+        r.load[0].batched += 1;
+        assert!(err(&r).contains("completed"));
+        // The hot-key mix must hit the cache even when its misses
+        // coalesced rather than solved.
         let mut r = demo_report();
-        r.service[1].cache_hits = 0;
-        r.service[1].solves = 80;
-        assert!(
-            validate(&r).unwrap_err().contains("cache hits"),
-            "hot-key mix must hit the cache"
-        );
+        for row in &mut r.load[3..] {
+            row.batched += row.cache_hits;
+            row.cache_hits = 0;
+        }
+        assert!(err(&r).contains("cache hits"));
+        // Percentiles ordered on the fleet row too.
         let mut r = demo_report();
-        r.service[0].p95_ms = 100.0; // > p99
-        assert!(validate(&r).unwrap_err().contains("percentiles"));
+        r.load[2].p95_ms = 100.0;
+        assert!(err(&r).contains("percentiles"));
+        // A duplicated mix is refused.
         let mut r = demo_report();
-        r.service[1].mix = "uniform".to_string();
-        assert!(validate(&r).unwrap_err().contains("duplicate"));
+        for row in &mut r.load[3..] {
+            row.mix = "uniform".to_string();
+        }
+        assert!(err(&r).contains("rows for 2 shards"));
     }
 
     #[test]
     fn validate_rejects_violations_and_bad_version() {
         let mut r = demo_report();
         r.cells[1].violations = 2;
-        assert!(validate(&r).unwrap_err().contains("violations"));
+        assert!(err(&r).contains("violations"));
         let mut r = demo_report();
         r.schema_version = 999;
-        assert!(validate(&r).unwrap_err().contains("schema"));
+        assert!(err(&r).contains("schema"));
         let mut r = demo_report();
         r.budget = "warp".to_string();
-        assert!(validate(&r).unwrap_err().contains("budget"));
+        assert!(err(&r).contains("budget"));
     }
 }

@@ -1,7 +1,8 @@
-//! The `experiments serve` load harness: replay scenario-registry
-//! traffic mixes against an [`llp_service::Service`] and meter the
-//! serving layer (latency percentiles, throughput, cache/batch/shed
-//! counters) into [`ServiceCell`] rows of the machine-readable report.
+//! The `experiments serve` load harness: drive `llp_serve` shards over
+//! TCP with scenario-registry traffic mixes and meter the serving layer
+//! (latency percentiles, throughput, cache/batch/shed counters) into
+//! per-shard plus fleet-aggregate [`LoadRow`]s of the machine-readable
+//! report.
 //!
 //! Three mixes, all drawn from the same 11-scenario registry with a
 //! fixed per-mix seed so the request streams are reproducible:
@@ -14,17 +15,27 @@
 //!   AsymDPOP-style asymmetric workload where a few keys are hot and a
 //!   long tail stays cold.
 //!
-//! Each mix submits its stream **live** (one request at a time, so
-//! admission control and batching race real worker timing — that is the
-//! measurement) and then replays the identical stream for a second wave
-//! against the warmed cache. Wave barriers make the hot-key mix's
-//! non-zero cache-hit count structural: every wave-2 key was solved (or
-//! coalesced) in wave 1.
+//! Each mix runs [`WAVES`] barrier-separated replays of its stream,
+//! spread across [`CLIENTS`] concurrent connections, so admission
+//! control and batching race real worker timing — that is the
+//! measurement. Consistent-hash routing pins every fingerprint to one
+//! shard (DESIGN.md §9), so wave 2 replays warmed per-shard caches and
+//! the hot-key mix's non-zero cache-hit count is structural: every
+//! wave-2 key was solved (or coalesced) in wave 1.
+//!
+//! By default the harness boots a [`NetServer`] on a loopback port;
+//! [`LoadOptions::connect`] drives an external server instead (e.g. a
+//! separately started `llp_serve` binary — the README "Network serving"
+//! quickstart). Either way all metering crosses the wire: a `Reset`
+//! frame isolates each mix and a `Stats` frame collects the per-shard
+//! and fleet rows afterwards.
 
-use crate::report::ServiceCell;
+use crate::report::LoadRow;
 use crate::RunBudget;
 use llp_sampling::weighted::sample_iid;
-use llp_service::{Admission, Model, Service, ServiceConfig, SolveRequest, Ticket};
+use llp_serve::codec::{ErrorCode, StatsReply, FLEET_SHARD};
+use llp_serve::{ClientError, NetClient, NetServer, ServeConfig};
+use llp_service::{Model, ServiceConfig, SolveRequest};
 use llp_workloads::scenario::{registry, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,33 +43,41 @@ use rand::{Rng, SeedableRng};
 /// The serve harness's mix names, in report order.
 pub const MIXES: &[&str] = &["uniform", "hot_key", "heavy_tail"];
 
+/// Concurrent client connections per wave.
+pub const CLIENTS: usize = 4;
+
+/// Barrier-separated replays of each mix's stream per run; wave 2
+/// exercises the warmed per-shard caches.
+pub const WAVES: usize = 2;
+
 /// Load-harness knobs (`experiments serve` flags map onto this).
 #[derive(Clone, Debug)]
-pub struct ServeOptions {
-    /// Service worker threads.
+pub struct LoadOptions {
+    /// Service worker threads per shard of the loopback server.
     pub workers: usize,
-    /// `llp_par` threads inside each worker solve.
-    pub solver_threads: usize,
-    /// Bounded-queue capacity (batches).
-    pub queue_capacity: usize,
-    /// LRU result-cache capacity.
-    pub cache_capacity: usize,
     /// Requests per wave per mix.
     pub requests: usize,
-    /// Times the stream is replayed (≥ 2 exercises the warm cache).
-    pub waves: usize,
+    /// Shards behind the loopback server.
+    pub shards: usize,
+    /// Port of the loopback server (`0` = ephemeral).
+    pub port: u16,
+    /// Drive an external server at this address instead of booting a
+    /// loopback one; `workers`, `shards` and `port` then configure
+    /// nothing.
+    pub connect: Option<String>,
 }
 
-impl ServeOptions {
+impl LoadOptions {
     /// Defaults for a budget: quick keeps the 3-mix run in CI seconds.
-    pub fn for_budget(budget: RunBudget) -> Self {
-        ServeOptions {
-            workers: 2,
-            solver_threads: 1,
-            queue_capacity: 64,
-            cache_capacity: 256,
+    /// Apart from `workers`, each loopback shard runs
+    /// `ServiceConfig::default()`.
+    pub fn for_budget(budget: RunBudget, shards: usize) -> Self {
+        LoadOptions {
+            workers: ServiceConfig::default().workers,
             requests: budget.pick(200, 2000),
-            waves: 2,
+            shards,
+            port: 0,
+            connect: None,
         }
     }
 }
@@ -111,69 +130,143 @@ pub fn mix_stream(mix: &str, budget: RunBudget, requests: usize) -> Vec<SolveReq
         .collect()
 }
 
-/// Runs one mix against a fresh service and meters it.
-pub fn run_mix(mix: &str, budget: RunBudget, opts: &ServeOptions) -> ServiceCell {
-    let svc = Service::new(ServiceConfig {
-        workers: opts.workers,
-        queue_capacity: opts.queue_capacity,
-        cache_capacity: opts.cache_capacity,
-        solver_threads: opts.solver_threads,
-        ..ServiceConfig::default()
+/// Runs all three mixes (the `experiments serve` payload): boots a
+/// loopback server unless `opts.connect` points at an external one,
+/// then per mix — reset over the wire, replay the mix stream across
+/// [`CLIENTS`] connections for [`WAVES`] waves, and turn the wire
+/// `Stats` reply into per-shard + fleet [`LoadRow`]s.
+pub fn run_load(budget: RunBudget, opts: &LoadOptions) -> Vec<LoadRow> {
+    // Keep the loopback server alive across all mixes (resets happen
+    // over the wire), and shut it down when this binding drops.
+    let server: Option<NetServer> = opts.connect.is_none().then(|| {
+        let cfg = ServeConfig {
+            shards: opts.shards,
+            service: ServiceConfig {
+                workers: opts.workers,
+                ..ServiceConfig::default()
+            },
+        };
+        let addr = format!("127.0.0.1:{}", opts.port);
+        NetServer::bind(&addr, cfg)
+            .unwrap_or_else(|e| panic!("serve: cannot bind loopback server on {addr}: {e}"))
     });
-    let stream = mix_stream(mix, budget, opts.requests);
-    // llp-analyzer: allow(wall-clock) -- load-harness timer behind wall_ms/throughput_rps; bodies and counters stay clock-free
+    let (addr, workers) = match (&opts.connect, &server) {
+        (Some(a), _) => (a.clone(), 0),
+        (None, Some(s)) => (s.local_addr().to_string(), opts.workers as u64),
+        (None, None) => unreachable!("either connect or a loopback server"),
+    };
+    MIXES
+        .iter()
+        .flat_map(|mix| run_load_mix(mix, &addr, budget, opts.requests, workers))
+        .collect()
+}
+
+/// One mix against a running server at `addr`; `workers` is what the
+/// rows record.
+fn run_load_mix(
+    mix: &str,
+    addr: &str,
+    budget: RunBudget,
+    requests: usize,
+    workers: u64,
+) -> Vec<LoadRow> {
+    let mut control = NetClient::connect(addr)
+        .unwrap_or_else(|e| panic!("serve mix {mix:?}: cannot connect {addr}: {e}"));
+    // Wire-level reset isolates this mix's counters — required for an
+    // external server, harmless for the loopback one.
+    control
+        .reset()
+        .unwrap_or_else(|e| panic!("serve mix {mix:?}: reset failed: {e}"));
+
+    let stream = mix_stream(mix, budget, requests);
+    // llp-analyzer: allow(wall-clock) -- loadgen timer behind wall_ms/throughput_rps; response bodies and classification counters stay clock-free
     let start = std::time::Instant::now();
-    for _ in 0..opts.waves {
-        // Live submission: admission/batching race the workers (that is
-        // the measurement); the barrier at the end of each wave is what
-        // makes wave 2 a warmed-cache replay.
-        let mut tickets: Vec<Ticket> = Vec::with_capacity(stream.len());
-        for req in &stream {
-            match svc.submit(req.clone()) {
-                Ok(Admission::Cached(_)) => {}
-                Ok(Admission::Pending(t)) => tickets.push(t),
-                Err(_) => {} // shed — counted by the service
-            }
-        }
-        for t in tickets {
-            let response = t.wait();
-            if let Err(e) = &response.body {
-                panic!("serve mix {mix:?}: registry scenario failed to solve: {e}");
+    for _ in 0..WAVES {
+        // One wave: every request crosses the wire once, spread
+        // round-robin over the client connections. The join below is
+        // the wave barrier that makes wave 2 a warmed-cache replay.
+        let handles: Vec<std::thread::JoinHandle<()>> = (0..CLIENTS)
+            .map(|c| {
+                let chunk: Vec<SolveRequest> =
+                    stream.iter().skip(c).step_by(CLIENTS).cloned().collect();
+                let addr = addr.to_string();
+                let mix = mix.to_string();
+                std::thread::spawn(move || {
+                    let mut client = NetClient::connect(&addr).unwrap_or_else(|e| {
+                        panic!("serve mix {mix:?}: client cannot connect: {e}")
+                    });
+                    for req in &chunk {
+                        match client.solve(req) {
+                            Ok(resp) => {
+                                if let Err(e) = &resp.body {
+                                    panic!(
+                                        "serve mix {mix:?}: registry scenario \
+                                         failed to solve: {e}"
+                                    );
+                                }
+                            }
+                            // Shed is a legitimate loadgen outcome; the
+                            // server counts it and conservation still
+                            // holds. Anything else is a harness bug.
+                            Err(ClientError::Server {
+                                code: ErrorCode::Shed,
+                                ..
+                            }) => {}
+                            Err(e) => {
+                                panic!("serve mix {mix:?}: solve failed over the wire: {e}")
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            if h.join().is_err() {
+                panic!("serve mix {mix:?}: a client thread panicked");
             }
         }
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let stats = svc.stats();
-    let lat = svc.latency_summary();
-    let queue = svc.queue_wait_summary();
-    ServiceCell {
-        mix: mix.to_string(),
-        workers: opts.workers as u64,
-        solver_threads: opts.solver_threads as u64,
-        queue_capacity: opts.queue_capacity as u64,
-        cache_capacity: opts.cache_capacity as u64,
-        waves: opts.waves as u64,
-        submitted: stats.submitted,
-        completed: stats.completed,
-        shed: stats.shed,
-        rejected: stats.rejected,
-        solves: stats.solves,
-        batched: stats.batched,
-        cache_hits: stats.cache_hits,
-        p50_ms: lat.p50_ms,
-        p95_ms: lat.p95_ms,
-        p99_ms: lat.p99_ms,
-        max_ms: lat.max_ms,
-        mean_ms: lat.mean_ms,
-        queue_p95_ms: queue.p95_ms,
-        throughput_rps: stats.completed as f64 / (wall_ms / 1000.0).max(1e-9),
-        wall_ms,
-    }
+
+    let reply = control
+        .stats()
+        .unwrap_or_else(|e| panic!("serve mix {mix:?}: stats failed: {e}"));
+    rows_from_stats(mix, &reply, workers, wall_ms)
 }
 
-/// Runs all three mixes (the `experiments serve` payload).
-pub fn run_mixes(budget: RunBudget, opts: &ServeOptions) -> Vec<ServiceCell> {
-    MIXES.iter().map(|m| run_mix(m, budget, opts)).collect()
+/// Turns a wire stats reply into report rows (shard rows first, fleet
+/// last — the order the server sends them).
+fn rows_from_stats(mix: &str, reply: &StatsReply, workers: u64, wall_ms: f64) -> Vec<LoadRow> {
+    reply
+        .rows
+        .iter()
+        .map(|row| LoadRow {
+            mix: mix.to_string(),
+            shard: if row.shard == FLEET_SHARD {
+                "fleet".to_string()
+            } else {
+                row.shard.to_string()
+            },
+            shards: u64::from(reply.shards),
+            workers,
+            waves: WAVES as u64,
+            submitted: row.stats.submitted,
+            completed: row.stats.completed,
+            shed: row.stats.shed,
+            rejected: row.stats.rejected,
+            solves: row.stats.solves,
+            batched: row.stats.batched,
+            cache_hits: row.stats.cache_hits,
+            p50_ms: row.latency.p50_ms,
+            p95_ms: row.latency.p95_ms,
+            p99_ms: row.latency.p99_ms,
+            max_ms: row.latency.max_ms,
+            mean_ms: row.latency.mean_ms,
+            queue_p95_ms: row.queue_wait.p95_ms,
+            throughput_rps: row.stats.completed as f64 / (wall_ms / 1000.0).max(1e-9),
+            wall_ms,
+        })
+        .collect()
 }
 
 #[cfg(test)]

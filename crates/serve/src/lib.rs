@@ -23,8 +23,8 @@
 //!   precedence rule, mirroring `llp_par`'s `--threads` rule.
 //!
 //! The `llp_serve` binary (`src/main.rs`) wraps [`NetServer`] with
-//! flags; the socket loadgen lives in `llp_bench::netserve` and drives
-//! either an in-process server or an external one over loopback.
+//! flags; the load harness in `llp_bench::serve` (`experiments serve`)
+//! drives either a loopback server of its own or an external one.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -3,11 +3,11 @@
 //! collect the solver statistics and meter readings into a
 //! [`ResponseBody`].
 //!
-//! This is the single solve path shared by the service workers, the
-//! `llp_bench` report grid (`run_cell`) and its out-of-core harness
-//! (`bench::ooc`), so a scenario solved through the service, in the grid,
-//! or off its store file is *the same computation*: same site layout,
-//! same meter charges, same determinism contract via `llp_par`.
+//! This is the single solve path shared by the service workers and the
+//! `llp_bench` report's cells (`solve_cell`, for in-RAM grid cells and
+//! file cells alike), so a scenario solved through the service, in the
+//! grid, or off its store file is *the same computation*: same site
+//! layout, same meter charges, same determinism contract via `llp_par`.
 //!
 //! RAM, the coordinator and MPC share one input contract: the caller's
 //! rows (borrowed, or loaded whole from a file) plus one columnar

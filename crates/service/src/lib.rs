@@ -17,9 +17,9 @@
 //!   [`ResponseBody`] is the deterministic part (bit-identical at any
 //!   worker count for a fixed request fingerprint).
 //! * [`exec::solve_source`] — the one model dispatch over an in-RAM
-//!   slice or a store file, also used by the `llp_bench` report grid
-//!   (through the slice form [`exec::solve_model`]) and its out-of-core
-//!   harness.
+//!   slice or a store file, also used by the `llp_bench` report for its
+//!   in-RAM grid cells and its file cells; [`exec::solve_model`] is its
+//!   slice form.
 //! * [`ServiceStats`]/[`LatencySummary`] — counters and percentiles for
 //!   the load harness (`experiments serve`).
 //! * [`ShardRouter`]/[`HashRing`] — N independent services behind one

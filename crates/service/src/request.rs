@@ -31,7 +31,7 @@ impl Model {
     pub const ALL: &'static [Model] =
         &[Model::Ram, Model::Streaming, Model::Coordinator, Model::Mpc];
 
-    /// The model's wire name (matches `llp_bench::report::MODELS`).
+    /// The model's wire name (the `model` field of a report cell).
     pub fn name(self) -> &'static str {
         match self {
             Model::Ram => "ram",

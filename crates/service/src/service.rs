@@ -35,7 +35,7 @@
 use crate::cache::LruCache;
 use crate::exec::{solve_model, ExecParams};
 use crate::request::{RequestInput, ResponseBody, ServedFrom, SolveRequest, SolveResponse};
-use crate::stats::{LatencySummary, ServiceStats};
+use crate::stats::ServiceStats;
 use llp_workloads::scenario::{registry, RunBudget, ScenarioData};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -265,20 +265,6 @@ impl Service {
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         self.lock().stats
-    }
-
-    /// Summary of end-to-end request latencies recorded so far.
-    pub fn latency_summary(&self) -> LatencySummary {
-        // Clone the samples out under the lock; the O(n log n) sort in
-        // from_samples must not stall admission or result publication.
-        let samples = self.lock().latencies_ms.clone();
-        LatencySummary::from_samples(&samples)
-    }
-
-    /// Summary of queue-wait times recorded so far.
-    pub fn queue_wait_summary(&self) -> LatencySummary {
-        let samples = self.lock().queue_waits_ms.clone();
-        LatencySummary::from_samples(&samples)
     }
 
     /// The raw end-to-end latency samples recorded so far (milliseconds,
@@ -518,6 +504,7 @@ fn execute(req: &SolveRequest, exec: &ExecParams) -> Result<ResponseBody, String
 mod tests {
     use super::*;
     use crate::request::Model;
+    use crate::stats::LatencySummary;
     use llp_core::instances::lp::LpProblem;
     use llp_geom::Halfspace;
 
@@ -678,9 +665,9 @@ mod tests {
     fn latency_summaries_cover_completed_requests() {
         let svc = Service::new(quick_cfg());
         let _ = svc.run_replay(vec![hot_request(); 3]);
-        let lat = svc.latency_summary();
+        let lat = LatencySummary::from_samples(&svc.latency_samples());
         assert_eq!(lat.count, 3);
         assert!(lat.p50_ms <= lat.p95_ms && lat.p95_ms <= lat.max_ms);
-        assert!(svc.queue_wait_summary().count >= 1);
+        assert!(!svc.queue_wait_samples().is_empty());
     }
 }

@@ -3,7 +3,7 @@
 
 use llp_bench as bench;
 use llp_bench::report;
-use llp_bench::serve::{self, ServeOptions};
+use llp_bench::serve::{self, LoadOptions};
 
 fn col(t: &bench::Table, name: &str) -> usize {
     t.headers
@@ -35,35 +35,47 @@ fn all_experiments_produce_rows() {
 }
 
 #[test]
-fn serve_mixes_produce_a_valid_service_block() {
-    // A shrunken `experiments serve --quick`: all three mixes against a
-    // real service, validated through the same `report::validate` the CI
-    // soak job runs on the written JSON.
-    let mut opts = ServeOptions::for_budget(bench::RunBudget::Quick);
+fn serve_mixes_produce_a_valid_load_block() {
+    // A shrunken `experiments --quick --shards 2 serve`: all three mixes
+    // over TCP against a loopback server, validated through the same
+    // `report::validate` the CI net-soak job runs on the written JSON.
+    let mut opts = LoadOptions::for_budget(bench::RunBudget::Quick, 2);
     opts.requests = 60;
-    let service = serve::run_mixes(bench::RunBudget::Quick, &opts);
-    assert_eq!(service.len(), serve::MIXES.len());
+    let load = serve::run_load(bench::RunBudget::Quick, &opts);
+    assert_eq!(
+        load.len(),
+        serve::MIXES.len() * 3,
+        "two shard rows and a fleet row per mix"
+    );
     let r = report::Report {
         schema_version: report::SCHEMA_VERSION,
         label: "serve-quick-test".to_string(),
         budget: "quick".to_string(),
         cells: Vec::new(),
-        service,
-        net: Vec::new(),
-        ooc: Vec::new(),
+        load,
     };
-    report::validate(&r).expect("service block must validate");
-    let hot = r.service.iter().find(|c| c.mix == "hot_key").unwrap();
+    report::validate(&r).expect("load block must validate");
+    let hot = r
+        .load
+        .iter()
+        .find(|c| c.mix == "hot_key" && c.shard == "fleet")
+        .unwrap();
     // Structural under the wave barrier: every wave-2 key was completed
-    // in wave 1. (No `batched > 0` assert here — wave 1 is *live*
-    // submission, so whether duplicates coalesce or hit the cache is a
-    // race with the workers; the replay-based service_determinism suite
-    // asserts coalescing structurally.)
+    // in wave 1 on the shard its fingerprint routes to. (No
+    // `batched > 0` assert here — wave 1 races the workers, so whether
+    // duplicates coalesce or hit the cache is timing; the replay-based
+    // service_determinism suite asserts coalescing structurally.)
     assert!(hot.cache_hits > 0, "hot-key mix must hit the cache");
-    // The report renders and round-trips with the service block attached.
+    assert_eq!(
+        hot.submitted,
+        (serve::WAVES * 60) as u64,
+        "every wave crosses the wire"
+    );
+    assert_eq!(hot.workers, opts.workers as u64);
+    // The report renders and round-trips with the load block attached.
     let parsed = report::Report::from_json(&r.to_json()).expect("round-trip");
     assert_eq!(parsed, r);
-    assert!(!r.service_summary_table().render().is_empty());
+    assert!(!r.load_summary_table().render().is_empty());
 }
 
 #[test]
@@ -136,23 +148,22 @@ fn ooc_quick_block_validates_and_survives_the_file_gate() {
         .join("target/tmp-ooc-tests/experiments-quick");
     let cells = bench::ooc::run_ooc(bench::RunBudget::Quick, &dir);
     assert!(!cells.is_empty());
+    assert!(cells.iter().all(|c| c.file.is_some()), "all file cells");
     let r = report::Report {
         schema_version: report::SCHEMA_VERSION,
         label: "ooc-quick-test".to_string(),
         budget: "quick".to_string(),
-        cells: Vec::new(),
-        service: Vec::new(),
-        net: Vec::new(),
-        ooc: cells,
+        cells,
+        load: Vec::new(),
     };
-    report::validate(&r).expect("ooc block must validate");
+    report::validate(&r).expect("file cells must validate");
     report::verify_ooc_files(&r).expect("store files must re-checksum clean");
-    assert!(!r.ooc_summary_table().render().is_empty());
+    assert!(!r.summary_table().render().is_empty());
     let parsed = report::Report::from_json(&r.to_json()).expect("round-trip");
     assert_eq!(parsed, r);
     // Corrupt one store file in place: the filesystem gate — and only the
     // filesystem gate — must now refuse the otherwise-valid report.
-    let victim = std::path::Path::new(&r.ooc[0].path);
+    let victim = std::path::Path::new(&r.cells[0].file.as_ref().unwrap().path);
     let mut bytes = std::fs::read(victim).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;

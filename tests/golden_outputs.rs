@@ -32,7 +32,7 @@
 //! `cargo test --release --test golden_outputs -- --ignored regenerate`
 //! and commit the rewritten files together with the reason in CHANGES.md.
 
-use llp_bench::report::{self, MODELS};
+use llp_bench::report;
 use llp_bench::RunBudget;
 use llp_bigdata::streaming::{self, SamplingMode};
 use llp_core::instances::lp::LpProblem;
@@ -41,6 +41,7 @@ use llp_core::instances::svm::{SvmPoint, SvmProblem};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::Halfspace;
+use llp_service::Model;
 use llp_solver::lexico::lex_min_optimum;
 use llp_solver::seidel::{self, SeidelConfig};
 use llp_solver::LpResult;
@@ -378,7 +379,7 @@ fn basis_solvers_reproduce_the_golden_fixture() {
 fn quick_grid_bodies_reproduce_the_golden_fixture() {
     assert_eq!(
         GRID_FIXTURE.lines().count(),
-        registry(RunBudget::Quick).len() * MODELS.len(),
+        registry(RunBudget::Quick).len() * Model::ALL.len(),
         "the fixture covers every quick cell"
     );
     assert_matches(GRID_FIXTURE, &render_grid(), "quick-grid bodies");

@@ -1,18 +1,79 @@
 //! Integration: the machine-readable report schema round-trips, the
-//! golden document stays parseable (schema stability), and the scenario
-//! registry yields cross-model objective agreement in quick mode.
+//! golden document stays parseable (schema stability), older schemas
+//! are refused, and the scenario registry yields cross-model objective
+//! agreement in quick mode.
 
-use llp_bench::report::{self, Cell, Report};
+use llp_bench::report::{self, Cell, FileMeters, LoadRow, Report};
 use llp_bench::RunBudget;
+use llp_service::Model;
 use llp_workloads::scenario::{registry, Family};
 
-/// A golden v6 document, written by hand (v2 added the `service` block,
-/// v3 the `columnar` block, v4 the `net` block, v5 the `ooc` block, v6
-/// removed the `columnar` block — older files are refused, by design:
-/// the schema version exists so consumers refuse them loudly). If a
-/// schema change breaks this parse, bump `report::SCHEMA_VERSION` and
-/// regenerate the golden — silently reinterpreting old trajectory files
-/// is the failure mode this test exists to catch.
+/// A golden v7 document, written by hand: one in-RAM cell, one file
+/// cell of the same scenario, and one load mix (two shard rows plus the
+/// fleet row). Older files are refused, by design: the schema version
+/// exists so consumers refuse them loudly. If a schema change breaks
+/// this parse, bump `report::SCHEMA_VERSION` and regenerate the golden —
+/// silently reinterpreting old trajectory files is the failure mode this
+/// test exists to catch.
+const GOLDEN_V7: &str = r#"{
+  "schema_version": 7,
+  "label": "golden",
+  "budget": "quick",
+  "cells": [
+    {
+      "scenario": "lp_uniform", "family": "random_lp", "model": "ram",
+      "n": 3750, "d": 3, "seed": 161,
+      "objective": -1.0000517, "violations": 0, "iterations": 11,
+      "passes": 0, "rounds": 0, "space_bits": 0, "comm_bits": 0,
+      "max_round_bits": 0, "load_bits": 0, "total_load_bits": 0, "wall_ms": 12.5,
+      "file": null
+    },
+    {
+      "scenario": "lp_uniform", "family": "random_lp", "model": "streaming",
+      "n": 3750, "d": 3, "seed": 161,
+      "objective": -1.0000517, "violations": 0, "iterations": 11,
+      "passes": 18, "rounds": 0, "space_bits": 61440, "comm_bits": 0,
+      "max_round_bits": 0, "load_bits": 0, "total_load_bits": 0, "wall_ms": 30.5,
+      "file": {
+        "dim": 3, "chunk_len": 4096, "file_bytes": 90070,
+        "bytes_written": 90070, "bytes_read": 1621330,
+        "path": "llp_ooc_chunks/lp_uniform.llps"
+      }
+    }
+  ],
+  "load": [
+    {
+      "mix": "uniform", "shard": "0", "shards": 2, "workers": 2, "waves": 2,
+      "submitted": 42, "completed": 40, "shed": 1, "rejected": 1,
+      "solves": 10, "batched": 5, "cache_hits": 25,
+      "p50_ms": 0.5, "p95_ms": 2.0, "p99_ms": 3.0, "max_ms": 4.5,
+      "mean_ms": 0.75, "queue_p95_ms": 0.25,
+      "throughput_rps": 800.0, "wall_ms": 50.0
+    },
+    {
+      "mix": "uniform", "shard": "1", "shards": 2, "workers": 2, "waves": 2,
+      "submitted": 62, "completed": 62, "shed": 0, "rejected": 0,
+      "solves": 12, "batched": 8, "cache_hits": 42,
+      "p50_ms": 0.4, "p95_ms": 1.5, "p99_ms": 2.5, "max_ms": 3.0,
+      "mean_ms": 0.6, "queue_p95_ms": 0.2,
+      "throughput_rps": 1240.0, "wall_ms": 50.0
+    },
+    {
+      "mix": "uniform", "shard": "fleet", "shards": 2, "workers": 2, "waves": 2,
+      "submitted": 104, "completed": 102, "shed": 1, "rejected": 1,
+      "solves": 22, "batched": 13, "cache_hits": 67,
+      "p50_ms": 0.45, "p95_ms": 1.75, "p99_ms": 2.75, "max_ms": 4.5,
+      "mean_ms": 0.7, "queue_p95_ms": 0.22,
+      "throughput_rps": 2040.0, "wall_ms": 50.0
+    }
+  ]
+}"#;
+
+/// The last v6 document shape, kept verbatim as the refusal fixture
+/// (v2 added the `service` block, v3 the `columnar` block, v4 the `net`
+/// block, v5 the `ooc` block, v6 removed the `columnar` block; v7 folded
+/// `ooc` into `cells`, renamed `net` to `load` and removed `service`).
+/// The tests below derive the v1–v5 shapes from it.
 const GOLDEN_V6: &str = r#"{
   "schema_version": 6,
   "label": "golden",
@@ -82,54 +143,66 @@ const GOLDEN_V6: &str = r#"{
 }"#;
 
 #[test]
-fn golden_v6_document_parses() {
-    let r = Report::from_json(GOLDEN_V6).expect("golden must parse");
+fn golden_v7_document_parses() {
+    let r = Report::from_json(GOLDEN_V7).expect("golden must parse");
     assert_eq!(r.schema_version, report::SCHEMA_VERSION);
     assert_eq!(r.label, "golden");
     assert_eq!(r.budget, "quick");
-    assert_eq!(r.cells.len(), 1);
-    let c = &r.cells[0];
-    assert_eq!(c.scenario, "lp_uniform");
-    assert_eq!(c.model, "ram");
-    assert_eq!(c.n, 3750);
-    assert!((c.objective - -1.0000517).abs() < 1e-12);
-    assert_eq!(c.violations, 0);
-    assert_eq!(r.service.len(), 1);
-    let s = &r.service[0];
-    assert_eq!(s.mix, "hot_key");
-    assert_eq!(s.completed + s.shed + s.rejected, s.submitted);
-    assert_eq!(s.cache_hits + s.solves + s.batched, s.completed);
-    assert!((s.max_ms - 21.25).abs() < 1e-12);
-    // The net block: two shard rows plus the fleet aggregate, with both
+    assert_eq!(r.cells.len(), 2);
+    let ram = &r.cells[0];
+    assert_eq!(
+        (ram.scenario.as_str(), ram.model.as_str()),
+        ("lp_uniform", "ram")
+    );
+    assert_eq!(ram.n, 3750);
+    assert_eq!(ram.file, None);
+    // The file cell: the byte-meter laws `validate` enforces hold, and
+    // its solve fields agree with the in-RAM cell's.
+    let file_cell = &r.cells[1];
+    assert_eq!(file_cell.model, "streaming");
+    let f = file_cell.file.as_ref().expect("a file cell");
+    assert_eq!(f.bytes_written, f.file_bytes);
+    let floor = file_cell.passes * f.file_bytes;
+    assert!(f.bytes_read >= floor && f.bytes_read <= floor + f.file_bytes);
+    assert_eq!(f.path, "llp_ooc_chunks/lp_uniform.llps");
+    for c in &r.cells {
+        assert!((c.objective - -1.0000517).abs() < 1e-12);
+        assert_eq!(c.violations, 0);
+    }
+    // The load block: two shard rows plus the fleet aggregate, with both
     // conservation laws intact (the same laws `validate` enforces).
-    assert_eq!(r.net.len(), 3);
-    let fleet = r.net.iter().find(|c| c.shard == "fleet").unwrap();
+    assert_eq!(r.load.len(), 3);
+    let fleet = r.load.iter().find(|c| c.shard == "fleet").unwrap();
     assert_eq!(fleet.shards, 2);
-    for c in &r.net {
+    for c in &r.load {
         assert_eq!(c.completed + c.shed + c.rejected, c.submitted);
         assert_eq!(c.cache_hits + c.solves + c.batched, c.completed);
     }
     let shard_submitted: u64 = r
-        .net
+        .load
         .iter()
         .filter(|c| c.shard != "fleet")
         .map(|c| c.submitted)
         .sum();
     assert_eq!(shard_submitted, fleet.submitted);
-    // The ooc block: a streaming cell and a loaded cell over the same
-    // store file, with the byte-meter laws `validate_ooc` enforces intact.
-    assert_eq!(r.ooc.len(), 2);
-    let stream = r.ooc.iter().find(|c| c.model == "streaming").unwrap();
-    assert_eq!(stream.passes, 18);
-    let floor = stream.passes * stream.file_bytes;
-    assert!(stream.bytes_read >= floor && stream.bytes_read <= floor + stream.file_bytes);
-    let loaded = r.ooc.iter().find(|c| c.model == "ram").unwrap();
-    assert_eq!((loaded.passes, loaded.bytes_read), (0, loaded.file_bytes));
-    for c in &r.ooc {
-        assert_eq!(c.bytes_written, c.file_bytes);
-        assert_eq!(c.path, "llp_ooc_chunks/lp_uniform.llps");
-        assert!((c.objective - -1.0000517).abs() < 1e-12);
-    }
+}
+
+#[test]
+fn golden_v6_document_is_refused() {
+    // The v6 shape — separate `service`, `net` and `ooc` blocks, no
+    // `load` block, cells without `file` — does not parse.
+    assert!(
+        Report::from_json(GOLDEN_V6).is_err(),
+        "v6 shape must not parse"
+    );
+    // A v7-shaped document stamped v6 parses, and validate refuses it on
+    // its version number.
+    let stamped = GOLDEN_V7.replace("\"schema_version\": 7", "\"schema_version\": 6");
+    let r = Report::from_json(&stamped).expect("the v7 shape parses");
+    assert!(
+        report::validate(&r).unwrap_err().contains("schema"),
+        "validate must refuse a v6 version number"
+    );
 }
 
 #[test]
@@ -176,8 +249,8 @@ fn golden_v1_through_v4_documents_are_refused() {
 #[test]
 fn golden_v5_document_is_refused() {
     // The v5 shape: every v6 block plus the retired `columnar` block of
-    // AoS-vs-SoA scan timings. A parser that skips the unknown block
-    // still meets the version check.
+    // AoS-vs-SoA scan timings. It does not parse as v7; a parser that
+    // skipped unknown blocks would still meet the version check.
     let v5 = GOLDEN_V6
         .replace("\"schema_version\": 6", "\"schema_version\": 5")
         .replace(
@@ -214,11 +287,11 @@ fn report_serialize_parse_compare_is_lossless() {
     .iter()
     .enumerate()
     {
-        for model in report::MODELS {
+        for model in Model::ALL {
             cells.push(Cell {
                 scenario: format!("s{i}"),
                 family: "random_lp".to_string(),
-                model: model.to_string(),
+                model: model.name().to_string(),
                 n: u64::MAX >> 12, // large but f64-exact (the JSON model is f64)
                 d: 3,
                 seed: i as u64,
@@ -233,38 +306,32 @@ fn report_serialize_parse_compare_is_lossless() {
                 load_bits: 999,
                 total_load_bits: 2997,
                 wall_ms: 0.0625,
+                file: None,
             });
         }
     }
+    cells.push(Cell {
+        scenario: "lp_uniform".to_string(),
+        model: "streaming".to_string(),
+        passes: 1,
+        objective: 0.1 + 0.2, // awkward float on purpose
+        wall_ms: f64::MIN_POSITIVE,
+        file: Some(FileMeters {
+            dim: 3,
+            chunk_len: 65_536,
+            file_bytes: u64::MAX >> 13,
+            bytes_written: u64::MAX >> 13,
+            bytes_read: (u64::MAX >> 13) + 70,
+            path: "llp_ooc_chunks/lp_uniform.llps".to_string(),
+        }),
+        ..cells[1].clone()
+    });
     let report = Report {
         schema_version: report::SCHEMA_VERSION,
         label: "röund-trip \"quotes\" and\nnewlines".to_string(),
         budget: "full".to_string(),
         cells,
-        service: vec![report::ServiceCell {
-            mix: "heavy_tail".to_string(),
-            workers: 4,
-            solver_threads: 2,
-            queue_capacity: 8,
-            cache_capacity: 128,
-            waves: 2,
-            submitted: 4000,
-            completed: 3990,
-            shed: 8,
-            rejected: 2,
-            solves: 44,
-            batched: 1946,
-            cache_hits: 2000,
-            p50_ms: 0.1 + 0.2, // awkward float on purpose
-            p95_ms: 6.5,
-            p99_ms: 14.0,
-            max_ms: 1.0e3,
-            mean_ms: f64::MIN_POSITIVE,
-            queue_p95_ms: 0.5,
-            throughput_rps: 123_456.789,
-            wall_ms: 2048.0,
-        }],
-        net: vec![report::NetCell {
+        load: vec![LoadRow {
             mix: "heavy_tail".to_string(),
             shard: "fleet".to_string(),
             shards: 4,
@@ -286,25 +353,6 @@ fn report_serialize_parse_compare_is_lossless() {
             throughput_rps: 123_456.789,
             wall_ms: 2048.0,
         }],
-        ooc: vec![report::OocCell {
-            scenario: "lp_uniform".to_string(),
-            family: "random_lp".to_string(),
-            model: "streaming".to_string(),
-            n: u64::MAX >> 12, // large but f64-exact (the JSON model is f64)
-            d: 3,
-            dim: 3,
-            seed: 161,
-            chunk_len: 65_536,
-            file_bytes: u64::MAX >> 13,
-            bytes_written: u64::MAX >> 13,
-            bytes_read: (u64::MAX >> 13) + 70,
-            passes: 1,
-            objective: 0.1 + 0.2, // awkward float on purpose
-            violations: 0,
-            iterations: 13,
-            wall_ms: f64::MIN_POSITIVE,
-            path: "llp_ooc_chunks/lp_uniform.llps".to_string(),
-        }],
     };
     let json = report.to_json();
     let parsed = Report::from_json(&json).expect("round-trip parse");
@@ -315,7 +363,7 @@ fn report_serialize_parse_compare_is_lossless() {
 
 #[test]
 fn truncated_and_mistyped_documents_are_rejected() {
-    let good = Report::from_json(GOLDEN_V6).unwrap().to_json();
+    let good = Report::from_json(GOLDEN_V7).unwrap().to_json();
     assert!(Report::from_json(&good[..good.len() - 2]).is_err());
     assert!(Report::from_json("{}").is_err(), "missing fields");
     assert!(Report::from_json(&good.replace("\"cells\"", "\"cell\"")).is_err());
@@ -343,7 +391,7 @@ fn quick_scenario_grid_agrees_across_all_four_models() {
     let report = report::run_scenarios(RunBudget::Quick, "test");
     assert_eq!(
         report.cells.len(),
-        registry(RunBudget::Quick).len() * report::MODELS.len()
+        registry(RunBudget::Quick).len() * Model::ALL.len()
     );
     report::validate(&report).expect("cross-model agreement");
     // And the file that would be written round-trips.
