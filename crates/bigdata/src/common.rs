@@ -65,16 +65,10 @@ impl<P: LpTypeProblem> WeightOracle<P> {
         self.bases.iter().filter(|b| problem.violates(b, c)).count() as u32
     }
 
-    /// The weight `F^{a(c)}` of a constraint.
-    pub fn weight(&self, problem: &P, c: &P::Constraint) -> ScaledF64 {
-        ScaledF64::powi(self.factor, self.exponent(problem, c))
-    }
-
     /// Fills `table` with `F^a` for every exponent `a` the history can
-    /// produce (0 up to the number of stored bases): `table[a]` is
-    /// bit-identical to [`weight`](Self::weight) of a constraint with
-    /// exponent `a`, with one `powi` per exponent instead of one per
-    /// constraint.
+    /// produce (0 up to the number of stored bases): the weight of a
+    /// constraint `c` is `table[exponent(c)]`, with one `powi` per
+    /// exponent instead of one per constraint.
     pub fn power_table(&self, table: &mut Vec<ScaledF64>) {
         table.clear();
         table.extend((0..=self.bases.len() as u32).map(|a| ScaledF64::powi(self.factor, a)));
@@ -254,7 +248,9 @@ mod tests {
         // Constraint x + y ≤ 2 is satisfied by (0,0), violated by (5,5).
         let c = Halfspace::new(vec![1.0, 1.0], 2.0);
         assert_eq!(oracle.exponent(&p, &c), 1);
-        let w = oracle.weight(&p, &c);
+        let mut powers = Vec::new();
+        oracle.power_table(&mut powers);
+        let w = powers[oracle.exponent(&p, &c) as usize];
         assert!((w.to_f64() - 10.0).abs() < 1e-9);
     }
 
@@ -280,7 +276,7 @@ mod tests {
         assert_eq!(counts, [1, 1, 0, 0, 0, 0, 0]);
         for (i, &a) in counts.iter().enumerate() {
             assert_eq!(a, oracle.exponent(&p, &cs[3 + i]));
-            assert_eq!(powers[a as usize], oracle.weight(&p, &cs[3 + i]));
+            assert_eq!(powers[a as usize], ScaledF64::powi(3.0, a));
         }
     }
 

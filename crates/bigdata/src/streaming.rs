@@ -23,7 +23,11 @@
 //! basis gives each row's exponent `a(c)`, the iteration's `F^a` table
 //! its weight) and tested by the problem's column kernel. A row is
 //! rebuilt into a constraint only when a sampler keeps it or, in pass 2,
-//! when it violates.
+//! when it violates. The `F^a` table is the iteration's one source of
+//! weights: pass 1 feeds a whole chunk's exponents to
+//! [`SortedTargetSampler::feed_run`], which adds the table's weights to
+//! the prefix exactly as one `feed` per row would, and pass 2 weighs each
+//! violator as `table[a(c)]`.
 
 use crate::common::WeightOracle;
 use crate::ooc::{ChunkSource, SliceSource};
@@ -137,13 +141,16 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     let mut violators: Vec<usize> = Vec::new();
     // Row scratch for `from_row` reconstruction.
     let mut coords: Vec<f64> = Vec::new();
-    // Pass-1 weighing scratch: each chunk row's exponent `a(c)` and the
-    // iteration's `F^a` table.
+    // Pass-1 weighing scratch: each chunk row's exponent `a(c)`, the rows
+    // a target lands on, and the iteration's `F^a` table (which pass 2
+    // weighs violators with too).
     let mut exponents: Vec<u32> = Vec::new();
+    let mut hits: Vec<usize> = Vec::new();
     let mut powers: Vec<ScaledF64> = Vec::new();
 
     while stats.iterations < cfg.max_iterations {
         stats.iterations += 1;
+        oracle.power_table(&mut powers);
 
         // ---- Pass 1: sample the ε-net i.i.d. proportional to weight. ----
         stats.passes += 1;
@@ -162,10 +169,8 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             let mut sampler = SortedTargetSampler::new(params.net_size, total_weight, rng);
             // Each chunk is weighed in columnar form: its rows' exponents
             // from one column sweep per stored basis, their weights from
-            // the `F^a` table — the same values, fed in the same order, as
-            // `oracle.weight` recomputed per row. Only rows a target hits
-            // are rebuilt into constraints.
-            oracle.power_table(&mut powers);
+            // the `F^a` table, fed as one run in row order. Only rows a
+            // target hits are rebuilt into constraints.
             // The last streamed element, iff it is not already in the net
             // (a streaming algorithm may always hold the current element).
             let mut tail: Option<P::Constraint> = None;
@@ -176,15 +181,13 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
                     &mut exponents,
                     &mut violators,
                 );
-                let mut last_hit = false;
-                for (i, &a) in exponents.iter().enumerate() {
-                    last_hit = sampler.feed(powers[a as usize]) > 0;
-                    if last_hit {
-                        space.alloc_raw(cbits, 1);
-                        net.push(rebuild(problem, chunk, i, &mut coords));
-                    }
+                sampler.feed_run(&exponents, &powers, &mut hits);
+                for &i in &hits {
+                    space.alloc_raw(cbits, 1);
+                    net.push(rebuild(problem, chunk, i, &mut coords));
                 }
                 if let Some(last) = chunk.len().checked_sub(1) {
+                    let last_hit = hits.last() == Some(&last);
                     tail = (!last_hit).then(|| rebuild(problem, chunk, last, &mut coords));
                 }
             }
@@ -210,9 +213,11 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         drop(net);
 
         // ---- Pass 2: violation test + exact new total weight. ----
-        // Each chunk is swept by the columnar kernel; violator weights are
-        // recomputed in ascending stream order — the same ScaledF64
-        // additions, in the same order, as a single whole-stream sweep.
+        // Each chunk is swept by the columnar kernel; each violator is
+        // rebuilt, its exponent recounted against the stored bases, and
+        // its weight read from the `F^a` table, in ascending stream
+        // order — the same ScaledF64 additions, in the same order, as a
+        // single whole-stream sweep.
         stats.passes += 1;
         source.begin_pass()?;
         let mut w_violators = ScaledF64::ZERO;
@@ -223,7 +228,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             violator_count += violators.len();
             for &i in violators.iter() {
                 let c = rebuild(problem, chunk, i, &mut coords);
-                w_violators += oracle.weight(problem, &c);
+                w_violators += powers[oracle.exponent(problem, &c) as usize];
             }
         }
 

@@ -5,6 +5,7 @@
 //! that ties are broken canonically and the locality property holds. Both
 //! the combinatorial dimension and the VC dimension are `d + 1` [32, 43].
 
+use super::kernel::{self, RowKernel};
 use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::{ColumnsView, ConstraintColumns, Halfspace, Point};
 use llp_num::linalg::dot;
@@ -83,51 +84,30 @@ impl ColumnarProblem for LpProblem {
         Halfspace::new(coords.to_vec(), extra)
     }
 
-    // Branch-light columnar twin of `violates`: `a·x` accumulates 4-wide
-    // down the coordinate columns — per element the additions run in the
-    // same ascending-j order as `dot(&h.a, x)`, so each slack is
-    // bit-identical to the AoS predicate's — and the (rare) violation
-    // branch runs once per element after the arithmetic. The negated
-    // compare must stay `!(ax <= bound)`: it is the literal negation of
-    // `contains_eps`, so a NaN slack classifies as a violator on both
-    // paths (`ax > bound` would flip it here only).
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    // Columnar twin of `violates`: `ax = 0.0; ax += c_j·x_j` for
+    // ascending `j`, the order of `dot(&h.a, x)`, so each slack is
+    // bit-identical to the AoS predicate's, in the shared 4-row blocks.
     fn scan_columns(&self, x: &Point, view: &ColumnsView<'_>, out: &mut Vec<usize>) {
-        let n = view.len();
-        let d = view.dim();
-        let base = view.start();
-        let eps = self.violation_eps;
-        let bs = view.extra();
-        let mut i = 0;
-        while i + 4 <= n {
-            let mut ax = [0.0f64; 4];
-            for j in 0..d {
-                let col = view.col(j);
-                let xj = x[j];
-                ax[0] += col[i] * xj;
-                ax[1] += col[i + 1] * xj;
-                ax[2] += col[i + 2] * xj;
-                ax[3] += col[i + 3] * xj;
-            }
-            for (k, &axk) in ax.iter().enumerate() {
-                let b = bs[i + k];
-                if !(axk <= b + eps * axk.abs().max(b.abs()).max(1.0)) {
-                    out.push(base + i + k);
-                }
-            }
-            i += 4;
-        }
-        while i < n {
-            let mut ax = 0.0f64;
-            for j in 0..d {
-                ax += view.col(j)[i] * x[j];
-            }
-            let b = bs[i];
-            if !(ax <= b + eps * ax.abs().max(b.abs()).max(1.0)) {
-                out.push(base + i);
-            }
-            i += 1;
-        }
+        kernel::scan_view(&Slack(self.violation_eps), x, view, out);
+    }
+}
+
+/// LP's row test with its relative tolerance.
+struct Slack(f64);
+
+impl RowKernel for Slack {
+    #[inline(always)]
+    fn term(&self, c: f64, x: f64) -> f64 {
+        c * x
+    }
+
+    // The negated compare must stay `!(ax <= bound)`: it is the literal
+    // negation of `contains_eps`, so a NaN slack classifies as a violator
+    // on both paths (`ax > bound` would flip it here only).
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    #[inline(always)]
+    fn verdict(&self, ax: f64, b: f64) -> bool {
+        !(ax <= b + self.0 * ax.abs().max(b.abs()).max(1.0))
     }
 }
 

@@ -5,6 +5,7 @@
 //! containing `A`. Combinatorial dimension ≤ `d + 1` \[32\]; VC dimension of
 //! complements of balls ≤ `d + 1` \[44\].
 
+use super::kernel::{self, RowKernel};
 use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::{ColumnsView, ConstraintColumns, Point};
 use llp_solver::welzl::{min_enclosing_ball, Ball};
@@ -70,58 +71,39 @@ impl ColumnarProblem for MebProblem {
         coords.to_vec()
     }
 
-    // Columnar twin of `violates`: squared distances accumulate 4-wide
-    // down the coordinate columns in the same ascending-j order as
-    // `dist2(&ball.center, p)` (center minus point, like the AoS call),
-    // then one containment compare per element. The empty ball
-    // (`radius < 0`) contains nothing, so every row is a violator. The
-    // negated compare must stay `!(dsq <= bound)`: it is the literal
+    // Columnar twin of `violates`: squared distances accumulate in the
+    // same ascending-j order as `dist2(&ball.center, p)` (center minus
+    // point, like the AoS call), then one containment compare per row,
+    // in the shared 4-row blocks. The empty ball (`radius < 0`) contains
+    // nothing, so every row is a violator.
+    fn scan_columns(&self, ball: &Ball, view: &ColumnsView<'_>, out: &mut Vec<usize>) {
+        if ball.radius < 0.0 {
+            out.extend(view.start()..view.start() + view.len());
+            return;
+        }
+        let r2 = ball.radius * ball.radius;
+        let bound = r2 + self.violation_eps * r2.max(1.0);
+        kernel::scan_view(&Outside(bound), &ball.center, view, out);
+    }
+}
+
+/// MEB's row test against the squared-radius bound.
+struct Outside(f64);
+
+impl RowKernel for Outside {
+    #[inline(always)]
+    fn term(&self, c: f64, center: f64) -> f64 {
+        let delta = center - c;
+        delta * delta
+    }
+
+    // The negated compare must stay `!(dsq <= bound)`: it is the literal
     // negation of the AoS containment test, so a NaN distance classifies
     // as a violator on both paths (`dsq > bound` would flip it here only).
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    fn scan_columns(&self, ball: &Ball, view: &ColumnsView<'_>, out: &mut Vec<usize>) {
-        let n = view.len();
-        let base = view.start();
-        if ball.radius < 0.0 {
-            out.extend(base..base + n);
-            return;
-        }
-        let d = view.dim();
-        let r2 = ball.radius * ball.radius;
-        let bound = r2 + self.violation_eps * r2.max(1.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let mut dsq = [0.0f64; 4];
-            for j in 0..d {
-                let col = view.col(j);
-                let cj = ball.center[j];
-                let d0 = cj - col[i];
-                let d1 = cj - col[i + 1];
-                let d2 = cj - col[i + 2];
-                let d3 = cj - col[i + 3];
-                dsq[0] += d0 * d0;
-                dsq[1] += d1 * d1;
-                dsq[2] += d2 * d2;
-                dsq[3] += d3 * d3;
-            }
-            for (k, &dk) in dsq.iter().enumerate() {
-                if !(dk <= bound) {
-                    out.push(base + i + k);
-                }
-            }
-            i += 4;
-        }
-        while i < n {
-            let mut dsq = 0.0f64;
-            for j in 0..d {
-                let delta = ball.center[j] - view.col(j)[i];
-                dsq += delta * delta;
-            }
-            if !(dsq <= bound) {
-                out.push(base + i);
-            }
-            i += 1;
-        }
+    #[inline(always)]
+    fn verdict(&self, dsq: f64, _extra: f64) -> bool {
+        !(dsq <= self.0)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The three LP-type problem instances of Section 4.
 
+mod kernel;
 pub mod lp;
 pub mod meb;
 pub mod svm;

@@ -5,6 +5,7 @@
 //! lexicographic refinement is needed (as the paper notes). Combinatorial
 //! and VC dimension are both at most `d + 1` [32, 43].
 
+use super::kernel::{self, RowKernel};
 use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::{ColumnsView, ConstraintColumns, Point};
 use llp_num::linalg::dot;
@@ -117,43 +118,28 @@ impl ColumnarProblem for SvmProblem {
         }
     }
 
-    // Columnar twin of `violates`: `⟨u, x_i⟩` accumulates 4-wide down
-    // the feature columns in the same ascending-j order as
-    // `dot(u, &p.x)`, then one margin compare per element.
+    // Columnar twin of `violates`: `⟨u, x_i⟩` accumulates in the same
+    // ascending-j order as `dot(u, &p.x)`, then one margin compare per
+    // row, in the shared 4-row blocks.
     fn scan_columns(&self, u: &Point, view: &ColumnsView<'_>, out: &mut Vec<usize>) {
-        let n = view.len();
-        let d = view.dim();
-        let base = view.start();
-        let thresh = 1.0 - self.violation_eps;
-        let labels = view.extra();
-        let mut i = 0;
-        while i + 4 <= n {
-            let mut ux = [0.0f64; 4];
-            for j in 0..d {
-                let col = view.col(j);
-                let uj = u[j];
-                ux[0] += uj * col[i];
-                ux[1] += uj * col[i + 1];
-                ux[2] += uj * col[i + 2];
-                ux[3] += uj * col[i + 3];
-            }
-            for (k, &uxk) in ux.iter().enumerate() {
-                if labels[i + k] * uxk < thresh {
-                    out.push(base + i + k);
-                }
-            }
-            i += 4;
-        }
-        while i < n {
-            let mut ux = 0.0f64;
-            for j in 0..d {
-                ux += u[j] * view.col(j)[i];
-            }
-            if labels[i] * ux < thresh {
-                out.push(base + i);
-            }
-            i += 1;
-        }
+        kernel::scan_view(&Margin(1.0 - self.violation_eps), u, view, out);
+    }
+}
+
+/// SVM's row test against the margin threshold `1 − ε`.
+struct Margin(f64);
+
+impl RowKernel for Margin {
+    #[inline(always)]
+    fn term(&self, c: f64, u: f64) -> f64 {
+        u * c
+    }
+
+    // `margin < 1 − ε` exactly as `violates` writes it: a NaN margin is
+    // not a violator on either path.
+    #[inline(always)]
+    fn verdict(&self, ux: f64, label: f64) -> bool {
+        label * ux < self.0
     }
 }
 

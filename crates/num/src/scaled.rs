@@ -6,6 +6,15 @@
 //! them. For `n = 10^6` and `ν = 12` this exceeds `f64::MAX`. [`ScaledF64`]
 //! stores a mantissa in `[1, 2)` (or zero) plus an `i64` binary exponent,
 //! giving the full `f64` mantissa precision at unbounded magnitude.
+//!
+//! `Add` and `Mul` are the hot operations (every sampled prefix step and
+//! every weight update). Both operand mantissas lie in `[1, 2)`, so the
+//! rounded sum or product lies in `[1, 4)`: one conditional halving
+//! renormalizes it. [`ScaledF64::add_run`] is the streaming sampler's
+//! run of prefix additions from a weight table. Once the prefix's
+//! exponent is at least every table weight's, each addition is one plain
+//! `f64` addition of a precomputed aligned mantissa, so the run keeps the
+//! representation private and still adds bit for bit as `+=` does.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -114,6 +123,7 @@ impl ScaledF64 {
     }
 
     /// True iff the value is exactly zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.mantissa == 0.0
     }
@@ -133,6 +143,22 @@ impl ScaledF64 {
             0.0
         } else {
             m * (e as f64).exp2()
+        }
+    }
+
+    /// `mantissa · 2^exp` renormalized by at most one halving: exact for
+    /// a mantissa in `[1, 4)`, which is what `Add` and `Mul` produce from
+    /// two mantissas in `[1, 2)`.
+    #[inline]
+    fn halved_once(mantissa: f64, exp: i64) -> Self {
+        debug_assert!((1.0..4.0).contains(&mantissa));
+        if mantissa >= 2.0 {
+            Self {
+                mantissa: mantissa * 0.5,
+                exp: exp + 1,
+            }
+        } else {
+            Self { mantissa, exp }
         }
     }
 
@@ -156,6 +182,10 @@ impl ScaledF64 {
 /// smaller operand; past it, the smaller one is below the precision of the
 /// larger and drops out.
 const MAX_SHIFT: i64 = 100;
+
+/// The largest mantissa below 2: a sum of mantissas has reached 2 exactly
+/// when it exceeds this.
+const BELOW_TWO: f64 = 2.0 - f64::EPSILON;
 
 /// `2^-shift` for `0 ≤ shift ≤ MAX_SHIFT`, built from its exponent bits:
 /// the value `(-(shift as f64)).exp2()` returns, bit for bit, without a
@@ -201,12 +231,14 @@ impl fmt::Display for ScaledF64 {
 }
 
 impl PartialOrd for ScaledF64 {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp_total(other))
     }
 }
 
 impl ScaledF64 {
+    #[inline]
     fn cmp_total(&self, other: &Self) -> Ordering {
         match (self.is_zero(), other.is_zero()) {
             (true, true) => Ordering::Equal,
@@ -221,6 +253,7 @@ impl ScaledF64 {
 
 impl Add for ScaledF64 {
     type Output = ScaledF64;
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         if self.is_zero() {
             return rhs;
@@ -238,18 +271,81 @@ impl Add for ScaledF64 {
             // The smaller addend is below the precision of the larger.
             return hi;
         }
-        let m = hi.mantissa + lo.mantissa * pow2_neg(shift);
-        Self {
-            mantissa: m,
-            exp: hi.exp,
-        }
-        .normalized()
+        Self::halved_once(hi.mantissa + lo.mantissa * pow2_neg(shift), hi.exp)
     }
 }
 
 impl AddAssign for ScaledF64 {
+    #[inline]
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
+    }
+}
+
+impl ScaledF64 {
+    /// Adds `table[k]` for each key `k` of `keys`, in order, and stops
+    /// after the first addend that lifts `self` above `stop` (never, for
+    /// `None`). Returns how many keys it added: all of them if `stop` is
+    /// not passed, and at least one unless `keys` is empty. The result is
+    /// bit for bit that of `*self += table[k]` one key at a time, checking
+    /// `stop < *self` after each.
+    ///
+    /// While `self` is nonzero and its exponent `e` is at least every
+    /// table weight's, [`Add`] is `m + w.m · 2^(w.e − e)` (or leaves `m`
+    /// unchanged past `MAX_SHIFT`) followed by at most one halving. So the
+    /// run fills `rel[k]` with that aligned addend once per `e` and
+    /// advances by the same `f64` addition per key. It leaves the tight
+    /// loop only when `m` reaches 2, which moves `e`, or passes `stop`'s
+    /// mantissa at the same exponent. `rel` is the caller's scratch.
+    pub fn add_run(
+        &mut self,
+        table: &[ScaledF64],
+        keys: &[u32],
+        stop: Option<ScaledF64>,
+        rel: &mut Vec<f64>,
+    ) -> usize {
+        let max_exp = table.iter().map(|w| w.exp).max().unwrap_or(i64::MIN);
+        let passed = |acc: &ScaledF64| stop.is_some_and(|s| s < *acc);
+        let mut done = 0;
+        while done < keys.len() {
+            if self.is_zero() || self.exp < max_exp {
+                *self += table[keys[done] as usize];
+                done += 1;
+                if passed(self) {
+                    return done;
+                }
+                continue;
+            }
+            let e = self.exp;
+            rel.clear();
+            rel.extend(table.iter().map(|w| {
+                let shift = e - w.exp;
+                if shift > MAX_SHIFT {
+                    0.0
+                } else {
+                    w.mantissa * pow2_neg(shift)
+                }
+            }));
+            // A sum above `lim` has reached 2 or passed `stop`; at or
+            // below it, `self` stays at `e` and `stop` is not passed.
+            let lim = match stop {
+                Some(s) if s.is_zero() || s.exp < e => f64::NEG_INFINITY,
+                Some(s) if s.exp == e => s.mantissa,
+                _ => BELOW_TWO,
+            };
+            let run = &keys[done..];
+            let mut m = self.mantissa;
+            let crossed = run.iter().position(|&k| {
+                m += rel[k as usize];
+                m > lim
+            });
+            done += crossed.map_or(run.len(), |at| at + 1);
+            *self = Self::halved_once(m, e);
+            if crossed.is_some() && passed(self) {
+                return done;
+            }
+        }
+        done
     }
 }
 
@@ -283,15 +379,12 @@ impl Sub for ScaledF64 {
 
 impl Mul for ScaledF64 {
     type Output = ScaledF64;
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         if self.is_zero() || rhs.is_zero() {
             return Self::ZERO;
         }
-        Self {
-            mantissa: self.mantissa * rhs.mantissa,
-            exp: self.exp + rhs.exp,
-        }
-        .normalized()
+        Self::halved_once(self.mantissa * rhs.mantissa, self.exp + rhs.exp)
     }
 }
 
@@ -424,6 +517,110 @@ mod tests {
         }
     }
 
+    /// `mantissa · 2^exp` normalized by halving and doubling until the
+    /// mantissa lies in `[1, 2)`: the loop `Add` and `Mul` used before
+    /// their one conditional halving.
+    fn loop_normalized(mut mantissa: f64, mut exp: i64) -> ScaledF64 {
+        if mantissa == 0.0 {
+            return ScaledF64::ZERO;
+        }
+        while mantissa >= 2.0 {
+            mantissa *= 0.5;
+            exp += 1;
+        }
+        while mantissa < 1.0 {
+            mantissa *= 2.0;
+            exp -= 1;
+        }
+        ScaledF64 { mantissa, exp }
+    }
+
+    fn reference_add(a: ScaledF64, b: ScaledF64) -> ScaledF64 {
+        if a.is_zero() {
+            return b;
+        }
+        if b.is_zero() {
+            return a;
+        }
+        let (hi, lo) = if a.exp >= b.exp { (a, b) } else { (b, a) };
+        let shift = hi.exp - lo.exp;
+        if shift > MAX_SHIFT {
+            return hi;
+        }
+        loop_normalized(hi.mantissa + lo.mantissa * (-(shift as f64)).exp2(), hi.exp)
+    }
+
+    fn reference_mul(a: ScaledF64, b: ScaledF64) -> ScaledF64 {
+        if a.is_zero() || b.is_zero() {
+            return ScaledF64::ZERO;
+        }
+        loop_normalized(a.mantissa * b.mantissa, a.exp + b.exp)
+    }
+
+    /// The representation's bits, so `0.0` and `-0.0` differ.
+    fn bits(v: ScaledF64) -> (u64, i64) {
+        (v.mantissa.to_bits(), v.exp)
+    }
+
+    #[test]
+    fn add_and_mul_of_the_largest_mantissas_stay_below_four() {
+        let top = ScaledF64 {
+            mantissa: BELOW_TWO,
+            exp: 1000,
+        };
+        assert_eq!(bits(top + top), bits(reference_add(top, top)));
+        assert_eq!(bits(top * top), bits(reference_mul(top, top)));
+        assert_eq!((top + top).mantissa, BELOW_TWO);
+    }
+
+    #[test]
+    fn add_run_adds_as_one_add_per_key() {
+        // Tables from 2^-1000 to 2^1000 and narrow ones, starting from
+        // zero or a prefix already past the table, with stops at exactly
+        // a prefix value the run reaches, inside the run, or never.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut r = StdRng::seed_from_u64(5);
+        let mut rel = Vec::new();
+        for case in 0..400 {
+            let span = [0, 3, 40, 1000][case % 4];
+            let table: Vec<ScaledF64> = (0..r.random_range(1..6))
+                .map(|_| ScaledF64 {
+                    mantissa: r.random_range(1.0..2.0),
+                    exp: r.random_range(-span..=span),
+                })
+                .collect();
+            let keys: Vec<u32> = (0..r.random_range(0..300))
+                .map(|_| r.random_range(0..table.len() as u32))
+                .collect();
+            let start = if case % 3 == 0 {
+                ScaledF64::ZERO
+            } else {
+                ScaledF64::exp2(f64::from(r.random_range(-5..5) * span as i32))
+            };
+            let mut prefixes = vec![start];
+            for &k in &keys {
+                let last = prefixes[prefixes.len() - 1];
+                prefixes.push(reference_add(last, table[k as usize]));
+            }
+            let stop = match case % 5 {
+                0 => None,
+                1 => Some(ScaledF64::ZERO),
+                _ => Some(prefixes[r.random_range(0..prefixes.len())]),
+            };
+            let want = (1..prefixes.len())
+                .find(|&i| stop.is_some_and(|s| s < prefixes[i]))
+                .unwrap_or(keys.len());
+            let mut acc = start;
+            assert_eq!(
+                acc.add_run(&table, &keys, stop, &mut rel),
+                want,
+                "case {case}"
+            );
+            assert_eq!(bits(acc), bits(prefixes[want]), "case {case}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "finite non-negative")]
     fn negative_rejected() {
@@ -448,6 +645,25 @@ mod tests {
         fn prop_mul_matches(a in 1e-10f64..1e10, b in 1e-10f64..1e10) {
             let x = ScaledF64::from_f64(a) * ScaledF64::from_f64(b);
             prop_assert!(close(x.to_f64(), a * b));
+        }
+
+        /// `Add` and `Mul` renormalize with one conditional halving; both
+        /// equal the loop-normalized reference bit for bit, from
+        /// magnitudes of 2^-1100 to 2^1100, at every alignment gap up to
+        /// past `MAX_SHIFT`, and with zero operands.
+        #[test]
+        fn prop_add_and_mul_match_the_loop_normalized_reference(
+            ma in 1.0f64..2.0,
+            ea in -1100i64..1100,
+            mb in 1.0f64..2.0,
+            gap in -130i64..130,
+            zero in 0u8..16,
+        ) {
+            let a = if zero == 0 { ScaledF64::ZERO } else { ScaledF64 { mantissa: ma, exp: ea } };
+            let b = if zero == 1 { ScaledF64::ZERO } else { ScaledF64 { mantissa: mb, exp: ea + gap } };
+            prop_assert_eq!(bits(a + b), bits(reference_add(a, b)));
+            prop_assert_eq!(bits(b + a), bits(reference_add(b, a)));
+            prop_assert_eq!(bits(a * b), bits(reference_mul(a, b)));
         }
 
         #[test]

@@ -17,7 +17,14 @@
 //!   weight `W` (which the streaming solver maintains exactly from one
 //!   iteration to the next, see `llp-bigdata::streaming`), intersect the
 //!   sorted targets with the running prefix sum in a single pass over the
-//!   stream.
+//!   stream. [`SortedTargetSampler::feed`] takes one weight at a time;
+//!   [`SortedTargetSampler::feed_run`] takes a chunk of rows weighed from
+//!   a table (row `i` weighs `table[exponents[i]]`, Section 3.2's
+//!   `F^{a(c)}`) and returns the rows a target lands on. The run advances
+//!   the prefix through [`ScaledF64::add_run`], which performs the same
+//!   additions in the same order as `feed` and leaves its tight loop only
+//!   at a row that passes the next target or moves the prefix's
+//!   exponent, so both paths agree row for row.
 //! * [`sample_iid`] — prefix sums over a plain `f64` weight slice and `m`
 //!   binary searches; it generates the `serve` load mixes.
 
@@ -103,6 +110,9 @@ pub struct SortedTargetSampler {
     next: ScaledF64,
     cursor: usize,
     acc: ScaledF64,
+    /// [`ScaledF64::add_run`]'s aligned-table scratch for
+    /// [`feed_run`](Self::feed_run).
+    rel: Vec<f64>,
 }
 
 impl SortedTargetSampler {
@@ -123,6 +133,7 @@ impl SortedTargetSampler {
             next,
             cursor: 0,
             acc: ScaledF64::ZERO,
+            rel: Vec::new(),
         }
     }
 
@@ -131,6 +142,33 @@ impl SortedTargetSampler {
     /// draws selected this element.
     pub fn feed(&mut self, weight: ScaledF64) -> usize {
         self.acc += weight;
+        self.take_passed()
+    }
+
+    /// Feeds a chunk of rows whose weights come from a table — row `i`
+    /// weighs `table[exponents[i]]` — and fills `hits` with the rows at
+    /// least one target lands on, ascending. Row for row, these are the
+    /// rows for which [`feed`](Self::feed)`(table[exponents[i]])` returns
+    /// nonzero, and the sampler ends in the same state; `feed` stays the
+    /// reference. The prefix advances through [`ScaledF64::add_run`],
+    /// which stops only at a row that passes the next target.
+    pub fn feed_run(&mut self, exponents: &[u32], table: &[ScaledF64], hits: &mut Vec<usize>) {
+        hits.clear();
+        let mut row = 0;
+        while row < exponents.len() {
+            let stop = (self.cursor < self.uniforms.len()).then_some(self.next);
+            row += self
+                .acc
+                .add_run(table, &exponents[row..], stop, &mut self.rel);
+            if self.take_passed() > 0 {
+                hits.push(row - 1);
+            }
+        }
+    }
+
+    /// Moves the cursor past every target below the prefix and returns
+    /// how many it passed: the draws that landed on the last fed row.
+    fn take_passed(&mut self) -> usize {
         let start = self.cursor;
         while self.cursor < self.uniforms.len() && self.next < self.acc {
             self.cursor += 1;
@@ -170,7 +208,7 @@ impl SortedTargetSampler {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(31)
@@ -363,6 +401,132 @@ mod tests {
             assert_eq!(sampler.feed(w), cursor - start);
         }
         assert_eq!(sampler.finish(), m - cursor);
+    }
+
+    /// A table of `len` weights `m · 2^e` with `e` in `-span..=span`.
+    fn table(len: usize, span: i32, r: &mut StdRng) -> Vec<ScaledF64> {
+        (0..len)
+            .map(|_| {
+                ScaledF64::exp2(f64::from(r.random_range(-span..=span)))
+                    * ScaledF64::from_f64(r.random_range(1.0..2.0))
+            })
+            .collect()
+    }
+
+    /// Feeds `exponents` to a `feed` reference and to `feed_run` in chunks
+    /// of random sizes, carrying both samplers across chunks: every chunk
+    /// must hit the same rows and leave the same `remaining()`, and both
+    /// must end with the same `finish()` and RNG state.
+    fn assert_run_matches_feed(
+        exponents: &[u32],
+        table: &[ScaledF64],
+        mut reference: SortedTargetSampler,
+        mut sampler: SortedTargetSampler,
+        chunks: &mut StdRng,
+    ) {
+        let mut hits = Vec::new();
+        let mut at = 0;
+        while at < exponents.len() {
+            let len = chunks.random_range(1..=(exponents.len() - at).min(900));
+            let rows = &exponents[at..at + len];
+            let want: Vec<usize> = (0..len)
+                .filter(|&i| reference.feed(table[rows[i] as usize]) > 0)
+                .collect();
+            sampler.feed_run(rows, table, &mut hits);
+            assert_eq!(hits, want, "rows {at}..{}", at + len);
+            assert_eq!(
+                sampler.remaining(),
+                reference.remaining(),
+                "after row {}",
+                at + len
+            );
+            at += len;
+        }
+        assert_eq!(sampler.finish(), reference.finish());
+    }
+
+    #[test]
+    fn feed_run_hits_the_rows_feed_hits() {
+        let mut cases = StdRng::seed_from_u64(77);
+        for case in 0..240 {
+            // Tables from one binade to 2^-1000..2^1000; mostly-light
+            // runs carry the prefix across many binades between targets.
+            let span = [0, 2, 12, 60, 1000][case % 5];
+            let len = cases.random_range(1..=6);
+            let table = table(len, span, &mut cases);
+            let rows = cases.random_range(0..4000);
+            let heavy = cases.random_range(0.0..0.3);
+            let exponents: Vec<u32> = (0..rows)
+                .map(|_| {
+                    if cases.random_bool(heavy) {
+                        cases.random_range(0..len as u32)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            // The fed sum, or a total the fed prefix falls short of, so
+            // `finish` has stranded targets to report.
+            let mut total: ScaledF64 = exponents.iter().map(|&a| table[a as usize]).sum();
+            if case % 4 == 3 {
+                total *= ScaledF64::from_f64(1.01);
+            }
+            if total.is_zero() {
+                total = ScaledF64::ONE;
+            }
+            let m = match case % 6 {
+                0 => 0,
+                1 => 1,
+                2 => 2 * rows + 7,
+                _ => cases.random_range(0..=rows / 4 + 1),
+            };
+            let seed = cases.next_u64();
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let reference = SortedTargetSampler::new(m, total, &mut ref_rng);
+            let sampler = SortedTargetSampler::new(m, total, &mut rng);
+            assert_run_matches_feed(&exponents, &table, reference, sampler, &mut cases);
+            assert_eq!(
+                rng.next_u64(),
+                ref_rng.next_u64(),
+                "case {case}: RNG out of step"
+            );
+        }
+    }
+
+    #[test]
+    fn feed_run_passes_a_target_equal_to_a_prefix_only_on_the_next_row() {
+        // Weights 1, 1, 1, ... against a total of 8: the targets 2, 4, 4
+        // and 7.5 equal the prefix after rows 1 and 3, where a target
+        // must not land (targets are passed strictly), so rows 2 and 4
+        // take them; 7.5 lands on row 7.
+        let total = ScaledF64::from_f64(8.0);
+        let sampler = |uniforms: &[f64]| SortedTargetSampler {
+            uniforms: uniforms.to_vec(),
+            total,
+            next: target(total, uniforms[0]),
+            cursor: 0,
+            acc: ScaledF64::ZERO,
+            rel: Vec::new(),
+        };
+        let uniforms = [0.25, 0.5, 0.5, 0.9375];
+        let exponents = [0u32; 8];
+        let table = [ScaledF64::ONE];
+        let mut hits = Vec::new();
+        let mut run = sampler(&uniforms);
+        run.feed_run(&exponents, &table, &mut hits);
+        assert_eq!(hits, [2, 4, 7]);
+        let mut one = sampler(&uniforms);
+        let counts: Vec<usize> = exponents.iter().map(|_| one.feed(table[0])).collect();
+        assert_eq!(counts, [0, 0, 1, 0, 2, 0, 0, 1]);
+        let mut chunks = StdRng::seed_from_u64(3);
+        assert_run_matches_feed(
+            &exponents,
+            &table,
+            sampler(&uniforms),
+            sampler(&uniforms),
+            &mut chunks,
+        );
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! verifies each checksum *before* handing any data to the caller, so
 //! corruption surfaces as a typed [`StoreError`] — never a panic, never
 //! partial data. Trailing bytes after the final chunk are refused.
+//! Under algorithm 2 the reader hashes and decodes in one sweep: each
+//! payload word steps its lane and lands in its column, across the
+//! coordinate/extra boundary at any word offset, and the decoded chunk
+//! is lent only once the stored checksum matches. Algorithm 1 hashes,
+//! then decodes.
 //!
 //! Layout (byte offsets; `L` = family-name length):
 //!
@@ -110,14 +115,34 @@ fn lane_round(acc: u64, w: u64) -> u64 {
         .wrapping_mul(LANE_P1)
 }
 
+/// Algorithm 2's lanes before the first word: lane `k` starts at
+/// `(k + 1) · P1`.
+const LANES_START: [u64; 4] = [
+    LANE_P1,
+    LANE_P1.wrapping_mul(2),
+    LANE_P1.wrapping_mul(3),
+    LANE_P1.wrapping_mul(4),
+];
+
+/// One 8-byte little-endian payload word.
+#[inline(always)]
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// Algorithm 2's last step: one accumulator starting at `P2` steps over
+/// the rows field, the four lanes in order, and the word count.
+fn lanes_finish(rows: u32, lanes: &[u64; 4], words: usize) -> u64 {
+    let h = lane_round(LANE_P2, u64::from(rows));
+    let h = lanes.iter().fold(h, |h, &lane| lane_round(h, lane));
+    lane_round(h, words as u64)
+}
+
 /// Chunk-checksum algorithm 2 over one frame: payload word `i` (8 bytes,
-/// little-endian) steps lane `i mod 4`, lane `k` starting at
-/// `(k + 1) · P1`; then one accumulator starting at `P2` steps over the
-/// rows field, the four lanes in order, and the word count. `payload`'s
+/// little-endian) steps lane `i mod 4`, then [`lanes_finish`]. `payload`'s
 /// length is a multiple of 8, as every frame's is.
 fn lanes64(rows: u32, payload: &[u8]) -> u64 {
-    let mut lanes = [1u64, 2, 3, 4].map(|k| k.wrapping_mul(LANE_P1));
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte word"));
+    let mut lanes = LANES_START;
     let mut blocks = payload.chunks_exact(32);
     for block in &mut blocks {
         for (k, lane) in lanes.iter_mut().enumerate() {
@@ -127,9 +152,38 @@ fn lanes64(rows: u32, payload: &[u8]) -> u64 {
     for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks_exact(8)) {
         *lane = lane_round(*lane, word(w));
     }
-    let h = lane_round(LANE_P2, u64::from(rows));
-    let h = lanes.iter().fold(h, |h, &lane| lane_round(h, lane));
-    lane_round(h, (payload.len() / 8) as u64)
+    lanes_finish(rows, &lanes, payload.len() / 8)
+}
+
+/// The read side of [`lanes64`], fused with decoding: steps the lanes over
+/// `bytes`, whose first word is payload word `first` (so word `t` steps
+/// lane `(first + t) mod 4`), and writes each word into `out` as an `f64`
+/// bit pattern, in one sweep. A frame is the coordinate block from word 0
+/// and then the extra column from the word the coordinates end at,
+/// which may fall inside a four-word block.
+fn lanes_decode(lanes: &mut [u64; 4], first: usize, bytes: &[u8], out: &mut [f64]) {
+    debug_assert_eq!(bytes.len(), 8 * out.len());
+    // A local copy keeps the four lanes in registers through the sweep.
+    let mut l = *lanes;
+    l.rotate_left(first % 4);
+    let mut blocks = bytes.chunks_exact(32);
+    let mut slots = out.chunks_exact_mut(4);
+    for (block, slot) in (&mut blocks).zip(&mut slots) {
+        let slot: &mut [f64; 4] = slot.try_into().expect("four words");
+        for k in 0..4 {
+            let w = word(&block[8 * k..8 * k + 8]);
+            l[k] = lane_round(l[k], w);
+            slot[k] = f64::from_bits(w);
+        }
+    }
+    let tail = blocks.remainder().chunks_exact(8);
+    for ((lane, w), v) in l.iter_mut().zip(tail).zip(slots.into_remainder()) {
+        let w = word(w);
+        *lane = lane_round(*lane, w);
+        *v = f64::from_bits(w);
+    }
+    l.rotate_right(first % 4);
+    *lanes = l;
 }
 
 /// Why a store file was refused. Every decode failure is typed; the
@@ -635,10 +689,21 @@ impl<R: Read> ChunkReader<R> {
         let mut sum = [0u8; 8];
         self.r.read_exact_ctx(&mut sum, "chunk checksum")?;
         let stored = u64::from_le_bytes(sum);
+        // The frame decodes into the reused block as it is hashed, and
+        // the block is lent only once the checksum matches, so a bad
+        // frame is never observable.
+        let (coords, extra) = self.chunk.resize_raw(rows as usize);
+        let (coord_bytes, extra_bytes) = self.payload.split_at(coords.len() * 8);
         let computed = if self.algo == CHECKSUM_FNV1A64 {
-            fnv1a64_extend(fnv1a64(&rows_bytes), &self.payload)
+            let computed = fnv1a64_extend(fnv1a64(&rows_bytes), &self.payload);
+            decode_f64s(coord_bytes, coords);
+            decode_f64s(extra_bytes, extra);
+            computed
         } else {
-            lanes64(rows, &self.payload)
+            let mut lanes = LANES_START;
+            lanes_decode(&mut lanes, 0, coord_bytes, coords);
+            lanes_decode(&mut lanes, coords.len(), extra_bytes, extra);
+            lanes_finish(rows, &lanes, self.payload.len() / 8)
         };
         if stored != computed {
             return Err(StoreError::ChunkChecksumMismatch {
@@ -647,10 +712,6 @@ impl<R: Read> ChunkReader<R> {
                 computed,
             });
         }
-        let (coords, extra) = self.chunk.resize_raw(rows as usize);
-        let (coord_bytes, extra_bytes) = self.payload.split_at(coords.len() * 8);
-        decode_f64s(coord_bytes, coords);
-        decode_f64s(extra_bytes, extra);
         self.rows_read += u64::from(rows);
         self.chunks_read += 1;
         Ok(Some(&self.chunk))
@@ -660,7 +721,7 @@ impl<R: Read> ChunkReader<R> {
 /// Decodes little-endian `f64` bit patterns into `out`, one per 8 bytes.
 fn decode_f64s(bytes: &[u8], out: &mut [f64]) {
     for (v, w) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-        *v = f64::from_le_bytes(w.try_into().expect("8-byte word"));
+        *v = f64::from_bits(word(w));
     }
 }
 
@@ -791,6 +852,28 @@ mod tests {
         assert_eq!(lanes64(0, &[]), 0x6fbb_3e56_0b51_b5cd);
         assert_eq!(lanes64(1, &f64s(&[1.0, -2.0, 3.5])), 0x3693_a47e_eea5_c9f9);
         assert_eq!(lanes64(11, &words), 0xfa89_f922_d986_8aab);
+    }
+
+    #[test]
+    fn fused_sweep_matches_lanes64_then_decode_at_every_split() {
+        // Any payload length and any coordinate/extra boundary, inside a
+        // four-word block or on its edge: one fused sweep per part gives
+        // algorithm 2's checksum and the decoded words.
+        for words in 0..=19usize {
+            let values: Vec<f64> = (0..words).map(|i| i as f64 * -1.25 + 0.5).collect();
+            let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+            for split in 0..=words {
+                let mut out = vec![f64::NAN; words];
+                let (head, tail) = out.split_at_mut(split);
+                let mut lanes = LANES_START;
+                lanes_decode(&mut lanes, 0, &payload[..8 * split], head);
+                lanes_decode(&mut lanes, split, &payload[8 * split..], tail);
+                let fused = lanes_finish(7, &lanes, words);
+                assert_eq!(fused, lanes64(7, &payload), "{words} words, split {split}");
+                let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&values), "{words} words, split {split}");
+            }
+        }
     }
 
     #[test]

@@ -144,20 +144,31 @@ fn header_byte_flip_fails_the_header_checksum() {
 
 #[test]
 fn chunk_payload_flip_fails_that_chunks_checksum() {
+    // Every bit of every payload word and checksum word of both frames.
+    // Frame 0 (3 rows, 9 words) ends its coordinates at word 6, inside a
+    // four-word lane block; frame 1 (2 rows, 6 words) ends them at word 4,
+    // on a block edge. The reader hashes and decodes in one sweep that
+    // crosses that boundary, so each flip must fail its own chunk.
     let file = good_file();
     let header_len = encode_header(&header(5, 3)).len();
-    // Flip a payload byte in chunk 0 and one in chunk 1.
-    let chunk0_frame = 4 + 3 * 3 * 8 + 8;
-    let in_chunk0 = header_len + 4 + 5;
-    let in_chunk1 = header_len + chunk0_frame + 4 + 5;
-    for (at, want_chunk) in [(in_chunk0, 0u64), (in_chunk1, 1u64)] {
-        match scan(&flip(&file, at)) {
-            Err(StoreError::ChunkChecksumMismatch { chunk, .. }) => {
-                assert_eq!(chunk, want_chunk)
+    let mut frame_start = header_len;
+    for (chunk, rows) in [(0u64, 3usize), (1, 2)] {
+        let payload_words = rows * 3;
+        for word in 0..=payload_words {
+            for bit in 0..64 {
+                let mut bad = file.clone();
+                bad[frame_start + 4 + 8 * word + bit / 8] ^= 1 << (bit % 8);
+                match scan(&bad) {
+                    Err(StoreError::ChunkChecksumMismatch { chunk: got, .. }) => {
+                        assert_eq!(got, chunk, "word {word} bit {bit} of chunk {chunk}")
+                    }
+                    other => panic!("word {word} bit {bit} of chunk {chunk}: {other:?}"),
+                }
             }
-            other => panic!("flip at {at}: unexpected {other:?}"),
         }
+        frame_start += 4 + 8 * payload_words + 8;
     }
+    assert_eq!(frame_start, file.len());
 }
 
 #[test]

@@ -267,23 +267,121 @@ fn columnar_scan_agrees_with_aos_predicate_on_model_solutions() {
     // SoA-vs-AoS at the agreement level: for each problem family, take a
     // solution produced through a model solver and one produced from a
     // small prefix (so violators exist), and check the columnar kernel
-    // flags *exactly* the constraints the AoS `violates` predicate flags.
+    // flags *exactly* the constraints the AoS `violates` predicate flags:
+    // on views at offsets 0..=4 of every length mod 4 (0 to 3 rows among
+    // them), and on rows one ULP either side of the family's tolerance
+    // bound, placed at both ends so they meet block and tail positions.
     use lodim_lp::core::instances::lp::LpProblem;
     use lodim_lp::core::instances::svm::SvmPoint;
     use lodim_lp::core::lptype::ColumnarProblem;
     use lodim_lp::geom::Halfspace;
+    use lodim_lp::solver::welzl::Ball;
 
-    fn check<P: ColumnarProblem>(label: &str, p: &P, data: &[P::Constraint], sol: &P::Solution) {
-        let aos: Vec<usize> = data
+    fn check<P: ColumnarProblem>(
+        label: &str,
+        p: &P,
+        data: &[P::Constraint],
+        sol: &P::Solution,
+        edges: &[P::Constraint],
+    ) {
+        let edge_verdicts: Vec<bool> = edges.iter().map(|c| p.violates(sol, c)).collect();
+        assert!(
+            edge_verdicts.contains(&true) && edge_verdicts.contains(&false),
+            "{label}: the edge rows must straddle the bound"
+        );
+        let rows: Vec<P::Constraint> = edges.iter().chain(data).chain(edges).cloned().collect();
+        let aos: Vec<usize> = rows
             .iter()
             .enumerate()
             .filter(|(_, c)| p.violates(sol, c))
             .map(|(i, _)| i)
             .collect();
-        let cols = p.to_columns(data);
-        let mut soa = Vec::new();
-        p.scan_columns(sol, &cols.full_view(), &mut soa);
-        assert_eq!(aos, soa, "{label}: violator sets diverged");
+        let cols = p.to_columns(&rows);
+        let n = rows.len();
+        for start in 0..=4 {
+            for len in (0..=8).chain((0..4).map(|k| n - start - k)) {
+                let end = start + len;
+                let mut soa = Vec::new();
+                p.scan_columns(sol, &cols.view(start, end), &mut soa);
+                let want: Vec<usize> = aos
+                    .iter()
+                    .copied()
+                    .filter(|i| (start..end).contains(i))
+                    .collect();
+                assert_eq!(want, soa, "{label}: view {start}..{end} diverged");
+            }
+        }
+    }
+
+    /// The adjacent floats `[lo, hi]` between which `violates(t)` flips,
+    /// by bisection from a `lo < hi` pair on opposite sides.
+    fn flip(mut lo: f64, mut hi: f64, violates: impl Fn(f64) -> bool) -> [f64; 2] {
+        let side = violates(lo);
+        assert_ne!(side, violates(hi), "no flip between {lo} and {hi}");
+        loop {
+            let mid = lo + (hi - lo) / 2.0;
+            if mid == lo || mid == hi {
+                assert_eq!(lo.next_up(), hi);
+                return [lo, hi];
+            }
+            if violates(mid) == side {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+    }
+
+    // LP: each of two rows' normals with the right-hand sides one ULP
+    // either side of the slack tolerance.
+    fn lp_edges(p: &LpProblem, cs: &[Halfspace], x: &Vec<f64>) -> Vec<Halfspace> {
+        cs[..2]
+            .iter()
+            .flat_map(|h| {
+                let at = |b| Halfspace::new(h.a.clone(), b);
+                flip(-1e9, 1e9, |b| p.violates(x, &at(b))).map(at)
+            })
+            .collect()
+    }
+
+    // SVM: two points moved along the normal's largest coordinate to one
+    // ULP either side of the margin threshold.
+    fn svm_edges(p: &SvmProblem, pts: &[SvmPoint], u: &Vec<f64>) -> Vec<SvmPoint> {
+        let j = (0..u.len())
+            .max_by(|&a, &b| u[a].abs().total_cmp(&u[b].abs()))
+            .expect("a normal");
+        pts[..2]
+            .iter()
+            .flat_map(|q| {
+                let at = |t| {
+                    let mut x = q.x.clone();
+                    x[j] = t;
+                    SvmPoint { x, y: q.y }
+                };
+                flip(-1e9, 1e9, |t| p.violates(u, &at(t))).map(at)
+            })
+            .collect()
+    }
+
+    // MEB: points off the center in two coordinates, one ULP either side
+    // of the squared-radius tolerance.
+    fn meb_edges(p: &MebProblem, ball: &Ball) -> Vec<Vec<f64>> {
+        let c = &ball.center;
+        (0..2)
+            .flat_map(|j| {
+                let k = (j + 1) % c.len();
+                let at = |t| {
+                    let mut q = c.clone();
+                    q[k] += ball.radius * 0.5;
+                    q[j] = t;
+                    q
+                };
+                flip(c[j], c[j] + 2.0 * ball.radius + 1.0, |t| {
+                    p.violates(ball, &at(t))
+                })
+                .map(at)
+            })
+            .collect()
     }
 
     let mut rng = StdRng::seed_from_u64(900);
@@ -291,24 +389,34 @@ fn columnar_scan_agrees_with_aos_predicate_on_model_solutions() {
     let (p, cs): (LpProblem, Vec<Halfspace>) = lodim_lp::workloads::random_lp(N, 3, 900);
     let (ram, _) =
         lodim_lp::core::clarkson_solve(&p, &cs, &ClarksonConfig::lean(2), &mut rng).expect("ram");
-    check("lp/solved", &p, &cs, &ram);
+    check("lp/solved", &p, &cs, &ram, &lp_edges(&p, &cs, &ram));
     let prefix = p.solve_subset(&cs[..32], &mut rng).expect("prefix");
-    check("lp/prefix", &p, &cs, &prefix);
+    check("lp/prefix", &p, &cs, &prefix, &lp_edges(&p, &cs, &prefix));
+    // Dimension 5 runs the kernels' generic loop.
+    let (p, cs): (LpProblem, Vec<Halfspace>) = lodim_lp::workloads::random_lp(N / 4, 5, 903);
+    let prefix = p.solve_subset(&cs[..48], &mut rng).expect("prefix");
+    check("lp5/prefix", &p, &cs, &prefix, &lp_edges(&p, &cs, &prefix));
 
     let (pts, _): (Vec<SvmPoint>, _) = lodim_lp::workloads::separable_clouds(N, 3, 0.5, 901);
     let p = SvmProblem::new(3);
     let (co, _) =
         coordinator::solve(&p, &pts, 4, &ClarksonConfig::lean(2), &mut rng).expect("coord");
-    check("svm/solved", &p, &pts, &co);
+    check("svm/solved", &p, &pts, &co, &svm_edges(&p, &pts, &co));
     let prefix = p.solve_subset(&pts[..64], &mut rng).expect("prefix");
-    check("svm/prefix", &p, &pts, &prefix);
+    check(
+        "svm/prefix",
+        &p,
+        &pts,
+        &prefix,
+        &svm_edges(&p, &pts, &prefix),
+    );
 
     let pts = lodim_lp::workloads::ball_cloud(N, 3, 4.0, 902);
     let p = MebProblem::new(3);
     let (mp, _) = mpc::solve(&p, &pts, &MpcConfig::lean(0.4), &mut rng).expect("mpc");
-    check("meb/solved", &p, &pts, &mp);
+    check("meb/solved", &p, &pts, &mp, &meb_edges(&p, &mp));
     let prefix = p.solve_subset(&pts[..8], &mut rng).expect("prefix");
-    check("meb/prefix", &p, &pts, &prefix);
+    check("meb/prefix", &p, &pts, &prefix, &meb_edges(&p, &prefix));
 }
 
 #[test]
