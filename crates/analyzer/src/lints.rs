@@ -155,7 +155,7 @@ const LOOP_ALLOC_METHODS: &[&str] = &["collect", "clone", "to_vec", "to_owned"];
 
 /// Deny-tier scan of loop bodies in the kernel files (violation scans,
 /// weight updates, LP basis solvers): each hit is a per-iteration
-/// allocation. The scratch arenas (`SolveScratch`, `ConstraintColumns`,
+/// allocation. The reused buffers (`NetBuffer`, `ConstraintColumns`,
 /// the solvers' level buffers) hoisted every historical hit, so any new
 /// finding is a regression and fails CI. Tracks `for`/`while`/`loop`
 /// bodies by brace depth (closures inside a loop body count as inside

@@ -9,7 +9,7 @@
 //!             [--ooc-dir DIR] [--check PATH] [id ...]
 //! ```
 //!
-//! * ids: any table id (`t1` … `t14`, `t13p`, `f1`, `f2`), `tables`
+//! * ids: any table id (`t1` … `t13`, `t13p`, `f1`, `f2`), `tables`
 //!   (all of them), `scenarios` (the registry grid), `serve` (the load
 //!   harness: three traffic mixes over TCP against `llp_serve` shards),
 //!   `ooc` (the file-backed out-of-core cells), or `all` (everything;

@@ -37,10 +37,8 @@ use llp_core::instances::svm::SvmProblem;
 use llp_core::lptype::{count_violations, LpTypeProblem};
 use llp_geom::Halfspace;
 use llp_lowerbound::{augindex, hard, protocol, reduction};
-use llp_num::ScaledF64;
-use llp_sampling::weight_index::{DrawScratch, WeightIndex};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A printable result table.
 #[derive(Clone, Debug)]
@@ -130,83 +128,6 @@ fn violation_scan_fixture(n: usize) -> (LpProblem, Vec<Halfspace>, llp_geom::Poi
         .solve_subset(&cs[..64], &mut rng)
         .expect("prefix solvable");
     (p, cs, sol)
-}
-
-/// Fixture of the T14 experiment: seeded per-iteration violator index
-/// lists for a synthetic Algorithm 1 weight schedule (sorted,
-/// deduplicated — the shape the solver's scan produces).
-fn weight_update_fixture(n: usize, iters: usize, violators: usize) -> Vec<Vec<usize>> {
-    let mut rng = StdRng::seed_from_u64(14_600);
-    (0..iters)
-        .map(|_| {
-            let mut v: Vec<usize> = (0..violators).map(|_| rng.random_range(0..n)).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
-        .collect()
-}
-
-/// The incremental weight path: a standing [`WeightIndex`] (built by the
-/// caller, *outside* any timed region — the solver pays construction once
-/// per run, so it must not pollute the per-iteration measurement),
-/// `O(|V| log n)` updates + one batched `m`-draw descent per iteration —
-/// the solver's own net draw, [`WeightIndex::draw_many`]. Returns the
-/// final `log2` total and a draw checksum (an XOR, so it does not depend
-/// on the order of the draws) so the work is observable.
-fn run_weight_index_incremental(
-    index: &mut WeightIndex,
-    factor: f64,
-    m: usize,
-    rounds: &[Vec<usize>],
-) -> (f64, usize) {
-    let mut rng = StdRng::seed_from_u64(14_601);
-    let mut sink = 0usize;
-    let mut scratch = DrawScratch::default();
-    let mut drawn = Vec::with_capacity(m);
-    for vs in rounds {
-        for &i in vs {
-            index.multiply(i, factor);
-        }
-        index.draw_many(m, &mut rng, &mut scratch, &mut drawn);
-        sink = drawn.iter().fold(sink, |acc, &i| acc ^ i);
-    }
-    (index.total().log2(), sink)
-}
-
-/// The rebuild weight path `clarkson::solve` ran before its standing
-/// [`WeightIndex`]: an exponent array (caller-allocated, like the index
-/// above) with a full O(n) `ScaledF64` prefix rebuild before the `m`
-/// binary-search draws of every iteration.
-fn run_weight_prefix_rebuild(
-    exponent: &mut [u32],
-    factor: f64,
-    m: usize,
-    rounds: &[Vec<usize>],
-) -> (f64, usize) {
-    let n = exponent.len();
-    let mut rng = StdRng::seed_from_u64(14_601);
-    let mut sink = 0usize;
-    let mut total = ScaledF64::ZERO;
-    // One reusable buffer cleared per round, exactly as the retired solver
-    // did — a fresh per-round allocation would inflate the rebuild cost.
-    let mut prefix: Vec<ScaledF64> = Vec::with_capacity(n);
-    for vs in rounds {
-        for &i in vs {
-            exponent[i] += 1;
-        }
-        prefix.clear();
-        total = ScaledF64::ZERO;
-        for &e in exponent.iter() {
-            total += ScaledF64::powi(factor, e);
-            prefix.push(total);
-        }
-        for _ in 0..m {
-            let t = total * ScaledF64::from_f64(rng.random_range(0.0..1.0f64));
-            sink ^= prefix.partition_point(|p| *p <= t).min(n - 1);
-        }
-    }
-    (total.log2(), sink)
 }
 
 // --------------------------------------------------------------------
@@ -945,7 +866,7 @@ pub fn t13_scaling(budget: RunBudget) -> Table {
     for &n in sizes {
         let mut rng = solver_rng(14_000);
         let (p, cs) = llp_workloads::random_lp(n, 2, 14_000);
-        // llp-analyzer: allow(wall-clock) -- T13/T13p/T14 measure wall clock by design; counts are asserted bit-identical separately
+        // llp-analyzer: allow(wall-clock) -- T13/T13p measure wall clock by design; counts are asserted bit-identical separately
         let start = std::time::Instant::now();
         let (sol, _) = stream_impl::solve(
             &p,
@@ -997,7 +918,7 @@ pub fn t13p_parallel_scan(budget: RunBudget) -> Table {
                 let mut best = f64::INFINITY;
                 let mut count = 0usize;
                 for _ in 0..reps {
-                    // llp-analyzer: allow(wall-clock) -- T13/T13p/T14 measure wall clock by design; counts are asserted bit-identical separately
+                    // llp-analyzer: allow(wall-clock) -- T13/T13p measure wall clock by design; counts are asserted bit-identical separately
                     let start = std::time::Instant::now();
                     count = count_violations(&p, &sol, &cs);
                     best = best.min(start.elapsed().as_secs_f64() * 1000.0);
@@ -1020,70 +941,10 @@ pub fn t13p_parallel_scan(budget: RunBudget) -> Table {
     t
 }
 
-/// T14 — the weight-bookkeeping hot path: one standing `WeightIndex`
-/// (O(|V| log n) updates + one batched m-draw descent per iteration) vs
-/// the full O(n) prefix rebuild it replaced in `clarkson::solve`. The
-/// `log2_match` column asserts the two paths agree on the final total
-/// weight.
-pub fn t14_weight_index(budget: RunBudget) -> Table {
-    let mut t = Table::new(
-        "T14  Weight bookkeeping per iteration: incremental WeightIndex vs full prefix rebuild",
-        &[
-            "n",
-            "iters",
-            "viol/iter",
-            "draws",
-            "incr_ms",
-            "rebuild_ms",
-            "speedup",
-            "log2_match",
-        ],
-    );
-    let sizes: &[usize] = budget.pick(&[20_000], &[100_000, 1_000_000]);
-    let iters = budget.pick(6, 12);
-    let m = 512usize;
-    for &n in sizes {
-        let violators = (n / 200).max(1);
-        let rounds = weight_update_fixture(n, iters, violators);
-        let factor = (n as f64).sqrt();
-        let reps = budget.pick(2, 3);
-        let mut best_incr = f64::INFINITY;
-        let mut best_rebuild = f64::INFINITY;
-        let mut incr = (0.0, 0);
-        let mut rebuild = (0.0, 0);
-        for _ in 0..reps {
-            // State construction stays outside the timers: the solver
-            // builds it once per run, the iteration loop is what repeats.
-            let mut index = WeightIndex::uniform(n);
-            // llp-analyzer: allow(wall-clock) -- T13/T13p/T14 measure wall clock by design; counts are asserted bit-identical separately
-            let start = std::time::Instant::now();
-            incr = run_weight_index_incremental(&mut index, factor, m, &rounds);
-            best_incr = best_incr.min(start.elapsed().as_secs_f64() * 1000.0);
-            let mut exponent = vec![0u32; n];
-            // llp-analyzer: allow(wall-clock) -- T13/T13p/T14 measure wall clock by design; counts are asserted bit-identical separately
-            let start = std::time::Instant::now();
-            rebuild = run_weight_prefix_rebuild(&mut exponent, factor, m, &rounds);
-            best_rebuild = best_rebuild.min(start.elapsed().as_secs_f64() * 1000.0);
-        }
-        let log2_match = (incr.0 - rebuild.0).abs() <= 1e-6 * incr.0.abs().max(1.0);
-        t.push(vec![
-            n.to_string(),
-            iters.to_string(),
-            violators.to_string(),
-            m.to_string(),
-            f(best_incr),
-            f(best_rebuild),
-            f(best_rebuild / best_incr),
-            log2_match.to_string(),
-        ]);
-    }
-    t
-}
-
 /// All experiment ids in order.
 pub const ALL: &[&str] = &[
-    "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11", "t12", "t13", "t13p",
-    "t14", "f1", "f2",
+    "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11", "t12", "t13", "t13p", "f1",
+    "f2",
 ];
 
 /// Runs one experiment by id.
@@ -1103,7 +964,6 @@ pub fn run(id: &str, budget: RunBudget) -> Vec<Table> {
         "t12" => vec![t12_protocol_scaling(budget)],
         "t13" => vec![t13_scaling(budget)],
         "t13p" => vec![t13p_parallel_scan(budget)],
-        "t14" => vec![t14_weight_index(budget)],
         "f1" => vec![f1_tci_lp(budget)],
         "f2" => vec![f2_hard_distribution(budget)],
         "all" => ALL.iter().flat_map(|id| run(id, budget)).collect(),
@@ -1129,28 +989,5 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.push(vec!["1".into()]);
-    }
-
-    #[test]
-    fn t14_incremental_checksum_matches_single_draws() {
-        let (n, m) = (20_000usize, 512usize);
-        let rounds = weight_update_fixture(n, 6, n / 200);
-        let factor = (n as f64).sqrt();
-        let batched =
-            run_weight_index_incremental(&mut WeightIndex::uniform(n), factor, m, &rounds);
-        // The same schedule drawn one `draw` call at a time.
-        let mut index = WeightIndex::uniform(n);
-        let mut rng = StdRng::seed_from_u64(14_601);
-        let mut sink = 0usize;
-        for vs in &rounds {
-            for &i in vs {
-                index.multiply(i, factor);
-            }
-            for _ in 0..m {
-                sink ^= index.draw(&mut rng);
-            }
-        }
-        assert_eq!(batched.0.to_bits(), index.total().log2().to_bits());
-        assert_eq!(batched.1, sink);
     }
 }

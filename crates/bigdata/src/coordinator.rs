@@ -21,14 +21,22 @@
 //!
 //! Total: `O(νr)` rounds and `Õ((λn^{1/r}ν + k)·ν)·bit(S)` communication.
 
-use crate::common::SiteWeights;
 use crate::BigDataError;
+use llp_core::clarkson::{NetBuffer, SiteWeights};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
 use llp_models::coordinator::CoordMeter;
 use llp_num::ScaledF64;
 use rand::Rng;
+
+/// A verdict flag on the wire.
+const VERDICT_BITS: u64 = 8;
+/// A scaled weight as (mantissa, exponent): the `O(ℓ/r · log n)`-bit
+/// weight encoding of Lemma 3.7.
+const WEIGHT_BITS: u64 = 128;
+/// A sample count or a violator count.
+const COUNT_BITS: u64 = 64;
 
 /// Statistics of a coordinator run (experiment T3). `PartialEq` backs the
 /// parallel-determinism differential suite: meter readings must match
@@ -105,11 +113,14 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     assert_eq!(columns.len(), n, "columns/constraints length mismatch");
     let k = sizes.len();
     let params = cfg.params(problem, n);
+    let cbits = problem.constraint_bits();
     let mut meter = CoordMeter::default();
     // Persistent per-site weight indices: every site tracks its own
     // range's weights incrementally from the violator lists it scans
     // anyway in round 3, so no round ever recomputes a weight.
     let mut sites = SiteWeights::partition(sizes, params.factor);
+    // The sites draw each net into this one buffer, refilled in place.
+    let mut buffer = NetBuffer::new();
 
     let mut stats = CoordinatorStats {
         net_size: params.net_size,
@@ -129,61 +140,58 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         meter.begin_round();
         if let Some(accepted) = pending.take() {
             for site in &mut sites {
-                meter.charge_down(&0u8); // 1-byte verdict flag
+                meter.charge_down(VERDICT_BITS);
                 site.resolve(accepted);
             }
         }
         let mut site_weights: Vec<ScaledF64> = Vec::with_capacity(k);
         let mut total_weight = ScaledF64::ZERO;
         for site in &sites {
-            // O(1) off the standing index. A scaled weight travels as
-            // (mantissa, exponent) = 128 bits — the O(ℓ/r · log n)-bit
-            // weight encoding of Lemma 3.7.
+            // O(1) off the standing index.
             let w = site.total();
-            meter.charge_up(&(0.0f64, 0u64));
+            meter.charge_up(WEIGHT_BITS);
             site_weights.push(w);
             total_weight += w;
         }
 
         // ---- Round 2: sample counts down, sampled constraints up. ----
         meter.begin_round();
-        let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
-        if params.net_size >= n {
+        let net: &[P::Constraint] = if params.net_size >= n {
             // The ε-net formula covers the whole input: sites ship
-            // everything (a trivially valid net).
+            // everything (a trivially valid net), which is `data` itself.
             for &size in sizes {
-                meter.charge_down(&0u64);
-                meter.charge_up(&RawBits(size as u64 * problem.constraint_bits()));
+                meter.charge_down(COUNT_BITS);
+                meter.charge_up(size as u64 * cbits);
             }
-            net.extend_from_slice(data);
+            data
         } else {
             let weights_f64: Vec<f64> =
                 site_weights.iter().map(|w| w.ratio(total_weight)).collect();
             let counts =
                 llp_sampling::discrete::multinomial(params.net_size as u64, &weights_f64, rng);
+            buffer.clear();
             for (site, &count) in sites.iter().zip(&counts) {
-                meter.charge_down(&count);
+                meter.charge_down(COUNT_BITS);
                 if count == 0 {
                     continue;
                 }
                 // The site inverts its draws directly against its index —
                 // O(log n_i) each, no prefix table.
-                let picked = site.sample_into(data, count as usize, rng, &mut net);
-                meter.charge_up(&RawBits(picked as u64 * problem.constraint_bits()));
+                let picked = site.draw_into(data, count as usize, rng, &mut buffer);
+                meter.charge_up(picked as u64 * cbits);
             }
-        }
+            buffer.rows()
+        };
 
         // ---- Coordinator computes the basis locally. ----
-        let solution = problem
-            .solve_subset(&net, rng)
-            .map_err(BigDataError::from)?;
+        let solution = problem.solve_subset(net, rng).map_err(BigDataError::from)?;
 
         // ---- Round 3: basis down, violator weights up. ----
         meter.begin_round();
         let mut w_violators = ScaledF64::ZERO;
         let mut violator_count = 0usize;
         for site in &mut sites {
-            meter.charge_down(&RawBits(problem.solution_bits()));
+            meter.charge_down(problem.solution_bits());
             // The site's fused violation-test + weight scan runs on the
             // llp_par pool over its range of the shared columns, reading
             // weights off its index; the violator indices are staged
@@ -191,8 +199,8 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
             // below are identical to the sequential protocol — the staged
             // list never travels.
             let (local_w, local_count) = site.scan_and_stage(problem, &solution, columns);
-            meter.charge_up(&(0.0f64, 0u64)); // w(V_i): 128 bits
-            meter.charge_up(&0u64); // count: 64 bits
+            meter.charge_up(WEIGHT_BITS); // w(V_i)
+            meter.charge_up(COUNT_BITS); // |V_i|
             w_violators += local_w;
             violator_count += local_count;
         }
@@ -217,15 +225,6 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     stats.bits_down = meter.bits_down();
     stats.max_round_bits = meter.max_round_bits();
     result.map(|s| (s, stats))
-}
-
-/// Raw bit payload for metering odd-sized messages.
-struct RawBits(u64);
-
-impl llp_models::cost::BitCost for RawBits {
-    fn bits(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

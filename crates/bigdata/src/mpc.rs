@@ -20,8 +20,8 @@
 //! With `r = ⌈1/δ⌉` outer iterations parameter, the total is `O(ν/δ²)`
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
 
-use crate::common::SiteWeights;
 use crate::BigDataError;
+use llp_core::clarkson::{NetBuffer, SiteWeights};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
@@ -219,6 +219,9 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     // broadcast down the tree keep every index in sync, and no round
     // recomputes a weight from the basis history.
     let mut machines = SiteWeights::partition(sizes, params.factor);
+    // The machines draw each net into this one buffer, refilled in place.
+    let mut buffer = NetBuffer::new();
+    let cbits = problem.constraint_bits();
 
     let mut stats = MpcStats {
         k,
@@ -265,30 +268,29 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
             )
         };
 
-        // ---- Samples to the root (one direct round). ----
+        // ---- Samples to the root (one direct round). When every
+        // machine ships its whole range, the net is `data` itself. ----
         meter.begin_round();
-        let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
+        buffer.clear();
         for (i, machine) in machines.iter().enumerate() {
             if counts[i] == 0 {
                 continue;
             }
             let sampled = if take_all {
-                net.extend_from_slice(&data[machine.rows()]);
                 machine.rows().len()
             } else {
                 // Inversion draws straight off the machine's index.
-                machine.sample_into(data, counts[i] as usize, rng, &mut net)
+                machine.draw_into(data, counts[i] as usize, rng, &mut buffer)
             };
             if i != 0 {
-                meter.charge(i, 0, &RawBits(sampled as u64 * problem.constraint_bits()));
+                meter.charge(i, 0, sampled as u64 * cbits);
             }
         }
         meter.end_round();
+        let net = if take_all { data } else { buffer.rows() };
 
         // ---- Root computes the basis. ----
-        let solution = problem
-            .solve_subset(&net, rng)
-            .map_err(BigDataError::from)?;
+        let solution = problem.solve_subset(net, rng).map_err(BigDataError::from)?;
 
         // ---- Basis broadcast down the tree. ----
         broadcast_down(&mut meter, &tree, depth, problem.solution_bits());
@@ -334,7 +336,7 @@ fn broadcast_down(meter: &mut MpcMeter, tree: &Tree, depth: usize, bits: u64) {
         meter.begin_round();
         for node in tree.level(l) {
             for ch in tree.children(node) {
-                meter.charge(node, ch, &RawBits(bits));
+                meter.charge(node, ch, bits);
             }
         }
         meter.end_round();
@@ -355,7 +357,7 @@ fn converge_sum(
         meter.begin_round();
         for node in tree.level(l) {
             if let Some(p) = tree.parent(node) {
-                meter.charge(node, p, &RawBits(bits_per_msg));
+                meter.charge(node, p, bits_per_msg);
                 let v = acc[node];
                 acc[p] += v;
             }
@@ -412,7 +414,7 @@ fn split_counts<R: Rng>(
             for (j, ch) in children.enumerate() {
                 subtree_count[ch] = split[j + 1];
                 if round_needed {
-                    meter.charge(node, ch, &RawBits(64));
+                    meter.charge(node, ch, 64);
                 }
             }
         }
@@ -421,15 +423,6 @@ fn split_counts<R: Rng>(
         }
     }
     own_count
-}
-
-/// Raw bit payload for metering.
-struct RawBits(u64);
-
-impl llp_models::cost::BitCost for RawBits {
-    fn bits(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

@@ -17,22 +17,28 @@
 //! per-iteration success probability of Claim 3.2, and the weight envelope
 //! of Eq. (2) empirically (experiments T1/T10).
 //!
-//! Weights live in one [`WeightIndex`]
-//! maintained across iterations: element `i`'s weight is the product of
-//! its `F` multiplications, and the Fenwick tree behind the index serves
-//! both the Lemma 2.2 inversion sampling (one batched descent of the
-//! net's `m` sorted targets, no prefix rebuild) and the O(1) total that
-//! the success test and the Eq. (2) trace share — only violators change
-//! between iterations, so an iteration costs at most
-//! O(|V| log n + m log n) on the weight side instead of the O(n) prefix
-//! rebuild it replaced. (The streaming implementation
-//! instead recomputes weights from the stored bases under its space
-//! bound, see Section 3.2.)
+//! Every holder of constraints runs the same weight bookkeeping: the
+//! RAM machine here, each coordinator site and each MPC machine in
+//! `llp_bigdata`. A holder is one [`SiteWeights`]: a [`WeightIndex`]
+//! over its rows, maintained across iterations, so element `i`'s weight
+//! is the product of its `F` multiplications. The Fenwick tree behind
+//! the index serves both the Lemma 2.2 inversion sampling (one batched
+//! descent of the net's `m` sorted targets, no prefix rebuild) and the
+//! O(1) total that the success test and the Eq. (2) trace share. Only
+//! violators change between iterations, so an iteration costs at most
+//! O(|V| log n + m log n) on the weight side. RAM is one holder over
+//! rows `0..n`; its draw, fused scan and ×`F` reweight are the holder's
+//! three methods, in that order. Each solve builds its nets in one
+//! reused [`NetBuffer`]. (The streaming implementation instead
+//! recomputes weights from the stored bases under its space bound, see
+//! Section 3.2.)
 
 use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::ConstraintColumns;
+use llp_num::ScaledF64;
 use llp_sampling::weight_index::{DrawScratch, WeightIndex};
 use rand::Rng;
+use std::ops::Range;
 
 /// How element weights grow on violation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -219,57 +225,8 @@ pub struct ClarksonStats {
 /// Outcome of [`solve`]: the canonical optimum plus statistics.
 pub type ClarksonOutcome<S> = Result<(S, ClarksonStats), (ClarksonError, ClarksonStats)>;
 
-/// Reusable per-solve buffers for [`solve_with_scratch`]: the ε-net
-/// index buffer, the net draw's target buffers, the net constraint pool,
-/// and the violator buffer.
-///
-/// Ownership rule: the arena owns its buffers between solves and lends
-/// them to exactly one solve at a time; the solver clears/refills them
-/// per iteration via `clone_from`, so after the first iteration warms
-/// the pool to the net size the loop's own bookkeeping performs **zero
-/// heap allocations** (the analyzer's deny-tier `hot-loop-alloc` lint
-/// keeps it that way). The basis solve each iteration calls
-/// (`solve_subset`) allocates on its own account — for LP a few dozen
-/// times per call, independent of the net size. Callers with many
-/// solves (the service's batch executor) hold one arena per worker and
-/// amortize the warm-up.
-pub struct SolveScratch<P: ColumnarProblem> {
-    /// Sampled net indices (sorted, deduped), reused across iterations.
-    net_idx: Vec<usize>,
-    /// The net draw's sorted uniforms and targets.
-    draw: DrawScratch,
-    /// Net constraint pool: slot `k` is refilled in place from
-    /// `constraints[net_idx[k]]` each iteration.
-    net_pool: Vec<P::Constraint>,
-    /// Ascending violator indices of the latest scan.
-    violators: Vec<usize>,
-}
-
-impl<P: ColumnarProblem> SolveScratch<P> {
-    /// An empty arena; the first solve iteration warms it up.
-    pub fn new() -> Self {
-        SolveScratch {
-            net_idx: Vec::new(),
-            draw: DrawScratch::default(),
-            net_pool: Vec::new(),
-            violators: Vec::new(),
-        }
-    }
-}
-
-impl<P: ColumnarProblem> Default for SolveScratch<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Runs Algorithm 1 on `constraints`.
-///
-/// Convenience wrapper over [`solve_with_scratch`]: transposes the
-/// constraints into columnar storage and allocates a fresh
-/// [`SolveScratch`]. Callers that solve repeatedly (the service's
-/// batch executor) should build both once and call
-/// [`solve_with_scratch`] directly.
+/// Runs Algorithm 1 on `constraints`: transposes them into columnar
+/// storage and calls [`solve_with_columns`].
 ///
 /// # Panics
 /// Panics if `constraints` is empty.
@@ -280,26 +237,26 @@ pub fn solve<P: ColumnarProblem, R: Rng>(
     rng: &mut R,
 ) -> ClarksonOutcome<P::Solution> {
     let columns = problem.to_columns(constraints);
-    let mut scratch = SolveScratch::new();
-    solve_with_scratch(problem, constraints, &columns, cfg, &mut scratch, rng)
+    solve_with_columns(problem, constraints, &columns, cfg, rng)
 }
 
 /// Runs Algorithm 1 on `constraints`, scanning the columnar mirror
-/// `columns` and reusing the buffers in `scratch`.
+/// `columns`.
 ///
 /// `columns` must be `problem.to_columns(constraints)` (same
 /// constraints, same order); the AoS slice still serves the ε-net
 /// basis solves while every O(n) violation scan runs over the columns.
+/// The RAM machine is one [`SiteWeights`] holder over all `n` rows, and
+/// its nets are built in one [`NetBuffer`] for the whole solve.
 ///
 /// # Panics
 /// Panics if `constraints` is empty or `columns` has a different
 /// length.
-pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
+pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
     problem: &P,
     constraints: &[P::Constraint],
     columns: &ConstraintColumns,
     cfg: &ClarksonConfig,
-    scratch: &mut SolveScratch<P>,
     rng: &mut R,
 ) -> ClarksonOutcome<P::Solution> {
     assert!(!constraints.is_empty(), "no constraints");
@@ -325,34 +282,21 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
     // The weight state of the whole run: maintained incrementally, never
     // rebuilt — iteration t + 1 samples against exactly the sums that
     // iteration t's violator updates left behind.
-    let mut weights = WeightIndex::uniform(n);
-    // Warm the net pool before the loop: at most m slots are ever live,
-    // and refills inside the loop go through `clone_from`, which reuses
-    // each slot's existing buffers instead of reallocating.
-    scratch.net_idx.clear();
-    scratch.net_idx.reserve(m);
-    if m < n && scratch.net_pool.len() != m {
-        scratch.net_pool.resize(m, constraints[0].clone());
-    }
+    let mut holder = SiteWeights::new(0..n, factor);
+    let mut buffer = NetBuffer::new();
 
     while stats.iterations < cfg.max_iterations {
         stats.iterations += 1;
 
         // --- Sample the ε-net with probability proportional to weight:
         // one batched descent of m sorted targets through the standing
-        // index, which returns the draws in ascending order. ---
-        scratch.net_idx.clear();
+        // index. When the net would be the whole input, no copy. ---
         let net: &[P::Constraint] = if m >= n {
-            // The net is the whole input; no copy needed.
             constraints
         } else {
-            weights.draw_many(m, rng, &mut scratch.draw, &mut scratch.net_idx);
-            scratch.net_idx.dedup();
-            let live = scratch.net_idx.len();
-            for (slot, &ci) in scratch.net_pool.iter_mut().zip(scratch.net_idx.iter()) {
-                slot.clone_from(&constraints[ci]);
-            }
-            &scratch.net_pool[..live]
+            buffer.clear();
+            holder.draw_into(constraints, m, rng, &mut buffer);
+            buffer.rows()
         };
 
         // --- Basis of the net. ---
@@ -363,38 +307,222 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
         };
 
         // --- Violators and their weight: the O(n) hot scan over the
-        // columnar mirror, chunked over the llp_par pool with fixed
-        // boundaries and in-order merges, so the violator list
-        // (ascending indices) and the weight sum are bit-identical for
-        // any LLP_THREADS — and to a scalar `violates` sweep. ---
-        let w_violators = crate::lptype::scan_violators_weighted_columnar(
-            problem,
-            &solution,
-            columns,
-            0..n,
-            &weights,
-            &mut scratch.violators,
-        );
-        stats.violators_trace.push(scratch.violators.len());
+        // columnar mirror, staged until the success test decides. ---
+        let (w_violators, violator_count) = holder.scan_and_stage(problem, &solution, columns);
+        stats.violators_trace.push(violator_count);
 
-        let success = w_violators.ratio(weights.total()) <= eps;
+        let success = w_violators.ratio(holder.total()) <= eps;
+        if success && violator_count == 0 {
+            return Ok((solution, stats));
+        }
+        holder.resolve(success);
         if success {
-            if scratch.violators.is_empty() {
-                return Ok((solution, stats));
-            }
             stats.successful_iterations += 1;
-            for &i in scratch.violators.iter() {
-                weights.multiply(i, factor);
-            }
             // The Eq. (2) trace logs the index's own post-update total —
             // the same value the next iteration samples and tests against,
             // not a side-channel recomputation that could drift from it.
-            stats.weight_log2_trace.push(weights.total().log2());
+            stats.weight_log2_trace.push(holder.total().log2());
         } else if cfg.failure_policy == FailurePolicy::Abort {
             return Err((ClarksonError::NetFailure, stats));
         }
     }
     Err((ClarksonError::IterationLimit, stats))
+}
+
+/// The persistent weight state of one holder of constraints: the RAM
+/// machine (all rows), a coordinator site or an MPC machine (one
+/// consecutive row range of the shared input). A [`WeightIndex`] over
+/// the holder's rows, updated from each accepted basis's violator list
+/// instead of recomputed from the basis history. Local index `i` is row
+/// `rows.start + i`.
+///
+/// Section 3.2 and Lemma 3.7 give every holder the same three duties,
+/// one method each: draw its share of the ε-net by weight
+/// ([`draw_into`](Self::draw_into)), find its violators of a basis
+/// ([`scan_and_stage`](Self::scan_and_stage)), and multiply them by `F`
+/// when the basis is accepted ([`resolve`](Self::resolve)). In the
+/// distributed protocols the verdict arrives a round after the scan, so
+/// the scan result is **staged** and then committed or discarded.
+/// Weights are derived state and never travel; all metering stays in
+/// the callers.
+#[derive(Clone, Debug)]
+pub struct SiteWeights {
+    index: WeightIndex,
+    factor: f64,
+    /// The rows of the shared input this holder owns.
+    rows: Range<usize>,
+    /// Local violator indices of the basis whose verdict is pending.
+    staged: Vec<usize>,
+}
+
+impl SiteWeights {
+    /// All-ones weights over the rows `rows` (Line 2 of Algorithm 1).
+    pub fn new(rows: Range<usize>, factor: f64) -> Self {
+        assert!(factor > 1.0, "weight factor must exceed 1");
+        SiteWeights {
+            index: WeightIndex::uniform(rows.len()),
+            factor,
+            rows,
+            staged: Vec::new(),
+        }
+    }
+
+    /// One holder per consecutive row range of the given sizes, in order
+    /// from row 0: the site or machine layout of a partitioned run.
+    pub fn partition(sizes: &[usize], factor: f64) -> Vec<SiteWeights> {
+        let mut start = 0;
+        sizes
+            .iter()
+            .map(|&len| {
+                start += len;
+                SiteWeights::new(start - len..start, factor)
+            })
+            .collect()
+    }
+
+    /// The rows of the shared input this holder owns.
+    pub fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// The holder's total local weight `w(S_i)` — O(1), no recompute.
+    pub fn total(&self) -> ScaledF64 {
+        self.index.total()
+    }
+
+    /// The weight of local constraint `i` (row `rows.start + i`).
+    pub fn weight(&self, i: usize) -> ScaledF64 {
+        self.index.get(i)
+    }
+
+    /// Draws `count` i.i.d. local indices proportional to weight — one
+    /// batched descent of sorted targets through the index — drops
+    /// repeats (net membership is a set), and appends the rows they pick
+    /// from the shared input `data` to `net`, in ascending row order.
+    /// Returns how many rows it appended: none when `count` is 0 or the
+    /// holder has no weight.
+    pub fn draw_into<C: Clone, R: Rng + ?Sized>(
+        &self,
+        data: &[C],
+        count: usize,
+        rng: &mut R,
+        net: &mut NetBuffer<C>,
+    ) -> usize {
+        net.picked.clear();
+        if count == 0 || self.index.total().is_zero() {
+            return 0;
+        }
+        self.index
+            .draw_many(count, rng, &mut net.draw, &mut net.picked);
+        net.picked.dedup();
+        net.append_picked(&data[self.rows()]);
+        net.picked.len()
+    }
+
+    /// Finds the violators of `solution` among the holder's rows of the
+    /// shared `columns`, stages their local indices for the next verdict,
+    /// and returns their weight `w(V_i)` and count. The column kernel runs
+    /// chunk-parallel with an ordered merge (bit-identical for any thread
+    /// count), each weight is an O(1) index read instead of an O(t·d)
+    /// recompute, and the staged buffer is refilled in place. `columns`
+    /// must be the transposition of the whole input the ranges cut.
+    pub fn scan_and_stage<P: ColumnarProblem>(
+        &mut self,
+        problem: &P,
+        solution: &P::Solution,
+        columns: &ConstraintColumns,
+    ) -> (ScaledF64, usize) {
+        let w = crate::lptype::scan_violators_weighted_columnar(
+            problem,
+            solution,
+            columns,
+            self.rows(),
+            &self.index,
+            &mut self.staged,
+        );
+        (w, self.staged.len())
+    }
+
+    /// Applies the verdict on the staged basis: accepted ⇒ every staged
+    /// violator's weight ×`F` (`O(|V| log n)`), in ascending order;
+    /// rejected ⇒ weights unchanged. Either way the staged list is
+    /// emptied, keeping its buffer.
+    pub fn resolve(&mut self, accepted: bool) {
+        if accepted {
+            for &i in &self.staged {
+                self.index.multiply(i, self.factor);
+            }
+        }
+        self.staged.clear();
+    }
+}
+
+/// The ε-net of one iteration, built in place by the holders'
+/// [`SiteWeights::draw_into`], plus the draw's own buffers. One buffer
+/// serves a whole solve — RAM, the coordinator and MPC each keep one —
+/// and [`clear`](Self::clear) empties it at the start of each iteration
+/// without freeing anything: row slots are refilled with `clone_from`,
+/// which reuses each row's buffers, so once the first nets have warmed
+/// it the loop's net bookkeeping allocates nothing.
+#[derive(Clone, Debug)]
+pub struct NetBuffer<C> {
+    /// The latest draw's sorted uniforms and targets.
+    draw: DrawScratch,
+    /// Local indices of the latest draw: ascending, without repeats.
+    picked: Vec<usize>,
+    /// Row slots; the first `len` hold the net.
+    slots: Vec<C>,
+    len: usize,
+}
+
+impl<C: Clone> NetBuffer<C> {
+    /// An empty buffer; the first nets warm it up.
+    pub fn new() -> Self {
+        NetBuffer {
+            draw: DrawScratch::default(),
+            picked: Vec::new(),
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Empties the net, keeping every buffer.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The net's rows, in the order the holders drew them.
+    pub fn rows(&self) -> &[C] {
+        &self.slots[..self.len]
+    }
+
+    /// The local indices of the latest draw (relative to the drawing
+    /// holder's first row): ascending, without repeats.
+    pub fn picked(&self) -> &[usize] {
+        &self.picked
+    }
+
+    /// Appends `local[j]` for every picked `j`, refilling slots in place.
+    fn append_picked(&mut self, local: &[C]) {
+        let NetBuffer {
+            picked, slots, len, ..
+        } = self;
+        let end = *len + picked.len();
+        if slots.len() < end {
+            // Warm-up only: the pool grows to the largest net seen.
+            slots.resize(end, local[picked[0]].clone());
+        }
+        for (slot, &j) in slots[*len..end].iter_mut().zip(picked.iter()) {
+            slot.clone_from(&local[j]);
+        }
+        *len = end;
+    }
+}
+
+impl<C: Clone> Default for NetBuffer<C> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[cfg(test)]
@@ -620,5 +748,62 @@ mod tests {
             rate >= 2.0 / 3.0,
             "empirical success rate {rate} below Claim 3.2 bound"
         );
+    }
+
+    #[test]
+    fn site_weights_commit_and_discard() {
+        let p = LpProblem::new(vec![1.0, 1.0]);
+        // Constraints x + y ≤ b for b = 0..10; basis point (4.5, 0)
+        // violates exactly b ∈ {0..4}.
+        let cs: Vec<Halfspace> = (0..10)
+            .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
+            .collect();
+        let columns = p.to_columns(&cs);
+        let mut site = SiteWeights::new(0..cs.len(), 3.0);
+        assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
+
+        let probe = vec![4.5, 0.0];
+        let (w, count) = site.scan_and_stage(&p, &probe, &columns);
+        assert_eq!(count, 5);
+        assert!((w.to_f64() - 5.0).abs() < 1e-9);
+
+        // Rejected verdict: nothing changes.
+        site.resolve(false);
+        assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
+
+        // Accepted verdict: the five violators triple.
+        let _ = site.scan_and_stage(&p, &probe, &columns);
+        site.resolve(true);
+        assert!((site.total().to_f64() - (5.0 * 3.0 + 5.0)).abs() < 1e-9);
+        assert!((site.weight(0).to_f64() - 3.0).abs() < 1e-9);
+        assert!((site.weight(9).to_f64() - 1.0).abs() < 1e-9);
+
+        // A second accepted round compounds multiplicatively and the
+        // staged list is consumed each time (idempotent resolve).
+        let _ = site.scan_and_stage(&p, &probe, &columns);
+        site.resolve(true);
+        site.resolve(true);
+        assert!((site.weight(0).to_f64() - 9.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn site_weights_sampling_prefers_heavy_elements() {
+        let p = LpProblem::new(vec![1.0, 1.0]);
+        let cs: Vec<Halfspace> = (0..4)
+            .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
+            .collect();
+        let mut site = SiteWeights::new(0..cs.len(), 1000.0);
+        // Make element 0 dominate: (0.5, 0) violates only b = 0.
+        let probe = vec![0.5, 0.0];
+        let _ = site.scan_and_stage(&p, &probe, &p.to_columns(&cs));
+        site.resolve(true);
+        let mut r = rng(7);
+        let mut net = NetBuffer::new();
+        let drawn = site.draw_into(&cs, 64, &mut r, &mut net);
+        assert_eq!(drawn, net.rows().len());
+        assert!(net.picked().contains(&0), "dominant element missing");
+        assert_eq!(net.rows()[0], cs[0]);
+        assert_eq!(site.draw_into(&cs, 0, &mut r, &mut net), 0);
+        assert!(net.picked().is_empty());
     }
 }

@@ -12,7 +12,10 @@
 //! * [`clarkson`] implements Algorithm 1 — the ε-net sampling,
 //!   `n^{1/r}`-weight-update meta-algorithm — in RAM, with full statistics
 //!   (iteration counts for Lemma 3.3, per-iteration success for Claim 3.2,
-//!   and the weight envelope of Eq. (2)).
+//!   and the weight envelope of Eq. (2)). It also holds the one weight
+//!   holder, [`clarkson::SiteWeights`], and the per-solve
+//!   [`clarkson::NetBuffer`] that RAM, the coordinator sites and the MPC
+//!   machines all run on.
 //!
 //! The model implementations (streaming/coordinator/MPC) live in
 //! `llp-bigdata` and reuse everything here.
@@ -24,7 +27,7 @@ pub mod instances;
 pub mod lptype;
 
 pub use clarkson::{
-    solve as clarkson_solve, solve_with_scratch as clarkson_solve_with_scratch, ClarksonConfig,
-    ClarksonOutcome, ClarksonStats, SolveScratch,
+    solve as clarkson_solve, solve_with_columns as clarkson_solve_with_columns, ClarksonConfig,
+    ClarksonOutcome, ClarksonStats, NetBuffer, SiteWeights,
 };
 pub use lptype::{ColumnarProblem, LpTypeProblem, SolveError};

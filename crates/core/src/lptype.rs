@@ -11,7 +11,10 @@
 //! [`LpTypeProblem`] captures exactly that interface. Implementations own
 //! the problem-level data (objective vector, dimension); constraints are
 //! plain values so they can be streamed, partitioned, and serialized by
-//! the model simulators.
+//! the model simulators. [`ColumnarProblem`] adds the columnar layout
+//! every violation scan runs over, and
+//! [`scan_violators_weighted_columnar`] is the fused scan-and-weigh
+//! sweep the weight holders of `clarkson` call.
 
 use rand::RngCore;
 
@@ -160,9 +163,11 @@ pub trait ColumnarProblem: LpTypeProblem {
 /// sweep of [`LpTypeProblem::violates`] and `WeightIndex::get` over the
 /// same grid. Violator indices land in the caller's reusable `out`
 /// buffer (cleared first) so the solver loop allocates nothing per
-/// iteration; the return value is their total weight. Shared by the RAM
-/// solver (all rows) and the coordinator/MPC holders (one range each);
-/// keeping one copy is part of the determinism contract.
+/// iteration; the return value is their total weight. Its one caller in
+/// the solvers is [`SiteWeights::scan_and_stage`](crate::clarkson::SiteWeights::scan_and_stage),
+/// the holder that RAM (all rows), every coordinator site and every MPC
+/// machine (one range each) run on; keeping one copy is part of the
+/// determinism contract.
 pub fn scan_violators_weighted_columnar<P: ColumnarProblem>(
     problem: &P,
     solution: &P::Solution,

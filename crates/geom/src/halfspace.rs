@@ -86,13 +86,6 @@ impl Halfspace {
     pub fn is_tight(&self, x: &[f64], eps: f64) -> bool {
         approx_eq(dot(&self.a, x), self.b, eps)
     }
-
-    /// Number of bits a serialized constraint occupies: `d + 1` coefficients
-    /// at 64 bits each. This is the `bit(S)` of Theorems 1–3 and is what
-    /// the communication meters charge per constraint.
-    pub fn bit_size(&self) -> u64 {
-        64 * (self.dim() as u64 + 1)
-    }
 }
 
 #[cfg(test)]
@@ -113,11 +106,5 @@ mod tests {
         let h = Halfspace::new(vec![2.0, 0.0], 4.0);
         assert!(h.is_tight(&[2.0, 123.0], 1e-9));
         assert!(!h.is_tight(&[1.0, 0.0], 1e-9));
-    }
-
-    #[test]
-    fn bit_size_counts_coefficients() {
-        let h = Halfspace::new(vec![0.0; 3], 1.0);
-        assert_eq!(h.bit_size(), 64 * 4);
     }
 }

@@ -6,12 +6,10 @@
 //! exchange (matching the model definition), and the meter records total
 //! bits, the heaviest round, and the up/down split.
 //!
-//! The meter holds no data and does not interpret payloads — algorithms
-//! move real Rust values and charge their [`BitCost`]. The partitions
-//! stay with the algorithm (`llp_bigdata::coordinator`), where each site
-//! is a row range of the caller's input.
-
-use crate::cost::BitCost;
+//! The meter holds no data and sees no payloads: algorithms charge each
+//! message's size in bits. The partitions stay with the algorithm
+//! (`llp_bigdata::coordinator`), where each site is a row range of the
+//! caller's input.
 
 /// Communication statistics of a coordinator-model run.
 #[derive(Clone, Debug, Default)]
@@ -56,24 +54,22 @@ impl CoordMeter {
         self.per_round_bits.push(0);
     }
 
-    /// Charges a coordinator→site message.
+    /// Charges a coordinator→site message of `bits` bits.
     ///
     /// # Panics
     /// Panics if called before any [`begin_round`](Self::begin_round).
-    pub fn charge_down<T: BitCost + ?Sized>(&mut self, payload: &T) {
-        let b = payload.bits();
-        self.bits_down += b;
-        self.charge_round(b);
+    pub fn charge_down(&mut self, bits: u64) {
+        self.bits_down += bits;
+        self.charge_round(bits);
     }
 
-    /// Charges a site→coordinator message.
+    /// Charges a site→coordinator message of `bits` bits.
     ///
     /// # Panics
     /// Panics if called before any [`begin_round`](Self::begin_round).
-    pub fn charge_up<T: BitCost + ?Sized>(&mut self, payload: &T) {
-        let b = payload.bits();
-        self.bits_up += b;
-        self.charge_round(b);
+    pub fn charge_up(&mut self, bits: u64) {
+        self.bits_up += bits;
+        self.charge_round(bits);
     }
 
     fn charge_round(&mut self, bits: u64) {
@@ -92,10 +88,10 @@ mod tests {
     fn metering() {
         let mut meter = CoordMeter::default();
         meter.begin_round();
-        meter.charge_down(&7u64); // 64 bits
-        meter.charge_up(&vec![1.0f64, 2.0]); // 128 bits
+        meter.charge_down(64);
+        meter.charge_up(128);
         meter.begin_round();
-        meter.charge_up(&1u32); // 32 bits
+        meter.charge_up(32);
         assert_eq!(meter.rounds(), 2);
         assert_eq!(meter.bits_down(), 64);
         assert_eq!(meter.bits_up(), 160);
@@ -106,6 +102,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "charge outside a round")]
     fn charging_outside_round_panics() {
-        CoordMeter::default().charge_up(&1u32);
+        CoordMeter::default().charge_up(32);
     }
 }

@@ -6,8 +6,6 @@
 //! (MPC). These simulators execute algorithms in-process while metering
 //! exactly those quantities:
 //!
-//! * [`cost::BitCost`] — how many bits a value occupies on the wire /
-//!   in memory; the meters charge through this trait.
 //! * [`streaming::StreamSession`] — a re-scannable sequence with pass
 //!   counting and a peak-space meter.
 //! * [`coordinator::CoordMeter`] — `k` sites plus a coordinator,
@@ -15,13 +13,15 @@
 //! * [`mpc::MpcMeter`] — `k` machines with per-machine per-round load
 //!   metering (the model of Section 3.4).
 //!
-//! The two distributed meters hold no data: a site's or machine's
-//! partition is local state the algorithms in `llp_bigdata` keep as a
-//! row range of the caller's input.
+//! Every meter takes sizes in bits, not values: the algorithms in
+//! `llp_bigdata` know what each message or stored item is and charge its
+//! size (a constraint is `bit(S)` = 64 bits per coefficient, see
+//! `LpTypeProblem::constraint_bits`). The two distributed meters hold no
+//! data: a site's or machine's partition is local state the algorithms
+//! keep as a row range of the caller's input.
 
 #![forbid(unsafe_code)]
 
 pub mod coordinator;
-pub mod cost;
 pub mod mpc;
 pub mod streaming;

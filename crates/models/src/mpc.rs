@@ -6,9 +6,8 @@
 //! data. The protocol drives the meter itself: the partitions (row ranges
 //! of the caller's input) and Theorem 3's `n^δ`-ary broadcast and
 //! converge-cast trees (Goodrich–Sitchinava–Zhang \[23\]) live with the
-//! algorithm in `llp_bigdata::mpc`.
-
-use crate::cost::BitCost;
+//! algorithm in `llp_bigdata::mpc`. Messages are charged by their size
+//! in bits.
 
 /// Load statistics of an MPC run over `k` machines.
 #[derive(Clone, Debug)]
@@ -77,16 +76,15 @@ impl MpcMeter {
         }
     }
 
-    /// Charges a point-to-point message of `payload` from machine `from`
-    /// to machine `to` in the current round.
+    /// Charges a point-to-point message of `bits` bits from machine
+    /// `from` to machine `to` in the current round.
     ///
     /// # Panics
     /// Panics if called outside a round or with out-of-range ids.
-    pub fn charge<T: BitCost + ?Sized>(&mut self, from: usize, to: usize, payload: &T) {
+    pub fn charge(&mut self, from: usize, to: usize, bits: u64) {
         assert!(!self.current.is_empty(), "charge outside a round");
-        let b = payload.bits();
-        self.current[from] += b;
-        self.current[to] += b;
+        self.current[from] += bits;
+        self.current[to] += bits;
     }
 }
 
@@ -98,10 +96,10 @@ mod tests {
     fn load_totals_add_per_round_maxima() {
         let mut meter = MpcMeter::new(2);
         meter.begin_round();
-        meter.charge(0, 1, &1u64); // 64 bits on both
+        meter.charge(0, 1, 64); // on both
         meter.end_round();
         meter.begin_round();
-        meter.charge(1, 0, &1u32); // 32 bits
+        meter.charge(1, 0, 32);
         meter.end_round();
         assert_eq!(meter.rounds(), 2);
         assert_eq!(meter.max_load_bits(), 64);
@@ -112,8 +110,8 @@ mod tests {
     fn load_is_max_over_machines() {
         let mut meter = MpcMeter::new(4);
         meter.begin_round();
-        meter.charge(0, 1, &vec![0.0f64; 10]); // 640 bits on 0 and 1
-        meter.charge(2, 1, &1u64); // 64 more on 1
+        meter.charge(0, 1, 640); // on 0 and 1
+        meter.charge(2, 1, 64); // 64 more on 1
         meter.end_round();
         assert_eq!(meter.max_load_bits(), 704);
         assert_eq!(meter.total_load_bits(), 704);

@@ -7,8 +7,6 @@
 //! so the reported peak is the honest `O(λ·n^{1/r}·ν + ν²)·bit(S)` of
 //! Theorem 1.
 
-use crate::cost::BitCost;
-
 /// Tracks current and peak retained memory, in bits and items.
 #[derive(Clone, Debug, Default)]
 pub struct SpaceMeter {
@@ -24,22 +22,12 @@ impl SpaceMeter {
         Self::default()
     }
 
-    /// Registers a stored value.
-    pub fn alloc<T: BitCost + ?Sized>(&mut self, value: &T) {
-        self.alloc_raw(value.bits(), 1);
-    }
-
     /// Registers `items` stored items of `bits` total size.
     pub fn alloc_raw(&mut self, bits: u64, items: u64) {
         self.current_bits += bits;
         self.current_items += items;
         self.peak_bits = self.peak_bits.max(self.current_bits);
         self.peak_items = self.peak_items.max(self.current_items);
-    }
-
-    /// Releases a previously registered value.
-    pub fn free<T: BitCost + ?Sized>(&mut self, value: &T) {
-        self.free_raw(value.bits(), 1);
     }
 
     /// Releases raw bits/items.
@@ -126,12 +114,10 @@ mod tests {
     #[test]
     fn space_meter_tracks_peak() {
         let mut m = SpaceMeter::new();
-        let v1 = vec![0.0f64; 10]; // 640 bits
-        let v2 = vec![0.0f64; 5]; // 320 bits
-        m.alloc(&v1);
-        m.alloc(&v2);
+        m.alloc_raw(640, 1);
+        m.alloc_raw(320, 1);
         assert_eq!(m.current_bits(), 960);
-        m.free(&v1);
+        m.free_raw(640, 1);
         assert_eq!(m.current_bits(), 320);
         assert_eq!(m.peak_bits(), 960);
         assert_eq!(m.peak_items(), 2);

@@ -32,7 +32,6 @@ use llp_bigdata::streaming::solve_chunked;
 use llp_bigdata::BigDataError;
 use llp_core::clarkson::ClarksonConfig;
 use llp_core::lptype::ColumnarProblem;
-use llp_core::SolveScratch;
 use llp_geom::ConstraintColumns;
 use llp_workloads::partition::{prescribed_sizes, skewed_sizes};
 use rand::Rng;
@@ -146,16 +145,8 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
             let (data, read) = source.whole(problem).map_err(|e| fail(&e))?;
             bytes_read = read;
             let columns = problem.to_columns(&data);
-            let mut scratch = SolveScratch::new();
             let (out, wall_ms) = timed(|| {
-                llp_core::clarkson_solve_with_scratch(
-                    problem,
-                    &data,
-                    &columns,
-                    &cfg,
-                    &mut scratch,
-                    rng,
-                )
+                llp_core::clarkson_solve_with_columns(problem, &data, &columns, &cfg, rng)
             });
             let (sol, stats) = out.map_err(|e| fail(&e.0))?;
             body.iterations = stats.iterations as u64;

@@ -176,18 +176,6 @@ fn ooc_quick_block_validates_and_survives_the_file_gate() {
 }
 
 #[test]
-fn t14_weight_paths_agree_on_totals() {
-    let t = bench::t14_weight_index(bench::RunBudget::Quick);
-    let cm = col(&t, "log2_match");
-    for row in &t.rows {
-        assert_eq!(
-            row[cm], "true",
-            "incremental and rebuild weight totals diverged: {row:?}"
-        );
-    }
-}
-
-#[test]
 fn t12_protocol_bits_decrease_with_r() {
     let t = bench::t12_protocol_scaling(bench::RunBudget::Quick);
     let (cn, cr, cb) = (col(&t, "n"), col(&t, "r"), col(&t, "bits"));

@@ -14,10 +14,11 @@
 //! Coverage notes. The parallel path only engages on slices spanning more
 //! than one `DEFAULT_CHUNK` (4096), so the coordinator/MPC legs use
 //! inputs sized to put >4096 constraints on each site/machine. The RAM,
-//! coordinator, and MPC solvers all run their sampling off persistent
-//! `WeightIndex` state (incremental Fenwick updates instead of prefix
-//! rebuilds): the model legs cover that path end-to-end — the index is
-//! itself purely sequential, and the one parallel piece feeding it (the
+//! coordinator, and MPC solvers all run on one weight holder,
+//! `SiteWeights` (a persistent `WeightIndex` with incremental Fenwick
+//! updates instead of prefix rebuilds): the model legs cover that path
+//! end-to-end — the index is itself purely sequential, and the one
+//! parallel piece feeding it (the
 //! fused columnar violator scan of `SiteWeights::scan_and_stage`) is
 //! additionally driven head-on by
 //! `site_weights_scan_and_sampling_are_thread_count_invariant`, with
@@ -273,7 +274,7 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
     // *evolving* incremental state. Only the fused scan touches the
     // llp_par pool — the Fenwick updates and descents are sequential by
     // construction — so every field must match bit-for-bit.
-    use lodim_lp::bigdata::common::SiteWeights;
+    use lodim_lp::core::clarkson::{NetBuffer, SiteWeights};
     use lodim_lp::core::lptype::{ColumnarProblem, LpTypeProblem};
 
     let mut rng = StdRng::seed_from_u64(SEED + 80);
@@ -290,11 +291,21 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
         llp_par::with_threads(threads, || {
             let mut site = SiteWeights::new(0..cs.len(), 6.0);
             let mut rng = StdRng::seed_from_u64(SEED + 81);
+            // One net buffer for every round, as the solvers keep one.
+            let mut net = NetBuffer::new();
             let mut out = Vec::new();
             for probe in &probes {
                 let (w, count) = site.scan_and_stage(&lp, probe, &columns);
                 site.resolve(true);
-                let picked = site.sample_indices(100, &mut rng);
+                net.clear();
+                let drawn = site.draw_into(&cs, 100, &mut rng, &mut net);
+                let picked = net.picked().to_vec();
+                // The reused slots hold exactly fresh clones of the rows
+                // drawn this round, once each, in ascending order.
+                assert_eq!(drawn, picked.len());
+                assert!(picked.windows(2).all(|w| w[0] < w[1]), "{picked:?}");
+                let fresh: Vec<_> = picked.iter().map(|&j| cs[j].clone()).collect();
+                assert_eq!(net.rows(), &fresh[..]);
                 out.push((w, count, site.total(), picked));
             }
             out
@@ -429,13 +440,10 @@ fn columnar_scan_matches_aos_scan_bit_for_bit() {
 
 #[test]
 fn scratch_solve_matches_plain_solve_bit_for_bit() {
-    // The scratch-arena entry point is a pure allocation optimization:
-    // `solve_with_scratch` (caller-built columns + reused buffers) must
-    // equal `clarkson_solve` exactly — solution, stats, everything — and
-    // reusing one scratch across consecutive solves must not leak state
-    // between them.
+    // The columns-taking entry point (the one the service dispatch calls,
+    // with its transpose built outside the solve clock) must equal
+    // `clarkson_solve` exactly — solution, stats, everything.
     use lodim_lp::core::lptype::ColumnarProblem;
-    use lodim_lp::core::SolveScratch;
 
     fn check<P: ColumnarProblem>(label: &str, p: &P, data: &[P::Constraint], seed: u64) {
         let plain = || {
@@ -443,26 +451,22 @@ fn scratch_solve_matches_plain_solve_bit_for_bit() {
             lodim_lp::core::clarkson_solve(p, data, &ClarksonConfig::lean(2), &mut rng).unwrap()
         };
         let columns = p.to_columns(data);
-        let mut scratch = SolveScratch::new();
-        for round in 0..2 {
-            let scratched = llp_par::with_threads(4, || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                lodim_lp::core::clarkson_solve_with_scratch(
-                    p,
-                    data,
-                    &columns,
-                    &ClarksonConfig::lean(2),
-                    &mut scratch,
-                    &mut rng,
-                )
-                .unwrap()
-            });
-            let reference = llp_par::with_threads(4, plain);
-            assert_eq!(
-                reference, scratched,
-                "{label} round {round}: scratch solve diverged from plain solve"
-            );
-        }
+        let with_columns = llp_par::with_threads(4, || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            lodim_lp::core::clarkson_solve_with_columns(
+                p,
+                data,
+                &columns,
+                &ClarksonConfig::lean(2),
+                &mut rng,
+            )
+            .unwrap()
+        });
+        let reference = llp_par::with_threads(4, plain);
+        assert_eq!(
+            reference, with_columns,
+            "{label}: columns-taking solve diverged from plain solve"
+        );
     }
 
     let (lp, cs) = lp_instance();
