@@ -47,15 +47,10 @@ impl<P: LpTypeProblem> WeightOracle<P> {
         self.bases.push(basis);
     }
 
-    /// The violation count `a(c)` of a constraint.
-    pub fn exponent(&self, problem: &P, c: &P::Constraint) -> u32 {
-        self.bases.iter().filter(|b| problem.violates(b, c)).count() as u32
-    }
-
     /// Fills `table` with `F^a` for every exponent `a` the history can
     /// produce (0 up to the number of stored bases): the weight of a
-    /// constraint `c` is `table[exponent(c)]`, with one `powi` per
-    /// exponent instead of one per constraint.
+    /// constraint `c` is `table[a(c)]`, with one `powi` per exponent
+    /// instead of one per constraint.
     pub fn power_table(&self, table: &mut Vec<ScaledF64>) {
         table.clear();
         table.extend((0..=self.bases.len() as u32).map(|a| ScaledF64::powi(self.factor, a)));
@@ -63,11 +58,12 @@ impl<P: LpTypeProblem> WeightOracle<P> {
 }
 
 impl<P: ColumnarProblem> WeightOracle<P> {
-    /// The exponents `a(c)` of every row of a columnar block, in row
-    /// order: one `scan_columns` sweep per stored basis, counting each
-    /// row's hits. `counts[i]` equals [`exponent`](Self::exponent) of
-    /// row `i` (the column kernels classify rows exactly as `violates`
-    /// does) without rebuilding any constraint. `hits` is the caller's
+    /// The exponents `a(c)` — the number of stored bases `c` violates —
+    /// of every row of a columnar block, in row order: one
+    /// `scan_columns` sweep per stored basis, counting each row's hits.
+    /// The column kernels classify rows exactly as `violates` does, so
+    /// `counts[i]` is row `i`'s `a(c)` without rebuilding any constraint.
+    /// No sweep runs while no basis is stored. `hits` is the caller's
     /// scratch for each sweep's violator indices.
     pub fn exponents_columnar(
         &self,
@@ -95,34 +91,23 @@ mod tests {
     use llp_geom::Halfspace;
 
     #[test]
-    fn exponent_counts_violated_bases() {
-        let p = LpProblem::new(vec![1.0, 1.0]);
-        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(10.0);
-        // Basis solutions are just points.
-        oracle.push(vec![0.0, 0.0]);
-        oracle.push(vec![5.0, 5.0]);
-        // Constraint x + y ≤ 2 is satisfied by (0,0), violated by (5,5).
-        let c = Halfspace::new(vec![1.0, 1.0], 2.0);
-        assert_eq!(oracle.exponent(&p, &c), 1);
-        let mut powers = Vec::new();
-        oracle.power_table(&mut powers);
-        let w = powers[oracle.exponent(&p, &c) as usize];
-        assert!((w.to_f64() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn columnar_exponents_and_power_table_match_per_row_weights() {
         let p = LpProblem::new(vec![1.0, 1.0]);
-        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(3.0);
         // x + y ≤ b for b = 0..10: row b violates the bases with x > b.
-        oracle.push(vec![0.5, 0.0]);
-        oracle.push(vec![2.5, 0.0]);
-        oracle.push(vec![4.5, 0.0]);
         let cs: Vec<Halfspace> = (0..10)
             .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
             .collect();
         let columns = p.to_columns(&cs);
         let (mut counts, mut hits, mut powers) = (Vec::new(), Vec::new(), Vec::new());
+        // No stored basis: every exponent is 0 and every weight is 1.
+        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(3.0);
+        oracle.exponents_columnar(&p, &columns.full_view(), &mut counts, &mut hits);
+        assert_eq!(counts, [0; 10]);
+        oracle.power_table(&mut powers);
+        assert_eq!(powers, [ScaledF64::ONE]);
+
+        let bases = [vec![0.5, 0.0], vec![2.5, 0.0], vec![4.5, 0.0]];
+        bases.iter().cloned().for_each(|b| oracle.push(b));
         oracle.power_table(&mut powers);
         assert_eq!(powers.len(), 4);
         oracle.exponents_columnar(&p, &columns.full_view(), &mut counts, &mut hits);
@@ -130,9 +115,23 @@ mod tests {
         // A view that starts past row 0 (scan indices are absolute).
         oracle.exponents_columnar(&p, &columns.view(3, 10), &mut counts, &mut hits);
         assert_eq!(counts, [1, 1, 0, 0, 0, 0, 0]);
+        // Each count is the row's per-row `violates` count against the
+        // stored bases, and its weight is F^a.
         for (i, &a) in counts.iter().enumerate() {
-            assert_eq!(a, oracle.exponent(&p, &cs[3 + i]));
+            let violated = bases.iter().filter(|b| p.violates(b, &cs[3 + i])).count();
+            assert_eq!(a as usize, violated);
             assert_eq!(powers[a as usize], ScaledF64::powi(3.0, a));
         }
+
+        // Bases (0, 0) and (5, 5) against x + y ≤ 2: one violated, so the
+        // weight is F = 10.
+        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(10.0);
+        oracle.push(vec![0.0, 0.0]);
+        oracle.push(vec![5.0, 5.0]);
+        let columns = p.to_columns(&[Halfspace::new(vec![1.0, 1.0], 2.0)]);
+        oracle.exponents_columnar(&p, &columns.full_view(), &mut counts, &mut hits);
+        assert_eq!(counts, [1]);
+        oracle.power_table(&mut powers);
+        assert!((powers[counts[0] as usize].to_f64() - 10.0).abs() < 1e-9);
     }
 }

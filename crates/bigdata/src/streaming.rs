@@ -22,12 +22,12 @@
 //! Every chunk is weighed in columnar form (one column sweep per stored
 //! basis gives each row's exponent `a(c)`, the iteration's `F^a` table
 //! its weight) and tested by the problem's column kernel. A row is
-//! rebuilt into a constraint only when a sampler keeps it or, in pass 2,
-//! when it violates. The `F^a` table is the iteration's one source of
-//! weights: pass 1 feeds a whole chunk's exponents to
-//! [`SortedTargetSampler::feed_run`], which adds the table's weights to
-//! the prefix exactly as one `feed` per row would, and pass 2 weighs each
-//! violator as `table[a(c)]`.
+//! rebuilt into a constraint only when a sampler keeps it. The `F^a`
+//! table is the iteration's one source of weights: pass 1 feeds a whole
+//! chunk's exponents to [`SortedTargetSampler::feed_run`], which adds the
+//! table's weights to the prefix exactly as one `feed` per row would, and
+//! pass 2 weighs each violator as `table[a(c)]`, with the exponents of
+//! its chunk counted column-wise as in pass 1.
 
 use crate::common::WeightOracle;
 use crate::ooc::{ChunkSource, SliceSource};
@@ -213,22 +213,27 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         drop(net);
 
         // ---- Pass 2: violation test + exact new total weight. ----
-        // Each chunk is swept by the columnar kernel; each violator is
-        // rebuilt, its exponent recounted against the stored bases, and
-        // its weight read from the `F^a` table, in ascending stream
-        // order — the same ScaledF64 additions, in the same order, as a
-        // single whole-stream sweep.
+        // Each chunk is swept by the columnar kernel. A chunk with
+        // violators is weighed as in pass 1 (its rows' exponents from one
+        // column sweep per stored basis), and each violator adds its
+        // `F^a` table weight in ascending stream order — the same
+        // ScaledF64 additions, in the same order, as a single
+        // whole-stream sweep. No row is rebuilt.
         stats.passes += 1;
         source.begin_pass()?;
         let mut w_violators = ScaledF64::ZERO;
         let mut violator_count = 0usize;
         while let Some((_, chunk)) = source.next_chunk()? {
+            let view = chunk.full_view();
             violators.clear();
-            problem.scan_columns(&solution, &chunk.full_view(), &mut violators);
+            problem.scan_columns(&solution, &view, &mut violators);
+            if violators.is_empty() {
+                continue;
+            }
             violator_count += violators.len();
+            oracle.exponents_columnar(problem, &view, &mut exponents, &mut hits);
             for &i in violators.iter() {
-                let c = rebuild(problem, chunk, i, &mut coords);
-                w_violators += powers[oracle.exponent(problem, &c) as usize];
+                w_violators += powers[exponents[i] as usize];
             }
         }
 
@@ -421,6 +426,35 @@ mod tests {
             "two passes per iteration"
         );
         assert!(stats.peak_space_bits > 0);
+
+        // Lemma 3.3's argument bounds the accepted iterations of any run
+        // that weighs its violators exactly: every accepted basis with
+        // violators is violated by a row of an optimal basis (at most ν
+        // rows), so after t acceptances one of those rows weighs at least
+        // F^{t/ν} = n^{t/(νr)}, while each acceptance grows w(S) by at
+        // most 1 + εF = 1 + 1/(10ν). Hence t ≤ νr·ln n / (ln n − r/10).
+        // Nets far below Eq. (1) make the ε test reject iterations; at
+        // seed 2, pass 2 weighing its violators as 1 instead of F^{a(c)}
+        // accepts 19 of them.
+        let small = ClarksonConfig {
+            net_multiplier: 1.0 / 4096.0,
+            net_floor_coeff: 0.25,
+            ..ClarksonConfig::paper(3)
+        };
+        let (n, nu, r) = (4000usize, 3.0, 3.0);
+        let ln_n = (n as f64).ln();
+        let bound = nu * r * ln_n / (ln_n - r / 10.0);
+        for seed in 0..4 {
+            let (p, cs) = random_lp(n, 2, seed);
+            let mut rng = StdRng::seed_from_u64(seed + 100);
+            let (sol, stats) = solve(&p, &cs, &small, SamplingMode::TwoPassIid, &mut rng).unwrap();
+            assert_eq!(count_violations(&p, &sol, &cs), 0);
+            assert!(
+                stats.successful_iterations as f64 <= bound,
+                "seed {seed}: {} accepted iterations, bound {bound}",
+                stats.successful_iterations
+            );
+        }
     }
 
     #[test]
