@@ -5,11 +5,14 @@
 //! scans its range of one shared columnar transpose. Every site hears
 //! each basis and its verdict (the coordinator broadcasts both), so any
 //! site can maintain its local weights — not by recomputing `F^{a(c)}`
-//! from the basis history each round, but incrementally: each site
-//! carries a persistent [`SiteWeights`] index and applies ×`F` to just the
-//! violators of each *accepted* basis (`O(|V_i| log n_i)` per accepted
-//! round instead of an `O(n_i · t · d)` rebuild). Weights are derived
-//! state and never travel, so the metered protocol is unchanged.
+//! from the basis history each round, but incrementally: each site is
+//! one [`SiteWeights`] holder, the same one RAM runs on, and applies ×`F`
+//! to just the violators of each *accepted* basis (`O(|V_i| log n_i)` per
+//! accepted round instead of an `O(n_i · t · d)` rebuild). The sites draw
+//! each net into the solve's one [`NetBuffer`]. Weights are derived state
+//! and never travel, so the metered protocol is unchanged; the meter is
+//! charged each message's size in bits. With one site the protocol is
+//! RAM's loop, bit for bit.
 //! One iteration of Algorithm 1 costs three model rounds:
 //!
 //! 1. coordinator → sites: accept/reject verdict of the previous basis
@@ -357,5 +360,37 @@ mod tests {
             llp_core::clarkson_solve(&p, &cs, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         let (v1, v2) = (p.objective_value(&sol), p.objective_value(&ram));
         assert!((v1 - v2).abs() < 1e-5 * v1.abs().max(1.0), "{v1} vs {v2}");
+
+        // With one site the protocol runs RAM's loop on the same holder:
+        // the same draws, bases, verdicts and weights, bit for bit. Nets
+        // far below Eq. (1) make some iterations fail the ε test, where
+        // neither may reweight (the site hears the verdict a round later).
+        use rand::RngCore;
+        let small = ClarksonConfig {
+            net_multiplier: 1.0 / 4096.0,
+            net_floor_coeff: 0.25,
+            ..ClarksonConfig::paper(3)
+        };
+        let bits = |sol: &Vec<f64>| sol.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut failed = 0;
+        for seed in 0..3 {
+            let (p, cs) = random_lp(20_000, 3, 83 + seed);
+            let mut rng_ram = StdRng::seed_from_u64(seed);
+            let (ram, ram_stats) = llp_core::clarkson_solve(&p, &cs, &small, &mut rng_ram).unwrap();
+            let mut rng_coord = StdRng::seed_from_u64(seed);
+            let (coord, stats) = solve(&p, &cs, 1, &small, &mut rng_coord).unwrap();
+            assert_eq!(bits(&coord), bits(&ram), "seed {seed}");
+            assert_eq!(stats.iterations, ram_stats.iterations, "seed {seed}");
+            assert_eq!(
+                stats.successful_iterations, ram_stats.successful_iterations,
+                "seed {seed}"
+            );
+            assert_eq!(rng_coord.next_u64(), rng_ram.next_u64(), "seed {seed}");
+            failed += ram_stats.iterations - ram_stats.successful_iterations - 1;
+        }
+        assert!(
+            failed > 0,
+            "the one-site case must include failed iterations"
+        );
     }
 }

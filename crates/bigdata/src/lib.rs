@@ -1,18 +1,20 @@
 //! Algorithm 1 in the three big data models (Theorems 1, 2, and 3).
 //!
 //! Each module implements the paper's meta-algorithm on top of the
-//! corresponding `llp-models` meter, using the common machinery in
-//! [`common`]:
+//! corresponding `llp-models` meter. The coordinator sites and MPC
+//! machines hold their weights in `llp_core::clarkson::SiteWeights`,
+//! the holder RAM runs on; the streaming model recomputes weights from
+//! its basis history ([`common::WeightOracle`]):
 //!
 //! * [`streaming`] — Theorem 1: `O(νr)` passes, `Õ(λn^{1/r}ν + ν²)·bit(S)`
 //!   space. Weights are reconstructed on the fly from the stored bases of
 //!   successful iterations (Section 3.2); both the faithful two-pass i.i.d.
 //!   sampling mode and the speculative one-pass A-ExpJ mode are provided.
 //! * [`coordinator`] — Theorem 2 / Lemma 3.7: `O(νr)` rounds,
-//!   `Õ(λn^{1/r}ν² + kν²)·bit(S)` communication. Sites keep the shared
-//!   basis history; per iteration the coordinator gathers site weights,
-//!   splits the `m` draws multinomially, collects samples, and broadcasts
-//!   the new basis.
+//!   `Õ(λn^{1/r}ν² + kν²)·bit(S)` communication. Sites keep their
+//!   weights incrementally; per iteration the coordinator gathers site
+//!   weights, splits the `m` draws multinomially, collects samples, and
+//!   broadcasts the new basis.
 //! * [`mpc`] — Theorem 3: `O(ν/δ²)` rounds, `Õ(λn^δν²)·bit(S)` load per
 //!   machine, simulating the coordinator protocol over the `n^δ`-ary
 //!   broadcast / converge-cast trees of \[23\].

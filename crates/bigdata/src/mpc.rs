@@ -19,6 +19,12 @@
 //!
 //! With `r = ⌈1/δ⌉` outer iterations parameter, the total is `O(ν/δ²)`
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
+//!
+//! Each machine is one [`SiteWeights`] holder, the one RAM and the
+//! coordinator sites run on: it draws its share of the net into the
+//! solve's one [`NetBuffer`], scans its range, and applies each verdict
+//! when the broadcast reaches it. The load meter is charged each
+//! message's size in bits.
 
 use crate::BigDataError;
 use llp_core::clarkson::{NetBuffer, SiteWeights};

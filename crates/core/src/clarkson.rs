@@ -464,7 +464,7 @@ impl SiteWeights {
 /// without freeing anything: row slots are refilled with `clone_from`,
 /// which reuses each row's buffers, so once the first nets have warmed
 /// it the loop's net bookkeeping allocates nothing.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct NetBuffer<C> {
     /// The latest draw's sorted uniforms and targets.
     draw: DrawScratch,
