@@ -16,7 +16,8 @@
 //! One iteration of Algorithm 1 costs three model rounds:
 //!
 //! 1. coordinator → sites: accept/reject verdict of the previous basis
-//!    (1 bit); sites → coordinator: local total weights `w(S_i)`.
+//!    (a 1-bit flag, metered as one byte); sites → coordinator: local
+//!    total weights `w(S_i)`.
 //! 2. coordinator → sites: multinomially split sample counts `y_i`
 //!    (Lemma 3.7); sites → coordinator: `y_i` locally drawn constraints.
 //! 3. coordinator → sites: the new basis `f(B)`; sites → coordinator:
