@@ -9,51 +9,43 @@
 //! per-element weights. A [`WeightOracle`] is that history. It weighs a
 //! streamed chunk in columnar form: [`WeightOracle::exponents_columnar`]
 //! gives every row's exponent with one column sweep per stored basis, and
-//! [`WeightOracle::power_table`] turns exponents into weights.
+//! `llp_core::clarkson::power_table` (the one `F^a` source, up to
+//! [`WeightOracle::top`]) turns exponents into weights.
 //!
 //! Holders that are *not* space-bounded — the RAM machine, every
 //! coordinator site and MPC machine — keep their rows resident, so
 //! per-round recomputation would be pure waste. They run on
-//! `llp_core::clarkson::SiteWeights`, a persistent Fenwick-backed weight
-//! index over the holder's row range, updated from each accepted basis's
-//! violator list.
+//! `llp_core::clarkson::SiteWeights`, which keeps each row's exponent and
+//! a row count per exponent class over the holder's row range, updated
+//! from each accepted basis's violator list.
 
 use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
 use llp_geom::ColumnsView;
-use llp_num::ScaledF64;
 
-/// The basis history of successful iterations plus the derived weight
-/// accounting the space-bounded streaming memory keeps.
+/// The basis history of successful iterations the space-bounded
+/// streaming memory keeps.
 #[derive(Clone, Debug)]
 pub struct WeightOracle<P: LpTypeProblem> {
     /// Solutions of the accepted (successful) iterations, in order.
     bases: Vec<P::Solution>,
-    /// The weight factor `F` (`n^{1/r}` or the ablation value).
-    factor: f64,
+}
+
+impl<P: LpTypeProblem> Default for WeightOracle<P> {
+    fn default() -> Self {
+        WeightOracle { bases: Vec::new() }
+    }
 }
 
 impl<P: LpTypeProblem> WeightOracle<P> {
-    /// An empty history with the given factor.
-    pub fn new(factor: f64) -> Self {
-        assert!(factor > 1.0, "weight factor must exceed 1");
-        WeightOracle {
-            bases: Vec::new(),
-            factor,
-        }
-    }
-
     /// Records an accepted basis.
     pub fn push(&mut self, basis: P::Solution) {
         self.bases.push(basis);
     }
 
-    /// Fills `table` with `F^a` for every exponent `a` the history can
-    /// produce (0 up to the number of stored bases): the weight of a
-    /// constraint `c` is `table[a(c)]`, with one `powi` per exponent
-    /// instead of one per constraint.
-    pub fn power_table(&self, table: &mut Vec<ScaledF64>) {
-        table.clear();
-        table.extend((0..=self.bases.len() as u32).map(|a| ScaledF64::powi(self.factor, a)));
+    /// The largest exponent the history can produce: the number of
+    /// stored bases. A power table up to it weighs every row.
+    pub fn top(&self) -> u32 {
+        self.bases.len() as u32
     }
 }
 
@@ -87,8 +79,10 @@ impl<P: ColumnarProblem> WeightOracle<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llp_core::clarkson::power_table;
     use llp_core::instances::lp::LpProblem;
     use llp_geom::Halfspace;
+    use llp_num::ScaledF64;
 
     #[test]
     fn columnar_exponents_and_power_table_match_per_row_weights() {
@@ -100,15 +94,15 @@ mod tests {
         let columns = p.to_columns(&cs);
         let (mut counts, mut hits, mut powers) = (Vec::new(), Vec::new(), Vec::new());
         // No stored basis: every exponent is 0 and every weight is 1.
-        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(3.0);
+        let mut oracle: WeightOracle<LpProblem> = WeightOracle::default();
         oracle.exponents_columnar(&p, &columns.full_view(), &mut counts, &mut hits);
         assert_eq!(counts, [0; 10]);
-        oracle.power_table(&mut powers);
+        power_table(3.0, oracle.top(), &mut powers);
         assert_eq!(powers, [ScaledF64::ONE]);
 
         let bases = [vec![0.5, 0.0], vec![2.5, 0.0], vec![4.5, 0.0]];
         bases.iter().cloned().for_each(|b| oracle.push(b));
-        oracle.power_table(&mut powers);
+        power_table(3.0, oracle.top(), &mut powers);
         assert_eq!(powers.len(), 4);
         oracle.exponents_columnar(&p, &columns.full_view(), &mut counts, &mut hits);
         assert_eq!(counts, [3, 2, 2, 1, 1, 0, 0, 0, 0, 0]);
@@ -125,13 +119,13 @@ mod tests {
 
         // Bases (0, 0) and (5, 5) against x + y ≤ 2: one violated, so the
         // weight is F = 10.
-        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(10.0);
+        let mut oracle: WeightOracle<LpProblem> = WeightOracle::default();
         oracle.push(vec![0.0, 0.0]);
         oracle.push(vec![5.0, 5.0]);
         let columns = p.to_columns(&[Halfspace::new(vec![1.0, 1.0], 2.0)]);
         oracle.exponents_columnar(&p, &columns.full_view(), &mut counts, &mut hits);
         assert_eq!(counts, [1]);
-        oracle.power_table(&mut powers);
+        power_table(10.0, oracle.top(), &mut powers);
         assert!((powers[counts[0] as usize].to_f64() - 10.0).abs() < 1e-9);
     }
 }

@@ -32,7 +32,7 @@
 use crate::common::WeightOracle;
 use crate::ooc::{ChunkSource, SliceSource};
 use crate::BigDataError;
-use llp_core::clarkson::FailurePolicy;
+use llp_core::clarkson::{power_table, FailurePolicy};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
@@ -134,7 +134,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         ..StreamingStats::default()
     };
     let mut space = SpaceMeter::new();
-    let mut oracle: WeightOracle<P> = WeightOracle::new(params.factor);
+    let mut oracle: WeightOracle<P> = WeightOracle::default();
     let mut total_weight = ScaledF64::from_f64(n as f64);
     let cbits = problem.constraint_bits();
     // Violator index buffer (chunk-local), reused across iterations.
@@ -150,7 +150,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
 
     while stats.iterations < cfg.max_iterations {
         stats.iterations += 1;
-        oracle.power_table(&mut powers);
+        power_table(params.factor, oracle.top(), &mut powers);
 
         // ---- Pass 1: sample the ε-net i.i.d. proportional to weight. ----
         stats.passes += 1;
@@ -284,7 +284,7 @@ fn run_one_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         ..StreamingStats::default()
     };
     let mut space = SpaceMeter::new();
-    let mut oracle: WeightOracle<P> = WeightOracle::new(params.factor);
+    let mut oracle: WeightOracle<P> = WeightOracle::default();
     let mut total_weight = ScaledF64::from_f64(n as f64);
     let m = params.net_size;
     let reservoir_bits = m as u64 * (problem.constraint_bits() + 64);
@@ -330,7 +330,7 @@ fn run_one_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         let mut res_reject = WeightedReservoir::new(m);
         let mut w_violators = ScaledF64::ZERO;
         let mut violator_count = 0usize;
-        oracle.power_table(&mut powers);
+        power_table(params.factor, oracle.top(), &mut powers);
         stats.passes += 1;
         source.begin_pass()?;
         while let Some((_, chunk)) = source.next_chunk()? {

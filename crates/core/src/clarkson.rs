@@ -19,24 +19,26 @@
 //!
 //! Every holder of constraints runs the same weight bookkeeping: the
 //! RAM machine here, each coordinator site and each MPC machine in
-//! `llp_bigdata`. A holder is one [`SiteWeights`]: a [`WeightIndex`]
-//! over its rows, maintained across iterations, so element `i`'s weight
-//! is the product of its `F` multiplications. The Fenwick tree behind
-//! the index serves both the Lemma 2.2 inversion sampling (one batched
-//! descent of the net's `m` sorted targets, no prefix rebuild) and the
-//! O(1) total that the success test and the Eq. (2) trace share. Only
-//! violators change between iterations, so an iteration costs at most
-//! O(|V| log n + m log n) on the weight side. RAM is one holder over
-//! rows `0..n`; its draw, fused scan and ×`F` reweight are the holder's
-//! three methods, in that order. Each solve builds its nets in one
-//! reused [`NetBuffer`]. (The streaming implementation instead
-//! recomputes weights from the stored bases under its space bound, see
-//! Section 3.2.)
+//! `llp_bigdata`. A holder is one [`SiteWeights`]. Section 3.2 gives
+//! row `c` the weight `F^{a(c)}`, where `a(c)` counts the accepted
+//! bases `c` violated, so the holder keeps one integer exponent per row
+//! and one row count per exponent class, and reads `F^a` off one
+//! [`power_table`]. Every weight sum is `Σ_a count_a·F^a` over an
+//! integer histogram, added in ascending class order, so it is the same
+//! at any thread count by construction. A net draw maps each uniform to
+//! a class and a rank inside it (Lemma 2.2's inversion sampling over
+//! the class totals), marks it, and emits the marked rows in one sweep
+//! over the exponents: O(m + n) a net, next to the O(n·d) violation
+//! scan. Accepting a basis moves each violator up one class. RAM is one
+//! holder over rows `0..n`; its draw, scan and ×`F` reweight are the
+//! holder's three methods, in that order. Each solve builds its nets in
+//! one reused [`NetBuffer`]. (The streaming implementation instead
+//! recomputes the exponents from the stored bases under its space
+//! bound, see Section 3.2.)
 
 use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::ConstraintColumns;
 use llp_num::ScaledF64;
-use llp_sampling::weight_index::{DrawScratch, WeightIndex};
 use rand::Rng;
 use std::ops::Range;
 
@@ -214,9 +216,10 @@ pub struct ClarksonStats {
     pub factor: f64,
     /// After each *successful* iteration `t`: `log2 w_t(S)` (for checking
     /// the envelope `n^{t/νr} ≤ w_t(S) ≤ e^{t/10ν}·n` of Eq. (2)). This is
-    /// the `WeightIndex` total *after* the violator reweighting — exactly
-    /// the quantity iteration `t + 1` samples against, so the T10 envelope
-    /// check measures the weights actually used.
+    /// the holder's class-histogram total `Σ_a count_a·F^a` *after* the
+    /// violator reweighting — exactly the quantity iteration `t + 1`
+    /// samples against, so the T10 envelope check measures the weights
+    /// actually used.
     pub weight_log2_trace: Vec<f64>,
     /// Violator count per iteration (successful or not).
     pub violators_trace: Vec<usize>,
@@ -289,8 +292,8 @@ pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
         stats.iterations += 1;
 
         // --- Sample the ε-net with probability proportional to weight:
-        // one batched descent of m sorted targets through the standing
-        // index. When the net would be the whole input, no copy. ---
+        // m class-rank draws and one sweep over the exponents. When the
+        // net would be the whole input, no copy. ---
         let net: &[P::Constraint] = if m >= n {
             constraints
         } else {
@@ -307,7 +310,8 @@ pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
         };
 
         // --- Violators and their weight: the O(n) hot scan over the
-        // columnar mirror, staged until the success test decides. ---
+        // columnar mirror, weighed by class, staged until the success
+        // test decides. ---
         let (w_violators, violator_count) = holder.scan_and_stage(problem, &solution, columns);
         stats.violators_trace.push(violator_count);
 
@@ -318,7 +322,7 @@ pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
         holder.resolve(success);
         if success {
             stats.successful_iterations += 1;
-            // The Eq. (2) trace logs the index's own post-update total —
+            // The Eq. (2) trace logs the holder's own post-update total —
             // the same value the next iteration samples and tests against,
             // not a side-channel recomputation that could drift from it.
             stats.weight_log2_trace.push(holder.total().log2());
@@ -329,41 +333,81 @@ pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
     Err((ClarksonError::IterationLimit, stats))
 }
 
+/// `F^a` for every exponent `a = 0..=top`, as `table[a] =
+/// ScaledF64::powi(factor, a)`: the one source of Section 3.2's weights
+/// `F^{a(c)}`. Each holder keeps a table up to its top class, and
+/// streaming's passes weigh rows from one built every iteration.
+pub fn power_table(factor: f64, top: u32, table: &mut Vec<ScaledF64>) {
+    table.clear();
+    table.extend((0..=top).map(|a| ScaledF64::powi(factor, a)));
+}
+
+/// `Σ_a counts[a]·powers[a]`, added in ascending class order: the weight
+/// of a class histogram. The counts are integers, so the sum is the same
+/// however the rows were split or scanned.
+fn class_sum(counts: &[usize], powers: &[ScaledF64]) -> ScaledF64 {
+    counts
+        .iter()
+        .zip(powers)
+        .fold(ScaledF64::ZERO, |acc, (&c, &p)| {
+            acc + ScaledF64::from_f64(c as f64) * p
+        })
+}
+
 /// The persistent weight state of one holder of constraints: the RAM
 /// machine (all rows), a coordinator site or an MPC machine (one
-/// consecutive row range of the shared input). A [`WeightIndex`] over
-/// the holder's rows, updated from each accepted basis's violator list
-/// instead of recomputed from the basis history. Local index `i` is row
-/// `rows.start + i`.
+/// consecutive row range of the shared input). Local row `i` (row
+/// `rows.start + i`) weighs `F^{a_i}`, where the exponent `a_i` counts
+/// the accepted bases the row violated (Line 8 of Algorithm 1). So the
+/// state is one integer per row plus the number of rows in each exponent
+/// class, and every weight and sum is read off the [`power_table`].
 ///
 /// Section 3.2 and Lemma 3.7 give every holder the same three duties,
 /// one method each: draw its share of the ε-net by weight
 /// ([`draw_into`](Self::draw_into)), find its violators of a basis
-/// ([`scan_and_stage`](Self::scan_and_stage)), and multiply them by `F`
-/// when the basis is accepted ([`resolve`](Self::resolve)). In the
+/// ([`scan_and_stage`](Self::scan_and_stage)), and move them up one
+/// class when the basis is accepted ([`resolve`](Self::resolve)). In the
 /// distributed protocols the verdict arrives a round after the scan, so
 /// the scan result is **staged** and then committed or discarded.
 /// Weights are derived state and never travel; all metering stays in
 /// the callers.
 #[derive(Clone, Debug)]
 pub struct SiteWeights {
-    index: WeightIndex,
+    /// `a_i` of every local row.
+    exponents: Vec<u32>,
+    /// `counts[a]` rows have exponent `a`. The last class is the top
+    /// one, nonempty unless the holder has no rows.
+    counts: Vec<usize>,
+    /// `F^a` for every class.
+    powers: Vec<ScaledF64>,
+    /// `class_sum(counts, powers)`, refreshed whenever a row moves.
+    total: ScaledF64,
     factor: f64,
     /// The rows of the shared input this holder owns.
     rows: Range<usize>,
     /// Local violator indices of the basis whose verdict is pending.
     staged: Vec<usize>,
+    /// The class histogram of the latest scan's violators.
+    staged_counts: Vec<usize>,
 }
 
 impl SiteWeights {
-    /// All-ones weights over the rows `rows` (Line 2 of Algorithm 1).
+    /// All-ones weights over the rows `rows` (Line 2 of Algorithm 1):
+    /// every row in class 0.
     pub fn new(rows: Range<usize>, factor: f64) -> Self {
         assert!(factor > 1.0, "weight factor must exceed 1");
+        let counts = vec![rows.len()];
+        let mut powers = Vec::new();
+        power_table(factor, 0, &mut powers);
         SiteWeights {
-            index: WeightIndex::uniform(rows.len()),
+            exponents: vec![0; rows.len()],
+            total: class_sum(&counts, &powers),
+            counts,
+            powers,
             factor,
             rows,
             staged: Vec::new(),
+            staged_counts: Vec::new(),
         }
     }
 
@@ -385,22 +429,37 @@ impl SiteWeights {
         self.rows.clone()
     }
 
-    /// The holder's total local weight `w(S_i)` — O(1), no recompute.
+    /// The holder's total local weight `w(S_i) = Σ_a count_a·F^a`, summed
+    /// in ascending class order — O(1), kept up to date by
+    /// [`resolve`](Self::resolve).
     pub fn total(&self) -> ScaledF64 {
-        self.index.total()
+        self.total
     }
 
-    /// The weight of local constraint `i` (row `rows.start + i`).
+    /// The weight `F^{a_i}` of local constraint `i` (row
+    /// `rows.start + i`).
     pub fn weight(&self, i: usize) -> ScaledF64 {
-        self.index.get(i)
+        self.powers[self.exponents[i] as usize]
     }
 
-    /// Draws `count` i.i.d. local indices proportional to weight — one
-    /// batched descent of sorted targets through the index — drops
+    /// The number of local rows in each exponent class, from class 0 up
+    /// to the top class.
+    pub fn class_counts(&self) -> &[usize] {
+        &self.counts
+    }
+
+    /// Draws `count` i.i.d. local indices proportional to weight, drops
     /// repeats (net membership is a set), and appends the rows they pick
     /// from the shared input `data` to `net`, in ascending row order.
     /// Returns how many rows it appended: none when `count` is 0 or the
-    /// holder has no weight.
+    /// holder has no rows. Takes exactly `count` `random_range(0.0..1.0)`
+    /// draws from `rng`.
+    ///
+    /// Each uniform picks a class by the `f64` class totals
+    /// `count_a·F^{a−amax}` and a rank inside the class, and marks that
+    /// (class, rank) in the buffer's bitmap; one sweep over the exponents
+    /// then emits the marked rows. All weights 1 is one class, and a
+    /// uniform `u` picks row `min(⌊n·u⌋, n − 1)`.
     pub fn draw_into<C: Clone, R: Rng + ?Sized>(
         &self,
         data: &[C],
@@ -408,13 +467,27 @@ impl SiteWeights {
         rng: &mut R,
         net: &mut NetBuffer<C>,
     ) -> usize {
+        let uniforms = (0..count).map(|_| rng.random_range(0.0..1.0f64));
+        self.draw_uniforms(data, uniforms, net)
+    }
+
+    /// [`draw_into`](Self::draw_into) with the uniforms given.
+    fn draw_uniforms<C: Clone>(
+        &self,
+        data: &[C],
+        uniforms: impl ExactSizeIterator<Item = f64>,
+        net: &mut NetBuffer<C>,
+    ) -> usize {
         net.picked.clear();
-        if count == 0 || self.index.total().is_zero() {
+        if uniforms.len() == 0 || self.rows.is_empty() {
             return 0;
         }
-        self.index
-            .draw_many(count, rng, &mut net.draw, &mut net.picked);
-        net.picked.dedup();
+        let classes = &mut net.classes;
+        classes.prepare(&self.counts, &self.powers);
+        for u in uniforms {
+            classes.mark(u);
+        }
+        classes.sweep(&self.exponents, &mut net.picked);
         net.append_picked(&data[self.rows()]);
         net.picked.len()
     }
@@ -422,38 +495,133 @@ impl SiteWeights {
     /// Finds the violators of `solution` among the holder's rows of the
     /// shared `columns`, stages their local indices for the next verdict,
     /// and returns their weight `w(V_i)` and count. The column kernel runs
-    /// chunk-parallel with an ordered merge (bit-identical for any thread
-    /// count), each weight is an O(1) index read instead of an O(t·d)
-    /// recompute, and the staged buffer is refilled in place. `columns`
-    /// must be the transposition of the whole input the ranges cut.
+    /// chunk-parallel with an ordered merge; the weight is the violators'
+    /// class histogram summed like [`total`](Self::total), so both
+    /// outputs are the same at any thread count. `columns` must be the
+    /// transposition of the whole input the ranges cut.
     pub fn scan_and_stage<P: ColumnarProblem>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
         columns: &ConstraintColumns,
     ) -> (ScaledF64, usize) {
-        let w = crate::lptype::scan_violators_weighted_columnar(
+        crate::lptype::scan_violators_columnar(
             problem,
             solution,
             columns,
             self.rows(),
-            &self.index,
             &mut self.staged,
         );
-        (w, self.staged.len())
+        self.staged_counts.clear();
+        self.staged_counts.resize(self.counts.len(), 0);
+        for &i in &self.staged {
+            self.staged_counts[self.exponents[i] as usize] += 1;
+        }
+        (
+            class_sum(&self.staged_counts, &self.powers),
+            self.staged.len(),
+        )
     }
 
     /// Applies the verdict on the staged basis: accepted ⇒ every staged
-    /// violator's weight ×`F` (`O(|V| log n)`), in ascending order;
-    /// rejected ⇒ weights unchanged. Either way the staged list is
-    /// emptied, keeping its buffer.
+    /// violator moves up one class (its weight ×`F`); rejected ⇒ weights
+    /// unchanged. Either way the staged list is emptied, keeping its
+    /// buffer.
     pub fn resolve(&mut self, accepted: bool) {
-        if accepted {
+        if accepted && !self.staged.is_empty() {
             for &i in &self.staged {
-                self.index.multiply(i, self.factor);
+                let a = self.exponents[i] as usize;
+                self.exponents[i] += 1;
+                if a + 1 == self.counts.len() {
+                    self.counts.push(0);
+                }
+                self.counts[a] -= 1;
+                self.counts[a + 1] += 1;
             }
+            if self.powers.len() < self.counts.len() {
+                let top = self.counts.len() as u32 - 1;
+                power_table(self.factor, top, &mut self.powers);
+            }
+            self.total = class_sum(&self.counts, &self.powers);
         }
         self.staged.clear();
+    }
+}
+
+/// The class-rank draw of one holder: the tables that map a uniform to
+/// an exponent class and a rank inside it, and one mark per (class,
+/// rank). Kept in the [`NetBuffer`] and refilled for every draw.
+#[derive(Debug, Default)]
+struct ClassDraw {
+    /// `F^{a−amax}` per class as an `f64`; 0 where it underflows.
+    rel: Vec<f64>,
+    /// `Σ_{b ≤ a} count_b·rel_b`, in ascending class order.
+    cum: Vec<f64>,
+    /// The mark of class `a`'s first row; one entry past the top class
+    /// holds the row count.
+    start: Vec<usize>,
+    /// The sweep's rank counters: the mark of each class's next row.
+    next: Vec<usize>,
+    /// One bit per row, class by class, by rank inside each class.
+    marks: Vec<u64>,
+}
+
+impl ClassDraw {
+    /// Sets the tables up for a holder's class `counts` and `powers`
+    /// and clears every mark.
+    fn prepare(&mut self, counts: &[usize], powers: &[ScaledF64]) {
+        let top = powers[counts.len() - 1];
+        self.rel.clear();
+        self.cum.clear();
+        self.start.clear();
+        let (mut acc, mut first) = (0.0, 0);
+        for (&count, &power) in counts.iter().zip(powers) {
+            let rel = power.ratio(top);
+            acc += count as f64 * rel;
+            self.rel.push(rel);
+            self.cum.push(acc);
+            self.start.push(first);
+            first += count;
+        }
+        self.start.push(first);
+        self.marks.clear();
+        self.marks.resize(first.div_ceil(64), 0);
+    }
+
+    /// The mark a uniform `u ∈ [0, 1)` selects. The target `u·W` lies in
+    /// the first class whose cumulative total exceeds it, so a target on
+    /// a boundary belongs to the class above, and a class of total 0
+    /// (no rows, or an underflowed `rel`) is never picked; a target at
+    /// `W` is clamped into the top class. The rank is the number of
+    /// whole class weights below the target, at most the class size − 1.
+    fn locate(&self, u: f64) -> usize {
+        let top = self.cum.len() - 1;
+        let t = u * self.cum[top];
+        let a = self.cum.partition_point(|&c| c <= t).min(top);
+        let below = if a == 0 { 0.0 } else { self.cum[a - 1] };
+        let rank = ((t - below) / self.rel[a]) as usize;
+        self.start[a] + rank.min(self.start[a + 1] - self.start[a] - 1)
+    }
+
+    /// Marks the (class, rank) a uniform selects.
+    fn mark(&mut self, u: f64) {
+        let bit = self.locate(u);
+        self.marks[bit / 64] |= 1 << (bit % 64);
+    }
+
+    /// Appends every local row whose (class, rank) is marked to `out`,
+    /// in ascending order: one pass over the exponents, counting each
+    /// class's rows.
+    fn sweep(&mut self, exponents: &[u32], out: &mut Vec<usize>) {
+        self.next.clear();
+        self.next.extend_from_slice(&self.start);
+        for (i, &a) in exponents.iter().enumerate() {
+            let bit = self.next[a as usize];
+            self.next[a as usize] = bit + 1;
+            if self.marks[bit / 64] >> (bit % 64) & 1 == 1 {
+                out.push(i);
+            }
+        }
     }
 }
 
@@ -462,12 +630,13 @@ impl SiteWeights {
 /// serves a whole solve — RAM, the coordinator and MPC each keep one —
 /// and [`clear`](Self::clear) empties it at the start of each iteration
 /// without freeing anything: row slots are refilled with `clone_from`,
-/// which reuses each row's buffers, so once the first nets have warmed
-/// it the loop's net bookkeeping allocates nothing.
+/// which reuses each row's buffers, and the class tables and marks are
+/// refilled in place, so once the first nets have warmed it the loop's
+/// net bookkeeping allocates nothing.
 #[derive(Debug)]
 pub struct NetBuffer<C> {
-    /// The latest draw's sorted uniforms and targets.
-    draw: DrawScratch,
+    /// The latest draw's class tables and marks.
+    classes: ClassDraw,
     /// Local indices of the latest draw: ascending, without repeats.
     picked: Vec<usize>,
     /// Row slots; the first `len` hold the net.
@@ -479,7 +648,7 @@ impl<C: Clone> NetBuffer<C> {
     /// An empty buffer; the first nets warm it up.
     pub fn new() -> Self {
         NetBuffer {
-            draw: DrawScratch::default(),
+            classes: ClassDraw::default(),
             picked: Vec::new(),
             slots: Vec::new(),
             len: 0,
@@ -805,5 +974,135 @@ mod tests {
         assert_eq!(net.rows()[0], cs[0]);
         assert_eq!(site.draw_into(&cs, 0, &mut r, &mut net), 0);
         assert!(net.picked().is_empty());
+    }
+
+    /// A holder over `exps.len()` rows that reaches row `i`'s exponent
+    /// `exps[i]` through accepted verdicts, as the solvers do: round `k`
+    /// stages every row whose exponent is above `k`.
+    fn holder_with(exps: &[u32], factor: f64) -> SiteWeights {
+        let mut site = SiteWeights::new(0..exps.len(), factor);
+        for k in 0..exps.iter().copied().max().unwrap_or(0) {
+            site.staged.clear();
+            site.staged.extend((0..exps.len()).filter(|&i| exps[i] > k));
+            site.resolve(true);
+        }
+        site
+    }
+
+    /// The local row one uniform `u` selects: a draw of that one uniform
+    /// (`data` holds at least the holder's rows).
+    fn row_of(site: &SiteWeights, data: &[u32], u: f64, net: &mut NetBuffer<u32>) -> usize {
+        net.clear();
+        assert_eq!(site.draw_uniforms(data, std::iter::once(u), net), 1);
+        net.picked()[0]
+    }
+
+    #[test]
+    fn class_rank_draw_is_exact_keeps_uniform_rows_and_keeps_the_rng_in_step() {
+        use rand::RngCore;
+        let mut net = NetBuffer::new();
+        let rows: Vec<u32> = (0..4099).collect();
+
+        // Dyadic weights, where every class total and prefix is exact:
+        // F = 2, classes 0 (8 rows), 1 (none), 2 (2 rows) and 3 (2 rows),
+        // relative weights 1/8, 1/4, 1/2 and 1, so W = 4 and the class
+        // boundaries sit at targets 1 (class 0 | class 2) and 2. Each
+        // uniform must pick the row a prefix over the rows in (class,
+        // row) order picks: the first whose prefix exceeds the target,
+        // so a target on a boundary opens the next nonempty class.
+        let exps = [0, 3, 0, 2, 0, 0, 3, 0, 2, 0, 0, 0];
+        let site = holder_with(&exps, 2.0);
+        assert_eq!(site.class_counts(), [8, 0, 2, 2]);
+        let mut order: Vec<usize> = (0..exps.len()).collect();
+        order.sort_by_key(|&i| (exps[i], i));
+        let rel = |i: usize| (f64::from(exps[i]) - 3.0).exp2();
+        let naive = |u: f64| {
+            let t = u * 4.0;
+            let mut prefix = 0.0;
+            for &i in &order {
+                prefix += rel(i);
+                if prefix > t {
+                    return i;
+                }
+            }
+            order[order.len() - 1]
+        };
+        let boundaries = [0.0, 0.25, 0.5, 0.25 + 1.0 / 64.0, 1.0 - f64::EPSILON / 2.0];
+        let grid = (0..256).map(|j| (f64::from(j) + 0.5) / 256.0);
+        for u in boundaries.into_iter().chain(grid) {
+            assert_eq!(row_of(&site, &rows, u, &mut net), naive(u), "u = {u}");
+        }
+
+        // Exact distribution: M uniforms (j + 1/2)/M, no RNG. Each row's
+        // share of the hits is within 2/M of F^a/W. The holders have
+        // 3–5 classes, an empty class between two others, and (at
+        // F = 2^300, top class 4) a class 0 whose F^{0−4} = 2^-1200
+        // underflows f64: its rows get no hit at all.
+        const M: usize = 20_000;
+        let cases: [(&[u32], f64); 3] = [
+            (&[0, 2, 0, 3, 2, 0, 0, 3, 2, 0, 2, 3], 3.0),
+            (&[1, 0, 4, 0, 1, 2, 4, 2, 0, 1], 1.7),
+            (&[0, 4, 1, 4, 3, 0, 1, 3, 4, 0], 2f64.powi(300)),
+        ];
+        let mut hits = Vec::new();
+        for (exps, factor) in cases {
+            let site = holder_with(exps, factor);
+            let w: ScaledF64 = exps.iter().map(|&a| ScaledF64::powi(factor, a)).sum();
+            hits.clear();
+            hits.resize(exps.len(), 0usize);
+            for j in 0..M {
+                hits[row_of(&site, &rows, (j as f64 + 0.5) / M as f64, &mut net)] += 1;
+            }
+            for (i, &a) in exps.iter().enumerate() {
+                let share = hits[i] as f64 / M as f64;
+                let want = ScaledF64::powi(factor, a).ratio(w);
+                assert!(
+                    (share - want).abs() <= 2.0 / M as f64,
+                    "F = {factor}: row {i} (class {a}) got {share}, want {want}"
+                );
+            }
+            if factor > 1e80 {
+                assert!(exps.iter().zip(&hits).all(|(&a, &h)| a > 0 || h == 0));
+            }
+        }
+
+        // All weights 1: one class, and a uniform u picks row
+        // min(⌊n·u⌋, n − 1), as an inversion over integer prefix sums
+        // does. A whole draw is those rows, ascending, without repeats,
+        // and takes exactly `count` uniforms from the RNG.
+        let mut want = Vec::new();
+        for n in [1usize, 2, 7, 64, 1000, 4099] {
+            let site = SiteWeights::new(0..n, 5.0);
+            for u in [0.0, 0.3, 0.5, 0.999, 1.0 - f64::EPSILON / 2.0] {
+                let want = ((n as f64 * u) as usize).min(n - 1);
+                assert_eq!(row_of(&site, &rows, u, &mut net), want, "n = {n}, u = {u}");
+            }
+            for (count, seed) in [(0, 1), (1, 2), (n / 2 + 1, 3), (3 * n, 4)] {
+                let mut want_rng = rng(seed);
+                want.clear();
+                want.extend(
+                    (0..count)
+                        .map(|_| want_rng.random_range(0.0..1.0f64))
+                        .map(|u| ((n as f64 * u) as usize).min(n - 1)),
+                );
+                want.sort_unstable();
+                want.dedup();
+                let mut draw_rng = rng(seed);
+                net.clear();
+                let drawn = site.draw_into(&rows[..n], count, &mut draw_rng, &mut net);
+                assert_eq!(net.picked(), &want[..], "n = {n}, count = {count}");
+                assert_eq!(drawn, want.len());
+                assert_eq!(draw_rng.next_u64(), want_rng.next_u64(), "RNG out of step");
+            }
+        }
+        // Weighted holders take exactly `count` uniforms too.
+        let site = holder_with(&[0, 2, 0, 3, 2, 0, 0, 3, 2, 0, 2, 3], 3.0);
+        let (mut draw_rng, mut want_rng) = (rng(9), rng(9));
+        net.clear();
+        site.draw_into(&rows, 500, &mut draw_rng, &mut net);
+        (0..500).for_each(|_| {
+            want_rng.random_range(0.0..1.0f64);
+        });
+        assert_eq!(draw_rng.next_u64(), want_rng.next_u64(), "RNG out of step");
     }
 }

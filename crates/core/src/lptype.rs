@@ -12,9 +12,8 @@
 //! the problem-level data (objective vector, dimension); constraints are
 //! plain values so they can be streamed, partitioned, and serialized by
 //! the model simulators. [`ColumnarProblem`] adds the columnar layout
-//! every violation scan runs over, and
-//! [`scan_violators_weighted_columnar`] is the fused scan-and-weigh
-//! sweep the weight holders of `clarkson` call.
+//! every violation scan runs over, and [`scan_violators_columnar`] is
+//! the range scan the weight holders of `clarkson` call.
 
 use rand::RngCore;
 
@@ -151,50 +150,35 @@ pub trait ColumnarProblem: LpTypeProblem {
     fn from_row(&self, coords: &[f64], extra: f64) -> Self::Constraint;
 }
 
-/// The fused violator scan of Algorithm 1's hot path over the rows
-/// `rows` of `columns`: violator indices (ascending, relative to
-/// `rows.start`) plus their total weight read off a standing
-/// [`WeightIndex`](llp_sampling::weight_index::WeightIndex) over those
-/// rows. The range is cut on a fixed `llp_par::DEFAULT_CHUNK` grid
-/// counted from `rows.start` (`par_ranges`); each chunk runs the
-/// problem's branch-light column kernel, sums its violators' weights in
-/// ascending order, and the chunks merge in grid order, so both outputs
-/// are bit-identical for any `LLP_THREADS` — and equal to a sequential
-/// sweep of [`LpTypeProblem::violates`] and `WeightIndex::get` over the
-/// same grid. Violator indices land in the caller's reusable `out`
-/// buffer (cleared first) so the solver loop allocates nothing per
-/// iteration; the return value is their total weight. Its one caller in
-/// the solvers is [`SiteWeights::scan_and_stage`](crate::clarkson::SiteWeights::scan_and_stage),
+/// The violator scan of Algorithm 1's hot path over the rows `rows` of
+/// `columns`: fills the caller's reusable `out` (cleared first) with the
+/// violator indices, ascending and relative to `rows.start`. The range
+/// is cut on a fixed `llp_par::DEFAULT_CHUNK` grid counted from
+/// `rows.start` (`par_ranges`); each chunk runs the problem's
+/// branch-light column kernel and the chunks merge in grid order, so
+/// `out` is the same for any `LLP_THREADS` and equal to a sequential
+/// sweep of [`LpTypeProblem::violates`]. Its one caller in the solvers
+/// is [`SiteWeights::scan_and_stage`](crate::clarkson::SiteWeights::scan_and_stage),
 /// the holder that RAM (all rows), every coordinator site and every MPC
-/// machine (one range each) run on; keeping one copy is part of the
-/// determinism contract.
-pub fn scan_violators_weighted_columnar<P: ColumnarProblem>(
+/// machine (one range each) run on, which weighs the violators by
+/// exponent class.
+pub fn scan_violators_columnar<P: ColumnarProblem>(
     problem: &P,
     solution: &P::Solution,
     columns: &llp_geom::ConstraintColumns,
     rows: std::ops::Range<usize>,
-    index: &llp_sampling::weight_index::WeightIndex,
     out: &mut Vec<usize>,
-) -> llp_num::ScaledF64 {
-    use llp_num::ScaledF64;
+) {
     out.clear();
     let base = rows.start;
     let parts = llp_par::par_ranges(rows.len(), llp_par::DEFAULT_CHUNK, |start, end| {
         let mut idx = Vec::with_capacity(64);
         problem.scan_columns(solution, &columns.view(base + start, base + end), &mut idx);
-        let mut w = ScaledF64::ZERO;
-        for i in idx.iter_mut() {
-            *i -= base;
-            w += index.get(*i);
-        }
-        (idx, w)
+        idx
     });
-    let mut w_total = ScaledF64::ZERO;
-    for (idx, w) in &parts {
-        out.extend_from_slice(idx);
-        w_total += *w;
+    for idx in &parts {
+        out.extend(idx.iter().map(|&i| i - base));
     }
-    w_total
 }
 
 /// Counts the constraints violating a solution — shared helper for tests

@@ -104,7 +104,7 @@ pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 /// Draws a multinomial sample: `m` balls into bins with the given
 /// (unnormalized, non-negative) weights. Returns per-bin counts summing to
 /// `m`. Zero-weight bins never receive a ball — the same contract as
-/// `weighted::sample_iid` and `WeightIndex` (this sampler realizes the
+/// `weighted::sample_iid` and the holders' class draws (this sampler realizes the
 /// distribution by sequential conditional binomials, not an alias table,
 /// but the zero-weight edge is the same: the residual-mass dump must not
 /// land on a weightless tail).

@@ -5,12 +5,10 @@
 //! weights (Lemma 2.2). The three computation models need three different
 //! realizations of that primitive:
 //!
-//! * RAM / per-site: [`weight_index::WeightIndex`] — a Fenwick tree over
-//!   `ScaledF64` weights shared by the RAM solver and every coordinator
-//!   site / MPC machine, giving O(log n) reweighting and drawing a whole
-//!   net in one batched descent ([`weight_index::WeightIndex::draw_many`])
-//!   without ever rebuilding a prefix table (only violators change
-//!   between Clarkson iterations, so rebuilds are pure waste).
+//! * RAM / per-site: no sampler here. The RAM solver, every coordinator
+//!   site and every MPC machine hold integer weight exponents in
+//!   `llp_core::clarkson::SiteWeights`, which draws a net by exponent
+//!   class and rank in one sweep over its rows.
 //! * Streaming: [`weighted::SortedTargetSampler`] (one pass, total weight
 //!   known from bookkeeping) and [`reservoir::WeightedReservoir`] (A-ExpJ,
 //!   one pass, no total needed — used by the speculative one-pass mode).
@@ -18,8 +16,6 @@
 //!   the `m` draws across sites according to site weights (Lemma 3.7),
 //!   which needs exact binomial sampling.
 //!
-//! The index and the streaming sampler build a net's targets the same
-//! way (`weighted::sorted_uniforms`, `weighted::target`).
 //! [`weighted::sample_iid`] (prefix sums over plain `f64` weights + binary
 //! search) is no solver's path; it generates the `serve` load mixes.
 //!
@@ -30,5 +26,4 @@
 pub mod discrete;
 pub mod epsnet;
 pub mod reservoir;
-pub mod weight_index;
 pub mod weighted;

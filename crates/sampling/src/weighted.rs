@@ -10,9 +10,7 @@
 //!   monotone in `u` (every rounding step of the `ScaledF64` product is),
 //!   so scaling the sorted uniforms gives exactly the sequence that
 //!   scaling first and sorting the scaled values would, bit for bit.
-//!   [`WeightIndex::draw_many`](crate::weight_index::WeightIndex::draw_many)
-//!   (RAM, coordinator sites, MPC machines) and [`SortedTargetSampler`]
-//!   both build their targets this way.
+//!   [`SortedTargetSampler`] builds its targets this way.
 //! * [`SortedTargetSampler`] — the streaming primitive: given the total
 //!   weight `W` (which the streaming solver maintains exactly from one
 //!   iteration to the next, see `llp-bigdata::streaming`), intersect the

@@ -205,8 +205,9 @@ pub(crate) fn emit_near_tie<E>(
 /// near `−c` and right-hand side `depth ≪ 1`. The optimum is determined
 /// entirely by the needles, but a uniform ε-net almost never sees them, so
 /// Algorithm 1 must multiply their weight iteration after iteration until
-/// they dominate — exactly the regime that drives `ScaledF64` /
-/// `WeightIndex` exponents up (run it with a large factor, e.g. `r = 3`).
+/// they dominate — exactly the regime that drives the holders' weight
+/// exponents and `ScaledF64` magnitudes up (run it with a large factor,
+/// e.g. `r = 3`).
 pub fn needle_lp(n: usize, d: usize, needles: usize, seed: u64) -> (LpProblem, Vec<Halfspace>) {
     let mut cs = Vec::with_capacity(n);
     let Ok(p) = emit_needle(n, d, needles, seed, &mut push_rows(&mut cs));

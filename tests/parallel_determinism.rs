@@ -15,16 +15,15 @@
 //! than one `DEFAULT_CHUNK` (4096), so the coordinator/MPC legs use
 //! inputs sized to put >4096 constraints on each site/machine. The RAM,
 //! coordinator, and MPC solvers all run on one weight holder,
-//! `SiteWeights` (a persistent `WeightIndex` with incremental Fenwick
-//! updates instead of prefix rebuilds): the model legs cover that path
-//! end-to-end — the index is itself purely sequential, and the one
-//! parallel piece feeding it (the
-//! fused columnar violator scan of `SiteWeights::scan_and_stage`) is
-//! additionally driven head-on by
+//! `SiteWeights` (an integer weight exponent per row and a row count per
+//! exponent class): the model legs cover that path end-to-end — the
+//! class bookkeeping and draws are purely sequential, and the one
+//! parallel piece feeding them (the columnar violator scan of
+//! `SiteWeights::scan_and_stage`) is additionally driven head-on by
 //! `site_weights_scan_and_sampling_are_thread_count_invariant`, with
-//! accepted verdicts applied between probes so the *evolved* incremental
-//! state is compared, not just a fresh index. That scan is in turn
-//! pinned against a sequential scalar reference built on `violates` by
+//! accepted verdicts applied between probes so the *evolved* state is
+//! compared, not just a fresh holder. That scan is in turn pinned
+//! against a sequential scalar reference built on `violates` by
 //! `columnar_scan_matches_aos_scan_bit_for_bit`. The streaming legs are
 //! different: the streaming model's per-pass scans are *sequential by
 //! design* (a pass is one-way I/O over the stream), so no `llp_par` call
@@ -267,13 +266,13 @@ fn violation_scan_invariant_across_many_thread_counts() {
 
 #[test]
 fn site_weights_scan_and_sampling_are_thread_count_invariant() {
-    // The WeightIndex-backed holder state: drive the columnar
-    // scan_and_stage on a ~10-chunk slice through several accepted
-    // rounds, so the violator lists, staged commits, O(1) totals, and the
-    // index-backed inversion draws are compared across thread counts on
-    // *evolving* incremental state. Only the fused scan touches the
-    // llp_par pool — the Fenwick updates and descents are sequential by
-    // construction — so every field must match bit-for-bit.
+    // The holder state: drive the columnar scan_and_stage on a
+    // ~10-chunk slice through several accepted rounds, so the violator
+    // lists, staged commits, class-histogram totals, and the class-rank
+    // draws are compared across thread counts on *evolving* state. Only
+    // the scan touches the llp_par pool — the class bookkeeping and the
+    // draws are sequential by construction — so every field must match
+    // bit-for-bit.
     use lodim_lp::core::clarkson::{NetBuffer, SiteWeights};
     use lodim_lp::core::lptype::{ColumnarProblem, LpTypeProblem};
 
@@ -322,49 +321,29 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
 }
 
 /// The scalar reference for the columnar scan: the per-element
-/// `violates` predicate over the AoS slice, each violator's weight read
-/// with `WeightIndex::get`, summed in ascending order within each
-/// `DEFAULT_CHUNK` block, and the block sums merged in block order — the
-/// grid and association order the parallel scan promises at any thread
-/// count.
+/// `violates` predicate over the AoS slice, in ascending order.
 fn scalar_scan<P: lodim_lp::core::lptype::LpTypeProblem>(
     p: &P,
     sol: &P::Solution,
     data: &[P::Constraint],
-    index: &lodim_lp::sampling::weight_index::WeightIndex,
-) -> (Vec<usize>, lodim_lp::num::ScaledF64) {
-    use lodim_lp::num::ScaledF64;
-    let mut idx = Vec::new();
-    let mut total = ScaledF64::ZERO;
-    for (block, cs) in data.chunks(llp_par::DEFAULT_CHUNK).enumerate() {
-        let base = block * llp_par::DEFAULT_CHUNK;
-        let mut w = ScaledF64::ZERO;
-        for (off, c) in cs.iter().enumerate() {
-            if p.violates(sol, c) {
-                idx.push(base + off);
-                w += index.get(base + off);
-            }
-        }
-        total += w;
-    }
-    (idx, total)
+) -> Vec<usize> {
+    (0..data.len())
+        .filter(|&i| p.violates(sol, &data[i]))
+        .collect()
 }
 
 #[test]
 fn columnar_scan_matches_aos_scan_bit_for_bit() {
     // The columnar-vs-scalar differential at the kernel level: the
-    // columnar scan (`scan_violators_weighted_columnar` over a row range
-    // of `ConstraintColumns`) must report exactly the violator indices
-    // and the ScaledF64 weight of the sequential `violates` reference
-    // over that sub-slice, bit for bit, for LP/SVM/MEB at threads
-    // 1/4/16. Weights are non-uniform so the sums genuinely mix
-    // exponents and round, and the solution comes from a small prefix so the set
-    // contains real violators. The LP also scans a range that starts off
-    // the chunk grid and spans three chunks, as a coordinator site or MPC
-    // machine does: its indices must be range-relative and its chunk
-    // grid counted from the range start.
-    use lodim_lp::core::lptype::{scan_violators_weighted_columnar, ColumnarProblem};
-    use lodim_lp::sampling::weight_index::WeightIndex;
+    // columnar scan (`scan_violators_columnar` over a row range of
+    // `ConstraintColumns`) must report exactly the violator indices of
+    // the sequential `violates` reference over that sub-slice, for
+    // LP/SVM/MEB at threads 1/4/16. The solution comes from a small
+    // prefix so the set contains real violators. The LP also scans a
+    // range that starts off the chunk grid and spans three chunks, as a
+    // coordinator site or MPC machine does: its indices must be
+    // range-relative.
+    use lodim_lp::core::lptype::{scan_violators_columnar, ColumnarProblem};
     use std::ops::Range;
 
     fn check<P: ColumnarProblem>(
@@ -374,20 +353,11 @@ fn columnar_scan_matches_aos_scan_bit_for_bit() {
         rows: Range<usize>,
         sol: &P::Solution,
     ) {
-        // Factors with full mantissas, so the sums round and their
-        // association order (the chunk grid) shows in the bits.
-        let mut index = WeightIndex::uniform(rows.len());
-        for i in (0..rows.len()).step_by(7) {
-            index.multiply(i, 9.7);
-        }
-        for i in (0..rows.len()).step_by(13) {
-            index.multiply(i, 70.3);
-        }
         assert!(
             rows.len() > llp_par::DEFAULT_CHUNK,
             "{label}: the range must span several scan chunks"
         );
-        let (ref_idx, ref_w) = scalar_scan(p, sol, &data[rows.clone()], &index);
+        let ref_idx = scalar_scan(p, sol, &data[rows.clone()]);
         assert!(
             !ref_idx.is_empty(),
             "{label}: prefix solution should leave violators in the range"
@@ -395,23 +365,12 @@ fn columnar_scan_matches_aos_scan_bit_for_bit() {
         let columns = p.to_columns(data);
         for threads in [1usize, 4, 16] {
             let mut col_idx = Vec::new();
-            let col_w = llp_par::with_threads(threads, || {
-                scan_violators_weighted_columnar(
-                    p,
-                    sol,
-                    &columns,
-                    rows.clone(),
-                    &index,
-                    &mut col_idx,
-                )
+            llp_par::with_threads(threads, || {
+                scan_violators_columnar(p, sol, &columns, rows.clone(), &mut col_idx)
             });
             assert_eq!(
                 ref_idx, col_idx,
                 "{label} threads={threads}: violator indices diverged"
-            );
-            assert_eq!(
-                ref_w, col_w,
-                "{label} threads={threads}: violator weights diverged"
             );
         }
     }
@@ -421,8 +380,8 @@ fn columnar_scan_matches_aos_scan_bit_for_bit() {
     let sol = lodim_lp::core::lptype::LpTypeProblem::solve_subset(&lp, &cs[..32], &mut rng)
         .expect("prefix solvable");
     check("lp", &lp, &cs, 0..cs.len(), &sol);
-    // Half a chunk plus 17 rows off the grid: the two grids' boundaries
-    // lie ~2,000 rows apart, so their chunks hold different violators.
+    // Half a chunk plus 17 rows off the grid: the range's chunks are
+    // cut from its own first row, and its indices count from there.
     let start = llp_par::DEFAULT_CHUNK + llp_par::DEFAULT_CHUNK / 2 + 17;
     let off_grid = start..start + 3 * llp_par::DEFAULT_CHUNK - 5;
     check("lp/off-grid range", &lp, &cs, off_grid, &sol);

@@ -6,7 +6,6 @@ use lodim_lp::core::clarkson::ClarksonConfig;
 use lodim_lp::core::lptype::{count_violations, LpTypeProblem};
 use lodim_lp::lowerbound::{augindex, reduction};
 use lodim_lp::num::{Rat, ScaledF64};
-use lodim_lp::sampling::weight_index::WeightIndex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,113 +89,154 @@ proptest! {
 }
 
 // --------------------------------------------------------------------
-// WeightIndex against a naive recomputed prefix-sum reference.
+// The weight holder against a naive per-row exponent model.
 //
-// The Fenwick tree accumulates multiplicative updates as node-level
-// additions, so its internal sums associate differently from a fresh
-// left-to-right prefix fold — exactly the drift the differential must
-// bound. The naive reference applies the identical point updates to a
-// plain weight vector and recomputes prefixes from scratch on every
-// probe, the way `clarkson::solve` did before the index existed.
+// `SiteWeights` keeps one integer exponent per row and a row count per
+// exponent class. The naive model applies the same accept/reject
+// sequence to a plain exponent vector, deciding each row with the AoS
+// `violates` predicate, and recomputes every weight and sum from it.
 // --------------------------------------------------------------------
 
-/// Runs one interleaved multiply/sample differential: after every
-/// multiply, one inversion target is resolved by the index and checked
-/// against a freshly folded prefix table (same target, 1e-9-relative
-/// boundary tolerance), and the totals are compared in log space.
-fn weight_index_differential(n: usize, base_exp: u32, ops: &[(usize, f64, f64)]) {
-    let start = ScaledF64::powi(2.0, base_exp);
-    let mut index = WeightIndex::from_weights(&vec![start; n]);
-    let mut naive: Vec<ScaledF64> = vec![start; n];
-    let check = |index: &WeightIndex, naive: &[ScaledF64], probe: f64| {
-        // Totals: identical point weights, different association order.
-        let naive_total: ScaledF64 = naive.iter().copied().sum();
-        assert!(
-            (index.total().log2() - naive_total.log2()).abs() <= 1e-6,
-            "total drift: index {} vs naive {}",
-            index.total().log2(),
-            naive_total.log2()
-        );
+/// Runs one accept/reject sequence on a holder over the `n` rows of a
+/// random 2-D LP (rows `a·x ≤ 1` with unit normals): first `lead`
+/// accepted rounds of a probe that violates some row every time, then
+/// one probe per op at angle `θ` and radius `ρ`, accepted or not. After
+/// every verdict the holder must agree with the naive model: class
+/// counts equal the exponent histogram, `total()` equals
+/// `Σ_a count_a·F^a` in ascending class order (and the per-row sum
+/// `Σ F^{a_i}` in log space), `weight(i)` is `F^{a_i}`, the scan's
+/// weight is its violators' class sum, and a draw yields ascending
+/// local rows, lands only on the top class when `top_only` is set, and
+/// takes one uniform per draw from the RNG.
+fn holder_differential(
+    n: usize,
+    factor: f64,
+    lead: usize,
+    ops: &[(f64, f64, bool)],
+    top_only: bool,
+) {
+    use lodim_lp::core::clarkson::{NetBuffer, SiteWeights};
+    use lodim_lp::core::lptype::ColumnarProblem;
+    use rand::{Rng, RngCore};
 
-        // One inversion draw against both realizations.
-        let t = index.total() * ScaledF64::from_f64(probe);
-        let idx = index.sample(t);
-        assert!(!index.get(idx).is_zero(), "zero-weight element selected");
-        let mut prefix: Vec<ScaledF64> = Vec::with_capacity(n);
-        let mut acc = ScaledF64::ZERO;
-        for &w in naive {
-            acc += w;
-            prefix.push(acc);
-        }
-        let naive_idx = prefix.partition_point(|p| *p <= t).min(n - 1);
-        if idx != naive_idx {
-            // Only a boundary-rounding disagreement is allowed: every
-            // prefix boundary separating the two picks must sit within
-            // 1e-9·W of the target.
-            let ft = t.ratio(naive_total);
-            for j in idx.min(naive_idx)..idx.max(naive_idx) {
-                let boundary = prefix[j].ratio(naive_total);
-                assert!(
-                    (boundary - ft).abs() <= 1e-9,
-                    "index picked {idx}, naive picked {naive_idx}, but the \
-                     boundary after {j} ({boundary}) is not at the target ({ft})"
-                );
+    let (p, cs) = lodim_lp::workloads::random_lp(n, 2, n as u64);
+    let columns = p.to_columns(&cs);
+    let mut site = SiteWeights::new(0..n, factor);
+    let mut naive = vec![0u32; n];
+    let mut net = NetBuffer::new();
+    let mut rng = StdRng::seed_from_u64(n as u64 + 7);
+    // The first row's normal, scaled past the unit circle, violates at
+    // least that row.
+    let far: Vec<f64> = cs[0].a.iter().map(|v| 3.0 * v).collect();
+    let lead_ops = std::iter::repeat_n((f64::NAN, 0.0, true), lead);
+    for (theta, rho, accept) in lead_ops.chain(ops.iter().copied()) {
+        let probe = if theta.is_nan() {
+            far.clone()
+        } else {
+            vec![rho * theta.cos(), rho * theta.sin()]
+        };
+        let violators: Vec<usize> = (0..n).filter(|&i| p.violates(&probe, &cs[i])).collect();
+        let class_sum = |exps: &mut dyn Iterator<Item = u32>| {
+            let mut hist = Vec::new();
+            for a in exps {
+                if hist.len() <= a as usize {
+                    hist.resize(a as usize + 1, 0usize);
+                }
+                hist[a as usize] += 1;
             }
+            let sum = hist
+                .iter()
+                .enumerate()
+                .fold(ScaledF64::ZERO, |acc, (a, &c)| {
+                    acc + ScaledF64::from_f64(c as f64) * ScaledF64::powi(factor, a as u32)
+                });
+            (hist, sum)
+        };
+        let (w, count) = site.scan_and_stage(&p, &probe, &columns);
+        assert_eq!(count, violators.len());
+        assert_eq!(w, class_sum(&mut violators.iter().map(|&i| naive[i])).1);
+        site.resolve(accept);
+        if accept {
+            violators.iter().for_each(|&i| naive[i] += 1);
         }
-    };
 
-    // Probe the untouched (all-equal) state, then after every update.
-    for p in [0.0, 0.5, 0.999] {
-        check(&index, &naive, p);
+        let (hist, total) = class_sum(&mut naive.iter().copied());
+        assert_eq!(site.class_counts(), &hist[..], "class counts");
+        assert_eq!(site.total(), total, "total");
+        let per_row: ScaledF64 = naive.iter().map(|&a| ScaledF64::powi(factor, a)).sum();
+        assert!((site.total().log2() - per_row.log2()).abs() <= 1e-9);
+        for (i, &a) in naive.iter().enumerate() {
+            assert_eq!(site.weight(i), ScaledF64::powi(factor, a), "weight({i})");
+        }
+
+        let seed = rng.next_u64();
+        let (mut draw_rng, mut want_rng) =
+            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        net.clear();
+        let drawn = site.draw_into(&cs, 2 * n, &mut draw_rng, &mut net);
+        (0..2 * n).for_each(|_| {
+            want_rng.random_range(0.0..1.0f64);
+        });
+        assert_eq!(draw_rng.next_u64(), want_rng.next_u64(), "RNG out of step");
+        let picked = net.picked();
+        assert_eq!(drawn, picked.len());
+        assert!(picked.windows(2).all(|w| w[0] < w[1]) && picked.iter().all(|&i| i < n));
+        if top_only {
+            let top = hist.len() as u32 - 1;
+            assert!(
+                picked.iter().all(|&i| naive[i] == top),
+                "a draw left the top class"
+            );
+        }
     }
-    for &(raw_i, factor, frac) in ops {
-        let i = raw_i % n;
-        index.multiply(i, factor);
-        naive[i] *= ScaledF64::from_f64(factor);
-        check(&index, &naive, frac);
+    if top_only {
+        assert!(
+            site.total().log2() > 1024.0,
+            "the total should be past f64::MAX"
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random interleaved multiply/sample sequences agree with the naive
-    /// rebuilt-prefix reference, from single-element up, starting from
-    /// all-equal weights.
+    /// Random accept/reject sequences keep the holder equal to the naive
+    /// per-row exponent model, from a single row up.
     #[test]
-    fn prop_weight_index_matches_naive_prefix(
+    fn prop_site_weights_match_naive_exponents(
         n in 1usize..160,
-        idxs in collection::vec(0usize..4096, 0..48),
-        factors in collection::vec(1.0f64..32.0, 0..48),
-        fracs in collection::vec(0.0f64..1.0, 0..48),
+        thetas in collection::vec(0.0f64..6.3, 0..32),
+        rhos in collection::vec(0.0f64..3.0, 0..32),
+        accepts in collection::vec(0u8..2, 0..32),
+        factor in 1.01f64..64.0,
     ) {
-        let ops: Vec<(usize, f64, f64)> = idxs
+        let ops: Vec<(f64, f64, bool)> = thetas
             .into_iter()
-            .zip(factors)
-            .zip(fracs)
-            .map(|((i, f), p)| (i, f, p))
+            .zip(rhos)
+            .zip(accepts)
+            .map(|((t, r), a)| (t, r, a == 1))
             .collect();
-        weight_index_differential(n, 0, &ops);
+        holder_differential(n, factor, 0, &ops, false);
     }
 
-    /// The same differential with every weight starting at `2^e`,
-    /// `e ≥ 1100` — past `f64::MAX` before the first update, so any raw
-    /// `f64` shortcut inside the tree would saturate and diverge.
+    /// With `F = 2^40`, 30 accepted rounds lift the top class to
+    /// `2^1200`, past `f64::MAX`: the totals stay the class histogram's
+    /// sums, and every draw lands on the heaviest class, which outweighs
+    /// each row below it by at least `2^40`.
     #[test]
-    fn prop_weight_index_survives_past_f64_overflow(
+    fn prop_site_weights_survive_past_f64_overflow(
         n in 1usize..80,
-        base_exp in 1100u32..1400,
-        idxs in collection::vec(0usize..4096, 1..32),
-        factors in collection::vec(1.0f64..1e6, 1..32),
-        fracs in collection::vec(0.0f64..1.0, 1..32),
+        thetas in collection::vec(0.0f64..6.3, 1..16),
+        rhos in collection::vec(0.0f64..3.0, 1..16),
+        accepts in collection::vec(0u8..2, 1..16),
     ) {
-        let ops: Vec<(usize, f64, f64)> = idxs
+        let ops: Vec<(f64, f64, bool)> = thetas
             .into_iter()
-            .zip(factors)
-            .zip(fracs)
-            .map(|((i, f), p)| (i, f, p))
+            .zip(rhos)
+            .zip(accepts)
+            .map(|((t, r), a)| (t, r, a == 1))
             .collect();
-        weight_index_differential(n, base_exp, &ops);
+        holder_differential(n, 2f64.powi(40), 30, &ops, true);
     }
 }
 
