@@ -6,13 +6,14 @@
 //! each basis and its verdict (the coordinator broadcasts both), so any
 //! site can maintain its local weights — not by recomputing `F^{a(c)}`
 //! from the basis history each round, but incrementally: each site is
-//! one [`SiteWeights`] holder, the same one RAM runs on, and applies ×`F`
-//! to just the violators of each *accepted* basis (`O(|V_i| log n_i)` per
-//! accepted round instead of an `O(n_i · t · d)` rebuild). The sites draw
-//! each net into the solve's one [`NetBuffer`]. Weights are derived state
-//! and never travel, so the metered protocol is unchanged; the meter is
-//! charged each message's size in bits. With one site the protocol is
-//! RAM's loop, bit for bit.
+//! one [`SiteWeights`] holder, the same one RAM runs on, which keeps each
+//! row's exponent `a(c)` and moves just the violators of each *accepted*
+//! basis up one class (`O(|V_i|)` per accepted round instead of an
+//! `O(n_i · t · d)` rebuild). The sites draw each net into the solve's
+//! one [`NetBuffer`]. Weights are derived state and never travel: a site
+//! ships its evaluated total as one 128-bit weight, so the metered
+//! protocol is unchanged; the meter is charged each message's size in
+//! bits. With one site the protocol is RAM's loop, bit for bit.
 //! One iteration of Algorithm 1 costs three model rounds:
 //!
 //! 1. coordinator → sites: accept/reject verdict of the previous basis
@@ -119,7 +120,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let params = cfg.params(problem, n);
     let cbits = problem.constraint_bits();
     let mut meter = CoordMeter::default();
-    // Persistent per-site weight indices: every site tracks its own
+    // Persistent per-site weight exponents: every site tracks its own
     // range's weights incrementally from the violator lists it scans
     // anyway in round 3, so no round ever recomputes a weight.
     let mut sites = SiteWeights::partition(sizes, params.factor);
@@ -151,7 +152,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         let mut site_weights: Vec<ScaledF64> = Vec::with_capacity(k);
         let mut total_weight = ScaledF64::ZERO;
         for site in &sites {
-            // O(1) off the standing index.
+            // O(1): the site's class-histogram total.
             let w = site.total();
             meter.charge_up(WEIGHT_BITS);
             site_weights.push(w);
@@ -179,8 +180,8 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
                 if count == 0 {
                     continue;
                 }
-                // The site inverts its draws directly against its index —
-                // O(log n_i) each, no prefix table.
+                // The site maps its draws to exponent classes and ranks
+                // and emits the rows in one sweep over its range.
                 let picked = site.draw_into(data, count as usize, rng, &mut buffer);
                 meter.charge_up(picked as u64 * cbits);
             }
@@ -196,12 +197,12 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         let mut violator_count = 0usize;
         for site in &mut sites {
             meter.charge_down(problem.solution_bits());
-            // The site's fused violation-test + weight scan runs on the
-            // llp_par pool over its range of the shared columns, reading
-            // weights off its index; the violator indices are staged
-            // locally for next round's verdict. The metered messages
-            // below are identical to the sequential protocol — the staged
-            // list never travels.
+            // The site's violation scan runs on the llp_par pool over its
+            // range of the shared columns, and the violators are weighed
+            // by exponent class; their indices are staged locally for
+            // next round's verdict. The metered messages below are
+            // identical to the sequential protocol — the staged list
+            // never travels.
             let (local_w, local_count) = site.scan_and_stage(problem, &solution, columns);
             meter.charge_up(WEIGHT_BITS); // w(V_i)
             meter.charge_up(COUNT_BITS); // |V_i|

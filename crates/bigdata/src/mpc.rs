@@ -21,10 +21,12 @@
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
 //!
 //! Each machine is one [`SiteWeights`] holder, the one RAM and the
-//! coordinator sites run on: it draws its share of the net into the
-//! solve's one [`NetBuffer`], scans its range, and applies each verdict
-//! when the broadcast reaches it. The load meter is charged each
-//! message's size in bits.
+//! coordinator sites run on: it keeps each row's weight exponent, draws
+//! its share of the net into the solve's one [`NetBuffer`], scans its
+//! range, and applies each verdict when the broadcast reaches it. Its
+//! weight sums travel as evaluated 128-bit totals, so every message
+//! keeps its size. The load meter is charged each message's size in
+//! bits.
 
 use crate::BigDataError;
 use llp_core::clarkson::{NetBuffer, SiteWeights};
@@ -220,10 +222,10 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let mut meter = MpcMeter::new(k);
     let tree = Tree { k, fanout };
     let depth = tree.depth();
-    // Persistent per-machine weight indices, updated incrementally from
-    // the violator lists each machine scans anyway — the basis verdicts
-    // broadcast down the tree keep every index in sync, and no round
-    // recomputes a weight from the basis history.
+    // Persistent per-machine weight exponents, updated incrementally
+    // from the violator lists each machine scans anyway — the basis
+    // verdicts broadcast down the tree keep every holder in sync, and no
+    // round recomputes a weight from the basis history.
     let mut machines = SiteWeights::partition(sizes, params.factor);
     // The machines draw each net into this one buffer, refilled in place.
     let mut buffer = NetBuffer::new();
@@ -285,7 +287,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
             let sampled = if take_all {
                 machine.rows().len()
             } else {
-                // Inversion draws straight off the machine's index.
+                // Class-rank draws over the machine's exponents.
                 machine.draw_into(data, counts[i] as usize, rng, &mut buffer)
             };
             if i != 0 {
@@ -301,11 +303,11 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         // ---- Basis broadcast down the tree. ----
         broadcast_down(&mut meter, &tree, depth, problem.solution_bits());
 
-        // ---- Violator weights converge-cast. Each machine's fused
-        // violation-test + weight scan runs on the llp_par pool over its
-        // range of the shared columns, reading weights off its index and
-        // staging the violator indices for the next verdict broadcast
-        // (the staged lists never travel). ----
+        // ---- Violator weights converge-cast. Each machine's violation
+        // scan runs on the llp_par pool over its range of the shared
+        // columns, weighs the violators by exponent class and stages
+        // their indices for the next verdict broadcast (the staged lists
+        // never travel). ----
         let local_viol: Vec<(ScaledF64, usize)> = machines
             .iter_mut()
             .map(|machine| machine.scan_and_stage(problem, &solution, columns))

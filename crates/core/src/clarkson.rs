@@ -380,8 +380,6 @@ pub struct SiteWeights {
     counts: Vec<usize>,
     /// `F^a` for every class.
     powers: Vec<ScaledF64>,
-    /// `class_sum(counts, powers)`, refreshed whenever a row moves.
-    total: ScaledF64,
     factor: f64,
     /// The rows of the shared input this holder owns.
     rows: Range<usize>,
@@ -396,13 +394,11 @@ impl SiteWeights {
     /// every row in class 0.
     pub fn new(rows: Range<usize>, factor: f64) -> Self {
         assert!(factor > 1.0, "weight factor must exceed 1");
-        let counts = vec![rows.len()];
         let mut powers = Vec::new();
         power_table(factor, 0, &mut powers);
         SiteWeights {
             exponents: vec![0; rows.len()],
-            total: class_sum(&counts, &powers),
-            counts,
+            counts: vec![rows.len()],
             powers,
             factor,
             rows,
@@ -430,10 +426,9 @@ impl SiteWeights {
     }
 
     /// The holder's total local weight `w(S_i) = Σ_a count_a·F^a`, summed
-    /// in ascending class order — O(1), kept up to date by
-    /// [`resolve`](Self::resolve).
+    /// in ascending class order: O(classes), no pass over the rows.
     pub fn total(&self) -> ScaledF64 {
-        self.total
+        class_sum(&self.counts, &self.powers)
     }
 
     /// The weight `F^{a_i}` of local constraint `i` (row
@@ -528,7 +523,7 @@ impl SiteWeights {
     /// unchanged. Either way the staged list is emptied, keeping its
     /// buffer.
     pub fn resolve(&mut self, accepted: bool) {
-        if accepted && !self.staged.is_empty() {
+        if accepted {
             for &i in &self.staged {
                 let a = self.exponents[i] as usize;
                 self.exponents[i] += 1;
@@ -542,7 +537,6 @@ impl SiteWeights {
                 let top = self.counts.len() as u32 - 1;
                 power_table(self.factor, top, &mut self.powers);
             }
-            self.total = class_sum(&self.counts, &self.powers);
         }
         self.staged.clear();
     }

@@ -56,7 +56,7 @@ pub fn sample_iid<R: Rng + ?Sized>(weights: &[f64], m: usize, rng: &mut R) -> Ve
 /// in the order `m` single inversion draws take them — and sorts them
 /// ascending as plain floats. Scale each with [`target`]; the module doc
 /// explains why the result equals scale-then-sort.
-pub(crate) fn sorted_uniforms<R: Rng + ?Sized>(m: usize, rng: &mut R, uniforms: &mut Vec<f64>) {
+fn sorted_uniforms<R: Rng + ?Sized>(m: usize, rng: &mut R, uniforms: &mut Vec<f64>) {
     uniforms.clear();
     uniforms.extend((0..m).map(|_| rng.random_range(0.0..1.0f64)));
     uniforms.sort_unstable_by(f64::total_cmp);
@@ -65,7 +65,7 @@ pub(crate) fn sorted_uniforms<R: Rng + ?Sized>(m: usize, rng: &mut R, uniforms: 
 /// The inversion target `total · u` of a uniform `u ∈ [0, 1)`: the value
 /// one weighted draw resolves against the prefix sums.
 #[inline]
-pub(crate) fn target(total: ScaledF64, u: f64) -> ScaledF64 {
+fn target(total: ScaledF64, u: f64) -> ScaledF64 {
     total * ScaledF64::from_f64(u)
 }
 
