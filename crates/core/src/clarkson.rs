@@ -447,8 +447,8 @@ impl SiteWeights {
     /// repeats (net membership is a set), and appends the rows they pick
     /// from the shared input `data` to `net`, in ascending row order.
     /// Returns how many rows it appended: none when `count` is 0 or the
-    /// holder has no rows. Takes exactly `count` `random_range(0.0..1.0)`
-    /// draws from `rng`.
+    /// holder has no rows. A holder with rows takes exactly `count`
+    /// `random_range(0.0..1.0)` draws from `rng`; one without takes none.
     ///
     /// Each uniform picks a class by the `f64` class totals
     /// `count_a·F^{a−amax}` and a rank inside the class, and marks that
@@ -967,6 +967,11 @@ mod tests {
         assert!(net.picked().contains(&0), "dominant element missing");
         assert_eq!(net.rows()[0], cs[0]);
         assert_eq!(site.draw_into(&cs, 0, &mut r, &mut net), 0);
+        assert!(net.picked().is_empty());
+        // A holder with no rows has no weight and draws nothing.
+        let empty = SiteWeights::new(2..2, 1000.0);
+        assert!(empty.total().is_zero());
+        assert_eq!(empty.draw_into(&cs, 5, &mut r, &mut net), 0);
         assert!(net.picked().is_empty());
     }
 
