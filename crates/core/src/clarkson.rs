@@ -551,10 +551,9 @@ struct ClassDraw {
     rel: Vec<f64>,
     /// `Σ_{b ≤ a} count_b·rel_b`, in ascending class order.
     cum: Vec<f64>,
-    /// The mark of class `a`'s first row; one entry past the top class
+    /// Per class, the mark of its next row: its first row's until the
+    /// sweep counts through the class. One entry past the top class
     /// holds the row count.
-    start: Vec<usize>,
-    /// The sweep's rank counters: the mark of each class's next row.
     next: Vec<usize>,
     /// One bit per row, class by class, by rank inside each class.
     marks: Vec<u64>,
@@ -567,39 +566,35 @@ impl ClassDraw {
         let top = powers[counts.len() - 1];
         self.rel.clear();
         self.cum.clear();
-        self.start.clear();
+        self.next.clear();
         let (mut acc, mut first) = (0.0, 0);
         for (&count, &power) in counts.iter().zip(powers) {
             let rel = power.ratio(top);
             acc += count as f64 * rel;
             self.rel.push(rel);
             self.cum.push(acc);
-            self.start.push(first);
+            self.next.push(first);
             first += count;
         }
-        self.start.push(first);
+        self.next.push(first);
         self.marks.clear();
         self.marks.resize(first.div_ceil(64), 0);
     }
 
-    /// The mark a uniform `u ∈ [0, 1)` selects. The target `u·W` lies in
-    /// the first class whose cumulative total exceeds it, so a target on
-    /// a boundary belongs to the class above, and a class of total 0
-    /// (no rows, or an underflowed `rel`) is never picked; a target at
-    /// `W` is clamped into the top class. The rank is the number of
-    /// whole class weights below the target, at most the class size − 1.
-    fn locate(&self, u: f64) -> usize {
+    /// Marks the (class, rank) a uniform `u ∈ [0, 1)` selects. The
+    /// target `u·W` lies in the first class whose cumulative total
+    /// exceeds it, so a target on a boundary belongs to the class above,
+    /// and a class of total 0 (no rows, or an underflowed `rel`) is never
+    /// picked; a target at `W` is clamped into the top class. The rank is
+    /// the number of whole class weights below the target, at most the
+    /// class size − 1.
+    fn mark(&mut self, u: f64) {
         let top = self.cum.len() - 1;
         let t = u * self.cum[top];
         let a = self.cum.partition_point(|&c| c <= t).min(top);
         let below = if a == 0 { 0.0 } else { self.cum[a - 1] };
         let rank = ((t - below) / self.rel[a]) as usize;
-        self.start[a] + rank.min(self.start[a + 1] - self.start[a] - 1)
-    }
-
-    /// Marks the (class, rank) a uniform selects.
-    fn mark(&mut self, u: f64) {
-        let bit = self.locate(u);
+        let bit = self.next[a] + rank.min(self.next[a + 1] - self.next[a] - 1);
         self.marks[bit / 64] |= 1 << (bit % 64);
     }
 
@@ -607,8 +602,6 @@ impl ClassDraw {
     /// in ascending order: one pass over the exponents, counting each
     /// class's rows.
     fn sweep(&mut self, exponents: &[u32], out: &mut Vec<usize>) {
-        self.next.clear();
-        self.next.extend_from_slice(&self.start);
         for (i, &a) in exponents.iter().enumerate() {
             let bit = self.next[a as usize];
             self.next[a as usize] = bit + 1;
