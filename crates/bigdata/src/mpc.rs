@@ -520,6 +520,44 @@ mod tests {
             llp_core::clarkson_solve(&p, &cs, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         let (v1, v2) = (p.objective_value(&sol), p.objective_value(&ram));
         assert!((v1 - v2).abs() < 1e-5 * v1.abs().max(1.0), "{v1} vs {v2}");
+
+        // With one machine the tree has no edges and the protocol runs
+        // RAM's loop on the same holder, bit for bit, as the one-site
+        // coordinator does — failed iterations included.
+        use rand::RngCore;
+        let small = ClarksonConfig {
+            net_multiplier: 1.0 / 4096.0,
+            net_floor_coeff: 0.25,
+            ..ClarksonConfig::paper(3)
+        };
+        let cfg = MpcConfig {
+            net_multiplier: small.net_multiplier,
+            net_floor_coeff: small.net_floor_coeff,
+            ..MpcConfig::calibrated(1.0 / 3.0)
+        };
+        let bits = |sol: &Vec<f64>| sol.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut failed = 0;
+        for seed in 0..6 {
+            let (p, cs) = random_lp(20_000, 3, 83 + seed);
+            let mut rng_ram = StdRng::seed_from_u64(seed);
+            let (ram, ram_stats) = llp_core::clarkson_solve(&p, &cs, &small, &mut rng_ram).unwrap();
+            let mut rng_mpc = StdRng::seed_from_u64(seed);
+            let columns = p.to_columns(&cs);
+            let (mpc, stats) =
+                solve_partitioned(&p, &cs, &columns, &[cs.len()], &cfg, &mut rng_mpc).unwrap();
+            assert_eq!(bits(&mpc), bits(&ram), "seed {seed}");
+            assert_eq!(stats.iterations, ram_stats.iterations, "seed {seed}");
+            assert_eq!(
+                stats.successful_iterations, ram_stats.successful_iterations,
+                "seed {seed}"
+            );
+            assert_eq!(rng_mpc.next_u64(), rng_ram.next_u64(), "seed {seed}");
+            failed += ram_stats.iterations - ram_stats.successful_iterations - 1;
+        }
+        assert!(
+            failed > 0,
+            "the one-machine case must include failed iterations"
+        );
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   violation, iteration, pass and round counts, and the space,
 //!   communication, max-round, load and total-load meters in bits. The
 //!   determinism contract makes the bodies independent of `LLP_THREADS`.
+//! * `tests/golden/full_grid.txt` — the same 44 bodies at the full
+//!   budget, in the same line format. Unlike the quick grid, some of its
+//!   coordinator and MPC runs reject a basis, so it pins the rounds and
+//!   meters of a failed iteration too.
 //! * `tests/golden/one_pass.txt` — every quick-tier registry scenario
 //!   under one-pass speculative streaming (`ClarksonConfig::lean(r)`,
 //!   the grid's streaming seed): objective bits, iteration, success and
@@ -56,6 +60,7 @@ use std::fmt::Write as _;
 
 const BASIS_FIXTURE: &str = include_str!("golden/basis_solver.txt");
 const GRID_FIXTURE: &str = include_str!("golden/quick_grid.txt");
+const FULL_GRID_FIXTURE: &str = include_str!("golden/full_grid.txt");
 const ONE_PASS_FIXTURE: &str = include_str!("golden/one_pass.txt");
 const GENERATED_FIXTURE: &str = include_str!("golden/generated.txt");
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -208,10 +213,10 @@ fn render_basis() -> String {
     out
 }
 
-/// The quick-grid fixture text the current code produces.
-fn render_grid() -> String {
+/// The grid fixture text the current code produces at `budget`.
+fn render_grid(budget: RunBudget) -> String {
     let mut out = String::new();
-    for c in report::run_scenarios(RunBudget::Quick, "golden").cells {
+    for c in report::run_scenarios(budget, "golden").cells {
         let _ = writeln!(
             out,
             "{} {} n={} objective={:016x} violations={} iterations={} passes={} rounds={} \
@@ -382,7 +387,25 @@ fn quick_grid_bodies_reproduce_the_golden_fixture() {
         registry(RunBudget::Quick).len() * Model::ALL.len(),
         "the fixture covers every quick cell"
     );
-    assert_matches(GRID_FIXTURE, &render_grid(), "quick-grid bodies");
+    assert_matches(
+        GRID_FIXTURE,
+        &render_grid(RunBudget::Quick),
+        "quick-grid bodies",
+    );
+}
+
+#[test]
+fn full_grid_bodies_reproduce_the_golden_fixture() {
+    assert_eq!(
+        FULL_GRID_FIXTURE.lines().count(),
+        registry(RunBudget::Full).len() * Model::ALL.len(),
+        "the fixture covers every full cell"
+    );
+    assert_matches(
+        FULL_GRID_FIXTURE,
+        &render_grid(RunBudget::Full),
+        "full-grid bodies",
+    );
 }
 
 #[test]
@@ -416,8 +439,16 @@ fn generators_reproduce_the_golden_fixture() {
 fn regenerate() {
     std::fs::write(format!("{GOLDEN_DIR}/basis_solver.txt"), render_basis())
         .expect("write basis fixture");
-    std::fs::write(format!("{GOLDEN_DIR}/quick_grid.txt"), render_grid())
-        .expect("write grid fixture");
+    std::fs::write(
+        format!("{GOLDEN_DIR}/quick_grid.txt"),
+        render_grid(RunBudget::Quick),
+    )
+    .expect("write grid fixture");
+    std::fs::write(
+        format!("{GOLDEN_DIR}/full_grid.txt"),
+        render_grid(RunBudget::Full),
+    )
+    .expect("write full grid fixture");
     std::fs::write(format!("{GOLDEN_DIR}/one_pass.txt"), render_one_pass())
         .expect("write one-pass fixture");
     std::fs::write(format!("{GOLDEN_DIR}/generated.txt"), render_generated())
