@@ -26,7 +26,7 @@
 //!
 //! Total: `O(νr)` rounds and `Õ((λn^{1/r}ν + k)·ν)·bit(S)` communication.
 
-use crate::BigDataError;
+use crate::{BigDataError, COUNT_BITS, VERDICT_BITS, WEIGHT_BITS};
 use llp_core::clarkson::{NetBuffer, SiteWeights};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
@@ -34,14 +34,6 @@ use llp_geom::ConstraintColumns;
 use llp_models::coordinator::CoordMeter;
 use llp_num::ScaledF64;
 use rand::Rng;
-
-/// A verdict flag on the wire.
-const VERDICT_BITS: u64 = 8;
-/// A scaled weight as (mantissa, exponent): the `O(ℓ/r · log n)`-bit
-/// weight encoding of Lemma 3.7.
-const WEIGHT_BITS: u64 = 128;
-/// A sample count or a violator count.
-const COUNT_BITS: u64 = 64;
 
 /// Statistics of a coordinator run (experiment T3). `PartialEq` backs the
 /// parallel-determinism differential suite: meter readings must match

@@ -31,6 +31,14 @@ pub mod mpc;
 pub mod ooc;
 pub mod streaming;
 
+/// A verdict flag on the wire: one bit, metered as one byte.
+const VERDICT_BITS: u64 = 8;
+/// A scaled weight as (mantissa, exponent): the `O(ℓ/r · log n)`-bit
+/// weight encoding of Lemma 3.7.
+const WEIGHT_BITS: u64 = 128;
+/// A sample count or a violator count.
+const COUNT_BITS: u64 = 64;
+
 /// Error type shared by the model implementations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BigDataError {

@@ -28,7 +28,7 @@
 //! keeps its size. The load meter is charged each message's size in
 //! bits.
 
-use crate::BigDataError;
+use crate::{BigDataError, COUNT_BITS, VERDICT_BITS, WEIGHT_BITS};
 use llp_core::clarkson::{NetBuffer, SiteWeights};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
@@ -245,17 +245,17 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         }
         stats.iterations += 1;
 
-        // ---- Verdict broadcast (1 byte down the tree). ----
+        // ---- Verdict broadcast down the tree. ----
         if let Some(accepted) = pending.take() {
-            broadcast_down(&mut meter, &tree, depth, 8);
+            broadcast_down(&mut meter, &tree, depth, VERDICT_BITS);
             for machine in &mut machines {
                 machine.resolve(accepted);
             }
         }
 
-        // ---- Subtree weights converge-cast (128 bits per edge). ----
+        // ---- Subtree weights converge-cast. ----
         let local_weights: Vec<ScaledF64> = machines.iter().map(SiteWeights::total).collect();
-        let subtree_weights = converge_sum(&mut meter, &tree, depth, &local_weights, 128);
+        let subtree_weights = converge_sum(&mut meter, &tree, depth, &local_weights, WEIGHT_BITS);
         let total_weight = subtree_weights[0];
 
         // ---- Hierarchical multinomial split of the m draws; when the
@@ -313,7 +313,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
             .map(|machine| machine.scan_and_stage(problem, &solution, columns))
             .collect();
         let viol_w: Vec<ScaledF64> = local_viol.iter().map(|v| v.0).collect();
-        let agg_w = converge_sum(&mut meter, &tree, depth, &viol_w, 192);
+        let agg_w = converge_sum(&mut meter, &tree, depth, &viol_w, WEIGHT_BITS + COUNT_BITS);
         let w_violators = agg_w[0];
         let violator_count: usize = local_viol.iter().map(|v| v.1).sum();
 
@@ -422,7 +422,7 @@ fn split_counts<R: Rng>(
             for (j, ch) in children.enumerate() {
                 subtree_count[ch] = split[j + 1];
                 if round_needed {
-                    meter.charge(node, ch, 64);
+                    meter.charge(node, ch, COUNT_BITS);
                 }
             }
         }
