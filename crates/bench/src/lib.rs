@@ -247,7 +247,7 @@ pub fn t3_coordinator(budget: RunBudget) -> Table {
                 r.to_string(),
                 k.to_string(),
                 stats.rounds.to_string(),
-                stats.iterations.to_string(),
+                stats.clarkson.iterations.to_string(),
                 f(stats.total_bits as f64 / 8192.0),
                 f(stats.bits_up as f64 / 8192.0),
                 f(stats.bits_down as f64 / 8192.0),
@@ -292,7 +292,7 @@ pub fn t4_mpc(budget: RunBudget) -> Table {
             stats.k.to_string(),
             stats.fanout.to_string(),
             stats.rounds.to_string(),
-            stats.iterations.to_string(),
+            stats.clarkson.iterations.to_string(),
             f(load_kb),
             f(load_kb / pow),
         ]);

@@ -1,20 +1,19 @@
 //! Theorem 2: Algorithm 1 in the coordinator model (Lemma 3.7).
 //!
-//! A site's partition is local state, so a site here is a consecutive
-//! row range of the caller's input: it samples the rows of its range and
-//! scans its range of one shared columnar transpose. Every site hears
-//! each basis and its verdict (the coordinator broadcasts both), so any
-//! site can maintain its local weights — not by recomputing `F^{a(c)}`
-//! from the basis history each round, but incrementally: each site is
-//! one [`SiteWeights`] holder, the same one RAM runs on, which keeps each
-//! row's exponent `a(c)` and moves just the violators of each *accepted*
-//! basis up one class (`O(|V_i|)` per accepted round instead of an
-//! `O(n_i · t · d)` rebuild). The sites draw each net into the solve's
-//! one [`NetBuffer`]. Weights are derived state and never travel: a site
-//! ships its evaluated total as one 128-bit weight, so the metered
-//! protocol is unchanged; the meter is charged each message's size in
-//! bits. With one site the protocol is RAM's loop, bit for bit.
-//! One iteration of Algorithm 1 costs three model rounds:
+//! Lemma 3.7 runs Algorithm 1 unchanged, each step carried by messages,
+//! so the sites and the coordinator's meter are one holder in RAM's loop
+//! (`llp_core::clarkson::run`): its draw, scan and verdict calls make the
+//! protocol's rounds and charge each message's size in bits. A site's
+//! partition is local state, so a site here is a consecutive row range
+//! of the caller's input: it samples the rows of its range and scans its
+//! range of one shared columnar transpose. Every site hears each basis
+//! and its verdict (the coordinator broadcasts both), so each site keeps
+//! its weights incrementally: it is one [`SiteWeights`], the holder RAM
+//! runs on, which keeps each row's exponent `a(c)` and moves just the
+//! violators of each *accepted* basis up one class. Weights are derived
+//! state and never travel: a site ships its evaluated total as one
+//! 128-bit weight. With one site the protocol is RAM's loop, bit for
+//! bit. One iteration of Algorithm 1 costs three model rounds:
 //!
 //! 1. coordinator → sites: accept/reject verdict of the previous basis
 //!    (a 1-bit flag, metered as one byte); sites → coordinator: local
@@ -24,10 +23,14 @@
 //! 3. coordinator → sites: the new basis `f(B)`; sites → coordinator:
 //!    local violator weight `w(V_i)` and count.
 //!
+//! The sites apply a verdict as soon as the loop reaches it; its message
+//! is charged in the next iteration's round 1, and the final basis's
+//! verdict is never sent.
+//!
 //! Total: `O(νr)` rounds and `Õ((λn^{1/r}ν + k)·ν)·bit(S)` communication.
 
 use crate::{BigDataError, COUNT_BITS, VERDICT_BITS, WEIGHT_BITS};
-use llp_core::clarkson::{NetBuffer, SiteWeights};
+use llp_core::clarkson::{self, ClarksonStats, Holder, NetBuffer, SiteWeights};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
@@ -40,6 +43,9 @@ use rand::Rng;
 /// exactly across thread counts.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CoordinatorStats {
+    /// Algorithm 1's own statistics: iterations, successes, net size
+    /// and the Eq. (2) and violator traces.
+    pub clarkson: ClarksonStats,
     /// Model rounds.
     pub rounds: u64,
     /// Total communication in bits.
@@ -48,12 +54,6 @@ pub struct CoordinatorStats {
     pub bits_up: u64,
     /// Bits from the coordinator to sites.
     pub bits_down: u64,
-    /// Iterations of Algorithm 1.
-    pub iterations: usize,
-    /// Successful iterations.
-    pub successful_iterations: usize,
-    /// ε-net size `m`.
-    pub net_size: usize,
     /// Number of sites.
     pub k: usize,
     /// Heaviest single round, in bits (congestion read-out for skewed
@@ -104,124 +104,114 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     rng: &mut R,
 ) -> Result<(P::Solution, CoordinatorStats), BigDataError> {
     let n = data.len();
-    assert!(n > 0, "empty input");
     let covered: usize = sizes.iter().sum();
     assert_eq!(covered, n, "site sizes must cover the data exactly");
-    assert_eq!(columns.len(), n, "columns/constraints length mismatch");
-    let k = sizes.len();
-    let params = cfg.params(problem, n);
-    let cbits = problem.constraint_bits();
-    let mut meter = CoordMeter::default();
-    // Persistent per-site weight exponents: every site tracks its own
-    // range's weights incrementally from the violator lists it scans
-    // anyway in round 3, so no round ever recomputes a weight.
-    let mut sites = SiteWeights::partition(sizes, params.factor);
-    // The sites draw each net into this one buffer, refilled in place.
-    let mut buffer = NetBuffer::new();
-
-    let mut stats = CoordinatorStats {
-        net_size: params.net_size,
-        k,
-        ..CoordinatorStats::default()
+    let mut sites = Sites {
+        sites: SiteWeights::partition(sizes, cfg.factor.value(n)),
+        meter: CoordMeter::default(),
+        cbits: problem.constraint_bits(),
+        verdict_owed: false,
     };
-    // The accept/reject verdict the sites have not heard yet.
-    let mut pending: Option<bool> = None;
-
-    let result = loop {
-        if stats.iterations >= cfg.max_iterations {
-            break Err(BigDataError::IterationLimit);
-        }
-        stats.iterations += 1;
-
-        // ---- Round 1: verdict down, site weights up. ----
-        meter.begin_round();
-        if let Some(accepted) = pending.take() {
-            for site in &mut sites {
-                meter.charge_down(VERDICT_BITS);
-                site.resolve(accepted);
-            }
-        }
-        let mut site_weights: Vec<ScaledF64> = Vec::with_capacity(k);
-        let mut total_weight = ScaledF64::ZERO;
-        for site in &sites {
-            // O(1): the site's class-histogram total.
-            let w = site.total();
-            meter.charge_up(WEIGHT_BITS);
-            site_weights.push(w);
-            total_weight += w;
-        }
-
-        // ---- Round 2: sample counts down, sampled constraints up. ----
-        meter.begin_round();
-        let net: &[P::Constraint] = if params.net_size >= n {
-            // The ε-net formula covers the whole input: sites ship
-            // everything (a trivially valid net), which is `data` itself.
-            for &size in sizes {
-                meter.charge_down(COUNT_BITS);
-                meter.charge_up(size as u64 * cbits);
-            }
-            data
-        } else {
-            let weights_f64: Vec<f64> =
-                site_weights.iter().map(|w| w.ratio(total_weight)).collect();
-            let counts =
-                llp_sampling::discrete::multinomial(params.net_size as u64, &weights_f64, rng);
-            buffer.clear();
-            for (site, &count) in sites.iter().zip(&counts) {
-                meter.charge_down(COUNT_BITS);
-                if count == 0 {
-                    continue;
-                }
-                // The site maps its draws to exponent classes and ranks
-                // and emits the rows in one sweep over its range.
-                let picked = site.draw_into(data, count as usize, rng, &mut buffer);
-                meter.charge_up(picked as u64 * cbits);
-            }
-            buffer.rows()
-        };
-
-        // ---- Coordinator computes the basis locally. ----
-        let solution = problem.solve_subset(net, rng).map_err(BigDataError::from)?;
-
-        // ---- Round 3: basis down, violator weights up. ----
-        meter.begin_round();
-        let mut w_violators = ScaledF64::ZERO;
-        let mut violator_count = 0usize;
-        for site in &mut sites {
-            meter.charge_down(problem.solution_bits());
-            // The site's violation scan runs on the llp_par pool over its
-            // range of the shared columns, and the violators are weighed
-            // by exponent class; their indices are staged locally for
-            // next round's verdict. The metered messages below are
-            // identical to the sequential protocol — the staged list
-            // never travels.
-            let (local_w, local_count) = site.scan_and_stage(problem, &solution, columns);
-            meter.charge_up(WEIGHT_BITS); // w(V_i)
-            meter.charge_up(COUNT_BITS); // |V_i|
-            w_violators += local_w;
-            violator_count += local_count;
-        }
-
-        let success = w_violators.ratio(total_weight) <= params.eps;
-        if success {
-            if violator_count == 0 {
-                break Ok(solution);
-            }
-            stats.successful_iterations += 1;
-            pending = Some(true);
-        } else if cfg.failure_policy == llp_core::clarkson::FailurePolicy::Abort {
-            break Err(BigDataError::NetFailure);
-        } else {
-            pending = Some(false);
-        }
+    let (solution, clarkson) =
+        clarkson::run(problem, data, columns, cfg, &mut sites, rng).map_err(|(e, _)| e)?;
+    let meter = &sites.meter;
+    let stats = CoordinatorStats {
+        clarkson,
+        rounds: meter.rounds(),
+        total_bits: meter.total_bits(),
+        bits_up: meter.bits_up(),
+        bits_down: meter.bits_down(),
+        k: sizes.len(),
+        max_round_bits: meter.max_round_bits(),
     };
+    Ok((solution, stats))
+}
 
-    stats.rounds = meter.rounds();
-    stats.total_bits = meter.total_bits();
-    stats.bits_up = meter.bits_up();
-    stats.bits_down = meter.bits_down();
-    stats.max_round_bits = meter.max_round_bits();
-    result.map(|s| (s, stats))
+/// The sites and the coordinator's meter as one holder in Algorithm 1's
+/// loop. Each site keeps its range's weights incrementally from the
+/// violators it scans, so no round recomputes a weight; each method
+/// makes its protocol rounds and charges their messages.
+struct Sites {
+    sites: Vec<SiteWeights>,
+    meter: CoordMeter,
+    /// `bit(S)`: the size of one constraint on the wire.
+    cbits: u64,
+    /// The sites have applied a verdict that has not been charged yet:
+    /// it travels in the next draw's first round.
+    verdict_owed: bool,
+}
+
+impl Holder for Sites {
+    /// `Σ_i w(S_i)`, added in site order.
+    fn total(&self) -> ScaledF64 {
+        self.sites.iter().map(SiteWeights::total).sum()
+    }
+
+    /// Round 1: the verdict down, the site totals `w(S_i)` up. Round 2:
+    /// the multinomially split sample counts `y_i` down (Lemma 3.7), the
+    /// `y_i` rows each site draws up — or, when the net covers the
+    /// input, every site's whole range.
+    fn draw_net<C: Clone, R: Rng>(
+        &mut self,
+        data: &[C],
+        count: usize,
+        rng: &mut R,
+        net: &mut NetBuffer<C>,
+    ) -> bool {
+        let k = self.sites.len() as u64;
+        self.meter.begin_round();
+        if std::mem::take(&mut self.verdict_owed) {
+            self.meter.charge_down(k * VERDICT_BITS);
+        }
+        self.meter.charge_up(k * WEIGHT_BITS);
+
+        self.meter.begin_round();
+        self.meter.charge_down(k * COUNT_BITS);
+        if count >= data.len() {
+            self.meter.charge_up(data.len() as u64 * self.cbits);
+            return true;
+        }
+        let total = self.total();
+        let weights: Vec<f64> = self.sites.iter().map(|s| s.total().ratio(total)).collect();
+        let counts = llp_sampling::discrete::multinomial(count as u64, &weights, rng);
+        for (site, &y) in self.sites.iter().zip(&counts) {
+            // The site maps its draws to exponent classes and ranks and
+            // emits the rows in one sweep over its range.
+            site.draw_into(data, y as usize, rng, net);
+        }
+        self.meter.charge_up(net.rows().len() as u64 * self.cbits);
+        false
+    }
+
+    /// Round 3: the basis down, each site's violator weight `w(V_i)` and
+    /// count `|V_i|` up. A site's scan runs on the llp_par pool over its
+    /// range of the shared columns; its staged violators never travel.
+    fn scan_and_stage<P: ColumnarProblem>(
+        &mut self,
+        problem: &P,
+        solution: &P::Solution,
+        columns: &ConstraintColumns,
+    ) -> (ScaledF64, usize) {
+        let k = self.sites.len() as u64;
+        self.meter.begin_round();
+        self.meter.charge_down(k * problem.solution_bits());
+        self.meter.charge_up(k * (WEIGHT_BITS + COUNT_BITS));
+        self.sites
+            .iter_mut()
+            .map(|site| site.scan_and_stage(problem, solution, columns))
+            .fold((ScaledF64::ZERO, 0), |(w, n), (site_w, site_n)| {
+                (w + site_w, n + site_n)
+            })
+    }
+
+    /// Every site applies the verdict now; the message that carries it
+    /// is charged when the next iteration opens its first round.
+    fn resolve(&mut self, accepted: bool) {
+        for site in &mut self.sites {
+            site.resolve(accepted);
+        }
+        self.verdict_owed = true;
+    }
 }
 
 #[cfg(test)]
@@ -257,7 +247,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(52);
         let (sol, stats) = solve(&p, &cs, 4, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         assert_eq!(count_violations(&p, &sol, &cs), 0);
-        assert_eq!(stats.rounds as usize, 3 * stats.iterations);
+        assert_eq!(stats.rounds as usize, 3 * stats.clarkson.iterations);
         assert!(stats.total_bits > 0);
     }
 
@@ -281,8 +271,8 @@ mod tests {
         let (_, s2) = solve(&p, &cs, 2, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(72);
         let (_, s64) = solve(&p, &cs, 64, &ClarksonConfig::calibrated(2), &mut rng).unwrap();
-        let per_iter_2 = s2.total_bits as f64 / s2.iterations as f64;
-        let per_iter_64 = s64.total_bits as f64 / s64.iterations as f64;
+        let per_iter_2 = s2.total_bits as f64 / s2.clarkson.iterations as f64;
+        let per_iter_64 = s64.total_bits as f64 / s64.clarkson.iterations as f64;
         assert!(per_iter_64 > per_iter_2, "{per_iter_64} vs {per_iter_2}");
     }
 
@@ -356,7 +346,7 @@ mod tests {
         assert!((v1 - v2).abs() < 1e-5 * v1.abs().max(1.0), "{v1} vs {v2}");
 
         // With one site the protocol runs RAM's loop on the same holder:
-        // the same draws, bases, verdicts and weights, bit for bit. Nets
+        // the same draws, bases, verdicts, weights and traces, bit for bit. Nets
         // far below Eq. (1) make some iterations fail the ε test, where
         // neither may reweight (the site hears the verdict a round later).
         use rand::RngCore;
@@ -374,11 +364,7 @@ mod tests {
             let mut rng_coord = StdRng::seed_from_u64(seed);
             let (coord, stats) = solve(&p, &cs, 1, &small, &mut rng_coord).unwrap();
             assert_eq!(bits(&coord), bits(&ram), "seed {seed}");
-            assert_eq!(stats.iterations, ram_stats.iterations, "seed {seed}");
-            assert_eq!(
-                stats.successful_iterations, ram_stats.successful_iterations,
-                "seed {seed}"
-            );
+            assert_eq!(stats.clarkson, ram_stats, "seed {seed}");
             assert_eq!(rng_coord.next_u64(), rng_ram.next_u64(), "seed {seed}");
             failed += ram_stats.iterations - ram_stats.successful_iterations - 1;
         }

@@ -1,10 +1,14 @@
 //! Algorithm 1 in the three big data models (Theorems 1, 2, and 3).
 //!
 //! Each module implements the paper's meta-algorithm on top of the
-//! corresponding `llp-models` meter. The coordinator sites and MPC
-//! machines hold their weights in `llp_core::clarkson::SiteWeights`,
-//! the holder RAM runs on; the streaming model recomputes weights from
-//! its basis history ([`common::WeightOracle`]):
+//! corresponding `llp-models` meter. The coordinator and MPC models run
+//! RAM's loop, `llp_core::clarkson::run`, on a holder of their sites or
+//! machines (each one `llp_core::clarkson::SiteWeights`) and their
+//! meter, whose calls make the protocol's rounds and charge messages of
+//! the sizes named once here. A verdict is applied when the loop reaches
+//! it and charged when the next iteration opens. The streaming model
+//! keeps its own loops and recomputes weights from its basis history
+//! ([`common::WeightOracle`]). Every model reports [`BigDataError`]:
 //!
 //! * [`streaming`] — Theorem 1: `O(νr)` passes, `Õ(λn^{1/r}ν + ν²)·bit(S)`
 //!   space. Weights are reconstructed on the fly from the stored bases of
@@ -39,42 +43,6 @@ const WEIGHT_BITS: u64 = 128;
 /// A sample count or a violator count.
 const COUNT_BITS: u64 = 64;
 
-/// Error type shared by the model implementations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BigDataError {
-    /// The constraint set is infeasible.
-    Infeasible,
-    /// The problem is unbounded.
-    Unbounded,
-    /// The iteration cap was exhausted.
-    IterationLimit,
-    /// An iteration failed under the Monte-Carlo policy of Remark 3.6
-    /// (`FailurePolicy::Abort`).
-    NetFailure,
-    /// The out-of-core chunk source failed (I/O error or a corrupt
-    /// store file surfaced mid-run; see `llp_store::StoreError`).
-    Store(String),
-}
-
-impl std::fmt::Display for BigDataError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BigDataError::Infeasible => write!(f, "infeasible"),
-            BigDataError::Unbounded => write!(f, "unbounded"),
-            BigDataError::IterationLimit => write!(f, "iteration limit exceeded"),
-            BigDataError::NetFailure => write!(f, "epsilon-net failure (Monte-Carlo mode)"),
-            BigDataError::Store(e) => write!(f, "chunk source failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BigDataError {}
-
-impl From<llp_core::SolveError> for BigDataError {
-    fn from(e: llp_core::SolveError) -> Self {
-        match e {
-            llp_core::SolveError::Infeasible => BigDataError::Infeasible,
-            llp_core::SolveError::Unbounded => BigDataError::Unbounded,
-        }
-    }
-}
+/// The one error type of Algorithm 1 in every model, under the name
+/// the model implementations and their callers use.
+pub use llp_core::clarkson::ClarksonError as BigDataError;

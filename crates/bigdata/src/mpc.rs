@@ -20,16 +20,19 @@
 //! With `r = ⌈1/δ⌉` outer iterations parameter, the total is `O(ν/δ²)`
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
 //!
-//! Each machine is one [`SiteWeights`] holder, the one RAM and the
-//! coordinator sites run on: it keeps each row's weight exponent, draws
-//! its share of the net into the solve's one [`NetBuffer`], scans its
-//! range, and applies each verdict when the broadcast reaches it. Its
-//! weight sums travel as evaluated 128-bit totals, so every message
-//! keeps its size. The load meter is charged each message's size in
-//! bits.
+//! The machines, their tree and the load meter are one holder in RAM's
+//! loop (`llp_core::clarkson::run`), as the coordinator's sites are: its
+//! draw, scan and verdict calls make the tree rounds above and charge
+//! each message's size in bits, and its total is the converge-cast sum,
+//! added in tree order. Each machine is one [`SiteWeights`], the holder
+//! RAM runs on: it keeps each row's weight exponent, draws its share of
+//! the net, scans its range, and applies each verdict as the loop
+//! reaches it; the verdict's broadcast is charged when the next
+//! iteration opens. Weight sums travel as evaluated 128-bit totals, so
+//! every message keeps its size.
 
 use crate::{BigDataError, COUNT_BITS, VERDICT_BITS, WEIGHT_BITS};
-use llp_core::clarkson::{NetBuffer, SiteWeights};
+use llp_core::clarkson::{self, ClarksonStats, Holder, NetBuffer, SiteWeights};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
@@ -99,6 +102,9 @@ impl MpcConfig {
 /// parallel-determinism differential suite.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MpcStats {
+    /// Algorithm 1's own statistics: iterations, successes, net size
+    /// and the Eq. (2) and violator traces.
+    pub clarkson: ClarksonStats,
     /// BSP rounds.
     pub rounds: u64,
     /// Maximum per-machine per-round load in bits.
@@ -106,16 +112,10 @@ pub struct MpcStats {
     /// Sum over rounds of the per-round maximum load (critical-path
     /// traffic; congestion read-out for skewed partitions).
     pub total_load_bits: u64,
-    /// Iterations of Algorithm 1.
-    pub iterations: usize,
-    /// Successful iterations.
-    pub successful_iterations: usize,
     /// Machines used.
     pub k: usize,
     /// Tree fanout `⌈n^δ⌉`.
     pub fanout: usize,
-    /// ε-net size.
-    pub net_size: usize,
 }
 
 /// Tree helpers over machine ids 0..k with fanout f (root 0).
@@ -154,6 +154,21 @@ impl Tree {
         let start = (f.pow(l as u32) - 1) / (f - 1);
         let end = ((f.pow(l as u32 + 1) - 1) / (f - 1)).min(self.k);
         start.min(self.k)..end
+    }
+
+    /// For each node, the sum of `local` over its subtree, added level
+    /// by level from the deepest, as a converge-cast adds it.
+    fn subtree_sums(&self, depth: usize, local: &[ScaledF64]) -> Vec<ScaledF64> {
+        let mut acc = local.to_vec();
+        for l in (1..=depth).rev() {
+            for node in self.level(l) {
+                if let Some(p) = self.parent(node) {
+                    let v = acc[node];
+                    acc[p] += v;
+                }
+            }
+        }
+        acc
     }
 }
 
@@ -210,131 +225,128 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     rng: &mut R,
 ) -> Result<(P::Solution, MpcStats), BigDataError> {
     let n = data.len();
-    assert!(n > 0, "empty input");
     let covered: usize = sizes.iter().sum();
     assert_eq!(covered, n, "machine sizes must cover the data exactly");
-    assert_eq!(columns.len(), n, "columns/constraints length mismatch");
     let k = sizes.len();
     let fanout = ((n as f64).powf(cfg.delta).ceil() as usize).max(2);
-    let clarkson = cfg.clarkson();
-    let params = clarkson.params(problem, n);
-
-    let mut meter = MpcMeter::new(k);
+    let loop_cfg = cfg.clarkson();
     let tree = Tree { k, fanout };
-    let depth = tree.depth();
-    // Persistent per-machine weight exponents, updated incrementally
-    // from the violator lists each machine scans anyway — the basis
-    // verdicts broadcast down the tree keep every holder in sync, and no
-    // round recomputes a weight from the basis history.
-    let mut machines = SiteWeights::partition(sizes, params.factor);
-    // The machines draw each net into this one buffer, refilled in place.
-    let mut buffer = NetBuffer::new();
-    let cbits = problem.constraint_bits();
-
-    let mut stats = MpcStats {
+    let mut machines = Machines {
+        machines: SiteWeights::partition(sizes, loop_cfg.factor.value(n)),
+        depth: tree.depth(),
+        tree,
+        meter: MpcMeter::new(k),
+        cbits: problem.constraint_bits(),
+        verdict_owed: false,
+    };
+    let (solution, clarkson) =
+        clarkson::run(problem, data, columns, &loop_cfg, &mut machines, rng).map_err(|(e, _)| e)?;
+    let meter = &machines.meter;
+    let stats = MpcStats {
+        clarkson,
+        rounds: meter.rounds(),
+        max_load_bits: meter.max_load_bits(),
+        total_load_bits: meter.total_load_bits(),
         k,
         fanout,
-        net_size: params.net_size,
-        ..MpcStats::default()
     };
-    let mut pending: Option<bool> = None;
+    Ok((solution, stats))
+}
 
-    let result = loop {
-        if stats.iterations >= clarkson.max_iterations {
-            break Err(BigDataError::IterationLimit);
+/// The machines, their tree and the load meter as one holder in
+/// Algorithm 1's loop. Each machine keeps its range's weights
+/// incrementally from the violators it scans, and every weight sum
+/// reaches the root by converge-cast; each method makes its tree rounds
+/// and charges their messages.
+struct Machines {
+    machines: Vec<SiteWeights>,
+    tree: Tree,
+    depth: usize,
+    meter: MpcMeter,
+    /// `bit(S)`: the size of one constraint on the wire.
+    cbits: u64,
+    /// The machines have applied a verdict that has not been charged
+    /// yet: its broadcast opens the next draw.
+    verdict_owed: bool,
+}
+
+impl Holder for Machines {
+    /// The machine totals summed up the tree, in the order the root's
+    /// converge-cast adds them.
+    fn total(&self) -> ScaledF64 {
+        let local: Vec<ScaledF64> = self.machines.iter().map(SiteWeights::total).collect();
+        self.tree.subtree_sums(self.depth, &local)[0]
+    }
+
+    /// The verdict broadcast, the converge-cast of subtree weights, the
+    /// hierarchical multinomial split of the `count` draws, and one
+    /// direct round that ships the drawn rows to the root. When the net
+    /// covers the input, every machine ships its whole range instead of
+    /// a split.
+    fn draw_net<C: Clone, R: Rng>(
+        &mut self,
+        data: &[C],
+        count: usize,
+        rng: &mut R,
+        net: &mut NetBuffer<C>,
+    ) -> bool {
+        let (meter, tree, depth) = (&mut self.meter, &self.tree, self.depth);
+        if std::mem::take(&mut self.verdict_owed) {
+            broadcast_down(meter, tree, depth, VERDICT_BITS);
         }
-        stats.iterations += 1;
-
-        // ---- Verdict broadcast down the tree. ----
-        if let Some(accepted) = pending.take() {
-            broadcast_down(&mut meter, &tree, depth, VERDICT_BITS);
-            for machine in &mut machines {
-                machine.resolve(accepted);
-            }
-        }
-
-        // ---- Subtree weights converge-cast. ----
-        let local_weights: Vec<ScaledF64> = machines.iter().map(SiteWeights::total).collect();
-        let subtree_weights = converge_sum(&mut meter, &tree, depth, &local_weights, WEIGHT_BITS);
-        let total_weight = subtree_weights[0];
-
-        // ---- Hierarchical multinomial split of the m draws; when the
-        // ε-net formula covers the whole input, every machine ships its
-        // full range (a trivially valid net). ----
-        let take_all = params.net_size >= n;
-        let counts: Vec<u64> = if take_all {
-            sizes.iter().map(|&s| s as u64).collect()
+        let local: Vec<ScaledF64> = self.machines.iter().map(SiteWeights::total).collect();
+        converge_up(meter, tree, depth, WEIGHT_BITS);
+        let take_all = count >= data.len();
+        let counts = if take_all {
+            Vec::new()
         } else {
-            split_counts(
-                &mut meter,
-                &tree,
-                depth,
-                params.net_size as u64,
-                &local_weights,
-                &subtree_weights,
-                rng,
-            )
+            let subtree = tree.subtree_sums(depth, &local);
+            split_counts(meter, tree, depth, count as u64, &local, &subtree, rng)
         };
-
-        // ---- Samples to the root (one direct round). When every
-        // machine ships its whole range, the net is `data` itself. ----
         meter.begin_round();
-        buffer.clear();
-        for (i, machine) in machines.iter().enumerate() {
-            if counts[i] == 0 {
-                continue;
-            }
+        for (i, machine) in self.machines.iter().enumerate() {
             let sampled = if take_all {
                 machine.rows().len()
             } else {
                 // Class-rank draws over the machine's exponents.
-                machine.draw_into(data, counts[i] as usize, rng, &mut buffer)
+                machine.draw_into(data, counts[i] as usize, rng, net)
             };
             if i != 0 {
-                meter.charge(i, 0, sampled as u64 * cbits);
+                meter.charge(i, 0, sampled as u64 * self.cbits);
             }
         }
         meter.end_round();
-        let net = if take_all { data } else { buffer.rows() };
+        take_all
+    }
 
-        // ---- Root computes the basis. ----
-        let solution = problem.solve_subset(net, rng).map_err(BigDataError::from)?;
-
-        // ---- Basis broadcast down the tree. ----
-        broadcast_down(&mut meter, &tree, depth, problem.solution_bits());
-
-        // ---- Violator weights converge-cast. Each machine's violation
-        // scan runs on the llp_par pool over its range of the shared
-        // columns, weighs the violators by exponent class and stages
-        // their indices for the next verdict broadcast (the staged lists
-        // never travel). ----
-        let local_viol: Vec<(ScaledF64, usize)> = machines
+    /// The basis broadcast, each machine's scan of its range of the
+    /// shared columns on the llp_par pool, and the converge-cast of the
+    /// violator weights and counts. The staged violators never travel.
+    fn scan_and_stage<P: ColumnarProblem>(
+        &mut self,
+        problem: &P,
+        solution: &P::Solution,
+        columns: &ConstraintColumns,
+    ) -> (ScaledF64, usize) {
+        let (meter, tree, depth) = (&mut self.meter, &self.tree, self.depth);
+        broadcast_down(meter, tree, depth, problem.solution_bits());
+        let (weights, counts): (Vec<ScaledF64>, Vec<usize>) = self
+            .machines
             .iter_mut()
-            .map(|machine| machine.scan_and_stage(problem, &solution, columns))
-            .collect();
-        let viol_w: Vec<ScaledF64> = local_viol.iter().map(|v| v.0).collect();
-        let agg_w = converge_sum(&mut meter, &tree, depth, &viol_w, WEIGHT_BITS + COUNT_BITS);
-        let w_violators = agg_w[0];
-        let violator_count: usize = local_viol.iter().map(|v| v.1).sum();
+            .map(|machine| machine.scan_and_stage(problem, solution, columns))
+            .unzip();
+        converge_up(meter, tree, depth, WEIGHT_BITS + COUNT_BITS);
+        (tree.subtree_sums(depth, &weights)[0], counts.iter().sum())
+    }
 
-        let success = w_violators.ratio(total_weight) <= params.eps;
-        if success {
-            if violator_count == 0 {
-                break Ok(solution);
-            }
-            stats.successful_iterations += 1;
-            pending = Some(true);
-        } else if clarkson.failure_policy == llp_core::clarkson::FailurePolicy::Abort {
-            break Err(BigDataError::NetFailure);
-        } else {
-            pending = Some(false);
+    /// Every machine applies the verdict now; its broadcast is charged
+    /// when the next iteration opens.
+    fn resolve(&mut self, accepted: bool) {
+        for machine in &mut self.machines {
+            machine.resolve(accepted);
         }
-    };
-
-    stats.rounds = meter.rounds();
-    stats.max_load_bits = meter.max_load_bits();
-    stats.total_load_bits = meter.total_load_bits();
-    result.map(|s| (s, stats))
+        self.verdict_owed = true;
+    }
 }
 
 /// Broadcasts a payload of `bits` from the root to every machine, one tree
@@ -351,28 +363,18 @@ fn broadcast_down(meter: &mut MpcMeter, tree: &Tree, depth: usize, bits: u64) {
     }
 }
 
-/// Converge-casts subtree sums toward the root: one tree level per round,
-/// bottom-up. Returns, for each node, the sum over its whole subtree.
-fn converge_sum(
-    meter: &mut MpcMeter,
-    tree: &Tree,
-    depth: usize,
-    local: &[ScaledF64],
-    bits_per_msg: u64,
-) -> Vec<ScaledF64> {
-    let mut acc: Vec<ScaledF64> = local.to_vec();
+/// Charges a converge-cast toward the root: one `bits` message per tree
+/// edge, one tree level per round, bottom-up.
+fn converge_up(meter: &mut MpcMeter, tree: &Tree, depth: usize, bits: u64) {
     for l in (1..=depth).rev() {
         meter.begin_round();
         for node in tree.level(l) {
             if let Some(p) = tree.parent(node) {
-                meter.charge(node, p, bits_per_msg);
-                let v = acc[node];
-                acc[p] += v;
+                meter.charge(node, p, bits);
             }
         }
         meter.end_round();
     }
-    acc
 }
 
 /// Splits `m` multinomial draws down the tree: each node receives its
@@ -501,8 +503,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(94);
         let (_, loose) = solve(&p, &cs, &MpcConfig::calibrated(0.55), &mut rng).unwrap();
         assert!(
-            tight.rounds as f64 / tight.iterations as f64
-                >= loose.rounds as f64 / loose.iterations as f64,
+            tight.rounds as f64 / tight.clarkson.iterations as f64
+                >= loose.rounds as f64 / loose.clarkson.iterations as f64,
             "tight {tight:?} loose {loose:?}"
         );
         assert!(
@@ -522,8 +524,8 @@ mod tests {
         assert!((v1 - v2).abs() < 1e-5 * v1.abs().max(1.0), "{v1} vs {v2}");
 
         // With one machine the tree has no edges and the protocol runs
-        // RAM's loop on the same holder, bit for bit, as the one-site
-        // coordinator does — failed iterations included.
+        // RAM's loop on the same holder, bit for bit and trace for trace,
+        // as the one-site coordinator does — failed iterations included.
         use rand::RngCore;
         let small = ClarksonConfig {
             net_multiplier: 1.0 / 4096.0,
@@ -546,11 +548,7 @@ mod tests {
             let (mpc, stats) =
                 solve_partitioned(&p, &cs, &columns, &[cs.len()], &cfg, &mut rng_mpc).unwrap();
             assert_eq!(bits(&mpc), bits(&ram), "seed {seed}");
-            assert_eq!(stats.iterations, ram_stats.iterations, "seed {seed}");
-            assert_eq!(
-                stats.successful_iterations, ram_stats.successful_iterations,
-                "seed {seed}"
-            );
+            assert_eq!(stats.clarkson, ram_stats, "seed {seed}");
             assert_eq!(rng_mpc.next_u64(), rng_ram.next_u64(), "seed {seed}");
             failed += ram_stats.iterations - ram_stats.successful_iterations - 1;
         }

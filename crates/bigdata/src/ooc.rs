@@ -33,10 +33,10 @@ use std::path::{Path, PathBuf};
 // so crates that reach the store only through this one can load files.
 pub use llp_store::read_all;
 
-impl From<StoreError> for BigDataError {
-    fn from(e: StoreError) -> Self {
-        BigDataError::Store(e.to_string())
-    }
+/// A store failure as the models report it (both types are foreign
+/// here, so no `From` impl can say this).
+pub fn store_error(e: StoreError) -> BigDataError {
+    BigDataError::Store(e.to_string())
 }
 
 /// An ordered, re-scannable sequence of columnar constraint blocks —
@@ -117,7 +117,7 @@ impl FileSource {
     /// re-opens it — `open` only pins the row count and fails fast on a
     /// bad header).
     pub fn open(path: &Path) -> Result<Self, BigDataError> {
-        let reader = llp_store::open_file(path)?;
+        let reader = llp_store::open_file(path).map_err(store_error)?;
         let rows = reader.header().rows as usize;
         let bytes_read = reader.bytes_read();
         Ok(FileSource {
@@ -144,7 +144,7 @@ impl ChunkSource for FileSource {
             // A prior pass abandoned mid-tape still accounts its bytes.
             self.bytes_read += reader.bytes_read();
         }
-        self.reader = Some(llp_store::open_file(&self.path)?);
+        self.reader = Some(llp_store::open_file(&self.path).map_err(store_error)?);
         Ok(())
     }
 
@@ -155,14 +155,17 @@ impl ChunkSource for FileSource {
             // Tape exhausted: the reader checks that the file ends here,
             // then goes, so its frame buffers are not held through the
             // caller's work between passes.
-            reader.next_chunk()?;
+            reader.next_chunk().map_err(store_error)?;
             if let Some(reader) = self.reader.take() {
                 self.bytes_read += reader.bytes_read();
             }
             return Ok(None);
         }
         let reader = self.reader.as_mut().expect("begin_pass before next_chunk");
-        Ok(reader.next_chunk()?.map(|chunk| (base, chunk)))
+        Ok(reader
+            .next_chunk()
+            .map_err(store_error)?
+            .map(|chunk| (base, chunk)))
     }
 
     fn bytes_read(&self) -> u64 {

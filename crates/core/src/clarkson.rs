@@ -17,9 +17,14 @@
 //! per-iteration success probability of Claim 3.2, and the weight envelope
 //! of Eq. (2) empirically (experiments T1/T10).
 //!
+//! The loop is written once, [`run`], over a [`Holder`]. RAM's holder is
+//! one [`SiteWeights`]; the coordinator and MPC models in `llp_bigdata`
+//! are holders made of their sites or machines and their meter, so every
+//! model fills one [`ClarksonStats`] and reports one [`ClarksonError`].
+//!
 //! Every holder of constraints runs the same weight bookkeeping: the
 //! RAM machine here, each coordinator site and each MPC machine in
-//! `llp_bigdata`. A holder is one [`SiteWeights`]. Section 3.2 gives
+//! `llp_bigdata`. Each is one [`SiteWeights`]. Section 3.2 gives
 //! row `c` the weight `F^{a(c)}`, where `a(c)` counts the accepted
 //! bases `c` violated, so the holder keeps one integer exponent per row
 //! and one row count per exponent class, and reads `F^a` off one
@@ -29,12 +34,10 @@
 //! a class and a rank inside it (Lemma 2.2's inversion sampling over
 //! the class totals), marks it, and emits the marked rows in one sweep
 //! over the exponents: O(m + n) a net, next to the O(n·d) violation
-//! scan. Accepting a basis moves each violator up one class. RAM is one
-//! holder over rows `0..n`; its draw, scan and ×`F` reweight are the
-//! holder's three methods, in that order. Each solve builds its nets in
-//! one reused [`NetBuffer`]. (The streaming implementation instead
-//! recomputes the exponents from the stored bases under its space
-//! bound, see Section 3.2.)
+//! scan. Accepting a basis moves each violator up one class. Each solve
+//! builds its nets in one reused [`NetBuffer`]. (The streaming
+//! implementation instead recomputes the exponents from the stored
+//! bases under its space bound, see Section 3.2.)
 
 use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::ConstraintColumns;
@@ -173,8 +176,8 @@ pub struct RunParams {
     pub net_size: usize,
 }
 
-/// Failure modes of the meta-algorithm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Failure modes of the meta-algorithm, in every model.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClarksonError {
     /// The constraint set is infeasible (detected on a sampled subset).
     Infeasible,
@@ -184,6 +187,9 @@ pub enum ClarksonError {
     IterationLimit,
     /// An iteration failed under [`FailurePolicy::Abort`].
     NetFailure,
+    /// The out-of-core chunk source failed (an I/O error or a corrupt
+    /// store file surfaced mid-run).
+    Store(String),
 }
 
 impl std::fmt::Display for ClarksonError {
@@ -193,11 +199,21 @@ impl std::fmt::Display for ClarksonError {
             ClarksonError::Unbounded => write!(f, "unbounded"),
             ClarksonError::IterationLimit => write!(f, "iteration limit exceeded"),
             ClarksonError::NetFailure => write!(f, "epsilon-net failure (Monte-Carlo mode)"),
+            ClarksonError::Store(e) => write!(f, "chunk source failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for ClarksonError {}
+
+impl From<SolveError> for ClarksonError {
+    fn from(e: SolveError) -> Self {
+        match e {
+            SolveError::Infeasible => ClarksonError::Infeasible,
+            SolveError::Unbounded => ClarksonError::Unbounded,
+        }
+    }
+}
 
 /// Execution statistics — the raw material of experiments T1, T8, T10.
 /// `PartialEq` backs the parallel-determinism differential suite: two runs
@@ -249,8 +265,8 @@ pub fn solve<P: ColumnarProblem, R: Rng>(
 /// `columns` must be `problem.to_columns(constraints)` (same
 /// constraints, same order); the AoS slice still serves the ε-net
 /// basis solves while every O(n) violation scan runs over the columns.
-/// The RAM machine is one [`SiteWeights`] holder over all `n` rows, and
-/// its nets are built in one [`NetBuffer`] for the whole solve.
+/// The RAM machine is one [`SiteWeights`] holder over all `n` rows in
+/// [`run`]'s loop.
 ///
 /// # Panics
 /// Panics if `constraints` is empty or `columns` has a different
@@ -262,18 +278,76 @@ pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
     cfg: &ClarksonConfig,
     rng: &mut R,
 ) -> ClarksonOutcome<P::Solution> {
-    assert!(!constraints.is_empty(), "no constraints");
+    let n = constraints.len();
+    let mut holder = SiteWeights::new(0..n, cfg.factor.value(n));
+    run(problem, constraints, columns, cfg, &mut holder, rng)
+}
+
+/// The holder of Algorithm 1's weights as its loop sees it: the four
+/// calls [`run`] makes each iteration. In the coordinator and MPC
+/// models, which run the loop unchanged (Lemma 3.7), each call also
+/// makes the protocol's rounds and charges its messages.
+pub trait Holder {
+    /// `w(S)`, the total weight the ε test and the Eq. (2) trace read.
+    /// It charges nothing: the loop reads it twice an iteration.
+    fn total(&self) -> ScaledF64;
+
+    /// Draws the iteration's ε-net of `count` weighted draws from the
+    /// shared input `data` into `net` (empty on entry), or returns
+    /// `true` when the net is all of `data` (`count ≥ data.len()`),
+    /// which the loop then reads without a copy.
+    fn draw_net<C: Clone, R: Rng>(
+        &mut self,
+        data: &[C],
+        count: usize,
+        rng: &mut R,
+        net: &mut NetBuffer<C>,
+    ) -> bool;
+
+    /// Finds the violators of `solution` among the holder's rows of the
+    /// shared `columns`, stages them for the verdict, and returns their
+    /// weight `w(V)` and count.
+    fn scan_and_stage<P: ColumnarProblem>(
+        &mut self,
+        problem: &P,
+        solution: &P::Solution,
+        columns: &ConstraintColumns,
+    ) -> (ScaledF64, usize);
+
+    /// Applies the verdict on the staged basis: accepted ⇒ every staged
+    /// violator's weight is multiplied by `F` (Line 8); rejected ⇒ the
+    /// weights stay.
+    fn resolve(&mut self, accepted: bool);
+}
+
+/// Algorithm 1's loop (Lines 3–10) over any [`Holder`] of `data`, until
+/// `V = ∅`, the iteration cap, or a failed iteration under
+/// [`FailurePolicy::Abort`]. `columns` must be `problem.to_columns(data)`,
+/// and `holder` must start with all weights 1 at the factor
+/// `cfg.factor.value(data.len())`. Each solve builds its nets in one
+/// [`NetBuffer`].
+///
+/// # Panics
+/// Panics if `data` is empty or `columns` has a different length.
+pub fn run<P: ColumnarProblem, H: Holder, R: Rng>(
+    problem: &P,
+    data: &[P::Constraint],
+    columns: &ConstraintColumns,
+    cfg: &ClarksonConfig,
+    holder: &mut H,
+    rng: &mut R,
+) -> ClarksonOutcome<P::Solution> {
+    assert!(!data.is_empty(), "no constraints");
     assert_eq!(
         columns.len(),
-        constraints.len(),
+        data.len(),
         "columns/constraints length mismatch"
     );
-    let n = constraints.len();
     let RunParams {
         factor,
         eps,
         net_size: m,
-    } = cfg.params(problem, n);
+    } = cfg.params(problem, data.len());
 
     let mut stats = ClarksonStats {
         net_size: m,
@@ -281,37 +355,28 @@ pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
         factor,
         ..ClarksonStats::default()
     };
-
-    // The weight state of the whole run: maintained incrementally, never
-    // rebuilt — iteration t + 1 samples against exactly the sums that
-    // iteration t's violator updates left behind.
-    let mut holder = SiteWeights::new(0..n, factor);
     let mut buffer = NetBuffer::new();
 
     while stats.iterations < cfg.max_iterations {
         stats.iterations += 1;
 
-        // --- Sample the ε-net with probability proportional to weight:
-        // m class-rank draws and one sweep over the exponents. When the
-        // net would be the whole input, no copy. ---
-        let net: &[P::Constraint] = if m >= n {
-            constraints
+        // --- Sample the ε-net with probability proportional to weight.
+        // When the net would be the whole input, no copy. ---
+        buffer.clear();
+        let net = if holder.draw_net(data, m, rng, &mut buffer) {
+            data
         } else {
-            buffer.clear();
-            holder.draw_into(constraints, m, rng, &mut buffer);
             buffer.rows()
         };
 
         // --- Basis of the net. ---
         let solution = match problem.solve_subset(net, rng) {
             Ok(s) => s,
-            Err(SolveError::Infeasible) => return Err((ClarksonError::Infeasible, stats)),
-            Err(SolveError::Unbounded) => return Err((ClarksonError::Unbounded, stats)),
+            Err(e) => return Err((e.into(), stats)),
         };
 
-        // --- Violators and their weight: the O(n) hot scan over the
-        // columnar mirror, weighed by class, staged until the success
-        // test decides. ---
+        // --- Violators and their weight, staged until the success test
+        // decides. ---
         let (w_violators, violator_count) = holder.scan_and_stage(problem, &solution, columns);
         stats.violators_trace.push(violator_count);
 
@@ -365,12 +430,12 @@ fn class_sum(counts: &[usize], powers: &[ScaledF64]) -> ScaledF64 {
 /// Section 3.2 and Lemma 3.7 give every holder the same three duties,
 /// one method each: draw its share of the ε-net by weight
 /// ([`draw_into`](Self::draw_into)), find its violators of a basis
-/// ([`scan_and_stage`](Self::scan_and_stage)), and move them up one
-/// class when the basis is accepted ([`resolve`](Self::resolve)). In the
-/// distributed protocols the verdict arrives a round after the scan, so
-/// the scan result is **staged** and then committed or discarded.
-/// Weights are derived state and never travel; all metering stays in
-/// the callers.
+/// ([`Holder::scan_and_stage`]), and move them up one class when the
+/// basis is accepted ([`Holder::resolve`]). In the distributed
+/// protocols the verdict arrives a round after the scan, so the scan
+/// result is **staged** and then committed or discarded. Weights are
+/// derived state and never travel; all metering stays with the
+/// distributed holders built from these.
 #[derive(Clone, Debug)]
 pub struct SiteWeights {
     /// `a_i` of every local row.
@@ -423,12 +488,6 @@ impl SiteWeights {
     /// The rows of the shared input this holder owns.
     pub fn rows(&self) -> Range<usize> {
         self.rows.clone()
-    }
-
-    /// The holder's total local weight `w(S_i) = Σ_a count_a·F^a`, summed
-    /// in ascending class order: O(classes), no pass over the rows.
-    pub fn total(&self) -> ScaledF64 {
-        class_sum(&self.counts, &self.powers)
     }
 
     /// The weight `F^{a_i}` of local constraint `i` (row
@@ -486,15 +545,38 @@ impl SiteWeights {
         net.append_picked(&data[self.rows()]);
         net.picked.len()
     }
+}
+
+/// RAM's holder: one [`SiteWeights`] over all rows.
+impl Holder for SiteWeights {
+    /// The holder's total local weight `w(S_i) = Σ_a count_a·F^a`, summed
+    /// in ascending class order: O(classes), no pass over the rows.
+    fn total(&self) -> ScaledF64 {
+        class_sum(&self.counts, &self.powers)
+    }
+
+    fn draw_net<C: Clone, R: Rng>(
+        &mut self,
+        data: &[C],
+        count: usize,
+        rng: &mut R,
+        net: &mut NetBuffer<C>,
+    ) -> bool {
+        if count >= data.len() {
+            return true;
+        }
+        self.draw_into(data, count, rng, net);
+        false
+    }
 
     /// Finds the violators of `solution` among the holder's rows of the
     /// shared `columns`, stages their local indices for the next verdict,
     /// and returns their weight `w(V_i)` and count. The column kernel runs
     /// chunk-parallel with an ordered merge; the weight is the violators'
-    /// class histogram summed like [`total`](Self::total), so both
+    /// class histogram summed like [`total`](Holder::total), so both
     /// outputs are the same at any thread count. `columns` must be the
     /// transposition of the whole input the ranges cut.
-    pub fn scan_and_stage<P: ColumnarProblem>(
+    fn scan_and_stage<P: ColumnarProblem>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
@@ -522,7 +604,7 @@ impl SiteWeights {
     /// violator moves up one class (its weight ×`F`); rejected ⇒ weights
     /// unchanged. Either way the staged list is emptied, keeping its
     /// buffer.
-    pub fn resolve(&mut self, accepted: bool) {
+    fn resolve(&mut self, accepted: bool) {
         if accepted {
             for &i in &self.staged {
                 let a = self.exponents[i] as usize;

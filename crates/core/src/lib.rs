@@ -10,15 +10,18 @@
 //!   hard-margin linear SVM (Proposition 4.2), and minimum enclosing ball
 //!   / Core Vector Machines (Proposition 4.3).
 //! * [`clarkson`] implements Algorithm 1 — the ε-net sampling,
-//!   `n^{1/r}`-weight-update meta-algorithm — in RAM, with full statistics
+//!   `n^{1/r}`-weight-update meta-algorithm — with full statistics
 //!   (iteration counts for Lemma 3.3, per-iteration success for Claim 3.2,
-//!   and the weight envelope of Eq. (2)). It also holds the one weight
-//!   holder, [`clarkson::SiteWeights`], and the per-solve
-//!   [`clarkson::NetBuffer`] that RAM, the coordinator sites and the MPC
-//!   machines all run on.
+//!   and the weight envelope of Eq. (2)). Its loop, [`clarkson::run`], is
+//!   written once over a [`clarkson::Holder`], and
+//!   [`clarkson::ClarksonError`] is every model's error type. It also
+//!   holds the one weight holder, [`clarkson::SiteWeights`], and the
+//!   per-solve [`clarkson::NetBuffer`] that RAM, the coordinator sites
+//!   and the MPC machines all run on.
 //!
 //! The model implementations (streaming/coordinator/MPC) live in
-//! `llp-bigdata` and reuse everything here.
+//! `llp-bigdata` and reuse everything here; the coordinator and MPC run
+//! as holders in [`clarkson::run`].
 
 #![forbid(unsafe_code)]
 

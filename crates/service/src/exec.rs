@@ -186,7 +186,7 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
                 (out, columns)
             });
             let (sol, stats) = out.map_err(|e| fail(&e))?;
-            body.iterations = stats.iterations as u64;
+            body.iterations = stats.clarkson.iterations as u64;
             body.rounds = stats.rounds;
             body.comm_bits = stats.total_bits;
             body.max_round_bits = stats.max_round_bits;
@@ -210,7 +210,7 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
                 (out, columns)
             });
             let (sol, stats) = out.map_err(|e| fail(&e))?;
-            body.iterations = stats.iterations as u64;
+            body.iterations = stats.clarkson.iterations as u64;
             body.rounds = stats.rounds;
             body.load_bits = stats.max_load_bits;
             body.total_load_bits = stats.total_load_bits;
@@ -266,7 +266,7 @@ impl<'a, C: Clone> DataSource<'a, C> {
         match *self {
             DataSource::Ram(data) => Ok((Cow::Borrowed(data), 0)),
             DataSource::File(path) => {
-                let (data, _, bytes) = ooc::read_all(path, problem)?;
+                let (data, _, bytes) = ooc::read_all(path, problem).map_err(ooc::store_error)?;
                 Ok((Cow::Owned(data), bytes))
             }
         }

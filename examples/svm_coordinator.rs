@@ -43,7 +43,7 @@ fn main() {
         "rounds = {}, iterations = {}, communication = {} KiB \
          (naive ship-everything: {} KiB, saving {:.1}x)",
         stats.rounds,
-        stats.iterations,
+        stats.clarkson.iterations,
         stats.total_bits / 8192,
         ship_all_bits / 8192,
         ship_all_bits as f64 / stats.total_bits as f64,

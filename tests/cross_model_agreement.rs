@@ -447,3 +447,48 @@ fn infeasible_lp_detected_in_every_model() {
         Err(lodim_lp::bigdata::BigDataError::Infeasible)
     ));
 }
+
+/// Eq. (2): after each successful iteration `t`,
+/// `(t/νr)·log2 n ≤ log2 w_t(S) ≤ t/(10ν)·log2 e + log2 n`. Returns how
+/// many trace entries it checked.
+fn assert_in_eq_2_envelope(trace: &[f64], n: usize, nu: usize, r: u32, what: &str) -> usize {
+    let (log2n, nu) = ((n as f64).log2(), nu as f64);
+    for (idx, &log2w) in trace.iter().enumerate() {
+        let t = (idx + 1) as f64;
+        let lower = t / (nu * f64::from(r)) * log2n;
+        let upper = t / (10.0 * nu) * std::f64::consts::E.log2() + log2n;
+        assert!(
+            log2w >= lower - 1e-6 && log2w <= upper + 1e-6,
+            "{what}, iteration {t}: log2 w = {log2w} outside [{lower}, {upper}]"
+        );
+    }
+    trace.len()
+}
+
+#[test]
+fn distributed_weight_traces_stay_in_the_eq_2_envelope() {
+    // Every model runs Algorithm 1's one loop, so the coordinator and
+    // MPC record the trace RAM records. r = 3 matches MPC's ⌈1/δ⌉ at
+    // both δ; at d = 4 most runs accept two or three bases.
+    let mut checked = 0;
+    for seed in 0..4u64 {
+        let (p, cs) = lodim_lp::workloads::random_lp(N, 4, 83 + seed);
+        let nu = p.combinatorial_dim();
+        for k in [1usize, 8] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (_, stats) =
+                coordinator::solve(&p, &cs, k, &ClarksonConfig::lean(3), &mut rng).expect("coord");
+            let trace = &stats.clarkson.weight_log2_trace;
+            checked += assert_in_eq_2_envelope(trace, N, nu, 3, &format!("coord k={k} s={seed}"));
+        }
+        for delta in [0.4, 1.0 / 3.0] {
+            let cfg = MpcConfig::lean(delta);
+            assert_eq!(cfg.r(), 3);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (_, stats) = mpc::solve(&p, &cs, &cfg, &mut rng).expect("mpc");
+            let trace = &stats.clarkson.weight_log2_trace;
+            checked += assert_in_eq_2_envelope(trace, N, nu, 3, &format!("mpc δ={delta} s={seed}"));
+        }
+    }
+    assert!(checked >= 20, "only {checked} trace entries");
+}

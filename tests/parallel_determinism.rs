@@ -273,7 +273,7 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
     // the scan touches the llp_par pool — the class bookkeeping and the
     // draws are sequential by construction — so every field must match
     // bit-for-bit.
-    use lodim_lp::core::clarkson::{NetBuffer, SiteWeights};
+    use lodim_lp::core::clarkson::{Holder, NetBuffer, SiteWeights};
     use lodim_lp::core::lptype::{ColumnarProblem, LpTypeProblem};
 
     let mut rng = StdRng::seed_from_u64(SEED + 80);
@@ -457,7 +457,7 @@ fn meter_readings_match_sequential_reference_exactly() {
     assert_eq!(seq.total_bits, par.total_bits);
     assert_eq!(seq.bits_up, par.bits_up);
     assert_eq!(seq.bits_down, par.bits_down);
-    assert_eq!(seq.iterations, par.iterations);
+    assert_eq!(seq.clarkson, par.clarkson);
 
     let run_mpc = || {
         let mut rng = StdRng::seed_from_u64(SEED + 61);
@@ -471,7 +471,7 @@ fn meter_readings_match_sequential_reference_exactly() {
     );
     assert_eq!(seq.rounds, par.rounds);
     assert_eq!(seq.max_load_bits, par.max_load_bits);
-    assert_eq!(seq.iterations, par.iterations);
+    assert_eq!(seq.clarkson, par.clarkson);
 
     let run_stream = || {
         let mut rng = StdRng::seed_from_u64(SEED + 62);
