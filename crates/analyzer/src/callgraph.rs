@@ -369,16 +369,6 @@ impl<'a> CallGraph<'a> {
         }
         names.join(" -> ")
     }
-
-    /// The definitions whose bodies live in `path`.
-    pub fn defs_in_file(&self, path: &str) -> Vec<usize> {
-        self.defs
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| self.files[d.file].path == path)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Fallback witness for SCC members whose fact arrived through an

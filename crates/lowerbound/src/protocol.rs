@@ -93,12 +93,6 @@ pub fn r_round(inst: &TciInstance, r: u32) -> (usize, ProtocolStats) {
     (lo, stats)
 }
 
-/// Bits per value used in the accounting (exported for the experiment
-/// tables).
-pub fn value_bits() -> u64 {
-    VALUE_BITS
-}
-
 /// A direct check that the protocol's grid logic matches the promise:
 /// `a − b` increasing means the crossing is in the located cell.
 pub fn difference_is_increasing(inst: &TciInstance) -> bool {

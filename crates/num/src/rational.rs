@@ -59,11 +59,6 @@ impl Rat {
         self.num as f64 / self.den as f64
     }
 
-    /// True iff the value is an integer.
-    pub fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     /// Floor to the nearest integer at or below.
     pub fn floor(self) -> i128 {
         self.num.div_euclid(self.den)
@@ -89,15 +84,6 @@ impl Rat {
     pub fn recip(self) -> Self {
         assert!(self.num != 0, "reciprocal of zero");
         Rat::new(self.den, self.num)
-    }
-
-    /// Sign: -1, 0, or 1.
-    pub fn signum(self) -> i32 {
-        match self.num.cmp(&0) {
-            Ordering::Less => -1,
-            Ordering::Equal => 0,
-            Ordering::Greater => 1,
-        }
     }
 
     fn checked_new(num: Option<i128>, den: Option<i128>) -> Self {

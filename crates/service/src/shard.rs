@@ -126,11 +126,6 @@ impl ShardRouter {
         self.shards.len()
     }
 
-    /// The shard a fingerprint routes to.
-    pub fn shard_for(&self, fingerprint: u128) -> usize {
-        self.ring.route(fingerprint)
-    }
-
     /// The ring itself (the wire layer advertises its parameters).
     pub fn ring(&self) -> &HashRing {
         &self.ring

@@ -51,15 +51,4 @@ impl LpResult {
             _ => None,
         }
     }
-
-    /// Unwraps the optimal point.
-    ///
-    /// # Panics
-    /// Panics if the LP was infeasible or unbounded.
-    pub fn expect_optimal(self, msg: &str) -> Point {
-        match self {
-            LpResult::Optimal(p) => p,
-            other => panic!("{msg}: {other:?}"),
-        }
-    }
 }

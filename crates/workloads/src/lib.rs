@@ -48,5 +48,5 @@ pub use meb::{ball_cloud, clustered_cloud, sphere_shell};
 pub use order::binding_last_lp;
 pub use partition::skewed_sizes;
 pub use scenario::{registry, Family, RunBudget, Scenario, ScenarioData, ScenarioProblem};
-pub use store_io::{matches_scenario, provenance, scenario_for_provenance, write_scenario};
+pub use store_io::{matches_scenario, provenance, write_scenario};
 pub use svm::{heavy_tailed_clouds, separable_clouds};

@@ -151,13 +151,6 @@ impl Family {
             Family::ClusteredMeb => "clustered_meb",
         }
     }
-
-    /// Parses a wire name back into a family — the inverse of
-    /// [`name`](Self::name), used when reconstructing a scenario from a
-    /// store file's provenance header.
-    pub fn parse(s: &str) -> Option<Family> {
-        Family::ALL.iter().copied().find(|f| f.name() == s)
-    }
 }
 
 /// One fully specified, regenerable workload.
@@ -528,14 +521,6 @@ mod tests {
             assert_eq!(h.seed, f.seed);
             assert_eq!(h.n, f.n * 2_048);
         }
-    }
-
-    #[test]
-    fn family_names_parse_back() {
-        for fam in Family::ALL {
-            assert_eq!(Family::parse(fam.name()), Some(*fam));
-        }
-        assert_eq!(Family::parse("no_such_family"), None);
     }
 
     #[test]

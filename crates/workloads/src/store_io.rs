@@ -8,11 +8,11 @@
 //!
 //! The store header's [`Provenance`] records the scenario's generator
 //! arguments (family, n, d, seed, r, skew), so a well-formed file is
-//! reproducible from its header alone — [`scenario_for_provenance`]
-//! inverts the record, and [`matches_scenario`] lets a verifier check
-//! that a file on disk really is the scenario a report cell claims.
+//! reproducible from its header alone, and [`matches_scenario`] lets a
+//! verifier check that a file on disk really is the scenario a report
+//! cell claims.
 
-use crate::scenario::{Family, Scenario};
+use crate::scenario::Scenario;
 use llp_geom::ConstraintColumns;
 use llp_store::{ChunkWriter, FileHeader, Provenance, StoreError};
 use std::fs::File;
@@ -30,22 +30,6 @@ pub fn provenance(sc: &Scenario) -> Provenance {
         r: sc.r,
         skew: sc.skew,
     }
-}
-
-/// Inverts a provenance record back into a scenario (named after its
-/// family — registry display names are not stored). Returns `None` for
-/// an unknown family name.
-pub fn scenario_for_provenance(p: &Provenance) -> Option<Scenario> {
-    let family = Family::parse(&p.family)?;
-    Some(Scenario {
-        name: family.name(),
-        family,
-        n: p.n as usize,
-        d: p.d as usize,
-        seed: p.seed,
-        r: p.r,
-        skew: p.skew,
-    })
 }
 
 /// True iff a file header's provenance and shape match the scenario:
@@ -148,23 +132,6 @@ mod tests {
             assert_eq!(read_header, header, "{}", sc.name);
             assert_eq!(bytes_read, written, "{}", sc.name);
         }
-    }
-
-    #[test]
-    fn provenance_inverts_to_the_scenario() {
-        for sc in registry(RunBudget::Quick) {
-            let p = provenance(&sc);
-            let back = scenario_for_provenance(&p).unwrap();
-            assert_eq!(back.family, sc.family);
-            assert_eq!(back.n, sc.n);
-            assert_eq!(back.d, sc.d);
-            assert_eq!(back.seed, sc.seed);
-            assert_eq!(back.r, sc.r);
-            assert_eq!(back.skew, sc.skew);
-        }
-        let mut p = provenance(&registry(RunBudget::Quick)[0]);
-        p.family = "no_such_family".into();
-        assert!(scenario_for_provenance(&p).is_none());
     }
 
     #[cfg(target_os = "linux")]
