@@ -327,6 +327,28 @@ mod tests {
     }
 
     #[test]
+    fn a_net_covering_the_input_is_still_metered() {
+        // paper(1) asks for a net of all n rows, so every site ships its
+        // whole range and the first basis is the answer: one iteration,
+        // three rounds, and no verdict on the wire.
+        let (p, cs) = random_lp(300, 2, 45);
+        let mut rng = StdRng::seed_from_u64(46);
+        let (_, stats) = solve(&p, &cs, 4, &ClarksonConfig::paper(1), &mut rng).unwrap();
+        let (k, n) = (4, cs.len() as u64);
+        assert_eq!(
+            (stats.clarkson.net_size, stats.clarkson.iterations),
+            (300, 1)
+        );
+        assert_eq!(stats.rounds, 3);
+        let rows_up = n * p.constraint_bits();
+        assert_eq!(
+            stats.bits_up,
+            k * WEIGHT_BITS + rows_up + k * (WEIGHT_BITS + COUNT_BITS)
+        );
+        assert_eq!(stats.bits_down, k * COUNT_BITS + k * p.solution_bits());
+    }
+
+    #[test]
     #[should_panic(expected = "cover the data exactly")]
     fn sizes_must_cover_the_data() {
         let (p, cs) = random_lp(5, 2, 43);

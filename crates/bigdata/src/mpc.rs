@@ -585,6 +585,24 @@ mod tests {
     }
 
     #[test]
+    fn a_net_covering_the_input_is_still_metered() {
+        // A net of all n rows: every machine but the root ships its whole
+        // range to the root in one round, so the root's load that round
+        // is the rows of every other machine.
+        let (p, cs) = random_lp(300, 2, 47);
+        let mut rng = StdRng::seed_from_u64(48);
+        let sizes = [100usize, 120, 80];
+        let cfg = MpcConfig::calibrated(0.5);
+        let (_, stats) =
+            solve_partitioned(&p, &cs, &p.to_columns(&cs), &sizes, &cfg, &mut rng).unwrap();
+        assert_eq!(
+            (stats.clarkson.net_size, stats.clarkson.iterations),
+            (300, 1)
+        );
+        assert_eq!(stats.max_load_bits, 200 * p.constraint_bits());
+    }
+
+    #[test]
     fn single_machine_degenerates_gracefully() {
         let (p, cs) = random_lp(200, 2, 97);
         let mut rng = StdRng::seed_from_u64(98);
