@@ -547,24 +547,18 @@ mod tests {
         assert_eq!(count_violations(&p, &ball, &pts), 0);
     }
 
-    #[test]
-    fn chunked_file_run_is_bit_identical_to_in_ram() {
-        // Both sampling modes over a store file cut into many chunks must
-        // reproduce the in-RAM run: solution, stats, and RNG draw count.
-        use crate::ooc::{ChunkSource, FileSource};
+    /// Writes `columns` to a store file named `name` in chunks of
+    /// `chunk_len` rows and returns its path and size in bytes.
+    fn write_store(
+        name: &str,
+        columns: &ConstraintColumns,
+        chunk_len: usize,
+    ) -> (std::path::PathBuf, u64) {
         use llp_store::{ChunkWriter, FileHeader, Provenance};
-        use rand::RngCore;
-
-        let (p, cs) = random_lp(4000, 2, 21);
-        let columns = p.to_columns(&cs);
-
-        // Spill the instance to a store file in deliberately small chunks,
-        // so every pass crosses many chunk boundaries.
         let dir =
             std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/tmp-ooc-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("streaming_differential.llps");
-        let chunk_len = 257usize; // coprime to everything in sight
+        let path = dir.join(name);
         let header = FileHeader {
             dim: columns.dim() as u32,
             rows: columns.len() as u64,
@@ -584,7 +578,7 @@ mod tests {
         let mut at = 0usize;
         while at < columns.len() {
             let take = (columns.len() - at).min(chunk_len);
-            let mut chunk = llp_geom::ConstraintColumns::zeroed(columns.dim(), take);
+            let mut chunk = ConstraintColumns::zeroed(columns.dim(), take);
             for i in 0..take {
                 let extra = columns.row(at + i, &mut coords);
                 chunk.set_row(i, &coords, extra);
@@ -593,6 +587,22 @@ mod tests {
             at += take;
         }
         let file_bytes = w.finish().unwrap();
+        (path, file_bytes)
+    }
+
+    #[test]
+    fn chunked_file_run_is_bit_identical_to_in_ram() {
+        // Both sampling modes over a store file cut into many chunks must
+        // reproduce the in-RAM run: solution, stats, and RNG draw count.
+        use crate::ooc::{ChunkSource, FileSource};
+        use rand::RngCore;
+
+        let (p, cs) = random_lp(4000, 2, 21);
+        // Spill the instance to a store file in deliberately small chunks
+        // (257 rows, coprime to everything in sight), so every pass
+        // crosses many chunk boundaries.
+        let (path, file_bytes) =
+            write_store("streaming_differential.llps", &p.to_columns(&cs), 257);
 
         let cfg = ClarksonConfig::calibrated(2);
         // `open` itself reads one extra header to validate the file up
@@ -630,6 +640,90 @@ mod tests {
                 stats_file.passes * file_bytes + header_bytes,
                 "{mode:?}: bytes-read meter must equal passes x file size"
             );
+        }
+    }
+
+    /// A chunk source that fails its `fail_at`-th call, counting
+    /// `begin_pass` and `next_chunk` calls together from 1.
+    struct FailingSource<S> {
+        inner: S,
+        calls: usize,
+        fail_at: usize,
+    }
+
+    impl<S: ChunkSource> FailingSource<S> {
+        fn call(&mut self) -> Result<(), BigDataError> {
+            self.calls += 1;
+            if self.calls == self.fail_at {
+                return Err(BigDataError::Store(format!(
+                    "injected fault at call {}",
+                    self.calls
+                )));
+            }
+            Ok(())
+        }
+    }
+
+    impl<S: ChunkSource> ChunkSource for FailingSource<S> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn begin_pass(&mut self) -> Result<(), BigDataError> {
+            self.call()?;
+            self.inner.begin_pass()
+        }
+
+        fn next_chunk(&mut self) -> Result<Option<(usize, &ConstraintColumns)>, BigDataError> {
+            self.call()?;
+            self.inner.next_chunk()
+        }
+    }
+
+    #[test]
+    fn a_store_failing_mid_run_surfaces_as_a_store_error() {
+        // Whichever call of the run's source fails, on a pass boundary or
+        // inside a pass, in either sampling mode, the solve returns the
+        // store's error: no panic, no answer.
+        use crate::ooc::FileSource;
+        let (p, cs) = random_lp(1500, 2, 31);
+        let (path, _) = write_store("streaming_fault.llps", &p.to_columns(&cs), 97);
+        let small = ClarksonConfig {
+            net_multiplier: 1.0 / 4096.0,
+            net_floor_coeff: 0.25,
+            ..ClarksonConfig::paper(3)
+        };
+        for mode in [SamplingMode::TwoPassIid, SamplingMode::OnePassSpeculative] {
+            let run = |fail_at: usize| {
+                let inner = FileSource::open(&path).unwrap();
+                let mut source = FailingSource {
+                    inner,
+                    calls: 0,
+                    fail_at,
+                };
+                let mut rng = StdRng::seed_from_u64(32);
+                let out = match mode {
+                    SamplingMode::TwoPassIid => run_two_pass(&p, &mut source, &small, &mut rng),
+                    SamplingMode::OnePassSpeculative => {
+                        run_one_pass(&p, &mut source, &small, &mut rng)
+                    }
+                };
+                (out.map(|(_, stats)| stats.passes), source.calls)
+            };
+            let (clean, calls) = run(0);
+            let passes = clean.unwrap();
+            assert!(
+                passes >= 3 && calls as u64 > 2 * passes,
+                "{mode:?}: {passes} passes, {calls} calls"
+            );
+            for k in 1..=calls {
+                let (out, made) = run(k);
+                assert!(
+                    matches!(out, Err(BigDataError::Store(_))),
+                    "{mode:?}: fault at call {k} of {calls}: {out:?}"
+                );
+                assert_eq!(made, k, "{mode:?}: the run must stop at the fault");
+            }
         }
     }
 

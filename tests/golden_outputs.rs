@@ -22,6 +22,14 @@
 //!   the grid's streaming seed): objective bits, iteration, success and
 //!   pass counts, peak space in bits and items, and the next `u64` of
 //!   the run's RNG, so the reservoirs' draw count is pinned too.
+//! * `tests/golden/streaming_paths.txt` — every quick-tier registry
+//!   scenario in three streaming runs (two-pass in RAM, two-pass over a
+//!   store file cut into 257-row chunks, one-pass in RAM), each under
+//!   four configurations: small nets, the same under
+//!   `FailurePolicy::Abort`, the same capped at two iterations, and
+//!   `paper(1)`, whose net is the whole input, capped at three. A line
+//!   holds the line format of `one_pass.txt` or the error, and the file
+//!   run's `bytes_read`.
 //! * `tests/golden/generated.txt` — the generated bytes themselves:
 //!   every registry scenario at the quick and full budgets, and each
 //!   public generator at one argument set outside the registry. A line
@@ -38,7 +46,10 @@
 
 use llp_bench::report;
 use llp_bench::RunBudget;
-use llp_bigdata::streaming::{self, SamplingMode};
+use llp_bigdata::ooc::{ChunkSource, FileSource};
+use llp_bigdata::streaming::{self, SamplingMode, StreamingStats};
+use llp_bigdata::BigDataError;
+use llp_core::clarkson::FailurePolicy;
 use llp_core::instances::lp::LpProblem;
 use llp_core::instances::meb::MebProblem;
 use llp_core::instances::svm::{SvmPoint, SvmProblem};
@@ -52,16 +63,18 @@ use llp_solver::LpResult;
 use llp_workloads::scenario::{registry, Scenario, ScenarioData};
 use llp_workloads::{
     binding_last_lp, chebyshev_regression, clustered_cloud, degenerate_box_lp, heavy_tailed_clouds,
-    near_tie_lp, needle_lp, random_lp, separable_clouds, sphere_shell,
+    near_tie_lp, needle_lp, random_lp, separable_clouds, sphere_shell, write_scenario,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 const BASIS_FIXTURE: &str = include_str!("golden/basis_solver.txt");
 const GRID_FIXTURE: &str = include_str!("golden/quick_grid.txt");
 const FULL_GRID_FIXTURE: &str = include_str!("golden/full_grid.txt");
 const ONE_PASS_FIXTURE: &str = include_str!("golden/one_pass.txt");
+const STREAMING_FIXTURE: &str = include_str!("golden/streaming_paths.txt");
 const GENERATED_FIXTURE: &str = include_str!("golden/generated.txt");
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
@@ -239,10 +252,15 @@ fn render_grid(budget: RunBudget) -> String {
     out
 }
 
-fn one_pass_line<P: ColumnarProblem>(sc: &Scenario, p: &P, data: &[P::Constraint]) -> String {
-    let mut rng = StdRng::seed_from_u64(report::solver_seed(sc, "streaming"));
-    let cfg = ClarksonConfig::lean(sc.r);
-    let mut s = match streaming::solve(p, data, &cfg, SamplingMode::OnePassSpeculative, &mut rng) {
+/// A streaming run's answer (objective bits, iteration, success and
+/// pass counts, peak space in bits and items) or its error, then the
+/// next `u64` of the run's RNG.
+fn stream_line<P: ColumnarProblem>(
+    p: &P,
+    out: Result<(P::Solution, StreamingStats), BigDataError>,
+    rng: &mut StdRng,
+) -> String {
+    let mut s = match out {
         Ok((sol, st)) => format!(
             "objective={:016x} iterations={} successful={} passes={} space_bits={} space_items={}",
             p.objective_value(&sol).to_bits(),
@@ -258,6 +276,13 @@ fn one_pass_line<P: ColumnarProblem>(sc: &Scenario, p: &P, data: &[P::Constraint
     s
 }
 
+fn one_pass_line<P: ColumnarProblem>(sc: &Scenario, p: &P, data: &[P::Constraint]) -> String {
+    let mut rng = StdRng::seed_from_u64(report::solver_seed(sc, "streaming"));
+    let cfg = ClarksonConfig::lean(sc.r);
+    let out = streaming::solve(p, data, &cfg, SamplingMode::OnePassSpeculative, &mut rng);
+    stream_line(p, out, &mut rng)
+}
+
 /// The one-pass streaming fixture text the current code produces.
 fn render_one_pass() -> String {
     let mut out = String::new();
@@ -268,6 +293,95 @@ fn render_one_pass() -> String {
             ScenarioData::Meb(p, pts) => one_pass_line(&sc, &p, &pts),
         };
         let _ = writeln!(out, "{} {line}", sc.name);
+    }
+    out
+}
+
+/// The four configurations of `streaming_paths.txt`: nets far below
+/// Eq. (1), so some iterations fail the ε test, under both failure
+/// policies and capped at two iterations, and a net of the whole input.
+fn stream_configs() -> [(&'static str, ClarksonConfig); 4] {
+    let small = ClarksonConfig {
+        net_multiplier: 1.0 / 4096.0,
+        net_floor_coeff: 0.25,
+        max_iterations: 20,
+        ..ClarksonConfig::paper(3)
+    };
+    let abort = ClarksonConfig {
+        failure_policy: FailurePolicy::Abort,
+        ..small
+    };
+    let capped = ClarksonConfig {
+        max_iterations: 2,
+        ..small
+    };
+    let take_all = ClarksonConfig {
+        max_iterations: 3,
+        ..ClarksonConfig::paper(1)
+    };
+    [
+        ("small", small),
+        ("abort", abort),
+        ("cap2", capped),
+        ("take_all", take_all),
+    ]
+}
+
+/// One scenario's `streaming_paths.txt` lines; `path` is its store file.
+fn streaming_lines<P: ColumnarProblem>(
+    sc: &Scenario,
+    p: &P,
+    data: &[P::Constraint],
+    path: &Path,
+    out: &mut String,
+) {
+    let seed = report::solver_seed(sc, "streaming");
+    for (name, cfg) in stream_configs() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ram = streaming::solve(p, data, &cfg, SamplingMode::TwoPassIid, &mut rng);
+        let _ = writeln!(
+            out,
+            "{} two_pass {name} {}",
+            sc.name,
+            stream_line(p, ram, &mut rng)
+        );
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut source = FileSource::open(path).expect("open the store file");
+        let file = streaming::solve_chunked(p, &mut source, &cfg, &mut rng);
+        let line = stream_line(p, file, &mut rng);
+        let _ = writeln!(
+            out,
+            "{} two_pass_file {name} {line} bytes_read={}",
+            sc.name,
+            source.bytes_read()
+        );
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let one = streaming::solve(p, data, &cfg, SamplingMode::OnePassSpeculative, &mut rng);
+        let _ = writeln!(
+            out,
+            "{} one_pass {name} {}",
+            sc.name,
+            stream_line(p, one, &mut rng)
+        );
+    }
+}
+
+/// The streaming-paths fixture text the current code produces. Each
+/// scenario is written to a store file in `dir` first.
+fn render_streaming_paths(dir: &str) -> String {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(dir);
+    std::fs::create_dir_all(&dir).expect("create the store directory");
+    let mut out = String::new();
+    for sc in registry(RunBudget::Quick) {
+        let path = dir.join(format!("{}.llps", sc.name));
+        write_scenario(&sc, &path, 257).expect("write the store file");
+        match sc.generate() {
+            ScenarioData::Lp(p, cs) => streaming_lines(&sc, &p, &cs, &path, &mut out),
+            ScenarioData::Svm(p, pts) => streaming_lines(&sc, &p, &pts, &path, &mut out),
+            ScenarioData::Meb(p, pts) => streaming_lines(&sc, &p, &pts, &path, &mut out),
+        }
     }
     out
 }
@@ -419,6 +533,17 @@ fn one_pass_streaming_reproduces_the_golden_fixture() {
 }
 
 #[test]
+fn streaming_paths_reproduce_the_golden_fixture() {
+    assert_eq!(
+        STREAMING_FIXTURE.lines().count(),
+        12 * registry(RunBudget::Quick).len(),
+        "the fixture covers three runs under four configurations per quick scenario"
+    );
+    let actual = render_streaming_paths("target/tmp-ooc-tests/golden-streaming");
+    assert_matches(STREAMING_FIXTURE, &actual, "streaming runs");
+}
+
+#[test]
 fn generators_reproduce_the_golden_fixture() {
     assert_eq!(
         GENERATED_FIXTURE.lines().count(),
@@ -451,6 +576,11 @@ fn regenerate() {
     .expect("write full grid fixture");
     std::fs::write(format!("{GOLDEN_DIR}/one_pass.txt"), render_one_pass())
         .expect("write one-pass fixture");
+    std::fs::write(
+        format!("{GOLDEN_DIR}/streaming_paths.txt"),
+        render_streaming_paths("target/tmp-ooc-tests/golden-regenerate"),
+    )
+    .expect("write streaming-paths fixture");
     std::fs::write(format!("{GOLDEN_DIR}/generated.txt"), render_generated())
         .expect("write generated fixture");
 }
