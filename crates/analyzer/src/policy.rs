@@ -62,7 +62,6 @@ pub struct SourceFile {
 pub const KERNEL_FILES: &[&str] = &[
     "crates/core/src/lptype.rs",
     "crates/core/src/clarkson.rs",
-    "crates/bigdata/src/common.rs",
     "crates/solver/src/seidel.rs",
     "crates/solver/src/lexico.rs",
 ];

@@ -2,11 +2,12 @@
 //!
 //! Lemma 3.7 runs Algorithm 1 unchanged, each step carried by messages,
 //! so the sites and the coordinator's meter are one holder in RAM's loop
-//! (`llp_core::clarkson::run`): its draw, scan and verdict calls make the
+//! (`llp_core::clarkson::run`) that holds the caller's rows and their
+//! columnar transpose: its draw, scan and verdict calls make the
 //! protocol's rounds and charge each message's size in bits. A site's
 //! partition is local state, so a site here is a consecutive row range
 //! of the caller's input: it samples the rows of its range and scans its
-//! range of one shared columnar transpose. Every site hears each basis
+//! range of the one shared transpose. Every site hears each basis
 //! and its verdict (the coordinator broadcasts both), so each site keeps
 //! its weights incrementally: it is one [`SiteWeights`], the holder RAM
 //! runs on, which keeps each row's exponent `a(c)` and moves just the
@@ -106,14 +107,17 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let n = data.len();
     let covered: usize = sizes.iter().sum();
     assert_eq!(covered, n, "site sizes must cover the data exactly");
+    assert_eq!(columns.len(), n, "columns/constraints length mismatch");
     let mut sites = Sites {
         sites: SiteWeights::partition(sizes, cfg.factor.value(n)),
+        data,
+        columns,
+        net: NetBuffer::new(),
         meter: CoordMeter::default(),
-        cbits: problem.constraint_bits(),
         verdict_owed: false,
     };
     let (solution, clarkson) =
-        clarkson::run(problem, data, columns, cfg, &mut sites, rng).map_err(|(e, _)| e)?;
+        clarkson::run(problem, n, cfg, &mut sites, rng).map_err(|(e, _)| e)?;
     let meter = &sites.meter;
     let stats = CoordinatorStats {
         clarkson,
@@ -127,21 +131,23 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     Ok((solution, stats))
 }
 
-/// The sites and the coordinator's meter as one holder in Algorithm 1's
-/// loop. Each site keeps its range's weights incrementally from the
-/// violators it scans, so no round recomputes a weight; each method
-/// makes its protocol rounds and charges their messages.
-struct Sites {
+/// The sites, their rows and columns, and the coordinator's meter as one
+/// holder in Algorithm 1's loop. Each site keeps its range's weights
+/// incrementally from the violators it scans, so no round recomputes a
+/// weight; each method makes its protocol rounds and charges their
+/// messages, a row at `bit(S)` bits.
+struct Sites<'a, C> {
     sites: Vec<SiteWeights>,
+    data: &'a [C],
+    columns: &'a ConstraintColumns,
+    net: NetBuffer<C>,
     meter: CoordMeter,
-    /// `bit(S)`: the size of one constraint on the wire.
-    cbits: u64,
     /// The sites have applied a verdict that has not been charged yet:
     /// it travels in the next draw's first round.
     verdict_owed: bool,
 }
 
-impl Holder for Sites {
+impl<P: ColumnarProblem> Holder<P> for Sites<'_, P::Constraint> {
     /// `Σ_i w(S_i)`, added in site order.
     fn total(&self) -> ScaledF64 {
         self.sites.iter().map(SiteWeights::total).sum()
@@ -151,13 +157,12 @@ impl Holder for Sites {
     /// the multinomially split sample counts `y_i` down (Lemma 3.7), the
     /// `y_i` rows each site draws up — or, when the net covers the
     /// input, every site's whole range.
-    fn draw_net<C: Clone, R: Rng>(
+    fn draw_net<R: Rng>(
         &mut self,
-        data: &[C],
+        problem: &P,
         count: usize,
         rng: &mut R,
-        net: &mut NetBuffer<C>,
-    ) -> bool {
+    ) -> Result<&[P::Constraint], BigDataError> {
         let k = self.sites.len() as u64;
         self.meter.begin_round();
         if std::mem::take(&mut self.verdict_owed) {
@@ -167,41 +172,47 @@ impl Holder for Sites {
 
         self.meter.begin_round();
         self.meter.charge_down(k * COUNT_BITS);
-        if count >= data.len() {
-            self.meter.charge_up(data.len() as u64 * self.cbits);
-            return true;
+        if count >= self.data.len() {
+            self.meter
+                .charge_up(self.data.len() as u64 * problem.constraint_bits());
+            return Ok(self.data);
         }
-        let total = self.total();
+        let total = Holder::<P>::total(self);
         let weights: Vec<f64> = self.sites.iter().map(|s| s.total().ratio(total)).collect();
         let counts = llp_sampling::discrete::multinomial(count as u64, &weights, rng);
+        self.net.clear();
         for (site, &y) in self.sites.iter().zip(&counts) {
             // The site maps its draws to exponent classes and ranks and
             // emits the rows in one sweep over its range.
-            site.draw_into(data, y as usize, rng, net);
+            site.draw_into(self.data, y as usize, rng, &mut self.net);
         }
-        self.meter.charge_up(net.rows().len() as u64 * self.cbits);
-        false
+        let rows = self.net.rows();
+        self.meter
+            .charge_up(rows.len() as u64 * problem.constraint_bits());
+        Ok(rows)
     }
 
     /// Round 3: the basis down, each site's violator weight `w(V_i)` and
     /// count `|V_i|` up. A site's scan runs on the llp_par pool over its
     /// range of the shared columns; its staged violators never travel.
-    fn scan_and_stage<P: ColumnarProblem>(
+    fn scan_and_stage<R: Rng>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
-        columns: &ConstraintColumns,
-    ) -> (ScaledF64, usize) {
+        _: &mut R,
+    ) -> Result<(ScaledF64, usize), BigDataError> {
         let k = self.sites.len() as u64;
         self.meter.begin_round();
         self.meter.charge_down(k * problem.solution_bits());
         self.meter.charge_up(k * (WEIGHT_BITS + COUNT_BITS));
-        self.sites
+        let columns = self.columns;
+        Ok(self
+            .sites
             .iter_mut()
             .map(|site| site.scan_and_stage(problem, solution, columns))
             .fold((ScaledF64::ZERO, 0), |(w, n), (site_w, site_n)| {
                 (w + site_w, n + site_n)
-            })
+            }))
     }
 
     /// Every site applies the verdict now; the message that carries it

@@ -1,14 +1,16 @@
 //! Algorithm 1 in the three big data models (Theorems 1, 2, and 3).
 //!
 //! Each module implements the paper's meta-algorithm on top of the
-//! corresponding `llp-models` meter. The coordinator and MPC models run
-//! RAM's loop, `llp_core::clarkson::run`, on a holder of their sites or
-//! machines (each one `llp_core::clarkson::SiteWeights`) and their
-//! meter, whose calls make the protocol's rounds and charge messages of
-//! the sizes named once here. A verdict is applied when the loop reaches
-//! it and charged when the next iteration opens. The streaming model
-//! keeps its own loops and recomputes weights from its basis history
-//! ([`common::WeightOracle`]). Every model reports [`BigDataError`]:
+//! corresponding `llp-models` meter, as one holder in the loop every
+//! model runs, `llp_core::clarkson::run`. Each holder owns its input.
+//! The coordinator and MPC hold the caller's rows and their columns, in
+//! sites or machines (each one `llp_core::clarkson::SiteWeights`) and
+//! their meter, whose calls make the protocol's rounds and charge
+//! messages of the sizes named once here; a verdict is applied when the
+//! loop reaches it and charged when the next iteration opens. The
+//! stream holds a chunk source and recomputes weights from its basis
+//! history with `llp_core::clarkson::exponents_columnar`. Every model
+//! reports [`BigDataError`]:
 //!
 //! * [`streaming`] — Theorem 1: `O(νr)` passes, `Õ(λn^{1/r}ν + ν²)·bit(S)`
 //!   space. Weights are reconstructed on the fly from the stored bases of
@@ -29,7 +31,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod common;
 pub mod coordinator;
 pub mod mpc;
 pub mod ooc;

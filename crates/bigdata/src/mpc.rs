@@ -20,11 +20,11 @@
 //! With `r = ⌈1/δ⌉` outer iterations parameter, the total is `O(ν/δ²)`
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
 //!
-//! The machines, their tree and the load meter are one holder in RAM's
-//! loop (`llp_core::clarkson::run`), as the coordinator's sites are: its
-//! draw, scan and verdict calls make the tree rounds above and charge
-//! each message's size in bits, and its total is the converge-cast sum,
-//! added in tree order. Each machine is one [`SiteWeights`], the holder
+//! The machines, their rows and columns, their tree and the load meter
+//! are one holder in the loop (`llp_core::clarkson::run`), as the
+//! coordinator's sites are: its draw, scan and verdict calls make the
+//! tree rounds above and charge each message's size in bits, and its
+//! total is the converge-cast sum, added in tree order. Each machine is one [`SiteWeights`], the holder
 //! RAM runs on: it keeps each row's weight exponent, draws its share of
 //! the net, scans its range, and applies each verdict as the loop
 //! reaches it; the verdict's broadcast is charged when the next
@@ -227,20 +227,23 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let n = data.len();
     let covered: usize = sizes.iter().sum();
     assert_eq!(covered, n, "machine sizes must cover the data exactly");
+    assert_eq!(columns.len(), n, "columns/constraints length mismatch");
     let k = sizes.len();
     let fanout = ((n as f64).powf(cfg.delta).ceil() as usize).max(2);
     let loop_cfg = cfg.clarkson();
     let tree = Tree { k, fanout };
     let mut machines = Machines {
         machines: SiteWeights::partition(sizes, loop_cfg.factor.value(n)),
+        data,
+        columns,
+        net: NetBuffer::new(),
         depth: tree.depth(),
         tree,
         meter: MpcMeter::new(k),
-        cbits: problem.constraint_bits(),
         verdict_owed: false,
     };
     let (solution, clarkson) =
-        clarkson::run(problem, data, columns, &loop_cfg, &mut machines, rng).map_err(|(e, _)| e)?;
+        clarkson::run(problem, n, &loop_cfg, &mut machines, rng).map_err(|(e, _)| e)?;
     let meter = &machines.meter;
     let stats = MpcStats {
         clarkson,
@@ -253,24 +256,25 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     Ok((solution, stats))
 }
 
-/// The machines, their tree and the load meter as one holder in
-/// Algorithm 1's loop. Each machine keeps its range's weights
-/// incrementally from the violators it scans, and every weight sum
-/// reaches the root by converge-cast; each method makes its tree rounds
-/// and charges their messages.
-struct Machines {
+/// The machines, their rows and columns, their tree and the load meter
+/// as one holder in Algorithm 1's loop. Each machine keeps its range's
+/// weights incrementally from the violators it scans, and every weight
+/// sum reaches the root by converge-cast; each method makes its tree
+/// rounds and charges their messages, a row at `bit(S)` bits.
+struct Machines<'a, C> {
     machines: Vec<SiteWeights>,
+    data: &'a [C],
+    columns: &'a ConstraintColumns,
+    net: NetBuffer<C>,
     tree: Tree,
     depth: usize,
     meter: MpcMeter,
-    /// `bit(S)`: the size of one constraint on the wire.
-    cbits: u64,
     /// The machines have applied a verdict that has not been charged
     /// yet: its broadcast opens the next draw.
     verdict_owed: bool,
 }
 
-impl Holder for Machines {
+impl<P: ColumnarProblem> Holder<P> for Machines<'_, P::Constraint> {
     /// The machine totals summed up the tree, in the order the root's
     /// converge-cast adds them.
     fn total(&self) -> ScaledF64 {
@@ -283,60 +287,61 @@ impl Holder for Machines {
     /// direct round that ships the drawn rows to the root. When the net
     /// covers the input, every machine ships its whole range instead of
     /// a split.
-    fn draw_net<C: Clone, R: Rng>(
+    fn draw_net<R: Rng>(
         &mut self,
-        data: &[C],
+        problem: &P,
         count: usize,
         rng: &mut R,
-        net: &mut NetBuffer<C>,
-    ) -> bool {
+    ) -> Result<&[P::Constraint], BigDataError> {
         let (meter, tree, depth) = (&mut self.meter, &self.tree, self.depth);
         if std::mem::take(&mut self.verdict_owed) {
             broadcast_down(meter, tree, depth, VERDICT_BITS);
         }
         let local: Vec<ScaledF64> = self.machines.iter().map(SiteWeights::total).collect();
         converge_up(meter, tree, depth, WEIGHT_BITS);
-        let take_all = count >= data.len();
+        let take_all = count >= self.data.len();
         let counts = if take_all {
             Vec::new()
         } else {
             let subtree = tree.subtree_sums(depth, &local);
             split_counts(meter, tree, depth, count as u64, &local, &subtree, rng)
         };
+        self.net.clear();
         meter.begin_round();
         for (i, machine) in self.machines.iter().enumerate() {
             let sampled = if take_all {
                 machine.rows().len()
             } else {
                 // Class-rank draws over the machine's exponents.
-                machine.draw_into(data, counts[i] as usize, rng, net)
+                machine.draw_into(self.data, counts[i] as usize, rng, &mut self.net)
             };
             if i != 0 {
-                meter.charge(i, 0, sampled as u64 * self.cbits);
+                meter.charge(i, 0, sampled as u64 * problem.constraint_bits());
             }
         }
         meter.end_round();
-        take_all
+        Ok(if take_all { self.data } else { self.net.rows() })
     }
 
     /// The basis broadcast, each machine's scan of its range of the
     /// shared columns on the llp_par pool, and the converge-cast of the
     /// violator weights and counts. The staged violators never travel.
-    fn scan_and_stage<P: ColumnarProblem>(
+    fn scan_and_stage<R: Rng>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
-        columns: &ConstraintColumns,
-    ) -> (ScaledF64, usize) {
+        _: &mut R,
+    ) -> Result<(ScaledF64, usize), BigDataError> {
         let (meter, tree, depth) = (&mut self.meter, &self.tree, self.depth);
         broadcast_down(meter, tree, depth, problem.solution_bits());
+        let columns = self.columns;
         let (weights, counts): (Vec<ScaledF64>, Vec<usize>) = self
             .machines
             .iter_mut()
             .map(|machine| machine.scan_and_stage(problem, solution, columns))
             .unzip();
         converge_up(meter, tree, depth, WEIGHT_BITS + COUNT_BITS);
-        (tree.subtree_sums(depth, &weights)[0], counts.iter().sum())
+        Ok((tree.subtree_sums(depth, &weights)[0], counts.iter().sum()))
     }
 
     /// Every machine applies the verdict now; its broadcast is charged

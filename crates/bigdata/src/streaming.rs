@@ -1,38 +1,42 @@
 //! Theorem 1: Algorithm 1 in the multi-pass streaming model.
 //!
-//! Memory between passes holds only (a) the basis history of successful
-//! iterations (`Õ(ν²)·bit(S)` bits — weights are recomputed from it on the
-//! fly, Section 3.2) and (b) the current ε-net buffer
-//! (`Õ(λνn^{1/r})·bit(S)` bits). Both sampling modes run over a
-//! [`ChunkSource`] tape, count one pass per rewind, and meter retained
-//! state in a [`SpaceMeter`]:
+//! The stream is one holder in the loop every model runs
+//! (`llp_core::clarkson::run`): its draw and scan are passes over a
+//! [`ChunkSource`] tape, counted one per rewind. Memory between passes
+//! holds only (a) the basis history of accepted iterations
+//! (`Õ(ν²)·bit(S)` bits — weights are recomputed from it on the fly,
+//! Section 3.2) and (b) the current ε-net buffer
+//! (`Õ(λνn^{1/r})·bit(S)` bits), metered in a [`SpaceMeter`]. The total
+//! weight `w(S)` is bookkept: it starts at `n` and each accepted basis
+//! adds `(F − 1)·w(V)`. Two sampling modes:
 //!
-//! * [`SamplingMode::TwoPassIid`] — faithful to Lemma 2.2: pass 1 draws the
-//!   net i.i.d. by inverting `m` sorted uniforms against the running
-//!   prefix-sum of reconstructed weights (the total weight is known
-//!   exactly from the previous iteration's bookkeeping); pass 2 runs the
-//!   violation test. Two passes per iteration — still `O(νr)` passes.
-//! * [`SamplingMode::OnePassSpeculative`] — one pass per iteration: while
-//!   the violation test of the *pending* basis streams by, two weighted
-//!   reservoirs (A-ExpJ) sample the next net under both possible outcomes
-//!   (accept/reject); the right one is kept once `w(V)` is known at the
-//!   end of the pass. Reservoir sampling is without replacement, which
-//!   only improves ε-net coverage (ablation A2).
+//! * [`SamplingMode::TwoPassIid`] — faithful to Lemma 2.2: the draw is
+//!   pass 1, which draws the net i.i.d. by inverting `m` sorted uniforms
+//!   against the running prefix-sum of reconstructed weights (the total
+//!   is the bookkept one); the scan is pass 2, the violation test. Two
+//!   passes per iteration — still `O(νr)` passes.
+//! * [`SamplingMode::OnePassSpeculative`] — one pass per iteration: the
+//!   first draw is one pass of an all-ones weighted reservoir (A-ExpJ);
+//!   while the scan tests a basis, two reservoirs sample the next net
+//!   under both possible outcomes (accept/reject), and the verdict keeps
+//!   the right one, which is the next draw. Reservoir sampling is without
+//!   replacement, which only improves ε-net coverage (ablation A2).
 //!
 //! Every chunk is weighed in columnar form (one column sweep per stored
-//! basis gives each row's exponent `a(c)`, the iteration's `F^a` table
-//! its weight) and tested by the problem's column kernel. A row is
-//! rebuilt into a constraint only when a sampler keeps it. The `F^a`
-//! table is the iteration's one source of weights: pass 1 feeds a whole
-//! chunk's exponents to [`SortedTargetSampler::feed_run`], which adds the
-//! table's weights to the prefix exactly as one `feed` per row would, and
-//! pass 2 weighs each violator as `table[a(c)]`, with the exponents of
-//! its chunk counted column-wise as in pass 1.
+//! basis gives each row's exponent `a(c)`,
+//! `llp_core::clarkson::exponents_columnar`, and the `F^a` table its
+//! weight) and tested by the problem's column kernel. A row is rebuilt
+//! into a constraint only when a sampler keeps it. The `F^a` table is
+//! the one source of weights: pass 1 feeds a whole chunk's exponents to
+//! [`SortedTargetSampler::feed_run`], which adds the table's weights to
+//! the prefix exactly as one `feed` per row would, and pass 2 weighs
+//! each violator as `table[a(c)]`, with the exponents of its chunk
+//! counted as in pass 1. The net's bits are freed, and two-pass's net
+//! rows dropped, when the next scan starts, after the basis solve.
 
-use crate::common::WeightOracle;
 use crate::ooc::{ChunkSource, SliceSource};
 use crate::BigDataError;
-use llp_core::clarkson::{power_table, FailurePolicy};
+use llp_core::clarkson::{self, exponents_columnar, power_table, Holder, RunParams};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
@@ -90,10 +94,7 @@ pub fn solve<P: ColumnarProblem, R: Rng>(
     // memory: every pass sweeps it in stream order, so the pass
     // accounting and weight recomputation are unchanged.
     let mut source = SliceSource::new(problem.to_columns(data));
-    match mode {
-        SamplingMode::TwoPassIid => run_two_pass(problem, &mut source, cfg, rng),
-        SamplingMode::OnePassSpeculative => run_one_pass(problem, &mut source, cfg, rng),
-    }
+    run(problem, &mut source, cfg, mode, rng)
 }
 
 /// Runs the two-pass streaming algorithm over an arbitrary
@@ -116,57 +117,117 @@ pub fn solve_chunked<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     rng: &mut R,
 ) -> Result<(P::Solution, StreamingStats), BigDataError> {
     assert!(!source.is_empty(), "empty stream");
-    run_two_pass(problem, source, cfg, rng)
+    run(problem, source, cfg, SamplingMode::TwoPassIid, rng)
 }
 
-fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
+/// Runs Algorithm 1's loop with the stream over `source` as its holder.
+fn run<P: ColumnarProblem, S: ChunkSource, R: Rng>(
     problem: &P,
     source: &mut S,
     cfg: &ClarksonConfig,
+    mode: SamplingMode,
     rng: &mut R,
 ) -> Result<(P::Solution, StreamingStats), BigDataError> {
     let n = source.len();
     let params = cfg.params(problem, n);
-    let mut stats = StreamingStats {
-        net_size: params.net_size,
-        eps: params.eps,
-        factor: params.factor,
-        ..StreamingStats::default()
+    let mut stream = Stream {
+        source,
+        mode,
+        params,
+        total: ScaledF64::from_f64(n as f64),
+        bases: Vec::new(),
+        powers: Vec::new(),
+        basis_bits: problem.solution_bits(),
+        space: SpaceMeter::new(),
+        passes: 0,
+        net: Vec::new(),
+        held: (0, 0),
+        staged: None,
+        reservoirs: None,
+        coords: Vec::new(),
+        exponents: Vec::new(),
+        hits: Vec::new(),
+        violators: Vec::new(),
     };
-    let mut space = SpaceMeter::new();
-    let mut oracle: WeightOracle<P> = WeightOracle::default();
-    let mut total_weight = ScaledF64::from_f64(n as f64);
-    let cbits = problem.constraint_bits();
-    // Violator index buffer (chunk-local), reused across iterations.
-    let mut violators: Vec<usize> = Vec::new();
-    // Row scratch for `from_row` reconstruction.
-    let mut coords: Vec<f64> = Vec::new();
-    // Pass-1 weighing scratch: each chunk row's exponent `a(c)`, the rows
-    // a target lands on, and the iteration's `F^a` table (which pass 2
-    // weighs violators with too).
-    let mut exponents: Vec<u32> = Vec::new();
-    let mut hits: Vec<usize> = Vec::new();
-    let mut powers: Vec<ScaledF64> = Vec::new();
+    let (solution, stats) = clarkson::run(problem, n, cfg, &mut stream, rng).map_err(|(e, _)| e)?;
+    let stats = StreamingStats {
+        passes: stream.passes,
+        iterations: stats.iterations,
+        successful_iterations: stats.successful_iterations,
+        net_size: stats.net_size,
+        peak_space_bits: stream.space.peak_bits(),
+        peak_space_items: stream.space.peak_items(),
+        eps: stats.eps,
+        factor: stats.factor,
+    };
+    Ok((solution, stats))
+}
 
-    while stats.iterations < cfg.max_iterations {
-        stats.iterations += 1;
-        power_table(params.factor, oracle.top(), &mut powers);
+/// The next net if the verdict accepts, and if it rejects.
+type Reservoirs<C> = (WeightedReservoir<C>, WeightedReservoir<C>);
 
-        // ---- Pass 1: sample the ε-net i.i.d. proportional to weight. ----
-        stats.passes += 1;
-        source.begin_pass()?;
-        let mut net: Vec<P::Constraint> = Vec::new();
-        if params.net_size >= n {
-            space.alloc_raw(n as u64 * cbits, n as u64);
-            while let Some((_, chunk)) = source.next_chunk()? {
-                net.extend((0..chunk.len()).map(|i| rebuild(problem, chunk, i, &mut coords)));
+/// The stream as a holder in Algorithm 1's loop. It keeps no per-row
+/// state: every weight `F^{a(c)}` is recomputed from the stored bases
+/// as a chunk streams by (Section 3.2), and everything it keeps between
+/// passes is on its space meter.
+struct Stream<'s, P: ColumnarProblem, S> {
+    source: &'s mut S,
+    mode: SamplingMode,
+    params: RunParams,
+    /// `w(S)`, bookkept from each accepted basis's `w(V)`.
+    total: ScaledF64,
+    /// The accepted bases, in order.
+    bases: Vec<P::Solution>,
+    /// `F^a` for `a = 0..=bases.len()`, built at each draw.
+    powers: Vec<ScaledF64>,
+    /// `bit(f(B))`, the space a stored basis takes.
+    basis_bits: u64,
+    space: SpaceMeter,
+    passes: u64,
+    /// The current net's rows.
+    net: Vec<P::Constraint>,
+    /// The bits and items the net (two-pass) or the reservoirs
+    /// (one-pass) hold on the meter until the next scan starts.
+    held: (u64, u64),
+    /// The scanned basis and its `w(V)`, until the verdict.
+    staged: Option<(P::Solution, ScaledF64)>,
+    /// One-pass: the next nets, filled by the scan.
+    reservoirs: Option<Reservoirs<P::Constraint>>,
+    /// Scratch: a row's coordinates for `from_row`, each chunk row's
+    /// exponent `a(c)`, the rows one sweep or pass-1 target hits, and a
+    /// chunk's violators.
+    coords: Vec<f64>,
+    exponents: Vec<u32>,
+    hits: Vec<usize>,
+    violators: Vec<usize>,
+}
+
+impl<P: ColumnarProblem, S: ChunkSource> Stream<'_, P, S> {
+    /// Two-pass pass 1: the net i.i.d. proportional to weight, or every
+    /// row when the net covers the input.
+    fn draw_pass<R: Rng>(
+        &mut self,
+        problem: &P,
+        m: usize,
+        rng: &mut R,
+    ) -> Result<(), BigDataError> {
+        let n = self.source.len();
+        let cbits = problem.constraint_bits();
+        self.passes += 1;
+        self.source.begin_pass()?;
+        if m >= n {
+            self.space.alloc_raw(n as u64 * cbits, n as u64);
+            while let Some((_, chunk)) = self.source.next_chunk()? {
+                let coords = &mut self.coords;
+                self.net
+                    .extend((0..chunk.len()).map(|i| rebuild(problem, chunk, i, coords)));
             }
         } else {
             // Sorted uniform targets in [0, W), metered as m 128-bit
             // scaled values (the sampler keeps their m uniforms and scales
             // each one as the prefix sum reaches it).
-            space.alloc_raw(params.net_size as u64 * 128, params.net_size as u64);
-            let mut sampler = SortedTargetSampler::new(params.net_size, total_weight, rng);
+            self.space.alloc_raw(m as u64 * 128, m as u64);
+            let mut sampler = SortedTargetSampler::new(m, self.total, rng);
             // Each chunk is weighed in columnar form: its rows' exponents
             // from one column sweep per stored basis, their weights from
             // the `F^a` table, fed as one run in row order. Only rows a
@@ -174,21 +235,23 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             // The last streamed element, iff it is not already in the net
             // (a streaming algorithm may always hold the current element).
             let mut tail: Option<P::Constraint> = None;
-            while let Some((_, chunk)) = source.next_chunk()? {
-                oracle.exponents_columnar(
+            while let Some((_, chunk)) = self.source.next_chunk()? {
+                let view = chunk.full_view();
+                exponents_columnar(
                     problem,
-                    &chunk.full_view(),
-                    &mut exponents,
-                    &mut violators,
+                    &self.bases,
+                    &view,
+                    &mut self.exponents,
+                    &mut self.violators,
                 );
-                sampler.feed_run(&exponents, &powers, &mut hits);
-                for &i in &hits {
-                    space.alloc_raw(cbits, 1);
-                    net.push(rebuild(problem, chunk, i, &mut coords));
+                sampler.feed_run(&self.exponents, &self.powers, &mut self.hits);
+                for &i in &self.hits {
+                    self.space.alloc_raw(cbits, 1);
+                    self.net.push(rebuild(problem, chunk, i, &mut self.coords));
                 }
                 if let Some(last) = chunk.len().checked_sub(1) {
-                    let last_hit = hits.last() == Some(&last);
-                    tail = (!last_hit).then(|| rebuild(problem, chunk, last, &mut coords));
+                    let last_hit = self.hits.last() == Some(&last);
+                    tail = (!last_hit).then(|| rebuild(problem, chunk, last, &mut self.coords));
                 }
             }
             // The bookkept total is maintained incrementally while the fed
@@ -198,63 +261,160 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             // half-open tail interval) so the net never silently shrinks.
             if sampler.finish() > 0 {
                 if let Some(c) = tail {
-                    space.alloc_raw(cbits, 1);
-                    net.push(c);
+                    self.space.alloc_raw(cbits, 1);
+                    self.net.push(c);
                 }
             }
-            space.free_raw(params.net_size as u64 * 128, params.net_size as u64);
+            self.space.free_raw(m as u64 * 128, m as u64);
         }
+        let rows = self.net.len() as u64;
+        self.held = (rows * cbits, rows);
+        Ok(())
+    }
 
-        // ---- Basis of the net (local computation). ----
-        let solution = problem
-            .solve_subset(&net, rng)
-            .map_err(BigDataError::from)?;
-        space.free_raw(net.len() as u64 * cbits, net.len() as u64);
-        drop(net);
+    /// One-pass's first draw: one pass of an all-ones reservoir.
+    fn reservoir_pass<R: Rng>(
+        &mut self,
+        problem: &P,
+        m: usize,
+        rng: &mut R,
+    ) -> Result<(), BigDataError> {
+        let held = (m as u64 * (problem.constraint_bits() + 64), m as u64);
+        self.space.alloc_raw(held.0, held.1);
+        self.held = held;
+        let mut reservoir = WeightedReservoir::new(m);
+        self.passes += 1;
+        self.source.begin_pass()?;
+        while let Some((_, chunk)) = self.source.next_chunk()? {
+            for i in 0..chunk.len() {
+                reservoir.offer(
+                    || rebuild(problem, chunk, i, &mut self.coords),
+                    ScaledF64::ONE,
+                    rng,
+                );
+            }
+        }
+        self.net = reservoir.into_items();
+        Ok(())
+    }
 
-        // ---- Pass 2: violation test + exact new total weight. ----
-        // Each chunk is swept by the columnar kernel. A chunk with
-        // violators is weighed as in pass 1 (its rows' exponents from one
-        // column sweep per stored basis), and each violator adds its
-        // `F^a` table weight in ascending stream order — the same
-        // ScaledF64 additions, in the same order, as a single
-        // whole-stream sweep. No row is rebuilt.
-        stats.passes += 1;
-        source.begin_pass()?;
-        let mut w_violators = ScaledF64::ZERO;
-        let mut violator_count = 0usize;
-        while let Some((_, chunk)) = source.next_chunk()? {
+    /// The scan: the violators of `solution` and their weight. Each chunk
+    /// is swept by the columnar kernel and, if it has violators or
+    /// one-pass offers its rows, weighed as in pass 1; each violator adds
+    /// its `F^a` table weight in ascending stream order — the same
+    /// `ScaledF64` additions, in the same order, as a single whole-stream
+    /// sweep. One-pass's reservoirs draw the next net under both verdicts
+    /// on the way, each row weighing `F·w` in the accepted world if it
+    /// violates and `w` otherwise; two-pass rebuilds no row.
+    fn scan_pass<R: Rng>(
+        &mut self,
+        problem: &P,
+        solution: &P::Solution,
+        rng: &mut R,
+    ) -> Result<(ScaledF64, usize), BigDataError> {
+        let m = self.params.net_size;
+        let mut next = (self.mode == SamplingMode::OnePassSpeculative).then(|| {
+            self.held = (
+                2 * m as u64 * (problem.constraint_bits() + 64),
+                2 * m as u64,
+            );
+            self.space.alloc_raw(self.held.0, self.held.1);
+            (WeightedReservoir::new(m), WeightedReservoir::new(m))
+        });
+        let factor = ScaledF64::from_f64(self.params.factor);
+        let (mut w_violators, mut count) = (ScaledF64::ZERO, 0);
+        self.passes += 1;
+        self.source.begin_pass()?;
+        while let Some((_, chunk)) = self.source.next_chunk()? {
             let view = chunk.full_view();
-            violators.clear();
-            problem.scan_columns(&solution, &view, &mut violators);
-            if violators.is_empty() {
+            self.violators.clear();
+            problem.scan_columns(solution, &view, &mut self.violators);
+            if self.violators.is_empty() && next.is_none() {
                 continue;
             }
-            violator_count += violators.len();
-            oracle.exponents_columnar(problem, &view, &mut exponents, &mut hits);
-            for &i in violators.iter() {
-                w_violators += powers[exponents[i] as usize];
+            count += self.violators.len();
+            let (exponents, hits) = (&mut self.exponents, &mut self.hits);
+            exponents_columnar(problem, &self.bases, &view, exponents, hits);
+            for &i in &self.violators {
+                w_violators += self.powers[self.exponents[i] as usize];
+            }
+            let Some((accept, reject)) = next.as_mut() else {
+                continue;
+            };
+            let mut violators = self.violators.iter().peekable();
+            for (i, &a) in self.exponents.iter().enumerate() {
+                let w = self.powers[a as usize];
+                let hit = violators.next_if_eq(&&i).is_some();
+                let coords = &mut self.coords;
+                accept.offer(
+                    || rebuild(problem, chunk, i, coords),
+                    if hit { w * factor } else { w },
+                    rng,
+                );
+                reject.offer(|| rebuild(problem, chunk, i, coords), w, rng);
             }
         }
-
-        if w_violators.ratio(total_weight) <= params.eps {
-            if violator_count == 0 {
-                stats.peak_space_bits = space.peak_bits();
-                stats.peak_space_items = space.peak_items();
-                return Ok((solution, stats));
-            }
-            stats.successful_iterations += 1;
-            total_weight += w_violators * ScaledF64::from_f64(params.factor - 1.0);
-            space.alloc_raw(problem.solution_bits(), 1);
-            oracle.push(solution);
-        } else if cfg.failure_policy == FailurePolicy::Abort {
-            // Remark 3.6: the Monte-Carlo variant reports failure instead
-            // of retrying.
-            return Err(BigDataError::NetFailure);
-        }
-        // Failed iterations retry with fresh randomness (Las-Vegas).
+        self.reservoirs = next;
+        Ok((w_violators, count))
     }
-    Err(BigDataError::IterationLimit)
+}
+
+impl<P: ColumnarProblem, S: ChunkSource> Holder<P> for Stream<'_, P, S> {
+    fn total(&self) -> ScaledF64 {
+        self.total
+    }
+
+    /// Two-pass: pass 1. One-pass: the first net is the all-ones
+    /// reservoir pass, every later one the reservoir the last verdict
+    /// kept.
+    fn draw_net<R: Rng>(
+        &mut self,
+        problem: &P,
+        count: usize,
+        rng: &mut R,
+    ) -> Result<&[P::Constraint], BigDataError> {
+        let top = self.bases.len() as u32;
+        power_table(self.params.factor, top, &mut self.powers);
+        match self.mode {
+            SamplingMode::TwoPassIid => self.draw_pass(problem, count, rng)?,
+            SamplingMode::OnePassSpeculative if self.passes == 0 => {
+                self.reservoir_pass(problem, count, rng)?
+            }
+            SamplingMode::OnePassSpeculative => {}
+        }
+        Ok(&self.net)
+    }
+
+    /// Frees the net, then runs the scan pass (two-pass's pass 2,
+    /// one-pass's combined pass) and stages the basis with its `w(V)`.
+    fn scan_and_stage<R: Rng>(
+        &mut self,
+        problem: &P,
+        solution: &P::Solution,
+        rng: &mut R,
+    ) -> Result<(ScaledF64, usize), BigDataError> {
+        let (bits, items) = std::mem::take(&mut self.held);
+        self.space.free_raw(bits, items);
+        self.net = Vec::new();
+        let (w_violators, count) = self.scan_pass(problem, solution, rng)?;
+        self.staged = Some((solution.clone(), w_violators));
+        Ok((w_violators, count))
+    }
+
+    /// Accepted: `w(S)` grows by `(F − 1)·w(V)`, and the basis is
+    /// metered and stored. One-pass keeps the reservoir of the verdict
+    /// as the next net.
+    fn resolve(&mut self, accepted: bool) {
+        let staged = self.staged.take();
+        if let (true, Some((basis, w_violators))) = (accepted, staged) {
+            self.total += w_violators * ScaledF64::from_f64(self.params.factor - 1.0);
+            self.space.alloc_raw(self.basis_bits, 1);
+            self.bases.push(basis);
+        }
+        if let Some((accept, reject)) = self.reservoirs.take() {
+            self.net = if accepted { accept } else { reject }.into_items();
+        }
+    }
 }
 
 /// Rebuilds row `i` of a chunk into a constraint (`from_row` inverts
@@ -267,116 +427,6 @@ fn rebuild<P: ColumnarProblem>(
 ) -> P::Constraint {
     let extra = chunk.row(i, coords);
     problem.from_row(coords, extra)
-}
-
-fn run_one_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
-    problem: &P,
-    source: &mut S,
-    cfg: &ClarksonConfig,
-    rng: &mut R,
-) -> Result<(P::Solution, StreamingStats), BigDataError> {
-    let n = source.len();
-    let params = cfg.params(problem, n);
-    let mut stats = StreamingStats {
-        net_size: params.net_size,
-        eps: params.eps,
-        factor: params.factor,
-        ..StreamingStats::default()
-    };
-    let mut space = SpaceMeter::new();
-    let mut oracle: WeightOracle<P> = WeightOracle::default();
-    let mut total_weight = ScaledF64::from_f64(n as f64);
-    let m = params.net_size;
-    let reservoir_bits = m as u64 * (problem.constraint_bits() + 64);
-    let factor = ScaledF64::from_f64(params.factor);
-    // Row scratch for `from_row`, which runs only for rows a reservoir
-    // keeps.
-    let mut coords: Vec<f64> = Vec::new();
-    // Per-chunk scratch: each row's exponent `a(c)`, the hits of one
-    // basis sweep, the pending basis's violators (ascending), and the
-    // iteration's `F^a` table.
-    let mut exponents: Vec<u32> = Vec::new();
-    let mut hits: Vec<usize> = Vec::new();
-    let mut violators: Vec<usize> = Vec::new();
-    let mut powers: Vec<ScaledF64> = Vec::new();
-
-    // ---- Initial pass: draw the first net (all weights are 1). ----
-    stats.passes += 1;
-    source.begin_pass()?;
-    space.alloc_raw(reservoir_bits, m as u64);
-    let mut reservoir = WeightedReservoir::new(m);
-    while let Some((_, chunk)) = source.next_chunk()? {
-        for i in 0..chunk.len() {
-            reservoir.offer(
-                || rebuild(problem, chunk, i, &mut coords),
-                ScaledF64::ONE,
-                rng,
-            );
-        }
-    }
-    let net = reservoir.into_items();
-    stats.iterations += 1;
-    let mut pending = problem
-        .solve_subset(&net, rng)
-        .map_err(BigDataError::from)?;
-    space.free_raw(reservoir_bits, m as u64);
-    drop(net);
-
-    while stats.iterations < cfg.max_iterations {
-        // ---- Combined pass: violation-test `pending` while sampling the
-        // next net under both outcomes. ----
-        space.alloc_raw(2 * reservoir_bits, 2 * m as u64);
-        let mut res_accept = WeightedReservoir::new(m);
-        let mut res_reject = WeightedReservoir::new(m);
-        let mut w_violators = ScaledF64::ZERO;
-        let mut violator_count = 0usize;
-        power_table(params.factor, oracle.top(), &mut powers);
-        stats.passes += 1;
-        source.begin_pass()?;
-        while let Some((_, chunk)) = source.next_chunk()? {
-            let view = chunk.full_view();
-            oracle.exponents_columnar(problem, &view, &mut exponents, &mut hits);
-            violators.clear();
-            problem.scan_columns(&pending, &view, &mut violators);
-            let mut next_violator = violators.iter().copied().peekable();
-            for (i, &a) in exponents.iter().enumerate() {
-                let w = powers[a as usize];
-                let w_accept = if next_violator.next_if_eq(&i).is_some() {
-                    violator_count += 1;
-                    w_violators += w;
-                    w * factor
-                } else {
-                    w
-                };
-                res_accept.offer(|| rebuild(problem, chunk, i, &mut coords), w_accept, rng);
-                res_reject.offer(|| rebuild(problem, chunk, i, &mut coords), w, rng);
-            }
-        }
-
-        let net = if w_violators.ratio(total_weight) <= params.eps {
-            if violator_count == 0 {
-                stats.peak_space_bits = space.peak_bits();
-                stats.peak_space_items = space.peak_items();
-                return Ok((pending, stats));
-            }
-            stats.successful_iterations += 1;
-            total_weight += w_violators * ScaledF64::from_f64(params.factor - 1.0);
-            space.alloc_raw(problem.solution_bits(), 1);
-            oracle.push(pending);
-            res_accept.into_items()
-        } else if cfg.failure_policy == FailurePolicy::Abort {
-            return Err(BigDataError::NetFailure);
-        } else {
-            res_reject.into_items()
-        };
-
-        stats.iterations += 1;
-        pending = problem
-            .solve_subset(&net, rng)
-            .map_err(BigDataError::from)?;
-        space.free_raw(2 * reservoir_bits, 2 * m as u64);
-    }
-    Err(BigDataError::IterationLimit)
 }
 
 #[cfg(test)]
@@ -477,6 +527,28 @@ mod tests {
             stats.iterations + 1,
             "one pass per iteration"
         );
+    }
+
+    #[test]
+    fn every_solved_basis_is_tested() {
+        // paper(1) asks for a net of all n rows, so the first basis is the
+        // answer. Capped at one iteration, both modes must still test it:
+        // one draw pass and one scan pass.
+        let (p, cs) = random_lp(300, 2, 45);
+        let cfg = ClarksonConfig {
+            max_iterations: 1,
+            ..ClarksonConfig::paper(1)
+        };
+        for mode in [SamplingMode::TwoPassIid, SamplingMode::OnePassSpeculative] {
+            let mut rng = StdRng::seed_from_u64(46);
+            let (sol, stats) = solve(&p, &cs, &cfg, mode, &mut rng).unwrap();
+            assert_eq!(count_violations(&p, &sol, &cs), 0, "{mode:?}");
+            assert_eq!(
+                (stats.net_size, stats.iterations, stats.passes),
+                (300, 1, 2),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -616,9 +688,7 @@ mod tests {
             let mut rng_file = StdRng::seed_from_u64(22);
             let (sol_file, stats_file) = match mode {
                 SamplingMode::TwoPassIid => solve_chunked(&p, &mut source, &cfg, &mut rng_file),
-                SamplingMode::OnePassSpeculative => {
-                    run_one_pass(&p, &mut source, &cfg, &mut rng_file)
-                }
+                SamplingMode::OnePassSpeculative => run(&p, &mut source, &cfg, mode, &mut rng_file),
             }
             .unwrap();
 
@@ -702,12 +772,7 @@ mod tests {
                     fail_at,
                 };
                 let mut rng = StdRng::seed_from_u64(32);
-                let out = match mode {
-                    SamplingMode::TwoPassIid => run_two_pass(&p, &mut source, &small, &mut rng),
-                    SamplingMode::OnePassSpeculative => {
-                        run_one_pass(&p, &mut source, &small, &mut rng)
-                    }
-                };
+                let out = run(&p, &mut source, &small, mode, &mut rng);
                 (out.map(|(_, stats)| stats.passes), source.calls)
             };
             let (clean, calls) = run(0);

@@ -17,30 +17,33 @@
 //! per-iteration success probability of Claim 3.2, and the weight envelope
 //! of Eq. (2) empirically (experiments T1/T10).
 //!
-//! The loop is written once, [`run`], over a [`Holder`]. RAM's holder is
-//! one [`SiteWeights`]; the coordinator and MPC models in `llp_bigdata`
-//! are holders made of their sites or machines and their meter, so every
-//! model fills one [`ClarksonStats`] and reports one [`ClarksonError`].
+//! The loop is written once, [`run`], over a [`Holder`] that owns its
+//! input: RAM's holder is one [`SiteWeights`] over the rows and their
+//! columns; the coordinator and MPC models in `llp_bigdata` are holders
+//! made of their sites or machines and their meter, and the streaming
+//! model's holder re-reads a chunk source each pass. So every model
+//! fills one [`ClarksonStats`] and reports one [`ClarksonError`].
 //!
-//! Every holder of constraints runs the same weight bookkeeping: the
-//! RAM machine here, each coordinator site and each MPC machine in
-//! `llp_bigdata`. Each is one [`SiteWeights`]. Section 3.2 gives
-//! row `c` the weight `F^{a(c)}`, where `a(c)` counts the accepted
-//! bases `c` violated, so the holder keeps one integer exponent per row
-//! and one row count per exponent class, and reads `F^a` off one
-//! [`power_table`]. Every weight sum is `Σ_a count_a·F^a` over an
-//! integer histogram, added in ascending class order, so it is the same
-//! at any thread count by construction. A net draw maps each uniform to
-//! a class and a rank inside it (Lemma 2.2's inversion sampling over
-//! the class totals), marks it, and emits the marked rows in one sweep
-//! over the exponents: O(m + n) a net, next to the O(n·d) violation
-//! scan. Accepting a basis moves each violator up one class. Each solve
-//! builds its nets in one reused [`NetBuffer`]. (The streaming
-//! implementation instead recomputes the exponents from the stored
-//! bases under its space bound, see Section 3.2.)
+//! Every holder of constraints in memory runs the same weight
+//! bookkeeping: the RAM machine here, each coordinator site and each
+//! MPC machine in `llp_bigdata`. Each is one [`SiteWeights`]. Section
+//! 3.2 gives row `c` the weight `F^{a(c)}`, where `a(c)` counts the
+//! accepted bases `c` violated, so the holder keeps one integer
+//! exponent per row and one row count per exponent class, and reads
+//! `F^a` off one [`power_table`]. Every weight sum is `Σ_a count_a·F^a`
+//! over an integer histogram, added in ascending class order, so it is
+//! the same at any thread count by construction. A net draw maps each
+//! uniform to a class and a rank inside it (Lemma 2.2's inversion
+//! sampling over the class totals), marks it, and emits the marked rows
+//! in one sweep over the exponents: O(m + n) a net, next to the O(n·d)
+//! violation scan. Accepting a basis moves each violator up one class.
+//! Each solve builds its nets in one reused [`NetBuffer`]. The stream
+//! keeps no per-row state under its space bound: it recomputes each
+//! chunk's exponents from the stored bases with [`exponents_columnar`]
+//! (Section 3.2).
 
 use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
-use llp_geom::ConstraintColumns;
+use llp_geom::{ColumnsView, ConstraintColumns};
 use llp_num::ScaledF64;
 use rand::Rng;
 use std::ops::Range;
@@ -265,8 +268,8 @@ pub fn solve<P: ColumnarProblem, R: Rng>(
 /// `columns` must be `problem.to_columns(constraints)` (same
 /// constraints, same order); the AoS slice still serves the ε-net
 /// basis solves while every O(n) violation scan runs over the columns.
-/// The RAM machine is one [`SiteWeights`] holder over all `n` rows in
-/// [`run`]'s loop.
+/// The RAM machine is one [`SiteWeights`] over all `n` rows, a holder
+/// in [`run`]'s loop.
 ///
 /// # Panics
 /// Panics if `constraints` is empty or `columns` has a different
@@ -279,40 +282,47 @@ pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
     rng: &mut R,
 ) -> ClarksonOutcome<P::Solution> {
     let n = constraints.len();
-    let mut holder = SiteWeights::new(0..n, cfg.factor.value(n));
-    run(problem, constraints, columns, cfg, &mut holder, rng)
+    assert_eq!(columns.len(), n, "columns/constraints length mismatch");
+    let mut ram = Ram {
+        weights: SiteWeights::new(0..n, cfg.factor.value(n)),
+        rows: constraints,
+        columns,
+        net: NetBuffer::new(),
+    };
+    run(problem, n, cfg, &mut ram, rng)
 }
 
-/// The holder of Algorithm 1's weights as its loop sees it: the four
-/// calls [`run`] makes each iteration. In the coordinator and MPC
-/// models, which run the loop unchanged (Lemma 3.7), each call also
-/// makes the protocol's rounds and charges its messages.
-pub trait Holder {
+/// The holder of Algorithm 1's input and weights as its loop sees it:
+/// the four calls [`run`] makes each iteration. Each holder owns its
+/// input, whether rows in memory or a stream it re-reads. In the
+/// coordinator and MPC models, which run the loop unchanged (Lemma
+/// 3.7), each call also makes the protocol's rounds and charges its
+/// messages; a stream's draw and scan are its passes, and a failed pass
+/// is the run's [`ClarksonError::Store`].
+pub trait Holder<P: ColumnarProblem> {
     /// `w(S)`, the total weight the ε test and the Eq. (2) trace read.
     /// It charges nothing: the loop reads it twice an iteration.
     fn total(&self) -> ScaledF64;
 
-    /// Draws the iteration's ε-net of `count` weighted draws from the
-    /// shared input `data` into `net` (empty on entry), or returns
-    /// `true` when the net is all of `data` (`count ≥ data.len()`),
-    /// which the loop then reads without a copy.
-    fn draw_net<C: Clone, R: Rng>(
+    /// Draws the iteration's ε-net of `count` weighted draws and returns
+    /// its rows. When `count ≥ n` the net is the whole input, which an
+    /// in-memory holder returns without a copy.
+    fn draw_net<R: Rng>(
         &mut self,
-        data: &[C],
+        problem: &P,
         count: usize,
         rng: &mut R,
-        net: &mut NetBuffer<C>,
-    ) -> bool;
+    ) -> Result<&[P::Constraint], ClarksonError>;
 
-    /// Finds the violators of `solution` among the holder's rows of the
-    /// shared `columns`, stages them for the verdict, and returns their
-    /// weight `w(V)` and count.
-    fn scan_and_stage<P: ColumnarProblem>(
+    /// Finds the violators of `solution` among the holder's rows, stages
+    /// them for the verdict, and returns their weight `w(V)` and count.
+    /// `rng` serves holders that draw while they scan.
+    fn scan_and_stage<R: Rng>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
-        columns: &ConstraintColumns,
-    ) -> (ScaledF64, usize);
+        rng: &mut R,
+    ) -> Result<(ScaledF64, usize), ClarksonError>;
 
     /// Applies the verdict on the staged basis: accepted ⇒ every staged
     /// violator's weight is multiplied by `F` (Line 8); rejected ⇒ the
@@ -320,69 +330,59 @@ pub trait Holder {
     fn resolve(&mut self, accepted: bool);
 }
 
-/// Algorithm 1's loop (Lines 3–10) over any [`Holder`] of `data`, until
-/// `V = ∅`, the iteration cap, or a failed iteration under
-/// [`FailurePolicy::Abort`]. `columns` must be `problem.to_columns(data)`,
-/// and `holder` must start with all weights 1 at the factor
-/// `cfg.factor.value(data.len())`. Each solve builds its nets in one
-/// [`NetBuffer`].
+/// Algorithm 1's loop (Lines 3–10) over any [`Holder`] of `n`
+/// constraints, until `V = ∅`, the iteration cap, or a failed iteration
+/// under [`FailurePolicy::Abort`]. Every solved basis is tested. The
+/// holder must start with all weights 1 at the factor
+/// `cfg.factor.value(n)`.
 ///
 /// # Panics
-/// Panics if `data` is empty or `columns` has a different length.
-pub fn run<P: ColumnarProblem, H: Holder, R: Rng>(
+/// Panics if `n` is 0.
+pub fn run<P: ColumnarProblem, H: Holder<P>, R: Rng>(
     problem: &P,
-    data: &[P::Constraint],
-    columns: &ConstraintColumns,
+    n: usize,
     cfg: &ClarksonConfig,
     holder: &mut H,
     rng: &mut R,
 ) -> ClarksonOutcome<P::Solution> {
-    assert!(!data.is_empty(), "no constraints");
-    assert_eq!(
-        columns.len(),
-        data.len(),
-        "columns/constraints length mismatch"
-    );
-    let RunParams {
-        factor,
-        eps,
-        net_size: m,
-    } = cfg.params(problem, data.len());
-
+    assert!(n > 0, "no constraints");
+    let params = cfg.params(problem, n);
     let mut stats = ClarksonStats {
-        net_size: m,
-        eps,
-        factor,
+        net_size: params.net_size,
+        eps: params.eps,
+        factor: params.factor,
         ..ClarksonStats::default()
     };
-    let mut buffer = NetBuffer::new();
+    match iterate(problem, cfg, params, holder, rng, &mut stats) {
+        Ok(solution) => Ok((solution, stats)),
+        Err(e) => Err((e, stats)),
+    }
+}
 
+/// [`run`]'s iterations, recorded in `stats` as they go.
+fn iterate<P: ColumnarProblem, H: Holder<P>, R: Rng>(
+    problem: &P,
+    cfg: &ClarksonConfig,
+    RunParams { eps, net_size, .. }: RunParams,
+    holder: &mut H,
+    rng: &mut R,
+    stats: &mut ClarksonStats,
+) -> Result<P::Solution, ClarksonError> {
     while stats.iterations < cfg.max_iterations {
         stats.iterations += 1;
 
-        // --- Sample the ε-net with probability proportional to weight.
-        // When the net would be the whole input, no copy. ---
-        buffer.clear();
-        let net = if holder.draw_net(data, m, rng, &mut buffer) {
-            data
-        } else {
-            buffer.rows()
-        };
-
-        // --- Basis of the net. ---
-        let solution = match problem.solve_subset(net, rng) {
-            Ok(s) => s,
-            Err(e) => return Err((e.into(), stats)),
-        };
+        // --- Sample the ε-net with probability proportional to weight,
+        // and solve its basis. ---
+        let solution = problem.solve_subset(holder.draw_net(problem, net_size, rng)?, rng)?;
 
         // --- Violators and their weight, staged until the success test
         // decides. ---
-        let (w_violators, violator_count) = holder.scan_and_stage(problem, &solution, columns);
+        let (w_violators, violator_count) = holder.scan_and_stage(problem, &solution, rng)?;
         stats.violators_trace.push(violator_count);
 
         let success = w_violators.ratio(holder.total()) <= eps;
         if success && violator_count == 0 {
-            return Ok((solution, stats));
+            return Ok(solution);
         }
         holder.resolve(success);
         if success {
@@ -392,19 +392,44 @@ pub fn run<P: ColumnarProblem, H: Holder, R: Rng>(
             // not a side-channel recomputation that could drift from it.
             stats.weight_log2_trace.push(holder.total().log2());
         } else if cfg.failure_policy == FailurePolicy::Abort {
-            return Err((ClarksonError::NetFailure, stats));
+            return Err(ClarksonError::NetFailure);
         }
     }
-    Err((ClarksonError::IterationLimit, stats))
+    Err(ClarksonError::IterationLimit)
 }
 
 /// `F^a` for every exponent `a = 0..=top`, as `table[a] =
 /// ScaledF64::powi(factor, a)`: the one source of Section 3.2's weights
-/// `F^{a(c)}`. Each holder keeps a table up to its top class, and
-/// streaming's passes weigh rows from one built every iteration.
+/// `F^{a(c)}`. Each holder keeps a table up to its top class; the
+/// stream's table reaches its number of stored bases.
 pub fn power_table(factor: f64, top: u32, table: &mut Vec<ScaledF64>) {
     table.clear();
     table.extend((0..=top).map(|a| ScaledF64::powi(factor, a)));
+}
+
+/// The exponents `a(c)` — the number of `bases` that `c` violates — of
+/// every row of a columnar block, in row order: one `scan_columns`
+/// sweep per basis, counting each row's hits. The column kernels
+/// classify rows exactly as `violates` does, so `counts[i]` is row
+/// `i`'s `a(c)` without rebuilding any constraint; with no basis every
+/// count is 0. `hits` is the caller's scratch for each sweep's violator
+/// indices. The stream weighs each chunk this way (Section 3.2).
+pub fn exponents_columnar<P: ColumnarProblem>(
+    problem: &P,
+    bases: &[P::Solution],
+    view: &ColumnsView<'_>,
+    counts: &mut Vec<u32>,
+    hits: &mut Vec<usize>,
+) {
+    counts.clear();
+    counts.resize(view.len(), 0);
+    for basis in bases {
+        hits.clear();
+        problem.scan_columns(basis, view, hits);
+        for &i in hits.iter() {
+            counts[i - view.start()] += 1;
+        }
+    }
 }
 
 /// `Σ_a counts[a]·powers[a]`, added in ascending class order: the weight
@@ -430,8 +455,9 @@ fn class_sum(counts: &[usize], powers: &[ScaledF64]) -> ScaledF64 {
 /// Section 3.2 and Lemma 3.7 give every holder the same three duties,
 /// one method each: draw its share of the ε-net by weight
 /// ([`draw_into`](Self::draw_into)), find its violators of a basis
-/// ([`Holder::scan_and_stage`]), and move them up one class when the
-/// basis is accepted ([`Holder::resolve`]). In the distributed
+/// ([`scan_and_stage`](Self::scan_and_stage)), and move them up one
+/// class when the basis is accepted ([`resolve`](Self::resolve)). In
+/// the distributed
 /// protocols the verdict arrives a round after the scan, so the scan
 /// result is **staged** and then committed or discarded. Weights are
 /// derived state and never travel; all metering stays with the
@@ -545,38 +571,21 @@ impl SiteWeights {
         net.append_picked(&data[self.rows()]);
         net.picked.len()
     }
-}
 
-/// RAM's holder: one [`SiteWeights`] over all rows.
-impl Holder for SiteWeights {
     /// The holder's total local weight `w(S_i) = Σ_a count_a·F^a`, summed
     /// in ascending class order: O(classes), no pass over the rows.
-    fn total(&self) -> ScaledF64 {
+    pub fn total(&self) -> ScaledF64 {
         class_sum(&self.counts, &self.powers)
-    }
-
-    fn draw_net<C: Clone, R: Rng>(
-        &mut self,
-        data: &[C],
-        count: usize,
-        rng: &mut R,
-        net: &mut NetBuffer<C>,
-    ) -> bool {
-        if count >= data.len() {
-            return true;
-        }
-        self.draw_into(data, count, rng, net);
-        false
     }
 
     /// Finds the violators of `solution` among the holder's rows of the
     /// shared `columns`, stages their local indices for the next verdict,
     /// and returns their weight `w(V_i)` and count. The column kernel runs
     /// chunk-parallel with an ordered merge; the weight is the violators'
-    /// class histogram summed like [`total`](Holder::total), so both
+    /// class histogram summed like [`total`](Self::total), so both
     /// outputs are the same at any thread count. `columns` must be the
     /// transposition of the whole input the ranges cut.
-    fn scan_and_stage<P: ColumnarProblem>(
+    pub fn scan_and_stage<P: ColumnarProblem>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
@@ -604,7 +613,7 @@ impl Holder for SiteWeights {
     /// violator moves up one class (its weight ×`F`); rejected ⇒ weights
     /// unchanged. Either way the staged list is emptied, keeping its
     /// buffer.
-    fn resolve(&mut self, accepted: bool) {
+    pub fn resolve(&mut self, accepted: bool) {
         if accepted {
             for &i in &self.staged {
                 let a = self.exponents[i] as usize;
@@ -621,6 +630,48 @@ impl Holder for SiteWeights {
             }
         }
         self.staged.clear();
+    }
+}
+
+/// RAM's holder: one [`SiteWeights`] over all rows, the rows, their
+/// columns, and the solve's [`NetBuffer`].
+struct Ram<'a, C> {
+    weights: SiteWeights,
+    rows: &'a [C],
+    columns: &'a ConstraintColumns,
+    net: NetBuffer<C>,
+}
+
+impl<P: ColumnarProblem> Holder<P> for Ram<'_, P::Constraint> {
+    fn total(&self) -> ScaledF64 {
+        self.weights.total()
+    }
+
+    fn draw_net<R: Rng>(
+        &mut self,
+        _: &P,
+        count: usize,
+        rng: &mut R,
+    ) -> Result<&[P::Constraint], ClarksonError> {
+        if count >= self.rows.len() {
+            return Ok(self.rows);
+        }
+        self.net.clear();
+        self.weights.draw_into(self.rows, count, rng, &mut self.net);
+        Ok(self.net.rows())
+    }
+
+    fn scan_and_stage<R: Rng>(
+        &mut self,
+        problem: &P,
+        solution: &P::Solution,
+        _: &mut R,
+    ) -> Result<(ScaledF64, usize), ClarksonError> {
+        Ok(self.weights.scan_and_stage(problem, solution, self.columns))
+    }
+
+    fn resolve(&mut self, accepted: bool) {
+        self.weights.resolve(accepted);
     }
 }
 
@@ -696,8 +747,9 @@ impl ClassDraw {
 
 /// The ε-net of one iteration, built in place by the holders'
 /// [`SiteWeights::draw_into`], plus the draw's own buffers. One buffer
-/// serves a whole solve — RAM, the coordinator and MPC each keep one —
-/// and [`clear`](Self::clear) empties it at the start of each iteration
+/// serves a whole solve — RAM's holder, the coordinator's sites and
+/// MPC's machines each keep one — and [`clear`](Self::clear) empties
+/// it at the start of each draw
 /// without freeing anything: row slots are refilled with `clone_from`,
 /// which reuses each row's buffers, and the class tables and marks are
 /// refilled in place, so once the first nets have warmed it the loop's
@@ -1022,6 +1074,38 @@ mod tests {
         site.resolve(true);
         site.resolve(true);
         assert!((site.weight(0).to_f64() - 9.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn columnar_exponents_and_power_table_match_per_row_weights() {
+        let p = LpProblem::new(vec![1.0, 1.0]);
+        // x + y ≤ b for b = 0..10: row b violates the bases with x > b.
+        let cs: Vec<Halfspace> = (0..10)
+            .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
+            .collect();
+        let columns = p.to_columns(&cs);
+        let (mut counts, mut hits, mut powers) = (Vec::new(), Vec::new(), Vec::new());
+        // No stored basis: every exponent is 0 and every weight is 1.
+        exponents_columnar(&p, &[], &columns.full_view(), &mut counts, &mut hits);
+        assert_eq!(counts, [0; 10]);
+        power_table(3.0, 0, &mut powers);
+        assert_eq!(powers, [ScaledF64::ONE]);
+
+        let bases = [vec![0.5, 0.0], vec![2.5, 0.0], vec![4.5, 0.0]];
+        power_table(3.0, bases.len() as u32, &mut powers);
+        assert_eq!(powers.len(), 4);
+        exponents_columnar(&p, &bases, &columns.full_view(), &mut counts, &mut hits);
+        assert_eq!(counts, [3, 2, 2, 1, 1, 0, 0, 0, 0, 0]);
+        // A view that starts past row 0 (scan indices are absolute).
+        exponents_columnar(&p, &bases, &columns.view(3, 10), &mut counts, &mut hits);
+        assert_eq!(counts, [1, 1, 0, 0, 0, 0, 0]);
+        // Each count is the row's per-row `violates` count against the
+        // bases, and its weight is F^a.
+        for (i, &a) in counts.iter().enumerate() {
+            let violated = bases.iter().filter(|b| p.violates(b, &cs[3 + i])).count();
+            assert_eq!(a as usize, violated);
+            assert_eq!(powers[a as usize], ScaledF64::powi(3.0, a));
+        }
     }
 
     #[test]

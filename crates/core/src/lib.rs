@@ -13,15 +13,17 @@
 //!   `n^{1/r}`-weight-update meta-algorithm — with full statistics
 //!   (iteration counts for Lemma 3.3, per-iteration success for Claim 3.2,
 //!   and the weight envelope of Eq. (2)). Its loop, [`clarkson::run`], is
-//!   written once over a [`clarkson::Holder`], and
-//!   [`clarkson::ClarksonError`] is every model's error type. It also
-//!   holds the one weight holder, [`clarkson::SiteWeights`], and the
-//!   per-solve [`clarkson::NetBuffer`] that RAM, the coordinator sites
-//!   and the MPC machines all run on.
+//!   written once over a [`clarkson::Holder<P>`](clarkson::Holder) that
+//!   owns its input, and [`clarkson::ClarksonError`] is every model's
+//!   error type. It also holds the one in-memory weight holder,
+//!   [`clarkson::SiteWeights`], and the per-solve
+//!   [`clarkson::NetBuffer`] that RAM, the coordinator sites and the MPC
+//!   machines all run on, and the stream's exponent sweep,
+//!   [`clarkson::exponents_columnar`].
 //!
 //! The model implementations (streaming/coordinator/MPC) live in
-//! `llp-bigdata` and reuse everything here; the coordinator and MPC run
-//! as holders in [`clarkson::run`].
+//! `llp-bigdata` and reuse everything here; all three run as holders in
+//! [`clarkson::run`].
 
 #![forbid(unsafe_code)]
 

@@ -158,7 +158,7 @@ pub trait ColumnarProblem: LpTypeProblem {
 /// branch-light column kernel and the chunks merge in grid order, so
 /// `out` is the same for any `LLP_THREADS` and equal to a sequential
 /// sweep of [`LpTypeProblem::violates`]. Its one caller in the solvers
-/// is `SiteWeights`' [`Holder::scan_and_stage`](crate::clarkson::Holder::scan_and_stage),
+/// is [`SiteWeights::scan_and_stage`](crate::clarkson::SiteWeights::scan_and_stage),
 /// the holder that RAM (all rows), every coordinator site and every MPC
 /// machine (one range each) run on, which weighs the violators by
 /// exponent class.

@@ -273,7 +273,7 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
     // the scan touches the llp_par pool — the class bookkeeping and the
     // draws are sequential by construction — so every field must match
     // bit-for-bit.
-    use lodim_lp::core::clarkson::{Holder, NetBuffer, SiteWeights};
+    use lodim_lp::core::clarkson::{NetBuffer, SiteWeights};
     use lodim_lp::core::lptype::{ColumnarProblem, LpTypeProblem};
 
     let mut rng = StdRng::seed_from_u64(SEED + 80);

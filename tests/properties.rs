@@ -115,7 +115,7 @@ fn holder_differential(
     ops: &[(f64, f64, bool)],
     top_only: bool,
 ) {
-    use lodim_lp::core::clarkson::{Holder, NetBuffer, SiteWeights};
+    use lodim_lp::core::clarkson::{NetBuffer, SiteWeights};
     use lodim_lp::core::lptype::ColumnarProblem;
     use rand::{Rng, RngCore};
 
