@@ -136,12 +136,6 @@ pub fn minimize_envelope(lines: &[Line], x_lo: f64, x_hi: f64, r: u32) -> ChanCh
     }
 }
 
-/// The published pass bound `O(r^{d-1})` of \[13\], used in comparison
-/// tables for `d > 2` (constant factor 1).
-pub fn published_pass_bound(d: u32, r: u32) -> u64 {
-    u64::from(r).pow(d.saturating_sub(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,12 +200,5 @@ mod tests {
         let r4 = minimize_envelope(&lines, -100.0, 100.0, 4);
         assert!(r4.peak_items < r1.peak_items, "{r4:?} vs {r1:?}");
         assert!((r1.y - r4.y).abs() < 1e-6 * r1.y.abs().max(1.0));
-    }
-
-    #[test]
-    fn published_bound_formula() {
-        assert_eq!(published_pass_bound(2, 5), 5);
-        assert_eq!(published_pass_bound(4, 3), 27);
-        assert_eq!(published_pass_bound(1, 7), 1);
     }
 }

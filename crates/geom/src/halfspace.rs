@@ -1,6 +1,6 @@
 //! Halfspaces `a·x ≤ b` and the predicates on them.
 
-use llp_num::float::{approx_eq, DEFAULT_EPS};
+use llp_num::float::DEFAULT_EPS;
 use llp_num::linalg::dot;
 use serde::{Deserialize, Serialize};
 
@@ -80,12 +80,6 @@ impl Halfspace {
         let ax = dot(&self.a, x);
         ax <= self.b + eps * ax.abs().max(self.b.abs()).max(1.0)
     }
-
-    /// True iff `x` lies on the boundary hyperplane `a·x = b` up to
-    /// tolerance.
-    pub fn is_tight(&self, x: &[f64], eps: f64) -> bool {
-        approx_eq(dot(&self.a, x), self.b, eps)
-    }
 }
 
 #[cfg(test)]
@@ -99,12 +93,5 @@ mod tests {
         assert!(h.contains(&[0.0, 0.0]));
         assert!(!h.contains(&[2.0, 2.0]));
         assert_eq!(h.slack(&[0.5, 0.5]), 1.0);
-    }
-
-    #[test]
-    fn tightness() {
-        let h = Halfspace::new(vec![2.0, 0.0], 4.0);
-        assert!(h.is_tight(&[2.0, 123.0], 1e-9));
-        assert!(!h.is_tight(&[1.0, 0.0], 1e-9));
     }
 }

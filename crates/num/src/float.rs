@@ -14,12 +14,6 @@ pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
     (a - b).abs() <= eps * a.abs().max(b.abs()).max(1.0)
 }
 
-/// True iff `a < b` by more than the scaled tolerance.
-#[inline]
-pub fn definitely_less(a: f64, b: f64, eps: f64) -> bool {
-    b - a > eps * a.abs().max(b.abs()).max(1.0)
-}
-
 /// Compares two vectors lexicographically with tolerance: positions that are
 /// `approx_eq` are treated as ties.
 ///
@@ -46,13 +40,6 @@ mod tests {
         assert!(approx_eq(1e12, 1e12 + 1.0, 1e-9));
         assert!(!approx_eq(1.0, 1.1, 1e-9));
         assert!(approx_eq(0.0, 1e-12, 1e-9));
-    }
-
-    #[test]
-    fn definitely_less_respects_tolerance() {
-        assert!(definitely_less(1.0, 2.0, 1e-9));
-        assert!(!definitely_less(1.0, 1.0 + 1e-12, 1e-9));
-        assert!(!definitely_less(2.0, 1.0, 1e-9));
     }
 
     #[test]

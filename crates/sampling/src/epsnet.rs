@@ -72,12 +72,6 @@ impl EpsNetSpec {
         let m = first.max(second) * self.multiplier;
         (m.ceil() as usize).max(1)
     }
-
-    /// Sample size clamped to the population size `n` (when the formula
-    /// exceeds `n`, taking the whole input is a trivially valid ε-net).
-    pub fn size_clamped(&self, n: usize) -> usize {
-        self.size().min(n)
-    }
 }
 
 #[cfg(test)]
@@ -112,13 +106,6 @@ mod tests {
         // a = 80, first = 80 ln 80 ≈ 350.56, second = 40·ln 3 ≈ 43.9.
         let m = EpsNetSpec::paper(0.1, 1, 2.0 / 3.0).size();
         assert_eq!(m, (80.0f64 * 80.0f64.ln()).ceil() as usize);
-    }
-
-    #[test]
-    fn clamping() {
-        let spec = EpsNetSpec::paper(0.001, 4, 0.33);
-        assert_eq!(spec.size_clamped(100), 100);
-        assert!(spec.size() > 100);
     }
 
     #[test]

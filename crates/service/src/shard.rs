@@ -121,11 +121,6 @@ impl ShardRouter {
         }
     }
 
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The ring itself (the wire layer advertises its parameters).
     pub fn ring(&self) -> &HashRing {
         &self.ring

@@ -334,11 +334,6 @@ pub struct FileHeader {
 }
 
 impl FileHeader {
-    /// Number of chunks a well-formed file with this header contains.
-    pub fn chunk_count(&self) -> u64 {
-        self.rows.div_ceil(u64::from(self.chunk_len))
-    }
-
     /// Encoded size in bytes of a chunk frame holding `rows` rows:
     /// rows field + column-major payload + checksum.
     pub fn frame_bytes(&self, rows: u32) -> u64 {
@@ -954,7 +949,6 @@ mod tests {
         let bytes = demo_bytes(7, 3);
         let mut r = ChunkReader::open(&bytes[..]).unwrap();
         assert_eq!(r.header().rows, 7);
-        assert_eq!(r.header().chunk_count(), 3);
         let mut rows = 0usize;
         let mut sizes = Vec::new();
         while let Some(chunk) = r.next_chunk().unwrap() {
