@@ -34,7 +34,7 @@ use llp_core::clarkson::{ClarksonConfig, WeightFactor};
 use llp_core::instances::lp::LpProblem;
 use llp_core::instances::meb::MebProblem;
 use llp_core::instances::svm::SvmProblem;
-use llp_core::lptype::{count_violations, LpTypeProblem};
+use llp_core::lptype::{count_violations, ColumnarProblem, LpTypeProblem};
 use llp_geom::Halfspace;
 use llp_lowerbound::{augindex, hard, protocol, reduction};
 use rand::rngs::StdRng;
@@ -395,49 +395,8 @@ pub fn t6_svm(budget: RunBudget) -> Table {
         let seed = 6000 + d as u64;
         let mut rng = solver_rng(seed);
         let (pts, _) = llp_workloads::separable_clouds(n, d, 0.5, seed);
-        let p = SvmProblem::new(d);
-
-        let (u, s) = stream_impl::solve(
-            &p,
-            &pts,
-            &ClarksonConfig::lean(2),
-            SamplingMode::TwoPassIid,
-            &mut rng,
-        )
-        .expect("separable");
-        t.push(vec![
-            "streaming".into(),
-            n.to_string(),
-            d.to_string(),
-            s.passes.to_string(),
-            f(s.peak_space_bits as f64 / 8192.0),
-            f(p.objective_value(&u)),
-            count_violations(&p, &u, &pts).to_string(),
-        ]);
-
-        let (u, s) =
-            coord_impl::solve(&p, &pts, 8, &ClarksonConfig::lean(2), &mut rng).expect("separable");
-        t.push(vec![
-            "coordinator(k=8)".into(),
-            n.to_string(),
-            d.to_string(),
-            s.rounds.to_string(),
-            f(s.total_bits as f64 / 8192.0),
-            f(p.objective_value(&u)),
-            count_violations(&p, &u, &pts).to_string(),
-        ]);
-
-        let (u, s) =
-            mpc_impl::solve(&p, &pts, &MpcConfig::lean(1.0 / 3.0), &mut rng).expect("separable");
-        t.push(vec![
-            "MPC(d=1/3)".into(),
-            n.to_string(),
-            d.to_string(),
-            s.rounds.to_string(),
-            f(s.max_load_bits as f64 / 8192.0),
-            f(p.objective_value(&u)),
-            count_violations(&p, &u, &pts).to_string(),
-        ]);
+        let (p, mode) = (SvmProblem::new(d), SamplingMode::TwoPassIid);
+        three_models(&mut t, &p, &pts, (n, d), mode, &mut rng);
     }
     t
 }
@@ -461,51 +420,43 @@ pub fn t7_meb(budget: RunBudget) -> Table {
         let seed = 7000 + d as u64;
         let mut rng = solver_rng(seed);
         let pts = llp_workloads::sphere_shell(n, d, 3.0, seed);
-        let p = MebProblem::new(d);
-
-        let (b, s) = stream_impl::solve(
-            &p,
-            &pts,
-            &ClarksonConfig::lean(2),
-            SamplingMode::OnePassSpeculative,
-            &mut rng,
-        )
-        .expect("solvable");
-        t.push(vec![
-            "streaming".into(),
-            n.to_string(),
-            d.to_string(),
-            s.passes.to_string(),
-            f(s.peak_space_bits as f64 / 8192.0),
-            f(b.radius),
-            count_violations(&p, &b, &pts).to_string(),
-        ]);
-
-        let (b, s) =
-            coord_impl::solve(&p, &pts, 8, &ClarksonConfig::lean(2), &mut rng).expect("solvable");
-        t.push(vec![
-            "coordinator(k=8)".into(),
-            n.to_string(),
-            d.to_string(),
-            s.rounds.to_string(),
-            f(s.total_bits as f64 / 8192.0),
-            f(b.radius),
-            count_violations(&p, &b, &pts).to_string(),
-        ]);
-
-        let (b, s) =
-            mpc_impl::solve(&p, &pts, &MpcConfig::lean(1.0 / 3.0), &mut rng).expect("solvable");
-        t.push(vec![
-            "MPC(d=1/3)".into(),
-            n.to_string(),
-            d.to_string(),
-            s.rounds.to_string(),
-            f(s.max_load_bits as f64 / 8192.0),
-            f(b.radius),
-            count_violations(&p, &b, &pts).to_string(),
-        ]);
+        let (p, mode) = (MebProblem::new(d), SamplingMode::OnePassSpeculative);
+        three_models(&mut t, &p, &pts, (n, d), mode, &mut rng);
     }
     t
+}
+
+/// T6/T7's rows for one instance of `n` points in `d` dimensions:
+/// streaming in `mode`, the coordinator with 8 sites and MPC at
+/// δ = 1/3, on lean nets at `r = 2`, each with its passes or rounds, its
+/// space, communication or load in KB, the answer's objective (`‖u‖²`
+/// or the radius) and its violations.
+fn three_models<P: ColumnarProblem>(
+    t: &mut Table,
+    p: &P,
+    pts: &[P::Constraint],
+    (n, d): (usize, usize),
+    mode: SamplingMode,
+    rng: &mut StdRng,
+) {
+    let mut push = |model: &str, sol: P::Solution, steps: u64, bits: u64| {
+        t.push(vec![
+            model.into(),
+            n.to_string(),
+            d.to_string(),
+            steps.to_string(),
+            f(bits as f64 / 8192.0),
+            f(p.objective_value(&sol)),
+            count_violations(p, &sol, pts).to_string(),
+        ]);
+    };
+    let cfg = ClarksonConfig::lean(2);
+    let (sol, s) = stream_impl::solve(p, pts, &cfg, mode, rng).expect("solvable");
+    push("streaming", sol, s.passes, s.peak_space_bits);
+    let (sol, s) = coord_impl::solve(p, pts, 8, &cfg, rng).expect("solvable");
+    push("coordinator(k=8)", sol, s.rounds, s.total_bits);
+    let (sol, s) = mpc_impl::solve(p, pts, &MpcConfig::lean(1.0 / 3.0), rng).expect("solvable");
+    push("MPC(d=1/3)", sol, s.rounds, s.max_load_bits);
 }
 
 // --------------------------------------------------------------------
