@@ -1,20 +1,21 @@
 //! Theorem 2: Algorithm 1 in the coordinator model (Lemma 3.7).
 //!
 //! Lemma 3.7 runs Algorithm 1 unchanged, each step carried by messages,
-//! so the sites and the coordinator's meter are one holder in RAM's loop
-//! (`llp_core::clarkson::run`) that holds the caller's rows and their
-//! columnar transpose: its draw, scan and verdict calls make the
-//! protocol's rounds and charge each message's size in bits. A site's
-//! partition is local state, so a site here is a consecutive row range
-//! of the caller's input: it samples the rows of its range and scans its
-//! range of the one shared transpose. Every site hears each basis
-//! and its verdict (the coordinator broadcasts both), so each site keeps
-//! its weights incrementally: it is one [`SiteWeights`], the holder RAM
-//! runs on, which keeps each row's exponent `a(c)` and moves just the
-//! violators of each *accepted* basis up one class. Weights are derived
-//! state and never travel: a site ships its evaluated total as one
-//! 128-bit weight. With one site the protocol is RAM's loop, bit for
-//! bit. One iteration of Algorithm 1 costs three model rounds:
+//! so the sites and the coordinator's meter are one holder in the loop
+//! every model runs (`llp_core::clarkson::run`), holding the caller's
+//! rows and their columnar transpose: its draw, scan and verdict calls
+//! make the protocol's rounds and charge each message's size in bits. A
+//! site's partition is local state, so a site here is a consecutive row
+//! range of the caller's input: it samples the rows of its range and
+//! scans its range of the one shared transpose. Every site hears each
+//! basis and its verdict (the coordinator broadcasts both), so each site
+//! keeps its weights incrementally: it is one [`SiteWeights`], the
+//! weights RAM runs on, which keeps each row's exponent `a(c)` and
+//! moves just the violators of each *accepted* basis up one class.
+//! Weights are derived state and never travel: a site ships its
+//! evaluated total as one 128-bit weight. With one site the protocol is
+//! RAM's run, bit for bit. One iteration of Algorithm 1 costs three
+//! model rounds:
 //!
 //! 1. coordinator → sites: accept/reject verdict of the previous basis
 //!    (a 1-bit flag, metered as one byte); sites → coordinator: local
@@ -378,7 +379,7 @@ mod tests {
         let (v1, v2) = (p.objective_value(&sol), p.objective_value(&ram));
         assert!((v1 - v2).abs() < 1e-5 * v1.abs().max(1.0), "{v1} vs {v2}");
 
-        // With one site the protocol runs RAM's loop on the same holder:
+        // With one site the protocol runs RAM's loop on the same weights:
         // the same draws, bases, verdicts, weights and traces, bit for bit. Nets
         // far below Eq. (1) make some iterations fail the ε test, where
         // neither may reweight (the site hears the verdict a round later).

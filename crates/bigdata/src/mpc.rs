@@ -21,10 +21,11 @@
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
 //!
 //! The machines, their rows and columns, their tree and the load meter
-//! are one holder in the loop (`llp_core::clarkson::run`), as the
-//! coordinator's sites are: its draw, scan and verdict calls make the
-//! tree rounds above and charge each message's size in bits, and its
-//! total is the converge-cast sum, added in tree order. Each machine is one [`SiteWeights`], the holder
+//! are one holder in the loop every model runs
+//! (`llp_core::clarkson::run`), as the coordinator's sites are: its
+//! draw, scan and verdict calls make the tree rounds above and charge
+//! each message's size in bits, and its total is the converge-cast sum,
+//! added in tree order. Each machine is one [`SiteWeights`], the weights
 //! RAM runs on: it keeps each row's weight exponent, draws its share of
 //! the net, scans its range, and applies each verdict as the loop
 //! reaches it; the verdict's broadcast is charged when the next
@@ -529,7 +530,7 @@ mod tests {
         assert!((v1 - v2).abs() < 1e-5 * v1.abs().max(1.0), "{v1} vs {v2}");
 
         // With one machine the tree has no edges and the protocol runs
-        // RAM's loop on the same holder, bit for bit and trace for trace,
+        // RAM's loop on the same weights, bit for bit and trace for trace,
         // as the one-site coordinator does — failed iterations included.
         use rand::RngCore;
         let small = ClarksonConfig {

@@ -272,17 +272,18 @@ impl<P: ColumnarProblem, S: ChunkSource> Stream<'_, P, S> {
         Ok(())
     }
 
+    /// Meters `count` reservoirs of `m` rows, each a row and its 64-bit
+    /// key, until the next scan starts.
+    fn hold_reservoirs(&mut self, problem: &P, count: u64) {
+        let m = self.params.net_size as u64;
+        self.held = (count * m * (problem.constraint_bits() + 64), count * m);
+        self.space.alloc_raw(self.held.0, self.held.1);
+    }
+
     /// One-pass's first draw: one pass of an all-ones reservoir.
-    fn reservoir_pass<R: Rng>(
-        &mut self,
-        problem: &P,
-        m: usize,
-        rng: &mut R,
-    ) -> Result<(), BigDataError> {
-        let held = (m as u64 * (problem.constraint_bits() + 64), m as u64);
-        self.space.alloc_raw(held.0, held.1);
-        self.held = held;
-        let mut reservoir = WeightedReservoir::new(m);
+    fn reservoir_pass<R: Rng>(&mut self, problem: &P, rng: &mut R) -> Result<(), BigDataError> {
+        self.hold_reservoirs(problem, 1);
+        let mut reservoir = WeightedReservoir::new(self.params.net_size);
         self.passes += 1;
         self.source.begin_pass()?;
         while let Some((_, chunk)) = self.source.next_chunk()? {
@@ -313,14 +314,11 @@ impl<P: ColumnarProblem, S: ChunkSource> Stream<'_, P, S> {
         rng: &mut R,
     ) -> Result<(ScaledF64, usize), BigDataError> {
         let m = self.params.net_size;
-        let mut next = (self.mode == SamplingMode::OnePassSpeculative).then(|| {
-            self.held = (
-                2 * m as u64 * (problem.constraint_bits() + 64),
-                2 * m as u64,
-            );
-            self.space.alloc_raw(self.held.0, self.held.1);
-            (WeightedReservoir::new(m), WeightedReservoir::new(m))
-        });
+        let mut next = None;
+        if self.mode == SamplingMode::OnePassSpeculative {
+            self.hold_reservoirs(problem, 2);
+            next = Some((WeightedReservoir::new(m), WeightedReservoir::new(m)));
+        }
         let factor = ScaledF64::from_f64(self.params.factor);
         let (mut w_violators, mut count) = (ScaledF64::ZERO, 0);
         self.passes += 1;
@@ -378,7 +376,7 @@ impl<P: ColumnarProblem, S: ChunkSource> Holder<P> for Stream<'_, P, S> {
         match self.mode {
             SamplingMode::TwoPassIid => self.draw_pass(problem, count, rng)?,
             SamplingMode::OnePassSpeculative if self.passes == 0 => {
-                self.reservoir_pass(problem, count, rng)?
+                self.reservoir_pass(problem, rng)?
             }
             SamplingMode::OnePassSpeculative => {}
         }
@@ -405,8 +403,8 @@ impl<P: ColumnarProblem, S: ChunkSource> Holder<P> for Stream<'_, P, S> {
     /// metered and stored. One-pass keeps the reservoir of the verdict
     /// as the next net.
     fn resolve(&mut self, accepted: bool) {
-        let staged = self.staged.take();
-        if let (true, Some((basis, w_violators))) = (accepted, staged) {
+        let (basis, w_violators) = self.staged.take().expect("a scan precedes every verdict");
+        if accepted {
             self.total += w_violators * ScaledF64::from_f64(self.params.factor - 1.0);
             self.space.alloc_raw(self.basis_bits, 1);
             self.bases.push(basis);
