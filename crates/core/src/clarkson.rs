@@ -1106,6 +1106,15 @@ mod tests {
             assert_eq!(a as usize, violated);
             assert_eq!(powers[a as usize], ScaledF64::powi(3.0, a));
         }
+
+        // Bases (0, 0) and (5, 5) against x + y ≤ 2: one violated, so the
+        // weight is F = 10.
+        let bases = [vec![0.0, 0.0], vec![5.0, 5.0]];
+        let columns = p.to_columns(&[Halfspace::new(vec![1.0, 1.0], 2.0)]);
+        exponents_columnar(&p, &bases, &columns.full_view(), &mut counts, &mut hits);
+        assert_eq!(counts, [1]);
+        power_table(10.0, bases.len() as u32, &mut powers);
+        assert!((powers[counts[0] as usize].to_f64() - 10.0).abs() < 1e-9);
     }
 
     #[test]
