@@ -12,13 +12,23 @@ fn col(t: &bench::Table, name: &str) -> usize {
         .unwrap_or_else(|| panic!("column {name} missing from {:?}", t.headers))
 }
 
+/// Every quick table but T13's and T13p's, which print wall clock, as
+/// `experiments --quick` prints them; `golden_outputs::regenerate`
+/// writes it.
+const TABLES_FIXTURE: &str = include_str!("golden/tables_quick.txt");
+
 #[test]
 fn all_experiments_produce_rows() {
+    let mut rendered = String::new();
     for id in bench::ALL {
         let tables = bench::run(id, bench::RunBudget::Quick);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{id} produced an empty table");
             assert!(!t.render().is_empty());
+            if !id.starts_with("t13") {
+                rendered.push_str(&t.render());
+                rendered.push('\n');
+            }
         }
         if *id == "t13p" {
             // The violation count must not depend on the thread count,
@@ -32,6 +42,23 @@ fn all_experiments_produce_rows() {
             }
         }
     }
+    // The deterministic tables are pinned line for line.
+    let diffs: Vec<String> = TABLES_FIXTURE
+        .lines()
+        .zip(rendered.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  want {want}\n  got  {got}"))
+        .collect();
+    assert_eq!(
+        rendered.lines().count(),
+        TABLES_FIXTURE.lines().count(),
+        "quick tables: line count"
+    );
+    assert!(
+        diffs.is_empty(),
+        "quick tables changed:\n{}",
+        diffs.join("\n")
+    );
 }
 
 #[test]

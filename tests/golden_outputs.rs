@@ -36,6 +36,11 @@
 //!   records the row count, the column dimension, the LP objective bits,
 //!   any planted truth, and an FNV-1a-64 hash over every row's
 //!   coordinate and extra bits in stream order.
+//! * `tests/golden/tables_quick.txt` — the quick experiment tables
+//!   T1–T12, F1 and F2, as `experiments --quick` prints them (T13 and
+//!   T13p print wall clock and are left out). They run every model,
+//!   and `tests/experiments_quick.rs::all_experiments_produce_rows`,
+//!   which renders every table anyway, checks this file.
 //!
 //! Solver, sampler, scan, streaming and generator changes must leave every line
 //! as it is. Regenerating the fixtures is a deliberate act, taken only
@@ -386,6 +391,19 @@ fn render_streaming_paths(dir: &str) -> String {
     out
 }
 
+/// The quick tables of `tables_quick.txt`: every experiment but T13 and
+/// T13p, each table followed by a blank line, as `experiments --quick`
+/// prints it.
+fn render_tables() -> String {
+    let mut out = String::new();
+    for id in llp_bench::ALL.iter().filter(|id| !id.starts_with("t13")) {
+        for t in llp_bench::run(id, RunBudget::Quick) {
+            let _ = writeln!(out, "{}", t.render());
+        }
+    }
+    out
+}
+
 /// Hex bits of every value, comma-separated.
 fn bits(values: &[f64]) -> String {
     let hex: Vec<String> = values
@@ -583,4 +601,6 @@ fn regenerate() {
     .expect("write streaming-paths fixture");
     std::fs::write(format!("{GOLDEN_DIR}/generated.txt"), render_generated())
         .expect("write generated fixture");
+    std::fs::write(format!("{GOLDEN_DIR}/tables_quick.txt"), render_tables())
+        .expect("write quick tables fixture");
 }
