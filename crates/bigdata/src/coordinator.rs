@@ -6,16 +6,17 @@
 //! rows and their columnar transpose: its draw, scan and verdict calls
 //! make the protocol's rounds and charge each message's size in bits. A
 //! site's partition is local state, so a site here is a consecutive row
-//! range of the caller's input: it samples the rows of its range and
-//! scans its range of the one shared transpose. Every site hears each
-//! basis and its verdict (the coordinator broadcasts both), so each site
-//! keeps its weights incrementally: it is one [`SiteWeights`], the
-//! weights RAM runs on, which keeps each row's exponent `a(c)` and
-//! moves just the violators of each *accepted* basis up one class.
-//! Weights are derived state and never travel: a site ships its
-//! evaluated total as one 128-bit weight. With one site the protocol is
-//! RAM's run, bit for bit. One iteration of Algorithm 1 costs three
-//! model rounds:
+//! range of the caller's input: it samples the rows of its range, and
+//! the sites' scans are one sweep of the one shared transpose, split by
+//! site. Every site hears each basis and its verdict (the coordinator
+//! broadcasts both), so each site keeps its weights incrementally: the
+//! sites are the parts of one [`SiteWeights`], the weights RAM runs on,
+//! which keeps each row's exponent `a(c)` and each site's class
+//! histogram, and moves just the violators of each *accepted* basis up
+//! one class. Weights are derived state and never travel: a site ships
+//! its evaluated total as one 128-bit weight. With one site the
+//! protocol is RAM's run, bit for bit. One iteration of Algorithm 1
+//! costs three model rounds:
 //!
 //! 1. coordinator → sites: accept/reject verdict of the previous basis
 //!    (a 1-bit flag, metered as one byte); sites → coordinator: local
@@ -110,7 +111,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     assert_eq!(covered, n, "site sizes must cover the data exactly");
     assert_eq!(columns.len(), n, "columns/constraints length mismatch");
     let mut sites = Sites {
-        sites: SiteWeights::partition(sizes, cfg.factor.value(n)),
+        sites: SiteWeights::new(sizes, cfg.factor.value(n)),
         data,
         columns,
         net: NetBuffer::new(),
@@ -133,12 +134,12 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
 }
 
 /// The sites, their rows and columns, and the coordinator's meter as one
-/// holder in Algorithm 1's loop. Each site keeps its range's weights
-/// incrementally from the violators it scans, so no round recomputes a
-/// weight; each method makes its protocol rounds and charges their
-/// messages, a row at `bit(S)` bits.
+/// holder in Algorithm 1's loop. The sites are the parts of one
+/// [`SiteWeights`]: each keeps its range's weights incrementally from
+/// its violators, so no round recomputes a weight. Each method makes its
+/// protocol rounds and charges their messages, a row at `bit(S)` bits.
 struct Sites<'a, C> {
-    sites: Vec<SiteWeights>,
+    sites: SiteWeights,
     data: &'a [C],
     columns: &'a ConstraintColumns,
     net: NetBuffer<C>,
@@ -151,7 +152,7 @@ struct Sites<'a, C> {
 impl<P: ColumnarProblem> Holder<P> for Sites<'_, P::Constraint> {
     /// `Σ_i w(S_i)`, added in site order.
     fn total(&self) -> ScaledF64 {
-        self.sites.iter().map(SiteWeights::total).sum()
+        self.sites.parts().map(|i| self.sites.total(i)).sum()
     }
 
     /// Round 1: the verdict down, the site totals `w(S_i)` up. Round 2:
@@ -164,7 +165,7 @@ impl<P: ColumnarProblem> Holder<P> for Sites<'_, P::Constraint> {
         count: usize,
         rng: &mut R,
     ) -> Result<&[P::Constraint], BigDataError> {
-        let k = self.sites.len() as u64;
+        let k = self.sites.parts().len() as u64;
         self.meter.begin_round();
         if std::mem::take(&mut self.verdict_owed) {
             self.meter.charge_down(k * VERDICT_BITS);
@@ -179,13 +180,14 @@ impl<P: ColumnarProblem> Holder<P> for Sites<'_, P::Constraint> {
             return Ok(self.data);
         }
         let total = Holder::<P>::total(self);
-        let weights: Vec<f64> = self.sites.iter().map(|s| s.total().ratio(total)).collect();
+        let sites = &self.sites;
+        let weights: Vec<f64> = sites.parts().map(|i| sites.total(i).ratio(total)).collect();
         let counts = llp_sampling::discrete::multinomial(count as u64, &weights, rng);
         self.net.clear();
-        for (site, &y) in self.sites.iter().zip(&counts) {
+        for (i, &y) in counts.iter().enumerate() {
             // The site maps its draws to exponent classes and ranks and
             // emits the rows in one sweep over its range.
-            site.draw_into(self.data, y as usize, rng, &mut self.net);
+            sites.draw_into(i, self.data, y as usize, rng, &mut self.net);
         }
         let rows = self.net.rows();
         self.meter
@@ -194,24 +196,24 @@ impl<P: ColumnarProblem> Holder<P> for Sites<'_, P::Constraint> {
     }
 
     /// Round 3: the basis down, each site's violator weight `w(V_i)` and
-    /// count `|V_i|` up. A site's scan runs on the llp_par pool over its
-    /// range of the shared columns; its staged violators never travel.
+    /// count `|V_i|` up, added in site order. The sites' scans are one
+    /// sweep of the shared columns on the llp_par pool, split by site;
+    /// the staged violators never travel.
     fn scan_and_stage<R: Rng>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
         _: &mut R,
     ) -> Result<(ScaledF64, usize), BigDataError> {
-        let k = self.sites.len() as u64;
+        let k = self.sites.parts().len() as u64;
         self.meter.begin_round();
         self.meter.charge_down(k * problem.solution_bits());
         self.meter.charge_up(k * (WEIGHT_BITS + COUNT_BITS));
-        let columns = self.columns;
         Ok(self
             .sites
-            .iter_mut()
-            .map(|site| site.scan_and_stage(problem, solution, columns))
-            .fold((ScaledF64::ZERO, 0), |(w, n), (site_w, site_n)| {
+            .scan_and_stage(problem, solution, self.columns)
+            .iter()
+            .fold((ScaledF64::ZERO, 0), |(w, n), &(site_w, site_n)| {
                 (w + site_w, n + site_n)
             }))
     }
@@ -219,9 +221,7 @@ impl<P: ColumnarProblem> Holder<P> for Sites<'_, P::Constraint> {
     /// Every site applies the verdict now; the message that carries it
     /// is charged when the next iteration opens its first round.
     fn resolve(&mut self, accepted: bool) {
-        for site in &mut self.sites {
-            site.resolve(accepted);
-        }
+        self.sites.resolve(accepted);
         self.verdict_owed = true;
     }
 }

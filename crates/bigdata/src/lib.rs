@@ -4,8 +4,8 @@
 //! corresponding `llp-models` meter, as one holder in the loop every
 //! model runs, `llp_core::clarkson::run`. Each holder owns its input.
 //! The coordinator and MPC hold the caller's rows and their columns, in
-//! sites or machines (each one `llp_core::clarkson::SiteWeights`) and
-//! their meter, whose calls make the protocol's rounds and charge
+//! sites or machines (the parts of one `llp_core::clarkson::SiteWeights`)
+//! and their meter, whose calls make the protocol's rounds and charge
 //! messages of the sizes named once here; a verdict is applied when the
 //! loop reaches it and charged when the next iteration opens. The
 //! stream holds a chunk source and recomputes weights from its basis
@@ -27,7 +27,8 @@
 //!
 //! The coordinator and MPC models take the caller's rows plus one
 //! columnar transpose of them; a site or machine is a consecutive row
-//! range of both, so no partition is ever copied.
+//! range of both, so no partition is ever copied, and each scan is one
+//! sweep of the transpose.
 
 #![forbid(unsafe_code)]
 

@@ -25,12 +25,13 @@
 //! (`llp_core::clarkson::run`), as the coordinator's sites are: its
 //! draw, scan and verdict calls make the tree rounds above and charge
 //! each message's size in bits, and its total is the converge-cast sum,
-//! added in tree order. Each machine is one [`SiteWeights`], the weights
-//! RAM runs on: it keeps each row's weight exponent, draws its share of
-//! the net, scans its range, and applies each verdict as the loop
-//! reaches it; the verdict's broadcast is charged when the next
-//! iteration opens. Weight sums travel as evaluated 128-bit totals, so
-//! every message keeps its size.
+//! added in tree order. The machines are the parts of one
+//! [`SiteWeights`], the weights RAM runs on: each keeps its rows' weight
+//! exponents and its class histogram, draws its share of the net, and
+//! applies each verdict as the loop reaches it; their scans are one
+//! sweep of the shared transpose, split by machine. The verdict's
+//! broadcast is charged when the next iteration opens. Weight sums
+//! travel as evaluated 128-bit totals, so every message keeps its size.
 
 use crate::{BigDataError, COUNT_BITS, VERDICT_BITS, WEIGHT_BITS};
 use llp_core::clarkson::{self, ClarksonStats, Holder, NetBuffer, SiteWeights};
@@ -234,7 +235,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let loop_cfg = cfg.clarkson();
     let tree = Tree { k, fanout };
     let mut machines = Machines {
-        machines: SiteWeights::partition(sizes, loop_cfg.factor.value(n)),
+        machines: SiteWeights::new(sizes, loop_cfg.factor.value(n)),
         data,
         columns,
         net: NetBuffer::new(),
@@ -258,12 +259,13 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
 }
 
 /// The machines, their rows and columns, their tree and the load meter
-/// as one holder in Algorithm 1's loop. Each machine keeps its range's
-/// weights incrementally from the violators it scans, and every weight
-/// sum reaches the root by converge-cast; each method makes its tree
-/// rounds and charges their messages, a row at `bit(S)` bits.
+/// as one holder in Algorithm 1's loop. The machines are the parts of
+/// one [`SiteWeights`]: each keeps its range's weights incrementally
+/// from its violators, and every weight sum reaches the root by
+/// converge-cast. Each method makes its tree rounds and charges their
+/// messages, a row at `bit(S)` bits.
 struct Machines<'a, C> {
-    machines: Vec<SiteWeights>,
+    machines: SiteWeights,
     data: &'a [C],
     columns: &'a ConstraintColumns,
     net: NetBuffer<C>,
@@ -279,7 +281,8 @@ impl<P: ColumnarProblem> Holder<P> for Machines<'_, P::Constraint> {
     /// The machine totals summed up the tree, in the order the root's
     /// converge-cast adds them.
     fn total(&self) -> ScaledF64 {
-        let local: Vec<ScaledF64> = self.machines.iter().map(SiteWeights::total).collect();
+        let machines = &self.machines;
+        let local: Vec<_> = machines.parts().map(|i| machines.total(i)).collect();
         self.tree.subtree_sums(self.depth, &local)[0]
     }
 
@@ -298,7 +301,8 @@ impl<P: ColumnarProblem> Holder<P> for Machines<'_, P::Constraint> {
         if std::mem::take(&mut self.verdict_owed) {
             broadcast_down(meter, tree, depth, VERDICT_BITS);
         }
-        let local: Vec<ScaledF64> = self.machines.iter().map(SiteWeights::total).collect();
+        let machines = &self.machines;
+        let local: Vec<_> = machines.parts().map(|i| machines.total(i)).collect();
         converge_up(meter, tree, depth, WEIGHT_BITS);
         let take_all = count >= self.data.len();
         let counts = if take_all {
@@ -309,12 +313,12 @@ impl<P: ColumnarProblem> Holder<P> for Machines<'_, P::Constraint> {
         };
         self.net.clear();
         meter.begin_round();
-        for (i, machine) in self.machines.iter().enumerate() {
+        for i in machines.parts() {
             let sampled = if take_all {
-                machine.rows().len()
+                machines.rows(i).len()
             } else {
                 // Class-rank draws over the machine's exponents.
-                machine.draw_into(self.data, counts[i] as usize, rng, &mut self.net)
+                machines.draw_into(i, self.data, counts[i] as usize, rng, &mut self.net)
             };
             if i != 0 {
                 meter.charge(i, 0, sampled as u64 * problem.constraint_bits());
@@ -324,9 +328,10 @@ impl<P: ColumnarProblem> Holder<P> for Machines<'_, P::Constraint> {
         Ok(if take_all { self.data } else { self.net.rows() })
     }
 
-    /// The basis broadcast, each machine's scan of its range of the
-    /// shared columns on the llp_par pool, and the converge-cast of the
-    /// violator weights and counts. The staged violators never travel.
+    /// The basis broadcast, the machines' scans — one sweep of the
+    /// shared columns on the llp_par pool, split by machine — and the
+    /// converge-cast of the violator weights and counts. The staged
+    /// violators never travel.
     fn scan_and_stage<R: Rng>(
         &mut self,
         problem: &P,
@@ -335,22 +340,19 @@ impl<P: ColumnarProblem> Holder<P> for Machines<'_, P::Constraint> {
     ) -> Result<(ScaledF64, usize), BigDataError> {
         let (meter, tree, depth) = (&mut self.meter, &self.tree, self.depth);
         broadcast_down(meter, tree, depth, problem.solution_bits());
-        let columns = self.columns;
-        let (weights, counts): (Vec<ScaledF64>, Vec<usize>) = self
+        let sums = self
             .machines
-            .iter_mut()
-            .map(|machine| machine.scan_and_stage(problem, solution, columns))
-            .unzip();
+            .scan_and_stage(problem, solution, self.columns);
+        let weights: Vec<ScaledF64> = sums.iter().map(|&(w, _)| w).collect();
+        let count = sums.iter().map(|&(_, n)| n).sum();
         converge_up(meter, tree, depth, WEIGHT_BITS + COUNT_BITS);
-        Ok((tree.subtree_sums(depth, &weights)[0], counts.iter().sum()))
+        Ok((tree.subtree_sums(depth, &weights)[0], count))
     }
 
     /// Every machine applies the verdict now; its broadcast is charged
     /// when the next iteration opens.
     fn resolve(&mut self, accepted: bool) {
-        for machine in &mut self.machines {
-            machine.resolve(accepted);
-        }
+        self.machines.resolve(accepted);
         self.verdict_owed = true;
     }
 }

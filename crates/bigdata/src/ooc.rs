@@ -22,7 +22,7 @@
 //! differential suite in `tests/parallel_determinism.rs` pins this.
 
 use crate::BigDataError;
-use llp_core::lptype::ColumnarProblem;
+use llp_core::lptype::{scan_violators_columnar, ColumnarProblem};
 use llp_geom::ConstraintColumns;
 use llp_store::{ChunkReader, StoreError};
 use std::fs::File;
@@ -173,24 +173,20 @@ impl ChunkSource for FileSource {
     }
 }
 
-/// Counts the rows of `source` that violate `solution`, in one pass.
-/// Each chunk is cut on the fixed `llp_par::DEFAULT_CHUNK` grid and swept
-/// by the problem's column kernel, so the count is exact at any thread
-/// count and a file stays out-of-core: one chunk is resident at a time.
+/// Counts the rows of `source` that violate `solution`, in one pass:
+/// one `scan_violators_columnar` call per chunk, so the count is exact
+/// at any thread count and a file stays out-of-core: one chunk is
+/// resident at a time.
 pub fn count_violators<P: ColumnarProblem, S: ChunkSource>(
     problem: &P,
     solution: &P::Solution,
     source: &mut S,
 ) -> Result<u64, BigDataError> {
     source.begin_pass()?;
-    let mut count = 0u64;
+    let (mut count, mut violators) = (0u64, Vec::new());
     while let Some((_, chunk)) = source.next_chunk()? {
-        let counts = llp_par::par_ranges(chunk.len(), llp_par::DEFAULT_CHUNK, |start, end| {
-            let mut violators = Vec::new();
-            problem.scan_columns(solution, &chunk.view(start, end), &mut violators);
-            violators.len() as u64
-        });
-        count += counts.iter().sum::<u64>();
+        scan_violators_columnar(problem, solution, chunk, &mut violators);
+        count += violators.len() as u64;
     }
     Ok(count)
 }

@@ -24,19 +24,21 @@
 //! model's holder re-reads a chunk source each pass. So every model
 //! fills one [`ClarksonStats`] and reports one [`ClarksonError`].
 //!
-//! Every holder of constraints in memory runs the same weight
-//! bookkeeping: the RAM machine here, each coordinator site and each
-//! MPC machine in `llp_bigdata`. Each is one [`SiteWeights`]. Section
-//! 3.2 gives row `c` the weight `F^{a(c)}`, where `a(c)` counts the
-//! accepted bases `c` violated, so the holder keeps one integer
-//! exponent per row and one row count per exponent class, and reads
-//! `F^a` off one [`power_table`]. Every weight sum is `Σ_a count_a·F^a`
-//! over an integer histogram, added in ascending class order, so it is
-//! the same at any thread count by construction. A net draw maps each
-//! uniform to a class and a rank inside it (Lemma 2.2's inversion
-//! sampling over the class totals), marks it, and emits the marked rows
-//! in one sweep over the exponents: O(m + n) a net, next to the O(n·d)
-//! violation scan. Accepting a basis moves each violator up one class.
+//! Every solve that holds its constraints in memory keeps one
+//! [`SiteWeights`], cut into parts: RAM's solve is one part, and each
+//! coordinator site and each MPC machine in `llp_bigdata` is one.
+//! Section 3.2 gives row `c` the weight `F^{a(c)}`, where `a(c)` counts
+//! the accepted bases `c` violated, so the state keeps one integer
+//! exponent per row and, per part, one row count per exponent class,
+//! and reads `F^a` off one [`power_table`]. Every weight sum is
+//! `Σ_a count_a·F^a` over an integer histogram, added in ascending
+//! class order, so it is the same at any thread count by construction.
+//! A part's net draw maps each uniform to a class and a rank inside it
+//! (Lemma 2.2's inversion sampling over the part's class totals), marks
+//! it, and emits the marked rows in one sweep over the part's
+//! exponents: O(m + n) a net, next to the O(n·d) violation scan, which
+//! is one columnar sweep over all rows however many parts there are.
+//! Accepting a basis moves each violator up one class of its part.
 //! Each solve builds its nets in one reused [`NetBuffer`]. The stream
 //! keeps no per-row state under its space bound: it recomputes each
 //! chunk's exponents from the stored bases with [`exponents_columnar`]
@@ -268,8 +270,8 @@ pub fn solve<P: ColumnarProblem, R: Rng>(
 /// `columns` must be `problem.to_columns(constraints)` (same
 /// constraints, same order); the AoS slice still serves the ε-net
 /// basis solves while every O(n) violation scan runs over the columns.
-/// The RAM machine is one [`SiteWeights`] over all `n` rows, a holder
-/// in [`run`]'s loop.
+/// RAM's weights are one [`SiteWeights`] of one part, all `n` rows, in
+/// a holder in [`run`]'s loop.
 ///
 /// # Panics
 /// Panics if `constraints` is empty or `columns` has a different
@@ -284,7 +286,7 @@ pub fn solve_with_columns<P: ColumnarProblem, R: Rng>(
     let n = constraints.len();
     assert_eq!(columns.len(), n, "columns/constraints length mismatch");
     let mut ram = Ram {
-        weights: SiteWeights::new(0..n, cfg.factor.value(n)),
+        weights: SiteWeights::new(&[n], cfg.factor.value(n)),
         rows: constraints,
         columns,
         net: NetBuffer::new(),
@@ -444,197 +446,207 @@ fn class_sum(counts: &[usize], powers: &[ScaledF64]) -> ScaledF64 {
         })
 }
 
-/// The persistent weight state of one holder of constraints: the RAM
-/// machine (all rows), a coordinator site or an MPC machine (one
-/// consecutive row range of the shared input). Local row `i` (row
-/// `rows.start + i`) weighs `F^{a_i}`, where the exponent `a_i` counts
-/// the accepted bases the row violated (Line 8 of Algorithm 1). So the
-/// state is one integer per row plus the number of rows in each exponent
-/// class, and every weight and sum is read off the [`power_table`].
+/// The persistent weight state of one in-memory solve, cut into parts:
+/// RAM's solve is one part, and each coordinator site or MPC machine is
+/// one, a consecutive row range of the shared input. Row `i` weighs
+/// `F^{a_i}`, where the exponent `a_i` counts the accepted bases the row
+/// violated (Line 8 of Algorithm 1). So the state is one integer per
+/// row, the number of rows in each exponent class of each part, and one
+/// [`power_table`] that every weight and sum is read off. A part's
+/// totals, draws and violator weights read only its own class
+/// histogram, so they are those of a holder of its rows alone.
 ///
 /// Section 3.2 and Lemma 3.7 give every holder the same three duties,
-/// one method each: draw its share of the ε-net by weight
-/// ([`draw_into`](Self::draw_into)), find its violators of a basis
+/// one method each: draw a part's share of the ε-net by weight
+/// ([`draw_into`](Self::draw_into)), find the violators of a basis
 /// ([`scan_and_stage`](Self::scan_and_stage)), and move them up one
 /// class when the basis is accepted ([`resolve`](Self::resolve)). In
-/// the distributed
-/// protocols the verdict arrives a round after the scan, so the scan
-/// result is **staged** and then committed or discarded. Weights are
-/// derived state and never travel; all metering stays with the
-/// distributed holders built from these.
+/// the distributed protocols the verdict arrives a round after the
+/// scan, so the scan result is **staged** and then committed or
+/// discarded. Weights are derived state and never travel; all metering
+/// stays with the distributed holders built on this.
 #[derive(Clone, Debug)]
 pub struct SiteWeights {
-    /// `a_i` of every local row.
+    /// `a_i` of every row.
     exponents: Vec<u32>,
-    /// `counts[a]` rows have exponent `a`. The last class is the top
-    /// one, nonempty unless the holder has no rows.
-    counts: Vec<usize>,
-    /// `F^a` for every class.
+    /// Part `p` holds rows `starts[p]..starts[p + 1]`.
+    starts: Vec<usize>,
+    /// `counts[p][a]` rows of part `p` have exponent `a`. A part's last
+    /// class is its top one, nonempty unless the part has no rows.
+    counts: Vec<Vec<usize>>,
+    /// `F^a` for every class up to the highest top class.
     powers: Vec<ScaledF64>,
     factor: f64,
-    /// The rows of the shared input this holder owns.
-    rows: Range<usize>,
-    /// Local violator indices of the basis whose verdict is pending.
+    /// The violator rows of the basis whose verdict is pending,
+    /// ascending.
     staged: Vec<usize>,
-    /// The class histogram of the latest scan's violators.
+    /// Each part's `w(V_p)` and `|V_p|` from the latest scan.
+    staged_sums: Vec<(ScaledF64, usize)>,
+    /// Scratch: one part's violator class histogram.
     staged_counts: Vec<usize>,
 }
 
 impl SiteWeights {
-    /// All-ones weights over the rows `rows` (Line 2 of Algorithm 1):
-    /// every row in class 0.
-    pub fn new(rows: Range<usize>, factor: f64) -> Self {
+    /// All-ones weights (Line 2 of Algorithm 1) over consecutive parts of
+    /// the given sizes, from row 0: every row in class 0. RAM's solve is
+    /// `&[n]`.
+    pub fn new(sizes: &[usize], factor: f64) -> Self {
         assert!(factor > 1.0, "weight factor must exceed 1");
+        let mut starts = vec![0];
+        for &len in sizes {
+            starts.push(starts[starts.len() - 1] + len);
+        }
         let mut powers = Vec::new();
         power_table(factor, 0, &mut powers);
         SiteWeights {
-            exponents: vec![0; rows.len()],
-            counts: vec![rows.len()],
+            exponents: vec![0; starts[sizes.len()]],
+            starts,
+            counts: sizes.iter().map(|&len| vec![len]).collect(),
             powers,
             factor,
-            rows,
             staged: Vec::new(),
+            staged_sums: Vec::new(),
             staged_counts: Vec::new(),
         }
     }
 
-    /// One holder per consecutive row range of the given sizes, in order
-    /// from row 0: the site or machine layout of a partitioned run.
-    pub fn partition(sizes: &[usize], factor: f64) -> Vec<SiteWeights> {
-        let mut start = 0;
-        sizes
-            .iter()
-            .map(|&len| {
-                start += len;
-                SiteWeights::new(start - len..start, factor)
-            })
-            .collect()
+    /// The parts, `0..k`.
+    pub fn parts(&self) -> Range<usize> {
+        0..self.counts.len()
     }
 
-    /// The rows of the shared input this holder owns.
-    pub fn rows(&self) -> Range<usize> {
-        self.rows.clone()
+    /// The rows of the shared input that part `part` holds.
+    pub fn rows(&self, part: usize) -> Range<usize> {
+        self.starts[part]..self.starts[part + 1]
     }
 
-    /// The weight `F^{a_i}` of local constraint `i` (row
-    /// `rows.start + i`).
+    /// The weight `F^{a_i}` of row `i`.
     pub fn weight(&self, i: usize) -> ScaledF64 {
         self.powers[self.exponents[i] as usize]
     }
 
-    /// The number of local rows in each exponent class, from class 0 up
-    /// to the top class.
-    pub fn class_counts(&self) -> &[usize] {
-        &self.counts
+    /// The number of rows of part `part` in each exponent class, from
+    /// class 0 up to the part's top class.
+    pub fn class_counts(&self, part: usize) -> &[usize] {
+        &self.counts[part]
     }
 
-    /// Draws `count` i.i.d. local indices proportional to weight, drops
-    /// repeats (net membership is a set), and appends the rows they pick
-    /// from the shared input `data` to `net`, in ascending row order.
-    /// Returns how many rows it appended: none when `count` is 0 or the
-    /// holder has no rows. A holder with rows takes exactly `count`
+    /// Draws `count` i.i.d. rows of part `part` proportional to weight,
+    /// drops repeats (net membership is a set), and appends the rows they
+    /// pick from the shared input `data` to `net`, in ascending row
+    /// order. Returns how many rows it appended: none when `count` is 0
+    /// or the part has no rows. A part with rows takes exactly `count`
     /// `random_range(0.0..1.0)` draws from `rng`; one without takes none.
     ///
-    /// Each uniform picks a class by the `f64` class totals
+    /// Each uniform picks a class by the part's `f64` class totals
     /// `count_a·F^{a−amax}` and a rank inside the class, and marks that
-    /// (class, rank) in the buffer's bitmap; one sweep over the exponents
-    /// then emits the marked rows. All weights 1 is one class, and a
-    /// uniform `u` picks row `min(⌊n·u⌋, n − 1)`.
+    /// (class, rank) in the buffer's bitmap; one sweep over the part's
+    /// exponents then emits the marked rows. All weights 1 is one class,
+    /// and a uniform `u` picks the part's row `min(⌊n·u⌋, n − 1)`.
     pub fn draw_into<C: Clone, R: Rng + ?Sized>(
         &self,
+        part: usize,
         data: &[C],
         count: usize,
         rng: &mut R,
         net: &mut NetBuffer<C>,
     ) -> usize {
         let uniforms = (0..count).map(|_| rng.random_range(0.0..1.0f64));
-        self.draw_uniforms(data, uniforms, net)
+        self.draw_uniforms(part, data, uniforms, net)
     }
 
     /// [`draw_into`](Self::draw_into) with the uniforms given.
     fn draw_uniforms<C: Clone>(
         &self,
+        part: usize,
         data: &[C],
         uniforms: impl ExactSizeIterator<Item = f64>,
         net: &mut NetBuffer<C>,
     ) -> usize {
         net.picked.clear();
-        if uniforms.len() == 0 || self.rows.is_empty() {
+        let rows = self.rows(part);
+        if uniforms.len() == 0 || rows.is_empty() {
             return 0;
         }
         let classes = &mut net.classes;
-        classes.prepare(&self.counts, &self.powers);
+        classes.prepare(&self.counts[part], &self.powers);
         for u in uniforms {
             classes.mark(u);
         }
-        classes.sweep(&self.exponents, &mut net.picked);
-        net.append_picked(&data[self.rows()]);
+        classes.sweep(&self.exponents[rows.clone()], &mut net.picked);
+        net.append_picked(&data[rows]);
         net.picked.len()
     }
 
-    /// The holder's total local weight `w(S_i) = Σ_a count_a·F^a`, summed
-    /// in ascending class order: O(classes), no pass over the rows.
-    pub fn total(&self) -> ScaledF64 {
-        class_sum(&self.counts, &self.powers)
+    /// Part `part`'s total weight `w(S_p) = Σ_a count_a·F^a`, summed in
+    /// ascending class order: O(classes), no pass over the rows.
+    pub fn total(&self, part: usize) -> ScaledF64 {
+        class_sum(&self.counts[part], &self.powers)
     }
 
-    /// Finds the violators of `solution` among the holder's rows of the
-    /// shared `columns`, stages their local indices for the next verdict,
-    /// and returns their weight `w(V_i)` and count. The column kernel runs
-    /// chunk-parallel with an ordered merge; the weight is the violators'
-    /// class histogram summed like [`total`](Self::total), so both
-    /// outputs are the same at any thread count. `columns` must be the
-    /// transposition of the whole input the ranges cut.
+    /// Finds the violators of `solution` among all rows in one sweep of
+    /// the shared `columns`, stages them for the next verdict, and
+    /// returns each part's violator weight `w(V_p)` and count `|V_p|`,
+    /// in part order. The column kernel runs chunk-parallel with an
+    /// ordered merge and classifies each row on its own, and each
+    /// weight is the part's violator class histogram summed like
+    /// [`total`](Self::total), so every output is the same at any thread
+    /// count and however the parts cut the rows. `columns` must be the
+    /// transposition of the whole input.
     pub fn scan_and_stage<P: ColumnarProblem>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
         columns: &ConstraintColumns,
-    ) -> (ScaledF64, usize) {
-        crate::lptype::scan_violators_columnar(
-            problem,
-            solution,
-            columns,
-            self.rows(),
-            &mut self.staged,
-        );
-        self.staged_counts.clear();
-        self.staged_counts.resize(self.counts.len(), 0);
-        for &i in &self.staged {
-            self.staged_counts[self.exponents[i] as usize] += 1;
+    ) -> &[(ScaledF64, usize)] {
+        crate::lptype::scan_violators_columnar(problem, solution, columns, &mut self.staged);
+        self.staged_sums.clear();
+        let mut violators = self.staged.iter().peekable();
+        for (counts, &end) in self.counts.iter().zip(&self.starts[1..]) {
+            self.staged_counts.clear();
+            self.staged_counts.resize(counts.len(), 0);
+            let mut count = 0;
+            while let Some(&i) = violators.next_if(|&&i| i < end) {
+                self.staged_counts[self.exponents[i] as usize] += 1;
+                count += 1;
+            }
+            let w = class_sum(&self.staged_counts, &self.powers);
+            self.staged_sums.push((w, count));
         }
-        (
-            class_sum(&self.staged_counts, &self.powers),
-            self.staged.len(),
-        )
+        &self.staged_sums
     }
 
     /// Applies the verdict on the staged basis: accepted ⇒ every staged
-    /// violator moves up one class (its weight ×`F`); rejected ⇒ weights
-    /// unchanged. Either way the staged list is emptied, keeping its
-    /// buffer.
+    /// violator moves up one class of its part (its weight ×`F`);
+    /// rejected ⇒ weights unchanged. Either way the staged list is
+    /// emptied, keeping its buffer.
     pub fn resolve(&mut self, accepted: bool) {
         if accepted {
+            let (mut part, mut classes) = (0, self.powers.len());
             for &i in &self.staged {
+                while i >= self.starts[part + 1] {
+                    part += 1;
+                }
+                let counts = &mut self.counts[part];
                 let a = self.exponents[i] as usize;
                 self.exponents[i] += 1;
-                if a + 1 == self.counts.len() {
-                    self.counts.push(0);
+                if a + 1 == counts.len() {
+                    counts.push(0);
+                    classes = classes.max(a + 2);
                 }
-                self.counts[a] -= 1;
-                self.counts[a + 1] += 1;
+                counts[a] -= 1;
+                counts[a + 1] += 1;
             }
-            if self.powers.len() < self.counts.len() {
-                let top = self.counts.len() as u32 - 1;
-                power_table(self.factor, top, &mut self.powers);
+            if self.powers.len() < classes {
+                power_table(self.factor, classes as u32 - 1, &mut self.powers);
             }
         }
         self.staged.clear();
     }
 }
 
-/// RAM's holder: one [`SiteWeights`] over all rows, the rows, their
-/// columns, and the solve's [`NetBuffer`].
+/// RAM's holder: one [`SiteWeights`] of one part over all rows, the
+/// rows, their columns, and the solve's [`NetBuffer`].
 struct Ram<'a, C> {
     weights: SiteWeights,
     rows: &'a [C],
@@ -644,7 +656,7 @@ struct Ram<'a, C> {
 
 impl<P: ColumnarProblem> Holder<P> for Ram<'_, P::Constraint> {
     fn total(&self) -> ScaledF64 {
-        self.weights.total()
+        self.weights.total(0)
     }
 
     fn draw_net<R: Rng>(
@@ -657,7 +669,8 @@ impl<P: ColumnarProblem> Holder<P> for Ram<'_, P::Constraint> {
             return Ok(self.rows);
         }
         self.net.clear();
-        self.weights.draw_into(self.rows, count, rng, &mut self.net);
+        self.weights
+            .draw_into(0, self.rows, count, rng, &mut self.net);
         Ok(self.net.rows())
     }
 
@@ -667,7 +680,7 @@ impl<P: ColumnarProblem> Holder<P> for Ram<'_, P::Constraint> {
         solution: &P::Solution,
         _: &mut R,
     ) -> Result<(ScaledF64, usize), ClarksonError> {
-        Ok(self.weights.scan_and_stage(problem, solution, self.columns))
+        Ok(self.weights.scan_and_stage(problem, solution, self.columns)[0])
     }
 
     fn resolve(&mut self, accepted: bool) {
@@ -675,7 +688,7 @@ impl<P: ColumnarProblem> Holder<P> for Ram<'_, P::Constraint> {
     }
 }
 
-/// The class-rank draw of one holder: the tables that map a uniform to
+/// The class-rank draw of one part: the tables that map a uniform to
 /// an exponent class and a rank inside it, and one mark per (class,
 /// rank). Kept in the [`NetBuffer`] and refilled for every draw.
 #[derive(Debug, Default)]
@@ -693,7 +706,7 @@ struct ClassDraw {
 }
 
 impl ClassDraw {
-    /// Sets the tables up for a holder's class `counts` and `powers`
+    /// Sets the tables up for a part's class `counts` and `powers`
     /// and clears every mark.
     fn prepare(&mut self, counts: &[usize], powers: &[ScaledF64]) {
         let top = powers[counts.len() - 1];
@@ -745,11 +758,10 @@ impl ClassDraw {
     }
 }
 
-/// The ε-net of one iteration, built in place by the holders'
+/// The ε-net of one iteration, built in place by
 /// [`SiteWeights::draw_into`], plus the draw's own buffers. One buffer
-/// serves a whole solve — RAM's holder, the coordinator's sites and
-/// MPC's machines each keep one — and [`clear`](Self::clear) empties
-/// it at the start of each draw
+/// serves a whole solve — the RAM, coordinator and MPC holders each keep
+/// one — and [`clear`](Self::clear) empties it at the start of each draw
 /// without freeing anything: row slots are refilled with `clone_from`,
 /// which reuses each row's buffers, and the class tables and marks are
 /// refilled in place, so once the first nets have warmed it the loop's
@@ -758,7 +770,7 @@ impl ClassDraw {
 pub struct NetBuffer<C> {
     /// The latest draw's class tables and marks.
     classes: ClassDraw,
-    /// Local indices of the latest draw: ascending, without repeats.
+    /// Part-local indices of the latest draw: ascending, without repeats.
     picked: Vec<usize>,
     /// Row slots; the first `len` hold the net.
     slots: Vec<C>,
@@ -786,8 +798,8 @@ impl<C: Clone> NetBuffer<C> {
         &self.slots[..self.len]
     }
 
-    /// The local indices of the latest draw (relative to the drawing
-    /// holder's first row): ascending, without repeats.
+    /// The local indices of the latest draw (relative to the drawn
+    /// part's first row): ascending, without repeats.
     pub fn picked(&self) -> &[usize] {
         &self.picked
     }
@@ -1049,22 +1061,22 @@ mod tests {
             .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
             .collect();
         let columns = p.to_columns(&cs);
-        let mut site = SiteWeights::new(0..cs.len(), 3.0);
-        assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
+        let mut site = SiteWeights::new(&[cs.len()], 3.0);
+        assert!((site.total(0).to_f64() - 10.0).abs() < 1e-9);
 
         let probe = vec![4.5, 0.0];
-        let (w, count) = site.scan_and_stage(&p, &probe, &columns);
+        let (w, count) = site.scan_and_stage(&p, &probe, &columns)[0];
         assert_eq!(count, 5);
         assert!((w.to_f64() - 5.0).abs() < 1e-9);
 
         // Rejected verdict: nothing changes.
         site.resolve(false);
-        assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
+        assert!((site.total(0).to_f64() - 10.0).abs() < 1e-9);
 
         // Accepted verdict: the five violators triple.
         let _ = site.scan_and_stage(&p, &probe, &columns);
         site.resolve(true);
-        assert!((site.total().to_f64() - (5.0 * 3.0 + 5.0)).abs() < 1e-9);
+        assert!((site.total(0).to_f64() - (5.0 * 3.0 + 5.0)).abs() < 1e-9);
         assert!((site.weight(0).to_f64() - 3.0).abs() < 1e-9);
         assert!((site.weight(9).to_f64() - 1.0).abs() < 1e-9);
 
@@ -1123,23 +1135,23 @@ mod tests {
         let cs: Vec<Halfspace> = (0..4)
             .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
             .collect();
-        let mut site = SiteWeights::new(0..cs.len(), 1000.0);
+        let mut site = SiteWeights::new(&[cs.len()], 1000.0);
         // Make element 0 dominate: (0.5, 0) violates only b = 0.
         let probe = vec![0.5, 0.0];
         let _ = site.scan_and_stage(&p, &probe, &p.to_columns(&cs));
         site.resolve(true);
         let mut r = rng(7);
         let mut net = NetBuffer::new();
-        let drawn = site.draw_into(&cs, 64, &mut r, &mut net);
+        let drawn = site.draw_into(0, &cs, 64, &mut r, &mut net);
         assert_eq!(drawn, net.rows().len());
         assert!(net.picked().contains(&0), "dominant element missing");
         assert_eq!(net.rows()[0], cs[0]);
-        assert_eq!(site.draw_into(&cs, 0, &mut r, &mut net), 0);
+        assert_eq!(site.draw_into(0, &cs, 0, &mut r, &mut net), 0);
         assert!(net.picked().is_empty());
-        // A holder with no rows has no weight and draws nothing.
-        let empty = SiteWeights::new(2..2, 1000.0);
-        assert!(empty.total().is_zero());
-        assert_eq!(empty.draw_into(&cs, 5, &mut r, &mut net), 0);
+        // A part with no rows has no weight and draws nothing.
+        let parts = SiteWeights::new(&[2, 0, 2], 1000.0);
+        assert!(parts.total(1).is_zero());
+        assert_eq!(parts.draw_into(1, &cs, 5, &mut r, &mut net), 0);
         assert!(net.picked().is_empty());
     }
 
@@ -1147,7 +1159,7 @@ mod tests {
     /// `exps[i]` through accepted verdicts, as the solvers do: round `k`
     /// stages every row whose exponent is above `k`.
     fn holder_with(exps: &[u32], factor: f64) -> SiteWeights {
-        let mut site = SiteWeights::new(0..exps.len(), factor);
+        let mut site = SiteWeights::new(&[exps.len()], factor);
         for k in 0..exps.iter().copied().max().unwrap_or(0) {
             site.staged.clear();
             site.staged.extend((0..exps.len()).filter(|&i| exps[i] > k));
@@ -1160,7 +1172,7 @@ mod tests {
     /// (`data` holds at least the holder's rows).
     fn row_of(site: &SiteWeights, data: &[u32], u: f64, net: &mut NetBuffer<u32>) -> usize {
         net.clear();
-        assert_eq!(site.draw_uniforms(data, std::iter::once(u), net), 1);
+        assert_eq!(site.draw_uniforms(0, data, std::iter::once(u), net), 1);
         net.picked()[0]
     }
 
@@ -1179,7 +1191,7 @@ mod tests {
         // so a target on a boundary opens the next nonempty class.
         let exps = [0, 3, 0, 2, 0, 0, 3, 0, 2, 0, 0, 0];
         let site = holder_with(&exps, 2.0);
-        assert_eq!(site.class_counts(), [8, 0, 2, 2]);
+        assert_eq!(site.class_counts(0), [8, 0, 2, 2]);
         let mut order: Vec<usize> = (0..exps.len()).collect();
         order.sort_by_key(|&i| (exps[i], i));
         let rel = |i: usize| (f64::from(exps[i]) - 3.0).exp2();
@@ -1239,7 +1251,7 @@ mod tests {
         // and takes exactly `count` uniforms from the RNG.
         let mut want = Vec::new();
         for n in [1usize, 2, 7, 64, 1000, 4099] {
-            let site = SiteWeights::new(0..n, 5.0);
+            let site = SiteWeights::new(&[n], 5.0);
             for u in [0.0, 0.3, 0.5, 0.999, 1.0 - f64::EPSILON / 2.0] {
                 let want = ((n as f64 * u) as usize).min(n - 1);
                 assert_eq!(row_of(&site, &rows, u, &mut net), want, "n = {n}, u = {u}");
@@ -1256,7 +1268,7 @@ mod tests {
                 want.dedup();
                 let mut draw_rng = rng(seed);
                 net.clear();
-                let drawn = site.draw_into(&rows[..n], count, &mut draw_rng, &mut net);
+                let drawn = site.draw_into(0, &rows[..n], count, &mut draw_rng, &mut net);
                 assert_eq!(net.picked(), &want[..], "n = {n}, count = {count}");
                 assert_eq!(drawn, want.len());
                 assert_eq!(draw_rng.next_u64(), want_rng.next_u64(), "RNG out of step");
@@ -1266,7 +1278,7 @@ mod tests {
         let site = holder_with(&[0, 2, 0, 3, 2, 0, 0, 3, 2, 0, 2, 3], 3.0);
         let (mut draw_rng, mut want_rng) = (rng(9), rng(9));
         net.clear();
-        site.draw_into(&rows, 500, &mut draw_rng, &mut net);
+        site.draw_into(0, &rows, 500, &mut draw_rng, &mut net);
         (0..500).for_each(|_| {
             want_rng.random_range(0.0..1.0f64);
         });

@@ -15,11 +15,11 @@
 //!   and the weight envelope of Eq. (2)). Its loop, [`clarkson::run`], is
 //!   written once over a [`clarkson::Holder<P>`](clarkson::Holder) that
 //!   owns its input, and [`clarkson::ClarksonError`] is every model's
-//!   error type. It also holds the one in-memory weight holder,
-//!   [`clarkson::SiteWeights`], and the per-solve
-//!   [`clarkson::NetBuffer`] that RAM, the coordinator sites and the MPC
-//!   machines all run on, and the stream's exponent sweep,
-//!   [`clarkson::exponents_columnar`].
+//!   error type. It also holds the weight state of an in-memory solve,
+//!   [`clarkson::SiteWeights`], one per solve and cut into parts (RAM's
+//!   rows, each coordinator site, each MPC machine) and scanned in one
+//!   sweep; the per-solve [`clarkson::NetBuffer`]; and the stream's
+//!   exponent sweep, [`clarkson::exponents_columnar`].
 //!
 //! The model implementations (streaming/coordinator/MPC) live in
 //! `llp-bigdata` and reuse everything here; all three run as holders in

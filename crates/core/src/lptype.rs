@@ -13,7 +13,8 @@
 //! plain values so they can be streamed, partitioned, and serialized by
 //! the model simulators. [`ColumnarProblem`] adds the columnar layout
 //! every violation scan runs over, and [`scan_violators_columnar`] is
-//! the range scan the weight holders of `clarkson` call.
+//! the whole-block scan that `clarkson`'s weight state and the
+//! certificate pass call.
 
 use rand::RngCore;
 
@@ -120,7 +121,7 @@ pub trait LpTypeProblem: Sync {
 /// scalar reference built on `violates`.
 pub trait ColumnarProblem: LpTypeProblem {
     /// Transposes AoS constraints into columnar storage. O(n·d), done
-    /// once per solve (coordinator sites and MPC machines scan row ranges
+    /// once per solve (coordinator sites and MPC machines are row ranges
     /// of it), then amortized over every iteration's scan.
     fn to_columns(&self, constraints: &[Self::Constraint]) -> llp_geom::ConstraintColumns;
 
@@ -150,34 +151,32 @@ pub trait ColumnarProblem: LpTypeProblem {
     fn from_row(&self, coords: &[f64], extra: f64) -> Self::Constraint;
 }
 
-/// The violator scan of Algorithm 1's hot path over the rows `rows` of
+/// The violator scan of Algorithm 1's hot path over every row of
 /// `columns`: fills the caller's reusable `out` (cleared first) with the
-/// violator indices, ascending and relative to `rows.start`. The range
-/// is cut on a fixed `llp_par::DEFAULT_CHUNK` grid counted from
-/// `rows.start` (`par_ranges`); each chunk runs the problem's
-/// branch-light column kernel and the chunks merge in grid order, so
-/// `out` is the same for any `LLP_THREADS` and equal to a sequential
-/// sweep of [`LpTypeProblem::violates`]. Its one caller in the solvers
-/// is [`SiteWeights::scan_and_stage`](crate::clarkson::SiteWeights::scan_and_stage),
-/// the holder that RAM (all rows), every coordinator site and every MPC
-/// machine (one range each) run on, which weighs the violators by
-/// exponent class.
+/// violator indices, ascending. The rows are cut on a fixed
+/// `llp_par::DEFAULT_CHUNK` grid (`par_ranges`); each chunk runs the
+/// problem's branch-light column kernel, which classifies each row on
+/// its own, and the chunks merge in grid order, so `out` is the same for
+/// any `LLP_THREADS` and equal to a sequential sweep of
+/// [`LpTypeProblem::violates`]. Every caller scans whole blocks: one
+/// call per scan of a solve's
+/// [`SiteWeights`](crate::clarkson::SiteWeights), which splits the
+/// violators among its parts (RAM's rows, the coordinator's sites, the
+/// MPC machines), and one per chunk of a certificate pass.
 pub fn scan_violators_columnar<P: ColumnarProblem>(
     problem: &P,
     solution: &P::Solution,
     columns: &llp_geom::ConstraintColumns,
-    rows: std::ops::Range<usize>,
     out: &mut Vec<usize>,
 ) {
     out.clear();
-    let base = rows.start;
-    let parts = llp_par::par_ranges(rows.len(), llp_par::DEFAULT_CHUNK, |start, end| {
+    let parts = llp_par::par_ranges(columns.len(), llp_par::DEFAULT_CHUNK, |start, end| {
         let mut idx = Vec::with_capacity(64);
-        problem.scan_columns(solution, &columns.view(base + start, base + end), &mut idx);
+        problem.scan_columns(solution, &columns.view(start, end), &mut idx);
         idx
     });
     for idx in &parts {
-        out.extend(idx.iter().map(|&i| i - base));
+        out.extend_from_slice(idx);
     }
 }
 

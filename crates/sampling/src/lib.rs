@@ -6,9 +6,9 @@
 //! realizations of that primitive:
 //!
 //! * RAM / per-site: no sampler here. The RAM solver, every coordinator
-//!   site and every MPC machine hold integer weight exponents in
-//!   `llp_core::clarkson::SiteWeights`, which draws a net by exponent
-//!   class and rank in one sweep over its rows.
+//!   site and every MPC machine are parts of one solve's integer weight
+//!   exponents in `llp_core::clarkson::SiteWeights`, which draws a
+//!   part's net by exponent class and rank in one sweep over its rows.
 //! * Streaming: [`weighted::SortedTargetSampler`] (one pass, total weight
 //!   known from bookkeeping) and [`reservoir::WeightedReservoir`] (A-ExpJ,
 //!   one pass, no total needed — used by the speculative one-pass mode).

@@ -288,16 +288,16 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
 
     let run = |threads: usize| {
         llp_par::with_threads(threads, || {
-            let mut site = SiteWeights::new(0..cs.len(), 6.0);
+            let mut site = SiteWeights::new(&[cs.len()], 6.0);
             let mut rng = StdRng::seed_from_u64(SEED + 81);
             // One net buffer for every round, as the solvers keep one.
             let mut net = NetBuffer::new();
             let mut out = Vec::new();
             for probe in &probes {
-                let (w, count) = site.scan_and_stage(&lp, probe, &columns);
+                let (w, count) = site.scan_and_stage(&lp, probe, &columns)[0];
                 site.resolve(true);
                 net.clear();
-                let drawn = site.draw_into(&cs, 100, &mut rng, &mut net);
+                let drawn = site.draw_into(0, &cs, 100, &mut rng, &mut net);
                 let picked = net.picked().to_vec();
                 // The reused slots hold exactly fresh clones of the rows
                 // drawn this round, once each, in ascending order.
@@ -305,7 +305,7 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
                 assert!(picked.windows(2).all(|w| w[0] < w[1]), "{picked:?}");
                 let fresh: Vec<_> = picked.iter().map(|&j| cs[j].clone()).collect();
                 assert_eq!(net.rows(), &fresh[..]);
-                out.push((w, count, site.total(), picked));
+                out.push((w, count, site.total(0), picked));
             }
             out
         })
@@ -335,38 +335,30 @@ fn scalar_scan<P: lodim_lp::core::lptype::LpTypeProblem>(
 #[test]
 fn columnar_scan_matches_aos_scan_bit_for_bit() {
     // The columnar-vs-scalar differential at the kernel level: the
-    // columnar scan (`scan_violators_columnar` over a row range of
-    // `ConstraintColumns`) must report exactly the violator indices of
-    // the sequential `violates` reference over that sub-slice, for
+    // columnar scan (`scan_violators_columnar` over a whole
+    // `ConstraintColumns` block) must report exactly the violator indices
+    // of the sequential `violates` reference over that slice, for
     // LP/SVM/MEB at threads 1/4/16. The solution comes from a small
     // prefix so the set contains real violators. The LP also scans a
-    // range that starts off the chunk grid and spans three chunks, as a
-    // coordinator site or MPC machine does: its indices must be
-    // range-relative.
+    // range that starts off the chunk grid and spans three chunks,
+    // transposed on its own as a store file's chunk is.
     use lodim_lp::core::lptype::{scan_violators_columnar, ColumnarProblem};
-    use std::ops::Range;
 
-    fn check<P: ColumnarProblem>(
-        label: &str,
-        p: &P,
-        data: &[P::Constraint],
-        rows: Range<usize>,
-        sol: &P::Solution,
-    ) {
+    fn check<P: ColumnarProblem>(label: &str, p: &P, data: &[P::Constraint], sol: &P::Solution) {
         assert!(
-            rows.len() > llp_par::DEFAULT_CHUNK,
-            "{label}: the range must span several scan chunks"
+            data.len() > llp_par::DEFAULT_CHUNK,
+            "{label}: the block must span several scan chunks"
         );
-        let ref_idx = scalar_scan(p, sol, &data[rows.clone()]);
+        let ref_idx = scalar_scan(p, sol, data);
         assert!(
             !ref_idx.is_empty(),
-            "{label}: prefix solution should leave violators in the range"
+            "{label}: prefix solution should leave violators in the block"
         );
         let columns = p.to_columns(data);
         for threads in [1usize, 4, 16] {
             let mut col_idx = Vec::new();
             llp_par::with_threads(threads, || {
-                scan_violators_columnar(p, sol, &columns, rows.clone(), &mut col_idx)
+                scan_violators_columnar(p, sol, &columns, &mut col_idx)
             });
             assert_eq!(
                 ref_idx, col_idx,
@@ -379,22 +371,22 @@ fn columnar_scan_matches_aos_scan_bit_for_bit() {
     let mut rng = StdRng::seed_from_u64(SEED + 90);
     let sol = lodim_lp::core::lptype::LpTypeProblem::solve_subset(&lp, &cs[..32], &mut rng)
         .expect("prefix solvable");
-    check("lp", &lp, &cs, 0..cs.len(), &sol);
-    // Half a chunk plus 17 rows off the grid: the range's chunks are
+    check("lp", &lp, &cs, &sol);
+    // Half a chunk plus 17 rows off the grid: the block's chunks are
     // cut from its own first row, and its indices count from there.
     let start = llp_par::DEFAULT_CHUNK + llp_par::DEFAULT_CHUNK / 2 + 17;
     let off_grid = start..start + 3 * llp_par::DEFAULT_CHUNK - 5;
-    check("lp/off-grid range", &lp, &cs, off_grid, &sol);
+    check("lp/off-grid range", &lp, &cs[off_grid], &sol);
 
     let (svm, pts) = svm_instance();
     let sol = lodim_lp::core::lptype::LpTypeProblem::solve_subset(&svm, &pts[..64], &mut rng)
         .expect("prefix solvable");
-    check("svm", &svm, &pts, 0..pts.len(), &sol);
+    check("svm", &svm, &pts, &sol);
 
     let (meb, pts) = meb_instance();
     let sol = lodim_lp::core::lptype::LpTypeProblem::solve_subset(&meb, &pts[..8], &mut rng)
         .expect("prefix solvable");
-    check("meb", &meb, &pts, 0..pts.len(), &sol);
+    check("meb", &meb, &pts, &sol);
 }
 
 #[test]

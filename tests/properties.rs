@@ -121,7 +121,7 @@ fn holder_differential(
 
     let (p, cs) = lodim_lp::workloads::random_lp(n, 2, n as u64);
     let columns = p.to_columns(&cs);
-    let mut site = SiteWeights::new(0..n, factor);
+    let mut site = SiteWeights::new(&[n], factor);
     let mut naive = vec![0u32; n];
     let mut net = NetBuffer::new();
     let mut rng = StdRng::seed_from_u64(n as u64 + 7);
@@ -152,7 +152,7 @@ fn holder_differential(
                 });
             (hist, sum)
         };
-        let (w, count) = site.scan_and_stage(&p, &probe, &columns);
+        let (w, count) = site.scan_and_stage(&p, &probe, &columns)[0];
         assert_eq!(count, violators.len());
         assert_eq!(w, class_sum(&mut violators.iter().map(|&i| naive[i])).1);
         site.resolve(accept);
@@ -161,10 +161,10 @@ fn holder_differential(
         }
 
         let (hist, total) = class_sum(&mut naive.iter().copied());
-        assert_eq!(site.class_counts(), &hist[..], "class counts");
-        assert_eq!(site.total(), total, "total");
+        assert_eq!(site.class_counts(0), &hist[..], "class counts");
+        assert_eq!(site.total(0), total, "total");
         let per_row: ScaledF64 = naive.iter().map(|&a| ScaledF64::powi(factor, a)).sum();
-        assert!((site.total().log2() - per_row.log2()).abs() <= 1e-9);
+        assert!((site.total(0).log2() - per_row.log2()).abs() <= 1e-9);
         for (i, &a) in naive.iter().enumerate() {
             assert_eq!(site.weight(i), ScaledF64::powi(factor, a), "weight({i})");
         }
@@ -173,7 +173,7 @@ fn holder_differential(
         let (mut draw_rng, mut want_rng) =
             (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
         net.clear();
-        let drawn = site.draw_into(&cs, 2 * n, &mut draw_rng, &mut net);
+        let drawn = site.draw_into(0, &cs, 2 * n, &mut draw_rng, &mut net);
         (0..2 * n).for_each(|_| {
             want_rng.random_range(0.0..1.0f64);
         });
@@ -191,7 +191,7 @@ fn holder_differential(
     }
     if top_only {
         assert!(
-            site.total().log2() > 1024.0,
+            site.total(0).log2() > 1024.0,
             "the total should be past f64::MAX"
         );
     }
