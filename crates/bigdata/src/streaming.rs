@@ -20,7 +20,9 @@
 //!   while the scan tests a basis, two reservoirs sample the next net
 //!   under both possible outcomes (accept/reject), and the verdict keeps
 //!   the right one, which is the next draw. Reservoir sampling is without
-//!   replacement, which only improves ε-net coverage (ablation A2).
+//!   replacement, which only improves ε-net coverage (ablation A2). A
+//!   net that covers the input has nothing to sample, so such a run
+//!   reads the input as its net each iteration and runs as two-pass.
 //!
 //! Every chunk is weighed in columnar form (one column sweep per stored
 //! basis gives each row's exponent `a(c)`,
@@ -306,7 +308,8 @@ impl<P: ColumnarProblem, S: ChunkSource> Stream<'_, P, S> {
     /// `ScaledF64` additions, in the same order, as a single whole-stream
     /// sweep. One-pass's reservoirs draw the next net under both verdicts
     /// on the way, each row weighing `F·w` in the accepted world if it
-    /// violates and `w` otherwise; two-pass rebuilds no row.
+    /// violates and `w` otherwise, unless the net covers the input;
+    /// two-pass rebuilds no row.
     fn scan_pass<R: Rng>(
         &mut self,
         problem: &P,
@@ -315,7 +318,7 @@ impl<P: ColumnarProblem, S: ChunkSource> Stream<'_, P, S> {
     ) -> Result<(ScaledF64, usize), BigDataError> {
         let m = self.params.net_size;
         let mut next = None;
-        if self.mode == SamplingMode::OnePassSpeculative {
+        if self.mode == SamplingMode::OnePassSpeculative && m < self.source.len() {
             self.hold_reservoirs(problem, 2);
             next = Some((WeightedReservoir::new(m), WeightedReservoir::new(m)));
         }
@@ -362,9 +365,9 @@ impl<P: ColumnarProblem, S: ChunkSource> Holder<P> for Stream<'_, P, S> {
         self.total
     }
 
-    /// Two-pass: pass 1. One-pass: the first net is the all-ones
-    /// reservoir pass, every later one the reservoir the last verdict
-    /// kept.
+    /// Two-pass, and either mode when the net covers the input: pass 1.
+    /// One-pass: the first net is the all-ones reservoir pass, every
+    /// later one the reservoir the last verdict kept.
     fn draw_net<R: Rng>(
         &mut self,
         problem: &P,
@@ -373,12 +376,10 @@ impl<P: ColumnarProblem, S: ChunkSource> Holder<P> for Stream<'_, P, S> {
     ) -> Result<&[P::Constraint], BigDataError> {
         let top = self.bases.len() as u32;
         power_table(self.params.factor, top, &mut self.powers);
-        match self.mode {
-            SamplingMode::TwoPassIid => self.draw_pass(problem, count, rng)?,
-            SamplingMode::OnePassSpeculative if self.passes == 0 => {
-                self.reservoir_pass(problem, rng)?
-            }
-            SamplingMode::OnePassSpeculative => {}
+        if self.mode == SamplingMode::TwoPassIid || count >= self.source.len() {
+            self.draw_pass(problem, count, rng)?;
+        } else if self.passes == 0 {
+            self.reservoir_pass(problem, rng)?;
         }
         Ok(&self.net)
     }
@@ -547,6 +548,25 @@ mod tests {
                 "{mode:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_net_covering_the_input_runs_one_pass_as_two_pass() {
+        // With a net of all n rows there is nothing to sample: one-pass
+        // reads the whole input as its net, as two-pass does, and fills
+        // no reservoir, so both modes give the same answer, stats and
+        // RNG state.
+        use rand::RngCore;
+        let (p, cs) = random_lp(300, 2, 45);
+        let run = |mode| {
+            let mut rng = StdRng::seed_from_u64(46);
+            let (sol, stats) = solve(&p, &cs, &ClarksonConfig::paper(1), mode, &mut rng).unwrap();
+            let bits: Vec<u64> = sol.iter().map(|x| x.to_bits()).collect();
+            (bits, stats, rng.next_u64())
+        };
+        let two_pass = run(SamplingMode::TwoPassIid);
+        assert_eq!(two_pass.1.net_size, 300);
+        assert_eq!(run(SamplingMode::OnePassSpeculative), two_pass);
     }
 
     #[test]
