@@ -118,8 +118,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         meter: CoordMeter::default(),
         verdict_owed: false,
     };
-    let (solution, clarkson) =
-        clarkson::run(problem, n, cfg, &mut sites, rng).map_err(|(e, _)| e)?;
+    let (solution, clarkson) = clarkson::run(problem, n, cfg, &mut sites, rng)?;
     let meter = &sites.meter;
     let stats = CoordinatorStats {
         clarkson,

@@ -244,8 +244,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         meter: MpcMeter::new(k),
         verdict_owed: false,
     };
-    let (solution, clarkson) =
-        clarkson::run(problem, n, &loop_cfg, &mut machines, rng).map_err(|(e, _)| e)?;
+    let (solution, clarkson) = clarkson::run(problem, n, &loop_cfg, &mut machines, rng)?;
     let meter = &machines.meter;
     let stats = MpcStats {
         clarkson,

@@ -151,7 +151,7 @@ fn run<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         hits: Vec::new(),
         violators: Vec::new(),
     };
-    let (solution, stats) = clarkson::run(problem, n, cfg, &mut stream, rng).map_err(|(e, _)| e)?;
+    let (solution, stats) = clarkson::run(problem, n, cfg, &mut stream, rng)?;
     let stats = StreamingStats {
         passes: stream.passes,
         iterations: stats.iterations,

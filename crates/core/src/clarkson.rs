@@ -145,9 +145,9 @@ impl ClarksonConfig {
         }
     }
 
-    /// Same asymptotics with the calibrated net constant (see
-    /// `EpsNetSpec::calibrated` and experiment T9) — the default for
-    /// benches on realistic input sizes.
+    /// Same asymptotics with the net constant scaled by `1/16`, which
+    /// experiment T9 calibrates — the default for benches on realistic
+    /// input sizes.
     pub fn calibrated(r: u32) -> Self {
         ClarksonConfig {
             net_multiplier: 1.0 / 16.0,
@@ -246,8 +246,9 @@ pub struct ClarksonStats {
     pub violators_trace: Vec<usize>,
 }
 
-/// Outcome of [`solve`]: the canonical optimum plus statistics.
-pub type ClarksonOutcome<S> = Result<(S, ClarksonStats), (ClarksonError, ClarksonStats)>;
+/// Outcome of [`solve`] and [`run`]: the canonical optimum plus
+/// statistics, or the error that ended the run.
+pub type ClarksonOutcome<S> = Result<(S, ClarksonStats), ClarksonError>;
 
 /// Runs Algorithm 1 on `constraints`: transposes them into columnar
 /// storage and calls [`solve_with_columns`].
@@ -355,36 +356,22 @@ pub fn run<P: ColumnarProblem, H: Holder<P>, R: Rng>(
         factor: params.factor,
         ..ClarksonStats::default()
     };
-    match iterate(problem, cfg, params, holder, rng, &mut stats) {
-        Ok(solution) => Ok((solution, stats)),
-        Err(e) => Err((e, stats)),
-    }
-}
-
-/// [`run`]'s iterations, recorded in `stats` as they go.
-fn iterate<P: ColumnarProblem, H: Holder<P>, R: Rng>(
-    problem: &P,
-    cfg: &ClarksonConfig,
-    RunParams { eps, net_size, .. }: RunParams,
-    holder: &mut H,
-    rng: &mut R,
-    stats: &mut ClarksonStats,
-) -> Result<P::Solution, ClarksonError> {
     while stats.iterations < cfg.max_iterations {
         stats.iterations += 1;
 
         // --- Sample the ε-net with probability proportional to weight,
         // and solve its basis. ---
-        let solution = problem.solve_subset(holder.draw_net(problem, net_size, rng)?, rng)?;
+        let net = holder.draw_net(problem, params.net_size, rng)?;
+        let solution = problem.solve_subset(net, rng)?;
 
         // --- Violators and their weight, staged until the success test
         // decides. ---
         let (w_violators, violator_count) = holder.scan_and_stage(problem, &solution, rng)?;
         stats.violators_trace.push(violator_count);
 
-        let success = w_violators.ratio(holder.total()) <= eps;
+        let success = w_violators.ratio(holder.total()) <= params.eps;
         if success && violator_count == 0 {
-            return Ok(solution);
+            return Ok((solution, stats));
         }
         holder.resolve(success);
         if success {
@@ -954,7 +941,7 @@ mod tests {
         cs.extend((0..500).map(|k| Halfspace::new(vec![0.0, 1.0], 1.0 + k as f64)));
         let mut r = rng(13);
         match solve(&p, &cs, &ClarksonConfig::calibrated(2), &mut r) {
-            Err((ClarksonError::Infeasible, _)) => {}
+            Err(ClarksonError::Infeasible) => {}
             other => panic!("expected infeasible, got {other:?}"),
         }
     }

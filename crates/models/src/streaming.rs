@@ -45,11 +45,6 @@ impl SpaceMeter {
     pub fn peak_items(&self) -> u64 {
         self.peak_items
     }
-
-    /// Currently retained bits.
-    pub fn current_bits(&self) -> u64 {
-        self.current_bits
-    }
 }
 
 /// A re-scannable input sequence with pass accounting.
@@ -116,10 +111,13 @@ mod tests {
         let mut m = SpaceMeter::new();
         m.alloc_raw(640, 1);
         m.alloc_raw(320, 1);
-        assert_eq!(m.current_bits(), 960);
         m.free_raw(640, 1);
-        assert_eq!(m.current_bits(), 320);
         assert_eq!(m.peak_bits(), 960);
+        assert_eq!(m.peak_items(), 2);
+        // 320 bits and one item are still held, so 700 more bits make a
+        // new peak of 1,020 and one more item does not.
+        m.alloc_raw(700, 1);
+        assert_eq!(m.peak_bits(), 1020);
         assert_eq!(m.peak_items(), 2);
     }
 
@@ -128,6 +126,9 @@ mod tests {
         let mut m = SpaceMeter::new();
         m.alloc_raw(100, 1);
         m.free_raw(500, 5);
-        assert_eq!(m.current_bits(), 0);
+        // Nothing is held: 150 bits are the new peak, not 250.
+        m.alloc_raw(150, 1);
+        assert_eq!(m.peak_bits(), 150);
+        assert_eq!(m.peak_items(), 1);
     }
 }

@@ -16,8 +16,8 @@
 //! * [`linalg`] — small dense linear algebra (Gaussian elimination with
 //!   partial pivoting) for the `d × d` systems that appear in basis
 //!   computations, circumsphere solves, and active-set SVM steps.
-//! * [`float`] — relative/absolute tolerance helpers shared by the
-//!   floating-point solvers.
+//! * [`float`] — the relative tolerance shared by the floating-point
+//!   solvers.
 
 #![forbid(unsafe_code)]
 

@@ -53,15 +53,10 @@ impl Mat {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Matrix-vector product `self * x`.
     ///
     /// # Panics
-    /// Panics if `x.len() != self.cols()`.
+    /// Panics if `x.len()` is not the number of columns.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols);
         let mut out = vec![0.0; self.rows];

@@ -10,8 +10,8 @@
 //! formula exceeds `n` itself, in which case any implementation should
 //! just take everything. [`EpsNetSpec`] exposes the verbatim formula plus
 //! a `multiplier` knob; experiment **T9** measures the empirical net
-//! failure rate as the multiplier shrinks, which justifies the calibrated
-//! default ([`EpsNetSpec::calibrated`]).
+//! failure rate as the multiplier shrinks, which justifies the `1/16`
+//! of `ClarksonConfig::calibrated` in `llp_core`.
 
 /// Parameters of an ε-net sample.
 #[derive(Clone, Copy, Debug)]
@@ -34,19 +34,6 @@ impl EpsNetSpec {
             lambda,
             delta,
             multiplier: 1.0,
-        }
-    }
-
-    /// A calibrated spec: same asymptotics, smaller constant. The default
-    /// multiplier `1/16` was chosen from experiment T9
-    /// (`experiments t9`): the empirical failure rate stays far below the
-    /// δ = 1/3 budget of Claim 3.2 at this scale.
-    pub fn calibrated(eps: f64, lambda: usize, delta: f64) -> Self {
-        EpsNetSpec {
-            eps,
-            lambda,
-            delta,
-            multiplier: 1.0 / 16.0,
         }
     }
 

@@ -93,13 +93,6 @@ impl NetServer {
         self.addr
     }
 
-    /// The shard router behind the socket, for in-process metering
-    /// (the loadgen reads per-shard counters through this rather than
-    /// over the wire when it owns the server).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
     /// Graceful shutdown: stop accepting, close the router so blocked
     /// handlers get their in-flight responses, then join every thread.
     /// Idempotent; also run by `Drop`.

@@ -148,7 +148,7 @@ pub fn solve_source<P: ColumnarProblem, R: Rng>(
             let (out, wall_ms) = timed(|| {
                 llp_core::clarkson_solve_with_columns(problem, &data, &columns, &cfg, rng)
             });
-            let (sol, stats) = out.map_err(|e| fail(&e.0))?;
+            let (sol, stats) = out.map_err(|e| fail(&e))?;
             body.iterations = stats.iterations as u64;
             (sol, wall_ms, source.tape(columns))
         }

@@ -121,11 +121,6 @@ impl ShardRouter {
         }
     }
 
-    /// The ring itself (the wire layer advertises its parameters).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// Admits one request live on its home shard. Returns the shard
     /// index alongside the admission so callers can meter per shard.
     pub fn submit(&self, req: SolveRequest) -> (usize, Result<Admission, SubmitError>) {

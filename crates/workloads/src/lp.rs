@@ -366,11 +366,7 @@ mod tests {
         let mut r = StdRng::seed_from_u64(5);
         let cfg = llp_core::ClarksonConfig::lean(3);
         let out = llp_core::clarkson_solve(&p, &cs, &cfg, &mut r);
-        assert!(
-            out.is_ok(),
-            "near-tie instance reported {:?}",
-            out.err().map(|e| e.0)
-        );
+        assert!(out.is_ok(), "near-tie instance reported {:?}", out.err());
     }
 
     #[test]
