@@ -153,11 +153,6 @@ pub struct CallGraph<'a> {
     pub mutexes: BTreeSet<String>,
     /// Transitive summaries, indexed like `defs`.
     pub summaries: Vec<Summary>,
-    /// Direct (intraprocedural) acquisition sets, indexed like `defs` —
-    /// what the pre-engine one-level propagation saw. Kept for the
-    /// regression mode proving the fixpoint catches what one level
-    /// missed.
-    pub direct_acquires: Vec<BTreeSet<String>>,
     /// Per-def token ranges of *nested* fn bodies (defining a nested fn
     /// is not executing it), for consumers re-walking body tokens.
     pub nested: Vec<Vec<(usize, usize)>>,
@@ -329,14 +324,12 @@ impl<'a> CallGraph<'a> {
             }
         }
 
-        let direct_acquires = direct.iter().map(|d| d.acquires.clone()).collect();
         CallGraph {
             files,
             defs,
             calls,
             mutexes,
             summaries,
-            direct_acquires,
             nested,
         }
     }

@@ -195,10 +195,7 @@ pub fn analyze_crates(crates: &[CrateSpec]) -> Analysis {
             })
             .collect(),
     );
-    findings.extend(lockorder::analyze_graph(
-        &graph,
-        lockorder::Depth::Transitive,
-    ));
+    findings.extend(lockorder::analyze_graph(&graph));
     findings.extend(purity::analyze_graph(&graph));
 
     // Apply suppressions: a finding is suppressed by an allow of its lint

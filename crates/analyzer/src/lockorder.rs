@@ -13,14 +13,10 @@
 //!   keeps the guard held (it re-acquires before returning).
 //! - Calls consult the [`CallGraph`] summaries: a call to a function
 //!   whose **transitive** call tree acquires `m` counts as acquiring
-//!   `m` here ([`Depth::Transitive`] — the fixpoint over SCCs). The
-//!   acquisition is held past the statement only when the callee's
-//!   signature returns a guard type (`-> MutexGuard<…>` wrappers);
-//!   otherwise the callee released it before returning and it edges as
-//!   a statement temporary.
-//! - [`Depth::OneLevel`] replays the pre-engine behavior (immediate
-//!   callees' *direct* acquisitions only) and exists so a regression
-//!   test can prove the fixpoint catches cycles one level missed.
+//!   `m` here (the fixpoint over SCCs). The acquisition is held past
+//!   the statement only when the callee's signature returns a guard
+//!   type (`-> MutexGuard<…>` wrappers); otherwise the callee released
+//!   it before returning and it edges as a statement temporary.
 //!
 //! Findings (all deny-tier):
 //!
@@ -43,17 +39,6 @@ use crate::lexer::{Tok, TokKind};
 use crate::report::{Finding, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How far acquisitions propagate through calls.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Depth {
-    /// Immediate callees' direct acquisitions only — the historical
-    /// one-level behavior, kept as a regression baseline.
-    OneLevel,
-    /// Full fixpoint summaries: acquisition, blocking, and panic facts
-    /// from the entire transitive call tree.
-    Transitive,
-}
-
 /// A lock currently held during the linear scan of a body.
 #[derive(Clone, Debug)]
 struct Held {
@@ -69,30 +54,24 @@ struct Held {
 /// Acquisition-order edges: (held, acquired) → first witness (path, line).
 type Edges = BTreeMap<(String, String), (String, u32)>;
 
-/// Runs lock-order (and, at [`Depth::Transitive`], panic-path) over the
-/// whole graph. Edges from every function land in one workspace-wide
-/// set, so cycles split across crates are still cycles.
-pub fn analyze_graph(g: &CallGraph<'_>, depth: Depth) -> Vec<Finding> {
+/// Runs lock-order and panic-path over the whole graph. Edges from
+/// every function land in one workspace-wide set, so cycles split
+/// across crates are still cycles.
+pub fn analyze_graph(g: &CallGraph<'_>) -> Vec<Finding> {
     if g.mutexes.is_empty() {
         return Vec::new();
     }
     let mut findings = Vec::new();
     let mut edges: Edges = BTreeMap::new();
     for d in 0..g.defs.len() {
-        scan_def(g, d, depth, &mut edges, &mut findings);
+        scan_def(g, d, &mut edges, &mut findings);
     }
     findings.extend(find_cycles(&edges));
     findings
 }
 
 /// Scans one definition's body with the guard model.
-fn scan_def(
-    g: &CallGraph<'_>,
-    d: usize,
-    depth_mode: Depth,
-    edges: &mut Edges,
-    findings: &mut Vec<Finding>,
-) {
+fn scan_def(g: &CallGraph<'_>, d: usize, edges: &mut Edges, findings: &mut Vec<Finding>) {
     let def = &g.defs[d];
     let file = &g.files[def.file];
     let toks: &[Tok] = &file.lexed.toks;
@@ -123,7 +102,7 @@ fn scan_def(
                 held.retain(|h| !(h.temp && h.depth == depth));
             }
             // `expr[…]` indexing while holding: panic-capable.
-            (TokKind::Punct, "[") if depth_mode == Depth::Transitive && !held.is_empty() => {
+            (TokKind::Punct, "[") if !held.is_empty() => {
                 let p = &toks[i - 1];
                 let indexing = (p.kind == TokKind::Ident && !is_keyword(&p.text))
                     || p.text == ")"
@@ -143,7 +122,7 @@ fn scan_def(
                 if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")
                     && toks.get(i + 1).is_some_and(|n| n.text == "!")
                 {
-                    if depth_mode == Depth::Transitive && !held.is_empty() {
+                    if !held.is_empty() {
                         findings.push(panic_finding(path, t.line, &format!("`{name}!`"), &held));
                     }
                     i += 2;
@@ -163,10 +142,7 @@ fn scan_def(
                 // `.unwrap()`/`.expect()` while holding — unless it is
                 // poison plumbing on the `lock()`/`wait()` itself.
                 if matches!(name, "unwrap" | "expect") && i >= 1 && toks[i - 1].text == "." {
-                    if depth_mode == Depth::Transitive
-                        && !held.is_empty()
-                        && !is_poison_plumbing(toks, i)
-                    {
+                    if !held.is_empty() && !is_poison_plumbing(toks, i) {
                         findings.push(panic_finding(path, t.line, &format!(".{name}()"), &held));
                     }
                     i += 1;
@@ -213,11 +189,7 @@ fn scan_def(
                     let mut acquires: BTreeSet<&str> = BTreeSet::new();
                     let mut returns_guard = false;
                     for &c in &site.callees {
-                        let set = match depth_mode {
-                            Depth::OneLevel => &g.direct_acquires[c],
-                            Depth::Transitive => &g.summaries[c].acquires,
-                        };
-                        acquires.extend(set.iter().map(|s| s.as_str()));
+                        acquires.extend(g.summaries[c].acquires.iter().map(|s| s.as_str()));
                         returns_guard |= g.defs[c].returns_guard;
                     }
                     // `let x = self.lock().field.clone();` — the guard
@@ -248,7 +220,7 @@ fn scan_def(
                     if !returns_guard {
                         held.truncate(held_len);
                     }
-                    if depth_mode == Depth::Transitive && !held_before.is_empty() {
+                    if !held_before.is_empty() {
                         let held_names = &held_before;
                         if !is_blocking_call(name) {
                             if let Some(&c) = site
@@ -483,7 +455,7 @@ mod tests {
     use crate::callgraph::FileMeta;
     use crate::lexer::{lex, Lexed};
 
-    fn run_files(files: &[(String, Lexed)], depth: Depth) -> Vec<Finding> {
+    fn run_files(files: &[(String, Lexed)]) -> Vec<Finding> {
         let g = CallGraph::build(
             files
                 .iter()
@@ -494,14 +466,11 @@ mod tests {
                 })
                 .collect(),
         );
-        analyze_graph(&g, depth)
+        analyze_graph(&g)
     }
 
     fn run(src: &str) -> Vec<Finding> {
-        run_files(
-            &[("crates/x/src/lib.rs".to_string(), lex(src))],
-            Depth::Transitive,
-        )
+        run_files(&[("crates/x/src/lib.rs".to_string(), lex(src))])
     }
 
     #[test]
@@ -596,10 +565,9 @@ mod tests {
         assert!(run(src).is_empty(), "{:?}", run(src));
     }
 
-    /// Lock order split across three call levels and two files: the
-    /// one-level baseline cannot see that `entry_left` transitively
-    /// acquires `b` under `a`, so only the fixpoint engine reports the
-    /// a→b→a cycle.
+    /// Lock order split across three call levels and two files:
+    /// `entry_left` acquires `b` under `a` only through two calls, so
+    /// only the fixpoint summaries report the a→b→a cycle.
     fn deep_cycle_files() -> Vec<(String, Lexed)> {
         vec![
             (
@@ -622,20 +590,11 @@ mod tests {
 
     #[test]
     fn three_deep_cross_file_cycle_is_caught_transitively() {
-        let f = run_files(&deep_cycle_files(), Depth::Transitive);
+        let f = run_files(&deep_cycle_files());
         assert!(
             f.iter()
                 .any(|x| x.lint == "lock-order" && x.message.contains("cycle")),
             "{f:?}"
-        );
-    }
-
-    #[test]
-    fn one_level_propagation_misses_the_deep_cycle() {
-        let f = run_files(&deep_cycle_files(), Depth::OneLevel);
-        assert!(
-            !f.iter().any(|x| x.message.contains("cycle")),
-            "one-level baseline unexpectedly caught the deep cycle: {f:?}"
         );
     }
 
