@@ -34,7 +34,7 @@ use llp_core::clarkson::{ClarksonConfig, WeightFactor};
 use llp_core::instances::lp::LpProblem;
 use llp_core::instances::meb::MebProblem;
 use llp_core::instances::svm::SvmProblem;
-use llp_core::lptype::{count_violations, ColumnarProblem, LpTypeProblem};
+use llp_core::lptype::{count_violations, scan_violators_columnar, ColumnarProblem, LpTypeProblem};
 use llp_geom::Halfspace;
 use llp_lowerbound::{augindex, hard, protocol, reduction};
 use rand::rngs::StdRng;
@@ -838,15 +838,17 @@ pub fn t13_scaling(budget: RunBudget) -> Table {
     t
 }
 
-/// T13p — the t13 parallel variant: wall clock of the violation-scan hot
-/// path at `threads=1` vs `threads=N`, with identical counts asserted.
-/// The sequential leg is the reference execution of the `llp_par`
-/// determinism contract; the speedup column is what the multicore
-/// north-star buys (≈1 on a single-core host, where spawn overhead is all
-/// that is measured).
+/// T13p — the t13 parallel variant: wall clock of the violator scan
+/// every in-memory solve runs, `scan_violators_columnar`, over one
+/// columnar transpose built outside the timer, at `threads=1` vs
+/// `threads=N`, with identical counts asserted. The sequential leg is
+/// the reference execution of the `llp_par` determinism contract; the
+/// speedup column is what the multicore north-star buys (≈1 on a
+/// single-core host, where spawn overhead is all that is measured).
 pub fn t13p_parallel_scan(budget: RunBudget) -> Table {
     let mut t = Table::new(
-        "T13p  Violation scan wall clock: threads=1 vs threads=N (bit-identical counts)",
+        "T13p  Columnar violation scan (scan_violators_columnar) wall clock: threads=1 vs \
+         threads=N (bit-identical counts)",
         &[
             "n",
             "threads",
@@ -863,18 +865,18 @@ pub fn t13p_parallel_scan(budget: RunBudget) -> Table {
     let threads_n = llp_par::threads().max(2);
     for &n in sizes {
         let (p, cs, sol) = violation_scan_fixture(n);
+        let columns = p.to_columns(&cs);
         let reps = budget.pick(3, 5);
         let timed = |workers: usize| {
             llp_par::with_threads(workers, || {
-                let mut best = f64::INFINITY;
-                let mut count = 0usize;
+                let (mut best, mut violators) = (f64::INFINITY, Vec::new());
                 for _ in 0..reps {
                     // llp-analyzer: allow(wall-clock) -- T13/T13p measure wall clock by design; counts are asserted bit-identical separately
                     let start = std::time::Instant::now();
-                    count = count_violations(&p, &sol, &cs);
+                    scan_violators_columnar(&p, &sol, &columns, &mut violators);
                     best = best.min(start.elapsed().as_secs_f64() * 1000.0);
                 }
-                (best, count)
+                (best, violators.len())
             })
         };
         let (ms_1, count_1) = timed(1);
