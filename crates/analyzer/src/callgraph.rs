@@ -338,8 +338,8 @@ impl<'a> CallGraph<'a> {
     /// e.g. `service::worker_loop -> exec::helper: Instant::now() in
     /// crates/service/src/exec.rs`. Cycle-guarded and depth-capped; ends
     /// at the direct site. Deliberately line-number-free: chains land in
-    /// finding messages, and messages feed the stable fingerprint —
-    /// embedding a line would churn baselines on every unrelated edit.
+    /// finding messages, which then stay the same when an unrelated edit
+    /// moves a line.
     pub fn render_chain(&self, def: usize, pick: impl Fn(&Summary) -> Option<&Source>) -> String {
         let mut names = vec![self.defs[def].qname()];
         let mut seen = BTreeSet::from([def]);

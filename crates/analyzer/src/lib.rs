@@ -10,19 +10,19 @@
 //! ([`lexer`]) in the same vendored-from-scratch spirit as
 //! `vendor/serde_derive`'s proc-macro parser.
 //!
-//! The lint catalog (DESIGN.md §8):
+//! The lint catalog (DESIGN.md §8); every finding fails `--check`:
 //!
-//! | lint | tier | scope |
-//! |------|------|-------|
-//! | `nondeterministic-collections` | deny | deterministic crates |
-//! | `wall-clock` | deny | deterministic + timing crates |
-//! | `env-read` | deny | everywhere but `vendor/llp_par` |
-//! | `unseeded-rng` | deny | deterministic + timing crates |
-//! | `lock-order` | deny | any crate with a `Mutex` (interprocedural) |
-//! | `panic-path` | deny | panic-capable sites reachable under a guard |
-//! | `fp-kernel-purity` | deny | KERNEL_FILES' transitive call trees |
-//! | `hot-loop-alloc` | deny | the violation-scan kernels and LP basis solvers |
-//! | `missing-forbid-unsafe` | deny | every crate root |
+//! | lint | scope |
+//! |------|-------|
+//! | `nondeterministic-collections` | deterministic crates |
+//! | `wall-clock` | deterministic + timing crates |
+//! | `env-read` | everywhere but `vendor/llp_par` |
+//! | `unseeded-rng` | deterministic + timing crates |
+//! | `lock-order` | any crate with a `Mutex` (interprocedural) |
+//! | `panic-path` | panic-capable sites reachable under a guard |
+//! | `fp-kernel-purity` | KERNEL_FILES' transitive call trees |
+//! | `hot-loop-alloc` | the violation-scan kernels and LP basis solvers |
+//! | `missing-forbid-unsafe` | every crate root |
 //!
 //! The three interprocedural lints run over a workspace-wide call graph
 //! with SCC-fixpoint summaries ([`callgraph`]); see DESIGN.md §8.
@@ -35,7 +35,7 @@
 //! ```
 //!
 //! An allow covers the next non-allow source line; an allow nothing fired
-//! under is itself a deny-tier `unused-allow` finding, and a comment that
+//! under is itself an `unused-allow` finding, and a comment that
 //! starts `// llp-analyzer:` but does not parse is `malformed-allow` —
 //! suppressions cannot silently rot.
 
@@ -50,7 +50,7 @@ pub mod report;
 use callgraph::{CallGraph, FileMeta};
 use lexer::{lex, Lexed};
 use policy::{Class, CrateSpec};
-use report::{AnalyzerReport, Finding, Severity};
+use report::{AnalyzerReport, Finding};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -121,7 +121,6 @@ fn parse_allows(path: &str, lexed: &Lexed) -> (Vec<Allow>, Vec<Finding>) {
             }
             Some(lint) => findings.push(Finding::new(
                 "malformed-allow",
-                Severity::Deny,
                 path,
                 c.line,
                 format!(
@@ -131,7 +130,6 @@ fn parse_allows(path: &str, lexed: &Lexed) -> (Vec<Allow>, Vec<Finding>) {
             )),
             None => findings.push(Finding::new(
                 "malformed-allow",
-                Severity::Deny,
                 path,
                 c.line,
                 "llp-analyzer annotation must be `allow(<lint>) -- <reason>` \
@@ -142,16 +140,9 @@ fn parse_allows(path: &str, lexed: &Lexed) -> (Vec<Allow>, Vec<Finding>) {
     (allows, findings)
 }
 
-/// The result of analyzing a set of crates.
-#[derive(Clone, Debug)]
-pub struct Analysis {
-    /// Surviving findings, sorted.
-    pub report: AnalyzerReport,
-}
-
 /// Analyzes pre-built crate specs (the fixture tests drive this
 /// directly; [`analyze_workspace`] discovers the real tree first).
-pub fn analyze_crates(crates: &[CrateSpec]) -> Analysis {
+pub fn analyze_crates(crates: &[CrateSpec]) -> AnalyzerReport {
     let mut findings: Vec<Finding> = Vec::new();
     let mut allows_by_file: BTreeMap<String, Vec<Allow>> = BTreeMap::new();
 
@@ -221,7 +212,7 @@ pub fn analyze_crates(crates: &[CrateSpec]) -> Analysis {
         }
     }
 
-    // Unused allows are deny findings: a suppression that no longer
+    // Unused allows are findings too: a suppression that no longer
     // suppresses anything is stale documentation at best and a masked
     // regression at worst.
     for (path, allows) in &allows_by_file {
@@ -229,7 +220,6 @@ pub fn analyze_crates(crates: &[CrateSpec]) -> Analysis {
             if !a.used {
                 survivors.push(Finding::new(
                     "unused-allow",
-                    Severity::Deny,
                     path,
                     a.own_line,
                     format!(
@@ -241,13 +231,11 @@ pub fn analyze_crates(crates: &[CrateSpec]) -> Analysis {
         }
     }
 
-    Analysis {
-        report: AnalyzerReport::new(survivors, files_scanned, suppressed),
-    }
+    AnalyzerReport::new(survivors, files_scanned, suppressed)
 }
 
 /// Discovers the workspace under `root` and runs the full analysis.
-pub fn analyze_workspace(root: &Path) -> Result<Analysis, String> {
+pub fn analyze_workspace(root: &Path) -> Result<AnalyzerReport, String> {
     let crates = policy::discover(root)?;
     Ok(analyze_crates(&crates))
 }
@@ -257,7 +245,7 @@ mod tests {
     use super::*;
     use policy::SourceFile;
 
-    fn one_crate(class: Class, key: &str, src: &str) -> Analysis {
+    fn one_crate(class: Class, key: &str, src: &str) -> AnalyzerReport {
         analyze_crates(&[CrateSpec {
             key: key.to_string(),
             class,
@@ -275,8 +263,8 @@ mod tests {
 // llp-analyzer: allow(wall-clock) -- metering the solve is the point\n\
 let t = Instant::now();\n";
         let a = one_crate(Class::Timing, "bench", src);
-        assert_eq!(a.report.deny, 0, "{:?}", a.report.findings);
-        assert_eq!(a.report.suppressed, 1);
+        assert_eq!(a.deny, 0, "{:?}", a.findings);
+        assert_eq!(a.suppressed, 1);
     }
 
     #[test]
@@ -286,23 +274,23 @@ let t = Instant::now();\n";
 // llp-analyzer: allow(unseeded-rng) -- jitter source, never solver input\n\
 let t = Instant::now(); let r = ThreadRng::default();\n";
         let a = one_crate(Class::Timing, "bench", src);
-        assert_eq!(a.report.deny, 0, "{:?}", a.report.findings);
-        assert_eq!(a.report.suppressed, 2);
+        assert_eq!(a.deny, 0, "{:?}", a.findings);
+        assert_eq!(a.suppressed, 2);
     }
 
     #[test]
     fn unused_allow_is_a_deny_finding() {
         let src = "// llp-analyzer: allow(wall-clock) -- stale\nlet x = 1;\n";
         let a = one_crate(Class::Timing, "bench", src);
-        assert_eq!(a.report.deny, 1);
-        assert_eq!(a.report.findings[0].lint, "unused-allow");
+        assert_eq!(a.deny, 1);
+        assert_eq!(a.findings[0].lint, "unused-allow");
     }
 
     #[test]
     fn reasonless_allow_is_malformed() {
         let src = "// llp-analyzer: allow(wall-clock)\nlet t = Instant::now();\n";
         let a = one_crate(Class::Timing, "bench", src);
-        let lints: Vec<&str> = a.report.findings.iter().map(|f| f.lint.as_str()).collect();
+        let lints: Vec<&str> = a.findings.iter().map(|f| f.lint.as_str()).collect();
         assert!(lints.contains(&"malformed-allow"), "{lints:?}");
         // And the finding is NOT suppressed by the malformed comment.
         assert!(lints.contains(&"wall-clock"), "{lints:?}");
@@ -314,7 +302,7 @@ let t = Instant::now(); let r = ThreadRng::default();\n";
 // llp-analyzer: allow(env-read) -- wrong lint\n\
 let t = Instant::now();\n";
         let a = one_crate(Class::Timing, "bench", src);
-        let lints: Vec<&str> = a.report.findings.iter().map(|f| f.lint.as_str()).collect();
+        let lints: Vec<&str> = a.findings.iter().map(|f| f.lint.as_str()).collect();
         assert!(lints.contains(&"wall-clock"));
         assert!(lints.contains(&"unused-allow"));
     }

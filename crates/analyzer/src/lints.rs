@@ -8,7 +8,7 @@
 
 use crate::lexer::{matches_seq, Lexed, Tok, TokKind};
 use crate::policy::{Class, ENV_OWNER, KERNEL_FILES};
-use crate::report::{Finding, Severity};
+use crate::report::Finding;
 
 /// Names of every lint the analyzer knows, for allow-annotation
 /// validation (`allow(typo)` is itself a finding).
@@ -47,7 +47,6 @@ pub fn scan_file(path: &str, lexed: &Lexed, class: Class, crate_key: &str) -> Ve
             "HashMap" | "HashSet" if class == Class::Deterministic => {
                 out.push(Finding::new(
                     "nondeterministic-collections",
-                    Severity::Deny,
                     path,
                     t.line,
                     format!(
@@ -67,7 +66,6 @@ pub fn scan_file(path: &str, lexed: &Lexed, class: Class, crate_key: &str) -> Ve
             "Instant" | "SystemTime" if matches_seq(toks, i + 1, &["::", "now"]) => {
                 out.push(Finding::new(
                     "wall-clock",
-                    Severity::Deny,
                     path,
                     t.line,
                     format!(
@@ -90,7 +88,6 @@ pub fn scan_file(path: &str, lexed: &Lexed, class: Class, crate_key: &str) -> Ve
             {
                 out.push(Finding::new(
                     "env-read",
-                    Severity::Deny,
                     path,
                     t.line,
                     "environment read outside vendor/llp_par: LLP_THREADS \
@@ -105,7 +102,6 @@ pub fn scan_file(path: &str, lexed: &Lexed, class: Class, crate_key: &str) -> Ve
             "ThreadRng" | "thread_rng" | "from_entropy" | "from_os_rng" | "OsRng" => {
                 out.push(Finding::new(
                     "unseeded-rng",
-                    Severity::Deny,
                     path,
                     t.line,
                     format!(
@@ -141,7 +137,6 @@ pub fn check_forbid_unsafe(path: &str, lexed: &Lexed) -> Option<Finding> {
     } else {
         Some(Finding::new(
             "missing-forbid-unsafe",
-            Severity::Deny,
             path,
             1,
             "crate root lacks #![forbid(unsafe_code)]; the workspace is \
@@ -153,8 +148,8 @@ pub fn check_forbid_unsafe(path: &str, lexed: &Lexed) -> Option<Finding> {
 /// Allocation-shaped calls the hot-loop lint flags inside loop bodies.
 const LOOP_ALLOC_METHODS: &[&str] = &["collect", "clone", "to_vec", "to_owned"];
 
-/// Deny-tier scan of loop bodies in the kernel files (violation scans,
-/// weight updates, LP basis solvers): each hit is a per-iteration
+/// Scans loop bodies in the kernel files (violation scans, weight
+/// updates, LP basis solvers): each hit is a per-iteration
 /// allocation. The reused buffers (`NetBuffer`, `ConstraintColumns`,
 /// the solvers' level buffers) hoisted every historical hit, so any new
 /// finding is a regression and fails CI. Tracks `for`/`while`/`loop`
@@ -208,7 +203,6 @@ fn scan_hot_loops(path: &str, toks: &[Tok]) -> Vec<Finding> {
                 if ctor {
                     out.push(Finding::new(
                         "hot-loop-alloc",
-                        Severity::Deny,
                         path,
                         t.line,
                         format!(
@@ -224,7 +218,6 @@ fn scan_hot_loops(path: &str, toks: &[Tok]) -> Vec<Finding> {
             {
                 out.push(Finding::new(
                     "hot-loop-alloc",
-                    Severity::Deny,
                     path,
                     t.line,
                     "`vec![…]` inside a kernel loop body allocates per \
@@ -237,7 +230,6 @@ fn scan_hot_loops(path: &str, toks: &[Tok]) -> Vec<Finding> {
                 if method_call {
                     out.push(Finding::new(
                         "hot-loop-alloc",
-                        Severity::Deny,
                         path,
                         t.line,
                         format!(

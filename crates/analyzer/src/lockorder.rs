@@ -18,7 +18,7 @@
 //!   type (`-> MutexGuard<…>` wrappers); otherwise the callee released
 //!   it before returning and it edges as a statement temporary.
 //!
-//! Findings (all deny-tier):
+//! Findings:
 //!
 //! - `lock-order`: acquiring B while A is held adds edge A→B; a cycle
 //!   in the workspace-wide edge set (including A→A re-entry, an
@@ -36,7 +36,7 @@
 
 use crate::callgraph::{is_blocking_call, is_keyword, is_poison_plumbing, CallGraph};
 use crate::lexer::{Tok, TokKind};
-use crate::report::{Finding, Severity};
+use crate::report::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A lock currently held during the linear scan of a body.
@@ -167,7 +167,6 @@ fn scan_def(g: &CallGraph<'_>, d: usize, edges: &mut Edges, findings: &mut Vec<F
                     let held_names: Vec<&str> = held.iter().map(|h| h.mutex.as_str()).collect();
                     findings.push(Finding::new(
                         "lock-order",
-                        Severity::Deny,
                         path,
                         t.line,
                         format!(
@@ -231,7 +230,6 @@ fn scan_def(g: &CallGraph<'_>, d: usize, edges: &mut Edges, findings: &mut Vec<F
                                 let chain = g.render_chain(c, |s| s.blocks.as_ref());
                                 findings.push(Finding::new(
                                     "lock-order",
-                                    Severity::Deny,
                                     path,
                                     t.line,
                                     format!(
@@ -250,7 +248,6 @@ fn scan_def(g: &CallGraph<'_>, d: usize, edges: &mut Edges, findings: &mut Vec<F
                             let chain = g.render_chain(c, |s| s.panics.as_ref());
                             findings.push(Finding::new(
                                 "panic-path",
-                                Severity::Deny,
                                 path,
                                 t.line,
                                 format!(
@@ -274,7 +271,6 @@ fn panic_finding(path: &str, line: u32, what: &str, held: &[Held]) -> Finding {
     let held_names: Vec<&str> = held.iter().map(|h| h.mutex.as_str()).collect();
     Finding::new(
         "panic-path",
-        Severity::Deny,
         path,
         line,
         format!(
@@ -309,7 +305,6 @@ fn acquire(
             let how = via.map_or(String::new(), |v| format!(" (via call to `{v}(…)`)"));
             findings.push(Finding::new(
                 "lock-order",
-                Severity::Deny,
                 path,
                 line,
                 format!(
@@ -428,7 +423,6 @@ fn find_cycles(edges: &Edges) -> Vec<Finding> {
                         cycle.push(start);
                         findings.push(Finding::new(
                             "lock-order",
-                            Severity::Deny,
                             path,
                             *line,
                             format!(

@@ -2,25 +2,21 @@
 //! `llp-analyzer` — the CLI over [`llp_analyzer`].
 //!
 //! ```text
-//! cargo run -p llp_analyzer -- --check            # CI gate: exit 1 on deny findings
+//! cargo run -p llp_analyzer -- --check            # CI gate: exit 1 on any finding
 //! cargo run -p llp_analyzer -- --out ANALYZER.json
-//! cargo run -p llp_analyzer -- --check --baseline ANALYZER.json   # PR gate: new deny only
 //! cargo run -p llp_analyzer -- --root /path/to/ws --check --out ANALYZER.json
 //! ```
 //!
 //! Human-readable findings go to stdout; the machine-readable report
-//! (`report::AnalyzerReport`, schema v2 with per-finding fingerprints)
-//! is written to `--out` via the vendored serde — atomically, through a
-//! temp file in the same directory plus rename, so an interrupted run
-//! can never leave a truncated artifact for CI to upload. With
-//! `--baseline FILE`, findings are diffed against a previously-written
-//! report by fingerprint and `--check` gates on **new** deny findings
-//! only. Exit codes: 0 clean (warn findings permitted), 1 deny findings
-//! present (`--check`), 2 usage error.
+//! (`report::AnalyzerReport`, schema v3) is written to `--out` via the
+//! vendored serde — atomically, through a temp file in the same
+//! directory plus rename, so an interrupted run can never leave a
+//! truncated artifact for CI to upload. Exit codes: 0 clean (or any
+//! findings without `--check`), 1 findings present under `--check`,
+//! 2 usage error.
 
 use llp_analyzer::analyze_workspace;
 use llp_analyzer::policy::find_workspace_root;
-use llp_analyzer::report::AnalyzerReport;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -49,7 +45,6 @@ fn main() -> ExitCode {
     let mut check = false;
     let mut out: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -62,21 +57,15 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root needs a path"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => return usage("--baseline needs a path"),
-            },
             "--help" | "-h" => {
                 println!(
                     "llp-analyzer: workspace determinism-and-invariant lints\n\
                      \n\
-                     USAGE: llp-analyzer [--check] [--out FILE] [--baseline FILE] [--root DIR]\n\
+                     USAGE: llp-analyzer [--check] [--out FILE] [--root DIR]\n\
                      \n\
-                     --check     exit 1 when any deny-tier finding survives\n\
-                     --out       write the ANALYZER.json report to FILE (atomic)\n\
-                     --baseline  diff against a previous ANALYZER.json by finding\n\
-                     \u{20}           fingerprint; with --check, gate on NEW deny findings only\n\
-                     --root      workspace root (default: walk up from cwd)"
+                     --check  exit 1 when any finding survives\n\
+                     --out    write the ANALYZER.json report to FILE (atomic)\n\
+                     --root   workspace root (default: walk up from cwd)"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -95,56 +84,21 @@ fn main() -> ExitCode {
         },
     };
 
-    let analysis = match analyze_workspace(&root) {
-        Ok(a) => a,
+    let r = match analyze_workspace(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let r = &analysis.report;
 
     for f in &r.findings {
-        println!(
-            "{}:{}: [{}] {}: {}",
-            f.path, f.line, f.severity, f.lint, f.message
-        );
+        println!("{}:{}: {}: {}", f.path, f.line, f.lint, f.message);
     }
     println!(
-        "llp-analyzer: {} files, {} deny, {} warn, {} suppressed by reasoned allows",
-        r.files_scanned, r.deny, r.warn, r.suppressed
+        "llp-analyzer: {} files, {} deny, {} suppressed by reasoned allows",
+        r.files_scanned, r.deny, r.suppressed
     );
-
-    // Baseline diff: the PR-gate mode. Known findings stay visible
-    // above; the gate narrows to fingerprints absent from the baseline.
-    let mut new_deny: Option<u64> = None;
-    if let Some(bpath) = baseline {
-        let base = match std::fs::read_to_string(&bpath)
-            .map_err(|e| format!("read {bpath:?}: {e}"))
-            .and_then(|s| AnalyzerReport::load_baseline(&s))
-        {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let fresh = r.new_versus(&base);
-        for f in &fresh {
-            println!(
-                "NEW {}:{}: [{}] {}: {}",
-                f.path, f.line, f.severity, f.lint, f.message
-            );
-        }
-        let deny = fresh.iter().filter(|f| f.is_deny()).count() as u64;
-        println!(
-            "llp-analyzer: {} new finding(s) vs baseline {} ({} known)",
-            fresh.len(),
-            bpath.display(),
-            r.findings.len() - fresh.len()
-        );
-        new_deny = Some(deny);
-    }
 
     if let Some(path) = out {
         if let Err(e) = write_atomic(&path, &r.to_json()) {
@@ -154,19 +108,9 @@ fn main() -> ExitCode {
         println!("llp-analyzer: report written to {}", path.display());
     }
 
-    if check {
-        match new_deny {
-            Some(0) => {}
-            Some(n) => {
-                eprintln!("llp-analyzer: --check failed ({n} NEW deny finding(s) vs baseline)");
-                return ExitCode::FAILURE;
-            }
-            None if r.deny > 0 => {
-                eprintln!("llp-analyzer: --check failed ({} deny finding(s))", r.deny);
-                return ExitCode::FAILURE;
-            }
-            None => {}
-        }
+    if check && r.deny > 0 {
+        eprintln!("llp-analyzer: --check failed ({} finding(s))", r.deny);
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -20,7 +20,7 @@
 
 use crate::callgraph::{CallGraph, Source};
 use crate::policy::KERNEL_FILES;
-use crate::report::{Finding, Severity};
+use crate::report::Finding;
 
 /// Human phrasing per impurity kind, for finding messages.
 fn describe(kind: &str) -> &'static str {
@@ -49,7 +49,6 @@ pub fn analyze_graph(g: &CallGraph<'_>) -> Vec<Finding> {
             let chain = g.render_chain(d, |s| s.impure.get(kind));
             findings.push(Finding::new(
                 "fp-kernel-purity",
-                Severity::Deny,
                 path,
                 *line,
                 format!(

@@ -2,110 +2,37 @@
 //!
 //! Same pattern as `llp_bench::report`: plain named-field structs
 //! serialized through the vendored serde derive, shortest-round-trip
-//! floats (none here — lines are integers), and a `validate`-style
-//! consumer (`--check`) that refuses what it does not understand.
-//!
-//! Schema v2 adds a stable **fingerprint** per finding —
-//! `fnv1a64(lint, path, message, occurrence)` in hex — and with it a
-//! baseline workflow: `--baseline <file>` diffs the current report
-//! against a previously-written `ANALYZER.json` by fingerprint set, so
-//! CI can gate on *new* findings while the triaged set stays visible.
-//! The line number is deliberately **not** hashed (and witness chains
-//! keep line numbers out of messages): inserting a line above a finding
-//! must not make it "new". The occurrence index disambiguates repeats
-//! of the same message in one file, so adding a second identical
-//! violation is still a new fingerprint.
+//! floats (none here — lines are integers). Every finding fails
+//! `--check`; the report is the artifact CI uploads.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Bumped whenever a [`Finding`]/[`AnalyzerReport`] field changes
 /// meaning; consumers refuse unknown versions.
-pub const SCHEMA_VERSION: u64 = 2;
-
-/// Finding severity tier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Fails `--check` (exit 1) — the CI gate.
-    Deny,
-    /// Reported and serialized, never fails the gate.
-    Warn,
-}
-
-impl Severity {
-    /// Wire name (`"deny"` / `"warn"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
-/// 64-bit FNV-1a — the same hash family `llp_service` fingerprints
-/// requests with; offline and stable across platforms.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// One lint finding at a source location.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Finding {
     /// Lint name (kebab-case, the allow-annotation key).
     pub lint: String,
-    /// `"deny"` or `"warn"`.
-    pub severity: String,
     /// Workspace-relative path of the file.
     pub path: String,
     /// 1-based source line.
     pub line: u64,
     /// Human-readable description of the violation.
     pub message: String,
-    /// Stable identity for baseline diffing: hex
-    /// `fnv1a64(lint ␟ path ␟ message ␟ occurrence)`. Filled by
-    /// [`AnalyzerReport::new`] (the occurrence index needs the whole
-    /// sorted report).
-    pub fingerprint: String,
 }
 
 impl Finding {
-    /// Builds a finding; `severity` travels as its wire name. The
-    /// fingerprint is assigned at report assembly.
-    pub fn new(
-        lint: &str,
-        severity: Severity,
-        path: &str,
-        line: u32,
-        message: impl Into<String>,
-    ) -> Self {
+    /// Builds a finding.
+    pub fn new(lint: &str, path: &str, line: u32, message: impl Into<String>) -> Self {
         Finding {
             lint: lint.to_string(),
-            severity: severity.name().to_string(),
             path: path.to_string(),
             line: u64::from(line),
             message: message.into(),
-            fingerprint: String::new(),
         }
-    }
-
-    /// True for deny-tier findings (the ones `--check` gates on).
-    pub fn is_deny(&self) -> bool {
-        self.severity == "deny"
-    }
-
-    /// The fingerprint hash input for occurrence `occ` of this
-    /// (lint, path, message) triple.
-    fn fingerprint_for(&self, occ: usize) -> String {
-        let input = format!(
-            "{}\u{1f}{}\u{1f}{}\u{1f}{}",
-            self.lint, self.path, self.message, occ
-        );
-        format!("{:016x}", fnv1a64(input.as_bytes()))
     }
 }
 
@@ -116,10 +43,8 @@ pub struct AnalyzerReport {
     pub schema_version: u64,
     /// Files scanned (after fixture/target exclusions).
     pub files_scanned: u64,
-    /// Deny-tier finding count.
+    /// Finding count; every finding fails `--check`.
     pub deny: u64,
-    /// Warn-tier finding count.
-    pub warn: u64,
     /// Findings suppressed by used allow annotations.
     pub suppressed: u64,
     /// All surviving findings, sorted by (path, line, lint).
@@ -127,10 +52,8 @@ pub struct AnalyzerReport {
 }
 
 impl AnalyzerReport {
-    /// Assembles a report from surviving findings: sorts them for a
-    /// byte-stable artifact and assigns each its fingerprint
-    /// (occurrence-indexed within identical (lint, path, message)
-    /// triples, in sorted order).
+    /// Assembles a report from surviving findings, sorted for a
+    /// byte-stable artifact.
     pub fn new(mut findings: Vec<Finding>, files_scanned: u64, suppressed: u64) -> Self {
         findings.sort_by(|a, b| {
             (a.path.as_str(), a.line, a.lint.as_str()).cmp(&(
@@ -139,61 +62,13 @@ impl AnalyzerReport {
                 b.lint.as_str(),
             ))
         });
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        for f in &mut findings {
-            let mut occ = 0usize;
-            loop {
-                let fp = f.fingerprint_for(occ);
-                if seen.insert(fp.clone()) {
-                    f.fingerprint = fp;
-                    break;
-                }
-                occ += 1;
-            }
-        }
-        let deny = findings.iter().filter(|f| f.is_deny()).count() as u64;
-        let warn = findings.len() as u64 - deny;
         AnalyzerReport {
             schema_version: SCHEMA_VERSION,
             files_scanned,
-            deny,
-            warn,
+            deny: findings.len() as u64,
             suppressed,
             findings,
         }
-    }
-
-    /// Parses a baseline `ANALYZER.json`, refusing any schema version
-    /// other than the current one (a v1 baseline has no fingerprints —
-    /// regenerate it rather than silently diffing against nothing).
-    pub fn load_baseline(json: &str) -> Result<AnalyzerReport, String> {
-        let v = serde::json::parse(json).map_err(|e| format!("baseline is not JSON: {e:?}"))?;
-        match v.get("schema_version") {
-            Some(serde::json::Value::Num(n)) if *n as u64 == SCHEMA_VERSION => {}
-            Some(serde::json::Value::Num(n)) => {
-                return Err(format!(
-                    "baseline has schema v{} but this analyzer writes v{SCHEMA_VERSION}; \
-                     regenerate the baseline with `llp-analyzer --out`",
-                    *n as u64
-                ));
-            }
-            _ => return Err("baseline has no numeric schema_version field".to_string()),
-        }
-        AnalyzerReport::from_json(json).map_err(|e| format!("baseline does not decode: {e:?}"))
-    }
-
-    /// The findings of `self` whose fingerprints are absent from
-    /// `baseline` — what a PR gate fails on.
-    pub fn new_versus<'a>(&'a self, baseline: &AnalyzerReport) -> Vec<&'a Finding> {
-        let known: BTreeSet<&str> = baseline
-            .findings
-            .iter()
-            .map(|f| f.fingerprint.as_str())
-            .collect();
-        self.findings
-            .iter()
-            .filter(|f| !known.contains(f.fingerprint.as_str()))
-            .collect()
     }
 }
 
@@ -205,96 +80,16 @@ mod tests {
     fn report_roundtrips_through_json() {
         let r = AnalyzerReport::new(
             vec![
-                Finding::new("wall-clock", Severity::Deny, "b.rs", 7, "clock read"),
-                Finding::new("hot-loop-alloc", Severity::Warn, "a.rs", 3, "alloc in loop"),
+                Finding::new("wall-clock", "b.rs", 7, "clock read"),
+                Finding::new("hot-loop-alloc", "a.rs", 3, "alloc in loop"),
             ],
             2,
             1,
         );
-        assert_eq!(r.deny, 1);
-        assert_eq!(r.warn, 1);
+        assert_eq!(r.deny, 2);
         // Sorted by path first.
         assert_eq!(r.findings[0].path, "a.rs");
         let back = AnalyzerReport::from_json(&r.to_json()).expect("roundtrip");
         assert_eq!(back, r);
-    }
-
-    #[test]
-    fn fingerprints_survive_line_drift_but_not_duplication() {
-        let r1 = AnalyzerReport::new(
-            vec![Finding::new(
-                "wall-clock",
-                Severity::Deny,
-                "a.rs",
-                10,
-                "clock read",
-            )],
-            1,
-            0,
-        );
-        // Same finding, shifted 5 lines down: identical fingerprint.
-        let r2 = AnalyzerReport::new(
-            vec![Finding::new(
-                "wall-clock",
-                Severity::Deny,
-                "a.rs",
-                15,
-                "clock read",
-            )],
-            1,
-            0,
-        );
-        assert_eq!(r1.findings[0].fingerprint, r2.findings[0].fingerprint);
-
-        // A *second* identical violation gets a distinct fingerprint.
-        let r3 = AnalyzerReport::new(
-            vec![
-                Finding::new("wall-clock", Severity::Deny, "a.rs", 10, "clock read"),
-                Finding::new("wall-clock", Severity::Deny, "a.rs", 20, "clock read"),
-            ],
-            1,
-            0,
-        );
-        let fps: Vec<&str> = r3.findings.iter().map(|f| f.fingerprint.as_str()).collect();
-        assert_ne!(fps[0], fps[1]);
-        assert!(fps.contains(&r1.findings[0].fingerprint.as_str()));
-    }
-
-    #[test]
-    fn baseline_diff_reports_only_new_findings() {
-        let base = AnalyzerReport::new(
-            vec![Finding::new(
-                "wall-clock",
-                Severity::Deny,
-                "a.rs",
-                10,
-                "clock read",
-            )],
-            1,
-            0,
-        );
-        // Self-diff round-trips to zero.
-        let reloaded = AnalyzerReport::load_baseline(&base.to_json()).expect("loads");
-        assert!(base.new_versus(&reloaded).is_empty());
-
-        let current = AnalyzerReport::new(
-            vec![
-                Finding::new("wall-clock", Severity::Deny, "a.rs", 12, "clock read"),
-                Finding::new("env-read", Severity::Deny, "b.rs", 3, "env read"),
-            ],
-            2,
-            0,
-        );
-        let fresh = current.new_versus(&base);
-        assert_eq!(fresh.len(), 1, "{fresh:?}");
-        assert_eq!(fresh[0].lint, "env-read");
-    }
-
-    #[test]
-    fn v1_baseline_is_refused() {
-        let json = r#"{"schema_version": 1, "files_scanned": 0, "deny": 0,
-                       "warn": 0, "suppressed": 0, "findings": []}"#;
-        let err = AnalyzerReport::load_baseline(json).unwrap_err();
-        assert!(err.contains("schema v1"), "{err}");
     }
 }

@@ -1,5 +1,5 @@
 // Fixture: per-iteration allocations in a kernel loop body →
-// hot-loop-alloc (warn tier). Scanned under a KERNEL_FILES path.
+// hot-loop-alloc. Scanned under a KERNEL_FILES path.
 fn scan_rows(rows: &[Vec<f64>], x: &[f64]) -> Vec<usize> {
     let mut out = Vec::new();
     for (i, row) in rows.iter().enumerate() {

@@ -4,12 +4,12 @@
 //! the deliberately-dirty snippets cannot fail the workspace
 //! self-analysis in `self_analysis.rs`.
 
+use llp_analyzer::analyze_crates;
 use llp_analyzer::policy::{Class, CrateSpec, SourceFile};
 use llp_analyzer::report::AnalyzerReport;
-use llp_analyzer::{analyze_crates, Analysis};
 use serde::Serialize;
 
-fn run(class: Class, key: &str, path: &str, src: &str, is_root: bool) -> Analysis {
+fn run(class: Class, key: &str, path: &str, src: &str, is_root: bool) -> AnalyzerReport {
     analyze_crates(&[CrateSpec {
         key: key.to_string(),
         class,
@@ -27,7 +27,7 @@ fn run(class: Class, key: &str, path: &str, src: &str, is_root: bool) -> Analysi
 
 /// Multi-file variant of [`run`]: the interprocedural lints need
 /// callers and callees in separate files of one crate.
-fn run_files(class: Class, key: &str, files: &[(&str, &str)]) -> Analysis {
+fn run_files(class: Class, key: &str, files: &[(&str, &str)]) -> AnalyzerReport {
     analyze_crates(&[CrateSpec {
         key: key.to_string(),
         class,
@@ -42,12 +42,12 @@ fn run_files(class: Class, key: &str, files: &[(&str, &str)]) -> Analysis {
     }])
 }
 
-fn lints(a: &Analysis) -> Vec<&str> {
-    a.report.findings.iter().map(|f| f.lint.as_str()).collect()
+fn lints(a: &AnalyzerReport) -> Vec<&str> {
+    a.findings.iter().map(|f| f.lint.as_str()).collect()
 }
 
 /// Shorthand: one non-root file in a deterministic crate.
-fn det(src: &str) -> Analysis {
+fn det(src: &str) -> AnalyzerReport {
     run(
         Class::Deterministic,
         "core",
@@ -60,7 +60,7 @@ fn det(src: &str) -> Analysis {
 #[test]
 fn collections_fire_and_btree_twin_is_clean() {
     let a = det(include_str!("fixtures/collections_firing.rs"));
-    assert!(a.report.deny > 0);
+    assert!(a.deny > 0);
     assert!(
         lints(&a)
             .iter()
@@ -70,7 +70,7 @@ fn collections_fire_and_btree_twin_is_clean() {
     );
 
     let b = det(include_str!("fixtures/collections_clean.rs"));
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
 #[test]
@@ -79,7 +79,7 @@ fn wall_clock_fires_and_duration_twin_is_clean() {
     assert_eq!(lints(&a), vec!["wall-clock"]);
 
     let b = det(include_str!("fixtures/wall_clock_clean.rs"));
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
 #[test]
@@ -110,20 +110,16 @@ fn env_read_fires_everywhere_but_the_owner() {
         src,
         false,
     );
-    assert!(
-        owner.report.findings.is_empty(),
-        "{:?}",
-        owner.report.findings
-    );
+    assert!(owner.findings.is_empty(), "{:?}", owner.findings);
 
     let b = det(include_str!("fixtures/env_read_clean.rs"));
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
 #[test]
 fn unseeded_rng_fires_and_seeded_twin_is_clean() {
     let a = det(include_str!("fixtures/unseeded_rng_firing.rs"));
-    assert!(!a.report.findings.is_empty());
+    assert!(!a.findings.is_empty());
     assert!(
         lints(&a).iter().all(|l| *l == "unseeded-rng"),
         "{:?}",
@@ -131,45 +127,39 @@ fn unseeded_rng_fires_and_seeded_twin_is_clean() {
     );
 
     let b = det(include_str!("fixtures/unseeded_rng_clean.rs"));
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
 #[test]
 fn lock_order_cycle_is_detected() {
     let a = det(include_str!("fixtures/lock_order_cycle.rs"));
-    assert!(lints(&a).contains(&"lock-order"), "{:?}", a.report.findings);
+    assert!(lints(&a).contains(&"lock-order"), "{:?}", a.findings);
     assert!(
-        a.report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("cycle")),
+        a.findings.iter().any(|f| f.message.contains("cycle")),
         "{:?}",
-        a.report.findings
+        a.findings
     );
 
     let b = det(include_str!("fixtures/lock_order_clean.rs"));
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
 #[test]
 fn blocking_call_under_a_guard_is_detected() {
     let a = det(include_str!("fixtures/lock_order_blocking.rs"));
-    assert!(lints(&a).contains(&"lock-order"), "{:?}", a.report.findings);
+    assert!(lints(&a).contains(&"lock-order"), "{:?}", a.findings);
     assert!(
-        a.report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("blocking")),
+        a.findings.iter().any(|f| f.message.contains("blocking")),
         "{:?}",
-        a.report.findings
+        a.findings
     );
 }
 
 #[test]
 fn hot_loop_alloc_denies_in_kernel_files_only() {
     let src = include_str!("fixtures/hot_loop_firing.rs");
-    // Under a KERNEL_FILES path: deny-tier findings (the scratch arenas
-    // hoisted every historical hit, so new ones fail CI), zero warn.
+    // Under a KERNEL_FILES path: findings (the scratch arenas hoisted
+    // every historical hit, so new ones fail CI).
     let a = run(
         Class::Deterministic,
         "core",
@@ -177,8 +167,7 @@ fn hot_loop_alloc_denies_in_kernel_files_only() {
         src,
         false,
     );
-    assert!(a.report.deny >= 2, "{:?}", a.report.findings);
-    assert_eq!(a.report.warn, 0);
+    assert!(a.deny >= 2, "{:?}", a.findings);
     assert!(
         lints(&a).iter().all(|l| *l == "hot-loop-alloc"),
         "{:?}",
@@ -187,11 +176,7 @@ fn hot_loop_alloc_denies_in_kernel_files_only() {
 
     // The same source outside the kernel list is not scanned.
     let elsewhere = det(src);
-    assert!(
-        elsewhere.report.findings.is_empty(),
-        "{:?}",
-        elsewhere.report.findings
-    );
+    assert!(elsewhere.findings.is_empty(), "{:?}", elsewhere.findings);
 
     let b = run(
         Class::Deterministic,
@@ -200,7 +185,7 @@ fn hot_loop_alloc_denies_in_kernel_files_only() {
         include_str!("fixtures/hot_loop_clean.rs"),
         false,
     );
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
 #[test]
@@ -221,11 +206,11 @@ fn crate_roots_must_forbid_unsafe() {
         include_str!("fixtures/forbid_present.rs"),
         true,
     );
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 
     // Non-root files are not subject to the root attribute check.
     let c = det(include_str!("fixtures/forbid_missing.rs"));
-    assert!(c.report.findings.is_empty(), "{:?}", c.report.findings);
+    assert!(c.findings.is_empty(), "{:?}", c.findings);
 }
 
 #[test]
@@ -238,7 +223,7 @@ fn stale_allow_regresses_to_a_deny_finding() {
         false,
     );
     assert_eq!(lints(&a), vec!["unused-allow"]);
-    assert_eq!(a.report.deny, 1);
+    assert_eq!(a.deny, 1);
 }
 
 #[test]
@@ -250,8 +235,8 @@ fn live_allow_suppresses_and_is_counted() {
         include_str!("fixtures/suppressed_allow.rs"),
         false,
     );
-    assert!(a.report.findings.is_empty(), "{:?}", a.report.findings);
-    assert_eq!(a.report.suppressed, 1);
+    assert!(a.findings.is_empty(), "{:?}", a.findings);
+    assert_eq!(a.suppressed, 1);
 }
 
 #[test]
@@ -259,15 +244,15 @@ fn report_round_trips_through_json() {
     // The ANALYZER.json surface: serialize a non-trivial report and read
     // the counts back out of the vendored-serde value tree.
     let a = det(include_str!("fixtures/collections_firing.rs"));
-    let json = a.report.to_json();
+    let json = a.to_json();
     let v = serde::json::parse(&json).expect("report JSON parses");
     match v.get("deny") {
-        Some(serde::json::Value::Num(n)) => assert_eq!(*n as u64, a.report.deny),
+        Some(serde::json::Value::Num(n)) => assert_eq!(*n as u64, a.deny),
         other => panic!("deny field missing or non-numeric: {other:?}"),
     }
     match v.get("findings") {
         Some(serde::json::Value::Arr(items)) => {
-            assert_eq!(items.len(), a.report.findings.len())
+            assert_eq!(items.len(), a.findings.len())
         }
         other => panic!("findings field missing or non-array: {other:?}"),
     }
@@ -276,17 +261,17 @@ fn report_round_trips_through_json() {
 #[test]
 fn panic_path_fires_under_guard_and_fallible_twin_is_clean() {
     let a = det(include_str!("fixtures/panic_path_firing.rs"));
-    assert_eq!(lints(&a), vec!["panic-path"], "{:?}", a.report.findings);
+    assert_eq!(lints(&a), vec!["panic-path"], "{:?}", a.findings);
     // The plumbing `.expect("poisoned")` on lock() must not be the
     // origin: the finding is on the `.unwrap()` line.
     assert!(
-        a.report.findings[0].message.contains(".unwrap()"),
+        a.findings[0].message.contains(".unwrap()"),
         "{:?}",
-        a.report.findings
+        a.findings
     );
 
     let b = det(include_str!("fixtures/panic_path_clean.rs"));
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
 #[test]
@@ -307,13 +292,8 @@ fn fp_kernel_purity_follows_calls_into_helpers() {
     );
     // The helper's own wall-clock finding fires per-file; the purity
     // finding fires at the kernel's call site with the witness chain.
-    assert!(
-        lints(&a).contains(&"fp-kernel-purity"),
-        "{:?}",
-        a.report.findings
-    );
+    assert!(lints(&a).contains(&"fp-kernel-purity"), "{:?}", a.findings);
     let purity = a
-        .report
         .findings
         .iter()
         .find(|f| f.lint == "fp-kernel-purity")
@@ -336,7 +316,7 @@ fn fp_kernel_purity_follows_calls_into_helpers() {
             ),
         ],
     );
-    assert!(b.report.findings.is_empty(), "{:?}", b.report.findings);
+    assert!(b.findings.is_empty(), "{:?}", b.findings);
 }
 
 #[test]
@@ -356,27 +336,10 @@ fn three_deep_cross_file_cycle_is_caught_by_the_full_pipeline() {
         ],
     );
     assert!(
-        a.report
-            .findings
+        a.findings
             .iter()
             .any(|f| f.lint == "lock-order" && f.message.contains("cycle")),
         "{:?}",
-        a.report.findings
+        a.findings
     );
-}
-
-#[test]
-fn baseline_diff_gates_on_new_findings_only() {
-    // Round trip: a report loads back as a baseline and a re-run of the
-    // same analysis diffs clean against it.
-    let a = det(include_str!("fixtures/collections_firing.rs"));
-    let base =
-        AnalyzerReport::load_baseline(&a.report.to_json()).expect("fresh report is a baseline");
-    assert!(a.report.new_versus(&base).is_empty());
-
-    // A run with different findings reports exactly the delta.
-    let b = det(include_str!("fixtures/unseeded_rng_firing.rs"));
-    let fresh = b.report.new_versus(&base);
-    assert_eq!(fresh.len(), b.report.findings.len());
-    assert!(fresh.iter().all(|f| f.lint == "unseeded-rng"), "{fresh:?}");
 }
