@@ -73,7 +73,7 @@ pub const ENV_OWNER: &str = "llp_par";
 
 /// The static policy table: directory (relative to the workspace root)
 /// → (crate key, class).
-const CRATE_TABLE: &[(&str, &str, Class)] = &[
+pub const CRATE_TABLE: &[(&str, &str, Class)] = &[
     ("crates/core", "core", Class::Deterministic),
     ("crates/num", "num", Class::Deterministic),
     ("crates/geom", "geom", Class::Deterministic),
