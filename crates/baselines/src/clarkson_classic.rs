@@ -9,7 +9,7 @@
 
 use llp_bigdata::streaming::{self, SamplingMode, StreamingStats};
 use llp_bigdata::BigDataError;
-use llp_core::clarkson::{ClarksonConfig, FailurePolicy, WeightFactor};
+use llp_core::clarkson::{ClarksonConfig, WeightFactor};
 use llp_core::lptype::ColumnarProblem;
 use rand::Rng;
 
@@ -18,11 +18,8 @@ use rand::Rng;
 pub fn config() -> ClarksonConfig {
     ClarksonConfig {
         factor: WeightFactor::Fixed(2.0),
-        net_delta: 1.0 / 3.0,
-        net_multiplier: 1.0 / 16.0,
-        net_floor_coeff: 0.0,
-        failure_policy: FailurePolicy::Retry,
         max_iterations: 1_000_000,
+        ..ClarksonConfig::calibrated(1)
     }
 }
 

@@ -47,56 +47,34 @@ use rand::Rng;
 pub struct MpcConfig {
     /// Load exponent δ ∈ (0, 1): load `Õ(n^δ)`, machines `⌈n^{1-δ}⌉`.
     pub delta: f64,
-    /// ε-net failure budget per iteration.
-    pub net_delta: f64,
-    /// Scale on the Eq. (1) net-size constants.
-    pub net_multiplier: f64,
-    /// Floor on the net size as a multiple of `λ/ε` (see
-    /// `ClarksonConfig::net_floor_coeff`).
-    pub net_floor_coeff: f64,
-    /// Behaviour on failed iterations (Remark 3.6).
-    pub failure_policy: llp_core::clarkson::FailurePolicy,
-    /// Iteration cap.
-    pub max_iterations: usize,
+    /// Algorithm 1's configuration, with weight factor `n^{1/⌈1/δ⌉}`.
+    pub clarkson: ClarksonConfig,
 }
 
 impl MpcConfig {
-    /// Calibrated configuration for a given δ.
+    /// Calibrated configuration for a given δ
+    /// (`ClarksonConfig::calibrated(⌈1/δ⌉)`).
     pub fn calibrated(delta: f64) -> Self {
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
+        let r = (1.0 / delta).ceil() as u32;
         MpcConfig {
             delta,
-            net_delta: 1.0 / 3.0,
-            net_multiplier: 1.0 / 16.0,
-            net_floor_coeff: 0.0,
-            failure_policy: llp_core::clarkson::FailurePolicy::Retry,
-            max_iterations: 10_000,
+            clarkson: ClarksonConfig::calibrated(r),
         }
     }
 
-    /// The lean configuration (see `ClarksonConfig::lean`).
+    /// The lean configuration (`ClarksonConfig::lean(⌈1/δ⌉)`).
     pub fn lean(delta: f64) -> Self {
+        let cfg = Self::calibrated(delta);
         MpcConfig {
-            net_multiplier: 1.0 / 4096.0,
-            net_floor_coeff: 2.0,
-            ..Self::calibrated(delta)
+            clarkson: ClarksonConfig::lean(cfg.r()),
+            ..cfg
         }
     }
 
     /// The pass parameter `r = ⌈1/δ⌉` implied by δ.
     pub fn r(&self) -> u32 {
         (1.0 / self.delta).ceil() as u32
-    }
-
-    fn clarkson(&self) -> ClarksonConfig {
-        ClarksonConfig {
-            factor: llp_core::clarkson::WeightFactor::NthRoot { r: self.r() },
-            net_delta: self.net_delta,
-            net_multiplier: self.net_multiplier,
-            net_floor_coeff: self.net_floor_coeff,
-            failure_policy: self.failure_policy,
-            max_iterations: self.max_iterations,
-        }
     }
 }
 
@@ -232,10 +210,9 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     assert_eq!(columns.len(), n, "columns/constraints length mismatch");
     let k = sizes.len();
     let fanout = ((n as f64).powf(cfg.delta).ceil() as usize).max(2);
-    let loop_cfg = cfg.clarkson();
     let tree = Tree { k, fanout };
     let mut machines = Machines {
-        machines: SiteWeights::new(sizes, loop_cfg.factor.value(n)),
+        machines: SiteWeights::new(sizes, cfg.clarkson.factor.value(n)),
         data,
         columns,
         net: NetBuffer::new(),
@@ -244,7 +221,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         meter: MpcMeter::new(k),
         verdict_owed: false,
     };
-    let (solution, clarkson) = clarkson::run(problem, n, &loop_cfg, &mut machines, rng)?;
+    let (solution, clarkson) = clarkson::run(problem, n, &cfg.clarkson, &mut machines, rng)?;
     let meter = &machines.meter;
     let stats = MpcStats {
         clarkson,
@@ -540,8 +517,7 @@ mod tests {
             ..ClarksonConfig::paper(3)
         };
         let cfg = MpcConfig {
-            net_multiplier: small.net_multiplier,
-            net_floor_coeff: small.net_floor_coeff,
+            clarkson: small,
             ..MpcConfig::calibrated(1.0 / 3.0)
         };
         let bits = |sol: &Vec<f64>| sol.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
