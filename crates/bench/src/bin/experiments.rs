@@ -30,8 +30,8 @@
 //! * `--workers N` / `--requests N` / `--shards N` / `--port P` tune the
 //!   `serve` harness: service worker threads per shard, requests per
 //!   wave per mix, the shard count behind its loopback server
-//!   (precedence: `--shards` > `LLP_SHARDS` > max(2, cores); see README
-//!   "Network serving") and that server's port (default: ephemeral).
+//!   (default: max(2, cores); see README "Network serving") and that
+//!   server's port (default: ephemeral).
 //!   `--connect ADDR` drives an already-running external server instead
 //!   of booting one; it refuses `--workers`, `--shards` and `--port`,
 //!   which would configure nothing, and its rows record `workers: 0`
@@ -126,9 +126,8 @@ fn main() {
         RunBudget::from_quick_flag(quick)
     };
     if let Some(n) = threads {
-        // Install the scan-thread override for this (main) thread; the
-        // service worker pool manages its own per-worker override via
-        // `ServiceConfig::solver_threads`.
+        // Install the scan-thread override for this (main) thread; each
+        // service worker pins its own solves to one thread.
         llp_par::set_threads(Some(n));
     }
 

@@ -19,8 +19,8 @@
 //! * [`NetServer`] — bind an address, serve until shutdown.
 //! * [`NetClient`] — a blocking one-connection client.
 //! * [`codec`] — the frame codec, usable without any socket.
-//! * [`default_shards`] — the `--shards` > `LLP_SHARDS` > cores
-//!   precedence rule, mirroring `llp_par`'s `--threads` rule.
+//! * [`default_shards`] — the `--shards` flag, or max(2, cores)
+//!   without it.
 //!
 //! The `llp_serve` binary (`src/main.rs`) wraps [`NetServer`] with
 //! flags; the load harness in `llp_bench::serve` (`experiments serve`)
@@ -37,23 +37,12 @@ pub use client::{ClientError, NetClient};
 pub use codec::{ErrorCode, Frame, ReadError, StatsReply, StatsRow, FLEET_SHARD};
 pub use server::{collect_stats, NetServer, ServeConfig};
 
-/// Resolves the shard count from the documented precedence chain:
-/// an explicit `--shards` flag, then the `LLP_SHARDS` environment
-/// variable, then `max(2, available cores)` — two shards minimum so
-/// the default deployment actually exercises the router. Mirrors the
-/// `--threads` > `LLP_THREADS` > cores rule of `llp_par` (README
-/// "Parallelism" and "Network serving").
+/// Resolves the shard count: an explicit `--shards` flag (at least 1),
+/// else `max(2, available cores)` — two shards minimum so the default
+/// deployment actually exercises the router (README "Network serving").
 pub fn default_shards(flag: Option<usize>) -> usize {
     if let Some(n) = flag {
         return n.max(1);
-    }
-    // llp-analyzer: allow(env-read) -- LLP_SHARDS is the documented shard-count default for the server binary; the --shards flag overrides it and solver results are shard-count-invariant
-    if let Ok(v) = std::env::var("LLP_SHARDS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -73,9 +62,8 @@ mod tests {
 
     #[test]
     fn fallback_is_at_least_two() {
-        // Whatever the env/core situation, the no-flag default must
-        // exercise the router (>= 2) unless LLP_SHARDS pins it lower.
-        let n = default_shards(None);
-        assert!(n >= 1);
+        // Whatever the core count, the no-flag default must exercise
+        // the router.
+        assert!(default_shards(None) >= 2);
     }
 }

@@ -3,14 +3,15 @@
 //!
 //! ```text
 //! llp_serve [--host 127.0.0.1] [--port 7171] [--shards N]
-//!           [--workers N] [--queue N] [--cache N] [--solver-threads N]
+//!           [--workers N] [--queue N] [--cache N]
 //! ```
 //!
-//! Shard-count precedence is `--shards` > `LLP_SHARDS` > max(2, cores)
-//! (see README "Network serving"). Every shard gets an identical
-//! worker/queue/cache configuration. The server binds exactly the
-//! address given — the default is loopback-only and the binary never
-//! dials out, so it is safe to run in the offline CI container.
+//! The shard count is `--shards`, or max(2, cores) without it (see
+//! README "Network serving"). Every shard gets an identical
+//! worker/queue/cache configuration, and every worker solves on one
+//! scan thread. The server binds exactly the address given — the
+//! default is loopback-only and the binary never dials out, so it is
+//! safe to run in the offline CI container.
 
 #![forbid(unsafe_code)]
 
@@ -34,9 +35,6 @@ fn main() {
             "--workers" => service.workers = expect_parse(&mut args, "--workers"),
             "--queue" => service.queue_capacity = expect_parse(&mut args, "--queue"),
             "--cache" => service.cache_capacity = expect_parse(&mut args, "--cache"),
-            "--solver-threads" => {
-                service.solver_threads = expect_parse(&mut args, "--solver-threads")
-            }
             "--help" | "-h" => {
                 print_usage();
                 return;
@@ -62,13 +60,12 @@ fn main() {
         }
     };
     println!(
-        "llp_serve listening on {} ({} shards x {} workers, queue {}, cache {}, {} solver threads)",
+        "llp_serve listening on {} ({} shards x {} workers, queue {}, cache {})",
         server.local_addr(),
         cfg.shards,
         cfg.service.workers,
         cfg.service.queue_capacity,
         cfg.service.cache_capacity,
-        cfg.service.solver_threads,
     );
 
     // Serve until the process is killed; the accept loop and handlers
@@ -81,7 +78,7 @@ fn main() {
 fn print_usage() {
     eprintln!(
         "usage: llp_serve [--host ADDR] [--port PORT] [--shards N] \
-         [--workers N] [--queue N] [--cache N] [--solver-threads N]"
+         [--workers N] [--queue N] [--cache N]"
     );
 }
 

@@ -21,7 +21,6 @@ fn quick_config() -> ServiceConfig {
         workers: 2,
         queue_capacity: 64,
         cache_capacity: 64,
-        ..ServiceConfig::default()
     }
 }
 

@@ -53,13 +53,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// LRU result-cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// `llp_par` thread count installed in each worker for the solve's
-    /// hot scans. Defaults to 1: the pool parallelizes across requests,
-    /// so nested scan parallelism usually oversubscribes.
-    pub solver_threads: usize,
-    /// Execution parameters for inline inputs (scenario requests use the
-    /// scenario's own `r`/skew, with these as the remaining defaults).
-    pub exec: ExecParams,
 }
 
 impl Default for ServiceConfig {
@@ -68,8 +61,6 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 256,
-            solver_threads: 1,
-            exec: ExecParams::default(),
         }
     }
 }
@@ -390,9 +381,10 @@ fn admit_locked(
 }
 
 fn worker_loop(shared: &Shared) {
-    // Pin the scan parallelism of this worker's solves; the override is
-    // thread-local, so each worker installs its own.
-    llp_par::set_threads(Some(shared.cfg.solver_threads));
+    // Each solve scans on one thread: the pool parallelizes across
+    // requests, so nested scan parallelism would oversubscribe. The
+    // override is thread-local, so each worker installs its own.
+    llp_par::set_threads(Some(1));
     loop {
         // Pop the next batch (or exit once closed and drained).
         let (key, request, popped_at) = {
@@ -421,7 +413,7 @@ fn worker_loop(shared: &Shared) {
 
         // llp-analyzer: allow(wall-clock) -- request-latency metering; replay classification never reads the clock
         let solve_start = Instant::now();
-        let outcome = execute(&request, &shared.cfg.exec);
+        let outcome = execute(&request);
         let solve_ms = solve_start.elapsed().as_secs_f64() * 1000.0;
         let (body, cacheable) = match outcome {
             Ok(body) => (Ok(body), true),
@@ -474,9 +466,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Resolves the request input and solves it. Scenario requests use the
-/// scenario's own `r` and skew (grid-identical); inline requests use the
-/// service's configured [`ExecParams`].
-fn execute(req: &SolveRequest, exec: &ExecParams) -> Result<ResponseBody, String> {
+/// scenario's own `r` and skew (grid-identical); inline requests use
+/// `ExecParams::default()`.
+fn execute(req: &SolveRequest) -> Result<ResponseBody, String> {
     let mut rng = StdRng::seed_from_u64(req.seed);
     let outcome = match &req.input {
         RequestInput::Scenario(name) => {
@@ -487,7 +479,7 @@ fn execute(req: &SolveRequest, exec: &ExecParams) -> Result<ResponseBody, String
             let params = ExecParams {
                 r: sc.r,
                 skew: sc.skew,
-                ..exec.clone()
+                ..ExecParams::default()
             };
             match sc.generate() {
                 ScenarioData::Lp(p, cs) => solve_model(&p, &cs, req.model, &params, &mut rng),
@@ -495,7 +487,9 @@ fn execute(req: &SolveRequest, exec: &ExecParams) -> Result<ResponseBody, String
                 ScenarioData::Meb(p, pts) => solve_model(&p, &pts, req.model, &params, &mut rng),
             }
         }
-        RequestInput::InlineLp(p, cs) => solve_model(p, cs, req.model, exec, &mut rng),
+        RequestInput::InlineLp(p, cs) => {
+            solve_model(p, cs, req.model, &ExecParams::default(), &mut rng)
+        }
     }?;
     Ok(outcome.body)
 }
@@ -513,7 +507,6 @@ mod tests {
             workers: 2,
             queue_capacity: 16,
             cache_capacity: 32,
-            ..ServiceConfig::default()
         }
     }
 
@@ -564,7 +557,6 @@ mod tests {
             workers: 1,
             queue_capacity: 2,
             cache_capacity: 32,
-            ..ServiceConfig::default()
         };
         let svc = Service::new(cfg);
         // Four *distinct* fingerprints admitted atomically against a

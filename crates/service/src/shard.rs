@@ -264,7 +264,6 @@ mod tests {
             workers: 1,
             queue_capacity: 64,
             cache_capacity: 64,
-            ..ServiceConfig::default()
         };
         let stream: Vec<SolveRequest> = (0..6)
             .map(|i| SolveRequest::scenario("lp_uniform", Model::Ram, RunBudget::Quick, i))

@@ -44,8 +44,6 @@ fn run_two_waves(stream: &[SolveRequest], workers: usize) -> (Outcome, Outcome) 
         workers,
         queue_capacity: 128, // above the registry × model key count: no shed
         cache_capacity: 256,
-        solver_threads: 1,
-        ..ServiceConfig::default()
     });
     let strip = |rs: Vec<Result<lodim_lp::service::SolveResponse, SubmitError>>| {
         rs.into_iter().map(|r| r.map(|resp| resp.body)).collect()
@@ -128,8 +126,6 @@ fn shed_classification_is_worker_count_invariant() {
             workers,
             queue_capacity: 3,
             cache_capacity: 64,
-            solver_threads: 1,
-            ..ServiceConfig::default()
         });
         let pattern: Vec<bool> = svc
             .run_replay(reqs.clone())
@@ -164,7 +160,6 @@ fn service_bodies_match_the_direct_grid_solve() {
         };
         let svc = Service::new(ServiceConfig {
             workers: 2,
-            solver_threads: 1,
             ..ServiceConfig::default()
         });
         let served = svc

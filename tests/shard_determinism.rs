@@ -15,7 +15,6 @@ fn quick_config(workers: usize) -> ServiceConfig {
         workers,
         queue_capacity: 256,
         cache_capacity: 64,
-        ..ServiceConfig::default()
     }
 }
 
