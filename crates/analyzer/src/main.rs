@@ -97,7 +97,9 @@ fn main() -> ExitCode {
     }
     println!(
         "llp-analyzer: {} files, {} deny, {} suppressed by reasoned allows",
-        r.files_scanned, r.deny, r.suppressed
+        r.files_scanned,
+        r.findings.len(),
+        r.suppressed
     );
 
     if let Some(path) = out {
@@ -108,8 +110,11 @@ fn main() -> ExitCode {
         println!("llp-analyzer: report written to {}", path.display());
     }
 
-    if check && r.deny > 0 {
-        eprintln!("llp-analyzer: --check failed ({} finding(s))", r.deny);
+    if check && !r.findings.is_empty() {
+        eprintln!(
+            "llp-analyzer: --check failed ({} finding(s))",
+            r.findings.len()
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

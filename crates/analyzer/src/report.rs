@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Bumped whenever a [`Finding`]/[`AnalyzerReport`] field changes
-/// meaning; consumers refuse unknown versions.
+/// meaning.
 pub const SCHEMA_VERSION: u64 = 3;
 
 /// One lint finding at a source location.
@@ -43,8 +43,6 @@ pub struct AnalyzerReport {
     pub schema_version: u64,
     /// Files scanned (after fixture/target exclusions).
     pub files_scanned: u64,
-    /// Finding count; every finding fails `--check`.
-    pub deny: u64,
     /// Findings suppressed by used allow annotations.
     pub suppressed: u64,
     /// All surviving findings, sorted by (path, line, lint).
@@ -65,7 +63,6 @@ impl AnalyzerReport {
         AnalyzerReport {
             schema_version: SCHEMA_VERSION,
             files_scanned,
-            deny: findings.len() as u64,
             suppressed,
             findings,
         }
@@ -86,7 +83,7 @@ mod tests {
             2,
             1,
         );
-        assert_eq!(r.deny, 2);
+        assert_eq!(r.findings.len(), 2);
         // Sorted by path first.
         assert_eq!(r.findings[0].path, "a.rs");
         let back = AnalyzerReport::from_json(&r.to_json()).expect("roundtrip");
