@@ -34,7 +34,7 @@
 //! travel as evaluated 128-bit totals, so every message keeps its size.
 
 use crate::{BigDataError, COUNT_BITS, VERDICT_BITS, WEIGHT_BITS};
-use llp_core::clarkson::{self, ClarksonStats, Holder, NetBuffer, SiteWeights};
+use llp_core::clarkson::{self, ClarksonStats, Holder, NetBuffer, SiteWeights, WeightFactor};
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
@@ -47,7 +47,9 @@ use rand::Rng;
 pub struct MpcConfig {
     /// Load exponent δ ∈ (0, 1): load `Õ(n^δ)`, machines `⌈n^{1-δ}⌉`.
     pub delta: f64,
-    /// Algorithm 1's configuration, with weight factor `n^{1/⌈1/δ⌉}`.
+    /// Algorithm 1's configuration. Its weight factor must be
+    /// `NthRoot { r }` for [`MpcConfig::r`]: Theorem 3's load bound ties
+    /// `n^{1/r}` to δ, and [`solve_partitioned`] asserts it.
     pub clarkson: ClarksonConfig,
 }
 
@@ -55,27 +57,31 @@ impl MpcConfig {
     /// Calibrated configuration for a given δ
     /// (`ClarksonConfig::calibrated(⌈1/δ⌉)`).
     pub fn calibrated(delta: f64) -> Self {
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-        let r = (1.0 / delta).ceil() as u32;
-        MpcConfig {
-            delta,
-            clarkson: ClarksonConfig::calibrated(r),
-        }
+        Self::with(delta, ClarksonConfig::calibrated)
     }
 
     /// The lean configuration (`ClarksonConfig::lean(⌈1/δ⌉)`).
     pub fn lean(delta: f64) -> Self {
-        let cfg = Self::calibrated(delta);
-        MpcConfig {
-            clarkson: ClarksonConfig::lean(cfg.r()),
-            ..cfg
-        }
+        Self::with(delta, ClarksonConfig::lean)
     }
 
     /// The pass parameter `r = ⌈1/δ⌉` implied by δ.
     pub fn r(&self) -> u32 {
-        (1.0 / self.delta).ceil() as u32
+        pass_parameter(self.delta)
     }
+
+    fn with(delta: f64, clarkson: fn(u32) -> ClarksonConfig) -> Self {
+        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
+        MpcConfig {
+            delta,
+            clarkson: clarkson(pass_parameter(delta)),
+        }
+    }
+}
+
+/// `r = ⌈1/δ⌉`, the pass parameter of load exponent δ.
+fn pass_parameter(delta: f64) -> u32 {
+    (1.0 / delta).ceil() as u32
 }
 
 /// Statistics of an MPC run (experiment T4). `PartialEq` backs the
@@ -174,7 +180,7 @@ pub fn machine_sizes(n: usize, delta: f64) -> Vec<usize> {
 /// `⌈n^{1-δ}⌉` machines ([`machine_sizes`]), transposed once.
 ///
 /// # Panics
-/// Panics if `data` is empty.
+/// Panics if `data` is empty or as [`solve_partitioned`] does.
 pub fn solve<P: ColumnarProblem, R: Rng>(
     problem: &P,
     data: &[P::Constraint],
@@ -194,8 +200,9 @@ pub fn solve<P: ColumnarProblem, R: Rng>(
 /// and only the load meter readings change.
 ///
 /// # Panics
-/// Panics if `data` is empty, `sizes` do not sum to `data.len()`, or
-/// `columns` has a different length.
+/// Panics if `data` is empty, `sizes` do not sum to `data.len()`,
+/// `columns` has a different length, or `cfg.clarkson.factor` is not
+/// `NthRoot { r: cfg.r() }`.
 pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     problem: &P,
     data: &[P::Constraint],
@@ -208,6 +215,11 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     let covered: usize = sizes.iter().sum();
     assert_eq!(covered, n, "machine sizes must cover the data exactly");
     assert_eq!(columns.len(), n, "columns/constraints length mismatch");
+    assert_eq!(
+        cfg.clarkson.factor,
+        WeightFactor::NthRoot { r: cfg.r() },
+        "the weight factor must be n^(1/r) for r = ⌈1/δ⌉"
+    );
     let k = sizes.len();
     let fanout = ((n as f64).powf(cfg.delta).ceil() as usize).max(2);
     let tree = Tree { k, fanout };
@@ -539,6 +551,18 @@ mod tests {
             failed > 0,
             "the one-machine case must include failed iterations"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "the weight factor must be n^(1/r)")]
+    fn a_weight_factor_not_tied_to_delta_is_refused() {
+        let (p, cs) = random_lp(200, 2, 7);
+        // δ = 1/4 needs r = 4; the struct update keeps r = 2's factor.
+        let cfg = MpcConfig {
+            delta: 0.25,
+            ..MpcConfig::calibrated(0.5)
+        };
+        let _ = solve(&p, &cs, &cfg, &mut StdRng::seed_from_u64(0));
     }
 
     #[test]
