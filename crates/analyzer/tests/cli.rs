@@ -46,7 +46,6 @@ fn check_exits_0_when_clean_1_on_any_finding_and_2_on_an_unknown_flag() {
     assert_eq!(dirty.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("missing-forbid-unsafe"), "{stdout}");
 
-    // There is no baseline mode to diff against.
     let baseline = analyzer(&["--check", "--baseline", "x"]);
     let stderr = String::from_utf8_lossy(&baseline.stderr);
     assert_eq!(baseline.status.code(), Some(2), "{stderr}");

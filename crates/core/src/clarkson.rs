@@ -836,9 +836,8 @@ mod tests {
         let mut r = rng(seed);
         let mut cs: Vec<Halfspace> = Vec::with_capacity(n);
         // Rejection sampling via an iterator chain (not a `while` body)
-        // keeps this kernel file clean under the deny-tier hot-loop
-        // allocation lint; the RNG draw order matches the loop it
-        // replaced exactly.
+        // keeps this kernel file clean under the hot-loop allocation
+        // lint; the RNG draw order matches the loop it replaced exactly.
         cs.extend(
             std::iter::repeat_with(|| {
                 let mut a: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
