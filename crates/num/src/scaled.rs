@@ -17,16 +17,16 @@
 //! representation private and still adds bit for bit as `+=` does.
 
 use std::cmp::Ordering;
-use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Sub};
+use std::ops::{Add, AddAssign, Mul};
 
 /// A non-negative extended-range float: `mantissa * 2^exp` with
 /// `mantissa ∈ [1, 2)`, or exactly zero.
 ///
-/// Only the operations needed by the weighted-sampling machinery are
-/// implemented: addition, multiplication, division, comparison, and
-/// conversion to/from `f64` (with saturation).
+/// Only the operations the weighted-sampling machinery uses are
+/// implemented: addition (and [`Sum`]), multiplication, comparison,
+/// powers, logarithms, ratios, and conversion to and from `f64` (with
+/// saturation).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScaledF64 {
     mantissa: f64,
@@ -178,8 +178,8 @@ impl ScaledF64 {
     }
 }
 
-/// The largest exponent gap at which [`Add`] and [`Sub`] still align the
-/// smaller operand; past it, the smaller one is below the precision of the
+/// The largest exponent gap at which [`Add`] still aligns the smaller
+/// operand; past it, the smaller one is below the precision of the
 /// larger and drops out.
 const MAX_SHIFT: i64 = 100;
 
@@ -214,40 +214,17 @@ fn frexp(v: f64) -> (f64, i64) {
     }
 }
 
-impl Default for ScaledF64 {
-    fn default() -> Self {
-        Self::ZERO
-    }
-}
-
-impl fmt::Display for ScaledF64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            write!(f, "0")
-        } else {
-            write!(f, "{:.6}*2^{}", self.mantissa, self.exp)
-        }
-    }
-}
-
 impl PartialOrd for ScaledF64 {
     #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp_total(other))
-    }
-}
-
-impl ScaledF64 {
-    #[inline]
-    fn cmp_total(&self, other: &Self) -> Ordering {
-        match (self.is_zero(), other.is_zero()) {
+        Some(match (self.is_zero(), other.is_zero()) {
             (true, true) => Ordering::Equal,
             (true, false) => Ordering::Less,
             (false, true) => Ordering::Greater,
             (false, false) => (self.exp, self.mantissa)
                 .partial_cmp(&(other.exp, other.mantissa))
                 .expect("mantissas are finite"),
-        }
+        })
     }
 }
 
@@ -349,34 +326,6 @@ impl ScaledF64 {
     }
 }
 
-impl Sub for ScaledF64 {
-    type Output = ScaledF64;
-    /// Saturating subtraction: results that would be negative clamp to zero
-    /// (weights never go negative; tiny negative residue is cancellation
-    /// noise).
-    fn sub(self, rhs: Self) -> Self {
-        if rhs.is_zero() {
-            return self;
-        }
-        if rhs.cmp_total(&self) != Ordering::Less {
-            return Self::ZERO;
-        }
-        let shift = self.exp - rhs.exp;
-        if shift > MAX_SHIFT {
-            return self;
-        }
-        let m = self.mantissa - rhs.mantissa * pow2_neg(shift);
-        if m <= 0.0 {
-            return Self::ZERO;
-        }
-        Self {
-            mantissa: m,
-            exp: self.exp,
-        }
-        .normalized()
-    }
-}
-
 impl Mul for ScaledF64 {
     type Output = ScaledF64;
     #[inline]
@@ -388,43 +337,9 @@ impl Mul for ScaledF64 {
     }
 }
 
-impl MulAssign for ScaledF64 {
-    fn mul_assign(&mut self, rhs: Self) {
-        *self = *self * rhs;
-    }
-}
-
-impl Mul<f64> for ScaledF64 {
-    type Output = ScaledF64;
-    fn mul(self, rhs: f64) -> Self {
-        self * ScaledF64::from_f64(rhs)
-    }
-}
-
-impl Div for ScaledF64 {
-    type Output = ScaledF64;
-    fn div(self, rhs: Self) -> Self {
-        assert!(!rhs.is_zero(), "division by zero ScaledF64");
-        if self.is_zero() {
-            return Self::ZERO;
-        }
-        Self {
-            mantissa: self.mantissa / rhs.mantissa,
-            exp: self.exp - rhs.exp,
-        }
-        .normalized()
-    }
-}
-
 impl Sum for ScaledF64 {
     fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
         iter.fold(Self::ZERO, |acc, x| acc + x)
-    }
-}
-
-impl From<f64> for ScaledF64 {
-    fn from(v: f64) -> Self {
-        Self::from_f64(v)
     }
 }
 
@@ -470,14 +385,6 @@ mod tests {
         let a = ScaledF64::powi(10.0, 500);
         let b = ScaledF64::powi(10.0, 499);
         assert!(close(a.ratio(b), 10.0));
-    }
-
-    #[test]
-    fn sub_saturates_at_zero() {
-        let a = ScaledF64::from_f64(1.0);
-        let b = ScaledF64::from_f64(2.0);
-        assert!((a - b).is_zero());
-        assert!(close((b - a).to_f64(), 1.0));
     }
 
     #[test]

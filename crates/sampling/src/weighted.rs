@@ -372,7 +372,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 sorted_uniforms(m, &mut rng, &mut uniforms);
                 let got: Vec<ScaledF64> = uniforms.iter().map(|&u| target(total, u)).collect();
-                assert_eq!(got, expect, "total {total}, m {m}");
+                assert_eq!(got, expect, "total {total:?}, m {m}");
                 assert_eq!(rng.next_u64(), reference_rng.next_u64(), "RNG out of step");
             }
         }
@@ -467,7 +467,7 @@ mod tests {
             // `finish` has stranded targets to report.
             let mut total: ScaledF64 = exponents.iter().map(|&a| table[a as usize]).sum();
             if case % 4 == 3 {
-                total *= ScaledF64::from_f64(1.01);
+                total = total * ScaledF64::from_f64(1.01);
             }
             if total.is_zero() {
                 total = ScaledF64::ONE;

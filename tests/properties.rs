@@ -267,11 +267,11 @@ proptest! {
         let mut scaled = ScaledF64::ONE;
         for (&a, &b) in nums.iter().zip(dens.iter()) {
             exact = exact * Rat::new(a, b);
-            scaled = scaled * ScaledF64::from_f64(a as f64) / ScaledF64::from_f64(b as f64);
+            scaled = scaled * ScaledF64::from_f64(a as f64 / b as f64);
         }
         let two = ScaledF64::from_f64(2.0);
         for _ in 0..doublings {
-            scaled *= two;
+            scaled = scaled * two;
         }
         let expect_log2 =
             (exact.num() as f64).log2() - (exact.den() as f64).log2() + f64::from(doublings);
@@ -290,11 +290,11 @@ proptest! {
     fn prop_scaled_doubling_is_exact(
         a in 1i128..=1000, b in 1i128..=1000, k in 0u32..5000,
     ) {
-        let start = ScaledF64::from_f64(a as f64) / ScaledF64::from_f64(b as f64);
+        let start = ScaledF64::from_f64(a as f64 / b as f64);
         let mut doubled = start;
         let two = ScaledF64::from_f64(2.0);
         for _ in 0..k {
-            doubled *= two;
+            doubled = doubled * two;
         }
         prop_assert_eq!(doubled, start * ScaledF64::powi(2.0, k));
         // (mantissa.log2() + exp) associates differently on the two sides,
@@ -316,12 +316,12 @@ proptest! {
         let mut raw = 1f64;
         for (&a, &b) in nums.iter().zip(dens.iter()) {
             exact = exact * Rat::new(a, b);
-            scaled = scaled * ScaledF64::from_f64(a as f64) / ScaledF64::from_f64(b as f64);
+            scaled = scaled * ScaledF64::from_f64(a as f64 / b as f64);
             raw *= a as f64 / b as f64;
         }
         let two = ScaledF64::from_f64(2.0);
         for _ in 0..doublings {
-            scaled *= two;
+            scaled = scaled * two;
             raw *= 2.0;
         }
         // ≥ 1101 doublings push even the smallest chain value (≥ 9^-23)
