@@ -14,29 +14,25 @@ use llp_solver::seidel::SeidelConfig;
 use llp_solver::LpResult;
 use rand::RngCore;
 
+/// Relative tolerance of the violation test: a constraint counts as
+/// violated when its slack is below `-VIOLATION_EPS` (scaled). Looser
+/// than the basis solve's tolerance (`SeidelConfig::default()`'s 1e-9),
+/// so basis constraints never self-report as violated.
+const VIOLATION_EPS: f64 = 1e-7;
+
 /// A `d`-dimensional linear program `min c·x : a_j·x ≤ b_j`.
 #[derive(Clone, Debug)]
 pub struct LpProblem {
     /// Objective vector `c`.
     pub objective: Vec<f64>,
-    /// Solver configuration (regularization box, tolerance).
-    pub solver: SeidelConfig,
-    /// Relative tolerance for the violation test: a constraint counts as
-    /// violated when its slack is below `-violation_eps` (scaled). Must be
-    /// looser than the solver tolerance so basis constraints never
-    /// self-report as violated.
-    pub violation_eps: f64,
 }
 
 impl LpProblem {
-    /// A problem with default solver settings.
+    /// A problem with objective `c`. Its basis solve runs in
+    /// `SeidelConfig::default()`'s box and tolerance.
     pub fn new(objective: Vec<f64>) -> Self {
         assert!(!objective.is_empty(), "empty objective");
-        LpProblem {
-            objective,
-            solver: SeidelConfig::default(),
-            violation_eps: 1e-7,
-        }
+        LpProblem { objective }
     }
 }
 
@@ -53,7 +49,7 @@ impl LpTypeProblem for LpProblem {
         subset: &[Halfspace],
         rng: &mut dyn RngCore,
     ) -> Result<Point, SolveError> {
-        match lex_min_optimum(subset, &self.objective, &self.solver, rng) {
+        match lex_min_optimum(subset, &self.objective, &SeidelConfig::default(), rng) {
             LpResult::Optimal(x) => Ok(x),
             LpResult::Infeasible => Err(SolveError::Infeasible),
             LpResult::Unbounded => Err(SolveError::Unbounded),
@@ -61,7 +57,7 @@ impl LpTypeProblem for LpProblem {
     }
 
     fn violates(&self, x: &Point, h: &Halfspace) -> bool {
-        !h.contains_eps(x, self.violation_eps)
+        !h.contains_eps(x, VIOLATION_EPS)
     }
 
     fn objective_value(&self, x: &Point) -> f64 {
@@ -88,7 +84,7 @@ impl ColumnarProblem for LpProblem {
     // ascending `j`, the order of `dot(&h.a, x)`, so each slack is
     // bit-identical to the AoS predicate's, in the shared 4-row blocks.
     fn scan_columns(&self, x: &Point, view: &ColumnsView<'_>, out: &mut Vec<usize>) {
-        kernel::scan_view(&Slack(self.violation_eps), x, view, out);
+        kernel::scan_view(&Slack(VIOLATION_EPS), x, view, out);
     }
 }
 

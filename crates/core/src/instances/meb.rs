@@ -11,22 +11,20 @@ use llp_geom::{ColumnsView, ConstraintColumns, Point};
 use llp_solver::welzl::{min_enclosing_ball, Ball};
 use rand::RngCore;
 
+/// Relative tolerance of the containment (violation) test.
+const VIOLATION_EPS: f64 = 1e-7;
+
 /// The MEB problem in `d` dimensions.
 #[derive(Clone, Debug)]
 pub struct MebProblem {
     dim: usize,
-    /// Relative tolerance for the containment (violation) test.
-    pub violation_eps: f64,
 }
 
 impl MebProblem {
     /// A problem over `R^d`.
     pub fn new(dim: usize) -> Self {
         assert!(dim >= 1);
-        MebProblem {
-            dim,
-            violation_eps: 1e-7,
-        }
+        MebProblem { dim }
     }
 }
 
@@ -46,7 +44,7 @@ impl LpTypeProblem for MebProblem {
     }
 
     fn violates(&self, ball: &Ball, p: &Point) -> bool {
-        !ball.contains(p, self.violation_eps)
+        !ball.contains(p, VIOLATION_EPS)
     }
 
     fn objective_value(&self, ball: &Ball) -> f64 {
@@ -82,7 +80,7 @@ impl ColumnarProblem for MebProblem {
             return;
         }
         let r2 = ball.radius * ball.radius;
-        let bound = r2 + self.violation_eps * r2.max(1.0);
+        let bound = r2 + VIOLATION_EPS * r2.max(1.0);
         kernel::scan_view(&Outside(bound), &ball.center, view, out);
     }
 }

@@ -9,7 +9,7 @@ use super::kernel::{self, RowKernel};
 use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::{ColumnsView, ConstraintColumns, Point};
 use llp_num::linalg::dot;
-use llp_solver::svm_qp::{self, SvmConfig, SvmResult};
+use llp_solver::svm_qp::{self, SvmResult};
 use rand::RngCore;
 
 /// One labeled training point (one margin constraint of Eq. (6)).
@@ -37,25 +37,21 @@ impl Clone for SvmPoint {
     }
 }
 
+/// Margin tolerance of the violation test: a point violates `u` when its
+/// margin is below `1 − VIOLATION_EPS`.
+const VIOLATION_EPS: f64 = 1e-6;
+
 /// The hard-margin SVM problem in `d` dimensions.
 #[derive(Clone, Debug)]
 pub struct SvmProblem {
     dim: usize,
-    /// Active-set solver configuration.
-    pub solver: SvmConfig,
-    /// Margin tolerance for the violation test (looser than the solver's).
-    pub violation_eps: f64,
 }
 
 impl SvmProblem {
-    /// A problem over `R^d` with default solver settings.
+    /// A problem over `R^d`.
     pub fn new(dim: usize) -> Self {
         assert!(dim >= 1);
-        SvmProblem {
-            dim,
-            solver: SvmConfig::default(),
-            violation_eps: 1e-6,
-        }
+        SvmProblem { dim }
     }
 }
 
@@ -74,7 +70,7 @@ impl LpTypeProblem for SvmProblem {
     ) -> Result<Point, SolveError> {
         let points: Vec<Point> = subset.iter().map(|p| p.x.clone()).collect();
         let labels: Vec<i8> = subset.iter().map(|p| p.y).collect();
-        match svm_qp::solve(&points, &labels, &self.solver) {
+        match svm_qp::solve(&points, &labels) {
             SvmResult::Separable { u, .. } => {
                 if u.is_empty() {
                     // Empty subset: the zero normal in d dims.
@@ -88,7 +84,7 @@ impl LpTypeProblem for SvmProblem {
     }
 
     fn violates(&self, u: &Point, p: &SvmPoint) -> bool {
-        svm_qp::margin(u, &p.x, p.y) < 1.0 - self.violation_eps
+        svm_qp::margin(u, &p.x, p.y) < 1.0 - VIOLATION_EPS
     }
 
     fn objective_value(&self, u: &Point) -> f64 {
@@ -122,7 +118,7 @@ impl ColumnarProblem for SvmProblem {
     // ascending-j order as `dot(u, &p.x)`, then one margin compare per
     // row, in the shared 4-row blocks.
     fn scan_columns(&self, u: &Point, view: &ColumnsView<'_>, out: &mut Vec<usize>) {
-        kernel::scan_view(&Margin(1.0 - self.violation_eps), u, view, out);
+        kernel::scan_view(&Margin(1.0 - VIOLATION_EPS), u, view, out);
     }
 }
 

@@ -85,7 +85,9 @@ impl SolveRequest {
 
     /// The batching/caching key: a 128-bit FNV-1a digest of the instance
     /// identity, model, budget, and seed. Everything that can change the
-    /// response body feeds the digest — see the module docs. 128 bits
+    /// response body feeds the digest — see the module docs. An inline LP
+    /// is its objective and rows: its tolerances and solver box are
+    /// constants of `LpProblem`, not fields a request could vary. 128 bits
     /// make an accidental collision (which would silently serve one
     /// request another's result) negligible at any realistic cache size;
     /// adversarially *constructed* collisions are out of scope — this is

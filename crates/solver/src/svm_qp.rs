@@ -32,34 +32,20 @@ pub enum SvmResult {
     Inseparable,
 }
 
-/// Configuration for Wolfe's algorithm.
-#[derive(Clone, Copy, Debug)]
-pub struct SvmConfig {
-    /// Relative tolerance for the optimality test and weight pruning.
-    pub eps: f64,
-    /// `‖z*‖²` below which (relative to the data scale) the instance is
-    /// declared inseparable.
-    pub min_norm2: f64,
-    /// Hard cap on major cycles (defensive; Wolfe terminates finitely).
-    pub max_iters: usize,
-}
-
-impl Default for SvmConfig {
-    fn default() -> Self {
-        SvmConfig {
-            eps: 1e-10,
-            min_norm2: 1e-18,
-            max_iters: 100_000,
-        }
-    }
-}
+/// Relative tolerance of Wolfe's optimality test and weight pruning.
+const EPS: f64 = 1e-10;
+/// `‖z*‖²` below which (relative to the data scale) the instance is
+/// declared inseparable.
+const MIN_NORM2: f64 = 1e-18;
+/// Hard cap on major cycles (defensive; Wolfe terminates finitely).
+const MAX_ITERS: usize = 100_000;
 
 /// Solves the hard-margin SVM over `(points[j], labels[j])` pairs.
 ///
 /// # Panics
 /// Panics if lengths mismatch, a label is not ±1, or points have
 /// inconsistent dimension.
-pub fn solve(points: &[Point], labels: &[i8], cfg: &SvmConfig) -> SvmResult {
+pub fn solve(points: &[Point], labels: &[i8]) -> SvmResult {
     assert_eq!(points.len(), labels.len(), "points/labels length mismatch");
     if points.is_empty() {
         return SvmResult::Separable {
@@ -86,10 +72,10 @@ pub fn solve(points: &[Point], labels: &[i8], cfg: &SvmConfig) -> SvmResult {
         .fold(0.0f64, f64::max)
         .max(1.0);
 
-    match wolfe_min_norm_point(n, d, &v, scale, cfg) {
+    match wolfe_min_norm_point(n, d, &v, scale) {
         Some((z, support)) => {
             let z2 = dot(&z, &z);
-            if z2 <= cfg.min_norm2 * scale {
+            if z2 <= MIN_NORM2 * scale {
                 return SvmResult::Inseparable;
             }
             let u: Point = z.iter().map(|c| c / z2).collect();
@@ -124,17 +110,11 @@ impl SignedPoint<'_> {
 /// Wolfe's minimum-norm-point algorithm over `conv{v_0..v_{n-1}}`.
 /// Returns the MNP and the corral indices, or `None` if the iteration
 /// budget is exhausted (treated as numerically inseparable).
-fn wolfe_min_norm_point<'a, F>(
-    n: usize,
-    d: usize,
-    v: &F,
-    scale: f64,
-    cfg: &SvmConfig,
-) -> Option<(Point, Vec<usize>)>
+fn wolfe_min_norm_point<'a, F>(n: usize, d: usize, v: &F, scale: f64) -> Option<(Point, Vec<usize>)>
 where
     F: Fn(usize) -> SignedPoint<'a>,
 {
-    let tol = cfg.eps * scale;
+    let tol = EPS * scale;
     // Start from the point of smallest norm.
     let mut best = 0;
     let mut best_norm = f64::INFINITY;
@@ -150,9 +130,9 @@ where
     let mut weights: Vec<f64> = vec![1.0];
     let mut x: Point = (0..d).map(|i| v(best).coord(i)).collect();
 
-    for _major in 0..cfg.max_iters {
+    for _major in 0..MAX_ITERS {
         let x2 = dot(&x, &x);
-        if x2 <= cfg.min_norm2 * scale {
+        if x2 <= MIN_NORM2 * scale {
             // The origin is (numerically) in the hull.
             return Some((vec![0.0; d], corral));
         }
@@ -179,7 +159,7 @@ where
         for _minor in 0..(d + 2) * 4 {
             match affine_min_norm(&corral, v, d) {
                 Some(alpha) => {
-                    if alpha.iter().all(|&a| a > cfg.eps) {
+                    if alpha.iter().all(|&a| a > EPS) {
                         weights = alpha;
                         x = combine(&corral, &weights, v, d);
                         break;
@@ -188,7 +168,7 @@ where
                     // the first coordinate to hit zero.
                     let mut theta = 1.0f64;
                     for i in 0..corral.len() {
-                        if alpha[i] < cfg.eps {
+                        if alpha[i] < EPS {
                             let denom = weights[i] - alpha[i];
                             if denom > 0.0 {
                                 theta = theta.min(weights[i] / denom);
@@ -205,7 +185,7 @@ where
                     let mut kept_w = Vec::with_capacity(corral.len());
                     let mut dropped = false;
                     for i in 0..corral.len() {
-                        if !dropped && next[i] <= cfg.eps {
+                        if !dropped && next[i] <= EPS {
                             dropped = true;
                             continue;
                         }
@@ -312,17 +292,13 @@ pub fn margin(u: &[f64], point: &[f64], label: i8) -> f64 {
 mod tests {
     use super::*;
 
-    fn cfg() -> SvmConfig {
-        SvmConfig::default()
-    }
-
     #[test]
     fn two_points_on_axis() {
         // +1 at x = 2, -1 at x = -2 (1-D): optimal u = 1/2, margin = 1 at
         // both, ‖u‖² = 1/4.
         let pts = vec![vec![2.0], vec![-2.0]];
         let labels = vec![1, -1];
-        match solve(&pts, &labels, &cfg()) {
+        match solve(&pts, &labels) {
             SvmResult::Separable { u, support } => {
                 assert!((u[0] - 0.5).abs() < 1e-9, "{u:?}");
                 assert!(!support.is_empty());
@@ -337,7 +313,7 @@ mod tests {
         // (from -1 at -4): u = 1.
         let pts = vec![vec![1.0], vec![-4.0]];
         let labels = vec![1, -1];
-        match solve(&pts, &labels, &cfg()) {
+        match solve(&pts, &labels) {
             SvmResult::Separable { u, .. } => assert!((u[0] - 1.0).abs() < 1e-9, "{u:?}"),
             other => panic!("{other:?}"),
         }
@@ -355,7 +331,7 @@ mod tests {
             pts.push(vec![-3.0 - t.sin() * 0.5, -3.0 - t.cos() * 0.5]);
             labels.push(-1);
         }
-        match solve(&pts, &labels, &cfg()) {
+        match solve(&pts, &labels) {
             SvmResult::Separable { u, .. } => {
                 for (p, &y) in pts.iter().zip(&labels) {
                     assert!(margin(&u, p, y) >= 1.0 - 1e-6, "margin violated at {p:?}");
@@ -384,7 +360,7 @@ mod tests {
             ]);
             labels.push(-1);
         }
-        match solve(&pts, &labels, &cfg()) {
+        match solve(&pts, &labels) {
             SvmResult::Separable { u, support } => {
                 assert!(support.len() <= 4, "support {support:?}");
                 for (p, &y) in pts.iter().zip(&labels) {
@@ -400,7 +376,7 @@ mod tests {
         // Same point with both labels cannot satisfy both margins.
         let pts = vec![vec![1.0, 0.0], vec![1.0, 0.0]];
         let labels = vec![1, -1];
-        assert_eq!(solve(&pts, &labels, &cfg()), SvmResult::Inseparable);
+        assert_eq!(solve(&pts, &labels), SvmResult::Inseparable);
     }
 
     #[test]
@@ -408,7 +384,7 @@ mod tests {
         // +1 and -1 alternate along a line: no homogeneous separator.
         let pts = vec![vec![1.0], vec![2.0], vec![3.0], vec![4.0]];
         let labels = vec![1, -1, 1, -1];
-        assert_eq!(solve(&pts, &labels, &cfg()), SvmResult::Inseparable);
+        assert_eq!(solve(&pts, &labels), SvmResult::Inseparable);
     }
 
     #[test]
@@ -421,13 +397,13 @@ mod tests {
             vec![0.1, -1.0],
         ];
         let labels = vec![1, 1, 1, 1];
-        assert_eq!(solve(&pts, &labels, &cfg()), SvmResult::Inseparable);
+        assert_eq!(solve(&pts, &labels), SvmResult::Inseparable);
     }
 
     #[test]
     fn empty_input_trivial() {
         assert_eq!(
-            solve(&[], &[], &cfg()),
+            solve(&[], &[]),
             SvmResult::Separable {
                 u: vec![],
                 support: vec![]
@@ -441,7 +417,7 @@ mod tests {
         // minimal norm u = (1,1).
         let pts = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
         let labels = vec![1, 1];
-        match solve(&pts, &labels, &cfg()) {
+        match solve(&pts, &labels) {
             SvmResult::Separable { u, .. } => {
                 assert!(
                     (u[0] - 1.0).abs() < 1e-8 && (u[1] - 1.0).abs() < 1e-8,
@@ -476,7 +452,7 @@ mod tests {
             pts.push(x);
             labels.push(y);
         }
-        match solve(&pts, &labels, &cfg()) {
+        match solve(&pts, &labels) {
             SvmResult::Separable { u, .. } => {
                 for (p, &y) in pts.iter().zip(&labels) {
                     assert!(margin_ok(&u, p, y), "violated");
