@@ -10,18 +10,17 @@
 //! every workload generator is a pure function of its arguments.
 //!
 //! All integers and `f64` bit patterns are little-endian. The header is
-//! sealed with FNV-1a-64 and every chunk frame with the chunk checksum
-//! the header's algorithm byte names: 2, the four-lane word checksum
-//! that [`ChunkWriter`] always emits, or 1, FNV-1a-64, which files
-//! written before algorithm 2 carry. The reader verifies both, and
-//! verifies each checksum *before* handing any data to the caller, so
-//! corruption surfaces as a typed [`StoreError`] — never a panic, never
-//! partial data. Trailing bytes after the final chunk are refused.
-//! Under algorithm 2 the reader hashes and decodes in one sweep: each
-//! payload word steps its lane and lands in its column, across the
+//! sealed with FNV-1a-64 and every chunk frame with chunk-checksum
+//! algorithm 2, the four-lane word checksum, which the header's
+//! algorithm byte names. A header naming any other algorithm, the
+//! byte-wise FNV-1a-64 chunks of algorithm 1 included, is refused. The
+//! reader verifies each checksum *before* handing any data to the
+//! caller, so corruption surfaces as a typed [`StoreError`] — never a
+//! panic, never partial data. Trailing bytes after the final chunk are
+//! refused. The reader hashes and decodes in one sweep: each payload
+//! word steps its lane and lands in its column, across the
 //! coordinate/extra boundary at any word offset, and the decoded chunk
-//! is lent only once the stored checksum matches. Algorithm 1 hashes,
-//! then decodes.
+//! is lent only once the stored checksum matches.
 //!
 //! Layout (byte offsets; `L` = family-name length):
 //!
@@ -29,7 +28,7 @@
 //! header:
 //!   0   8  magic  = b"LLPSTORE"
 //!   8   4  format version (u32)       = 1
-//!   12  1  chunk checksum algorithm (u8): 1 (FNV-1a-64) or 2 (four-lane)
+//!   12  1  chunk checksum algorithm (u8) = 2 (four-lane)
 //!   13  4  column dimension (u32)     >= 1
 //!   17  8  total rows in file (u64)
 //!   25  4  rows per chunk (u32)       >= 1; every chunk but the last is full
@@ -47,8 +46,7 @@
 //!   0   4  rows in this chunk (u32)
 //!   4   .. payload: dim columns of `rows` f64 each (column-major),
 //!          then the extra column (`rows` f64)
-//!   ..  8  chunk checksum over the rows field + payload, by the
-//!          header's algorithm
+//!   ..  8  chunk checksum (algorithm 2) over the rows field + payload
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,13 +61,9 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"LLPSTORE";
 /// The store format version this crate reads and writes.
 pub const FORMAT_VERSION: u32 = 1;
-/// Chunk-checksum algorithm 1: FNV-1a-64 over the frame's rows field and
-/// payload, one byte per step. Files written before algorithm 2 carry
-/// it; the reader still verifies it, the writer no longer emits it.
-pub const CHECKSUM_FNV1A64: u8 = 1;
 /// Chunk-checksum algorithm 2: the four-lane word checksum (DESIGN.md
 /// §10), eight payload bytes per step in four independent lanes. The
-/// writer always emits it.
+/// only algorithm the writer emits and the reader accepts.
 pub const CHECKSUM_LANES64: u8 = 2;
 /// The largest full-chunk payload, `(dim + 1) · chunk_len · 8` bytes, a
 /// header may declare. The reader sizes its one reused frame buffer from
@@ -85,14 +79,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a-64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a-64 over a byte slice — the header checksum, and the chunk
-/// checksum of algorithm 1.
+/// FNV-1a-64 over a byte slice — the header checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a-64 state over more bytes.
-fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -196,8 +185,7 @@ pub enum StoreError {
     BadMagic([u8; 8]),
     /// The format version is not [`FORMAT_VERSION`].
     BadVersion(u32),
-    /// The checksum-algorithm byte is neither [`CHECKSUM_FNV1A64`] nor
-    /// [`CHECKSUM_LANES64`].
+    /// The checksum-algorithm byte is not [`CHECKSUM_LANES64`].
     BadChecksumAlgo(u8),
     /// A structurally invalid header field (zero dim/chunk capacity,
     /// malformed family name, …).
@@ -531,8 +519,6 @@ impl<W: Write> ChunkWriter<W> {
 pub struct ChunkReader<R: Read> {
     r: CountingReader<R>,
     header: FileHeader,
-    /// The header's chunk-checksum algorithm, 1 or 2.
-    algo: u8,
     rows_read: u64,
     chunks_read: u64,
     done: bool,
@@ -560,7 +546,7 @@ impl<R: Read> ChunkReader<R> {
             return Err(StoreError::BadVersion(version));
         }
         let algo = read_u8(&mut cr, &mut raw, "checksum algorithm")?;
-        if algo != CHECKSUM_FNV1A64 && algo != CHECKSUM_LANES64 {
+        if algo != CHECKSUM_LANES64 {
             return Err(StoreError::BadChecksumAlgo(algo));
         }
         let dim = read_u32(&mut cr, &mut raw, "dim")?;
@@ -618,7 +604,6 @@ impl<R: Read> ChunkReader<R> {
                     skew,
                 },
             },
-            algo,
             rows_read: 0,
             chunks_read: 0,
             done: false,
@@ -689,17 +674,10 @@ impl<R: Read> ChunkReader<R> {
         // frame is never observable.
         let (coords, extra) = self.chunk.resize_raw(rows as usize);
         let (coord_bytes, extra_bytes) = self.payload.split_at(coords.len() * 8);
-        let computed = if self.algo == CHECKSUM_FNV1A64 {
-            let computed = fnv1a64_extend(fnv1a64(&rows_bytes), &self.payload);
-            decode_f64s(coord_bytes, coords);
-            decode_f64s(extra_bytes, extra);
-            computed
-        } else {
-            let mut lanes = LANES_START;
-            lanes_decode(&mut lanes, 0, coord_bytes, coords);
-            lanes_decode(&mut lanes, coords.len(), extra_bytes, extra);
-            lanes_finish(rows, &lanes, self.payload.len() / 8)
-        };
+        let mut lanes = LANES_START;
+        lanes_decode(&mut lanes, 0, coord_bytes, coords);
+        lanes_decode(&mut lanes, coords.len(), extra_bytes, extra);
+        let computed = lanes_finish(rows, &lanes, self.payload.len() / 8);
         if stored != computed {
             return Err(StoreError::ChunkChecksumMismatch {
                 chunk: chunk_idx,
@@ -710,13 +688,6 @@ impl<R: Read> ChunkReader<R> {
         self.rows_read += u64::from(rows);
         self.chunks_read += 1;
         Ok(Some(&self.chunk))
-    }
-}
-
-/// Decodes little-endian `f64` bit patterns into `out`, one per 8 bytes.
-fn decode_f64s(bytes: &[u8], out: &mut [f64]) {
-    for (v, w) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-        *v = f64::from_bits(word(w));
     }
 }
 

@@ -1,19 +1,19 @@
 //! Golden file-format fixtures: one canonical chunked store file and
-//! one skewed header, pinned byte for byte under each chunk-checksum
-//! algorithm and referenced from the byte-layout tables in DESIGN.md
-//! §10. `tests/golden/canonical_chunks_v2.hex` is what the writer emits
-//! (algorithm 2); `tests/golden/canonical_chunks.hex` (algorithm 1) is
-//! the only way tests reach the reader's algorithm-1 path, since the
-//! writer no longer emits it. If an intentional format change breaks
-//! this test, bump `FORMAT_VERSION`, regenerate the fixture from the hex
-//! dumps in the failure message, *and* update the §10 tables in the
-//! same commit — the fixtures exist so spec and code cannot drift apart
-//! silently.
+//! one skewed header, pinned byte for byte and referenced from the
+//! byte-layout tables in DESIGN.md §10.
+//! `tests/golden/canonical_chunks_v2.hex` is what the writer emits and
+//! what the reader decodes (chunk-checksum algorithm 2).
+//! `tests/golden/canonical_chunks.hex` holds the same entries under the
+//! retired algorithm 1 (byte-wise FNV-1a-64 chunks), which the reader
+//! refuses. If an intentional format change breaks this test, bump
+//! `FORMAT_VERSION`, regenerate the fixture from the hex dumps in the
+//! failure message, *and* update the §10 tables in the same commit —
+//! the fixtures exist so spec and code cannot drift apart silently.
 
 use llp_geom::ConstraintColumns;
 use llp_store::{encode_header, ChunkReader, ChunkWriter, FileHeader, Provenance, StoreError};
 
-/// Algorithm 1 (FNV-1a-64 chunks): a read vector only.
+/// Algorithm 1 (FNV-1a-64 chunks): a refusal vector.
 const FIXTURE_V1: &str = include_str!("golden/canonical_chunks.hex");
 /// Algorithm 2 (four-lane chunks): the writer's output.
 const FIXTURE_V2: &str = include_str!("golden/canonical_chunks_v2.hex");
@@ -143,34 +143,44 @@ fn canonical_encoding_matches_the_golden_fixture() {
 
 #[test]
 fn golden_fixture_bytes_decode_back() {
-    // Both fixtures are decode vectors: under either chunk-checksum
-    // algorithm, both entries parse through the public reader and
-    // reproduce the canonical structures.
-    for fixture in [FIXTURE_V1, FIXTURE_V2] {
-        let golden = fixture_entries(fixture);
-        let file = &golden[0].1;
-        let mut r = ChunkReader::open(&file[..]).expect("golden file must decode");
-        assert_eq!(*r.header(), canonical_header());
-        let mut buf = Vec::new();
-        let mut row = 0usize;
-        let mut sizes = Vec::new();
-        while let Some(chunk) = r.next_chunk().expect("golden chunks must decode") {
-            for i in 0..chunk.len() {
-                let extra = chunk.row(i, &mut buf);
-                let (want_coords, want_extra) = ROWS[row];
-                assert_eq!(buf, want_coords, "row {row} coords");
-                assert_eq!(extra, want_extra, "row {row} extra");
-                row += 1;
-            }
-            sizes.push(chunk.len());
+    // Both entries of the writer's fixture parse through the public
+    // reader and reproduce the canonical structures.
+    let golden = fixture_entries(FIXTURE_V2);
+    let file = &golden[0].1;
+    let mut r = ChunkReader::open(&file[..]).expect("golden file must decode");
+    assert_eq!(*r.header(), canonical_header());
+    let mut buf = Vec::new();
+    let mut row = 0usize;
+    let mut sizes = Vec::new();
+    while let Some(chunk) = r.next_chunk().expect("golden chunks must decode") {
+        for i in 0..chunk.len() {
+            let extra = chunk.row(i, &mut buf);
+            let (want_coords, want_extra) = ROWS[row];
+            assert_eq!(buf, want_coords, "row {row} coords");
+            assert_eq!(extra, want_extra, "row {row} extra");
+            row += 1;
         }
-        assert_eq!(row, 3);
-        assert_eq!(sizes, vec![2, 1], "full chunk then remainder");
-        assert_eq!(r.bytes_read(), file.len() as u64);
+        sizes.push(chunk.len());
+    }
+    assert_eq!(row, 3);
+    assert_eq!(sizes, vec![2, 1], "full chunk then remainder");
+    assert_eq!(r.bytes_read(), file.len() as u64);
 
-        let header_only = &golden[1].1;
-        let r = ChunkReader::open(&header_only[..]).expect("golden header must decode");
-        assert_eq!(*r.header(), skewed_empty_header());
+    let header_only = &golden[1].1;
+    let r = ChunkReader::open(&header_only[..]).expect("golden header must decode");
+    assert_eq!(*r.header(), skewed_empty_header());
+}
+
+#[test]
+fn algorithm_1_fixture_is_refused_at_its_algorithm_byte() {
+    // Both entries carry intact header checksums; the reader refuses
+    // them at byte 12, before any chunk is read.
+    for (name, bytes) in fixture_entries(FIXTURE_V1) {
+        match ChunkReader::open(&bytes[..]) {
+            Err(StoreError::BadChecksumAlgo(1)) => {}
+            Err(e) => panic!("{name}: refused with {e:?}"),
+            Ok(_) => panic!("{name}: algorithm-1 header accepted"),
+        }
     }
 }
 
@@ -185,24 +195,22 @@ fn scan(bytes: &[u8]) -> Result<usize, StoreError> {
 }
 
 #[test]
-fn every_byte_flip_and_truncation_of_both_fixtures_is_refused() {
-    // Under either algorithm, a flipped byte anywhere — header field,
-    // header checksum, rows field, payload, chunk checksum — and a cut
-    // anywhere both end in a typed error, never a panic or partial data.
-    for fixture in [FIXTURE_V1, FIXTURE_V2] {
-        for (name, bytes) in fixture_entries(fixture) {
-            assert!(scan(&bytes).is_ok(), "{name} must decode intact");
-            for at in 0..bytes.len() {
-                let mut bad = bytes.clone();
-                bad[at] ^= 0xff;
-                assert!(scan(&bad).is_err(), "{name}: flip at {at} accepted");
-            }
-            for cut in 0..bytes.len() {
-                assert!(
-                    scan(&bytes[..cut]).is_err(),
-                    "{name}: cut at {cut} accepted"
-                );
-            }
+fn every_byte_flip_and_truncation_of_the_fixture_is_refused() {
+    // A flipped byte anywhere — header field, header checksum, rows
+    // field, payload, chunk checksum — and a cut anywhere both end in a
+    // typed error, never a panic or partial data.
+    for (name, bytes) in fixture_entries(FIXTURE_V2) {
+        assert!(scan(&bytes).is_ok(), "{name} must decode intact");
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0xff;
+            assert!(scan(&bad).is_err(), "{name}: flip at {at} accepted");
+        }
+        for cut in 0..bytes.len() {
+            assert!(
+                scan(&bytes[..cut]).is_err(),
+                "{name}: cut at {cut} accepted"
+            );
         }
     }
 }
