@@ -4,7 +4,7 @@
 //! Usage:
 //! ```text
 //! experiments [--quick] [--huge] [--out PATH] [--label NAME] [--list]
-//!             [--threads N] [--workers N] [--requests N]
+//!             [--workers N] [--requests N]
 //!             [--shards N] [--port P] [--connect ADDR]
 //!             [--ooc-dir DIR] [--check PATH] [id ...]
 //! ```
@@ -23,10 +23,8 @@
 //!   load-harness flag below.
 //! * `--ooc-dir DIR` places the chunked store files the `ooc` harness
 //!   writes (default `llp_ooc_chunks/`).
-//! * `--threads N` pins the `llp_par` scan-thread count via
-//!   `llp_par::set_threads` — it overrides the `LLP_THREADS` environment
-//!   variable for this run (precedence: `--threads` > `LLP_THREADS` >
-//!   `available_parallelism`; see README "Parallelism").
+//! * The `llp_par` scan-thread count comes from `LLP_THREADS` (default:
+//!   all cores; see README "Parallelism").
 //! * `--workers N` / `--requests N` / `--shards N` / `--port P` tune the
 //!   `serve` harness: service worker threads per shard, requests per
 //!   wave per mix, the shard count behind its loopback server
@@ -67,7 +65,6 @@ fn main() {
     let mut out: Option<String> = None;
     let mut label: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut threads: Option<usize> = None;
     let mut workers: Option<usize> = None;
     let mut requests: Option<usize> = None;
     let mut shards: Option<usize> = None;
@@ -85,7 +82,6 @@ fn main() {
             "--out" => out = Some(expect_value(&mut args, "--out")),
             "--label" => label = Some(expect_value(&mut args, "--label")),
             "--check" => check = Some(expect_value(&mut args, "--check")),
-            "--threads" => threads = Some(expect_usize(&mut args, "--threads")),
             "--workers" => workers = Some(expect_usize(&mut args, "--workers")),
             "--requests" => requests = Some(expect_usize(&mut args, "--requests")),
             "--shards" => shards = Some(expect_usize(&mut args, "--shards")),
@@ -96,7 +92,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: experiments [--quick] [--huge] [--out PATH] [--label NAME] [--list] \
-                     [--threads N] [--workers N] [--requests N] [--shards N] [--port P] \
+                     [--workers N] [--requests N] [--shards N] [--port P] \
                      [--connect ADDR] [--ooc-dir DIR] [--check PATH] [id ...]"
                 );
                 eprintln!(
@@ -125,11 +121,6 @@ fn main() {
     } else {
         RunBudget::from_quick_flag(quick)
     };
-    if let Some(n) = threads {
-        // Install the scan-thread override for this (main) thread; each
-        // service worker pins its own solves to one thread.
-        llp_par::set_threads(Some(n));
-    }
 
     if let Some(path) = check {
         check_report(&path);
