@@ -82,7 +82,8 @@ pub enum ErrorCode {
     FingerprintMismatch,
     /// The home shard's admission queue was full; the request was shed.
     Shed,
-    /// The request was rejected at admission (unknown scenario name).
+    /// The request was rejected at admission (unknown scenario name, or
+    /// a scenario at the huge budget).
     Rejected,
     /// The server is shutting down and no longer admits requests.
     Closed,

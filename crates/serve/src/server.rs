@@ -251,6 +251,13 @@ fn respond(frame: Frame, router: &ShardRouter) -> (Frame, bool) {
                     },
                     false,
                 ),
+                Err(SubmitError::HugeBudget(name)) => (
+                    Frame::Error {
+                        code: ErrorCode::Rejected,
+                        message: format!("scenario {name:?} is not served at the huge budget"),
+                    },
+                    false,
+                ),
                 Err(SubmitError::Closed) => (
                     Frame::Error {
                         code: ErrorCode::Closed,

@@ -192,6 +192,25 @@ fn application_errors_keep_the_connection_open() {
 }
 
 #[test]
+fn huge_budget_scenario_is_rejected_and_the_connection_stays_open() {
+    let server = quick_server(2);
+    let mut client = connect(server.local_addr());
+    let huge = SolveRequest::scenario("lp_uniform", Model::Ram, RunBudget::Huge, 1);
+    match client.solve(&huge) {
+        Err(ClientError::Server {
+            code: ErrorCode::Rejected,
+            ..
+        }) => {}
+        other => panic!("expected a Rejected error frame, got {other:?}"),
+    }
+    let reply = client
+        .stats()
+        .expect("connection must stay open after the refusal");
+    let fleet = &reply.rows.last().unwrap().stats;
+    assert_eq!((fleet.rejected, fleet.solves), (1, 0));
+}
+
+#[test]
 fn stats_and_reset_work_over_the_wire() {
     let server = quick_server(2);
     let mut client = connect(server.local_addr());

@@ -72,6 +72,9 @@ pub enum SubmitError {
     Shed,
     /// The named scenario is not in the registry.
     UnknownScenario(String),
+    /// A scenario at [`RunBudget::Huge`], which only the store-file
+    /// `ooc` harness runs: a worker would build it in RAM.
+    HugeBudget(String),
     /// The service is shutting down.
     Closed,
 }
@@ -336,6 +339,10 @@ fn admit_locked(
             st.stats.rejected += 1;
             return Err(SubmitError::UnknownScenario(name.clone()));
         }
+        if req.budget == RunBudget::Huge {
+            st.stats.rejected += 1;
+            return Err(SubmitError::HugeBudget(name.clone()));
+        }
     }
     if let Some(body) = st.cache.get(key) {
         st.stats.cache_hits += 1;
@@ -584,6 +591,18 @@ mod tests {
             other => panic!("expected UnknownScenario, got {other:?}"),
         }
         assert_eq!(svc.stats().rejected, 1);
+    }
+
+    #[test]
+    fn huge_budget_scenario_is_rejected_at_admission() {
+        let svc = Service::new(quick_cfg());
+        let req = SolveRequest::scenario("lp_uniform", Model::Ram, RunBudget::Huge, 1);
+        match svc.submit(req) {
+            Err(SubmitError::HugeBudget(name)) => assert_eq!(name, "lp_uniform"),
+            other => panic!("expected HugeBudget, got {other:?}"),
+        }
+        let stats = svc.stats();
+        assert_eq!((stats.rejected, stats.solves), (1, 0));
     }
 
     #[test]
