@@ -114,7 +114,6 @@ fn wolfe_min_norm_point<'a, F>(n: usize, d: usize, v: &F, scale: f64) -> Option<
 where
     F: Fn(usize) -> SignedPoint<'a>,
 {
-    let tol = EPS * scale;
     // Start from the point of smallest norm.
     let mut best = 0;
     let mut best_norm = f64::INFINITY;
@@ -146,7 +145,11 @@ where
                 j_min = j;
             }
         }
-        if dot_min >= x2 - tol || corral.contains(&j_min) {
+        // The stopping slack is relative to `‖x‖²`, not to the data scale
+        // `max_j ‖v_j‖²`: a slack of `EPS·scale` can exceed `‖x‖²` itself
+        // on heavy-tailed data and stop at a point that the violation
+        // test's `1e-6` margin tolerance (relative to `‖x‖²`) rejects.
+        if dot_min >= x2 - EPS * x2 || corral.contains(&j_min) {
             // Optimal: no vertex improves (re-adding a corral member
             // cannot either).
             return Some((x, corral));

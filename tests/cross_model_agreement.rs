@@ -492,3 +492,40 @@ fn distributed_weight_traces_stay_in_the_eq_2_envelope() {
     }
     assert!(checked >= 20, "only {checked} trace entries");
 }
+
+/// `T_b` and `T_v` as one contract: a basis solved over a whole registry
+/// input is violated by none of that input's rows, at the quick and the
+/// full budget. A net that covers the input otherwise draws the same
+/// basis every iteration until `IterationLimit`.
+#[test]
+fn whole_input_basis_solve_leaves_no_violator_in_its_input() {
+    use lodim_lp::core::lptype::{scan_violators_columnar, ColumnarProblem};
+    use lodim_lp::workloads::scenario::{registry, RunBudget, ScenarioData};
+
+    fn own_violators<P: ColumnarProblem>(p: &P, cs: &[P::Constraint]) -> usize {
+        let x = p
+            .solve_subset(cs, &mut StdRng::seed_from_u64(0))
+            .expect("registry inputs solve");
+        let mut out = Vec::new();
+        scan_violators_columnar(p, &x, &p.to_columns(cs), &mut out);
+        out.len()
+    }
+
+    let mut bad = Vec::new();
+    for budget in [RunBudget::Quick, RunBudget::Full] {
+        for sc in registry(budget) {
+            let violators = match sc.generate() {
+                ScenarioData::Lp(p, cs) => own_violators(&p, &cs),
+                ScenarioData::Svm(p, pts) => own_violators(&p, &pts),
+                ScenarioData::Meb(p, pts) => own_violators(&p, &pts),
+            };
+            if violators > 0 {
+                bad.push((sc.name, budget, violators));
+            }
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "whole-input solves violated by their input: {bad:?}"
+    );
+}
